@@ -1,8 +1,8 @@
 GO ?= go
 
-DIST_PKGS = ./internal/par/... ./internal/transport/... ./internal/cluster/... ./internal/dkv/... ./internal/store/... ./internal/engine/... ./internal/dist/... ./internal/serve/...
+DIST_PKGS = ./internal/par/... ./internal/transport/... ./internal/cluster/... ./internal/dkv/... ./internal/store/... ./internal/engine/... ./internal/dist/... ./internal/serve/... ./internal/obs/... ./internal/core/...
 
-.PHONY: build fmt vet test race bench-dist bench-serve bench-gate check
+.PHONY: build fmt vet test race bench-check loc check
 
 build:
 	$(GO) build ./...
@@ -17,24 +17,25 @@ vet:
 test:
 	$(GO) test ./...
 
-# race runs the distribution-stack packages under the race detector —
-# the failure-propagation and seed-parity tests are only meaningful with
-# it on (the parity test exercises the pipelined load/compute overlap).
+# race runs every package with concurrent code under the race detector:
+# the distribution stack (the failure-propagation and seed-parity tests are
+# only meaningful with it on — the parity test exercises the pipelined
+# load/compute overlap), internal/obs (the mutex-guarded phase table and
+# recorder) and internal/core (the pipelined loader and compute report to
+# the observer from two goroutines).
 race:
 	$(GO) test -race $(DIST_PKGS)
 
-# bench-dist refreshes the BENCH_dist.json perf snapshot.
-bench-dist:
-	scripts/bench_dist.sh
+# bench-check compiles and tests the frozen benchmark module. bench/ is a
+# second Go module (replace repro => ../) that `go build ./...` does not see,
+# so an internal rename that breaks it must fail here, not in the benchmark
+# pipeline. The benchmark itself is `bash bench/run.sh`.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# bench-serve appends a serving-tier record (qps / p99 / flip latency)
-# to the same BENCH_dist.json series.
-bench-serve:
-	scripts/bench_serve.sh
+# loc prints the non-test Go line count outside bench/ — the number the
+# "collapse parallel mechanisms" roadmap item is measured in.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
-# bench-gate fails if the latest BENCH_dist.json records regress more than
-# BENCH_GATE_THRESHOLD_PCT (default 25%) against the trailing same-cpu median.
-bench-gate:
-	scripts/bench_gate.sh
-
-check: fmt vet build race test
+check: fmt vet build race test bench-check

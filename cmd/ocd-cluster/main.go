@@ -13,9 +13,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
 	"os"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -203,7 +201,7 @@ func main() {
 		// Real wire framing on the loopback mesh: the instrumented conns
 		// count every byte the protocol puts on a socket, so the
 		// transport.* counters below reflect multi-process traffic.
-		conns, cleanup, err = dialLoopbackMesh(*ranks)
+		conns, cleanup, err = transport.DialLoopbackMesh(*ranks)
 		if err != nil {
 			fatal(err)
 		}
@@ -317,44 +315,6 @@ func openSink(path string) (*obs.Sink, error) {
 		return nil, err
 	}
 	return obs.NewFileSink(f), nil
-}
-
-// dialLoopbackMesh builds a fully-connected TCP mesh on 127.0.0.1: listen on
-// an ephemeral port per rank to reserve the address table, then every rank
-// dials every higher rank while accepting from lower ones (DialMesh's
-// handshake), concurrently because each dial blocks on its peer.
-func dialLoopbackMesh(ranks int) ([]transport.Conn, func(), error) {
-	addrs := make([]string, ranks)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, nil, err
-		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
-	}
-	conns := make([]transport.Conn, ranks)
-	errs := make([]error, ranks)
-	var wg sync.WaitGroup
-	for r := 0; r < ranks; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			conns[r], errs[r] = transport.DialMesh(r, addrs)
-		}(r)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	cleanup := func() {
-		for _, c := range conns {
-			c.Close()
-		}
-	}
-	return conns, cleanup, nil
 }
 
 func fatal(err error) {

@@ -2,14 +2,14 @@ package core
 
 import (
 	"bufio"
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // Checkpointing: the paper's convergence runs take hours (Figure 6 reports
@@ -55,128 +55,248 @@ func (s *State) CheckShape(n, k int) error {
 	return nil
 }
 
+// checkpointHeaderLen is the fixed header: magic, version, N, K, iteration.
+const checkpointHeaderLen = 28
+
+// appendHeader is the one encoder of the checkpoint header.
+func appendHeader(hdr []byte, n, k, iteration int) []byte {
+	hdr = wire.AppendUint64(hdr, checkpointMagic)
+	hdr = wire.AppendUint32(hdr, checkpointVersion)
+	hdr = wire.AppendUint32(hdr, uint32(n))
+	hdr = wire.AppendUint32(hdr, uint32(k))
+	return wire.AppendUint64(hdr, uint64(iteration))
+}
+
+// parseHeader is the one decoder: it checks magic, version and the (N, K)
+// range. The dimensions are still only a claim — restore compares them with
+// the bytes actually present before anything is sized by them.
+func parseHeader(hdr []byte) (n, k, iteration int, err error) {
+	if wire.Uint64At(hdr, 0) != checkpointMagic {
+		return 0, 0, 0, fmt.Errorf("core: not a checkpoint file")
+	}
+	if v := wire.Uint32At(hdr, 8); v != checkpointVersion {
+		return 0, 0, 0, fmt.Errorf("core: checkpoint version %d unsupported", v)
+	}
+	n, k, iteration = int(wire.Uint32At(hdr, 12)), int(wire.Uint32At(hdr, 16)), int(wire.Uint64At(hdr, 20))
+	if n < 1 || k < 1 || n > 1<<31 || k > 1<<24 {
+		return 0, 0, 0, fmt.Errorf("core: checkpoint claims N=%d K=%d", n, k)
+	}
+	return n, k, iteration, nil
+}
+
+// checkpointBatchRows bounds one store sweep batch of the checkpoint codec:
+// 4096 rows ≈ 2 MB at K=128, small enough that saving or restoring a
+// larger-than-RAM table never holds more than one batch plus the Σφ vector
+// (8 bytes/vertex) in memory.
+const checkpointBatchRows = 4096
+
 // Save writes the state to w. The iteration counter is stored so a resumed
 // sampler continues the step-size schedule where it stopped.
 func (s *State) Save(w io.Writer, iteration int) error {
+	return SaveStore(w, store.NewLocal(s.Pi, s.PhiSum, s.K, 1), s.Theta, iteration)
+}
+
+// SaveStore is the checkpoint writer: it streams rows out of a π backend in
+// bounded batches, so the out-of-core save never materialises a second full
+// copy of the table, and State.Save is the same call over a LocalStore view.
+// theta must be the 2K global parameter vector.
+func SaveStore(w io.Writer, st store.PiStore, theta []float64, iteration int) error {
+	n, k := st.NumRows(), st.K()
+	if len(theta) != 2*k {
+		return fmt.Errorf("core: θ has %d values, want %d", len(theta), 2*k)
+	}
 	bw := bufio.NewWriterSize(w, 1<<20)
-	hdr := make([]byte, 0, 40)
-	hdr = binary.LittleEndian.AppendUint64(hdr, checkpointMagic)
-	hdr = binary.LittleEndian.AppendUint32(hdr, checkpointVersion)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(s.N))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(s.K))
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(iteration))
-	if _, err := bw.Write(hdr); err != nil {
+	if _, err := bw.Write(appendHeader(make([]byte, 0, checkpointHeaderLen), n, k, iteration)); err != nil {
 		return err
 	}
-	buf := make([]byte, 8)
-	for _, v := range s.Pi {
-		binary.LittleEndian.PutUint32(buf, math.Float32bits(v))
-		if _, err := bw.Write(buf[:4]); err != nil {
-			return err
+	// One sweep: π floats stream straight out; Σφ (8 bytes/vertex — tiny
+	// next to the 4K bytes/vertex of π) is kept for the second section.
+	sums := make([]float64, n)
+	var rows store.Rows
+	ids := make([]int32, 0, checkpointBatchRows)
+	var buf []byte
+	for base := 0; base < n; base += checkpointBatchRows {
+		hi := min(base+checkpointBatchRows, n)
+		ids = ids[:0]
+		for a := base; a < hi; a++ {
+			ids = append(ids, int32(a))
+		}
+		if err := st.ReadRows(ids, &rows); err != nil {
+			return fmt.Errorf("core: checkpoint sweep at vertex %d: %w", base, err)
+		}
+		for i := range ids {
+			buf = wire.AppendFloat32s(buf[:0], rows.PiRow(i))
+			if _, err := bw.Write(buf); err != nil {
+				return err
+			}
+			sums[base+i] = rows.PhiSum[i]
 		}
 	}
-	for _, v := range s.PhiSum {
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	for _, v := range s.Theta {
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-		if _, err := bw.Write(buf); err != nil {
+	for _, section := range [][]float64{sums, theta} {
+		if _, err := bw.Write(wire.AppendFloat64s(buf[:0], section)); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// Load reads a state written by Save and returns it with the stored
-// iteration counter. β is re-derived from θ.
-func Load(r io.Reader) (*State, int, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	hdr := make([]byte, 28)
-	if _, err := io.ReadFull(br, hdr); err != nil {
+// restore is the checkpoint reader. It validates the header, then checks the
+// arrays the header promises against size — the bytes actually present —
+// before open is called, so nothing a loader allocates is sized by an
+// unverified claim: a 28-byte file announcing 2^31 × 2^24 rows fails with
+// ErrCheckpointTruncated, not an out-of-range make. open receives the
+// verified (N, K) and returns where the rows go; the π and Σφ sections are
+// then walked in lockstep, one bounded batch at a time, through its
+// PiWriter. Returns θ and the stored iteration.
+func restore(r io.ReaderAt, size int64, open func(n, k int) (store.PiWriter, error)) (theta []float64, iteration int, err error) {
+	hdr := make([]byte, checkpointHeaderLen)
+	if _, err := io.ReadFull(io.NewSectionReader(r, 0, size), hdr); err != nil {
 		return nil, 0, truncated("header", err)
 	}
-	if binary.LittleEndian.Uint64(hdr[0:]) != checkpointMagic {
-		return nil, 0, fmt.Errorf("core: not a checkpoint file")
+	n, k, iteration, err := parseHeader(hdr)
+	if err != nil {
+		return nil, 0, err
 	}
-	if v := binary.LittleEndian.Uint32(hdr[8:]); v != checkpointVersion {
-		return nil, 0, fmt.Errorf("core: checkpoint version %d unsupported", v)
-	}
-	n := int(binary.LittleEndian.Uint32(hdr[12:]))
-	k := int(binary.LittleEndian.Uint32(hdr[16:]))
-	iteration := int(binary.LittleEndian.Uint64(hdr[20:]))
-	if n < 1 || k < 1 || n > 1<<31 || k > 1<<24 {
-		return nil, 0, fmt.Errorf("core: checkpoint claims N=%d K=%d", n, k)
-	}
-	s := &State{
-		N:      n,
-		K:      k,
-		Pi:     make([]float32, n*k),
-		PhiSum: make([]float64, n),
-		Theta:  make([]float64, 2*k),
-		Beta:   make([]float64, k),
-	}
-	buf := make([]byte, 8)
-	for i := range s.Pi {
-		if _, err := io.ReadFull(br, buf[:4]); err != nil {
-			return nil, 0, truncated("π", err)
-		}
-		s.Pi[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf))
-	}
-	for i := range s.PhiSum {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, 0, truncated("Σφ", err)
-		}
-		s.PhiSum[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-	}
-	for i := range s.Theta {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, 0, truncated("θ", err)
-		}
-		s.Theta[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
+	piOff := int64(checkpointHeaderLen)
+	sumOff := piOff + int64(n)*int64(k)*4
+	thetaOff := sumOff + int64(n)*8
+	end := thetaOff + int64(k)*16
+	if size < end {
+		return nil, 0, fmt.Errorf("core: checkpoint arrays: %w: have %d bytes, N=%d K=%d needs %d",
+			ErrCheckpointTruncated, size, n, k, end)
 	}
 	// A well-formed checkpoint ends exactly where the header says: trailing
 	// bytes mean a damaged file (e.g. two checkpoints concatenated, or a
 	// header whose N/K undercount the arrays that follow).
-	if _, err := br.ReadByte(); err != io.EOF {
-		if err != nil {
-			return nil, 0, fmt.Errorf("core: checkpoint trailer: %w", err)
-		}
+	if size > end {
 		return nil, 0, fmt.Errorf("core: checkpoint has trailing bytes past the N=%d K=%d arrays", n, k)
 	}
+	w, err := open(n, k)
+	if err != nil {
+		return nil, 0, err
+	}
+
+	batch := min(checkpointBatchRows, n)
+	piR := io.NewSectionReader(r, piOff, sumOff-piOff)
+	sumR := io.NewSectionReader(r, sumOff, thetaOff-sumOff)
+	ids := make([]int32, 0, batch)
+	pi := make([]float32, batch*k)
+	sums := make([]float64, batch)
+	piBuf := make([]byte, batch*k*4)
+	sumBuf := make([]byte, batch*8)
+	for base := 0; base < n; base += batch {
+		hi := min(base+batch, n)
+		rows := hi - base
+		ids = ids[:0]
+		for a := base; a < hi; a++ {
+			ids = append(ids, int32(a))
+		}
+		if _, err := io.ReadFull(piR, piBuf[:rows*k*4]); err != nil {
+			return nil, 0, truncated("π", err)
+		}
+		wire.Float32s(piBuf, 0, rows*k, pi)
+		if _, err := io.ReadFull(sumR, sumBuf[:rows*8]); err != nil {
+			return nil, 0, truncated("Σφ", err)
+		}
+		wire.Float64s(sumBuf, 0, rows, sums)
+		if err := w.WritePiRows(ids, pi[:rows*k], sums[:rows]); err != nil {
+			return nil, 0, fmt.Errorf("core: checkpoint restore at vertex %d: %w", base, err)
+		}
+	}
+
+	theta = make([]float64, 2*k)
+	thBuf := make([]byte, 2*k*8)
+	if _, err := r.ReadAt(thBuf, thetaOff); err != nil {
+		return nil, 0, truncated("θ", err)
+	}
+	wire.Float64s(thBuf, 0, 2*k, theta)
+	return theta, iteration, nil
+}
+
+// loadState restores a checkpoint of size bytes into a fresh State through a
+// LocalStore view of its arrays. β is re-derived from θ.
+func loadState(r io.ReaderAt, size int64) (*State, int, error) {
+	var s *State
+	theta, iteration, err := restore(r, size, func(n, k int) (store.PiWriter, error) {
+		s = &State{N: n, K: k, Pi: make([]float32, n*k), PhiSum: make([]float64, n), Beta: make([]float64, k)}
+		return store.NewLocal(s.Pi, s.PhiSum, k, 1), nil
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	s.Theta = theta
 	s.RefreshBeta()
 	return s, iteration, nil
 }
 
-// SaveFile writes a checkpoint to path atomically (write + rename).
-func (s *State) SaveFile(path string, iteration int) error {
+// Load reads a state written by Save and returns it with the stored
+// iteration counter. A stream has no size to check the header against, so
+// Load buffers it first; LoadFile reads the file in place.
+func Load(r io.Reader) (*State, int, error) {
+	buf, err := io.ReadAll(r)
+	if err != nil {
+		return nil, 0, fmt.Errorf("core: checkpoint: %w", err)
+	}
+	return loadState(bytes.NewReader(buf), int64(len(buf)))
+}
+
+// writeFileAtomic is the durable publish the checkpoint files share: write
+// path+".tmp", fsync it, then rename over path. The fsync before the rename
+// is what lets a checkpoint survive the crash it exists for — without it the
+// rename can reach the disk before the data does.
+func writeFileAtomic(path string, write func(w io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := s.Save(f, iteration); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
 	return os.Rename(tmp, path)
 }
 
-// LoadFile reads a checkpoint from path.
-func LoadFile(path string) (*State, int, error) {
+// SaveFile writes a checkpoint to path atomically and durably.
+func (s *State) SaveFile(path string, iteration int) error {
+	return writeFileAtomic(path, func(w io.Writer) error { return s.Save(w, iteration) })
+}
+
+// SaveStoreFile writes a streamed checkpoint to path atomically and durably,
+// like State.SaveFile.
+func SaveStoreFile(path string, st store.PiStore, theta []float64, iteration int) error {
+	return writeFileAtomic(path, func(w io.Writer) error { return SaveStore(w, st, theta, iteration) })
+}
+
+// openSized opens path for the checkpoint reader and reports its size.
+func openSized(path string) (*os.File, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, err
 	}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	return f, st.Size(), nil
+}
+
+// LoadFile reads a checkpoint from path.
+func LoadFile(path string) (*State, int, error) {
+	f, size, err := openSized(path)
+	if err != nil {
+		return nil, 0, err
+	}
 	defer f.Close()
-	return Load(f)
+	return loadState(f, size)
 }
 
 // LoadFileFor reads a checkpoint and validates its shape against the run it
@@ -193,184 +313,30 @@ func LoadFileFor(path string, cfg Config, n int) (*State, int, error) {
 	return state, iter, nil
 }
 
-// checkpointBatchRows bounds one store sweep batch of the streaming
-// checkpoint paths: 4096 rows ≈ 2 MB at K=128, small enough that saving a
-// larger-than-RAM table never holds more than one batch plus the Σφ vector
-// (8 bytes/vertex) in memory.
-const checkpointBatchRows = 4096
-
-// SaveStore writes the standard checkpoint format (identical bytes to
-// State.Save for the same model) by streaming rows out of an external π
-// backend in bounded batches — the out-of-core save path, which never
-// materialises a second full copy of the table. theta must be the 2K global
-// parameter vector.
-func SaveStore(w io.Writer, st store.PiStore, theta []float64, iteration int) error {
-	n, k := st.NumRows(), st.K()
-	if len(theta) != 2*k {
-		return fmt.Errorf("core: θ has %d values, want %d", len(theta), 2*k)
-	}
-	bw := bufio.NewWriterSize(w, 1<<20)
-	hdr := make([]byte, 0, 28)
-	hdr = binary.LittleEndian.AppendUint64(hdr, checkpointMagic)
-	hdr = binary.LittleEndian.AppendUint32(hdr, checkpointVersion)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(n))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(k))
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(iteration))
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	// One sweep: π floats stream straight out; Σφ (8 bytes/vertex — tiny
-	// next to the 4K bytes/vertex of π) is kept for the second section.
-	sums := make([]float64, n)
-	var rows store.Rows
-	ids := make([]int32, 0, checkpointBatchRows)
-	buf := make([]byte, 8)
-	for base := 0; base < n; base += checkpointBatchRows {
-		hi := min(base+checkpointBatchRows, n)
-		ids = ids[:0]
-		for a := base; a < hi; a++ {
-			ids = append(ids, int32(a))
-		}
-		if err := st.ReadRows(ids, &rows); err != nil {
-			return fmt.Errorf("core: checkpoint sweep at vertex %d: %w", base, err)
-		}
-		for i := range ids {
-			for _, v := range rows.PiRow(i) {
-				binary.LittleEndian.PutUint32(buf, math.Float32bits(v))
-				if _, err := bw.Write(buf[:4]); err != nil {
-					return err
-				}
-			}
-			sums[base+i] = rows.PhiSum[i]
-		}
-	}
-	for _, v := range sums {
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	for _, v := range theta {
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// SaveStoreFile writes a streamed checkpoint to path atomically
-// (write + rename), like State.SaveFile.
-func SaveStoreFile(path string, st store.PiStore, theta []float64, iteration int) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := SaveStore(f, st, theta, iteration); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// LoadStoreFile restores a checkpoint into an external π backend by
-// streaming batched rows through the store's PiWriter — the mirror of
-// SaveStoreFile, again never holding the full table in memory. The file's
-// (N, K) must match dst's dimensions (ErrCheckpointShape otherwise); a file
-// shorter than the header promises fails with ErrCheckpointTruncated before
-// any row lands. Returns the θ vector and stored iteration; the caller
-// installs them in its State shell and calls RefreshBeta.
+// LoadStoreFile restores a checkpoint into an external π backend through the
+// store's PiWriter — the mirror of SaveStoreFile, again never holding the
+// full table in memory. The file's (N, K) must match dst's dimensions
+// (ErrCheckpointShape otherwise); a file shorter than the header promises
+// fails with ErrCheckpointTruncated before any row lands. Returns the θ
+// vector and stored iteration; the caller installs them in its State shell
+// and calls RefreshBeta.
 func LoadStoreFile(path string, dst store.PiStore) (theta []float64, iteration int, err error) {
 	w, ok := dst.(store.PiWriter)
 	if !ok {
 		return nil, 0, fmt.Errorf("core: π backend %T cannot restore verbatim rows", dst)
 	}
-	f, err := os.Open(path)
+	f, size, err := openSized(path)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, 0, err
-	}
-
-	hdr := make([]byte, 28)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return nil, 0, truncated("header", err)
-	}
-	if binary.LittleEndian.Uint64(hdr[0:]) != checkpointMagic {
-		return nil, 0, fmt.Errorf("core: not a checkpoint file")
-	}
-	if v := binary.LittleEndian.Uint32(hdr[8:]); v != checkpointVersion {
-		return nil, 0, fmt.Errorf("core: checkpoint version %d unsupported", v)
-	}
-	n := int(binary.LittleEndian.Uint32(hdr[12:]))
-	k := int(binary.LittleEndian.Uint32(hdr[16:]))
-	iteration = int(binary.LittleEndian.Uint64(hdr[20:]))
-	if n != dst.NumRows() || k != dst.K() {
-		return nil, 0, fmt.Errorf("core: %w: checkpoint has N=%d K=%d, store is %d×%d (loading %s)",
-			ErrCheckpointShape, n, k, dst.NumRows(), dst.K(), path)
-	}
-	piOff := int64(28)
-	sumOff := piOff + int64(n)*int64(k)*4
-	thetaOff := sumOff + int64(n)*8
-	end := thetaOff + int64(k)*16
-	if st.Size() < end {
-		return nil, 0, fmt.Errorf("core: checkpoint arrays: %w: file has %d bytes, need %d",
-			ErrCheckpointTruncated, st.Size(), end)
-	}
-	if st.Size() > end {
-		return nil, 0, fmt.Errorf("core: checkpoint has trailing bytes past the N=%d K=%d arrays", n, k)
-	}
-
-	// Walk the π and Σφ sections in lockstep, one bounded batch at a time.
-	piR := bufio.NewReaderSize(io.NewSectionReader(f, piOff, sumOff-piOff), 1<<20)
-	sumR := bufio.NewReaderSize(io.NewSectionReader(f, sumOff, thetaOff-sumOff), 1<<18)
-	ids := make([]int32, 0, checkpointBatchRows)
-	pi := make([]float32, checkpointBatchRows*k)
-	sums := make([]float64, checkpointBatchRows)
-	piBuf := make([]byte, checkpointBatchRows*k*4)
-	sumBuf := make([]byte, checkpointBatchRows*8)
-	for base := 0; base < n; base += checkpointBatchRows {
-		hi := min(base+checkpointBatchRows, n)
-		rows := hi - base
-		ids = ids[:0]
-		for a := base; a < hi; a++ {
-			ids = append(ids, int32(a))
+	return restore(f, size, func(n, k int) (store.PiWriter, error) {
+		if n != dst.NumRows() || k != dst.K() {
+			return nil, fmt.Errorf("core: %w: checkpoint has N=%d K=%d, store is %d×%d (loading %s)",
+				ErrCheckpointShape, n, k, dst.NumRows(), dst.K(), path)
 		}
-		if _, err := io.ReadFull(piR, piBuf[:rows*k*4]); err != nil {
-			return nil, 0, truncated("π", err)
-		}
-		for i := 0; i < rows*k; i++ {
-			pi[i] = math.Float32frombits(binary.LittleEndian.Uint32(piBuf[i*4:]))
-		}
-		if _, err := io.ReadFull(sumR, sumBuf[:rows*8]); err != nil {
-			return nil, 0, truncated("Σφ", err)
-		}
-		for i := 0; i < rows; i++ {
-			sums[i] = math.Float64frombits(binary.LittleEndian.Uint64(sumBuf[i*8:]))
-		}
-		if err := w.WritePiRows(ids, pi[:rows*k], sums[:rows]); err != nil {
-			return nil, 0, fmt.Errorf("core: checkpoint restore at vertex %d: %w", base, err)
-		}
-	}
-
-	theta = make([]float64, 2*k)
-	thBuf := make([]byte, 2*k*8)
-	if _, err := f.ReadAt(thBuf, thetaOff); err != nil {
-		return nil, 0, truncated("θ", err)
-	}
-	for i := range theta {
-		theta[i] = math.Float64frombits(binary.LittleEndian.Uint64(thBuf[i*8:]))
-	}
-	return theta, iteration, nil
+		return w, nil
+	})
 }
 
 // Resume rebuilds a sampler from a saved state, continuing the step-size

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/mathx"
+	"repro/internal/store"
 )
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -197,5 +199,93 @@ func TestResumeValidatesShapes(t *testing.T) {
 	wrongK, _ := NewState(cfg8, 100)
 	if err := Resume(cfg, train, wrongK, 0, s); err == nil {
 		t.Fatal("wrong K accepted")
+	}
+}
+
+// TestCheckpointGoldenFormat pins the bytes on disk: the golden file was
+// written by State.SaveFile at the commit before the two writers and two
+// readers became one, from NewState(DefaultConfig(3, 7), 5) at iteration 42.
+// It must load bit-identically and re-save byte-identically through every
+// entry point of the merged codec.
+func TestCheckpointGoldenFormat(t *testing.T) {
+	golden := filepath.Join("testdata", "checkpoint_v1_n5_k3.golden")
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewState(DefaultConfig(3, 7), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	got, iter, err := LoadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if iter != 42 || got.N != 5 || got.K != 3 {
+		t.Fatalf("golden loaded as N=%d K=%d iteration %d, want 5, 3, 42", got.N, got.K, iter)
+	}
+	if mathx.MaxAbsDiff32(ref.Pi, got.Pi) != 0 || mathx.MaxAbsDiff(ref.PhiSum, got.PhiSum) != 0 ||
+		mathx.MaxAbsDiff(ref.Theta, got.Theta) != 0 || mathx.MaxAbsDiff(ref.Beta, got.Beta) != 0 {
+		t.Fatal("golden checkpoint did not load bit-identically")
+	}
+	var buf bytes.Buffer
+	if err := got.Save(&buf, iter); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatal("State.Save of the loaded golden differs from the golden bytes")
+	}
+
+	// The store path: restore into a backend, stream it back out to a file.
+	pi, sums := make([]float32, 5*3), make([]float64, 5)
+	view := store.NewLocal(pi, sums, 3, 1)
+	theta, iter, err := LoadStoreFile(golden, view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(t.TempDir(), "resaved.ckpt")
+	if err := SaveStoreFile(out, view, theta, iter); err != nil {
+		t.Fatal(err)
+	}
+	resaved, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resaved, want) {
+		t.Fatal("SaveStoreFile of the restored golden differs from the golden bytes")
+	}
+}
+
+// TestCheckpointHostileHeader: a header is a claim, not a size. A 28-byte
+// file announcing a huge table must fail as truncated on every loader before
+// anything is allocated from the claim — the unchecked Load used to panic
+// with "makeslice: len out of range" on the first and allocate gigabytes on
+// the second.
+func TestCheckpointHostileHeader(t *testing.T) {
+	dst := store.NewLocal(make([]float32, 4), make([]float64, 2), 2, 1)
+	for _, dims := range [][2]int{{1 << 31, 1 << 24}, {1 << 20, 1 << 10}} {
+		hdr := appendHeader(nil, dims[0], dims[1], 7)
+		path := filepath.Join(t.TempDir(), "hostile.ckpt")
+		if err := os.WriteFile(path, hdr, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		loaders := map[string]func() error{
+			"Load":          func() error { _, _, err := Load(bytes.NewReader(hdr)); return err },
+			"LoadFile":      func() error { _, _, err := LoadFile(path); return err },
+			"LoadStoreFile": func() error { _, _, err := LoadStoreFile(path, dst); return err },
+		}
+		for name, load := range loaders {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := load()
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrCheckpointTruncated) {
+				t.Errorf("%s(N=%d K=%d header only) = %v, want ErrCheckpointTruncated", name, dims[0], dims[1], err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+				t.Errorf("%s(N=%d K=%d header only) allocated %d bytes from a 28-byte file", name, dims[0], dims[1], grew)
+			}
+		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"sync"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/par"
 	"repro/internal/sampling"
 	"repro/internal/store"
-	"repro/internal/trace"
 )
 
 // This file is the shared algorithm core: each phase of the paper's
@@ -39,8 +37,8 @@ func DrawMinibatch(cfg *Config, edges sampling.EdgeStrategy, t int, dst *samplin
 // fused serial path (one chunk, one batched read — a pipeline would only add
 // channel/goroutine overhead, the in-proc slowdown this policy removes),
 // while remote-reading stores overlap ReadRowsAsync with compute. Loads and
-// computes are timed into Trace under the update_phi.load_pi /
-// update_phi.compute sub-phases.
+// computes are reported to Obs as the update_phi.load_pi /
+// update_phi.compute sub-stage intervals.
 //
 // A PhiStage owns persistent staging buffers and per-worker scratch, so the
 // steady-state iteration allocates nothing; construct one per engine and
@@ -60,12 +58,11 @@ type PhiStage struct {
 	// Depth-1 chunks ahead); <= 2 means double buffering, the paper's
 	// scheme.
 	Depth int
-	Trace *trace.Phases
-	// Rec, when non-nil, additionally receives the load_pi/compute
-	// sub-stage durations so per-iteration events carry the full Table III
-	// breakdown. With pipelining on, load and compute report concurrently —
-	// Recorder implementations are safe for that.
-	Rec obs.Recorder
+	// Obs receives the load_pi/compute sub-stage intervals, so the phase
+	// table and the per-iteration events carry the full Table III breakdown.
+	// With pipelining on, load and compute report concurrently. Nil reports
+	// nothing.
+	Obs *obs.Observer
 
 	// bufs holds one phiChunk per pipeline slot and scratch one PhiScratch
 	// per worker index; both grow on demand and persist across iterations.
@@ -152,23 +149,11 @@ func (p *PhiStage) Run(t int, eps float64, nodes []int32, beta []float64, newPhi
 		return errVal != nil
 	}
 
-	// record times one sub-stage interval into Trace and, when attached,
-	// the live Recorder.
-	record := func(name string, start time.Time) {
-		d := time.Since(start)
-		if p.Trace != nil {
-			p.Trace.Add(name, d)
-		}
-		if p.Rec != nil {
-			p.Rec.StageDone(t, name, d)
-		}
-	}
-
 	load := func(c, slot int) {
 		if hasErr() {
 			return
 		}
-		defer record(engine.PhaseLoadPi, time.Now())
+		defer p.Obs.Interval(t, engine.PhaseLoadPi, obs.TraceNow())
 		b := &bufs[slot]
 		b.lo = c * chunkN
 		b.hi = min(b.lo+chunkN, len(nodes))
@@ -215,7 +200,7 @@ func (p *PhiStage) Run(t int, eps float64, nodes []int32, beta []float64, newPhi
 		if hasErr() {
 			return
 		}
-		defer record(engine.PhaseComputePhi, time.Now())
+		defer p.Obs.Interval(t, engine.PhaseComputePhi, obs.TraceNow())
 		b := &bufs[slot]
 		par.ForWorkers(b.hi-b.lo, p.Threads, func(w, wLo, wHi int) {
 			sc := p.scratch[w]

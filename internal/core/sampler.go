@@ -9,7 +9,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sampling"
 	"repro/internal/store"
-	"repro/internal/trace"
 )
 
 // ThetaChunk is the fixed chunk size for the θ-gradient reduction and
@@ -39,16 +38,12 @@ type Sampler struct {
 	Threads   int
 
 	// Phases accumulates per-stage wall-clock time under the same Table III
-	// stage names the distributed engine reports.
-	Phases *trace.Phases
+	// stage names the distributed engine reports. It is ob's phase table.
+	Phases *obs.Phases
 
-	// rec is the optional live telemetry recorder (SamplerOptions.Recorder):
-	// per-stage durations and one event per iteration, same schema as the
-	// distributed engine's rank events.
-	rec obs.Recorder
-
-	// tracer is the optional span recorder (SamplerOptions.Tracer).
-	tracer *obs.Tracer
+	// ob is the sampler's one observer: the phase table above plus the
+	// optional recorder and tracer of SamplerOptions.
+	ob *obs.Observer
 
 	t     int
 	batch sampling.Batch
@@ -99,7 +94,7 @@ type SamplerOptions struct {
 	// Recorder, when non-nil, receives the live telemetry stream (per-stage
 	// durations, one event per iteration, perplexity points) — see
 	// internal/obs. Nil keeps the iteration loop telemetry-free.
-	Recorder obs.Recorder
+	Recorder *obs.RunRecorder
 	// Tracer, when non-nil, records per-iteration and per-stage spans (the
 	// single-rank timeline; no collectives or DKV traffic exist here). Feed
 	// its Bundle to obs.WriteChromeTrace — ocd-train's -trace-out does.
@@ -194,13 +189,12 @@ func NewSampler(cfg Config, g *graph.Graph, held *graph.HeldOut, opt SamplerOpti
 		Edges:     edges,
 		Neighbors: neigh,
 		Threads:   opt.Threads,
-		Phases:    trace.NewPhases(),
-		rec:       opt.Recorder,
-		tracer:    opt.Tracer,
+		ob:        &obs.Observer{Phases: obs.NewPhases(), Rec: opt.Recorder, Tracer: opt.Tracer},
 		pub:       opt.Publisher,
 		pubEvery:  max(opt.PublishEvery, 1),
 		ext:       opt.Store,
 	}
+	s.Phases = s.ob.Phases
 	if held != nil {
 		s.eval = NewHeldOutEval(held, cfg.Delta, 0, held.Len())
 	}
@@ -208,8 +202,7 @@ func NewSampler(cfg Config, g *graph.Graph, held *graph.HeldOut, opt SamplerOpti
 		Cfg:     &s.Cfg,
 		Neigh:   s.Neighbors,
 		Threads: s.Threads,
-		Trace:   s.Phases,
-		Rec:     s.rec,
+		Obs:     s.ob,
 	}
 	s.loop = s.buildLoop()
 	if err := s.loop.Validate([]string{"graph", "pi", "theta", "beta"}); err != nil {
@@ -233,9 +226,7 @@ func (s *Sampler) pistore() store.PiStore {
 // stages, and the in-memory store makes every load local.
 func (s *Sampler) buildLoop() *engine.Loop {
 	loop := &engine.Loop{
-		Trace:    s.Phases,
-		Recorder: s.rec,
-		Tracer:   s.tracer,
+		Obs: s.ob,
 		Stages: []engine.Stage{
 			{
 				Name:   engine.PhaseDrawMinibatch,
@@ -375,7 +366,7 @@ func (s *Sampler) EvalPerplexity() float64 {
 	if s.eval == nil {
 		panic("core: sampler has no held-out set")
 	}
-	defer s.Phases.Timer(engine.PhasePerplexity)()
+	defer s.ob.Interval(obs.NoIter, engine.PhasePerplexity, obs.TraceNow())
 	partials, err := s.eval.Fold(s.pistore(), s.State.Beta, s.Threads)
 	if err != nil {
 		panic(fmt.Sprintf("core: perplexity: %v", err))
@@ -385,8 +376,8 @@ func (s *Sampler) EvalPerplexity() float64 {
 		logSum += v
 	}
 	perp := PerplexityFromLogSum(logSum, s.Held.Len())
-	if s.rec != nil {
-		s.rec.EvalDone(s.t, perp)
+	if s.ob.Rec != nil {
+		s.ob.Rec.EvalDone(s.t, perp)
 	}
 	return perp
 }

@@ -4,9 +4,11 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mathx"
+	"repro/internal/obs"
 )
 
 func plantedFixture(t *testing.T, n, k, edges int, seed uint64) (*graph.Graph, *graph.HeldOut) {
@@ -24,7 +26,8 @@ func plantedFixture(t *testing.T, n, k, edges int, seed uint64) (*graph.Graph, *
 
 func TestSamplerStepMaintainsInvariants(t *testing.T) {
 	train, held := plantedFixture(t, 300, 6, 1500, 31)
-	s, err := NewSampler(DefaultConfig(6, 5), train, held, SamplerOptions{Threads: 2})
+	tracer := obs.NewTracer(0, 0)
+	s, err := NewSampler(DefaultConfig(6, 5), train, held, SamplerOptions{Threads: 2, Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,6 +39,28 @@ func TestSamplerStepMaintainsInvariants(t *testing.T) {
 	}
 	if err := s.State.Validate(); err != nil {
 		t.Fatalf("state invalid after 50 steps: %v", err)
+	}
+
+	// One measurement, two views: the stage spans and the phase table come
+	// from the same clock reads, so they agree to the nanosecond, and the
+	// sub-stage intervals nest inside the stage that brackets them.
+	spanNS := map[string]int64{}
+	for _, sp := range tracer.Bundle().Spans {
+		if sp.Cat == obs.CatStage {
+			spanNS[sp.Name] += sp.DurNS
+		}
+	}
+	for _, name := range []string{engine.PhaseDrawMinibatch, engine.PhaseUpdatePhi, engine.PhaseUpdatePi, engine.PhaseUpdateBetaTheta} {
+		if got, want := spanNS[name], int64(s.Phases.Total(name)); got != want || want == 0 {
+			t.Errorf("%s: Σ span DurNS = %d, phase table = %d; want equal and nonzero", name, got, want)
+		}
+	}
+	if len(spanNS) != 4 {
+		t.Errorf("stage spans %v, want exactly the four loop stages", spanNS)
+	}
+	load, compute := s.Phases.Total(engine.PhaseLoadPi), s.Phases.Total(engine.PhaseComputePhi)
+	if phi := s.Phases.Total(engine.PhaseUpdatePhi); load == 0 || compute == 0 || load+compute > phi {
+		t.Errorf("load_pi %v + compute %v must be nonzero and within update_phi %v", load, compute, phi)
 	}
 }
 

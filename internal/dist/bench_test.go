@@ -2,8 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -19,9 +17,8 @@ import (
 // in-process 2-rank fabric, realistic minibatch sizes, no perplexity
 // evaluation (the iteration loop is what is being measured). The pipelined
 // and serial variants differ only in the Section III-D overlap schedule, so
-// their ratio is the pipelining speedup — scripts/bench_dist.sh snapshots
-// both into BENCH_dist.json. PhiChunkNodes is left at 0: the automatic
-// policy (core.PhiStage.plan) is what production runs use.
+// their ratio is the pipelining speedup. PhiChunkNodes is left at 0: the
+// automatic policy (core.PhiStage.plan) is what production runs use.
 func benchOptions(iters int, pipelined bool) Options {
 	return Options{
 		Ranks:          2,
@@ -72,8 +69,8 @@ func benchmarkDistIteration(b *testing.B, opts Options) {
 // update_phi → update_pi → update_beta_theta): serial vs pipelined double
 // buffering, and the hot-row cache per-phase (cached) vs surviving barriers
 // via write-set invalidation (cached-xiter). The cached variants also report
-// the hit rate — scripts/bench_dist.sh snapshots all four into
-// BENCH_dist.json.
+// the hit rate. The gated end-to-end numbers for the same stack are the
+// dist_tcp / dist_tcp_hot workloads of `bash bench/run.sh`.
 func BenchmarkDistIteration(b *testing.B) {
 	const itersPerRun = 4
 	b.Run("serial", func(b *testing.B) { benchmarkDistIteration(b, benchOptions(itersPerRun, false)) })
@@ -135,38 +132,12 @@ func sweepConns(b *testing.B, kind string, ranks int) ([]transport.Conn, func())
 		return conns, func() { fabric.Close() }
 	case "tcp":
 		// Loopback mesh with real wire framing (cmd/ocd-cluster's -transport
-		// tcp path): reserve an ephemeral address per rank, then dial the
-		// full mesh concurrently.
-		addrs := make([]string, ranks)
-		for i := range addrs {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			addrs[i] = ln.Addr().String()
-			ln.Close()
+		// tcp path).
+		conns, cleanup, err := transport.DialLoopbackMesh(ranks)
+		if err != nil {
+			b.Fatal(err)
 		}
-		conns := make([]transport.Conn, ranks)
-		errs := make([]error, ranks)
-		var wg sync.WaitGroup
-		for r := 0; r < ranks; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				conns[r], errs[r] = transport.DialMesh(r, addrs)
-			}(r)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		return conns, func() {
-			for _, c := range conns {
-				c.Close()
-			}
-		}
+		return conns, cleanup
 	default:
 		b.Fatalf("unknown sweep transport %q", kind)
 		return nil, nil
@@ -201,14 +172,13 @@ func benchmarkSweepCell(b *testing.B, kind string, threads int, pipelined bool) 
 	}
 }
 
-// BenchmarkDistSweep is the rank×thread×transport scaling grid behind the
-// sweep records in BENCH_dist.json: 2 ranks, threads ∈ {1, 2, 4}, serial vs
-// pipelined, over the in-proc fabric, the simnet wire model, and a real TCP
-// loopback mesh. Interconnect setup runs outside the timer, so ns/op is the
-// training run alone. scripts/bench_dist.sh parses the cells and fails if
-// pipelining is not a win (speedup > 1.0) on the remote transports — the
-// regression this grid exists to catch; on inproc the schedules are expected
-// to tie, since the φ stage demotes nothing there but loads are memcpys.
+// BenchmarkDistSweep is the rank×thread×transport scaling grid: 2 ranks,
+// threads ∈ {1, 2, 4}, serial vs pipelined, over the in-proc fabric, the
+// simnet wire model, and a real TCP loopback mesh. Interconnect setup runs
+// outside the timer, so ns/op is the training run alone. Pipelining should
+// be a win (speedup > 1.0) on the remote transports — the regression this
+// grid exists to catch; on inproc the schedules are expected to tie, since
+// the φ stage demotes nothing there but loads are memcpys.
 func BenchmarkDistSweep(b *testing.B) {
 	for _, kind := range []string{"inproc", "simnet", "tcp"} {
 		b.Run(kind, func(b *testing.B) {

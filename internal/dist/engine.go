@@ -12,7 +12,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sampling"
 	"repro/internal/store"
-	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -38,18 +37,20 @@ type node struct {
 	prefetch *engine.Prefetcher[*sampling.Batch]
 
 	// all ranks
-	held   *graph.HeldOut
-	view   *workerView
-	neigh  sampling.NeighborStrategy
-	theta  []float64
-	beta   []float64
-	phases *trace.Phases
-	reg    *obs.Registry    // this rank's telemetry registry
-	rec    *obs.RunRecorder // nil unless Options.Events/Monitor ask for telemetry
-	tracer *obs.Tracer      // nil unless Options.Trace; feeds engine/cluster/dkv spans
-	phi    *core.PhiStage
-	eval   *core.HeldOutEval // held-out shard, PerplexityChunk-aligned
-	loop   *engine.Loop
+	held  *graph.HeldOut
+	view  *workerView
+	neigh sampling.NeighborStrategy
+	theta []float64
+	beta  []float64
+	reg   *obs.Registry // this rank's telemetry registry
+	// ob is this rank's one observer: the phase table, plus a recorder when
+	// Options.Events/Monitor ask for telemetry (which also arms transport
+	// phase labelling) and a tracer when Options.Trace is set (shared with
+	// the cluster and DKV layers, whose spans nest under the stage's).
+	ob   *obs.Observer
+	phi  *core.PhiStage
+	eval *core.HeldOutEval // held-out shard, PerplexityChunk-aligned
+	loop *engine.Loop
 
 	// bundles is every rank's gathered span buffer, filled by gatherTrace at
 	// run end; identical across ranks (AllGather).
@@ -72,32 +73,34 @@ type node struct {
 
 func newNode(cfg core.Config, opt Options, comm *cluster.Comm, g *graph.Graph, held *graph.HeldOut, reg *obs.Registry) (*node, error) {
 	nd := &node{
-		cfg:    cfg,
-		opt:    opt,
-		comm:   comm,
-		rank:   comm.Rank(),
-		size:   comm.Size(),
-		n:      g.NumVertices(),
-		k:      cfg.K,
-		held:   held,
-		phases: trace.NewPhases(),
-		reg:    reg,
-		theta:  core.InitTheta(cfg),
-		beta:   make([]float64, cfg.K),
+		cfg:   cfg,
+		opt:   opt,
+		comm:  comm,
+		rank:  comm.Rank(),
+		size:  comm.Size(),
+		n:     g.NumVertices(),
+		k:     cfg.K,
+		held:  held,
+		ob:    obs.NewObserver(),
+		reg:   reg,
+		theta: core.InitTheta(cfg),
+		beta:  make([]float64, cfg.K),
 	}
 	nd.refreshBeta()
 	// A recorder exists only when someone consumes its output: an event sink,
 	// or the monitor (which needs the run.* gauges refreshed on rank 0).
 	if opt.Events != nil || (opt.Monitor != nil && nd.rank == 0) {
-		nd.rec = obs.NewRunRecorder(opt.Events, nd.rank, reg)
+		nd.ob.Rec = obs.NewRunRecorder(opt.Events, nd.rank, reg)
+		// Armed only beside a recorder: see Observer.PhaseLabel.
+		nd.ob.PhaseLabel = comm.SetPhase
 	}
 	if opt.Monitor != nil && nd.rank == 0 {
 		opt.Monitor.Attach(reg)
 	}
 	if opt.Trace {
-		nd.tracer = obs.NewTracer(nd.rank, 0)
-		nd.tracer.SetDropCounter(reg.Counter(obs.CtrSpansDropped))
-		comm.SetTracer(nd.tracer)
+		nd.ob.Tracer = obs.NewTracer(nd.rank, 0)
+		nd.ob.Tracer.SetDropCounter(reg.Counter(obs.CtrSpansDropped))
+		comm.SetTracer(nd.ob.Tracer)
 	}
 	if opt.Rebalance {
 		// Every rank must agree on the window boundaries without talking:
@@ -158,19 +161,13 @@ func newNode(cfg core.Config, opt Options, comm *cluster.Comm, g *graph.Graph, h
 			return nil, err
 		}
 		// The master-side pipeline of Section III-D: iteration t+1's
-		// minibatch is drawn while iteration t computes.
-		// The draw for iteration t+1 overlaps iteration t's compute, so it
-		// reports its duration keyed by its own iteration — the recorder
-		// attributes it to the right iter event either way.
+		// minibatch is drawn while iteration t computes, so the draw reports
+		// its interval keyed by its own iteration and lands in iteration
+		// t+1's event.
 		nd.prefetch = engine.NewPrefetcher(func(t int) *sampling.Batch {
-			start := time.Now()
+			defer nd.ob.Interval(t, PhaseDrawMinibatch, obs.TraceNow())
 			batch := &sampling.Batch{}
 			core.DrawMinibatch(&nd.cfg, nd.edges, t, batch)
-			d := time.Since(start)
-			nd.phases.Add(PhaseDrawMinibatch, d)
-			if nd.rec != nil {
-				nd.rec.StageDone(t, PhaseDrawMinibatch, d)
-			}
 			return batch
 		})
 	}
@@ -187,8 +184,8 @@ func newNode(cfg core.Config, opt Options, comm *cluster.Comm, g *graph.Graph, h
 	if opt.HotRowCache > 0 && opt.HotCacheCrossIter {
 		nd.store.SetWriteSetExchange(nd.exchangeWriteSets)
 	}
-	if nd.tracer != nil {
-		nd.store.SetTracer(nd.tracer)
+	if nd.ob.Tracer != nil {
+		nd.store.SetTracer(nd.ob.Tracer)
 	}
 	nd.phi = &core.PhiStage{
 		Cfg:        &nd.cfg,
@@ -198,10 +195,7 @@ func newNode(cfg core.Config, opt Options, comm *cluster.Comm, g *graph.Graph, h
 		ChunkNodes: opt.PhiChunkNodes,
 		Pipelined:  opt.Pipeline,
 		Depth:      opt.PipelineDepth,
-		Trace:      nd.phases,
-	}
-	if nd.rec != nil { // assign through the guard: a typed-nil Recorder would defeat the nil checks
-		nd.phi.Rec = nd.rec
+		Obs:        nd.ob,
 	}
 	nd.loop = nd.buildLoop()
 	// "shares" is initial: the reshard stage writes next window's shares at
@@ -225,8 +219,7 @@ func (nd *node) refreshBeta() {
 // write sets would otherwise overlap.
 func (nd *node) buildLoop() *engine.Loop {
 	loop := &engine.Loop{
-		Trace:  nd.phases,
-		Tracer: nd.tracer,
+		Obs: nd.ob,
 		Stages: []engine.Stage{
 			{
 				Name:   PhaseDeployMinibatch,
@@ -292,14 +285,6 @@ func (nd *node) buildLoop() *engine.Loop {
 			Run:       nd.checkpointStage,
 		})
 	}
-	if nd.rec != nil { // assign through the guard: a typed-nil Recorder would defeat the nil checks
-		loop.Recorder = nd.rec
-		// Phase attribution rides on the recorder guard for the same reason
-		// telemetry-off runs create no histograms: the hook makes the
-		// instrumented transport open transport.wait.<phase> histograms, and
-		// a run nobody observes must not pay for (or leak) them.
-		loop.PhaseHook = nd.comm.SetPhase
-	}
 	if hook := nd.opt.FaultHook; hook != nil {
 		loop.FaultHook = func(t int) error { return hook(nd.rank, t) }
 	}
@@ -364,10 +349,11 @@ func (nd *node) run() (err error) {
 		return err
 	}
 
-	if nd.rec != nil && nd.rank == 0 {
-		nd.rec.RunStart(nd.size, nd.opt.Iterations)
+	rec := nd.ob.Rec
+	if rec != nil && nd.rank == 0 {
+		rec.RunStart(nd.size, nd.opt.Iterations)
 	}
-	totalTimer := nd.phases.Timer(PhaseTotal)
+	totalStart := obs.TraceNow()
 	for t := startIter; t < nd.opt.Iterations; t++ {
 		if err := nd.loop.RunIteration(t); err != nil {
 			return fmt.Errorf("iteration %d: %w", t, err)
@@ -380,21 +366,21 @@ func (nd *node) run() (err error) {
 			nd.perp = append(nd.perp, PerpPoint{Iter: t + 1, Value: v, Elapsed: time.Since(nd.start)})
 			// The value is identical on every rank (master reduces and
 			// broadcasts); emit the perplexity event once, from rank 0.
-			if nd.rec != nil && nd.rank == 0 {
-				nd.rec.EvalDone(t+1, v)
+			if rec != nil && nd.rank == 0 {
+				rec.EvalDone(t+1, v)
 			}
 		}
 	}
-	totalTimer()
-	if nd.rec != nil && nd.rank == 0 {
-		nd.rec.RunEnd(nd.opt.Iterations)
+	nd.ob.Interval(obs.NoIter, PhaseTotal, totalStart)
+	if rec != nil && nd.rank == 0 {
+		rec.RunEnd(nd.opt.Iterations)
 	}
 
 	// Gather every rank's span buffer before state collection: identical
 	// program order on all ranks keeps the collective tag sequence aligned,
 	// and the Bundle snapshot is taken before the gather so the gather's own
 	// spans are excluded symmetrically everywhere.
-	if nd.tracer != nil {
+	if nd.ob.Tracer != nil {
 		if err := nd.gatherTrace(); err != nil {
 			return fmt.Errorf("gathering trace: %w", err)
 		}
@@ -511,12 +497,12 @@ func (nd *node) reshardStage(t int) error {
 		if changed {
 			flag = 1
 			nd.reg.Counter(obs.CtrReshardChanges).Inc()
-			if nd.rec != nil {
+			if nd.ob.Rec != nil {
 				waitMS := make(map[int]float64, nd.size)
 				for p, w := range imposed {
 					waitMS[p] = w
 				}
-				nd.rec.RebalanceDone(t, weights, rep.Flagged, waitMS)
+				nd.ob.Rec.RebalanceDone(t, weights, rep.Flagged, waitMS)
 			}
 		}
 		out = append([]byte{flag}, wire.AppendFloat64s(nil, weights)...)
@@ -530,19 +516,15 @@ func (nd *node) reshardStage(t int) error {
 }
 
 // checkpointStage writes the coordinated checkpoint: master-only, at the end
-// of every CheckpointEvery-th iteration, gathering the full state through
-// the DKV read path (peers serve while fenced in the next collective). The
-// stored iteration t+1 is "iterations completed", so a restart resumes at
-// exactly the next iteration's RNG streams.
+// of every CheckpointEvery-th iteration, streaming the full table out of the
+// DKV read path in bounded batches (peers serve while fenced in the next
+// collective). The stored iteration t+1 is "iterations completed", so a
+// restart resumes at exactly the next iteration's RNG streams.
 func (nd *node) checkpointStage(t int) error {
 	if nd.rank != 0 || (t+1)%nd.opt.CheckpointEvery != 0 {
 		return nil
 	}
-	st, err := nd.collectState()
-	if err != nil {
-		return fmt.Errorf("checkpoint at %d: %w", t, err)
-	}
-	if err := st.SaveFile(nd.opt.CheckpointPath, t+1); err != nil {
+	if err := core.SaveStoreFile(nd.opt.CheckpointPath, nd.store, nd.theta, t+1); err != nil {
 		return fmt.Errorf("checkpoint at %d: %w", t, err)
 	}
 	return nil
@@ -570,7 +552,7 @@ func (nd *node) barrierStage(int) error {
 // JSON-encoded form), leaving the full rank-ordered set in nd.bundles on
 // every rank.
 func (nd *node) gatherTrace() error {
-	parts, err := nd.comm.AllGather(nd.tracer.Bundle().Encode())
+	parts, err := nd.comm.AllGather(nd.ob.Tracer.Bundle().Encode())
 	if err != nil {
 		return err
 	}

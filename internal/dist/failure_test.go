@@ -3,34 +3,13 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/transport"
 )
-
-// freeLoopbackAddrs reserves n distinct loopback addresses for a TCP mesh.
-func freeLoopbackAddrs(t *testing.T, n int) []string {
-	t.Helper()
-	addrs := make([]string, n)
-	listeners := make([]net.Listener, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range listeners {
-		ln.Close()
-	}
-	return addrs
-}
 
 // runWithTimeout bounds a distributed run: the whole point of the abort
 // protocol is that a failing rank makes Run return, never hang.
@@ -132,29 +111,7 @@ func TestRankFailureAbortsRunTCP(t *testing.T) {
 	cfg := core.DefaultConfig(4, 17)
 	const ranks = 3
 
-	addrs := freeLoopbackAddrs(t, ranks)
-	conns := make([]transport.Conn, ranks)
-	var wg sync.WaitGroup
-	errs := make([]error, ranks)
-	for r := 0; r < ranks; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			c, err := transport.DialMesh(r, addrs)
-			conns[r], errs[r] = c, err
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("mesh rank %d: %v", r, err)
-		}
-	}
-	defer func() {
-		for _, c := range conns {
-			c.Close()
-		}
-	}()
+	conns := dialTestMesh(t, ranks)
 
 	_, err := runWithTimeout(t, 60*time.Second, func() (*Result, error) {
 		return RunOnTransport(cfg, train, held, Options{

@@ -2,12 +2,14 @@ package dist
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/transport"
 )
@@ -358,5 +360,88 @@ func TestRankTable(t *testing.T) {
 		if strings.HasPrefix(ln, PhaseDrawMinibatch) && !strings.Contains(ln, "-") {
 			t.Fatalf("worker rank should have no %s time:\n%s", PhaseDrawMinibatch, table)
 		}
+	}
+}
+
+// TestEveryViewIsTheSameMeasurement pins the one-observer invariant: a stage
+// is timed once, so the phase table, the stage.<name> histogram, the iter
+// events' stages_ms and the CatStage spans of one rank are the same numbers —
+// to the nanosecond where the view keeps integers, to float rounding where
+// it keeps milliseconds. A second clock or a side channel that times a stage
+// again breaks the equalities.
+func TestEveryViewIsTheSameMeasurement(t *testing.T) {
+	train, held := fixture(t, 200, 4, 900, 77)
+	const iters, ranks = 6, 2
+	var buf bytes.Buffer
+	sink := obs.NewSink(&buf)
+	res, err := Run(core.DefaultConfig(4, 99), train, held, Options{
+		Ranks: ranks, Threads: 2, Iterations: iters, EvalEvery: 3,
+		Pipeline: true, Events: sink, Trace: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.ReadEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	loopStages := []string{PhaseDeployMinibatch, PhaseUpdatePhi, PhaseUpdatePi, PhaseUpdateBetaTheta}
+	for r := 0; r < ranks; r++ {
+		table := res.RankPhases[r]
+
+		spanNS := map[string]int64{}
+		for _, sp := range res.Trace[r].Spans {
+			if sp.Cat == obs.CatStage && sp.Name != engine.PhaseBarrier {
+				spanNS[sp.Name] += sp.DurNS
+			}
+		}
+		if len(spanNS) != len(loopStages) {
+			t.Errorf("rank %d: stage spans %v, want exactly the loop stages %v", r, spanNS, loopStages)
+		}
+		for _, name := range loopStages {
+			if got, want := spanNS[name], int64(table[name]); got != want || want == 0 {
+				t.Errorf("rank %d %s: Σ span DurNS = %d, phase table = %d; want equal and nonzero", r, name, got, want)
+			}
+		}
+
+		eventMS := map[string]float64{}
+		for _, e := range events {
+			if e.Type != obs.EventIter || e.Rank != r {
+				continue
+			}
+			for name, ms := range e.StagesMS {
+				eventMS[name] += ms
+			}
+			// The draw for iteration t+1 is prefetched during iteration t but
+			// belongs to t+1: every master event carries exactly its own.
+			if _, ok := e.StagesMS[PhaseDrawMinibatch]; r == 0 && !ok {
+				t.Errorf("rank 0 iter %d event has no %s: %v", e.Iter, PhaseDrawMinibatch, e.StagesMS)
+			}
+		}
+		// Everything the table holds except the off-loop intervals is also a
+		// histogram and an event entry: sub-stages and the prefetched draw
+		// included.
+		for name, total := range table {
+			if name == PhasePerplexity || name == PhaseTotal {
+				continue
+			}
+			wantMS := float64(total) / float64(time.Millisecond)
+			if h := res.RankMetrics[r].Histograms["stage."+name]; h.SumMS != wantMS {
+				t.Errorf("rank %d %s: histogram sum %v ms, phase table %v ms", r, name, h.SumMS, wantMS)
+			}
+			if got := eventMS[name]; math.Abs(got-wantMS) > 1e-9*wantMS {
+				t.Errorf("rank %d %s: Σ stages_ms = %v, phase table %v ms", r, name, got, wantMS)
+			}
+		}
+		if len(eventMS) != len(table)-2 {
+			t.Errorf("rank %d: event stages %v vs phase table %v: want the table minus perplexity and total", r, eventMS, table)
+		}
+	}
+	if got := res.Phases.Count(PhaseDrawMinibatch); got != iters {
+		t.Errorf("%d draws for %d iterations", got, iters)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/store"
-	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -227,7 +226,7 @@ type DKVTotals struct {
 type Result struct {
 	State      *core.State // fully assembled π/Σφ/θ/β
 	Perplexity []PerpPoint
-	Phases     *trace.Phases // per-phase totals, max across ranks
+	Phases     *obs.Phases // per-phase totals, max across ranks
 	RankPhases []map[string]time.Duration
 	DKV        DKVTotals
 	// Metrics is every rank's telemetry registry folded into one snapshot:
@@ -342,8 +341,8 @@ func RunOnTransport(cfg core.Config, g *graph.Graph, held *graph.HeldOut, opt Op
 		opt.Monitor.AttachTrace(func() []obs.TraceBundle {
 			bundles := make([]obs.TraceBundle, 0, len(nodes))
 			for _, nd := range nodes {
-				if nd.tracer != nil {
-					bundles = append(bundles, nd.tracer.Bundle())
+				if nd.ob.Tracer != nil {
+					bundles = append(bundles, nd.ob.Tracer.Bundle())
 				}
 			}
 			return bundles
@@ -410,13 +409,13 @@ func assembleResult(nodes []*node) *Result {
 	res := &Result{
 		State:      master.finalState,
 		Perplexity: master.perp,
-		Phases:     trace.NewPhases(),
+		Phases:     obs.NewPhases(),
 		Iterations: master.opt.Iterations,
-		Elapsed:    master.phases.Total(PhaseTotal),
+		Elapsed:    master.ob.Phases.Total(PhaseTotal),
 	}
 	for _, nd := range nodes {
-		res.RankPhases = append(res.RankPhases, nd.phases.Snapshot())
-		res.Phases.MergeAll(nd.phases.Stats())
+		res.RankPhases = append(res.RankPhases, nd.ob.Phases.Snapshot())
+		res.Phases.Fold(nd.ob.Phases)
 		// Snapshot each registry exactly once: the folded view and the
 		// per-rank view must agree (the matrix row-sum invariant is tested
 		// against Metrics).
@@ -452,9 +451,9 @@ func assembleResult(nodes []*node) *Result {
 // reduces the global averaged perplexity (Eqn 7) at the master; the value
 // is broadcast so every rank returns it.
 func (nd *node) evalPerplexity() (float64, error) {
-	defer nd.phases.Timer(PhasePerplexity)()
-	if nd.rec != nil { // same guard as Loop.PhaseHook: no histograms unless observed
-		nd.comm.SetPhase(PhasePerplexity)
+	defer nd.ob.Interval(obs.NoIter, PhasePerplexity, obs.TraceNow())
+	if label := nd.ob.PhaseLabel; label != nil { // armed only when observed: no histograms otherwise
+		label(PhasePerplexity)
 	}
 	partials, err := nd.eval.Fold(nd.store, nd.beta, nd.opt.Threads)
 	if err != nil {

@@ -1,12 +1,10 @@
 package dist
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/mathx"
-	"repro/internal/transport"
 )
 
 // TestTCPTransportMatchesInproc runs the full engine over a real TCP
@@ -22,31 +20,7 @@ func TestTCPTransportMatchesInproc(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reserve loopback ports.
-	addrs := freeLoopbackAddrs(t, ranks)
-
-	conns := make([]transport.Conn, ranks)
-	var wg sync.WaitGroup
-	errs := make([]error, ranks)
-	for r := 0; r < ranks; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			c, err := transport.DialMesh(r, addrs)
-			conns[r], errs[r] = c, err
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("mesh rank %d: %v", r, err)
-		}
-	}
-	defer func() {
-		for _, c := range conns {
-			c.Close()
-		}
-	}()
+	conns := dialTestMesh(t, ranks)
 
 	tcp, err := RunOnTransport(cfg, train, held, Options{Iterations: iters, EvalEvery: 3}, conns)
 	if err != nil {

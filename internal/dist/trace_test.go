@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
@@ -18,28 +17,11 @@ import (
 // dialTestMesh builds a TCP loopback mesh for the test's rank count.
 func dialTestMesh(t *testing.T, ranks int) []transport.Conn {
 	t.Helper()
-	addrs := freeLoopbackAddrs(t, ranks)
-	conns := make([]transport.Conn, ranks)
-	errs := make([]error, ranks)
-	var wg sync.WaitGroup
-	for r := 0; r < ranks; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			conns[r], errs[r] = transport.DialMesh(r, addrs)
-		}(r)
+	conns, cleanup, err := transport.DialLoopbackMesh(ranks)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("mesh rank %d: %v", r, err)
-		}
-	}
-	t.Cleanup(func() {
-		for _, c := range conns {
-			c.Close()
-		}
-	})
+	t.Cleanup(cleanup)
 	return conns
 }
 

@@ -1,21 +1,21 @@
 // Package engine provides the stage-based iteration machinery shared by the
 // local (core.Sampler) and distributed (dist.Run) samplers: the canonical
-// phase names of the paper's Table III, a Stage/Loop scheduler that attaches
-// per-stage timing and fault injection uniformly, the single-slot Prefetcher
-// behind the master's minibatch pipelining (Section III-D), and the
-// chunk-aligned partition helpers both engines split work with.
+// phase names of the paper's Table III, a Stage/Loop scheduler that runs
+// every stage through one obs.Observer bracket (the single source of the
+// phase table, iter events and spans) and gives fault injection one uniform
+// point per iteration, the single-slot Prefetcher behind the master's
+// minibatch pipelining (Section III-D), and the chunk-aligned partition
+// helpers both engines split work with.
 //
-// The package is deliberately a leaf — it knows nothing about the model —
+// The package knows nothing about the model (it imports only internal/obs),
 // so that internal/core can build its sampler on it while internal/dist
 // reuses the exact same scheduler around its collectives.
 package engine
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // Phase names used in traces; the Table III harness keys off these.
@@ -40,7 +40,7 @@ const (
 // the barrier discipline ("update_phi reads only pre-phase π") is made
 // explicit instead of being a comment.
 type Stage struct {
-	// Name keys the per-stage trace timer. An empty Name marks untimed
+	// Name keys the stage in the phase table. An empty Name marks untimed
 	// wiring (e.g. the distributed engine's barriers), which runs but does
 	// not appear in the phase table.
 	Name   string
@@ -61,113 +61,69 @@ type Stage struct {
 	Run     func(t int) error
 }
 
-// Loop runs a fixed stage list once per iteration, timing each named stage
-// into Trace and giving FaultHook one uniform injection point per iteration.
+// Loop runs a fixed stage list once per iteration, bracketing each stage
+// with Obs and giving FaultHook one uniform injection point per iteration.
 type Loop struct {
 	Stages []Stage
-	Trace  *trace.Phases
-	// Recorder, when non-nil, receives every named stage's duration as it
-	// completes and an IterDone at the end of each iteration — the live
-	// telemetry feed (JSONL events, monitor gauges). Nil by default: the
-	// hot path pays one nil-check per stage.
-	Recorder obs.Recorder
+	// Obs times every stage once and derives each view from that interval:
+	// named stages land in the phase table and (with a recorder) the iter
+	// event; every stage, the unnamed wiring included, is labelled for the
+	// transport and (with a tracer) drawn as a span parented under the
+	// iteration's. Nil runs the stages unobserved.
+	Obs *obs.Observer
 	// FaultHook, when non-nil, runs at the top of every iteration; a non-nil
 	// return fails the iteration exactly as if a stage had errored.
 	FaultHook func(t int) error
-	// PhaseHook, when non-nil, is called with each stage's name immediately
-	// before the stage runs; unnamed wiring stages report as PhaseBarrier.
-	// The distributed engine points it at cluster.Comm.SetPhase so the
-	// instrumented transport attributes blocking-receive time to the phase
-	// whose collectives caused it.
-	PhaseHook func(name string)
-	// Tracer, when non-nil, records one span per iteration and one child
-	// span per stage (unnamed wiring stages appear as PhaseBarrier spans, so
-	// barrier wait is visible on the timeline even though it is untimed in
-	// the phase table). The stage span is left as the tracer's scope while
-	// the stage runs, so collectives and DKV waits nest under it. Nil by
-	// default: tracing-off costs one nil-check per stage, like Recorder.
-	Tracer *obs.Tracer
 }
 
-// PhaseBarrier is the label PhaseHook reports for unnamed wiring stages
-// (the distributed engine's barriers) — where straggler wait concentrates.
+// PhaseBarrier is the label unnamed wiring stages (the distributed engine's
+// barriers) carry in transport phase attribution and on the span timeline —
+// where straggler wait concentrates, even though it is untimed in the phase
+// table.
 const PhaseBarrier = "barrier"
 
 // RunIteration executes iteration t: the fault hook, then every stage in
-// order, stopping at the first error. Named stages are timed once and the
-// measurement fans out to both Trace (cumulative totals) and Recorder
-// (per-iteration events).
+// order through the observer's bracket, stopping at the first error; then
+// the iteration's own span and the recorder's IterDone.
 func (l *Loop) RunIteration(t int) error {
 	if l.FaultHook != nil {
 		if err := l.FaultHook(t); err != nil {
 			return fmt.Errorf("injected fault: %w", err)
 		}
 	}
+	var tracer *obs.Tracer
+	var rec *obs.RunRecorder
+	if l.Obs != nil {
+		tracer, rec = l.Obs.Tracer, l.Obs.Rec
+	}
 	var iterID, prevScope obs.SpanID
 	var iterStart int64
-	if l.Tracer != nil {
-		l.Tracer.SetIter(t)
-		iterID = l.Tracer.NewID()
-		prevScope = l.Tracer.SetScope(iterID)
-		iterStart = l.Tracer.Now()
+	if tracer != nil {
+		tracer.SetIter(t)
+		iterID = tracer.NewID()
+		prevScope = tracer.SetScope(iterID)
+		iterStart = obs.TraceNow()
 	}
 	for i := range l.Stages {
 		st := &l.Stages[i]
-		if l.PhaseHook != nil {
-			name := st.Name
-			if name == "" {
-				name = PhaseBarrier
-			}
-			l.PhaseHook(name)
+		name, timed := st.Name, true
+		if name == "" {
+			name, timed = PhaseBarrier, false
 		}
-		var stageID obs.SpanID
-		var stageStart int64
-		if l.Tracer != nil {
-			stageID = l.Tracer.NewID()
-			l.Tracer.SetScope(stageID)
-			stageStart = l.Tracer.Now()
-		}
-		timed := st.Name != "" && (l.Trace != nil || l.Recorder != nil)
-		var start time.Time
-		if timed {
-			start = time.Now()
-		}
-		err := st.Run(t)
-		if timed {
-			d := time.Since(start)
-			if l.Trace != nil {
-				l.Trace.Add(st.Name, d)
-			}
-			if l.Recorder != nil {
-				l.Recorder.StageDone(t, st.Name, d)
-			}
-		}
-		if l.Tracer != nil {
-			name := st.Name
-			if name == "" {
-				name = PhaseBarrier
-			}
-			l.Tracer.Emit(obs.Span{
-				ID: stageID, Parent: iterID, Name: name, Cat: obs.CatStage,
-				Track: obs.TrackEngine, Peer: obs.NoPeer, Iter: t,
-				StartNS: stageStart, DurNS: l.Tracer.Now() - stageStart,
-			})
-			l.Tracer.SetScope(iterID)
-		}
-		if err != nil {
+		if err := l.Obs.Stage(t, name, timed, st.Run); err != nil {
 			return err
 		}
 	}
-	if l.Tracer != nil {
-		l.Tracer.Emit(obs.Span{
+	if tracer != nil {
+		tracer.Emit(obs.Span{
 			ID: iterID, Name: "iter", Cat: obs.CatIter,
 			Track: obs.TrackEngine, Peer: obs.NoPeer, Iter: t,
-			StartNS: iterStart, DurNS: l.Tracer.Now() - iterStart,
+			StartNS: iterStart, DurNS: obs.TraceNow() - iterStart,
 		})
-		l.Tracer.SetScope(prevScope)
+		tracer.SetScope(prevScope)
 	}
-	if l.Recorder != nil {
-		l.Recorder.IterDone(t)
+	if rec != nil {
+		rec.IterDone(t)
 	}
 	return nil
 }

@@ -6,11 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 func TestLoopRunsStagesInOrderWithTiming(t *testing.T) {
-	ph := trace.NewPhases()
+	ph := obs.NewPhases()
 	var order []string
 	mk := func(name string) Stage {
 		return Stage{Name: name, Run: func(int) error {
@@ -19,7 +18,7 @@ func TestLoopRunsStagesInOrderWithTiming(t *testing.T) {
 		}}
 	}
 	l := &Loop{
-		Trace: ph,
+		Obs: &obs.Observer{Phases: ph},
 		Stages: []Stage{
 			mk("a"),
 			{Run: func(int) error { order = append(order, "barrier"); return nil }},
@@ -93,7 +92,7 @@ func TestLoopPhaseHook(t *testing.T) {
 	var labels []string
 	noop := func(int) error { return nil }
 	l := &Loop{
-		PhaseHook: func(name string) { labels = append(labels, name) },
+		Obs: &obs.Observer{Phases: obs.NewPhases(), PhaseLabel: func(name string) { labels = append(labels, name) }},
 		Stages: []Stage{
 			{Name: "update_phi", Run: noop},
 			{Run: noop}, // unnamed barrier
@@ -213,7 +212,7 @@ func TestPrefetcher(t *testing.T) {
 func TestLoopTracerSpans(t *testing.T) {
 	tr := obs.NewTracer(0, 0)
 	l := &Loop{
-		Tracer: tr,
+		Obs: &obs.Observer{Phases: obs.NewPhases(), Tracer: tr},
 		Stages: []Stage{
 			{Name: "a", Run: func(int) error { return nil }},
 			{Run: func(int) error { return nil }}, // unnamed barrier
@@ -255,10 +254,12 @@ func TestLoopTracerSpans(t *testing.T) {
 }
 
 // TestLoopIterationZeroCostWhenUntraced pins the telemetry-off bargain: with
-// every hook nil, an iteration of the loop machinery allocates nothing — the
-// nil-gates are the only cost.
+// the observer's optional parts nil, an iteration of the loop machinery
+// allocates nothing — the stage bracket costs two clock reads and a phase
+// table update, no closure or token on the heap.
 func TestLoopIterationZeroCostWhenUntraced(t *testing.T) {
 	l := &Loop{
+		Obs: obs.NewObserver(),
 		Stages: []Stage{
 			{Name: "a", Run: func(int) error { return nil }},
 			{Name: "b", Run: func(int) error { return nil }},

@@ -2,30 +2,16 @@ package obs
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// Recorder receives the engine's per-stage timings as they happen. The
-// engine loop carries a nil Recorder by default — telemetry off costs one
-// nil-check per stage. Implementations must be safe for concurrent use: the
-// pipelined φ stage reports load/compute sub-stages from two goroutines.
-type Recorder interface {
-	// StageDone reports one timed interval of a named stage within iteration
-	// iter. A stage may report several intervals per iteration (the chunked
-	// φ pipeline does); they accumulate.
-	StageDone(iter int, stage string, d time.Duration)
-	// IterDone marks the end of iteration iter; accumulated stage durations
-	// are flushed as one event.
-	IterDone(iter int)
-	// EvalDone reports a perplexity evaluation after iteration iter
-	// (1-based, matching the engines' PerpPoint.Iter).
-	EvalDone(iter int, perplexity float64)
-}
-
-// RunRecorder is the standard Recorder: it accumulates stage durations per
-// iteration, folds them with the registry's per-iteration counter deltas
-// into one "iter" event on the sink, feeds per-stage latency histograms,
-// and maintains the run.* gauges the live monitor serves.
+// RunRecorder is the per-iteration view of a rank's Observer: it accumulates
+// the stage durations the observer reports, folds them with the registry's
+// per-iteration counter deltas into one "iter" event on the sink, feeds
+// per-stage latency histograms, and maintains the run.* gauges the live
+// monitor serves. It is safe for concurrent use: the pipelined φ stage
+// reports load/compute sub-stages from two goroutines.
 //
 // Either sink or registry may be nil: a nil sink records into the registry
 // only (monitor-only runs), a nil registry emits events without DKV blocks
@@ -35,8 +21,11 @@ type RunRecorder struct {
 	rank int
 	reg  *Registry
 
-	mu    sync.Mutex
-	start time.Time
+	// start is the TraceNow reading elapsed_ms counts from: events, phase
+	// table and spans share the one trace clock.
+	start atomic.Int64
+
+	mu sync.Mutex
 	// stages accumulates per-iteration: with pipelining on, iteration t+1's
 	// minibatch draw overlaps iteration t's compute, so durations must be
 	// keyed by the iteration they belong to, not by arrival order.
@@ -47,13 +36,14 @@ type RunRecorder struct {
 // NewRunRecorder creates a recorder for one rank. The clock for ElapsedMS
 // starts now (or at RunStart, whichever is called).
 func NewRunRecorder(sink *Sink, rank int, reg *Registry) *RunRecorder {
-	return &RunRecorder{
-		sink:   sink,
-		rank:   rank,
-		reg:    reg,
-		start:  time.Now(),
-		stages: map[int]map[string]time.Duration{},
-	}
+	r := &RunRecorder{sink: sink, rank: rank, reg: reg, stages: map[int]map[string]time.Duration{}}
+	r.start.Store(TraceNow())
+	return r
+}
+
+// elapsedMS is the time since the recorder's clock started, in milliseconds.
+func (r *RunRecorder) elapsedMS() float64 {
+	return float64(TraceNow()-r.start.Load()) / float64(time.Millisecond)
 }
 
 // emit forwards an event to the sink, if any. Sink errors are deliberately
@@ -66,13 +56,13 @@ func (r *RunRecorder) emit(e *Event) {
 
 // RunStart resets the clock and announces the run topology.
 func (r *RunRecorder) RunStart(ranks, iterations int) {
-	r.mu.Lock()
-	r.start = time.Now()
-	r.mu.Unlock()
+	r.start.Store(TraceNow())
 	r.emit(&Event{Type: EventRunStart, Rank: r.rank, Ranks: ranks, Iterations: iterations})
 }
 
-// StageDone implements Recorder.
+// StageDone reports one timed interval of a named stage within iteration
+// iter. A stage may report several intervals per iteration (the chunked φ
+// pipeline does); they accumulate until IterDone.
 func (r *RunRecorder) StageDone(iter int, stage string, d time.Duration) {
 	r.mu.Lock()
 	m := r.stages[iter]
@@ -99,18 +89,12 @@ func (r *RunRecorder) counterDelta() map[string]int64 {
 	return delta
 }
 
-// IterDone implements Recorder: it flushes the accumulated stage durations
-// (and, with a registry attached, the iteration's counter deltas) as one
-// iter event and refreshes the monitor gauges.
+// IterDone marks the end of iteration iter: it flushes the accumulated stage
+// durations (and, with a registry attached, the iteration's counter deltas)
+// as one iter event and refreshes the monitor gauges.
 func (r *RunRecorder) IterDone(iter int) {
+	e := &Event{Type: EventIter, Rank: r.rank, Iter: iter, ElapsedMS: r.elapsedMS()}
 	r.mu.Lock()
-	elapsed := time.Since(r.start)
-	e := &Event{
-		Type:      EventIter,
-		Rank:      r.rank,
-		Iter:      iter,
-		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
-	}
 	if m := r.stages[iter]; len(m) > 0 {
 		e.StagesMS = make(map[string]float64, len(m))
 		for name, d := range m {
@@ -140,16 +124,14 @@ func (r *RunRecorder) IterDone(iter int) {
 
 	if r.reg != nil {
 		r.reg.Gauge(GaugeIteration).Set(float64(iter + 1))
-		r.reg.Gauge(GaugeElapsedMS).Set(float64(elapsed) / float64(time.Millisecond))
+		r.reg.Gauge(GaugeElapsedMS).Set(e.ElapsedMS)
 	}
 	r.emit(e)
 }
 
-// EvalDone implements Recorder.
+// EvalDone reports a perplexity evaluation after iteration iter (1-based,
+// matching the engines' PerpPoint.Iter).
 func (r *RunRecorder) EvalDone(iter int, perplexity float64) {
-	r.mu.Lock()
-	elapsed := time.Since(r.start)
-	r.mu.Unlock()
 	if r.reg != nil {
 		r.reg.Gauge(GaugePerplexity).Set(perplexity)
 	}
@@ -158,7 +140,7 @@ func (r *RunRecorder) EvalDone(iter int, perplexity float64) {
 		Rank:       r.rank,
 		Iter:       iter,
 		Perplexity: perplexity,
-		ElapsedMS:  float64(elapsed) / float64(time.Millisecond),
+		ElapsedMS:  r.elapsedMS(),
 	})
 }
 
@@ -168,9 +150,6 @@ func (r *RunRecorder) EvalDone(iter int, perplexity float64) {
 // straggler rule flagged, and waitMS the window's per-rank imposed-wait
 // totals.
 func (r *RunRecorder) RebalanceDone(iter int, weights []float64, flagged []int, waitMS map[int]float64) {
-	r.mu.Lock()
-	elapsed := time.Since(r.start)
-	r.mu.Unlock()
 	r.emit(&Event{
 		Type:       EventRebalance,
 		Rank:       r.rank,
@@ -178,20 +157,17 @@ func (r *RunRecorder) RebalanceDone(iter int, weights []float64, flagged []int, 
 		Weights:    weights,
 		Flagged:    flagged,
 		PeerWaitMS: waitMS,
-		ElapsedMS:  float64(elapsed) / float64(time.Millisecond),
+		ElapsedMS:  r.elapsedMS(),
 	})
 }
 
 // RunEnd emits the closing event with cumulative counters.
 func (r *RunRecorder) RunEnd(iterations int) {
-	r.mu.Lock()
-	elapsed := time.Since(r.start)
-	r.mu.Unlock()
 	e := &Event{
 		Type:      EventRunEnd,
 		Rank:      r.rank,
 		Iter:      iterations,
-		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
+		ElapsedMS: r.elapsedMS(),
 	}
 	if r.reg != nil {
 		if dkv := dkvFromCounters(r.reg.CounterValues("dkv.", "store.")); !dkv.IsZero() {
@@ -200,6 +176,3 @@ func (r *RunRecorder) RunEnd(iterations int) {
 	}
 	r.emit(e)
 }
-
-// interface conformance
-var _ Recorder = (*RunRecorder)(nil)

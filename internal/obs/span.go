@@ -9,10 +9,10 @@ import (
 )
 
 // Span tracing: the causal-timeline layer of the telemetry stack. Where the
-// Recorder aggregates (per-stage totals, counter deltas), the Tracer records
-// individual intervals — every engine stage, every collective, every DKV
-// round trip — with parent ids so the timeline nests, and with the peer rank
-// on anything that crossed the wire so waits are attributable. Spans are
+// RunRecorder aggregates (per-stage totals, counter deltas), the Tracer
+// records individual intervals — every engine stage, every collective, every
+// DKV round trip — with parent ids so the timeline nests, and with the peer
+// rank on anything that crossed the wire so waits are attributable. Spans are
 // buffered per rank with a hard bound (tracing must never grow without
 // limit), gathered at run end over the ordinary collectives, and exported as
 // Chrome trace-event JSON for Perfetto / chrome://tracing.
@@ -24,7 +24,7 @@ import (
 // offsets at connect time; the bundle format already carries the rank, so
 // only the clock needs revisiting.
 //
-// Like the Recorder, the Tracer is nil-gated: every hook site pays one
+// Like the RunRecorder, the Tracer is nil-gated: every hook site pays one
 // nil-check when tracing is off, and the trained trajectory is bit-identical
 // with tracing on or off (spans only observe, never synchronize).
 

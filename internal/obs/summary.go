@@ -17,11 +17,10 @@ type StageSkew struct {
 }
 
 // Summary is the machine-readable aggregation of an event stream, the shape
-// scripts/bench_dist.sh embeds into BENCH_dist.json: per-stage ms/iteration
-// (per-rank mean, then max across ranks — the slowest rank bounds every
-// barrier-separated phase, the same convention as trace.Phases.Merge),
-// total DKV traffic, the straggler report, and the perplexity trajectory
-// endpoint.
+// ocd-analyze -events-json prints: per-stage ms/iteration (per-rank mean,
+// then max across ranks — the slowest rank bounds every barrier-separated
+// phase, the same convention as Phases.Fold), total DKV traffic, the
+// straggler report, and the perplexity trajectory endpoint.
 type Summary struct {
 	Ranks          int                `json:"ranks"`
 	Iterations     int                `json:"iterations"`

@@ -48,7 +48,8 @@ func BenchmarkTopK(b *testing.B) {
 
 // BenchmarkServeHTTP measures end-to-end query throughput and latency over
 // real TCP with concurrent clients, reporting the qps and p99_us custom
-// metrics that scripts/bench_serve.sh records in BENCH_dist.json.
+// metrics; under open-loop load beside a live trainer the same path is the
+// train_serve workload of `bash bench/run.sh` (query_p99_us).
 func BenchmarkServeHTTP(b *testing.B) {
 	const n, k, clients = 100_000, 64, 8
 	eng := NewEngine(0)
@@ -107,7 +108,7 @@ func BenchmarkServeHTTP(b *testing.B) {
 
 // BenchmarkSnapshotFlip measures publish-to-visible latency: sealing cost is
 // the caller's (Snapshotter); this is index build plus the atomic flip, the
-// path scripts/bench_serve.sh reports as snapshot_flip_ns.
+// path the benchmark reports as flip_ms.
 func BenchmarkSnapshotFlip(b *testing.B) {
 	const n, k = 100_000, 64
 	pub := store.NewPublisher()

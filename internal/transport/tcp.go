@@ -2,6 +2,7 @@ package transport
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -67,6 +68,56 @@ type TCPConn struct {
 	sendM []sync.Mutex
 	wg    sync.WaitGroup
 	once  sync.Once
+}
+
+// DialLoopbackMesh builds a fully-connected TCP mesh of `ranks` endpoints on
+// 127.0.0.1, all in this process: it holds an ephemeral listener per rank
+// until every address is reserved (so the ports are distinct), releases
+// them, then runs DialMesh for every rank concurrently — each dial blocks on
+// its peer's accept. The cleanup func closes every endpoint.
+func DialLoopbackMesh(ranks int) ([]Conn, func(), error) {
+	addrs := make([]string, ranks)
+	listeners := make([]net.Listener, ranks)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			for _, held := range listeners[:i] {
+				held.Close()
+			}
+			return nil, nil, fmt.Errorf("transport: reserving loopback port: %w", err)
+		}
+		listeners[i], addrs[i] = ln, ln.Addr().String()
+	}
+	for _, ln := range listeners {
+		ln.Close()
+	}
+	conns := make([]Conn, ranks)
+	errs := make([]error, ranks)
+	var wg sync.WaitGroup
+	for r := 0; r < ranks; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			if c, err := DialMesh(r, addrs); err != nil {
+				errs[r] = fmt.Errorf("mesh rank %d: %w", r, err)
+			} else {
+				conns[r] = c
+			}
+		}(r)
+	}
+	wg.Wait()
+	cleanup := func() {
+		for _, c := range conns {
+			if c != nil {
+				c.Close()
+			}
+		}
+	}
+	if err := errors.Join(errs...); err != nil {
+		cleanup()
+		return nil, nil, err
+	}
+	return conns, cleanup, nil
 }
 
 // DialMesh establishes a full mesh between `size` ranks. addrs[r] is the

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -21,49 +20,13 @@ func inprocFactory(t *testing.T, size int) []Conn {
 	return f.Endpoints()
 }
 
-func freeAddrs(t *testing.T, n int) []string {
-	t.Helper()
-	addrs := make([]string, n)
-	listeners := make([]net.Listener, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range listeners {
-		ln.Close()
-	}
-	return addrs
-}
-
 func tcpFactory(t *testing.T, size int) []Conn {
 	t.Helper()
-	addrs := freeAddrs(t, size)
-	conns := make([]Conn, size)
-	var wg sync.WaitGroup
-	errs := make([]error, size)
-	for r := 0; r < size; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			c, err := DialMesh(r, addrs)
-			conns[r], errs[r] = c, err
-		}(r)
+	conns, cleanup, err := DialLoopbackMesh(size)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	t.Cleanup(func() {
-		for _, c := range conns {
-			c.Close()
-		}
-	})
+	t.Cleanup(cleanup)
 	return conns
 }
 
