@@ -1,6 +1,6 @@
 GO ?= go
 
-DIST_PKGS = ./internal/par/... ./internal/transport/... ./internal/cluster/... ./internal/dkv/... ./internal/store/... ./internal/engine/... ./internal/dist/... ./internal/serve/... ./internal/obs/... ./internal/core/...
+DIST_PKGS = ./internal/par/... ./internal/transport/... ./internal/cluster/... ./internal/dkv/... ./internal/store/... ./internal/engine/... ./internal/dist/... ./internal/serve/... ./internal/obs/... ./internal/core/... ./internal/trainer/...
 
 .PHONY: build fmt vet test race bench-check loc check
 
@@ -21,8 +21,11 @@ test:
 # the distribution stack (the failure-propagation and seed-parity tests are
 # only meaningful with it on — the parity test exercises the pipelined
 # load/compute overlap), internal/obs (the mutex-guarded phase table and
-# recorder) and internal/core (the pipelined loader and compute report to
-# the observer from two goroutines).
+# recorder), internal/core (the pipelined loader and compute report to
+# the observer from two goroutines) and internal/trainer (the ocd-train /
+# ocd-cluster program end to end: sink, monitor, query server and every rank
+# in one process; its one wall-clock ratio, TestRebalanceRecovers, skips
+# itself under the detector, whose slowdown distorts it — `make test` runs it).
 race:
 	$(GO) test -race $(DIST_PKGS)
 

@@ -1,355 +1,20 @@
-// ocd-train runs the single-node (sequential or multi-threaded) SG-MCMC
-// sampler on an edge-list graph, reporting held-out perplexity as training
-// progresses and optionally the detected communities.
-//
-// Usage:
+// ocd-train trains the a-MMSB sampler on an edge-list graph. It is the one
+// trainer of internal/trainer with -ranks defaulting to 1, the single-node
+// (sequential or multi-threaded) sampler; see README.md for the flags.
 //
 //	ocd-train -graph dblp.txt -k 64 -iters 2000 -eval 100 -threads 8
-//	ocd-train -graph g.txt -k 32 -communities out.communities
 package main
 
 import (
-	"context"
-	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
-	"time"
 
-	"repro/internal/core"
-	"repro/internal/graph"
-	"repro/internal/mathx"
-	"repro/internal/metrics"
-	"repro/internal/obs"
-	"repro/internal/serve"
-	"repro/internal/store"
+	"repro/internal/trainer"
 )
 
 func main() {
-	var (
-		path     = flag.String("graph", "", "input SNAP edge-list (required)")
-		k        = flag.Int("k", 32, "number of latent communities")
-		iters    = flag.Int("iters", 1000, "training iterations")
-		evalEach = flag.Int("eval", 100, "perplexity evaluation interval")
-		threads  = flag.Int("threads", 0, "worker threads (0 = all cores)")
-		seed     = flag.Uint64("seed", 42, "random seed")
-		heldDiv  = flag.Int("heldout-div", 50, "held-out links = |E| / this")
-		mb       = flag.Int("minibatch", 256, "minibatch size in vertex pairs")
-		neigh    = flag.Int("neighbors", 32, "neighbor sample size |V_n|")
-		uniform  = flag.Bool("uniform-neighbors", false, "use the paper's Eqn (5) uniform neighbor sampling")
-		strat    = flag.Bool("stratified", false, "use stratified random node minibatches")
-		alpha    = flag.Float64("alpha", 0, "Dirichlet concentration (0 = 1/K)")
-		commOut  = flag.String("communities", "", "write detected communities to this path")
-		ckptOut  = flag.String("checkpoint", "", "write a checkpoint to this path when done")
-		resume   = flag.String("resume", "", "resume training from this checkpoint")
-		avgTail  = flag.Int("posterior-samples", 0, "average this many chain samples (20 iterations apart) for the final estimate")
-		auc      = flag.Bool("auc", false, "also report held-out link-prediction AUC")
-		metricsO = flag.String("metrics-out", "", "write the JSONL telemetry event stream to this file (- = stdout)")
-		traceOut = flag.String("trace-out", "", "write a Chrome trace-event file (Perfetto-loadable) of the iteration/stage spans at run end")
-		serveAt  = flag.String("serve", "", "answer membership queries over HTTP on this address while training (e.g. :7070)")
-		streamIn = flag.Bool("stream", false, "stream the edge list from disk (requires a '# Nodes: <n>' header; avoids the transient edge-list copy)")
-		piBack   = flag.String("pi-backend", "local", "π table backend: local (in-RAM) or mmap (sharded memory-mapped files)")
-		piDir    = flag.String("pi-dir", "", "directory for the mmap π shards (must not already hold a store; required with -pi-backend mmap)")
-		piShards = flag.Int("pi-shard-rows", store.DefaultShardRows, "rows per mmap shard file")
-		piHot    = flag.Int("pi-hot-rows", 0, "hot-row cache capacity in front of the mmap backend (0 = none)")
-	)
-	flag.Parse()
-	if *path == "" {
-		fatal(fmt.Errorf("-graph is required"))
+	if err := trainer.Run("ocd-train", 1, os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "ocd-train:", err)
+		os.Exit(1)
 	}
-	outOfCore := *piBack == "mmap"
-	if *piBack != "local" && *piBack != "mmap" {
-		fatal(fmt.Errorf("-pi-backend must be local or mmap, got %q", *piBack))
-	}
-	if outOfCore {
-		if *piDir == "" {
-			fatal(fmt.Errorf("-pi-backend mmap requires -pi-dir"))
-		}
-		// These consumers materialise or post-process the full π table in RAM,
-		// which is exactly what the mmap backend exists to avoid. Use the
-		// checkpoint (-checkpoint) or the serving snapshot tier instead.
-		if *avgTail > 0 || *auc || *commOut != "" {
-			fatal(fmt.Errorf("-posterior-samples/-auc/-communities need the in-RAM backend; with -pi-backend mmap use -checkpoint and post-process"))
-		}
-	}
-
-	var (
-		g   *graph.Graph
-		err error
-	)
-	if *streamIn {
-		src, serr := graph.OpenEdgeFile(*path)
-		if serr != nil {
-			fatal(serr)
-		}
-		g, err = graph.FromEdgeSource(src)
-	} else {
-		g, _, err = graph.ReadSNAPFile(*path)
-	}
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("loaded %s: %d vertices, %d edges\n", *path, g.NumVertices(), g.NumEdges())
-
-	train, held, err := graph.Split(g, g.NumEdges() / *heldDiv, mathx.NewRNG(*seed+1))
-	if err != nil {
-		fatal(err)
-	}
-	cfg := core.DefaultConfig(*k, *seed)
-	if *alpha > 0 {
-		cfg.Alpha = *alpha
-	} else {
-		cfg.Alpha = 1 / float64(*k)
-	}
-	sopts := core.SamplerOptions{
-		MinibatchPairs: *mb, NeighborCount: *neigh, Threads: *threads,
-		UniformNeighbors: *uniform, Stratified: *strat,
-	}
-	// -pi-backend mmap: π lives in sharded memory-mapped files under -pi-dir
-	// instead of one big in-RAM slab; an optional hot-row cache (-pi-hot-rows)
-	// keeps frequently-touched vertices decoded in memory.
-	var (
-		ms   *store.MmapStore
-		tier *store.TieredStore
-	)
-	if outOfCore {
-		mo := store.MmapOptions{ShardRows: *piShards, Threads: *threads}
-		ms, err = store.CreateMmap(*piDir, train.NumVertices(), *k, mo)
-		if err != nil {
-			fatal(err)
-		}
-		if err := ms.InitRows(core.ShellInit(cfg)); err != nil {
-			fatal(err)
-		}
-		if _, err := ms.Seal(); err != nil {
-			fatal(err)
-		}
-		sopts.Store = ms
-		if *piHot > 0 {
-			tier, err = store.NewTiered(ms, nil, *piHot, *threads, nil)
-			if err != nil {
-				fatal(err)
-			}
-			sopts.Store = tier
-		}
-		fmt.Printf("π backend: mmap in %s (%d rows/shard, hot cache %d rows)\n",
-			*piDir, *piShards, *piHot)
-	}
-	// The local sampler has no parameter-store traffic, so the recorder runs
-	// without a registry: stage durations and perplexity only.
-	var rec *obs.RunRecorder
-	var sink *obs.Sink
-	if *metricsO != "" {
-		sink, err = openSink(*metricsO)
-		if err != nil {
-			fatal(err)
-		}
-		rec = obs.NewRunRecorder(sink, 0, nil)
-		sopts.Recorder = rec
-	}
-	// -trace-out: the single-rank timeline (iteration + stage spans; no
-	// collectives or DKV traffic exist here). Same file format as the
-	// distributed engine's trace, so the Perfetto workflow is identical.
-	var tracer *obs.Tracer
-	if *traceOut != "" {
-		tracer = obs.NewTracer(0, 0)
-		sopts.Tracer = tracer
-	}
-	// -serve: publish a sealed π snapshot after every iteration and answer
-	// queries against the freshest one while training continues. Publication
-	// only reads, so the trained model is bit-identical with or without it.
-	if *serveAt != "" {
-		pub := store.NewPublisher()
-		sopts.Publisher = pub
-		eng := serve.NewEngine(0)
-		eng.Attach(pub)
-		srv := serve.New(*serveAt, eng, pub)
-		bound, err := srv.Start()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("serving queries: http://%s/ (endpoints: /topk /members /shared /stats)\n", bound)
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			_ = srv.Shutdown(ctx)
-		}()
-	}
-	s, err := core.NewSampler(cfg, train, held, sopts)
-	if err != nil {
-		fatal(err)
-	}
-	if *resume != "" {
-		if sopts.Store != nil {
-			// Streamed restore: π rows go straight into the external store,
-			// only θ (and the derived β) pass through RAM.
-			theta, iter, err := core.LoadStoreFile(*resume, sopts.Store)
-			if err != nil {
-				fatal(err)
-			}
-			shell, err := core.NewStateShell(cfg, train.NumVertices())
-			if err != nil {
-				fatal(err)
-			}
-			copy(shell.Theta, theta)
-			shell.RefreshBeta()
-			if err := core.Resume(cfg, train, shell, iter, s); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("resumed from %s at iteration %d (streamed into %s)\n", *resume, iter, *piBack)
-		} else {
-			state, iter, err := core.LoadFileFor(*resume, cfg, train.NumVertices())
-			if err != nil {
-				fatal(err)
-			}
-			if err := core.Resume(cfg, train, state, iter, s); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("resumed from %s at iteration %d\n", *resume, iter)
-		}
-	}
-
-	start := time.Now()
-	if rec != nil {
-		rec.RunStart(1, *iters)
-	}
-	fmt.Printf("%10s %12s %14s\n", "iteration", "elapsed (s)", "perplexity")
-	for t := 0; t < *iters; t++ {
-		s.Step()
-		if *evalEach > 0 && (t+1)%*evalEach == 0 {
-			fmt.Printf("%10d %12.2f %14.4f\n", t+1, time.Since(start).Seconds(), s.EvalPerplexity())
-		}
-	}
-	if rec != nil {
-		rec.RunEnd(*iters)
-		if err := sink.Close(); err != nil {
-			fatal(fmt.Errorf("flushing -metrics-out: %w", err))
-		}
-	}
-	fmt.Printf("trained %d iterations in %.2fs\n", *iters, time.Since(start).Seconds())
-	if tier != nil {
-		st := tier.Stats()
-		total := st.HotHits + st.HotMisses
-		rate := 0.0
-		if total > 0 {
-			rate = float64(st.HotHits) / float64(total)
-		}
-		fmt.Printf("π tier: hot %d/%d reads cached (%.1f%%), mmap hits %d\n",
-			st.HotHits, total, 100*rate, st.MmapHits)
-	}
-	if rss, ok := peakRSSKiB(); ok {
-		fmt.Printf("peak RSS: %.1f MiB\n", float64(rss)/1024)
-	}
-	if tracer != nil {
-		if err := writeTrace(*traceOut, tracer); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("trace: wrote %d spans to %s (%d dropped)\n", tracer.Len(), *traceOut, tracer.Dropped())
-	}
-
-	final := s.State
-	if *avgTail > 0 {
-		acc := core.NewPosteriorMean(train.NumVertices(), *k)
-		for i := 0; i < *avgTail; i++ {
-			s.Run(20)
-			acc.Add(s.State)
-		}
-		final = acc.State()
-		fmt.Printf("averaged %d posterior samples for the final estimate\n", *avgTail)
-	}
-	if *auc {
-		pairs := make([][2]int32, held.Len())
-		for i, e := range held.Pairs {
-			pairs[i] = [2]int32{e.A, e.B}
-		}
-		fmt.Printf("held-out link-prediction AUC: %.4f\n",
-			metrics.LinkAUC(final, pairs, held.Linked, cfg.Delta))
-	}
-
-	if *ckptOut != "" {
-		if sopts.Store != nil {
-			err = core.SaveStoreFile(*ckptOut, sopts.Store, s.State.Theta, s.Iteration())
-		} else {
-			err = s.State.SaveFile(*ckptOut, s.Iteration())
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("checkpoint written to %s (iteration %d)\n", *ckptOut, s.Iteration())
-	}
-	// Seal the mmap store so the trained π generation is durable on disk and a
-	// later OpenMmap sees it; a crash before this point leaves the previous
-	// sealed generation intact.
-	if ms != nil {
-		gen, err := ms.Seal()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("sealed π store %s (generation %d)\n", *piDir, gen)
-	}
-
-	if *commOut != "" {
-		cover := metrics.FromState(final, 0)
-		if err := metrics.WriteCoverFile(*commOut, cover); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %d detected communities to %s\n", len(cover.Members), *commOut)
-	}
-}
-
-// openSink opens the -metrics-out destination: "-" streams to stdout (the
-// caller keeps ownership), anything else creates/truncates a file the sink
-// owns and closes.
-func openSink(path string) (*obs.Sink, error) {
-	if path == "-" {
-		return obs.NewSink(os.Stdout), nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	return obs.NewFileSink(f), nil
-}
-
-// writeTrace renders the single local bundle as a Chrome trace-event file.
-func writeTrace(path string, tr *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteChromeTrace(f, []obs.TraceBundle{tr.Bundle()}); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// peakRSSKiB reads the process high-water-mark RSS from /proc/self/status —
-// the number the memory-capped CI job asserts against.
-func peakRSSKiB() (int64, bool) {
-	data, err := os.ReadFile("/proc/self/status")
-	if err != nil {
-		return 0, false
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if !strings.HasPrefix(line, "VmHWM:") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return 0, false
-		}
-		kib, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return 0, false
-		}
-		return kib, true
-	}
-	return 0, false
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ocd-train:", err)
-	os.Exit(1)
 }

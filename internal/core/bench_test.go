@@ -13,7 +13,7 @@ import (
 
 // benchState builds a deterministic state and neighbor fixture for the
 // kernel benchmarks.
-func benchState(b *testing.B, k, neighbors int) (Config, *State, [][]float32, []bool, []float64, *mathx.RNG) {
+func benchState(b testing.TB, k, neighbors int) (Config, *State, [][]float32, []bool, []float64, *mathx.RNG) {
 	b.Helper()
 	cfg := DefaultConfig(k, 7)
 	s, err := NewState(cfg, neighbors+4)
@@ -31,12 +31,14 @@ func benchState(b *testing.B, k, neighbors int) (Config, *State, [][]float32, []
 	return cfg, s, rows, linked, weight, mathx.NewRNG(9)
 }
 
+// updatePhiKs are the K cells the kernel benchmark and its allocation gate
+// both cover.
+var updatePhiKs = []int{16, 64, 256, 1024}
+
 // BenchmarkUpdatePhi measures the inner kernel of the dominant stage; the
-// paper's Table III attributes 74 ms/iteration to this computation. CI gates
-// on its allocs/op staying at 0: with pooled scratch the fused kernel must
-// not touch the heap.
+// paper's Table III attributes 74 ms/iteration to this computation.
 func BenchmarkUpdatePhi(b *testing.B) {
-	for _, k := range []int{16, 64, 256, 1024} {
+	for _, k := range updatePhiKs {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
 			cfg, s, rows, linked, weight, rng := benchState(b, k, 32)
 			sc := NewPhiScratch(k)
@@ -50,6 +52,25 @@ func BenchmarkUpdatePhi(b *testing.B) {
 				UpdatePhi(&cfg, 0.001, s.PiRow(0), s.PhiSum[0], rows, linked, weight, s.Beta, rng, newPhi, sc)
 			}
 		})
+	}
+}
+
+// TestUpdatePhiAllocsZero is the kernel alloc ceiling: with pooled scratch the
+// fused update_phi kernel must not touch the heap, at any K the benchmark
+// covers. (It replaces an awk gate over BenchmarkUpdatePhi's -benchmem column
+// in ci.yml, so it now runs under go test ./... too.)
+func TestUpdatePhiAllocsZero(t *testing.T) {
+	for _, k := range updatePhiKs {
+		cfg, s, rows, linked, weight, rng := benchState(t, k, 32)
+		sc := NewPhiScratch(k)
+		newPhi := make([]float64, k)
+		kernel := func() {
+			UpdatePhi(&cfg, 0.001, s.PiRow(0), s.PhiSum[0], rows, linked, weight, s.Beta, rng, newPhi, sc)
+		}
+		kernel() // warm-up: one-time scratch growth is not steady state
+		if allocs := testing.AllocsPerRun(100, kernel); allocs != 0 {
+			t.Errorf("K=%d: UpdatePhi allocates %v allocs/op (ceiling 0)", k, allocs)
+		}
 	}
 }
 

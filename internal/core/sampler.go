@@ -97,7 +97,7 @@ type SamplerOptions struct {
 	Recorder *obs.RunRecorder
 	// Tracer, when non-nil, records per-iteration and per-stage spans (the
 	// single-rank timeline; no collectives or DKV traffic exist here). Feed
-	// its Bundle to obs.WriteChromeTrace — ocd-train's -trace-out does.
+	// its Bundle to obs.WriteChromeTraceFile — the trainer's -trace-out does.
 	Tracer *obs.Tracer
 	// Publisher, when non-nil, receives a sealed store.Snapshot of π/β after
 	// the write barrier of every PublishEvery-th iteration (version = number
@@ -117,6 +117,55 @@ type SamplerOptions struct {
 	// in-RAM sampler's. Prefer TryStep over Step: store errors (a torn
 	// shard, a failed fault) are runtime conditions, not programming bugs.
 	Store store.PiStore
+}
+
+// withDefaults fills the zero strategy parameters: 128 pairs, link
+// probability 0.5, 32 non-links, |V_n| = 32. It is the one place those
+// defaults live — the sequential sampler and every distributed rank build
+// their strategies through the two constructors below, so the engines cannot
+// drift apart and silently break seq ≡ dist parity.
+func (opt SamplerOptions) withDefaults() SamplerOptions {
+	if opt.NeighborCount == 0 {
+		opt.NeighborCount = 32
+	}
+	if opt.MinibatchPairs == 0 {
+		opt.MinibatchPairs = 128
+	}
+	if opt.LinkProb == 0 {
+		opt.LinkProb = 0.5
+	}
+	if opt.NonLinkCount == 0 {
+		opt.NonLinkCount = 32
+	}
+	return opt
+}
+
+// NewEdgeStrategy builds the minibatch strategy opt selects over g.
+func NewEdgeStrategy(opt SamplerOptions, g *graph.Graph, excluded *graph.EdgeSet) (edges sampling.EdgeStrategy, err error) {
+	opt = opt.withDefaults()
+	if opt.Stratified {
+		edges, err = sampling.NewStratifiedNode(g, excluded, opt.LinkProb, opt.NonLinkCount)
+	} else {
+		edges, err = sampling.NewRandomPair(g, excluded, opt.MinibatchPairs)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: edge strategy: %w", err)
+	}
+	return edges, nil
+}
+
+// NewNeighborStrategy builds the neighbour strategy opt selects over view.
+func NewNeighborStrategy(opt SamplerOptions, view sampling.View) (neigh sampling.NeighborStrategy, err error) {
+	opt = opt.withDefaults()
+	if opt.UniformNeighbors {
+		neigh, err = sampling.NewUniformNeighbors(view, opt.NeighborCount)
+	} else {
+		neigh, err = sampling.NewLinkPlusUniform(view, opt.NeighborCount)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: neighbor strategy: %w", err)
+	}
+	return neigh, nil
 }
 
 // NewSampler wires a sampler for a training graph and held-out set. held may
@@ -147,38 +196,13 @@ func NewSampler(cfg Config, g *graph.Graph, held *graph.HeldOut, opt SamplerOpti
 		}
 		excluded = &set
 	}
-
-	if opt.NeighborCount == 0 {
-		opt.NeighborCount = 32
-	}
-	if opt.MinibatchPairs == 0 {
-		opt.MinibatchPairs = 128
-	}
-	if opt.LinkProb == 0 {
-		opt.LinkProb = 0.5
-	}
-	if opt.NonLinkCount == 0 {
-		opt.NonLinkCount = 32
-	}
-
-	var edges sampling.EdgeStrategy
-	if opt.Stratified {
-		edges, err = sampling.NewStratifiedNode(g, excluded, opt.LinkProb, opt.NonLinkCount)
-	} else {
-		edges, err = sampling.NewRandomPair(g, excluded, opt.MinibatchPairs)
-	}
+	edges, err := NewEdgeStrategy(opt, g, excluded)
 	if err != nil {
-		return nil, fmt.Errorf("core: edge strategy: %w", err)
+		return nil, err
 	}
-	view := sampling.NewGraphView(g, excluded)
-	var neigh sampling.NeighborStrategy
-	if opt.UniformNeighbors {
-		neigh, err = sampling.NewUniformNeighbors(view, opt.NeighborCount)
-	} else {
-		neigh, err = sampling.NewLinkPlusUniform(view, opt.NeighborCount)
-	}
+	neigh, err := NewNeighborStrategy(opt, sampling.NewGraphView(g, excluded))
 	if err != nil {
-		return nil, fmt.Errorf("core: neighbor strategy: %w", err)
+		return nil, err
 	}
 
 	s := &Sampler{

@@ -141,22 +141,14 @@ func newNode(cfg core.Config, opt Options, comm *cluster.Comm, g *graph.Graph, h
 
 	nd.view = newWorkerView(nd.n, heldSet, heldTouch)
 	var err error
-	if opt.UniformNeighbors {
-		nd.neigh, err = sampling.NewUniformNeighbors(nd.view, opt.NeighborCount)
-	} else {
-		nd.neigh, err = sampling.NewLinkPlusUniform(nd.view, opt.NeighborCount)
-	}
+	nd.neigh, err = core.NewNeighborStrategy(opt.SamplerOptions(), nd.view)
 	if err != nil {
 		return nil, err
 	}
 
 	if nd.rank == 0 {
 		nd.g = g
-		if opt.Stratified {
-			nd.edges, err = sampling.NewStratifiedNode(g, heldSet, opt.LinkProb, opt.NonLinkCount)
-		} else {
-			nd.edges, err = sampling.NewRandomPair(g, heldSet, opt.MinibatchPairs)
-		}
+		nd.edges, err = core.NewEdgeStrategy(opt.SamplerOptions(), g, heldSet)
 		if err != nil {
 			return nil, err
 		}

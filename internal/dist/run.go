@@ -1,11 +1,9 @@
 package dist
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"time"
 
 	"repro/internal/cluster"
@@ -79,7 +77,7 @@ type Options struct {
 	HotCacheMinDegree int
 
 	// Minibatch and neighbor strategy parameters, mirroring
-	// core.SamplerOptions.
+	// core.SamplerOptions; zero values take its defaults.
 	MinibatchPairs   int
 	Stratified       bool
 	LinkProb         float64
@@ -101,7 +99,8 @@ type Options struct {
 	// Monitor, when non-nil, is attached to rank 0's metric registry so the
 	// HTTP endpoint serves live counters, gauges, and stage histograms during
 	// the run, and its /events SSE endpoint streams the run's event stream
-	// (every rank; a discard-backed sink is created when Events is nil).
+	// (every rank; a discard-backed sink is created when Events is nil). The
+	// caller keeps its lifetime: start it before the run, shut it down after.
 	Monitor *obs.Monitor
 
 	// Trace enables span tracing: every rank records stage, collective, and
@@ -110,10 +109,6 @@ type Options struct {
 	// Result.Trace carries every rank's bundle. Tracing only observes — the
 	// trained trajectory is bit-identical with it on or off.
 	Trace bool
-	// TraceOut, when non-empty, additionally writes the gathered spans as a
-	// Chrome trace-event JSON file (Perfetto / chrome://tracing loadable) at
-	// that path. Implies Trace.
-	TraceOut string
 
 	// Publisher, when non-nil, receives a sealed full-view store.Snapshot of
 	// π/β from the serving rank (the master, rank 0) after the write barrier
@@ -175,26 +170,30 @@ type Options struct {
 }
 
 func (o *Options) setDefaults() {
-	if o.Ranks == 0 {
-		o.Ranks = 2
-	}
-	if o.MinibatchPairs == 0 {
-		o.MinibatchPairs = 128
-	}
-	if o.LinkProb == 0 {
-		o.LinkProb = 0.5
-	}
-	if o.NonLinkCount == 0 {
-		o.NonLinkCount = 32
-	}
-	if o.NeighborCount == 0 {
-		o.NeighborCount = 32
-	}
 	if o.PublishEvery == 0 {
 		o.PublishEvery = 1
 	}
 	if o.CheckpointPath != "" && o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = 10
+	}
+}
+
+// SamplerOptions is the Ranks = 1 projection of o: the fields the single-node
+// core.Sampler shares with this engine. The ranks build their minibatch and
+// neighbour strategies from it (core.NewEdgeStrategy / NewNeighborStrategy,
+// where the defaults live), and a caller choosing between the two engines
+// configures both from one Options value.
+func (o Options) SamplerOptions() core.SamplerOptions {
+	return core.SamplerOptions{
+		MinibatchPairs:   o.MinibatchPairs,
+		Stratified:       o.Stratified,
+		LinkProb:         o.LinkProb,
+		NonLinkCount:     o.NonLinkCount,
+		NeighborCount:    o.NeighborCount,
+		UniformNeighbors: o.UniformNeighbors,
+		Threads:          o.Threads,
+		Publisher:        o.Publisher,
+		PublishEvery:     o.PublishEvery,
 	}
 }
 
@@ -246,7 +245,7 @@ type Result struct {
 	RemoteFrac float64 // fraction of DKV keys served remotely
 	// Trace holds every rank's span bundle when Options.Trace was set
 	// (rank-ordered, identical on every rank after the end-of-run AllGather);
-	// feed it to obs.WriteChromeTrace or obs.AnalyzeCriticalPath.
+	// feed it to obs.WriteChromeTraceFile or obs.AnalyzeCriticalPath.
 	Trace []obs.TraceBundle
 }
 
@@ -255,15 +254,8 @@ type Result struct {
 // (rank 0), matching the paper's data distribution; the held-out set is
 // replicated (it is small and every rank needs it for exclusion checks).
 func Run(cfg core.Config, g *graph.Graph, held *graph.HeldOut, opt Options) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	opt.setDefaults()
-	if opt.Iterations < 1 {
-		return nil, fmt.Errorf("dist: Iterations = %d, need at least 1", opt.Iterations)
-	}
-	if opt.EvalEvery > 0 && held == nil {
-		return nil, fmt.Errorf("dist: EvalEvery set but no held-out set given")
+	if opt.Ranks == 0 {
+		opt.Ranks = 2
 	}
 	fabric, err := transport.NewFabric(opt.Ranks)
 	if err != nil {
@@ -283,9 +275,6 @@ func RunOnTransport(cfg core.Config, g *graph.Graph, held *graph.HeldOut, opt Op
 	}
 	opt.setDefaults()
 	opt.Ranks = len(conns)
-	if opt.TraceOut != "" {
-		opt.Trace = true
-	}
 	if opt.Iterations < 1 {
 		return nil, fmt.Errorf("dist: Iterations = %d, need at least 1", opt.Iterations)
 	}
@@ -311,16 +300,6 @@ func RunOnTransport(cfg core.Config, g *graph.Graph, held *graph.HeldOut, opt Op
 			opt.Events = obs.NewSink(io.Discard)
 		}
 		opt.Events.Tee(opt.Monitor.EventStream())
-		// The run owns the monitor's serving lifetime: once every rank has
-		// returned there will be no more events or metric updates, so drain
-		// open SSE streams and release the port instead of leaving a zombie
-		// endpoint behind. Shutdown is idempotent — callers that Close in
-		// their own defer are unaffected.
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			_ = opt.Monitor.Shutdown(ctx)
-		}()
 	}
 
 	nodes := make([]*node, opt.Ranks)
@@ -382,26 +361,7 @@ func RunOnTransport(cfg core.Config, g *graph.Graph, held *graph.HeldOut, opt Op
 	if abortErr != nil {
 		return nil, abortErr
 	}
-	res := assembleResult(nodes)
-	if opt.TraceOut != "" {
-		if err := writeTraceFile(opt.TraceOut, res.Trace); err != nil {
-			return nil, fmt.Errorf("dist: writing trace: %w", err)
-		}
-	}
-	return res, nil
-}
-
-// writeTraceFile renders the gathered bundles as a Chrome trace-event file.
-func writeTraceFile(path string, bundles []obs.TraceBundle) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteChromeTrace(f, bundles); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return assembleResult(nodes), nil
 }
 
 func assembleResult(nodes []*node) *Result {

@@ -37,9 +37,12 @@ func TestTraceGatherTCP(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "run.trace.json")
 	conns := dialTestMesh(t, ranks)
 	res, err := RunOnTransport(cfg, train, held, Options{
-		Iterations: iters, EvalEvery: 0, TraceOut: out,
+		Iterations: iters, EvalEvery: 0, Trace: true,
 	}, conns)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.WriteChromeTraceFile(out, res.Trace); err != nil {
 		t.Fatal(err)
 	}
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sort"
 )
 
@@ -137,6 +138,20 @@ func WriteChromeTrace(w io.Writer, bundles []TraceBundle) error {
 		return fmt.Errorf("obs: writing chrome trace: %w", err)
 	}
 	return nil
+}
+
+// WriteChromeTraceFile writes the bundles as a Chrome trace-event file at
+// path — what -trace-out produces, for either engine.
+func WriteChromeTraceFile(path string, bundles []TraceBundle) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := WriteChromeTrace(f, bundles); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // ReadChromeTrace parses a trace file written by WriteChromeTrace back into

@@ -161,7 +161,9 @@ func (r *RunRecorder) RebalanceDone(iter int, weights []float64, flagged []int, 
 	})
 }
 
-// RunEnd emits the closing event with cumulative counters.
+// RunEnd emits the closing event with cumulative counters and detaches the
+// sink: a stream ends at run_end, whatever the engine goes on to do (the
+// trainer's -posterior-samples keeps stepping the sampler past it).
 func (r *RunRecorder) RunEnd(iterations int) {
 	e := &Event{
 		Type:      EventRunEnd,
@@ -175,4 +177,5 @@ func (r *RunRecorder) RunEnd(iterations int) {
 		}
 	}
 	r.emit(e)
+	r.sink = nil
 }
