@@ -2,7 +2,7 @@ GO ?= go
 
 DIST_PKGS = ./internal/par/... ./internal/transport/... ./internal/cluster/... ./internal/dkv/... ./internal/store/... ./internal/engine/... ./internal/dist/... ./internal/serve/... ./internal/obs/... ./internal/core/... ./internal/trainer/...
 
-.PHONY: build fmt vet test race bench-check loc check
+.PHONY: build fmt vet test race bench-check live loc check
 
 build:
 	$(GO) build ./...
@@ -36,9 +36,17 @@ race:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# live runs the reachability check (liveset_test.go): every non-test
+# declaration outside bench/ is reachable from a func main under cmd/ or
+# examples/, from bench/, or is a test oracle named in liveset_allow.txt. It
+# type-checks the standard library from source (CGO off: no cgo tool needed),
+# which `go test ./...` should not pay for, hence the env-var gate.
+live:
+	CGO_ENABLED=0 OCD_LIVESET=1 $(GO) test -count=1 -run '^TestLiveSet$$' .
+
 # loc prints the non-test Go line count outside bench/ — the number the
 # "collapse parallel mechanisms" roadmap item is measured in.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
-check: fmt vet build race test bench-check
+check: fmt vet build race test bench-check live

@@ -3,8 +3,6 @@ package repro
 import (
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/mmsb"
 	"repro/internal/svi"
 )
 
@@ -20,30 +18,4 @@ func BenchmarkSVIStep(b *testing.B) {
 	}
 	b.ResetTimer()
 	s.Run(b.N)
-}
-
-// BenchmarkGeneralVsAssortativeStep quantifies the O(K²) vs O(K) cost of the
-// general MMSB extension against the assortative model on identical data.
-func BenchmarkGeneralVsAssortativeStep(b *testing.B) {
-	train, held := benchFixture(b, "mmsb", 3000, 16, 30000, 97)
-	b.Run("assortative-K32", func(b *testing.B) {
-		s, err := core.NewSampler(core.DefaultConfig(32, 101), train, held, core.SamplerOptions{
-			Threads: 0, MinibatchPairs: 256, NeighborCount: 32,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		s.Run(b.N)
-	})
-	b.Run("general-K32", func(b *testing.B) {
-		s, err := mmsb.NewSampler(mmsb.DefaultConfig(32, 101), train, held, mmsb.Options{
-			Threads: 0, MinibatchPairs: 256, NeighborCount: 32,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		s.Run(b.N)
-	})
 }

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mathx"
@@ -152,8 +153,8 @@ func BenchmarkTableIIIBreakdown(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, phase := range []string{
-		dist.PhaseDeployMinibatch, dist.PhaseUpdatePhi, dist.PhaseLoadPi,
-		dist.PhaseComputePhi, dist.PhaseUpdatePi, dist.PhaseUpdateBetaTheta,
+		engine.PhaseDeployMinibatch, engine.PhaseUpdatePhi, engine.PhaseLoadPi,
+		engine.PhaseComputePhi, engine.PhaseUpdatePi, engine.PhaseUpdateBetaTheta,
 	} {
 		ms := float64(res.Phases.Total(phase).Microseconds()) / 1000 / float64(iters)
 		b.ReportMetric(ms, "ms/iter-"+phase)
@@ -186,24 +187,6 @@ func BenchmarkFig4HorizVert(b *testing.B) {
 		}
 		b.ReportMetric(float64(res.Elapsed.Milliseconds())/float64(max(b.N, 4)), "ms/iter")
 	})
-}
-
-// BenchmarkFig5DKVBandwidth measures the REAL in-process DKV store's batch
-// read throughput across payload sizes (rows per batch), the measurable
-// analogue of Figure 5; the modeled InfiniBand curves are emitted by
-// BenchmarkFig5Model.
-func BenchmarkFig5DKVBandwidth(b *testing.B) {
-	for _, rows := range []int{1, 8, 64, 512} {
-		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
-			benchDKVRead(b, rows)
-		})
-	}
-}
-
-func benchDKVRead(b *testing.B, rows int) {
-	// Implemented in bench_dkv_test.go to keep transport setup out of the
-	// figure-level file.
-	dkvReadBench(b, rows)
 }
 
 // BenchmarkFig5Model emits the modeled Figure 5 curves as metrics (GB/s).

@@ -10,5 +10,6 @@
 //
 // See README.md for the layout, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for measured-vs-paper results.
-// The benchmarks in bench_test.go regenerate one table or figure each.
+// The benchmarks in bench_test.go regenerate one table or figure each; the
+// gated end-to-end benchmark is the bench/ module (bash bench/run.sh).
 package repro

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mathx"
@@ -51,9 +52,9 @@ func main() {
 		}
 		fmt.Printf("%6d %10.2f %12.2f %12.2f %12.2f %11.0f%%   (speedup %.2fx)\n",
 			ranks, total,
-			res.Phases.Total(dist.PhaseUpdatePhi).Seconds(),
-			res.Phases.Total(dist.PhaseUpdatePi).Seconds(),
-			res.Phases.Total(dist.PhaseUpdateBetaTheta).Seconds(),
+			res.Phases.Total(engine.PhaseUpdatePhi).Seconds(),
+			res.Phases.Total(engine.PhaseUpdatePi).Seconds(),
+			res.Phases.Total(engine.PhaseUpdateBetaTheta).Seconds(),
 			100*res.RemoteFrac, base/total)
 	}
 

@@ -11,8 +11,8 @@
 // rank that hits an unrecoverable error calls Comm.Abort, which broadcasts
 // an abort control message on the transport's reserved tag and poisons the
 // fabric. Every collective a peer is blocked in — Barrier, Bcast, Scatter,
-// Gather, Reduce — then returns an error wrapping *AbortError (check with
-// errors.As or transport.AsAbort) that names the failing rank and its cause,
+// Gather, Reduce — then returns an error wrapping *transport.AbortError
+// (check with transport.AsAbort) that names the failing rank and its cause,
 // instead of blocking forever on a message that will never come. Aborting is
 // one-way: a poisoned communicator stays dead, which is the right semantics
 // for SG-MCMC — the caller restarts the run from a checkpoint rather than
@@ -36,12 +36,6 @@ const (
 	// TagUserBase is the first tag value available to application protocols.
 	TagUserBase uint32 = 0x40000000
 )
-
-// AbortError is the typed error every collective returns (wrapped; unwrap
-// with errors.As) once the fabric has been aborted: Rank is the rank that
-// called Abort, and Msg/Cause carry why. It is an alias for the transport's
-// abort type so the error is the same object all the way down the stack.
-type AbortError = transport.AbortError
 
 // Comm is a communicator: a Conn plus collective sequencing.
 type Comm struct {
@@ -131,9 +125,9 @@ func (c *Comm) recv(from int, tag uint32) ([]byte, error) {
 
 // Abort declares this rank failed: the cause is broadcast on the reserved
 // abort tag and the fabric is poisoned, so every peer blocked in (or later
-// entering) a collective or receive returns an *AbortError naming this rank
-// within bounded time instead of deadlocking. Safe to call multiple times;
-// the first abort to reach each endpoint wins.
+// entering) a collective or receive returns a *transport.AbortError naming
+// this rank within bounded time instead of deadlocking. Safe to call multiple
+// times; the first abort to reach each endpoint wins.
 func (c *Comm) Abort(cause error) {
 	c.conn.Poison(cause)
 }
@@ -349,20 +343,4 @@ func (c *Comm) AllReduceSum(vec []float64) ([]float64, error) {
 	out := make([]float64, len(vec))
 	wire.Float64s(payload, 0, len(vec), out)
 	return out, nil
-}
-
-// SendTo sends an application-level message (tag must be >= TagUserBase).
-func (c *Comm) SendTo(to int, tag uint32, payload []byte) error {
-	if tag < TagUserBase {
-		return fmt.Errorf("cluster: application tag %#x below TagUserBase", tag)
-	}
-	return c.conn.Send(to, tag, payload)
-}
-
-// RecvFrom receives an application-level message.
-func (c *Comm) RecvFrom(from int, tag uint32) ([]byte, error) {
-	if tag < TagUserBase {
-		return nil, fmt.Errorf("cluster: application tag %#x below TagUserBase", tag)
-	}
-	return c.conn.Recv(from, tag)
 }

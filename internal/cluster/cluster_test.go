@@ -205,35 +205,6 @@ func TestCollectiveSequencing(t *testing.T) {
 	})
 }
 
-func TestSendToRecvFrom(t *testing.T) {
-	spmd(t, 2, func(c *Comm) error {
-		tag := TagUserBase + 7
-		if c.Rank() == 0 {
-			return c.SendTo(1, tag, []byte("direct"))
-		}
-		m, err := c.RecvFrom(0, tag)
-		if err != nil {
-			return err
-		}
-		if string(m) != "direct" {
-			return fmt.Errorf("got %q", m)
-		}
-		return nil
-	})
-}
-
-func TestUserTagValidation(t *testing.T) {
-	f, _ := transport.NewFabric(1)
-	defer f.Close()
-	c := New(f.Endpoint(0))
-	if err := c.SendTo(0, 5, nil); err == nil {
-		t.Fatal("low tag accepted by SendTo")
-	}
-	if _, err := c.RecvFrom(0, 5); err == nil {
-		t.Fatal("low tag accepted by RecvFrom")
-	}
-}
-
 func TestWireRoundTrips(t *testing.T) {
 	f64 := []float64{0, 1.5, -2.25, math.Pi, math.Inf(1)}
 	buf := wire.AppendFloat64s(nil, f64)

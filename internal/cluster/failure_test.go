@@ -75,7 +75,7 @@ func TestAbortReleasesBarrier(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		select {
 		case err := <-results:
-			var ae *AbortError
+			var ae *transport.AbortError
 			if !errors.As(err, &ae) {
 				t.Fatalf("barrier error %v is not an AbortError", err)
 			}
@@ -119,7 +119,7 @@ func TestAbortReleasesEveryCollective(t *testing.T) {
 			c0.Abort(fmt.Errorf("abort during %s", o.name))
 			select {
 			case err := <-done:
-				var ae *AbortError
+				var ae *transport.AbortError
 				if !errors.As(err, &ae) || ae.Rank != 0 {
 					t.Fatalf("%s error %v, want AbortError from rank 0", o.name, err)
 				}

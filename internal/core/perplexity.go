@@ -7,66 +7,9 @@ import (
 	"repro/internal/par"
 )
 
-// PerplexityAverager implements the paper's Eqn (7): perplexity is the
-// exponential of the negative average log of the SAMPLE-AVERAGED held-out
-// likelihoods. It keeps one running mean probability per held-out pair, so
-// memory is O(|E_h|) regardless of how many posterior samples are folded in.
-type PerplexityAverager struct {
-	held  *graph.HeldOut
-	delta float64
-	avg   []float64
-	t     int
-}
-
-// NewPerplexityAverager creates an averager for a held-out set; delta is the
-// model's cross-community link probability δ.
-func NewPerplexityAverager(held *graph.HeldOut, delta float64) *PerplexityAverager {
-	return &PerplexityAverager{held: held, delta: delta, avg: make([]float64, held.Len())}
-}
-
-// Samples returns how many posterior samples have been folded in.
-func (p *PerplexityAverager) Samples() int { return p.t }
-
-// Update folds the current state in as one posterior sample and returns the
-// averaged perplexity. The per-pair probabilities are computed in parallel
-// with a fixed chunk size, so the result is independent of workers.
-func (p *PerplexityAverager) Update(s *State, workers int) float64 {
-	p.t++
-	tInv := 1 / float64(p.t)
-	par.ChunkedReduce(p.held.Len(), PerplexityChunk, workers, func(lo, hi int) float64 {
-		for i := lo; i < hi; i++ {
-			e := p.held.Pairs[i]
-			prob := EdgeProbability(s.PiRow(int(e.A)), s.PiRow(int(e.B)), s.Beta, p.delta, p.held.Linked[i])
-			p.avg[i] += (prob - p.avg[i]) * tInv
-		}
-		return 0
-	})
-	return p.Value()
-}
-
-// Value returns the perplexity implied by the running averages; it panics if
-// Update has never been called.
-func (p *PerplexityAverager) Value() float64 {
-	if p.t == 0 {
-		panic("core: perplexity requested before any sample")
-	}
-	logSum := par.ChunkedReduce(p.held.Len(), PerplexityChunk, 0, func(lo, hi int) float64 {
-		var s float64
-		for i := lo; i < hi; i++ {
-			v := p.avg[i]
-			if v < 1e-300 {
-				v = 1e-300
-			}
-			s += math.Log(v)
-		}
-		return s
-	})
-	return math.Exp(-logSum / float64(p.held.Len()))
-}
-
 // Perplexity computes the single-sample perplexity of state s on held —
 // Eqn (7) with T = 1. Used by tests and by quick diagnostics; training loops
-// should prefer the averager.
+// fold HeldOutEval's running mean.
 func Perplexity(s *State, held *graph.HeldOut, delta float64, workers int) float64 {
 	logSum := par.ChunkedReduce(held.Len(), PerplexityChunk, workers, func(lo, hi int) float64 {
 		var acc float64

@@ -18,9 +18,6 @@ func NewPosteriorMean(n, k int) *PosteriorMean {
 	return &PosteriorMean{n: n, k: k, pi: make([]float64, n*k), beta: make([]float64, k)}
 }
 
-// Samples returns how many states have been folded in.
-func (p *PosteriorMean) Samples() int { return p.t }
-
 // Add folds one chain state into the running means.
 func (p *PosteriorMean) Add(s *State) {
 	if s.N != p.n || s.K != p.k {

@@ -15,8 +15,8 @@ func TestPosteriorMeanAverages(t *testing.T) {
 	acc := NewPosteriorMean(2, 3)
 	acc.Add(s1)
 	acc.Add(s2)
-	if acc.Samples() != 2 {
-		t.Fatalf("samples = %d", acc.Samples())
+	if acc.t != 2 {
+		t.Fatalf("samples = %d", acc.t)
 	}
 	avg := acc.State()
 	row := avg.PiRow(0)

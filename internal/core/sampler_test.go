@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mathx"
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 func plantedFixture(t *testing.T, n, k, edges int, seed uint64) (*graph.Graph, *graph.HeldOut) {
@@ -178,19 +179,34 @@ func TestSamplerRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
+// foldPerplexity folds state s into h as one posterior sample, through a
+// LocalStore view as the sequential sampler does, and returns Eqn (7).
+func foldPerplexity(t *testing.T, h *HeldOutEval, s *State, threads int) float64 {
+	t.Helper()
+	partials, err := h.Fold(store.NewLocal(s.Pi, s.PhiSum, s.K, threads), s.Beta, threads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logSum float64
+	for _, v := range partials {
+		logSum += v
+	}
+	return PerplexityFromLogSum(logSum, h.Held.Len())
+}
+
 func TestPerplexityAveragerMatchesManual(t *testing.T) {
 	train, held := plantedFixture(t, 120, 4, 600, 39)
 	cfg := DefaultConfig(4, 3)
 	s, _ := NewState(cfg, train.NumVertices())
-	avg := NewPerplexityAverager(held, cfg.Delta)
-	one := avg.Update(s, 2)
+	avg := NewHeldOutEval(held, cfg.Delta, 0, held.Len())
+	one := foldPerplexity(t, avg, s, 2)
 	// With a single sample, the averager equals the direct computation.
 	direct := Perplexity(s, held, cfg.Delta, 2)
 	if math.Abs(one-direct)/direct > 1e-9 {
 		t.Fatalf("averager %v != direct %v for T=1", one, direct)
 	}
-	if avg.Samples() != 1 {
-		t.Fatalf("samples = %d", avg.Samples())
+	if avg.T != 1 {
+		t.Fatalf("samples = %d", avg.T)
 	}
 }
 
@@ -205,9 +221,9 @@ func TestPerplexityAveragerAverages(t *testing.T) {
 	cfg2.Seed = 5
 	s2, _ := NewState(cfg2, train.NumVertices())
 
-	avg := NewPerplexityAverager(held, cfg.Delta)
-	avg.Update(s1, 0)
-	got := avg.Update(s2, 0)
+	avg := NewHeldOutEval(held, cfg.Delta, 0, held.Len())
+	foldPerplexity(t, avg, s1, 0)
+	got := foldPerplexity(t, avg, s2, 0)
 
 	// Manual: running mean of per-pair probabilities.
 	var logSum float64

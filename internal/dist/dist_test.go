@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mathx"
@@ -185,7 +186,7 @@ func TestResultCarriesPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, phase := range []string{PhaseDeployMinibatch, PhaseUpdatePhi, PhaseUpdatePi, PhaseUpdateBetaTheta, PhasePerplexity, PhaseTotal} {
+	for _, phase := range []string{engine.PhaseDeployMinibatch, engine.PhaseUpdatePhi, engine.PhaseUpdatePi, engine.PhaseUpdateBetaTheta, engine.PhasePerplexity, engine.PhaseTotal} {
 		if res.Phases.Total(phase) == 0 {
 			t.Errorf("phase %q has no recorded time", phase)
 		}

@@ -157,7 +157,7 @@ func newNode(cfg core.Config, opt Options, comm *cluster.Comm, g *graph.Graph, h
 		// its interval keyed by its own iteration and lands in iteration
 		// t+1's event.
 		nd.prefetch = engine.NewPrefetcher(func(t int) *sampling.Batch {
-			defer nd.ob.Interval(t, PhaseDrawMinibatch, obs.TraceNow())
+			defer nd.ob.Interval(t, engine.PhaseDrawMinibatch, obs.TraceNow())
 			batch := &sampling.Batch{}
 			core.DrawMinibatch(&nd.cfg, nd.edges, t, batch)
 			return batch
@@ -214,27 +214,27 @@ func (nd *node) buildLoop() *engine.Loop {
 		Obs: nd.ob,
 		Stages: []engine.Stage{
 			{
-				Name:   PhaseDeployMinibatch,
+				Name:   engine.PhaseDeployMinibatch,
 				Reads:  []string{"graph", "shares"},
 				Writes: []string{"batch"},
 				Run:    nd.deployStage,
 			},
 			{
-				Name:   PhaseUpdatePhi,
+				Name:   engine.PhaseUpdatePhi,
 				Reads:  []string{"batch", "pi", "beta"},
 				Writes: []string{"new_phi"},
 				Run:    nd.phiStage,
 			},
 			{Run: nd.barrierStage, Barrier: true}, // update_phi reads old π; fence before overwriting
 			{
-				Name:   PhaseUpdatePi,
+				Name:   engine.PhaseUpdatePi,
 				Reads:  []string{"batch", "new_phi"},
 				Writes: []string{"pi"},
 				Run:    nd.piStage,
 			},
 			{Run: nd.barrierStage, Barrier: true}, // update_beta_theta reads the new π everywhere
 			{
-				Name:   PhaseUpdateBetaTheta,
+				Name:   engine.PhaseUpdateBetaTheta,
 				Reads:  []string{"batch", "pi", "theta"},
 				Writes: []string{"theta", "beta"},
 				Run:    nd.thetaStage,
@@ -246,7 +246,7 @@ func (nd *node) buildLoop() *engine.Loop {
 		// iteration the stage is a no-op on all ranks, which keeps the
 		// collective tag sequence aligned without per-iteration traffic.
 		loop.Stages = append(loop.Stages, engine.Stage{
-			Name:   PhaseReshard,
+			Name:   engine.PhaseReshard,
 			Writes: []string{"shares"},
 			Run:    nd.reshardStage,
 		})
@@ -259,7 +259,7 @@ func (nd *node) buildLoop() *engine.Loop {
 		// receive — no rank can reach its next π write until the master, and
 		// therefore this gather, is done.
 		loop.Stages = append(loop.Stages, engine.Stage{
-			Name:      PhasePublish,
+			Name:      engine.PhasePublish,
 			Reads:     []string{"pi", "beta"},
 			Publishes: []string{"pi"},
 			Run:       nd.publishStage,
@@ -271,7 +271,7 @@ func (nd *node) buildLoop() *engine.Loop {
 		// shards while those peers are parked in the next iteration's
 		// collective receive with their DKV goroutines still serving.
 		loop.Stages = append(loop.Stages, engine.Stage{
-			Name:      PhaseCheckpoint,
+			Name:      engine.PhaseCheckpoint,
 			Reads:     []string{"pi", "theta"},
 			Publishes: []string{"pi"},
 			Run:       nd.checkpointStage,
@@ -363,7 +363,7 @@ func (nd *node) run() (err error) {
 			}
 		}
 	}
-	nd.ob.Interval(obs.NoIter, PhaseTotal, totalStart)
+	nd.ob.Interval(obs.NoIter, engine.PhaseTotal, totalStart)
 	if rec != nil && nd.rank == 0 {
 		rec.RunEnd(nd.opt.Iterations)
 	}

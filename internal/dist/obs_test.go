@@ -62,7 +62,7 @@ func TestRunEmitsTelemetry(t *testing.T) {
 			if len(e.StagesMS) == 0 {
 				t.Fatalf("rank %d iter %d event has no stage durations", e.Rank, e.Iter)
 			}
-			for _, stage := range []string{PhaseDeployMinibatch, PhaseUpdatePhi, PhaseUpdatePi, PhaseUpdateBetaTheta} {
+			for _, stage := range []string{engine.PhaseDeployMinibatch, engine.PhaseUpdatePhi, engine.PhaseUpdatePi, engine.PhaseUpdateBetaTheta} {
 				if _, ok := e.StagesMS[stage]; !ok {
 					t.Fatalf("rank %d iter %d event missing stage %q: %v", e.Rank, e.Iter, stage, e.StagesMS)
 				}
@@ -107,8 +107,8 @@ func TestRunEmitsTelemetry(t *testing.T) {
 	// even with pipelining on: every rank-0 iter event carries the stage.
 	for _, e := range events {
 		if e.Type == obs.EventIter && e.Rank == 0 {
-			if _, ok := e.StagesMS[PhaseDrawMinibatch]; !ok {
-				t.Fatalf("rank 0 iter %d missing %s: %v", e.Iter, PhaseDrawMinibatch, e.StagesMS)
+			if _, ok := e.StagesMS[engine.PhaseDrawMinibatch]; !ok {
+				t.Fatalf("rank 0 iter %d missing %s: %v", e.Iter, engine.PhaseDrawMinibatch, e.StagesMS)
 			}
 		}
 	}
@@ -125,12 +125,12 @@ func TestRunEmitsTelemetry(t *testing.T) {
 	if c[obs.CtrNetMsgsSent] == 0 || c[obs.CtrNetBytesSent] == 0 {
 		t.Fatalf("expected nonzero transport counters, got %v", c)
 	}
-	h, ok := res.Metrics.Histograms["stage."+PhaseUpdatePhi]
+	h, ok := res.Metrics.Histograms["stage."+engine.PhaseUpdatePhi]
 	if !ok {
-		t.Fatalf("no stage.%s histogram in Metrics: %v", PhaseUpdatePhi, res.Metrics.Histograms)
+		t.Fatalf("no stage.%s histogram in Metrics: %v", engine.PhaseUpdatePhi, res.Metrics.Histograms)
 	}
 	if h.Count != int64(iters*ranks) {
-		t.Fatalf("stage.%s histogram count = %d; want %d", PhaseUpdatePhi, h.Count, iters*ranks)
+		t.Fatalf("stage.%s histogram count = %d; want %d", engine.PhaseUpdatePhi, h.Count, iters*ranks)
 	}
 
 	// Summarize must accept the stream whole.
@@ -344,7 +344,7 @@ func TestRankTable(t *testing.T) {
 	if !strings.Contains(table, "rank0") || !strings.Contains(table, "rank1") {
 		t.Fatalf("table missing rank columns:\n%s", table)
 	}
-	for _, stage := range []string{PhaseDeployMinibatch, PhaseUpdatePhi, PhaseUpdatePi, PhaseTotal} {
+	for _, stage := range []string{engine.PhaseDeployMinibatch, engine.PhaseUpdatePhi, engine.PhaseUpdatePi, engine.PhaseTotal} {
 		if !strings.Contains(table, stage) {
 			t.Fatalf("table missing stage %q:\n%s", stage, table)
 		}
@@ -357,8 +357,8 @@ func TestRankTable(t *testing.T) {
 	}
 	// draw_minibatch happens only at the master; rank 1's column shows "-".
 	for _, ln := range lines {
-		if strings.HasPrefix(ln, PhaseDrawMinibatch) && !strings.Contains(ln, "-") {
-			t.Fatalf("worker rank should have no %s time:\n%s", PhaseDrawMinibatch, table)
+		if strings.HasPrefix(ln, engine.PhaseDrawMinibatch) && !strings.Contains(ln, "-") {
+			t.Fatalf("worker rank should have no %s time:\n%s", engine.PhaseDrawMinibatch, table)
 		}
 	}
 }
@@ -389,7 +389,7 @@ func TestEveryViewIsTheSameMeasurement(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	loopStages := []string{PhaseDeployMinibatch, PhaseUpdatePhi, PhaseUpdatePi, PhaseUpdateBetaTheta}
+	loopStages := []string{engine.PhaseDeployMinibatch, engine.PhaseUpdatePhi, engine.PhaseUpdatePi, engine.PhaseUpdateBetaTheta}
 	for r := 0; r < ranks; r++ {
 		table := res.RankPhases[r]
 
@@ -418,15 +418,15 @@ func TestEveryViewIsTheSameMeasurement(t *testing.T) {
 			}
 			// The draw for iteration t+1 is prefetched during iteration t but
 			// belongs to t+1: every master event carries exactly its own.
-			if _, ok := e.StagesMS[PhaseDrawMinibatch]; r == 0 && !ok {
-				t.Errorf("rank 0 iter %d event has no %s: %v", e.Iter, PhaseDrawMinibatch, e.StagesMS)
+			if _, ok := e.StagesMS[engine.PhaseDrawMinibatch]; r == 0 && !ok {
+				t.Errorf("rank 0 iter %d event has no %s: %v", e.Iter, engine.PhaseDrawMinibatch, e.StagesMS)
 			}
 		}
 		// Everything the table holds except the off-loop intervals is also a
 		// histogram and an event entry: sub-stages and the prefetched draw
 		// included.
 		for name, total := range table {
-			if name == PhasePerplexity || name == PhaseTotal {
+			if name == engine.PhasePerplexity || name == engine.PhaseTotal {
 				continue
 			}
 			wantMS := float64(total) / float64(time.Millisecond)
@@ -441,7 +441,7 @@ func TestEveryViewIsTheSameMeasurement(t *testing.T) {
 			t.Errorf("rank %d: event stages %v vs phase table %v: want the table minus perplexity and total", r, eventMS, table)
 		}
 	}
-	if got := res.Phases.Count(PhaseDrawMinibatch); got != iters {
+	if got := res.Phases.Count(engine.PhaseDrawMinibatch); got != iters {
 		t.Errorf("%d draws for %d iterations", got, iters)
 	}
 }

@@ -16,24 +16,6 @@ import (
 	"repro/internal/wire"
 )
 
-// Phase names used in traces; the Table III harness keys off these. They
-// are re-exported from the shared stage layer so existing callers
-// (experiments, examples) keep compiling against dist.
-const (
-	PhaseDrawMinibatch   = engine.PhaseDrawMinibatch
-	PhaseDeployMinibatch = engine.PhaseDeployMinibatch
-	PhaseUpdatePhi       = engine.PhaseUpdatePhi
-	PhaseLoadPi          = engine.PhaseLoadPi
-	PhaseComputePhi      = engine.PhaseComputePhi
-	PhaseUpdatePi        = engine.PhaseUpdatePi
-	PhaseUpdateBetaTheta = engine.PhaseUpdateBetaTheta
-	PhasePerplexity      = engine.PhasePerplexity
-	PhasePublish         = engine.PhasePublish
-	PhaseReshard         = engine.PhaseReshard
-	PhaseCheckpoint      = engine.PhaseCheckpoint
-	PhaseTotal           = engine.PhaseTotal
-)
-
 // Options configures a distributed run.
 type Options struct {
 	Ranks   int // simulated cluster size (master is rank 0 and also computes)
@@ -371,7 +353,7 @@ func assembleResult(nodes []*node) *Result {
 		Perplexity: master.perp,
 		Phases:     obs.NewPhases(),
 		Iterations: master.opt.Iterations,
-		Elapsed:    master.ob.Phases.Total(PhaseTotal),
+		Elapsed:    master.ob.Phases.Total(engine.PhaseTotal),
 	}
 	for _, nd := range nodes {
 		res.RankPhases = append(res.RankPhases, nd.ob.Phases.Snapshot())
@@ -411,9 +393,9 @@ func assembleResult(nodes []*node) *Result {
 // reduces the global averaged perplexity (Eqn 7) at the master; the value
 // is broadcast so every rank returns it.
 func (nd *node) evalPerplexity() (float64, error) {
-	defer nd.ob.Interval(obs.NoIter, PhasePerplexity, obs.TraceNow())
+	defer nd.ob.Interval(obs.NoIter, engine.PhasePerplexity, obs.TraceNow())
 	if label := nd.ob.PhaseLabel; label != nil { // armed only when observed: no histograms otherwise
-		label(PhasePerplexity)
+		label(engine.PhasePerplexity)
 	}
 	partials, err := nd.eval.Fold(nd.store, nd.beta, nd.opt.Threads)
 	if err != nil {

@@ -159,7 +159,7 @@ func TestServeDuringTraining(t *testing.T) {
 				return
 			default:
 			}
-			if !eng.Ready() {
+			if eng.Snapshot() == nil {
 				continue
 			}
 			top, snap, err := eng.TopK(7, 3)

@@ -5,20 +5,22 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/engine"
 )
 
 // rankTableOrder is the canonical Table III row order; stages outside it
 // (if a future engine adds any) are appended alphabetically.
 var rankTableOrder = []string{
-	PhaseDrawMinibatch,
-	PhaseDeployMinibatch,
-	PhaseUpdatePhi,
-	PhaseLoadPi,
-	PhaseComputePhi,
-	PhaseUpdatePi,
-	PhaseUpdateBetaTheta,
-	PhasePerplexity,
-	PhaseTotal,
+	engine.PhaseDrawMinibatch,
+	engine.PhaseDeployMinibatch,
+	engine.PhaseUpdatePhi,
+	engine.PhaseLoadPi,
+	engine.PhaseComputePhi,
+	engine.PhaseUpdatePi,
+	engine.PhaseUpdateBetaTheta,
+	engine.PhasePerplexity,
+	engine.PhaseTotal,
 }
 
 // RankTable renders Result.RankPhases as a per-rank × per-stage text table

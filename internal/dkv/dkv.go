@@ -219,9 +219,6 @@ func (s *Store) Owner(k int) int { return k / s.per }
 // OwnedRange returns this rank's key range [lo, hi).
 func (s *Store) OwnedRange() (lo, hi int) { return s.lo, s.hi }
 
-// ValueBytes returns the fixed value size.
-func (s *Store) ValueBytes() int { return s.valBytes }
-
 // Stats exposes the client-side traffic counters.
 func (s *Store) Stats() *Stats { return s.stats }
 
@@ -401,12 +398,9 @@ func (s *Store) findMisroutedKey(keys []int32) (int32, bool) {
 
 // Close stops the server goroutine. The underlying transport stays open.
 func (s *Store) Close() error {
-	req := appendHeader(opStop, 0, 0)
-	if err := s.conn.Send(s.conn.Rank(), tagRequest, req); err != nil {
-		// Transport already closed or poisoned; the server loop has exited.
-		s.serveWG.Wait()
-		return nil
-	}
+	// A failed send means the transport is already closed or poisoned, and
+	// the server loop has exited on that: either way the wait returns.
+	_ = s.conn.Send(s.conn.Rank(), tagRequest, appendHeader(opStop, 0, 0))
 	s.serveWG.Wait()
 	return nil
 }

@@ -64,7 +64,7 @@ func value(k int, valBytes int) []byte {
 func populate(s *Store) {
 	lo, hi := s.OwnedRange()
 	for k := lo; k < hi; k++ {
-		s.WriteLocal(k, value(k, s.ValueBytes()))
+		s.WriteLocal(k, value(k, s.valBytes))
 	}
 }
 

@@ -130,9 +130,6 @@ func NewRebalancer(ranks int, cfg RebalanceConfig) (*Rebalancer, error) {
 	return rb, nil
 }
 
-// Config returns the resolved (defaults-filled) configuration.
-func (rb *Rebalancer) Config() RebalanceConfig { return rb.cfg }
-
 // Weights returns a copy of the current share weights.
 func (rb *Rebalancer) Weights() []float64 {
 	out := make([]float64, len(rb.ranks))

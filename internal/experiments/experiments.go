@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mathx"
@@ -109,8 +110,8 @@ func Fig1Validation(iters int) (string, error) {
 		}
 		fmt.Fprintf(&b, "%6d %12.3f %14.3f %14.3f %14.2f\n",
 			ranks, res.Elapsed.Seconds(),
-			res.Phases.Total(dist.PhaseUpdatePhi).Seconds(),
-			res.Phases.Total(dist.PhaseUpdateBetaTheta).Seconds(),
+			res.Phases.Total(engine.PhaseUpdatePhi).Seconds(),
+			res.Phases.Total(engine.PhaseUpdateBetaTheta).Seconds(),
 			res.RemoteFrac)
 	}
 	return b.String(), nil

@@ -20,11 +20,6 @@ type AMMSBConfig struct {
 	Seed  uint64
 }
 
-// DefaultAMMSB returns the conventional small-scale test configuration.
-func DefaultAMMSB(n, k int, seed uint64) AMMSBConfig {
-	return AMMSBConfig{N: n, K: k, Alpha: 0.05, Eta0: 1, Eta1: 5, Delta: 1e-4, Seed: seed}
-}
-
 // AMMSBSample holds the generated graph together with the latent variables
 // that produced it, so tests can compare inferred parameters to the truth.
 type AMMSBSample struct {

@@ -5,7 +5,7 @@
 //     sizes, the workhorse for the convergence and recovery experiments;
 //   - AMMSB: an exact sampler of the a-MMSB generative process (quadratic in
 //     N, used by the model-fit tests);
-//   - ErdosRenyi: unstructured noise graphs for control experiments.
+//   - DegreeCorrected: Planted with a power-law degree target per vertex.
 //
 // All generators are deterministic given a seed.
 package gen
@@ -322,23 +322,4 @@ func sampleCommunityEdges(b edgeSink, m []int32, p float64, rng *mathx.RNG) {
 			want--
 		}
 	}
-}
-
-// ErdosRenyi generates a G(n, m)-style random graph with exactly m distinct
-// edges (assuming m is far below the total pair count).
-func ErdosRenyi(n, m int, seed uint64) (*graph.Graph, error) {
-	maxPairs := n * (n - 1) / 2
-	if m > maxPairs/2 {
-		return nil, fmt.Errorf("gen: %d edges too dense for rejection sampling on %d vertices", m, n)
-	}
-	rng := mathx.NewRNG(seed)
-	b := graph.NewBuilder(n)
-	for b.NumEdges() < m {
-		a := rng.Intn(n)
-		bb := rng.Intn(n)
-		if a != bb {
-			b.AddEdge(a, bb)
-		}
-	}
-	return b.Finalize(), nil
 }

@@ -98,12 +98,3 @@ func (p Preset) Generate() (*graph.Graph, *GroundTruth, error) {
 	cfg := DefaultPlanted(p.N, p.Communities, p.Edges, p.Seed)
 	return Planted(cfg)
 }
-
-// MeanDegree returns the mean degree the preset targets (same as the paper's
-// dataset up to rounding).
-func (p Preset) MeanDegree() float64 {
-	if p.N == 0 {
-		return 0
-	}
-	return 2 * float64(p.Edges) / float64(p.N)
-}

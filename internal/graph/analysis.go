@@ -106,24 +106,3 @@ func ClusteringCoefficient(g *Graph, samples int, rng *mathx.RNG) float64 {
 	}
 	return total / float64(counted)
 }
-
-// Subgraph extracts the induced subgraph on the given vertices, relabelled
-// densely in the order given. The returned mapping translates new ids back
-// to the originals.
-func Subgraph(g *Graph, vertices []int32) (*Graph, []int32) {
-	remap := make(map[int32]int32, len(vertices))
-	orig := make([]int32, len(vertices))
-	for i, v := range vertices {
-		remap[v] = int32(i)
-		orig[i] = v
-	}
-	b := NewBuilder(len(vertices))
-	for _, v := range vertices {
-		for _, w := range g.Neighbors(int(v)) {
-			if nw, ok := remap[w]; ok && v < w {
-				b.AddEdge(int(remap[v]), int(nw))
-			}
-		}
-	}
-	return b.Finalize(), orig
-}

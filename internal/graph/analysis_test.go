@@ -85,24 +85,3 @@ func TestClusteringCoefficientSampledApproximatesExact(t *testing.T) {
 		t.Fatalf("sampled %v too far from exact %v", sampled, exact)
 	}
 }
-
-func TestSubgraph(t *testing.T) {
-	g := FromEdges(6, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {0, 5}, {1, 4}})
-	sub, orig := Subgraph(g, []int32{1, 2, 4})
-	if sub.NumVertices() != 3 {
-		t.Fatalf("N = %d", sub.NumVertices())
-	}
-	// Induced edges: (1,2) and (1,4); (2,4) absent.
-	if sub.NumEdges() != 2 {
-		t.Fatalf("E = %d, want 2", sub.NumEdges())
-	}
-	if !sub.HasEdge(0, 1) || !sub.HasEdge(0, 2) || sub.HasEdge(1, 2) {
-		t.Fatal("induced edges wrong")
-	}
-	if orig[0] != 1 || orig[1] != 2 || orig[2] != 4 {
-		t.Fatalf("mapping = %v", orig)
-	}
-	if err := sub.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}

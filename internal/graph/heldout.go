@@ -32,28 +32,6 @@ func (h *HeldOut) NumLinks() int {
 	return n
 }
 
-// Slice returns the contiguous shard [lo, hi) of the held-out set; shards
-// alias the parent storage.
-func (h *HeldOut) Slice(lo, hi int) *HeldOut {
-	return &HeldOut{Pairs: h.Pairs[lo:hi], Linked: h.Linked[lo:hi]}
-}
-
-// Shard returns the rank-th of size equal shards (the last shard absorbs the
-// remainder), matching the static partitioning used for distributed
-// perplexity.
-func (h *HeldOut) Shard(rank, size int) *HeldOut {
-	if size <= 0 || rank < 0 || rank >= size {
-		panic("graph: invalid held-out shard parameters")
-	}
-	per := len(h.Pairs) / size
-	lo := rank * per
-	hi := lo + per
-	if rank == size-1 {
-		hi = len(h.Pairs)
-	}
-	return h.Slice(lo, hi)
-}
-
 // Split removes a held-out set from g: numLinks random linked edges plus an
 // equal number of random non-linked pairs. It returns the training graph
 // (original minus held-out links) and the held-out set. The held-out links

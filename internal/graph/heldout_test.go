@@ -93,32 +93,3 @@ func TestSplitDeterminism(t *testing.T) {
 		}
 	}
 }
-
-func TestHeldOutShard(t *testing.T) {
-	h := &HeldOut{
-		Pairs:  []Edge{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}},
-		Linked: []bool{true, false, true, false, true},
-	}
-	total := 0
-	for r := 0; r < 3; r++ {
-		s := h.Shard(r, 3)
-		total += s.Len()
-	}
-	if total != h.Len() {
-		t.Fatalf("shards cover %d pairs, want %d", total, h.Len())
-	}
-	// Last shard absorbs the remainder.
-	if h.Shard(2, 3).Len() != 3 {
-		t.Fatalf("last shard = %d, want 3", h.Shard(2, 3).Len())
-	}
-}
-
-func TestHeldOutShardPanics(t *testing.T) {
-	h := &HeldOut{}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid shard did not panic")
-		}
-	}()
-	h.Shard(3, 3)
-}

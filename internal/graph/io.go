@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -105,23 +104,4 @@ func WriteSNAPFile(path string, g *Graph, name string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// DegreeHistogram returns sorted (degree, count) pairs; used by the dataset
-// summary tooling to compare synthetic presets with the paper's Table II
-// shapes.
-func DegreeHistogram(g *Graph) (degrees []int, counts []int) {
-	hist := map[int]int{}
-	for v := 0; v < g.NumVertices(); v++ {
-		hist[g.Degree(v)]++
-	}
-	for d := range hist {
-		degrees = append(degrees, d)
-	}
-	sort.Ints(degrees)
-	counts = make([]int, len(degrees))
-	for i, d := range degrees {
-		counts[i] = hist[d]
-	}
-	return degrees, counts
 }

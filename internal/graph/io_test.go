@@ -86,15 +86,3 @@ func TestFileRoundTrip(t *testing.T) {
 		t.Fatalf("file round trip got N=%d E=%d", g2.NumVertices(), g2.NumEdges())
 	}
 }
-
-func TestDegreeHistogram(t *testing.T) {
-	// Star graph: center degree 4, leaves degree 1.
-	g := FromEdges(5, []Edge{{0, 1}, {0, 2}, {0, 3}, {0, 4}})
-	degs, counts := DegreeHistogram(g)
-	if len(degs) != 2 || degs[0] != 1 || degs[1] != 4 {
-		t.Fatalf("degrees = %v", degs)
-	}
-	if counts[0] != 4 || counts[1] != 1 {
-		t.Fatalf("counts = %v", counts)
-	}
-}

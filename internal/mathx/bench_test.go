@@ -62,30 +62,3 @@ func BenchmarkDigamma(b *testing.B) {
 	}
 	_ = sink
 }
-
-func BenchmarkSum32(b *testing.B) {
-	x := make([]float32, 1024)
-	for i := range x {
-		x[i] = float32(i)
-	}
-	b.SetBytes(4096)
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += Sum32(x)
-	}
-	_ = sink
-}
-
-func BenchmarkDot32(b *testing.B) {
-	x := make([]float32, 1024)
-	y := make([]float32, 1024)
-	for i := range x {
-		x[i], y[i] = float32(i), float32(i/2)
-	}
-	b.SetBytes(8192)
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += Dot32(x, y)
-	}
-	_ = sink
-}

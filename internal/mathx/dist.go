@@ -71,28 +71,6 @@ func (r *RNG) Dirichlet(alpha float64, out []float64) {
 	}
 }
 
-// DirichletVec fills out with a Dirichlet(alpha[i]) sample with per-component
-// concentration parameters.
-func (r *RNG) DirichletVec(alpha []float64, out []float64) {
-	if len(alpha) != len(out) {
-		panic("mathx: DirichletVec length mismatch")
-	}
-	sum := 0.0
-	for i := range out {
-		v := r.Gamma(alpha[i])
-		out[i] = v
-		sum += v
-	}
-	if sum == 0 {
-		out[r.Intn(len(out))] = 1
-		return
-	}
-	inv := 1 / sum
-	for i := range out {
-		out[i] *= inv
-	}
-}
-
 // Categorical draws an index in [0, len(weights)) with probability
 // proportional to weights[i]. Weights must be non-negative with positive sum.
 func (r *RNG) Categorical(weights []float64) int {
@@ -144,35 +122,4 @@ func (r *RNG) Binomial(n int, p float64) int {
 		count++
 	}
 	return count
-}
-
-// Poisson returns a sample from Poisson(lambda) using Knuth's method for
-// small lambda and normal approximation with rejection guard for large.
-func (r *RNG) Poisson(lambda float64) int {
-	if lambda < 0 {
-		panic("mathx: Poisson with negative lambda")
-	}
-	if lambda == 0 {
-		return 0
-	}
-	if lambda < 30 {
-		l := math.Exp(-lambda)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	// PTRS-lite: normal approximation, clamped at zero, good enough for the
-	// generator workloads where lambda is a mean degree.
-	for {
-		v := lambda + math.Sqrt(lambda)*r.Norm() + 0.5
-		if v >= 0 {
-			return int(v)
-		}
-	}
 }

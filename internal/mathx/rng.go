@@ -160,11 +160,6 @@ func (r *RNG) Norm() float64 {
 	}
 }
 
-// Exp returns a sample from the unit-rate exponential distribution.
-func (r *RNG) Exp() float64 {
-	return -math.Log(r.Float64Open())
-}
-
 // Perm fills out with a uniformly random permutation of {0, ..., len(out)-1}
 // using the inside-out Fisher-Yates shuffle.
 func (r *RNG) Perm(out []int) {
@@ -172,13 +167,5 @@ func (r *RNG) Perm(out []int) {
 		j := r.Intn(i + 1)
 		out[i] = out[j]
 		out[j] = i
-	}
-}
-
-// Shuffle permutes s in place.
-func (r *RNG) Shuffle(s []int) {
-	for i := len(s) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		s[i], s[j] = s[j], s[i]
 	}
 }

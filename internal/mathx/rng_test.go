@@ -125,17 +125,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-func TestExpMoments(t *testing.T) {
-	r := NewRNG(9)
-	var w Welford
-	for i := 0; i < 300000; i++ {
-		w.Add(r.Exp())
-	}
-	if math.Abs(w.Mean()-1) > 0.02 {
-		t.Fatalf("exponential mean = %v, want 1", w.Mean())
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := NewRNG(10)
 	f := func(nRaw uint8) bool {
@@ -148,30 +137,6 @@ func TestPermIsPermutation(t *testing.T) {
 				return false
 			}
 			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := NewRNG(11)
-	f := func(in []int) bool {
-		s := append([]int(nil), in...)
-		r.Shuffle(s)
-		count := map[int]int{}
-		for _, v := range in {
-			count[v]++
-		}
-		for _, v := range s {
-			count[v]--
-		}
-		for _, c := range count {
-			if c != 0 {
-				return false
-			}
 		}
 		return true
 	}

@@ -1,10 +1,8 @@
 package mathx
 
-import "math"
-
 // Welford accumulates a running mean and variance without storing samples.
-// It is used by the calibration pass of the performance model and by the
-// statistical tests on the distribution samplers.
+// No binary reaches it: it is the oracle of the statistical tests on the
+// distribution samplers and the minibatch estimators.
 type Welford struct {
 	n    int
 	mean float64
@@ -45,22 +43,11 @@ func (w *Welford) Var() float64 {
 	return w.m2 / float64(w.n-1)
 }
 
-// Std returns the sample standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
-
 // Min returns the smallest observation (0 for an empty accumulator).
 func (w *Welford) Min() float64 { return w.min }
 
 // Max returns the largest observation (0 for an empty accumulator).
 func (w *Welford) Max() float64 { return w.max }
-
-// StdErr returns the standard error of the mean.
-func (w *Welford) StdErr() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.Std() / math.Sqrt(float64(w.n))
-}
 
 // Quantile computes the q-quantile (0 <= q <= 1) of a sorted slice with
 // linear interpolation. The input must be sorted ascending.

@@ -2,120 +2,6 @@ package mathx
 
 import "math"
 
-// The vector kernels below operate on float32 storage (the paper stores π as
-// 32-bit floats to halve memory) while accumulating in float64, which keeps
-// the K-length reductions stable for K up to the tens of thousands used in
-// the paper's experiments.
-
-// Sum32 returns the float64 sum of a float32 slice.
-func Sum32(x []float32) float64 {
-	var s float64
-	for _, v := range x {
-		s += float64(v)
-	}
-	return s
-}
-
-// Sum returns the sum of a float64 slice.
-func Sum(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s
-}
-
-// Dot32 returns the float64 dot product of two float32 slices of equal
-// length.
-func Dot32(x, y []float32) float64 {
-	if len(x) != len(y) {
-		panic("mathx: Dot32 length mismatch")
-	}
-	var s float64
-	for i, v := range x {
-		s += float64(v) * float64(y[i])
-	}
-	return s
-}
-
-// Normalize32 scales x in place so it sums to one and returns the original
-// sum. If the sum is zero it leaves x untouched and returns 0.
-func Normalize32(x []float32) float64 {
-	s := Sum32(x)
-	if s == 0 {
-		return 0
-	}
-	inv := float32(1 / s)
-	for i := range x {
-		x[i] *= inv
-	}
-	return s
-}
-
-// Normalize scales x in place so it sums to one and returns the original sum.
-func Normalize(x []float64) float64 {
-	s := Sum(x)
-	if s == 0 {
-		return 0
-	}
-	inv := 1 / s
-	for i := range x {
-		x[i] *= inv
-	}
-	return s
-}
-
-// Scale32 multiplies every element of x by c.
-func Scale32(x []float32, c float32) {
-	for i := range x {
-		x[i] *= c
-	}
-}
-
-// Fill sets every element of x to v.
-func Fill(x []float64, v float64) {
-	for i := range x {
-		x[i] = v
-	}
-}
-
-// Fill32 sets every element of x to v.
-func Fill32(x []float32, v float32) {
-	for i := range x {
-		x[i] = v
-	}
-}
-
-// Copy32to64 widens src into dst; the slices must have equal length.
-func Copy32to64(dst []float64, src []float32) {
-	if len(dst) != len(src) {
-		panic("mathx: Copy32to64 length mismatch")
-	}
-	for i, v := range src {
-		dst[i] = float64(v)
-	}
-}
-
-// Copy64to32 narrows src into dst; the slices must have equal length.
-func Copy64to32(dst []float32, src []float64) {
-	if len(dst) != len(src) {
-		panic("mathx: Copy64to32 length mismatch")
-	}
-	for i, v := range src {
-		dst[i] = float32(v)
-	}
-}
-
-// Axpy computes y += a*x element-wise.
-func Axpy(a float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("mathx: Axpy length mismatch")
-	}
-	for i, v := range x {
-		y[i] += a * v
-	}
-}
-
 // MaxAbsDiff returns the largest absolute element-wise difference between two
 // equal-length slices; used by the equivalence tests between the sequential
 // and distributed engines.
@@ -146,15 +32,4 @@ func MaxAbsDiff32(x, y []float32) float64 {
 		}
 	}
 	return m
-}
-
-// Clamp bounds v into [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

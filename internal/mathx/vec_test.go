@@ -3,104 +3,7 @@ package mathx
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestSum32(t *testing.T) {
-	if got := Sum32([]float32{1, 2, 3.5}); got != 6.5 {
-		t.Fatalf("Sum32 = %v, want 6.5", got)
-	}
-	if got := Sum32(nil); got != 0 {
-		t.Fatalf("Sum32(nil) = %v, want 0", got)
-	}
-}
-
-func TestDot32(t *testing.T) {
-	x := []float32{1, 2, 3}
-	y := []float32{4, 5, 6}
-	if got := Dot32(x, y); got != 32 {
-		t.Fatalf("Dot32 = %v, want 32", got)
-	}
-}
-
-func TestDot32Mismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Dot32 length mismatch did not panic")
-		}
-	}()
-	Dot32([]float32{1}, []float32{1, 2})
-}
-
-func TestNormalize32Property(t *testing.T) {
-	f := func(raw []float32) bool {
-		// Build a strictly positive vector so normalization is well-defined.
-		if len(raw) == 0 {
-			return true
-		}
-		x := make([]float32, len(raw))
-		for i, v := range raw {
-			x[i] = float32(math.Abs(float64(v))) + 0.01
-		}
-		Normalize32(x)
-		return math.Abs(Sum32(x)-1) < 1e-4
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNormalize32ZeroSum(t *testing.T) {
-	x := []float32{0, 0, 0}
-	if s := Normalize32(x); s != 0 {
-		t.Fatalf("Normalize32 zero vector returned sum %v", s)
-	}
-	for _, v := range x {
-		if v != 0 {
-			t.Fatal("zero vector was modified")
-		}
-	}
-}
-
-func TestNormalizePreservesRatios(t *testing.T) {
-	x := []float64{2, 4, 6}
-	Normalize(x)
-	if math.Abs(x[1]/x[0]-2) > 1e-12 || math.Abs(x[2]/x[0]-3) > 1e-12 {
-		t.Fatalf("ratios not preserved: %v", x)
-	}
-}
-
-func TestCopyRoundTrip(t *testing.T) {
-	f := func(in []float32) bool {
-		wide := make([]float64, len(in))
-		Copy32to64(wide, in)
-		back := make([]float32, len(in))
-		Copy64to32(back, wide)
-		for i := range in {
-			a, b := in[i], back[i]
-			if a != b && !(isNaN32(a) && isNaN32(b)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func isNaN32(v float32) bool { return v != v }
-
-func TestAxpy(t *testing.T) {
-	y := []float64{1, 1, 1}
-	Axpy(2, []float64{1, 2, 3}, y)
-	want := []float64{3, 5, 7}
-	for i := range y {
-		if y[i] != want[i] {
-			t.Fatalf("Axpy = %v, want %v", y, want)
-		}
-	}
-}
 
 func TestMaxAbsDiff(t *testing.T) {
 	if d := MaxAbsDiff([]float64{1, 2, 3}, []float64{1, 5, 2}); d != 3 {
@@ -108,86 +11,6 @@ func TestMaxAbsDiff(t *testing.T) {
 	}
 	if d := MaxAbsDiff(nil, nil); d != 0 {
 		t.Fatalf("MaxAbsDiff(nil,nil) = %v, want 0", d)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	cases := []struct{ v, lo, hi, want float64 }{
-		{5, 0, 10, 5}, {-1, 0, 10, 0}, {11, 0, 10, 10},
-	}
-	for _, c := range cases {
-		if got := Clamp(c.v, c.lo, c.hi); got != c.want {
-			t.Fatalf("Clamp(%v) = %v, want %v", c.v, got, c.want)
-		}
-	}
-}
-
-func TestFill(t *testing.T) {
-	x := make([]float64, 4)
-	Fill(x, 3.5)
-	for _, v := range x {
-		if v != 3.5 {
-			t.Fatal("Fill did not set all elements")
-		}
-	}
-	y := make([]float32, 4)
-	Fill32(y, 2)
-	for _, v := range y {
-		if v != 2 {
-			t.Fatal("Fill32 did not set all elements")
-		}
-	}
-}
-
-func TestScale32(t *testing.T) {
-	x := []float32{1, 2, 4}
-	Scale32(x, 0.5)
-	want := []float32{0.5, 1, 2}
-	for i := range x {
-		if x[i] != want[i] {
-			t.Fatalf("Scale32 = %v, want %v", x, want)
-		}
-	}
-}
-
-func TestLogSumExp(t *testing.T) {
-	got := LogSumExp([]float64{0, 0})
-	want := math.Log(2)
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("LogSumExp = %v, want %v", got, want)
-	}
-	// Stability: huge values must not overflow.
-	got = LogSumExp([]float64{1000, 1000})
-	want = 1000 + math.Log(2)
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("LogSumExp large = %v, want %v", got, want)
-	}
-	if !math.IsInf(LogSumExp(nil), -1) {
-		t.Fatal("LogSumExp(nil) should be -Inf")
-	}
-}
-
-func TestLog1pExp(t *testing.T) {
-	for _, x := range []float64{-50, -1, 0, 1, 50, 100} {
-		got := Log1pExp(x)
-		var want float64
-		if x > 35 {
-			want = x
-		} else {
-			want = math.Log1p(math.Exp(x))
-		}
-		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("Log1pExp(%v) = %v, want %v", x, got, want)
-		}
-	}
-}
-
-func TestSafeLog(t *testing.T) {
-	if v := SafeLog(0); math.IsInf(v, -1) {
-		t.Fatal("SafeLog(0) returned -Inf")
-	}
-	if v := SafeLog(math.E); math.Abs(v-1) > 1e-12 {
-		t.Fatalf("SafeLog(e) = %v, want 1", v)
 	}
 }
 

@@ -33,15 +33,6 @@ func (p *Phases) Add(name string, d time.Duration) {
 	p.mu.Unlock()
 }
 
-// Timer starts timing a phase on the trace clock; invoke the returned func
-// to stop and record.
-//
-//	defer phases.Timer("update_phi")()
-func (p *Phases) Timer(name string) func() {
-	start := TraceNow()
-	return func() { p.Add(name, time.Duration(TraceNow()-start)) }
-}
-
 // Total returns the cumulative time of a phase.
 func (p *Phases) Total(name string) time.Duration {
 	p.mu.Lock()

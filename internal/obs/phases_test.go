@@ -19,16 +19,6 @@ func TestPhasesAddAndTotals(t *testing.T) {
 	}
 }
 
-func TestPhasesTimer(t *testing.T) {
-	p := NewPhases()
-	stop := p.Timer("x")
-	time.Sleep(5 * time.Millisecond)
-	stop()
-	if p.Total("x") < 4*time.Millisecond {
-		t.Fatalf("Timer recorded %v", p.Total("x"))
-	}
-}
-
 func TestPhasesNamesSorted(t *testing.T) {
 	p := NewPhases()
 	p.Add("zeta", 1)

@@ -133,9 +133,6 @@ func NewTracer(rank, capacity int) *Tracer {
 	return t
 }
 
-// Rank returns the rank this tracer records for.
-func (t *Tracer) Rank() int { return t.rank }
-
 // Now returns the current trace timestamp.
 func (t *Tracer) Now() int64 { return TraceNow() }
 
@@ -178,13 +175,6 @@ func (t *Tracer) Emit(sp Span) {
 	}
 	t.spans = append(t.spans, sp)
 	t.mu.Unlock()
-}
-
-// Len returns the number of buffered spans.
-func (t *Tracer) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
 }
 
 // Dropped returns how many spans the bound discarded.

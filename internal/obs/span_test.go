@@ -10,9 +10,6 @@ import (
 // checks the parent chain reconstructs the nesting.
 func TestTracerScopeNesting(t *testing.T) {
 	tr := NewTracer(3, 0)
-	if tr.Rank() != 3 {
-		t.Fatalf("Rank() = %d, want 3", tr.Rank())
-	}
 	if tr.Iter() != -1 {
 		t.Fatalf("fresh tracer Iter() = %d, want -1", tr.Iter())
 	}
@@ -78,8 +75,8 @@ func TestTracerDropAccounting(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.Emit(Span{ID: tr.NewID(), Name: "s", Cat: CatStage, Peer: NoPeer, Iter: i})
 	}
-	if tr.Len() != 4 {
-		t.Fatalf("Len() = %d, want the capacity 4", tr.Len())
+	if n := len(tr.Bundle().Spans); n != 4 {
+		t.Fatalf("%d spans buffered, want the capacity 4", n)
 	}
 	if tr.Dropped() != 6 {
 		t.Fatalf("Dropped() = %d, want 6", tr.Dropped())
@@ -110,8 +107,8 @@ func TestTracerConcurrentEmit(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if tr.Len() != 8*200 {
-		t.Fatalf("Len() = %d, want %d", tr.Len(), 8*200)
+	if n := len(tr.Bundle().Spans); n != 8*200 {
+		t.Fatalf("%d spans buffered, want %d", n, 8*200)
 	}
 	seen := map[SpanID]bool{}
 	for _, sp := range tr.Bundle().Spans {

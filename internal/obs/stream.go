@@ -20,7 +20,7 @@ type StreamEvent struct {
 // see exactly the JSONL the file sink receives.
 //
 // Delivery is lossy by design — Publish never blocks the training run. A
-// subscriber whose channel is full has the event dropped (its Dropped count
+// subscriber whose channel is full has the event dropped (the drop counter
 // grows); because every frame carries its id, a client detects the gap and
 // re-requests the missed range with Last-Event-ID, which replays from the
 // ring buffer as long as the events are still inside the capacity window.
@@ -31,29 +31,12 @@ type Stream struct {
 	head    int           // next write position in buf
 	next    uint64        // id assigned to the next published event (ids start at 1)
 	subs    map[*Subscriber]struct{}
-	dropped int64    // total fan-out drops across all subscribers, ever
-	dropCtr *Counter // optional registry mirror (canonically CtrEventsDropped)
+	dropCtr *Counter // optional: fan-out drops (canonically CtrEventsDropped)
 }
 
 // Subscriber is one /events client's queue.
 type Subscriber struct {
-	C       chan StreamEvent
-	dropped int
-	mu      sync.Mutex
-}
-
-// Dropped returns how many events were dropped because this subscriber's
-// channel was full.
-func (s *Subscriber) Dropped() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
-
-func (s *Subscriber) drop() {
-	s.mu.Lock()
-	s.dropped++
-	s.mu.Unlock()
+	C chan StreamEvent
 }
 
 // NewStream creates a stream buffering the last capacity events (<= 0 uses
@@ -86,9 +69,7 @@ func (s *Stream) Publish(data []byte) uint64 {
 	for sub := range s.subs {
 		select {
 		case sub.C <- ev:
-		default:
-			sub.drop() // slow client: drop, the id gap tells it to resume
-			s.dropped++
+		default: // slow client: drop, the id gap tells it to resume
 			if s.dropCtr != nil {
 				s.dropCtr.Inc()
 			}
@@ -98,16 +79,7 @@ func (s *Stream) Publish(data []byte) uint64 {
 	return ev.ID
 }
 
-// Dropped returns the total number of fan-out drops across every subscriber
-// the stream has ever had — the stream-level view of silent telemetry loss
-// (per-subscriber counts die with their subscriber).
-func (s *Stream) Dropped() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
-
-// SetDropCounter mirrors future drops into a registry counter (canonically
+// SetDropCounter counts future drops in a registry counter (canonically
 // CtrEventsDropped), so /metrics surfaces them next to the span drops.
 func (s *Stream) SetDropCounter(c *Counter) {
 	s.mu.Lock()
@@ -162,11 +134,4 @@ func (s *Stream) SubscribeFrom(after uint64, buffer int) (backlog []StreamEvent,
 		s.mu.Unlock()
 	}
 	return backlog, sub, cancel
-}
-
-// LastID returns the id of the most recently published event (0 if none).
-func (s *Stream) LastID() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.next - 1
 }

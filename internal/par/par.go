@@ -82,29 +82,6 @@ func ForEach(n, workers int, body func(i int)) {
 	})
 }
 
-// Reduce runs body over chunks, each chunk contributing a float64 partial
-// that is summed (an OpenMP reduction clause). The fold order depends on the
-// worker count; use ChunkedReduce where bit-stability across thread counts
-// matters.
-func Reduce(n, workers int, body func(lo, hi int) float64) float64 {
-	workers = Workers(n, workers)
-	if workers == 0 {
-		return 0
-	}
-	if workers == 1 {
-		return body(0, n)
-	}
-	partials := make([]float64, workers)
-	ForWorkers(n, workers, func(w, lo, hi int) {
-		partials[w] = body(lo, hi)
-	})
-	var total float64
-	for _, p := range partials {
-		total += p
-	}
-	return total
-}
-
 // ChunkedReduce computes a sum over [0, n) with a FIXED chunk size, in
 // parallel, then folds the per-chunk partials in chunk-index order. Because
 // the grouping of floating-point additions depends only on chunkSize — never
@@ -167,19 +144,13 @@ func ChunkedReduceVec(n, chunkSize, workers, dim int, body func(lo, hi int, acc 
 	return out
 }
 
-// Pipeline runs a two-stage producer/consumer pipeline over nChunks chunks
-// with double buffering: load(c) fetches chunk c's inputs while compute(c-1)
-// processes the previous chunk. It reproduces the paper's Section III-D
-// scheme where loading π for the next chunk overlaps update_phi on the
-// current one. See PipelineDepth for the buffering and panic contract.
-func Pipeline(nChunks int, load func(chunk, slot int), compute func(chunk, slot int)) {
-	PipelineDepth(nChunks, 2, load, compute)
-}
-
-// PipelineDepth is Pipeline with `depth` buffer slots: the loader may run up
-// to depth-1 chunks ahead of the consumer, so a store whose fetch latency is
-// bursty (one slow remote round among fast ones) keeps the compute stage
-// fed. depth < 2 is treated as 2 (double buffering, the paper's scheme).
+// PipelineDepth runs a two-stage producer/consumer pipeline over nChunks
+// chunks: load(c) fetches chunk c's inputs while compute processes an earlier
+// chunk. At depth 2 it is the paper's Section III-D double buffering, where
+// loading π for the next chunk overlaps update_phi on the current one. With
+// `depth` buffer slots the loader may run up to depth-1 chunks ahead of the
+// consumer, so a store whose fetch latency is bursty (one slow remote round
+// among fast ones) keeps the compute stage fed. depth < 2 is treated as 2.
 //
 // load and compute receive the chunk index and a buffer slot in [0, depth);
 // the caller owns depth sets of buffers and indexes them by slot. Chunks are

@@ -53,30 +53,12 @@ func TestForActuallyParallel(t *testing.T) {
 	}
 }
 
-func TestReduce(t *testing.T) {
-	for _, workers := range []int{1, 3, 8} {
-		got := Reduce(1000, workers, func(lo, hi int) float64 {
-			var s float64
-			for i := lo; i < hi; i++ {
-				s += float64(i)
-			}
-			return s
-		})
-		if got != 499500 {
-			t.Fatalf("workers=%d: Reduce = %v, want 499500", workers, got)
-		}
-	}
-	if Reduce(0, 4, func(lo, hi int) float64 { return 1 }) != 0 {
-		t.Fatal("Reduce over empty range should be 0")
-	}
-}
-
 func TestPipelineOrderingAndCoverage(t *testing.T) {
 	const chunks = 10
 	var mu sync.Mutex
 	loaded := map[int]int{} // chunk -> slot
 	computed := []int{}     // order of computed chunks
-	Pipeline(chunks, func(c, slot int) {
+	PipelineDepth(chunks, 2, func(c, slot int) {
 		mu.Lock()
 		loaded[c] = slot
 		mu.Unlock()
@@ -111,7 +93,7 @@ func TestPipelineOverlaps(t *testing.T) {
 	serial := time.Since(start)
 
 	start = time.Now()
-	Pipeline(chunks, work, work)
+	PipelineDepth(chunks, 2, work, work)
 	pipelined := time.Since(start)
 
 	if pipelined >= serial*3/4 {
@@ -121,15 +103,15 @@ func TestPipelineOverlaps(t *testing.T) {
 
 func TestPipelineZeroChunks(t *testing.T) {
 	called := false
-	Pipeline(0, func(c, s int) { called = true }, func(c, s int) { called = true })
+	PipelineDepth(0, 2, func(c, s int) { called = true }, func(c, s int) { called = true })
 	if called {
-		t.Fatal("Pipeline(0) invoked a stage")
+		t.Fatal("PipelineDepth(0) invoked a stage")
 	}
 }
 
 func TestPipelineSlotAlternation(t *testing.T) {
 	var slots []int
-	Pipeline(6, func(c, slot int) {}, func(c, slot int) { slots = append(slots, slot) })
+	PipelineDepth(6, 2, func(c, slot int) {}, func(c, slot int) { slots = append(slots, slot) })
 	for i, s := range slots {
 		if s != i&1 {
 			t.Fatalf("chunk %d used slot %d, want %d", i, s, i&1)
@@ -299,7 +281,7 @@ func TestPipelineSingleChunkInline(t *testing.T) {
 	// nChunks == 1 must degrade to the serial schedule: load then compute,
 	// both on the calling goroutine, slot 0.
 	var order []string
-	Pipeline(1, func(c, slot int) {
+	PipelineDepth(1, 2, func(c, slot int) {
 		if c != 0 || slot != 0 {
 			t.Fatalf("load got (c=%d, slot=%d), want (0, 0)", c, slot)
 		}
@@ -337,7 +319,7 @@ func TestPipelineLoadPanicPropagates(t *testing.T) {
 	// A panic in the load stage must reach the caller, not deadlock the
 	// consumer waiting on a chunk that will never arrive.
 	expectPanic(t, "load boom", func() {
-		Pipeline(8, func(c, slot int) {
+		PipelineDepth(8, 2, func(c, slot int) {
 			if c == 3 {
 				panic("load boom")
 			}
@@ -349,7 +331,7 @@ func TestPipelineComputePanicPropagates(t *testing.T) {
 	// A panic in the compute stage must unwind the caller and release the
 	// loader (which may be blocked waiting for a free slot).
 	expectPanic(t, "compute boom", func() {
-		Pipeline(64, func(c, slot int) {}, func(c, slot int) {
+		PipelineDepth(64, 2, func(c, slot int) {}, func(c, slot int) {
 			if c == 2 {
 				panic("compute boom")
 			}

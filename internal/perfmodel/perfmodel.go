@@ -339,19 +339,4 @@ func SingleNodeOutOfCore(m Machine, w Workload, threads int, residentFrac float6
 	return e
 }
 
-// Perplexity models one held-out evaluation on C nodes.
-func Perplexity(m Machine, net simnet.Model, w Workload, c int) float64 {
-	w = w.withDefaults()
-	if c < 1 {
-		c = 1
-	}
-	per := ceilDiv(w.HeldOut, c)
-	rowB := float64(w.RowBytes())
-	remote := float64(c-1) / float64(c)
-	readBW := net.BandwidthBytesPerSec * m.ReadEfficiency
-	loads := 2 * float64(per) * remote * rowB / readBW
-	compute := float64(per) * float64(w.K) * m.PerpOp / float64(m.Cores)
-	return loads + compute + m.SyncBase + m.SyncPerRank*float64(c)
-}
-
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

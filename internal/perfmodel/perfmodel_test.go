@@ -220,15 +220,6 @@ func TestFig5BandwidthShape(t *testing.T) {
 	}
 }
 
-func TestPerplexityModelScales(t *testing.T) {
-	w := PaperFriendster()
-	p8 := Perplexity(DAS5(), simnet.DKVStore(), w, 8)
-	p64 := Perplexity(DAS5(), simnet.DKVStore(), w, 64)
-	if p64 >= p8 {
-		t.Fatalf("perplexity phase did not speed up: C=8 %.3fs, C=64 %.3fs", p8, p64)
-	}
-}
-
 func TestCalibrateSane(t *testing.T) {
 	m := Calibrate()
 	if err := m.Validate(); err != nil {
@@ -273,18 +264,6 @@ func TestSimnetModels(t *testing.T) {
 	bad.BandwidthBytesPerSec = 0
 	if err := bad.Validate(); err == nil {
 		t.Fatal("invalid model accepted")
-	}
-}
-
-func TestBatchTime(t *testing.T) {
-	m := simnet.DKVStore()
-	one := m.BatchTime(1<<20, 1)
-	alsoOne := m.BatchTime(1<<20, 8)
-	if one != alsoOne {
-		t.Fatal("BatchTime should share one latency round across parallel requests")
-	}
-	if m.BatchTime(2<<20, 1) <= one {
-		t.Fatal("BatchTime not increasing in bytes")
 	}
 }
 

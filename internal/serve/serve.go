@@ -119,9 +119,6 @@ func (e *Engine) Install(snap *store.Snapshot) {
 	e.cur.Store(v)
 }
 
-// Ready reports whether a snapshot has been installed.
-func (e *Engine) Ready() bool { return e.cur.Load() != nil }
-
 // Snapshot returns the currently served snapshot (nil before the first
 // install).
 func (e *Engine) Snapshot() *store.Snapshot {

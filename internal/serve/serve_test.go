@@ -212,7 +212,7 @@ func TestConcurrentPublishReadStress(t *testing.T) {
 					return
 				default:
 				}
-				if !eng.Ready() {
+				if eng.Snapshot() == nil {
 					continue
 				}
 				// TopK: the single strongest community must encode the

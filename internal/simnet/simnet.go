@@ -82,14 +82,3 @@ func (m Model) Bandwidth(payloadBytes int) float64 {
 	}
 	return float64(payloadBytes) / t
 }
-
-// BatchTime returns the modeled seconds for a batch operation that moves
-// totalBytes split across nRequests concurrent requests to distinct servers:
-// the requests pay one shared latency+overhead round (they are issued in
-// parallel) plus serialised wire time on this node's link.
-func (m Model) BatchTime(totalBytes int, nRequests int) float64 {
-	if nRequests < 1 {
-		nRequests = 1
-	}
-	return m.LatencySec + m.RequestOverheadSec + float64(totalBytes)/m.BandwidthBytesPerSec
-}

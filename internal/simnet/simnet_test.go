@@ -88,13 +88,3 @@ func TestDKVAlwaysSlowerThanRaw(t *testing.T) {
 		}
 	}
 }
-
-func TestBatchTimeSharedLatency(t *testing.T) {
-	m := DKVStore()
-	if m.BatchTime(1<<16, 4) != m.BatchTime(1<<16, 1) {
-		t.Fatal("parallel requests should share one latency round")
-	}
-	if m.BatchTime(1<<16, 0) != m.BatchTime(1<<16, 1) {
-		t.Fatal("nRequests floor of 1 not applied")
-	}
-}

@@ -233,9 +233,9 @@ func TestCacheWriteInvalidationAccounting(t *testing.T) {
 		if cs.Evictions != 2 {
 			t.Fatalf("evictions = %d, want exactly 2", cs.Evictions)
 		}
-		before := s.Stats().RemoteKeys.Load()
+		before := s.kv.Stats().RemoteKeys.Load()
 		read(15, 19) // both must still be cached (17 and 18 were the victims)
-		if got := s.Stats().RemoteKeys.Load() - before; got != 0 {
+		if got := s.kv.Stats().RemoteKeys.Load() - before; got != 0 {
 			t.Fatalf("re-read of surviving rows fetched %d remote keys, want 0", got)
 		}
 	})
@@ -252,7 +252,7 @@ func TestDKVCacheAllHitBatchShortCircuits(t *testing.T) {
 		if err := s.ReadRows(remote, &rows); err != nil {
 			t.Fatal(err)
 		}
-		reqBefore := s.Stats().Requests.Load()
+		reqBefore := s.kv.Stats().Requests.Load()
 		pend, err := s.ReadRowsAsync(remote, &rows)
 		if err != nil {
 			t.Fatal(err)
@@ -263,7 +263,7 @@ func TestDKVCacheAllHitBatchShortCircuits(t *testing.T) {
 		if err := pend.Wait(); err != nil {
 			t.Fatal(err)
 		}
-		if got := s.Stats().Requests.Load() - reqBefore; got != 0 {
+		if got := s.kv.Stats().Requests.Load() - reqBefore; got != 0 {
 			t.Fatalf("all-hit batch issued %d DKV requests, want 0", got)
 		}
 		for i, a := range remote {
@@ -347,11 +347,11 @@ func TestDKVCacheCrossIterWriteSetInvalidation(t *testing.T) {
 		if err := s.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		before := s.Stats().RemoteKeys.Load()
+		before := s.kv.Stats().RemoteKeys.Load()
 		if err := s.ReadRows([]int32{15, 16, 17}, &rows); err != nil {
 			t.Fatal(err)
 		}
-		if got := s.Stats().RemoteKeys.Load() - before; got != 0 {
+		if got := s.kv.Stats().RemoteKeys.Load() - before; got != 0 {
 			t.Fatalf("post-quiet-barrier read fetched %d remote keys, want 0 (cache must survive)", got)
 		}
 
@@ -370,20 +370,20 @@ func TestDKVCacheCrossIterWriteSetInvalidation(t *testing.T) {
 		if len(exchanged[1]) != 1 || exchanged[1][0] != 17 {
 			t.Fatalf("second exchange carried local writes %v, want [17]", exchanged[1])
 		}
-		before = s.Stats().RemoteKeys.Load()
+		before = s.kv.Stats().RemoteKeys.Load()
 		if err := s.ReadRows([]int32{15}, &rows); err != nil {
 			t.Fatal(err)
 		}
-		if got := s.Stats().RemoteKeys.Load() - before; got != 0 {
+		if got := s.kv.Stats().RemoteKeys.Load() - before; got != 0 {
 			t.Fatal("unwritten row 15 did not survive the write-set barrier")
 		}
 		checkInitRow(t, &rows, 0, 15, k)
 
-		before = s.Stats().RemoteKeys.Load()
+		before = s.kv.Stats().RemoteKeys.Load()
 		if err := s.ReadRows([]int32{16, 17}, &rows); err != nil {
 			t.Fatal(err)
 		}
-		if got := s.Stats().RemoteKeys.Load() - before; got != 2 {
+		if got := s.kv.Stats().RemoteKeys.Load() - before; got != 2 {
 			t.Fatalf("written rows refetched %d remote keys, want 2", got)
 		}
 		// 17 was rewritten: the refetched bytes must be the new value.
@@ -416,11 +416,11 @@ func TestDKVCacheCrossIterWithoutExchangeFallsBack(t *testing.T) {
 		if err := s.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		before := s.Stats().RemoteKeys.Load()
+		before := s.kv.Stats().RemoteKeys.Load()
 		if err := s.ReadRows([]int32{15, 16}, &rows); err != nil {
 			t.Fatal(err)
 		}
-		if got := s.Stats().RemoteKeys.Load() - before; got != 2 {
+		if got := s.kv.Stats().RemoteKeys.Load() - before; got != 2 {
 			t.Fatalf("post-fallback-Flush read fetched %d remote keys, want 2", got)
 		}
 	})

@@ -99,18 +99,10 @@ type DKVStore struct {
 	hits, misses, evictions, invalidations *obs.Counter
 }
 
-// NewDKV creates the store (and its server goroutine) for this rank.
-// cacheRows bounds the hot-row cache; 0 disables it. This is the
-// compatibility form of NewDKVCache with the default (per-phase-flush LRU)
-// cache configuration.
-func NewDKV(conn transport.Conn, n, k, threads, cacheRows int, reg *obs.Registry) (*DKVStore, error) {
-	return NewDKVCache(conn, n, k, threads, CacheConfig{Rows: cacheRows}, reg)
-}
-
-// NewDKVCache creates the store with an explicit hot-row cache
-// configuration. The DKV traffic and cache counters are registered in reg
-// (nil falls back to a private registry), which is how a run's telemetry
-// layer observes the store.
+// NewDKVCache creates the store (and its server goroutine) for this rank
+// with an explicit hot-row cache configuration. The DKV traffic and cache
+// counters are registered in reg (nil falls back to a private registry),
+// which is how a run's telemetry layer observes the store.
 func NewDKVCache(conn transport.Conn, n, k, threads int, cc CacheConfig, reg *obs.Registry) (*DKVStore, error) {
 	if err := cc.validate(); err != nil {
 		return nil, err
@@ -166,9 +158,6 @@ func (s *DKVStore) NumRows() int { return s.n }
 // K implements PiStore.
 func (s *DKVStore) K() int { return s.k }
 
-// OwnedRange returns this rank's key shard [lo, hi).
-func (s *DKVStore) OwnedRange() (lo, hi int) { return s.kv.OwnedRange() }
-
 // ReadsAreLocal implements LocalReader: reads stay in-process exactly when
 // this rank owns every key, i.e. the Ranks=1 degenerate case. Multi-rank
 // stores answer false and the φ stage keeps the fetch/compute overlap.
@@ -176,9 +165,6 @@ func (s *DKVStore) ReadsAreLocal() bool {
 	lo, hi := s.kv.OwnedRange()
 	return lo == 0 && hi == s.n
 }
-
-// Stats exposes the underlying DKV traffic counters.
-func (s *DKVStore) Stats() *dkv.Stats { return s.kv.Stats() }
 
 // SetTracer forwards span emission to the underlying DKV store — client
 // response waits and the server request loop both (see dkv.Store.SetTracer).
@@ -337,6 +323,9 @@ func (p *dkvPending) Wait() error {
 // wraps. A batch fully served by the cache short-circuits: no DKV call, no
 // future — Wait on the returned Pending is an immediate no-op.
 func (s *DKVStore) ReadRowsAsync(ids []int32, dst *Rows) (Pending, error) {
+	if err := checkIDs(ids, s.n); err != nil {
+		return nil, err
+	}
 	dst.Reset(len(ids), s.k)
 	rb := RowBytes(s.k)
 
@@ -384,6 +373,12 @@ func (s *DKVStore) ReadRows(ids []int32, dst *Rows) error {
 // in cross-iteration mode, recorded in the write set the next Flush
 // exchanges with the other ranks.
 func (s *DKVStore) WriteRows(ids []int32, phi []float64) error {
+	if len(phi) != len(ids)*s.k {
+		return fmt.Errorf("store: phi has %d values, want %d", len(phi), len(ids)*s.k)
+	}
+	if err := checkIDs(ids, s.n); err != nil {
+		return err
+	}
 	if len(ids) == 0 {
 		return nil
 	}

@@ -44,6 +44,7 @@ package store
 // cold shards in and out, which is the whole point.
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -369,9 +370,6 @@ func (s *MmapStore) NumRows() int { return s.n }
 // K implements PiStore.
 func (s *MmapStore) K() int { return s.k }
 
-// Dir returns the store directory.
-func (s *MmapStore) Dir() string { return s.dir }
-
 // Generation returns the last sealed generation (0 before the first Seal).
 func (s *MmapStore) Generation() uint64 {
 	s.mu.RLock()
@@ -384,19 +382,10 @@ func (s *MmapStore) Generation() uint64 {
 // the fused serial path.
 func (s *MmapStore) ReadsAreLocal() bool { return true }
 
-func (s *MmapStore) checkIDs(ids []int32) error {
-	for _, id := range ids {
-		if id < 0 || int(id) >= s.n {
-			return fmt.Errorf("store: key %d out of range [0,%d)", id, s.n)
-		}
-	}
-	return nil
-}
-
 // ReadRows implements PiStore: rows decode straight out of the shard
 // mappings in parallel.
 func (s *MmapStore) ReadRows(ids []int32, dst *Rows) error {
-	if err := s.checkIDs(ids); err != nil {
+	if err := checkIDs(ids, s.n); err != nil {
 		return err
 	}
 	dst.Reset(len(ids), s.k)
@@ -435,7 +424,7 @@ func (s *MmapStore) WriteRows(ids []int32, phi []float64) error {
 	if len(phi) != len(ids)*s.k {
 		return fmt.Errorf("store: phi has %d values, want %d", len(phi), len(ids)*s.k)
 	}
-	if err := s.checkIDs(ids); err != nil {
+	if err := checkIDs(ids, s.n); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -465,7 +454,7 @@ func (s *MmapStore) WritePiRows(ids []int32, pi []float32, phiSum []float64) err
 		return fmt.Errorf("store: pi/phiSum have %d/%d values, want %d/%d",
 			len(pi), len(phiSum), len(ids)*s.k, len(ids))
 	}
-	if err := s.checkIDs(ids); err != nil {
+	if err := checkIDs(ids, s.n); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -505,7 +494,7 @@ func (s *MmapStore) InitRows(initRow func(a int, pi []float32) float64) error {
 		if err != nil {
 			return err
 		}
-		w := newShardWriter(f)
+		w := bufio.NewWriterSize(f, 1<<20)
 		s.encodeShardHeader(hdr, i, 0)
 		if _, err := w.Write(hdr); err != nil {
 			f.Close()
@@ -552,15 +541,9 @@ func (s *MmapStore) Flush() error {
 	return nil
 }
 
-// DropResidency releases the process's resident pages of every shard mapping
-// (madvise DONTNEED). Data is unaffected — the pages live in the page cache
-// and fault back in on next access.
-func (s *MmapStore) DropResidency() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dropResidencyLocked()
-}
-
+// dropResidencyLocked releases the process's resident pages of every shard
+// mapping (madvise DONTNEED). Data is unaffected — the pages live in the page
+// cache and fault back in on next access.
 func (s *MmapStore) dropResidencyLocked() {
 	for i := range s.shards {
 		if data := s.shards[i].data; data != nil {
@@ -733,41 +716,6 @@ func (s *MmapStore) Close() error {
 		}
 	}
 	return firstErr
-}
-
-// shardWriter is the buffered sequential writer InitRows streams through.
-type shardWriter struct {
-	f   *os.File
-	buf []byte
-	n   int
-}
-
-func newShardWriter(f *os.File) *shardWriter {
-	return &shardWriter{f: f, buf: make([]byte, 1<<20)}
-}
-
-func (w *shardWriter) Write(p []byte) (int, error) {
-	total := len(p)
-	for len(p) > 0 {
-		if w.n == len(w.buf) {
-			if err := w.Flush(); err != nil {
-				return 0, err
-			}
-		}
-		c := copy(w.buf[w.n:], p)
-		w.n += c
-		p = p[c:]
-	}
-	return total, nil
-}
-
-func (w *shardWriter) Flush() error {
-	if w.n == 0 {
-		return nil
-	}
-	_, err := w.f.Write(w.buf[:w.n])
-	w.n = 0
-	return err
 }
 
 // interface conformance

@@ -111,7 +111,7 @@ func TestMmapStoreReadWrite(t *testing.T) {
 func TestMmapStoreSealReopen(t *testing.T) {
 	const n, k = 70, 3
 	s := initMmap(t, n, k, MmapOptions{ShardRows: 32})
-	dir := s.Dir()
+	dir := s.dir
 
 	// Mutate a few rows, seal generation 2, close, reopen: the writes must
 	// survive and untouched rows keep their initial values.
@@ -166,7 +166,7 @@ func TestMmapStoreSealReopen(t *testing.T) {
 func TestMmapStoreCrashMidSeal(t *testing.T) {
 	const n, k = 64, 3
 	s := initMmap(t, n, k, MmapOptions{ShardRows: 16})
-	dir := s.Dir()
+	dir := s.dir
 
 	// Dirty two shards, then crash after the first shard rename.
 	if err := s.WriteRows([]int32{1, 60}, []float64{2, 3, 5, 7, 11, 13}); err != nil {
@@ -224,7 +224,7 @@ func TestMmapStoreCrashMidSeal(t *testing.T) {
 func TestMmapStoreCrashAfterManifest(t *testing.T) {
 	const n, k = 48, 2
 	s := initMmap(t, n, k, MmapOptions{ShardRows: 16})
-	dir := s.Dir()
+	dir := s.dir
 	phi := []float64{3, 5}
 	if err := s.WriteRows([]int32{20}, phi); err != nil {
 		t.Fatal(err)
@@ -264,7 +264,7 @@ func TestMmapStoreCrashAfterManifest(t *testing.T) {
 func TestMmapStoreTornShard(t *testing.T) {
 	const n, k = 40, 3
 	s := initMmap(t, n, k, MmapOptions{ShardRows: 16})
-	dir := s.Dir()
+	dir := s.dir
 	s.Close()
 
 	path := filepath.Join(dir, fmt.Sprintf("shard-%05d-g%06d.pi", 1, 1))

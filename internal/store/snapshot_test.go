@@ -68,7 +68,7 @@ func TestDKVSnapshotGathersFullView(t *testing.T) {
 	defer f.Close()
 	stores := make([]*DKVStore, 2)
 	for r := 0; r < 2; r++ {
-		st, err := NewDKV(f.Endpoint(r), n, k, 1, 8, nil)
+		st, err := NewDKVCache(f.Endpoint(r), n, k, 1, CacheConfig{Rows: 8}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -79,9 +79,6 @@ func (r *Rows) Reset(n, k int) {
 	r.PhiSum = r.PhiSum[:n]
 }
 
-// Len returns the number of rows currently held.
-func (r *Rows) Len() int { return len(r.PhiSum) }
-
 // PiRow returns row i as a slice into the buffer.
 func (r *Rows) PiRow(i int) []float32 { return r.Pi[i*r.K : (i+1)*r.K] }
 
@@ -272,8 +269,9 @@ func (s *LocalStore) NumRows() int { return len(s.phiSum) }
 // K implements PiStore.
 func (s *LocalStore) K() int { return s.k }
 
-func (s *LocalStore) checkIDs(ids []int32) error {
-	n := len(s.phiSum)
+// checkIDs is the range check every backend runs before it touches a row: a
+// key outside [0, n) is an error to the caller, never a panic.
+func checkIDs(ids []int32, n int) error {
 	for _, id := range ids {
 		if id < 0 || int(id) >= n {
 			return fmt.Errorf("store: key %d out of range [0,%d)", id, n)
@@ -285,7 +283,7 @@ func (s *LocalStore) checkIDs(ids []int32) error {
 // ReadRows implements PiStore with plain memory copies (float32/float64
 // copies are bit-exact).
 func (s *LocalStore) ReadRows(ids []int32, dst *Rows) error {
-	if err := s.checkIDs(ids); err != nil {
+	if err := checkIDs(ids, len(s.phiSum)); err != nil {
 		return err
 	}
 	dst.Reset(len(ids), s.k)
@@ -321,7 +319,7 @@ func (s *LocalStore) WriteRows(ids []int32, phi []float64) error {
 	if len(phi) != len(ids)*s.k {
 		return fmt.Errorf("store: phi has %d values, want %d", len(phi), len(ids)*s.k)
 	}
-	if err := s.checkIDs(ids); err != nil {
+	if err := checkIDs(ids, len(s.phiSum)); err != nil {
 		return err
 	}
 	var errs errCollector
@@ -356,7 +354,7 @@ func (s *LocalStore) WritePiRows(ids []int32, pi []float32, phiSum []float64) er
 		return fmt.Errorf("store: pi/phiSum have %d/%d values, want %d/%d",
 			len(pi), len(phiSum), len(ids)*s.k, len(ids))
 	}
-	if err := s.checkIDs(ids); err != nil {
+	if err := checkIDs(ids, len(s.phiSum)); err != nil {
 		return err
 	}
 	for i, id := range ids {

@@ -89,8 +89,8 @@ func TestLocalStoreReadWrite(t *testing.T) {
 	if err := ls.ReadRows(ids, &rows); err != nil {
 		t.Fatal(err)
 	}
-	if rows.Len() != len(ids) {
-		t.Fatalf("read %d rows, want %d", rows.Len(), len(ids))
+	if len(rows.PhiSum) != len(ids) {
+		t.Fatalf("read %d rows, want %d", len(rows.PhiSum), len(ids))
 	}
 	for i := range ids {
 		wantPi, wantSum := refWrite(phi[i*k : (i+1)*k])
@@ -134,6 +134,59 @@ func TestLocalStoreRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestBackendsRejectBadArguments: a key outside [0, N) or a φ slice of the
+// wrong length is an error from every backend, before any row is touched —
+// never a panic, least of all one inside a worker goroutine where no caller
+// could recover it.
+func TestBackendsRejectBadArguments(t *testing.T) {
+	const n, k = 10, 3
+	backends := []struct {
+		name string
+		with func(t *testing.T, body func(PiStore))
+	}{
+		{"local", func(t *testing.T, body func(PiStore)) {
+			body(NewLocal(make([]float32, n*k), make([]float64, n), k, 2))
+		}},
+		{"dkv", func(t *testing.T, body func(PiStore)) {
+			twoRankStores(t, n, k, 0, func(s *DKVStore) { body(s) })
+		}},
+		{"mmap", func(t *testing.T, body func(PiStore)) { body(initMmap(t, n, k, MmapOptions{})) }},
+		{"tiered", func(t *testing.T, body func(PiStore)) { body(tierFixture(t, n, 0, k, 4, nil)) }},
+	}
+	read := func(id int32) func(PiStore) error {
+		return func(ps PiStore) error { return ps.ReadRows([]int32{0, id}, new(Rows)) }
+	}
+	write := func(id int32) func(PiStore) error {
+		return func(ps PiStore) error { return ps.WriteRows([]int32{0, id}, make([]float64, 2*k)) }
+	}
+	cases := []struct {
+		name string
+		call func(PiStore) error
+	}{
+		{"read id=N", read(n)},
+		{"read id=-1", read(-1)},
+		{"write id=N", write(n)},
+		{"write id=-1", write(-1)},
+		{"write short phi", func(ps PiStore) error { return ps.WriteRows([]int32{0, 1}, make([]float64, 2*k-1)) }},
+	}
+	for _, b := range backends {
+		for _, c := range cases {
+			t.Run(b.name+"/"+c.name, func(t *testing.T) {
+				b.with(t, func(ps PiStore) {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("panicked instead of returning an error: %v", r)
+						}
+					}()
+					if err := c.call(ps); err == nil {
+						t.Fatal("bad argument accepted")
+					}
+				})
+			})
+		}
+	}
+}
+
 // twoRankStores builds a 2-rank fabric with one DKVStore per rank, both
 // initialised with a deterministic per-key row, and hands rank 0's store to
 // the body (rank 1's server goroutine answers in the background).
@@ -146,7 +199,7 @@ func twoRankStores(t *testing.T, n, k, cacheRows int, body func(s0 *DKVStore)) {
 	defer f.Close()
 	stores := make([]*DKVStore, 2)
 	for r := 0; r < 2; r++ {
-		st, err := NewDKV(f.Endpoint(r), n, k, 1, cacheRows, nil)
+		st, err := NewDKVCache(f.Endpoint(r), n, k, 1, CacheConfig{Rows: cacheRows}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,11 +274,11 @@ func TestDKVHotRowCache(t *testing.T) {
 		if err := s.ReadRows(remote, &first); err != nil {
 			t.Fatal(err)
 		}
-		before := s.Stats().RemoteKeys.Load()
+		before := s.kv.Stats().RemoteKeys.Load()
 		if err := s.ReadRows(remote, &second); err != nil {
 			t.Fatal(err)
 		}
-		if got := s.Stats().RemoteKeys.Load(); got != before {
+		if got := s.kv.Stats().RemoteKeys.Load(); got != before {
 			t.Fatalf("second read fetched %d remote keys, want 0 (cache)", got-before)
 		}
 		cs := s.CacheStats()
@@ -256,11 +309,11 @@ func TestDKVHotRowCache(t *testing.T) {
 		if err := s.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		before = s.Stats().RemoteKeys.Load()
+		before = s.kv.Stats().RemoteKeys.Load()
 		if err := s.ReadRows(remote, &rows); err != nil {
 			t.Fatal(err)
 		}
-		if got := s.Stats().RemoteKeys.Load() - before; got != int64(len(remote)) {
+		if got := s.kv.Stats().RemoteKeys.Load() - before; got != int64(len(remote)) {
 			t.Fatalf("post-Flush read fetched %d remote keys, want %d", got, len(remote))
 		}
 
@@ -317,7 +370,7 @@ func TestReadsAreLocalCapability(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	st, err := NewDKV(f.Endpoint(0), 10, 3, 1, 0, nil)
+	st, err := NewDKVCache(f.Endpoint(0), 10, 3, 1, CacheConfig{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,10 +119,8 @@ func (t *TieredStore) Stats() TierStats {
 // in place; misses fan out to base and remote in owner-grouped batches and
 // feed the hot cache on the way back.
 func (t *TieredStore) ReadRows(ids []int32, dst *Rows) error {
-	for _, id := range ids {
-		if id < 0 || int(id) >= t.n {
-			return fmt.Errorf("store: key %d out of range [0,%d)", id, t.n)
-		}
+	if err := checkIDs(ids, t.n); err != nil {
+		return err
 	}
 	dst.Reset(len(ids), t.k)
 
@@ -161,14 +159,9 @@ func (t *TieredStore) ReadRows(ids []int32, dst *Rows) error {
 		return err
 	}
 
-	// Tier 3: the remote backing store.
+	// Tier 3: the remote backing store. Without one n == baseN, so the range
+	// check above leaves remotePos empty.
 	if len(remotePos) > 0 {
-		if t.remote == nil {
-			// Unreachable: range check above caps ids at baseN when remote
-			// is nil. Kept as a defensive invariant.
-			t.remoteMisses.Add(int64(len(remotePos)))
-			return fmt.Errorf("store: key %d beyond local tier and no remote configured", ids[remotePos[0]])
-		}
 		t.remoteHits.Add(int64(len(remotePos)))
 		if err := t.readThrough(t.remote, ids, remotePos, t.baseN, dst); err != nil {
 			return err
@@ -224,10 +217,8 @@ func (t *TieredStore) WriteRows(ids []int32, phi []float64) error {
 	if len(phi) != len(ids)*t.k {
 		return fmt.Errorf("store: phi has %d values, want %d", len(phi), len(ids)*t.k)
 	}
-	for _, id := range ids {
-		if id < 0 || int(id) >= t.n {
-			return fmt.Errorf("store: key %d out of range [0,%d)", id, t.n)
-		}
+	if err := checkIDs(ids, t.n); err != nil {
+		return err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -289,10 +280,8 @@ func (t *TieredStore) WritePiRows(ids []int32, pi []float32, phiSum []float64) e
 		return fmt.Errorf("store: pi/phiSum have %d/%d values, want %d/%d",
 			len(pi), len(phiSum), len(ids)*t.k, len(ids))
 	}
-	for _, id := range ids {
-		if id < 0 || int(id) >= t.n {
-			return fmt.Errorf("store: key %d out of range [0,%d)", id, t.n)
-		}
+	if err := checkIDs(ids, t.n); err != nil {
+		return err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -144,7 +144,6 @@ type Sampler struct {
 	nodeBatch int
 	neigh     sampling.NeighborStrategy
 	t         int
-	ppx       *core.PerplexityAverager
 
 	vLink []float64 // v_k for y = 1, refreshed each iteration
 	vNon  []float64 // v_k for y = 0
@@ -218,9 +217,6 @@ func NewSampler(cfg Config, g *graph.Graph, held *graph.HeldOut, opt Options) (*
 	for k := 0; k < cfg.K; k++ {
 		s.Lambda[k*2] = cfg.Eta0 + rng.Float64()
 		s.Lambda[k*2+1] = cfg.Eta1 + rng.Float64()
-	}
-	if held != nil {
-		s.ppx = core.NewPerplexityAverager(held, cfg.Delta)
 	}
 	return s, nil
 }
@@ -396,16 +392,6 @@ func (s *Sampler) PosteriorMeanState() *core.State {
 	}
 	st.RefreshBeta()
 	return st
-}
-
-// EvalPerplexity folds the current posterior mean into the running average
-// and returns Eqn (7)'s perplexity, directly comparable with the MCMC
-// sampler's numbers.
-func (s *Sampler) EvalPerplexity() float64 {
-	if s.ppx == nil {
-		panic("svi: sampler has no held-out set")
-	}
-	return s.ppx.Update(s.PosteriorMeanState(), s.Threads)
 }
 
 // Validate checks the variational state invariants: all parameters strictly
