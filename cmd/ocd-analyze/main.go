@@ -6,17 +6,15 @@
 //	ocd-train -graph g.txt -k 64 -iters 2000 -communities detected.txt
 //	ocd-analyze -graph g.txt -detected detected.txt -truth g.txt.gt
 //
-// It also digests the JSONL telemetry stream a run writes with -metrics-out:
+// It also digests the one JSONL run log a run writes with -metrics-out: the
+// event summary (per-stage times, DKV traffic, stragglers) and, from the
+// log's span events, the critical path — the rank that bounds each
+// iteration, its time split into compute, peer-imposed wait, and DKV
+// service. -chrome renders the spans for Perfetto / chrome://tracing:
 //
-//	ocd-analyze -events run.jsonl          # human-readable digest
-//	ocd-analyze -events run.jsonl -events-json  # machine-readable Summary
-//
-// And the Chrome trace-event file a run writes with -trace-out: the
-// critical-path digest names the rank that bounds each iteration and splits
-// its time into compute, peer-imposed wait, and DKV service:
-//
-//	ocd-analyze -trace run.trace.json
-//	ocd-analyze -trace run.trace.json -trace-json
+//	ocd-analyze run.jsonl                      # human-readable digest
+//	ocd-analyze -json run.jsonl                # {"summary": ..., "critical_path": ...}
+//	ocd-analyze -chrome run.trace.json run.jsonl
 package main
 
 import (
@@ -24,6 +22,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -34,72 +33,94 @@ import (
 )
 
 func main() {
-	var (
-		path       = flag.String("graph", "", "input SNAP edge-list (required unless -events)")
-		detected   = flag.String("detected", "", "detected communities file (one community per line)")
-		truth      = flag.String("truth", "", "ground-truth communities file")
-		ccSample   = flag.Int("clustering-samples", 2000, "vertices sampled for the clustering coefficient")
-		events     = flag.String("events", "", "telemetry JSONL stream to digest (- = stdin)")
-		eventsJSON = flag.Bool("events-json", false, "emit the -events digest as one JSON Summary object")
-		traceIn    = flag.String("trace", "", "Chrome trace-event file (a run's -trace-out) to analyze for the critical path")
-		traceJSON  = flag.Bool("trace-json", false, "emit the -trace report as one JSON CritReport object")
-	)
-	flag.Parse()
-	if *traceIn != "" {
-		if err := digestTrace(*traceIn, *traceJSON); err != nil {
-			fatal(err)
-		}
-		if *path == "" && *events == "" {
-			return
-		}
+	if err := run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "ocd-analyze:", err)
+		os.Exit(1)
 	}
-	if *events != "" {
-		if err := digestEvents(*events, *eventsJSON); err != nil {
-			fatal(err)
+}
+
+// run is the whole program: stdin is read for a "-" log, the report goes to
+// stdout, warnings and usage to stderr.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("ocd-analyze", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		path     = fs.String("graph", "", "input SNAP edge-list (required unless a run log is given)")
+		detected = fs.String("detected", "", "detected communities file (one community per line)")
+		truth    = fs.String("truth", "", "ground-truth communities file")
+		ccSample = fs.Int("clustering-samples", 2000, "vertices sampled for the clustering coefficient")
+		asJSON   = fs.Bool("json", false, "print the run log's digest as one JSON object {summary, critical_path}")
+		chrome   = fs.String("chrome", "", "render the run log's spans as a Chrome trace-event file (Perfetto) at this path")
+	)
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: ocd-analyze [flags] [run.jsonl | -]\n")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil // usage already printed
+	} else if err != nil {
+		return err
+	}
+	if fs.NArg() > 1 {
+		return fmt.Errorf("one run log at most, got %d arguments", fs.NArg())
+	}
+	if fs.NArg() == 1 {
+		in := stdin
+		if fs.Arg(0) != "-" {
+			f, err := os.Open(fs.Arg(0))
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			in = f
+		}
+		if err := digestLog(in, *asJSON, *chrome, stdout, stderr); err != nil {
+			return err
 		}
 		if *path == "" {
-			return
+			return nil
 		}
 	}
 	if *path == "" {
-		fatal(fmt.Errorf("-graph is required (or -events, or -trace)"))
+		return fmt.Errorf("-graph is required (or a run log)")
 	}
 	g, _, err := graph.ReadSNAPFile(*path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	fmt.Printf("graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
-	fmt.Printf("mean degree %.2f, max degree %d, density %.6f\n",
+	fmt.Fprintf(stdout, "graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
+	fmt.Fprintf(stdout, "mean degree %.2f, max degree %d, density %.6f\n",
 		g.MeanDegree(), g.MaxDegree(), g.Density())
 	_, components := graph.ConnectedComponents(g)
-	fmt.Printf("connected components: %d (largest %d vertices)\n",
+	fmt.Fprintf(stdout, "connected components: %d (largest %d vertices)\n",
 		components, graph.LargestComponentSize(g))
 	cc := graph.ClusteringCoefficient(g, *ccSample, mathx.NewRNG(1))
-	fmt.Printf("clustering coefficient (sampled): %.4f\n", cc)
+	fmt.Fprintf(stdout, "clustering coefficient (sampled): %.4f\n", cc)
 
 	var det, gt *metrics.Cover
 	if *detected != "" {
 		det, err = metrics.ReadCoverFile(*detected, g.NumVertices())
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		summarizeCover("detected", det, g.NumVertices())
+		summarizeCover(stdout, "detected", det, g.NumVertices())
 	}
 	if *truth != "" {
 		gt, err = metrics.ReadCoverFile(*truth, g.NumVertices())
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		summarizeCover("ground truth", gt, g.NumVertices())
+		summarizeCover(stdout, "ground truth", gt, g.NumVertices())
 	}
 	if det != nil && gt != nil {
-		fmt.Printf("\nrecovery: F1 = %.4f, NMI = %.4f\n",
+		fmt.Fprintf(stdout, "\nrecovery: F1 = %.4f, NMI = %.4f\n",
 			metrics.F1Score(det, gt), metrics.NMI(det, gt))
 	}
+	return nil
 }
 
-func summarizeCover(name string, c *metrics.Cover, n int) {
+func summarizeCover(w io.Writer, name string, c *metrics.Cover, n int) {
 	total := 0
 	largest := 0
 	for _, m := range c.Members {
@@ -108,22 +129,15 @@ func summarizeCover(name string, c *metrics.Cover, n int) {
 			largest = len(m)
 		}
 	}
-	fmt.Printf("\n%s: %d communities, %d memberships (%.2f per vertex), largest %d\n",
+	fmt.Fprintf(w, "\n%s: %d communities, %d memberships (%.2f per vertex), largest %d\n",
 		name, len(c.Members), total, float64(total)/float64(n), largest)
 }
 
-// digestEvents validates a JSONL telemetry stream and prints its Summary,
-// either as indented JSON (asJSON) or as a short human-readable digest.
-func digestEvents(path string, asJSON bool) error {
-	in := os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		in = f
-	}
+// digestLog reads a JSONL run log and prints its event Summary and, when the
+// log carries spans, the per-iteration critical-path report: as one JSON
+// object (asJSON) or as a short human-readable digest. A non-empty chrome
+// path also renders the spans as a Chrome trace-event file.
+func digestLog(in io.Reader, asJSON bool, chrome string, stdout, stderr io.Writer) error {
 	evs, err := obs.ReadEvents(in)
 	if err != nil {
 		// A torn tail — the run died (or is still running) mid-write of the
@@ -133,44 +147,74 @@ func digestEvents(path string, asJSON bool) error {
 		if !errors.As(err, &torn) {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "ocd-analyze: warning: %v (digesting the %d complete events)\n", torn, len(evs))
+		fmt.Fprintf(stderr, "ocd-analyze: warning: %v (digesting the %d complete events)\n", torn, len(evs))
 	}
 	sum, err := obs.Summarize(evs)
 	if err != nil {
 		return err
 	}
-	if asJSON {
-		buf, err := json.MarshalIndent(sum, "", "  ")
+	trace := obs.TraceFromEvents(evs)
+	var crit *obs.CritReport
+	if len(trace) > 0 {
+		crit = obs.AnalyzeCriticalPath(trace)
+	}
+	if chrome != "" {
+		f, err := os.Create(chrome)
 		if err != nil {
 			return err
 		}
-		fmt.Println(string(buf))
+		err = obs.WriteChromeTrace(f, trace)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if asJSON {
+		buf, err := json.MarshalIndent(struct {
+			Summary      *obs.Summary    `json:"summary"`
+			CriticalPath *obs.CritReport `json:"critical_path,omitempty"`
+		}{sum, crit}, "", "  ")
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout, string(buf))
 		return nil
 	}
-	fmt.Printf("telemetry: %d events, %d ranks, %d iterations, %.2fs elapsed\n",
+	printSummary(stdout, sum)
+	if crit != nil {
+		fmt.Fprint(stdout, crit.String())
+	}
+	return nil
+}
+
+// printSummary prints the human-readable digest of the log's events.
+func printSummary(w io.Writer, sum *obs.Summary) {
+	fmt.Fprintf(w, "telemetry: %d events, %d ranks, %d iterations, %.2fs elapsed\n",
 		sum.Events, sum.Ranks, sum.Iterations, sum.ElapsedMS/1000)
 	if sum.StartIter > 0 {
-		fmt.Printf("resumed run: iter events start at %d (restarted from a checkpoint)\n", sum.StartIter)
+		fmt.Fprintf(w, "resumed run: iter events start at %d (restarted from a checkpoint)\n", sum.StartIter)
 	}
 	if sum.FinalPerplexity > 0 {
-		fmt.Printf("final perplexity: %.4f\n", sum.FinalPerplexity)
+		fmt.Fprintf(w, "final perplexity: %.4f\n", sum.FinalPerplexity)
 	}
 	stages := make([]string, 0, len(sum.StageMSPerIter))
 	for name := range sum.StageMSPerIter {
 		stages = append(stages, name)
 	}
 	sort.Strings(stages)
-	fmt.Printf("per-stage ms/iteration (max across ranks):\n")
+	fmt.Fprintf(w, "per-stage ms/iteration (max across ranks):\n")
 	for _, name := range stages {
-		fmt.Printf("  %-22s %10.3f\n", name, sum.StageMSPerIter[name])
+		fmt.Fprintf(w, "  %-22s %10.3f\n", name, sum.StageMSPerIter[name])
 	}
 	if sum.DKV.Requests > 0 {
-		fmt.Printf("DKV traffic: %d local keys, %d remote keys, %d requests, %.1f MB read, %.1f MB written\n",
+		fmt.Fprintf(w, "DKV traffic: %d local keys, %d remote keys, %d requests, %.1f MB read, %.1f MB written\n",
 			sum.DKV.LocalKeys, sum.DKV.RemoteKeys, sum.DKV.Requests,
 			float64(sum.DKV.BytesRead)/1e6, float64(sum.DKV.BytesWritten)/1e6)
 	}
 	if lookups := sum.DKV.CacheHits + sum.DKV.CacheMisses; lookups > 0 {
-		fmt.Printf("hot-row cache: %d hits / %d lookups (%.1f%% hit rate), %d evictions, %d invalidations\n",
+		fmt.Fprintf(w, "hot-row cache: %d hits / %d lookups (%.1f%% hit rate), %d evictions, %d invalidations\n",
 			sum.DKV.CacheHits, lookups, 100*sum.CacheHitRate,
 			sum.DKV.CacheEvictions, sum.DKV.CacheInvalidations)
 	}
@@ -180,61 +224,34 @@ func digestEvents(path string, asJSON bool) error {
 			names = append(names, name)
 		}
 		sort.Strings(names)
-		fmt.Printf("stage skew (slowest rank vs median ms/iteration):\n")
+		fmt.Fprintf(w, "stage skew (slowest rank vs median ms/iteration):\n")
 		for _, name := range names {
 			sk := sum.StageSkew[name]
-			fmt.Printf("  %-22s %10.3f vs %10.3f  skew %5.2f  slowest rank %d\n",
+			fmt.Fprintf(w, "  %-22s %10.3f vs %10.3f  skew %5.2f  slowest rank %d\n",
 				name, sk.MaxMS, sk.MedianMS, sk.Skew, sk.SlowRank)
 		}
 	}
 	if len(sum.PeerWaitMS) > 0 {
-		fmt.Printf("peer recv-wait imposed on others (ms):")
+		fmt.Fprintf(w, "peer recv-wait imposed on others (ms):")
 		for _, p := range sortedPeers(sum.PeerWaitMS) {
-			fmt.Printf(" rank%d %.1f", p, sum.PeerWaitMS[p])
+			fmt.Fprintf(w, " rank%d %.1f", p, sum.PeerWaitMS[p])
 		}
-		fmt.Printf("; skew %.2f", sum.PeerSkew)
+		fmt.Fprintf(w, "; skew %.2f", sum.PeerSkew)
 		if len(sum.Stragglers) > 0 {
-			fmt.Printf(" — straggler:")
+			fmt.Fprintf(w, " — straggler:")
 			for _, p := range sum.Stragglers {
-				fmt.Printf(" rank %d", p)
+				fmt.Fprintf(w, " rank %d", p)
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if sum.Rebalances > 0 {
-		fmt.Printf("straggler mitigation: %d rebalances; final minibatch shares:", sum.Rebalances)
-		for r, w := range sum.FinalWeights {
-			fmt.Printf(" rank%d %.2f", r, w)
+		fmt.Fprintf(w, "straggler mitigation: %d rebalances; final minibatch shares:", sum.Rebalances)
+		for r, share := range sum.FinalWeights {
+			fmt.Fprintf(w, " rank%d %.2f", r, share)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	return nil
-}
-
-// digestTrace loads a Chrome trace-event file back into span bundles and
-// prints the per-iteration critical-path attribution, either as the stable
-// human-readable report or as one JSON CritReport (asJSON).
-func digestTrace(path string, asJSON bool) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	bundles, err := obs.ReadChromeTrace(f)
-	if err != nil {
-		return fmt.Errorf("reading trace %s: %w", path, err)
-	}
-	rep := obs.AnalyzeCriticalPath(bundles)
-	if asJSON {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(buf))
-		return nil
-	}
-	fmt.Print(rep.String())
-	return nil
 }
 
 func sortedPeers(m map[int]float64) []int {
@@ -244,9 +261,4 @@ func sortedPeers(m map[int]float64) []int {
 	}
 	sort.Ints(peers)
 	return peers
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ocd-analyze:", err)
-	os.Exit(1)
 }

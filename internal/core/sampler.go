@@ -96,8 +96,9 @@ type SamplerOptions struct {
 	// internal/obs. Nil keeps the iteration loop telemetry-free.
 	Recorder *obs.RunRecorder
 	// Tracer, when non-nil, records per-iteration and per-stage spans (the
-	// single-rank timeline; no collectives or DKV traffic exist here). Feed
-	// its Bundle to obs.WriteChromeTraceFile — the trainer's -trace-out does.
+	// single-rank timeline; no collectives or DKV traffic exist here): into
+	// the run log when the tracer streams (the trainer's -metrics-out), else
+	// into its buffer for Bundle.
 	Tracer *obs.Tracer
 	// Publisher, when non-nil, receives a sealed store.Snapshot of π/β after
 	// the write barrier of every PublishEvery-th iteration (version = number

@@ -52,10 +52,6 @@ type node struct {
 	eval *core.HeldOutEval // held-out shard, PerplexityChunk-aligned
 	loop *engine.Loop
 
-	// bundles is every rank's gathered span buffer, filled by gatherTrace at
-	// run end; identical across ranks (AllGather).
-	bundles []obs.TraceBundle
-
 	// per-iteration dataflow between stages
 	dep    *deployment
 	newPhi []float64
@@ -99,7 +95,9 @@ func newNode(cfg core.Config, opt Options, comm *cluster.Comm, g *graph.Graph, h
 	}
 	if opt.Trace {
 		nd.ob.Tracer = obs.NewTracer(nd.rank, 0)
-		nd.ob.Tracer.SetDropCounter(reg.Counter(obs.CtrSpansDropped))
+		if opt.Events != nil {
+			nd.ob.Tracer.StreamTo(opt.Events)
+		}
 		comm.SetTracer(nd.ob.Tracer)
 	}
 	if opt.Rebalance {
@@ -364,17 +362,19 @@ func (nd *node) run() (err error) {
 		}
 	}
 	nd.ob.Interval(obs.NoIter, engine.PhaseTotal, totalStart)
-	if rec != nil && nd.rank == 0 {
-		rec.RunEnd(nd.opt.Iterations)
-	}
-
-	// Gather every rank's span buffer before state collection: identical
-	// program order on all ranks keeps the collective tag sequence aligned,
-	// and the Bundle snapshot is taken before the gather so the gather's own
-	// spans are excluded symmetrically everywhere.
+	// The run's timeline ends here on every rank: state collection below is
+	// not the run. A buffering tracer keeps its spans for Result.Trace.
 	if nd.ob.Tracer != nil {
-		if err := nd.gatherTrace(); err != nil {
-			return fmt.Errorf("gathering trace: %w", err)
+		nd.ob.Tracer.StreamTo(nil)
+	}
+	if nd.opt.Events != nil {
+		// Every rank's last iter and span lines precede run_end: without this
+		// fence a peer still closing its final stage would write after it.
+		if err := nd.comm.Barrier(); err != nil {
+			return err
+		}
+		if nd.rank == 0 {
+			rec.RunEnd(nd.opt.Iterations)
 		}
 	}
 
@@ -538,25 +538,6 @@ func (nd *node) barrierStage(int) error {
 		return err
 	}
 	return nd.store.Flush()
-}
-
-// gatherTrace exchanges every rank's span bundle (Comm.AllGather of the
-// JSON-encoded form), leaving the full rank-ordered set in nd.bundles on
-// every rank.
-func (nd *node) gatherTrace() error {
-	parts, err := nd.comm.AllGather(nd.ob.Tracer.Bundle().Encode())
-	if err != nil {
-		return err
-	}
-	nd.bundles = make([]obs.TraceBundle, 0, len(parts))
-	for r, p := range parts {
-		b, err := obs.DecodeTraceBundle(p)
-		if err != nil {
-			return fmt.Errorf("bundle from rank %d: %w", r, err)
-		}
-		nd.bundles = append(nd.bundles, b)
-	}
-	return nil
 }
 
 // exchangeWriteSets is the cross-iteration cache's invalidation collective:

@@ -365,10 +365,11 @@ func TestRankTable(t *testing.T) {
 
 // TestEveryViewIsTheSameMeasurement pins the one-observer invariant: a stage
 // is timed once, so the phase table, the stage.<name> histogram, the iter
-// events' stages_ms and the CatStage spans of one rank are the same numbers —
-// to the nanosecond where the view keeps integers, to float rounding where
-// it keeps milliseconds. A second clock or a side channel that times a stage
-// again breaks the equalities.
+// events' stages_ms and the CatStage spans of one rank — read back from the
+// same JSONL log as the events — are the same numbers: to the nanosecond
+// where the view keeps integers, to float rounding where it keeps
+// milliseconds. A second clock or a side channel that times a stage again
+// breaks the equalities.
 func TestEveryViewIsTheSameMeasurement(t *testing.T) {
 	train, held := fixture(t, 200, 4, 900, 77)
 	const iters, ranks = 6, 2
@@ -389,12 +390,20 @@ func TestEveryViewIsTheSameMeasurement(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	if res.Trace != nil {
+		t.Errorf("a logged run buffered %d bundles; its spans belong in the log", len(res.Trace))
+	}
+	trace := obs.TraceFromEvents(events)
+	if len(trace) != ranks {
+		t.Fatalf("log carries spans of %d ranks, want %d", len(trace), ranks)
+	}
+
 	loopStages := []string{engine.PhaseDeployMinibatch, engine.PhaseUpdatePhi, engine.PhaseUpdatePi, engine.PhaseUpdateBetaTheta}
 	for r := 0; r < ranks; r++ {
 		table := res.RankPhases[r]
 
 		spanNS := map[string]int64{}
-		for _, sp := range res.Trace[r].Spans {
+		for _, sp := range trace[r].Spans {
 			if sp.Cat == obs.CatStage && sp.Name != engine.PhaseBarrier {
 				spanNS[sp.Name] += sp.DurNS
 			}

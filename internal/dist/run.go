@@ -86,10 +86,11 @@ type Options struct {
 	Monitor *obs.Monitor
 
 	// Trace enables span tracing: every rank records stage, collective, and
-	// DKV spans (client and server side) into a bounded per-rank buffer, the
-	// buffers are gathered at run end over the ordinary collectives, and
-	// Result.Trace carries every rank's bundle. Tracing only observes — the
-	// trained trajectory is bit-identical with it on or off.
+	// DKV spans (client and server side). With Events set, each rank streams
+	// its spans into that log as "span" events as they close; without it,
+	// each rank buffers them (bounded) and Result.Trace carries the buffers.
+	// Tracing only observes — the trained trajectory is bit-identical with it
+	// on or off.
 	Trace bool
 
 	// Publisher, when non-nil, receives a sealed full-view store.Snapshot of
@@ -225,9 +226,10 @@ type Result struct {
 	Iterations int
 	Elapsed    time.Duration
 	RemoteFrac float64 // fraction of DKV keys served remotely
-	// Trace holds every rank's span bundle when Options.Trace was set
-	// (rank-ordered, identical on every rank after the end-of-run AllGather);
-	// feed it to obs.WriteChromeTraceFile or obs.AnalyzeCriticalPath.
+	// Trace holds every rank's span bundle, rank-ordered, when Options.Trace
+	// was set without Options.Events; a logged run's spans are in its log
+	// (obs.TraceFromEvents). Feed it to obs.WriteChromeTrace or
+	// obs.AnalyzeCriticalPath.
 	Trace []obs.TraceBundle
 }
 
@@ -296,19 +298,6 @@ func RunOnTransport(cfg core.Config, g *graph.Graph, held *graph.HeldOut, opt Op
 		}
 		nodes[r] = nd
 	}
-	if opt.Trace && opt.Monitor != nil {
-		// The /trace route downloads a live snapshot of every rank's span
-		// buffer — mid-run state, before the end-of-run gather merges them.
-		opt.Monitor.AttachTrace(func() []obs.TraceBundle {
-			bundles := make([]obs.TraceBundle, 0, len(nodes))
-			for _, nd := range nodes {
-				if nd.ob.Tracer != nil {
-					bundles = append(bundles, nd.ob.Tracer.Bundle())
-				}
-			}
-			return bundles
-		})
-	}
 
 	errs := make([]error, opt.Ranks)
 	done := make(chan int, opt.Ranks)
@@ -364,11 +353,11 @@ func assembleResult(nodes []*node) *Result {
 		snap := nd.reg.Snapshot()
 		res.RankMetrics = append(res.RankMetrics, snap)
 		res.Metrics.Fold(snap)
+		if nd.opt.Trace && nd.opt.Events == nil { // a logged run's spans are in its log
+			res.Trace = append(res.Trace, nd.ob.Tracer.Bundle())
+		}
 	}
 	res.Peers = obs.NewPeerMatrix(res.RankMetrics)
-	// All ranks hold identical gathered bundles after gatherTrace's
-	// AllGather; the master's copy is the result's.
-	res.Trace = master.bundles
 	c := res.Metrics.Counters
 	res.DKV = DKVTotals{
 		LocalKeys:    c[obs.CtrDKVLocalKeys],

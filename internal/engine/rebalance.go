@@ -7,7 +7,7 @@ import (
 )
 
 // Rebalancing closes the straggler loop: the PeerMatrix straggler rule (and
-// the critical-path verdict of ocd-analyze -trace) *detects* a slow rank;
+// the critical-path verdict of ocd-analyze run.jsonl) *detects* a slow rank;
 // the Rebalancer *acts* on it by shrinking that rank's minibatch share so
 // the next window's deployments (SplitWeighted) move its chunks onto healthy
 // ranks. Because every φ draw is keyed by (iteration, vertex) and the θ fold

@@ -4,19 +4,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"os"
 	"sort"
 )
 
-// Chrome trace-event export: the gathered TraceBundles rendered in the JSON
-// Object Format that Perfetto and chrome://tracing load directly. Each rank
-// becomes a process (pid = rank) and each Tracer track becomes a thread
-// within it, so the UI shows one swim lane per rank with engine, DKV-client,
-// and DKV-server activity stacked inside. Span ids, parents, peers, and
-// iteration labels travel in the per-event args, which also makes the file a
-// lossless interchange format: ReadChromeTrace reconstructs the bundles
-// exactly, and ocd-analyze consumes the same file the browser does.
+// Chrome trace-event export: TraceBundles (a run log's spans, or a buffering
+// Tracer's) rendered in the JSON Object Format that Perfetto and
+// chrome://tracing load directly. Each rank becomes a process (pid = rank)
+// and each Tracer track becomes a thread within it, so the UI shows one swim
+// lane per rank with engine, DKV-client, and DKV-server activity stacked
+// inside. Span ids, parents, peers, and iteration labels travel in the
+// per-event args. The file is a rendering for the viewer only: the run log
+// is the record, and ocd-analyze -chrome produces this from it.
 
 // chromeDoc is the trace-event JSON Object Format envelope. Viewers ignore
 // unknown top-level keys, so otherData carries the drop accounting.
@@ -43,9 +41,9 @@ type chromeEvent struct {
 	Args *chromeArgs `json:"args,omitempty"`
 }
 
-// chromeArgs carries the span fields the viewer shows on click and the
-// reader needs for lossless reconstruction. Iter and Peer are pointers so a
-// legitimate 0 survives omitempty; nil encodes "absent" (-1 on the span).
+// chromeArgs carries the span fields the viewer shows on click. Iter and
+// Peer are pointers so a legitimate 0 survives omitempty; nil encodes
+// "absent" (-1 on the span).
 type chromeArgs struct {
 	ID     uint64 `json:"id,omitempty"`
 	Parent uint64 `json:"parent,omitempty"`
@@ -138,81 +136,4 @@ func WriteChromeTrace(w io.Writer, bundles []TraceBundle) error {
 		return fmt.Errorf("obs: writing chrome trace: %w", err)
 	}
 	return nil
-}
-
-// WriteChromeTraceFile writes the bundles as a Chrome trace-event file at
-// path — what -trace-out produces, for either engine.
-func WriteChromeTraceFile(path string, bundles []TraceBundle) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteChromeTrace(f, bundles); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadChromeTrace parses a trace file written by WriteChromeTrace back into
-// per-rank bundles (rank-ordered). Timestamps round-trip exactly: µs floats
-// divide ns by 1000, and every trace fits in float64's 2^53 integer range.
-func ReadChromeTrace(r io.Reader) ([]TraceBundle, error) {
-	var doc chromeDoc
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("obs: parsing chrome trace: %w", err)
-	}
-	byRank := map[int]*TraceBundle{}
-	bundleFor := func(rank int) *TraceBundle {
-		b := byRank[rank]
-		if b == nil {
-			b = &TraceBundle{Rank: rank}
-			byRank[rank] = b
-		}
-		return b
-	}
-	for rankStr, dropped := range doc.OtherData.DroppedByRank {
-		var rank int
-		if _, err := fmt.Sscanf(rankStr, "%d", &rank); err == nil {
-			bundleFor(rank).Dropped = dropped
-		}
-	}
-	for _, ev := range doc.TraceEvents {
-		if ev.Ph != "X" {
-			continue
-		}
-		sp := Span{
-			Name:    ev.Name,
-			Cat:     ev.Cat,
-			Rank:    ev.PID,
-			Track:   ev.TID,
-			Peer:    NoPeer,
-			Iter:    -1,
-			StartNS: int64(math.Round(ev.TS * 1e3)),
-			DurNS:   int64(math.Round(ev.Dur * 1e3)),
-		}
-		if ev.Args != nil {
-			sp.ID = SpanID(ev.Args.ID)
-			sp.Parent = SpanID(ev.Args.Parent)
-			sp.Tag = ev.Args.Tag
-			if ev.Args.Iter != nil {
-				sp.Iter = *ev.Args.Iter
-			}
-			if ev.Args.Peer != nil {
-				sp.Peer = *ev.Args.Peer
-			}
-		}
-		b := bundleFor(ev.PID)
-		b.Spans = append(b.Spans, sp)
-	}
-	ranks := make([]int, 0, len(byRank))
-	for r := range byRank {
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
-	out := make([]TraceBundle, 0, len(ranks))
-	for _, r := range ranks {
-		out = append(out, *byRank[r])
-	}
-	return out, nil
 }

@@ -5,7 +5,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -14,17 +13,18 @@ var updateGolden = flag.Bool("update", false, "rewrite the chrome trace golden f
 
 // goldenBundles is a small fixed two-rank trace exercising every field the
 // exporter writes: nesting, peers, tags, iteration labels, all three tracks,
-// a legitimate peer/iter of 0, and a nonzero drop count.
+// and a legitimate peer/iter of 0. Drop counts are 0, as in every timeline
+// read from a run log (streamed spans are never dropped).
 func goldenBundles() []TraceBundle {
 	return []TraceBundle{
-		{Rank: 1, Dropped: 3, Spans: []Span{
+		{Rank: 1, Spans: []Span{
 			{ID: 1, Name: "iter", Cat: CatIter, Rank: 1, Track: TrackEngine, Peer: NoPeer, Iter: 0, StartNS: 1000, DurNS: 9000},
 			{ID: 2, Parent: 1, Name: "update_phi", Cat: CatStage, Rank: 1, Track: TrackEngine, Peer: NoPeer, Iter: 0, StartNS: 1500, DurNS: 4000},
 			{ID: 3, Parent: 2, Name: "dkv.wait.read", Cat: CatDKVWait, Rank: 1, Track: TrackDKVClient, Peer: 0, Iter: 0, Tag: 17, StartNS: 2000, DurNS: 1500},
 			{ID: 4, Name: "dkv.serve.read", Cat: CatDKVServe, Rank: 1, Track: TrackDKVServer, Peer: 0, Iter: -1, Tag: 9, StartNS: 6000, DurNS: 800},
 		}},
 		// Deliberately out of rank order: the writer must sort.
-		{Rank: 0, Dropped: 0, Spans: []Span{
+		{Rank: 0, Spans: []Span{
 			{ID: 1, Name: "iter", Cat: CatIter, Rank: 0, Track: TrackEngine, Peer: NoPeer, Iter: 0, StartNS: 900, DurNS: 9100},
 			{ID: 2, Parent: 1, Name: "gather", Cat: CatCollective, Rank: 0, Track: TrackEngine, Peer: NoPeer, Iter: 0, Tag: 3, StartNS: 7000, DurNS: 2000},
 			{ID: 3, Parent: 2, Name: "recv", Cat: CatRecv, Rank: 0, Track: TrackEngine, Peer: 1, Iter: 0, Tag: 3, StartNS: 7100, DurNS: 1800},
@@ -55,32 +55,29 @@ func TestWriteChromeTraceGolden(t *testing.T) {
 	}
 }
 
-// TestChromeTraceRoundTrip checks the file is lossless interchange: reading
-// back what the writer produced reconstructs the bundles exactly (rank-sorted).
-func TestChromeTraceRoundTrip(t *testing.T) {
-	in := goldenBundles()
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadChromeTrace(&buf)
+// TestChromeTraceFromLog: the run log is the record and the Chrome file a
+// rendering of it — the spans of the golden log (goldenEvents carries
+// goldenBundles' spans) render to the golden Chrome file byte for byte.
+func TestChromeTraceFromLog(t *testing.T) {
+	f, err := os.Open(filepath.Join("testdata", "events.golden.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 2 || out[0].Rank != 0 || out[1].Rank != 1 {
-		t.Fatalf("round trip ranks: %+v", out)
+	defer f.Close()
+	events, err := ReadEvents(f)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The writer sorts spans by (start, id); sort the inputs the same way to
-	// compare (goldenBundles' spans are already start-ordered within a rank).
-	want := map[int]TraceBundle{in[0].Rank: in[0], in[1].Rank: in[1]}
-	for _, b := range out {
-		w := want[b.Rank]
-		if b.Dropped != w.Dropped {
-			t.Errorf("rank %d dropped = %d, want %d", b.Rank, b.Dropped, w.Dropped)
-		}
-		if !reflect.DeepEqual(b.Spans, w.Spans) {
-			t.Errorf("rank %d spans:\ngot  %+v\nwant %+v", b.Rank, b.Spans, w.Spans)
-		}
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, TraceFromEvents(events)); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "chrometrace_golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("rendering the golden log differs from the golden Chrome file\ngot:\n%s", buf.String())
 	}
 }
 
@@ -96,12 +93,5 @@ func TestChromeTraceMetadata(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("trace output missing %s", want)
 		}
-	}
-}
-
-// TestReadChromeTraceRejectsGarbage guards the analyzer's error path.
-func TestReadChromeTraceRejectsGarbage(t *testing.T) {
-	if _, err := ReadChromeTrace(strings.NewReader("not json")); err == nil {
-		t.Fatal("ReadChromeTrace accepted garbage")
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// Critical-path analysis over gathered span bundles: for every iteration,
+// Critical-path analysis over span bundles: for every iteration,
 // which rank bounded the wall clock, and why. The algorithm walks the
 // causal chain backward from the bounding rank's iteration end — a rank is
 // either computing or inside a recorded wait (a blocking collective receive
@@ -61,7 +61,6 @@ type CritReport struct {
 	TotalNS     int64             `json:"total_ns"`
 	Verdict     int               `json:"verdict_rank"`
 	VerdictFrac float64           `json:"verdict_frac"`
-	DroppedBy   map[int]int64     `json:"dropped_by_rank,omitempty"`
 }
 
 // isWaitCat reports whether a span category records blocked time.
@@ -70,19 +69,13 @@ func isWaitCat(cat string) bool { return cat == CatRecv || cat == CatDKVWait }
 // AnalyzeCriticalPath runs the backward walk over every iteration present in
 // the bundles and returns the aggregated report.
 func AnalyzeCriticalPath(bundles []TraceBundle) *CritReport {
-	rep := &CritReport{Verdict: -1, DroppedBy: map[int]int64{}}
+	rep := &CritReport{Verdict: -1}
 
 	maxRank := -1
 	for _, b := range bundles {
 		if b.Rank > maxRank {
 			maxRank = b.Rank
 		}
-		if b.Dropped > 0 {
-			rep.DroppedBy[b.Rank] = b.Dropped
-		}
-	}
-	if len(rep.DroppedBy) == 0 {
-		rep.DroppedBy = nil
 	}
 	if maxRank < 0 {
 		return rep
@@ -337,9 +330,6 @@ func (rep *CritReport) String() string {
 			fmt.Fprintf(&b, ", rank %d asked %.2f ms", q, float64(st.ByRequester[q])/1e6)
 		}
 		b.WriteByte('\n')
-	}
-	for rank, n := range rep.DroppedBy {
-		fmt.Fprintf(&b, "  warning: rank %d dropped %d spans (timeline incomplete)\n", rank, n)
 	}
 	if rep.Verdict >= 0 {
 		fmt.Fprintf(&b, "verdict: rank %d bounds %.1f%% of iteration critical-path time\n",

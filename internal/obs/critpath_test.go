@@ -165,15 +165,11 @@ func TestCritPathMultiIterAggregation(t *testing.T) {
 	}
 }
 
-// TestCritPathEmptyAndDrops: no spans → a "no iteration spans" verdict; drop
-// counts surface as warnings.
+// TestCritPathEmptyAndDrops: no spans → a "no iteration spans" verdict. Drop
+// counts are the Chrome rendering's (dropped_by_rank); a run log drops none.
 func TestCritPathEmptyAndDrops(t *testing.T) {
 	rep := AnalyzeCriticalPath(nil)
 	if rep.Verdict != -1 || !strings.Contains(rep.String(), "no iteration spans") {
 		t.Errorf("empty report: %q", rep.String())
-	}
-	rep = AnalyzeCriticalPath([]TraceBundle{{Rank: 0, Dropped: 42}})
-	if rep.DroppedBy[0] != 42 || !strings.Contains(rep.String(), "rank 0 dropped 42 spans") {
-		t.Errorf("drop warning missing: %q", rep.String())
 	}
 }

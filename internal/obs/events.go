@@ -16,6 +16,7 @@ const (
 	EventPerplexity = "perplexity" // one per evaluation point, from rank 0
 	EventRebalance  = "rebalance"  // from rank 0, when a window changes the minibatch shares
 	EventRunEnd     = "run_end"    // once, from rank 0, after the last iteration
+	EventSpan       = "span"       // one per closed span, from the rank that made it
 )
 
 // Canonical counter names. Subsystems register these into the run's
@@ -114,6 +115,7 @@ func (d DKVCounters) IsZero() bool { return d == DKVCounters{} }
 //     Weights (the new share vector), Flagged (ranks the window flagged),
 //     PeerWaitMS (the window's imposed-wait vector, keyed by rank)
 //   - run_end:    Rank, Iter (= iterations run), DKV (cumulative), ElapsedMS
+//   - span:       Rank, Span (its own Iter, -1 off the loop; Span.Rank = Rank)
 type Event struct {
 	Type       string             `json:"type"`
 	Rank       int                `json:"rank"`
@@ -134,12 +136,17 @@ type Event struct {
 	Flagged    []int     `json:"flagged,omitempty"`
 	Perplexity float64   `json:"perplexity,omitempty"`
 	ElapsedMS  float64   `json:"elapsed_ms,omitempty"`
+	Span       *Span     `json:"span,omitempty"`
 }
 
 // Validate checks the schema invariants a well-formed stream satisfies.
 func (e *Event) Validate() error {
 	switch e.Type {
 	case EventRunStart, EventIter, EventPerplexity, EventRebalance, EventRunEnd:
+	case EventSpan:
+		if err := e.Span.validate(e.Rank); err != nil {
+			return err
+		}
 	default:
 		return fmt.Errorf("obs: unknown event type %q", e.Type)
 	}
@@ -188,6 +195,26 @@ func (e *Event) Validate() error {
 		return fmt.Errorf("obs: %s event with negative elapsed %f", e.Type, e.ElapsedMS)
 	}
 	return nil
+}
+
+// validate checks a span event's payload: sp is the event's span, rank the
+// event's rank.
+func (sp *Span) validate(rank int) error {
+	switch {
+	case sp == nil:
+		return fmt.Errorf("obs: span event without a span")
+	case sp.Name == "":
+		return fmt.Errorf("obs: span event with unnamed span")
+	case sp.StartNS < 0 || sp.DurNS < 0:
+		return fmt.Errorf("obs: span %q with negative start %d or duration %d", sp.Name, sp.StartNS, sp.DurNS)
+	case sp.Rank != rank:
+		return fmt.Errorf("obs: span %q of rank %d in a rank %d event", sp.Name, sp.Rank, rank)
+	}
+	switch sp.Cat {
+	case CatIter, CatStage, CatCollective, CatRecv, CatDKVWait, CatDKVServe:
+		return nil
+	}
+	return fmt.Errorf("obs: span %q with unknown category %q", sp.Name, sp.Cat)
 }
 
 // Sink serialises events as JSON lines onto a writer. Emit is safe for

@@ -10,12 +10,18 @@ import (
 	"testing"
 )
 
-// goldenEvents is a miniature but complete stream: run_start, two ranks'
+// goldenEvents is a miniature but complete run log: run_start, the span
+// events of goldenBundles (iteration 0's timeline of both ranks), two ranks'
 // iter events with stage durations and DKV deltas, a perplexity point, and
 // run_end. Durations are fixed so the encoding is deterministic.
 func goldenEvents() []Event {
-	return []Event{
-		{Type: EventRunStart, Rank: 0, Ranks: 2, Iterations: 2},
+	events := []Event{{Type: EventRunStart, Rank: 0, Ranks: 2, Iterations: 2}}
+	for _, b := range goldenBundles() {
+		for i := range b.Spans {
+			events = append(events, Event{Type: EventSpan, Rank: b.Rank, Span: &b.Spans[i]})
+		}
+	}
+	return append(events, []Event{
 		{
 			Type: EventIter, Rank: 0, Iter: 0,
 			StagesMS:  map[string]float64{"update_phi": 1.5, "update_phi.load_pi": 0.5, "update_pi": 0.25},
@@ -32,7 +38,7 @@ func goldenEvents() []Event {
 		{Type: EventIter, Rank: 1, Iter: 1, StagesMS: map[string]float64{"update_phi": 1.25, "update_pi": 0.5}, ElapsedMS: 4.5},
 		{Type: EventPerplexity, Rank: 0, Iter: 2, Perplexity: 42.5, ElapsedMS: 5},
 		{Type: EventRunEnd, Rank: 0, Iter: 2, DKV: &DKVCounters{LocalKeys: 22, RemoteKeys: 58, Requests: 8, BytesRead: 1984, BytesWritten: 992, CacheHits: 3, CacheMisses: 25}, ElapsedMS: 5.5},
-	}
+	}...)
 }
 
 // TestEventGoldenRoundTrip pins the JSONL schema: encoding the canonical
@@ -91,6 +97,12 @@ func TestReadEventsRejectsMalformed(t *testing.T) {
 		{"rebalance without weights", `{"type":"rebalance","rank":0,"iter":8}`},
 		{"flag outside weights", `{"type":"rebalance","rank":0,"weights":[1,0.5],"flagged":[2]}`},
 		{"negative flagged rank", `{"type":"rebalance","rank":0,"weights":[1,0.5],"flagged":[-1]}`},
+		{"span without span", `{"type":"span","rank":0}`},
+		{"unnamed span", `{"type":"span","rank":0,"span":{"cat":"stage","rank":0}}`},
+		{"unknown span category", `{"type":"span","rank":0,"span":{"name":"x","cat":"bogus","rank":0}}`},
+		{"negative span start", `{"type":"span","rank":0,"span":{"name":"x","cat":"stage","rank":0,"start_ns":-1}}`},
+		{"negative span duration", `{"type":"span","rank":0,"span":{"name":"x","cat":"stage","rank":0,"dur_ns":-1}}`},
+		{"span of another rank", `{"type":"span","rank":0,"span":{"name":"x","cat":"stage","rank":1}}`},
 	}
 	for _, c := range cases {
 		if _, err := ReadEvents(strings.NewReader(c.line + "\n")); err == nil {
@@ -137,6 +149,38 @@ func TestReadEventsTornTail(t *testing.T) {
 	}
 }
 
+// FuzzReadEvents: the one log reader never panics on hostile bytes. It
+// returns only events that validate, and any failure is a line-numbered
+// error or a *TornTailError that keeps the events before the tear.
+func FuzzReadEvents(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "events.golden.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	for _, line := range bytes.SplitAfter(golden, []byte("\n")) {
+		f.Add(line)
+	}
+	f.Add(golden[:len(golden)-17]) // a torn tail
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, err := ReadEvents(bytes.NewReader(data))
+		var torn *TornTailError
+		switch {
+		case err == nil, errors.As(err, &torn):
+		case events != nil:
+			t.Fatalf("hard error %v returned %d events", err, len(events))
+		case !strings.Contains(err.Error(), "line "):
+			t.Fatalf("error %q names no line", err)
+		}
+		for i := range events {
+			if verr := events[i].Validate(); verr != nil {
+				t.Fatalf("returned event %d is invalid: %v", i, verr)
+			}
+		}
+		TraceFromEvents(events)
+	})
+}
+
 func TestReadEventsSkipsBlankLines(t *testing.T) {
 	in := `{"type":"iter","rank":0,"iter":0}` + "\n\n" + `{"type":"iter","rank":0,"iter":1}` + "\n"
 	events, err := ReadEvents(strings.NewReader(in))
@@ -153,8 +197,8 @@ func TestSummarize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Ranks != 2 || s.Iterations != 2 {
-		t.Fatalf("ranks/iterations = %d/%d, want 2/2", s.Ranks, s.Iterations)
+	if s.Ranks != 2 || s.Iterations != 2 || s.Events != 7 {
+		t.Fatalf("ranks/iterations/events = %d/%d/%d, want 2/2/7 (span lines are not counted)", s.Ranks, s.Iterations, s.Events)
 	}
 	// update_phi: rank 0 mean 1.5, rank 1 mean 1.25 → max 1.5.
 	if got := s.StageMSPerIter["update_phi"]; got != 1.5 {

@@ -22,7 +22,8 @@ import (
 //	/events   Server-Sent Events: the JSONL telemetry stream, live
 //
 // /events streams the same lines the file sink receives (Sink.Tee feeds the
-// monitor's Stream): each SSE frame is `id: <n>` + `data: <one JSON event>`.
+// monitor's Stream), span events included, so the live timeline needs no
+// route of its own: each SSE frame is `id: <n>` + `data: <one JSON event>`.
 // A bounded ring buffer (DefaultStreamCapacity events) backs the endpoint,
 // so a client that reconnects with a Last-Event-ID header resumes from the
 // first event it missed, as long as it is still inside the window; a client
@@ -42,7 +43,6 @@ type Monitor struct {
 	srv     *http.Server
 	done    chan struct{} // closed on Shutdown/Close; SSE handlers watch it
 	pprofOn bool
-	traceFn func() []TraceBundle
 }
 
 // NewMonitor creates a monitor that will listen on addr (host:port; an
@@ -60,15 +60,6 @@ func (m *Monitor) Attach(reg *Registry) {
 	}
 	m.mu.Lock()
 	m.reg = reg
-	m.mu.Unlock()
-}
-
-// AttachTrace installs the provider behind the /trace route: a snapshot of
-// the run's span bundles, rendered as a Chrome trace-event download. Before
-// a provider is attached, /trace answers 404 like any unknown path.
-func (m *Monitor) AttachTrace(provider func() []TraceBundle) {
-	m.mu.Lock()
-	m.traceFn = provider
 	m.mu.Unlock()
 }
 
@@ -110,7 +101,6 @@ func (m *Monitor) Start() (string, error) {
 		"/":        m.handleMetrics,
 		"/metrics": m.handleMetrics,
 		"/events":  m.handleEvents,
-		"/trace":   m.handleTrace,
 	}
 	m.mu.Lock()
 	pprofOn := m.pprofOn
@@ -156,24 +146,6 @@ func (m *Monitor) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	buf = append(buf, '\n')
 	_, _ = w.Write(buf)
-}
-
-// handleTrace serves the live span timeline as a Chrome trace-event
-// download — the same bytes -trace-out writes at run end, but snapshotted
-// mid-run, so a hung or slow run can be inspected in Perfetto while it is
-// still hanging. 404 until a provider is attached, keeping the hardened
-// route discipline (the path only exists when there is something behind it).
-func (m *Monitor) handleTrace(w http.ResponseWriter, r *http.Request) {
-	m.mu.Lock()
-	provider := m.traceFn
-	m.mu.Unlock()
-	if provider == nil {
-		http.NotFound(w, r)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Disposition", `attachment; filename="run.trace.json"`)
-	_ = WriteChromeTrace(w, provider()) // mid-stream write errors: client gone
 }
 
 // handleEvents is the SSE endpoint: replay the buffered backlog after the

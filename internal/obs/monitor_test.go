@@ -23,8 +23,8 @@ func startMonitor(t *testing.T) (*Monitor, string) {
 }
 
 // TestMonitorRouteTable pins the explicit route set: /, /metrics and /events
-// answer; every other path — including the catch-all-shaped /favicon.ico and
-// the typo'd /metric — is a 404.
+// answer; every other path — including the catch-all-shaped /favicon.ico, the
+// typo'd /metric and /trace (spans ride /events) — is a 404.
 func TestMonitorRouteTable(t *testing.T) {
 	m, addr := startMonitor(t)
 	reg := NewRegistry()
@@ -45,7 +45,7 @@ func TestMonitorRouteTable(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	for _, path := range []string{"/favicon.ico", "/metric", "/events/extra", "/debug/pprof/"} {
+	for _, path := range []string{"/favicon.ico", "/metric", "/events/extra", "/trace", "/debug/pprof/"} {
 		resp, err := client.Get("http://" + addr + path)
 		if err != nil {
 			t.Fatal(err)
@@ -219,45 +219,6 @@ func TestMonitorShutdownDrainsSSE(t *testing.T) {
 	}
 	if err := m.Close(); err != nil {
 		t.Fatalf("Close after Shutdown: %v", err)
-	}
-}
-
-// TestMonitorTraceRoute pins the /trace contract: 404 before a provider is
-// attached (hardened route discipline), a live Chrome trace download after.
-func TestMonitorTraceRoute(t *testing.T) {
-	m, addr := startMonitor(t)
-	client := &http.Client{Timeout: 5 * time.Second}
-
-	resp, err := client.Get("http://" + addr + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/trace before AttachTrace: status %d, want 404", resp.StatusCode)
-	}
-
-	tr := NewTracer(0, 0)
-	tr.Emit(Span{ID: tr.NewID(), Name: "iter", Cat: CatIter, Peer: NoPeer, Iter: 0, StartNS: 1, DurNS: 2})
-	m.AttachTrace(func() []TraceBundle { return []TraceBundle{tr.Bundle()} })
-
-	resp, err = client.Get("http://" + addr + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/trace after AttachTrace: status %d, want 200", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("Content-Type = %q, want application/json", ct)
-	}
-	bundles, err := ReadChromeTrace(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bundles) != 1 || len(bundles[0].Spans) != 1 || bundles[0].Spans[0].Name != "iter" {
-		t.Fatalf("live trace round trip: %+v", bundles)
 	}
 }
 

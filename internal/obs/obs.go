@@ -24,14 +24,16 @@
 //     Snapshots fold across ranks — counters sum, gauges take the max,
 //     histogram buckets add — which is how a distributed run's per-rank
 //     registries become one Result.Metrics.
-//   - Events (events.go): the JSON-lines schema — run_start, one "iter"
-//     event per iteration per rank with per-stage durations and DKV counter
-//     deltas, "perplexity" points, run_end — plus ReadEvents/Validate for
+//   - Events (events.go): the JSON-lines schema of the one run log —
+//     run_start, one "iter" event per iteration per rank with per-stage
+//     durations and DKV counter deltas, "perplexity" points, one "span"
+//     event per closed span, run_end — plus ReadEvents/Validate for
 //     consumers (ocd-analyze, CI).
 //   - RunRecorder (recorder.go) and Monitor (monitor.go): RunRecorder turns
 //     the Observer's intervals into events and registry updates; Monitor
 //     serves the registry as JSON over HTTP.
-//   - Tracer (span.go): bounded per-rank span buffers, gathered at run end
-//     and exported as Chrome trace-event JSON (chrometrace.go) or walked by
-//     the critical-path analyzer (critpath.go).
+//   - Tracer (span.go): per-rank span recording, streamed into the run log
+//     by the rank that made each span, or buffered (bounded) when there is
+//     no log; either form renders as Chrome trace-event JSON
+//     (chrometrace.go) and feeds the critical-path analyzer (critpath.go).
 package obs

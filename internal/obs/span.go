@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,17 +10,19 @@ import (
 // RunRecorder aggregates (per-stage totals, counter deltas), the Tracer
 // records individual intervals — every engine stage, every collective, every
 // DKV round trip — with parent ids so the timeline nests, and with the peer
-// rank on anything that crossed the wire so waits are attributable. Spans are
-// buffered per rank with a hard bound (tracing must never grow without
-// limit), gathered at run end over the ordinary collectives, and exported as
+// rank on anything that crossed the wire so waits are attributable. A run
+// that writes a JSONL log streams each span into it as one "span" event, from
+// the rank that made it, the moment it closes (StreamTo); a run without a log
+// buffers them per rank with a hard bound (tracing must never grow without
+// limit) for the caller to read back with Bundle. Either form renders as
 // Chrome trace-event JSON for Perfetto / chrome://tracing.
 //
 // The clock is a process-wide monotonic epoch: every rank of a run lives in
 // this process (the in-proc fabric and the TCP loopback mesh alike), so span
 // timestamps are directly comparable across ranks without clock-sync
 // machinery. A future multi-process transport would need to exchange epoch
-// offsets at connect time; the bundle format already carries the rank, so
-// only the clock needs revisiting.
+// offsets at connect time; every span already carries its rank, so only the
+// clock needs revisiting.
 //
 // Like the RunRecorder, the Tracer is nil-gated: every hook site pays one
 // nil-check when tracing is off, and the trained trajectory is bit-identical
@@ -50,13 +50,10 @@ const (
 // NoPeer marks a span with no wire peer (stages, iterations).
 const NoPeer = -1
 
-// Canonical obs.* counter names for silent telemetry loss: every drop a
-// bounded buffer takes is counted, so /metrics and the analyzers can report
-// that the timeline or event stream is incomplete.
-const (
-	CtrSpansDropped  = "obs.spans_dropped"  // Tracer buffer full
-	CtrEventsDropped = "obs.events_dropped" // Stream subscriber queue full
-)
+// CtrEventsDropped counts the lines the live /events fan-out dropped because
+// a subscriber's queue was full, so /metrics can report that a client's view
+// of the stream is incomplete.
+const CtrEventsDropped = "obs.events_dropped"
 
 // traceEpoch anchors every Tracer's clock: TraceNow is monotonic nanoseconds
 // since process start, identical across ranks because they share the process.
@@ -98,8 +95,8 @@ type Span struct {
 func (s Span) End() int64 { return s.StartNS + s.DurNS }
 
 // DefaultTraceCapacity bounds a Tracer's span buffer. 2^17 spans × ~112
-// bytes ≈ 14 MB per rank worst case; a long run overflows the bound and
-// counts drops rather than growing.
+// bytes ≈ 14 MB per rank worst case; a long unlogged run overflows the bound
+// and counts drops rather than growing. A streaming tracer has no buffer.
 const DefaultTraceCapacity = 1 << 17
 
 // Tracer is one rank's span recorder. Emit is safe for concurrent use (the
@@ -111,15 +108,15 @@ type Tracer struct {
 	rank int
 	cap  int
 
-	nextID  atomic.Uint64
-	scope   atomic.Uint64 // current parent SpanID for new child spans
-	iter    atomic.Int64  // current iteration, -1 before the first
-	dropped atomic.Int64
+	nextID atomic.Uint64
+	scope  atomic.Uint64 // current parent SpanID for new child spans
+	iter   atomic.Int64  // current iteration, -1 before the first
 
-	dropCtr atomic.Pointer[Counter] // optional registry counter mirroring drops
-
-	mu    sync.Mutex
-	spans []Span
+	mu        sync.Mutex
+	spans     []Span
+	dropped   int64 // spans the bound discarded
+	streaming bool  // set by StreamTo: spans go to log, not to spans
+	log       *Sink // nil once the timeline has ended
 }
 
 // NewTracer creates a tracer for one rank buffering at most capacity spans
@@ -152,68 +149,68 @@ func (t *Tracer) SetIter(i int) { t.iter.Store(int64(i)) }
 // Iter returns the current iteration label (-1 before the first).
 func (t *Tracer) Iter() int { return int(t.iter.Load()) }
 
-// SetDropCounter mirrors the drop count into a registry counter
-// (canonically CtrSpansDropped), so /metrics surfaces silent span loss.
-func (t *Tracer) SetDropCounter(c *Counter) {
-	if c != nil {
-		t.dropCtr.Store(c)
-	}
+// StreamTo makes the tracer write every later span into the run log as one
+// "span" event instead of buffering it. StreamTo(nil) ends the timeline:
+// spans after it (the trainer's posterior sampling, the master reading π back
+// out of the DKV servers) are not part of the run and are discarded, while
+// the spans already buffered stay readable with Bundle. A span being written
+// when the timeline ends lands before StreamTo returns, never after.
+func (t *Tracer) StreamTo(log *Sink) {
+	t.mu.Lock()
+	t.streaming, t.log = true, log
+	t.mu.Unlock()
 }
 
-// Emit records a closed span, stamping this tracer's rank. When the buffer
-// is full the span is dropped and counted — tracing degrades, never grows.
+// Emit records a closed span, stamping this tracer's rank: into the run log
+// when streaming, else into the buffer. When the buffer is full the span is
+// dropped and counted — tracing degrades, never grows.
 func (t *Tracer) Emit(sp Span) {
 	sp.Rank = t.rank
 	t.mu.Lock()
-	if len(t.spans) >= t.cap {
-		t.mu.Unlock()
-		t.dropped.Add(1)
-		if c := t.dropCtr.Load(); c != nil {
-			c.Inc()
+	defer t.mu.Unlock()
+	switch {
+	case t.streaming:
+		if t.log != nil {
+			_ = t.log.Emit(&Event{Type: EventSpan, Rank: t.rank, Span: &sp}) // telemetry never fails a run
 		}
-		return
+	case len(t.spans) < t.cap:
+		t.spans = append(t.spans, sp)
+	default:
+		t.dropped++
 	}
-	t.spans = append(t.spans, sp)
-	t.mu.Unlock()
 }
 
-// Dropped returns how many spans the bound discarded.
-func (t *Tracer) Dropped() int64 { return t.dropped.Load() }
-
-// Bundle snapshots the tracer into the gatherable form: a copy, so the
-// tracer may keep recording (the monitor's live /trace route snapshots
-// mid-run).
+// Bundle snapshots the buffered spans and the drop count: a copy, so the
+// tracer may keep recording. A streaming tracer's bundle is empty — its
+// spans are in the log.
 func (t *Tracer) Bundle() TraceBundle {
 	t.mu.Lock()
-	spans := append([]Span(nil), t.spans...)
-	t.mu.Unlock()
-	return TraceBundle{Rank: t.rank, Dropped: t.Dropped(), Spans: spans}
+	defer t.mu.Unlock()
+	return TraceBundle{Rank: t.rank, Dropped: t.dropped, Spans: append([]Span(nil), t.spans...)}
 }
 
-// TraceBundle is one rank's complete span buffer plus its drop count — the
-// unit gathered across ranks at run end (Comm.AllGather of the encoded form)
-// and the input to the Chrome exporter and the critical-path analyzer.
+// TraceBundle is one rank's spans plus its drop count — the in-memory form
+// of a timeline, which the Chrome exporter and the critical-path analyzer
+// take: a buffering Tracer's Bundle, or a run log's spans (TraceFromEvents).
 type TraceBundle struct {
 	Rank    int    `json:"rank"`
 	Dropped int64  `json:"dropped"`
 	Spans   []Span `json:"spans"`
 }
 
-// Encode serialises the bundle for the cross-rank gather.
-func (b TraceBundle) Encode() []byte {
-	buf, err := json.Marshal(b)
-	if err != nil {
-		// Span has no unmarshalable fields; this cannot fail.
-		panic(fmt.Sprintf("obs: encoding trace bundle: %v", err))
+// TraceFromEvents collects the span events of a run log into one bundle per
+// rank, rank-ordered, in log order. A streamed log drops nothing, so every
+// bundle's Dropped is 0.
+func TraceFromEvents(events []Event) []TraceBundle {
+	byRank := map[int][]Span{}
+	for i := range events {
+		if e := &events[i]; e.Type == EventSpan {
+			byRank[e.Rank] = append(byRank[e.Rank], *e.Span)
+		}
 	}
-	return buf
-}
-
-// DecodeTraceBundle parses a gathered bundle.
-func DecodeTraceBundle(buf []byte) (TraceBundle, error) {
-	var b TraceBundle
-	if err := json.Unmarshal(buf, &b); err != nil {
-		return TraceBundle{}, fmt.Errorf("obs: decoding trace bundle: %w", err)
+	out := make([]TraceBundle, 0, len(byRank))
+	for _, r := range sortedKeys(byRank) {
+		out = append(out, TraceBundle{Rank: r, Spans: byRank[r]})
 	}
-	return b, nil
+	return out
 }

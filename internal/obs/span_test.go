@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 )
@@ -67,25 +68,17 @@ func TestTracerScopeNesting(t *testing.T) {
 }
 
 // TestTracerDropAccounting fills the bounded buffer and checks overflow is
-// counted (and mirrored into the registry counter) instead of growing.
+// counted instead of growing, and that ending the timeline keeps what was
+// buffered while discarding later spans uncounted.
 func TestTracerDropAccounting(t *testing.T) {
-	reg := NewRegistry()
 	tr := NewTracer(0, 4)
-	tr.SetDropCounter(reg.Counter(CtrSpansDropped))
 	for i := 0; i < 10; i++ {
 		tr.Emit(Span{ID: tr.NewID(), Name: "s", Cat: CatStage, Peer: NoPeer, Iter: i})
 	}
-	if n := len(tr.Bundle().Spans); n != 4 {
-		t.Fatalf("%d spans buffered, want the capacity 4", n)
-	}
-	if tr.Dropped() != 6 {
-		t.Fatalf("Dropped() = %d, want 6", tr.Dropped())
-	}
-	if got := reg.Counter(CtrSpansDropped).Load(); got != 6 {
-		t.Fatalf("registry %s = %d, want 6", CtrSpansDropped, got)
-	}
-	if b := tr.Bundle(); b.Dropped != 6 {
-		t.Fatalf("bundle Dropped = %d, want 6", b.Dropped)
+	tr.StreamTo(nil)
+	tr.Emit(Span{ID: tr.NewID(), Name: "after the run", Cat: CatStage, Peer: NoPeer})
+	if b := tr.Bundle(); len(b.Spans) != 4 || b.Dropped != 6 {
+		t.Fatalf("bundle holds %d spans, %d dropped; want the capacity 4 and 6", len(b.Spans), b.Dropped)
 	}
 }
 
@@ -119,32 +112,30 @@ func TestTracerConcurrentEmit(t *testing.T) {
 	}
 }
 
-// TestTraceBundleRoundTrip checks the gather encoding is lossless.
-func TestTraceBundleRoundTrip(t *testing.T) {
-	in := TraceBundle{
-		Rank:    2,
-		Dropped: 11,
-		Spans: []Span{
-			{ID: 1, Name: "iter", Cat: CatIter, Rank: 2, Track: TrackEngine, Peer: NoPeer, Iter: 0, StartNS: 100, DurNS: 900},
-			{ID: 2, Parent: 1, Name: "gather", Cat: CatCollective, Rank: 2, Track: TrackEngine, Peer: NoPeer, Iter: 0, Tag: 5, StartNS: 150, DurNS: 50},
-			{ID: 3, Parent: 2, Name: "recv", Cat: CatRecv, Rank: 2, Track: TrackEngine, Peer: 0, Iter: 0, Tag: 5, StartNS: 160, DurNS: 30},
-			{ID: 4, Name: "dkv.serve.read", Cat: CatDKVServe, Rank: 2, Track: TrackDKVServer, Peer: 1, Iter: -1, Tag: 42, StartNS: 400, DurNS: 80},
-		},
+// TestTracerStreamTo: a streaming tracer writes each span into the log as
+// one span event (and buffers nothing); once the stream ends, later spans are
+// discarded, not buffered.
+func TestTracerStreamTo(t *testing.T) {
+	var buf bytes.Buffer
+	sink := NewSink(&buf)
+	tr := NewTracer(1, 0)
+	tr.StreamTo(sink)
+	want := Span{ID: tr.NewID(), Name: "update_pi", Cat: CatStage, Rank: 1, Peer: NoPeer, Iter: 3, StartNS: 10, DurNS: 20}
+	tr.Emit(want)
+	tr.StreamTo(nil)
+	tr.Emit(Span{ID: tr.NewID(), Name: "late", Cat: CatStage, Peer: NoPeer, StartNS: 40, DurNS: 1})
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
 	}
-	out, err := DecodeTraceBundle(in.Encode())
+	events, err := ReadEvents(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Rank != in.Rank || out.Dropped != in.Dropped || len(out.Spans) != len(in.Spans) {
-		t.Fatalf("round trip header mismatch: %+v", out)
+	if len(events) != 1 || events[0].Type != EventSpan || events[0].Rank != 1 || *events[0].Span != want {
+		t.Fatalf("log = %+v, want one span event carrying %+v", events, want)
 	}
-	for i := range in.Spans {
-		if out.Spans[i] != in.Spans[i] {
-			t.Errorf("span %d: got %+v, want %+v", i, out.Spans[i], in.Spans[i])
-		}
-	}
-	if _, err := DecodeTraceBundle([]byte("{broken")); err == nil {
-		t.Fatal("DecodeTraceBundle accepted malformed JSON")
+	if b := tr.Bundle(); len(b.Spans) != 0 || b.Dropped != 0 {
+		t.Fatalf("streaming tracer buffered %d spans, dropped %d", len(b.Spans), b.Dropped)
 	}
 }
 

@@ -80,7 +80,7 @@ func (s *Stream) Publish(data []byte) uint64 {
 }
 
 // SetDropCounter counts future drops in a registry counter (canonically
-// CtrEventsDropped), so /metrics surfaces them next to the span drops.
+// CtrEventsDropped), so /metrics surfaces them.
 func (s *Stream) SetDropCounter(c *Counter) {
 	s.mu.Lock()
 	s.dropCtr = c

@@ -16,11 +16,11 @@ type StageSkew struct {
 	SlowRank int     `json:"slow_rank"`
 }
 
-// Summary is the machine-readable aggregation of an event stream, the shape
-// ocd-analyze -events-json prints: per-stage ms/iteration (per-rank mean,
-// then max across ranks — the slowest rank bounds every barrier-separated
-// phase, the same convention as Phases.Fold), total DKV traffic, the
-// straggler report, and the perplexity trajectory endpoint.
+// Summary is the machine-readable aggregation of an event stream's non-span
+// events, the "summary" half of ocd-analyze -json: per-stage ms/iteration
+// (per-rank mean, then max across ranks — the slowest rank bounds every
+// barrier-separated phase, the same convention as Phases.Fold), total DKV
+// traffic, the straggler report, and the perplexity trajectory endpoint.
 type Summary struct {
 	Ranks          int                `json:"ranks"`
 	Iterations     int                `json:"iterations"`
@@ -62,7 +62,7 @@ type Summary struct {
 // truncated to its run_start — is legal and yields a zero-iteration Summary
 // rather than an error.
 func Summarize(events []Event) (*Summary, error) {
-	s := &Summary{StageMSPerIter: map[string]float64{}, Events: len(events)}
+	s := &Summary{StageMSPerIter: map[string]float64{}}
 	// Per-rank accumulation: stage sums, first iteration, iteration counts.
 	type rankAcc struct {
 		stages map[string]float64
@@ -73,6 +73,10 @@ func Summarize(events []Event) (*Summary, error) {
 	peerWait := map[int]float64{}
 	for i := range events {
 		e := &events[i]
+		if e.Type == EventSpan {
+			continue // the timeline is AnalyzeCriticalPath's (TraceFromEvents)
+		}
+		s.Events++
 		switch e.Type {
 		case EventRunStart:
 			s.Ranks = e.Ranks

@@ -25,9 +25,9 @@ type run struct {
 	opt  dist.Options
 	mmap store.MmapOptions
 
-	graphPath, resume, communities, metricsOut, traceOut string
-	stream, auc, pprof, rankTable                        bool
-	heldDiv, posteriorSamples                            int
+	graphPath, resume, communities, metricsOut string
+	stream, auc, pprof, rankTable              bool
+	heldDiv, posteriorSamples                  int
 
 	serveAt, monitorAt, transport string
 	piBackend, piDir              string
@@ -75,8 +75,7 @@ func (r *run) flagSet(prog string, defaultRanks int) *flag.FlagSet {
 	fs.StringVar(&r.resume, "resume", "", "resume from a -checkpoint file: training continues at its iteration, bit-identical to a run that never stopped")
 	fs.StringVar(&r.communities, "communities", "", "write detected communities to this path")
 	fs.BoolVar(&r.auc, "auc", false, "also report held-out link-prediction AUC")
-	fs.StringVar(&r.metricsOut, "metrics-out", "", "write the JSONL telemetry event stream to this file (- = stdout)")
-	fs.StringVar(&r.traceOut, "trace-out", "", "write a Chrome trace-event file (Perfetto-loadable) with every rank's spans at run end")
+	fs.StringVar(&r.metricsOut, "metrics-out", "", "write the JSONL run log (events and every rank's spans; ocd-analyze reads it) to this file (- = stdout)")
 	fs.StringVar(&r.serveAt, "serve", "", "answer membership queries over HTTP on this address while training (e.g. :7070)")
 	fs.IntVar(&o.PublishEvery, "publish-every", 1, "with -serve, publish a fresh snapshot every this many iterations")
 
@@ -103,7 +102,7 @@ func (r *run) flagSet(prog string, defaultRanks int) *flag.FlagSet {
 	fs.DurationVar(&r.slowPhi, only(">= 2", "slow-phi"), 0, "fault injection: per-assigned-node compute delay injected into -slow-rank's update_phi — the degraded-CPU straggler -rebalance can cure")
 	fs.BoolVar(&o.Rebalance, only(">= 2", "rebalance"), false, "close the straggler loop: re-shard each window's minibatch away from flagged ranks (trained model stays bit-identical)")
 	fs.IntVar(&o.RebalanceCfg.Window, only(">= 2", "rebalance-window"), 0, "straggler-mitigation window in iterations (0 = library default)")
-	fs.StringVar(&r.monitorAt, only(">= 2", "monitor"), "", "serve live metrics over HTTP on this address (e.g. :6060 or 127.0.0.1:0)")
+	fs.StringVar(&r.monitorAt, only(">= 2", "monitor"), "", "serve live metrics (/metrics) and the run log with its spans (/events, SSE) over HTTP on this address (e.g. :6060 or 127.0.0.1:0)")
 	fs.BoolVar(&r.pprof, only(">= 2", "pprof"), false, "with -monitor, expose net/http/pprof under /debug/pprof/ (explicit opt-in; enables block profiling)")
 	fs.BoolVar(&r.rankTable, only(">= 2", "rank-table"), false, "print the per-rank × per-stage time table after the run")
 	return fs
@@ -134,7 +133,8 @@ func (r *run) parse(prog string, defaultRanks int, args []string) (ok bool, err 
 		r.opt.Threads = max(1, runtime.GOMAXPROCS(0)/r.opt.Ranks)
 	}
 	r.mmap.Threads = r.opt.Threads
-	r.opt.Trace = r.traceOut != ""
+	// A run that writes a log records its spans into it.
+	r.opt.Trace = r.metricsOut != "" || r.monitorAt != ""
 	return true, nil
 }
 

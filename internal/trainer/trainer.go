@@ -196,12 +196,12 @@ func (r *run) trainLocal(train *graph.Graph, held *graph.HeldOut) error {
 		fmt.Fprintf(r.out, "π backend: mmap in %s (%d rows/shard, hot cache %d rows)\n", r.piDir, r.mmap.ShardRows, r.piHotRows)
 	}
 	// The local sampler has no parameter-store traffic, so the recorder runs
-	// without a registry: stage durations and perplexity only.
+	// without a registry: stage durations and perplexity only. Its spans
+	// stream into the same log (-ranks 1 traces exactly when it writes one).
 	if r.opt.Events != nil {
 		sopts.Recorder = obs.NewRunRecorder(r.opt.Events, 0, nil)
-	}
-	if r.opt.Trace {
 		sopts.Tracer = obs.NewTracer(0, 0)
+		sopts.Tracer.StreamTo(r.opt.Events)
 	}
 	s, err := core.NewSampler(r.cfg, train, held, sopts)
 	if err != nil {
@@ -253,14 +253,10 @@ func (r *run) trainLocal(train *graph.Graph, held *graph.HeldOut) error {
 	}
 	res.Elapsed = time.Since(start)
 	if sopts.Recorder != nil {
+		sopts.Tracer.StreamTo(nil) // -posterior-samples below is not the run
 		sopts.Recorder.RunEnd(iters)
 	}
-	if sopts.Tracer != nil {
-		res.Trace = []obs.TraceBundle{sopts.Tracer.Bundle()}
-	}
-	if err := r.report(res, iters-first); err != nil {
-		return err
-	}
+	r.report(res, iters-first)
 	if tier != nil {
 		st := tier.Stats()
 		total := st.HotHits + st.HotMisses
@@ -367,9 +363,7 @@ func (r *run) trainDist(train *graph.Graph, held *graph.HeldOut) error {
 	for _, p := range res.Perplexity {
 		r.perplexityRow(p)
 	}
-	if err := r.report(res, iters-opt.RestartIter); err != nil {
-		return err
-	}
+	r.report(res, iters-opt.RestartIter)
 	if r.rankTable {
 		fmt.Fprintf(r.out, "\nper-rank breakdown:\n%s", dist.RankTable(res.RankPhases, iters-opt.RestartIter))
 	}
@@ -441,24 +435,15 @@ func (r *run) perplexityRow(p dist.PerpPoint) {
 }
 
 // report prints what every run reports once training is done — the rate, the
-// Table III stage breakdown, peak memory — and writes the -trace-out file.
-// ran is the number of iterations this process executed (fewer than -iters
-// after a -resume).
-func (r *run) report(res *dist.Result, ran int) error {
+// Table III stage breakdown, peak memory. ran is the number of iterations this
+// process executed (fewer than -iters after a -resume).
+func (r *run) report(res *dist.Result, ran int) {
 	fmt.Fprintf(r.out, "trained %d iterations in %.2fs (%.1f ms/iteration)\n",
 		ran, res.Elapsed.Seconds(), res.Elapsed.Seconds()*1000/float64(ran))
 	fmt.Fprintf(r.out, "\nphase breakdown (max across %d ranks):\n%s", r.opt.Ranks, res.Phases.Table(ran))
 	if rss, ok := peakRSSKiB(); ok {
 		fmt.Fprintf(r.out, "peak RSS: %.1f MiB\n", float64(rss)/1024)
 	}
-	if r.traceOut == "" {
-		return nil
-	}
-	if err := obs.WriteChromeTraceFile(r.traceOut, res.Trace); err != nil {
-		return fmt.Errorf("writing -trace-out: %w", err)
-	}
-	fmt.Fprintf(r.out, "trace: wrote %d rank bundles to %s (load in Perfetto, or feed to ocd-analyze -trace)\n", len(res.Trace), r.traceOut)
-	return nil
 }
 
 // writeOutputs scores and exports the final estimate: -auc and -communities.

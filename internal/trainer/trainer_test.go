@@ -204,21 +204,35 @@ func TestTelemetryStream(t *testing.T) {
 }
 
 // TestStreamEndsAtRunEnd: -posterior-samples keeps stepping the sampler past
-// -iters (20 iterations per sample); those are not the run's iterations and
-// stay out of its stream, which ends at run_end and summarises to -iters.
+// -iters (20 iterations per sample), and after a distributed run's last
+// iteration the master still reads every rank's π shard out of the DKV
+// servers. Neither is the run: no iter or span line follows run_end, and the
+// stream summarises to -iters.
 func TestStreamEndsAtRunEnd(t *testing.T) {
-	jsonl := filepath.Join(t.TempDir(), "run.jsonl")
-	out := mustTrain(t, "-graph", smokeGraph(t), "-ranks", "1", "-k", "8", "-iters", "20", "-eval", "10",
-		"-posterior-samples", "2", "-auc", "-metrics-out", jsonl)
-	if !strings.Contains(out, "averaged 2 posterior samples") || !strings.Contains(out, "held-out link-prediction AUC:") {
-		t.Errorf("report lacks the posterior-mean estimate:\n%s", out)
-	}
-	events := readEvents(t, jsonl)
-	if last := events[len(events)-1]; last.Type != obs.EventRunEnd {
-		t.Errorf("stream ends with a %q event, want run_end", last.Type)
-	}
-	if sum := summarize(t, jsonl); sum.Ranks != 1 || sum.Iterations != 20 {
-		t.Errorf("summary: %d ranks, %d iterations; want 1, 20", sum.Ranks, sum.Iterations)
+	g := smokeGraph(t)
+	for _, tc := range []struct {
+		ranks int
+		extra []string
+	}{
+		{1, []string{"-posterior-samples", "2", "-auc"}},
+		{2, []string{"-transport", "tcp"}},
+	} {
+		jsonl := filepath.Join(t.TempDir(), "run.jsonl")
+		out := mustTrain(t, append([]string{"-graph", g, "-ranks", strconv.Itoa(tc.ranks), "-k", "8", "-iters", "20", "-eval", "10",
+			"-metrics-out", jsonl}, tc.extra...)...)
+		if tc.ranks == 1 && (!strings.Contains(out, "averaged 2 posterior samples") || !strings.Contains(out, "held-out link-prediction AUC:")) {
+			t.Errorf("report lacks the posterior-mean estimate:\n%s", out)
+		}
+		events := readEvents(t, jsonl)
+		if last := events[len(events)-1]; last.Type != obs.EventRunEnd {
+			t.Errorf("-ranks %d: stream ends with a %q event, want run_end", tc.ranks, last.Type)
+		}
+		if len(obs.TraceFromEvents(events)) == 0 {
+			t.Errorf("-ranks %d: the log carries no spans", tc.ranks)
+		}
+		if sum := summarize(t, jsonl); sum.Ranks != tc.ranks || sum.Iterations != 20 {
+			t.Errorf("-ranks %d summary: %d ranks, %d iterations; want %d, 20", tc.ranks, sum.Ranks, sum.Iterations, tc.ranks)
+		}
 	}
 }
 
@@ -307,22 +321,15 @@ func TestServeMidRun(t *testing.T) {
 	waitDone(t, out, done)
 }
 
-// TestTraceOut replaces the "trace smoke": -trace-out on a 2-rank TCP run
-// writes a Chrome trace with both ranks' spans, DKV server-side spans
-// included, and the critical-path verdict names the rank -slow-rank delayed.
+// TestTraceOut replaces the "trace smoke": the -metrics-out log of a 2-rank
+// TCP run carries both ranks' spans, DKV server-side spans included, and the
+// critical-path verdict computed from that log names the rank -slow-rank
+// delayed, at >= 50% of the critical path.
 func TestTraceOut(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.trace.json")
+	jsonl := filepath.Join(t.TempDir(), "run.jsonl")
 	mustTrain(t, "-graph", smokeGraph(t), "-ranks", "2", "-k", "8", "-iters", "40", "-eval", "0",
-		"-transport", "tcp", "-slow-rank", "1", "-slow-send", "5ms", "-trace-out", path)
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	bundles, err := obs.ReadChromeTrace(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+		"-transport", "tcp", "-slow-rank", "1", "-slow-send", "5ms", "-metrics-out", jsonl)
+	bundles := obs.TraceFromEvents(readEvents(t, jsonl))
 	ranks, serveSpans, waitReads := map[int]bool{}, 0, 0
 	for _, b := range bundles {
 		for _, sp := range b.Spans {
@@ -336,10 +343,35 @@ func TestTraceOut(t *testing.T) {
 		}
 	}
 	if !ranks[0] || !ranks[1] || len(ranks) != 2 || serveSpans == 0 || waitReads == 0 {
-		t.Errorf("trace has spans of ranks %v, %d dkv.serve.*, %d dkv.wait.read", ranks, serveSpans, waitReads)
+		t.Errorf("log has spans of ranks %v, %d dkv.serve.*, %d dkv.wait.read", ranks, serveSpans, waitReads)
 	}
-	if rep := obs.AnalyzeCriticalPath(bundles); rep.Verdict != 1 {
-		t.Errorf("critical-path verdict names rank %d, want the slowed rank 1\n%s", rep.Verdict, rep)
+	if rep := obs.AnalyzeCriticalPath(bundles); rep.Verdict != 1 || rep.VerdictFrac < 0.5 {
+		t.Errorf("critical-path verdict names rank %d at %.1f%%, want the slowed rank 1 at >= 50%%\n%s",
+			rep.Verdict, 100*rep.VerdictFrac, rep)
+	}
+}
+
+// TestFailedRunKeepsItsSpans: spans stream into the log as they close, so a
+// run that loses rank 1 at iteration 30 leaves the timeline up to the
+// failure — both ranks' iteration spans through 29 — for the analyzer.
+func TestFailedRunKeepsItsSpans(t *testing.T) {
+	jsonl := filepath.Join(t.TempDir(), "failed.jsonl")
+	out, err := train("-graph", smokeGraph(t), "-ranks", "2", "-k", "8", "-iters", "40", "-eval", "0",
+		"-transport", "tcp", "-fail-rank", "1", "-fail-iter", "30", "-metrics-out", jsonl)
+	if err == nil || !strings.Contains(err.Error(), "injected fault") {
+		t.Fatalf("run with a killed rank: err = %v\n%s", err, out)
+	}
+	lastIter := map[int]int{}
+	for _, b := range obs.TraceFromEvents(readEvents(t, jsonl)) {
+		lastIter[b.Rank] = -1
+		for _, sp := range b.Spans {
+			if sp.Cat == obs.CatIter && sp.Iter > lastIter[b.Rank] {
+				lastIter[b.Rank] = sp.Iter
+			}
+		}
+	}
+	if lastIter[0] != 29 || lastIter[1] != 29 || len(lastIter) != 2 {
+		t.Errorf("last iteration span per rank: %v, want 29 on ranks 0 and 1", lastIter)
 	}
 }
 

@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
+	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -280,4 +282,80 @@ func TestFaultConnDropDelayFail(t *testing.T) {
 	if m, err := recv.Recv(0, 102); err != nil || string(m) != "ok" {
 		t.Fatalf("passthrough message: %q, %v", m, err)
 	}
+}
+
+// TestTCPPeerLossFailsRecv: a peer connection that ends under a blocked
+// Recv — a corrupt oversize header, EOF in the middle of a frame, or the
+// peer half-closing — fails that Recv within 1 s with a *PeerLostError
+// naming the peer, instead of leaving it blocked with no deadline set.
+func TestTCPPeerLossFailsRecv(t *testing.T) {
+	for name, act := range map[string]func(net.Conn){
+		"oversize header": func(raw net.Conn) {
+			var hdr [8]byte
+			binary.LittleEndian.PutUint32(hdr[0:4], 5)
+			binary.LittleEndian.PutUint32(hdr[4:8], maxFrame+1)
+			raw.Write(hdr[:])
+		},
+		"eof mid-frame": func(raw net.Conn) {
+			var hdr [8]byte
+			binary.LittleEndian.PutUint32(hdr[0:4], 5)
+			binary.LittleEndian.PutUint32(hdr[4:8], 100)
+			raw.Write(append(hdr[:], make([]byte, 50)...))
+			raw.Close()
+		},
+		"half-close": func(raw net.Conn) { raw.(*net.TCPConn).CloseWrite() },
+	} {
+		t.Run(name, func(t *testing.T) {
+			c, raw := dialRawPeer(t)
+			go func() {
+				time.Sleep(20 * time.Millisecond) // let Recv block first
+				act(raw)
+			}()
+			err := waitErr(t, "recv from the lost peer", time.Second+20*time.Millisecond, func() error {
+				_, err := c.Recv(1, 5)
+				return err
+			})
+			var lost *PeerLostError
+			if !errors.As(err, &lost) || lost.Peer != 1 {
+				t.Fatalf("recv error %v, want a *PeerLostError naming rank 1", err)
+			}
+		})
+	}
+}
+
+// dialRawPeer starts rank 0 of a 2-rank TCP mesh and plays rank 1 over a raw
+// socket: it dials, completes the handshake, and hands the socket over.
+func dialRawPeer(t *testing.T) (*TCPConn, net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	type result struct {
+		c   *TCPConn
+		err error
+	}
+	mesh := make(chan result, 1)
+	go func() {
+		c, err := DialMesh(0, []string{addr, "127.0.0.1:0"})
+		mesh <- result{c, err}
+	}()
+	raw, err := dialRetry(addr, time.Now().Add(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { raw.Close() })
+	var hs [4]byte
+	binary.LittleEndian.PutUint32(hs[:], 1)
+	if _, err := raw.Write(hs[:]); err != nil {
+		t.Fatal(err)
+	}
+	r := <-mesh
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	t.Cleanup(func() { r.c.Close() })
+	return r.c, raw
 }

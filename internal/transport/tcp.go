@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -59,15 +60,34 @@ func dialRetry(addr string, deadline time.Time) (net.Conn, error) {
 	}
 }
 
+// PeerLostError fails every receive on a TCP endpoint whose connection to a
+// peer ended other than by the endpoint's own Close: a frame header over the
+// size limit, EOF in the middle of a frame, or the peer closing its side.
+// No frame from that peer can arrive any more, so a receive waiting for one
+// fails now instead of blocking forever.
+type PeerLostError struct {
+	Peer int   // the rank whose connection was lost
+	Err  error // why the read loop stopped
+}
+
+// Error implements error.
+func (e *PeerLostError) Error() string {
+	return fmt.Sprintf("transport: connection to rank %d lost: %v", e.Peer, e.Err)
+}
+
+// Unwrap exposes the read failure.
+func (e *PeerLostError) Unwrap() error { return e.Err }
+
 // TCPConn is one rank's endpoint in a TCP mesh.
 type TCPConn struct {
-	rank  int
-	size  int
-	box   *mailbox
-	peers []net.Conn // peers[r] is the connection to rank r (nil for self)
-	sendM []sync.Mutex
-	wg    sync.WaitGroup
-	once  sync.Once
+	rank    int
+	size    int
+	box     *mailbox
+	peers   []net.Conn // peers[r] is the connection to rank r (nil for self)
+	sendM   []sync.Mutex
+	wg      sync.WaitGroup
+	once    sync.Once
+	closing atomic.Bool // set by Close: read loops ending after it are expected
 }
 
 // DialLoopbackMesh builds a fully-connected TCP mesh of `ranks` endpoints on
@@ -206,21 +226,29 @@ func DialMesh(rank int, addrs []string) (*TCPConn, error) {
 	return c, nil
 }
 
+// readLoop delivers one peer's frames until the connection ends. Unless this
+// endpoint is closing, that end poisons the mailbox with a *PeerLostError.
 func (c *TCPConn) readLoop(peer int, conn net.Conn) {
 	defer c.wg.Done()
+	if err := c.readFrames(peer, conn); !c.closing.Load() {
+		c.box.poison(&PeerLostError{Peer: peer, Err: err})
+	}
+}
+
+func (c *TCPConn) readFrames(peer int, conn net.Conn) error {
 	var hdr [8]byte
 	for {
 		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			return // connection closed; pending receives fail on Close
+			return err // io.EOF: the peer closed between frames
 		}
 		tag := binary.LittleEndian.Uint32(hdr[0:4])
 		length := binary.LittleEndian.Uint32(hdr[4:8])
 		if length > maxFrame {
-			return
+			return fmt.Errorf("frame header claims %d bytes, over the %d-byte limit", length, maxFrame)
 		}
 		payload := make([]byte, length)
 		if _, err := io.ReadFull(conn, payload); err != nil {
-			return
+			return fmt.Errorf("reading a %d-byte frame: %w", length, err)
 		}
 		if tag == TagAbort {
 			// Abort control frame: the payload is the poisoning rank's
@@ -230,7 +258,7 @@ func (c *TCPConn) readLoop(peer int, conn net.Conn) {
 			continue
 		}
 		if err := c.box.put(peer, tag, payload); err != nil {
-			return
+			return err
 		}
 	}
 }
@@ -316,6 +344,7 @@ func (c *TCPConn) RecvAny(tag uint32) (int, []byte, error) {
 // Close implements Conn.
 func (c *TCPConn) Close() error {
 	c.once.Do(func() {
+		c.closing.Store(true)
 		for i := range c.peers {
 			c.sendM[i].Lock()
 			if conn := c.peers[i]; conn != nil {
