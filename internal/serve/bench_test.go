@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"sort"
 	"sync"
@@ -12,23 +13,45 @@ import (
 	"repro/internal/store"
 )
 
-// benchSnap is a realistic serving shape: most mass on a handful of
-// communities per vertex, deterministic so runs are comparable.
+// benchSnap has the shape of a trained snapshot: 90 % of each vertex's mass
+// on min(9, K) randomly chosen communities with distinct random weights
+// (a trained g100k snapshot at K = 64 holds 9.23 members per vertex), the
+// rest spread evenly below the default threshold. Seeded by v, so runs are
+// comparable.
 func benchSnap(v, n, k int) *store.Snapshot {
+	rng := rand.New(rand.NewSource(int64(v) + 1))
+	strong := min(9, k)
 	pi := make([]float32, n*k)
+	share := make([]float32, strong)
 	for a := 0; a < n; a++ {
 		row := pi[a*k : (a+1)*k]
-		rest := float32(1)
-		for j := 0; j < 3; j++ { // three strong memberships
-			c := (a*7 + j*13 + v) % k
-			row[c] += 0.25
-			rest -= 0.25
+		var sum float32
+		for j := range share {
+			share[j] = 0.5 + rng.Float32()
+			sum += share[j]
 		}
-		for c := 0; c < k; c++ {
-			row[c] += rest / float32(k)
+		for c := range row {
+			row[c] = 0.1 / float32(k)
+		}
+		for j, c := range rng.Perm(k)[:strong] {
+			row[c] += 0.9 * share[j] / sum
 		}
 	}
 	return &store.Snapshot{Version: v, N: n, K: k, Pi: pi, SealedAt: time.Now()}
+}
+
+// indexSink keeps BenchmarkBuildIndex's result live.
+var indexSink *Index
+
+// BenchmarkBuildIndex measures the inverted-index build alone, the part of
+// a publish that scales with the snapshot.
+func BenchmarkBuildIndex(b *testing.B) {
+	snap := benchSnap(1, 100_000, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		indexSink = BuildIndex(snap, 0)
+	}
 }
 
 // BenchmarkTopK measures the raw engine query path (one atomic load plus a

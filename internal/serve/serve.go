@@ -14,7 +14,8 @@ package serve
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -57,32 +58,113 @@ func (ix *Index) Members(c int) []Member {
 // same default internal/metrics uses for covers).
 func DefaultThreshold(k int) float32 { return 1.5 / float32(k) }
 
-// BuildIndex scans the snapshot once and assembles the inverted index.
-// O(N·K) plus the sort of each member list; runs inside Publish, never on
-// the query path.
+// BuildIndex assembles the inverted index in four linear steps, O(N·K +
+// members) with a constant number of allocations; it runs inside Publish,
+// never on the query path.
+//
+//  1. Count: one scan of π counts each community's members; a prefix sum
+//     gives every community its segment of one key slab.
+//  2. Fill: a second scan writes each member, in ascending vertex order, as
+//     the key ^bits(weight)<<32 | vertex. Weights clearing a positive
+//     threshold are positive, so their IEEE bits order like their values
+//     and the complemented bits order strongest first.
+//  3. Order: a stable LSD radix sort of each segment on the key's upper 32
+//     bits. Stability keeps equal weights in vertex order.
+//  4. Decode: keys become one []Member slab; each community's list is a
+//     capped sub-slice of it, and an empty community stays nil.
+//
+// Both scans test all N·K entries, of which a trained snapshot keeps about
+// one in seven, so they test without branching: the count adds the
+// comparison, and the fill first lists a row's hits and then writes only
+// those. The vertex id lives in the key's low 32 bits, so N must be below 2^32.
 func BuildIndex(s *store.Snapshot, threshold float32) *Index {
 	if threshold <= 0 {
 		threshold = DefaultThreshold(s.K)
 	}
 	ix := &Index{Threshold: threshold, members: make([][]Member, s.K)}
+	// end[c] counts community c, then (after the prefix sum) is the start of
+	// its segment, then (after the fill has advanced it) the segment's end.
+	counters := make([]int, 2*s.K)
+	end, hitBuf := counters[:s.K], counters[s.K:]
 	for a := 0; a < s.N; a++ {
 		row := s.PiRow(a)
+		cnt := end[:len(row)]
 		for c, w := range row {
+			var hit int
 			if w >= threshold {
-				ix.members[c] = append(ix.members[c], Member{Vertex: a, Weight: w})
+				hit = 1
 			}
+			cnt[c] += hit
 		}
 	}
-	for c := range ix.members {
-		m := ix.members[c]
-		sort.Slice(m, func(i, j int) bool {
-			if m[i].Weight != m[j].Weight {
-				return m[i].Weight > m[j].Weight
+	total := 0
+	for c, n := range end {
+		end[c] = total
+		total += n
+	}
+	if total == 0 {
+		return ix
+	}
+	buf := make([]uint64, 2*total)
+	keys, scratch := buf[:total], buf[total:]
+	for a := 0; a < s.N; a++ {
+		row := s.PiRow(a)
+		hits := hitBuf[:len(row)]
+		n := 0
+		for c, w := range row {
+			hits[n] = c
+			if w >= threshold {
+				n++
 			}
-			return m[i].Vertex < m[j].Vertex
-		})
+		}
+		for _, c := range hits[:n] {
+			keys[end[c]] = uint64(^math.Float32bits(row[c]))<<32 | uint64(a)
+			end[c]++
+		}
+	}
+	slab := make([]Member, total)
+	lo := 0
+	for c, hi := range end {
+		if hi == lo {
+			continue
+		}
+		radixSortHigh32(keys[lo:hi], scratch[lo:hi])
+		for i, key := range keys[lo:hi] {
+			slab[lo+i] = Member{Vertex: int(uint32(key)), Weight: math.Float32frombits(^uint32(key >> 32))}
+		}
+		ix.members[c] = slab[lo:hi:hi]
+		lo = hi
 	}
 	return ix
+}
+
+// radixSortHigh32 stably sorts keys ascending by their upper 32 bits with
+// four 8-bit LSD passes through scratch (len(scratch) >= len(keys)); the
+// even pass count leaves the result in keys.
+func radixSortHigh32(keys, scratch []uint64) {
+	var counts [4][256]int
+	for _, key := range keys {
+		counts[0][byte(key>>32)]++
+		counts[1][byte(key>>40)]++
+		counts[2][byte(key>>48)]++
+		counts[3][byte(key>>56)]++
+	}
+	src, dst := keys, scratch[:len(keys)]
+	for pass := range counts {
+		shift := 32 + 8*uint(pass)
+		cnt := &counts[pass]
+		off := 0
+		for d, n := range cnt {
+			cnt[d] = off
+			off += n
+		}
+		for _, key := range src {
+			d := byte(key >> shift)
+			dst[cnt[d]] = key
+			cnt[d]++
+		}
+		src, dst = dst, src
+	}
 }
 
 // view pairs a snapshot with its index; the engine flips one pointer to
@@ -187,8 +269,19 @@ func greater(a, b Membership) bool {
 	return a.Community < b.Community
 }
 
+// compareMemberships is greater as a slices.SortFunc comparator.
+func compareMemberships(a, b Membership) int {
+	if greater(a, b) {
+		return -1
+	}
+	if greater(b, a) {
+		return 1
+	}
+	return 0
+}
+
 func sortMemberships(m []Membership) {
-	sort.Slice(m, func(i, j int) bool { return greater(m[i], m[j]) })
+	slices.SortFunc(m, compareMemberships)
 }
 
 // Members returns up to limit members of community c (strongest first) from

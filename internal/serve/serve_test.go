@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -115,6 +117,127 @@ func TestMembersMatchesThreshold(t *testing.T) {
 		}
 		if want := min(2, len(members)); len(limited) != want {
 			t.Fatalf("community %d limit 2: %d members, want %d", c, len(limited), want)
+		}
+	}
+}
+
+// buildIndexReference is the append + sort.Slice build BuildIndex replaced,
+// kept verbatim as the oracle its output must equal.
+func buildIndexReference(s *store.Snapshot, threshold float32) *Index {
+	if threshold <= 0 {
+		threshold = DefaultThreshold(s.K)
+	}
+	ix := &Index{Threshold: threshold, members: make([][]Member, s.K)}
+	for a := 0; a < s.N; a++ {
+		row := s.PiRow(a)
+		for c, w := range row {
+			if w >= threshold {
+				ix.members[c] = append(ix.members[c], Member{Vertex: a, Weight: w})
+			}
+		}
+	}
+	for c := range ix.members {
+		m := ix.members[c]
+		sort.Slice(m, func(i, j int) bool {
+			if m[i].Weight != m[j].Weight {
+				return m[i].Weight > m[j].Weight
+			}
+			return m[i].Vertex < m[j].Vertex
+		})
+	}
+	return ix
+}
+
+// quantisedSnap draws every π entry from {0, 1/256, …, 255/256}: most
+// members of a community tie with many others, so the order among ties
+// (vertex id) carries the test.
+func quantisedSnap(n, k int, seed int64) *store.Snapshot {
+	rng := rand.New(rand.NewSource(seed))
+	pi := make([]float32, n*k)
+	for i := range pi {
+		pi[i] = float32(rng.Intn(256)) / 256
+	}
+	return &store.Snapshot{Version: 1, N: n, K: k, Pi: pi, SealedAt: time.Now()}
+}
+
+// TestBuildIndexMatchesReference: BuildIndex must produce exactly the
+// reference build's lists — same members, same order, nil where empty —
+// on ties, boundary weights, empty communities and degenerate shapes.
+func TestBuildIndexMatchesReference(t *testing.T) {
+	const k = 8
+	thr := DefaultThreshold(k)
+	atThreshold := quantisedSnap(300, k, 2)
+	for i := range atThreshold.Pi {
+		switch i % 3 {
+		case 0:
+			atThreshold.Pi[i] = thr
+		case 1:
+			atThreshold.Pi[i] = math.Nextafter32(thr, 0)
+		}
+	}
+	sparse := quantisedSnap(200, k, 3) // communities 1, 4 and 6 stay empty
+	for a := 0; a < sparse.N; a++ {
+		for _, c := range []int{1, 4, 6} {
+			sparse.Pi[a*k+c] = 0
+		}
+	}
+	cases := []struct {
+		name string
+		snap *store.Snapshot
+		thr  float32
+	}{
+		{"quantised ties", quantisedSnap(500, k, 1), 0},
+		{"weights at the threshold", atThreshold, 0},
+		{"empty communities", sparse, 0},
+		{"explicit threshold", quantisedSnap(500, k, 4), 0.5},
+		{"threshold above every weight", quantisedSnap(50, k, 5), 2},
+		{"K = 1", quantisedSnap(300, 1, 6), 0.25},
+		{"N = 0", &store.Snapshot{Version: 1, K: k}, 0},
+		{"100000 x 64, ~9 memberships per vertex", benchSnap(1, 100_000, 64), 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, want := BuildIndex(tc.snap, tc.thr), buildIndexReference(tc.snap, tc.thr)
+			if got.Threshold != want.Threshold || len(got.members) != len(want.members) {
+				t.Fatalf("index header: threshold %v, %d lists; want %v, %d",
+					got.Threshold, len(got.members), want.Threshold, len(want.members))
+			}
+			for c := range want.members {
+				g, w := got.Members(c), want.Members(c)
+				if (g == nil) != (w == nil) || !slices.Equal(g, w) {
+					t.Fatalf("community %d: %d members (nil %v), want %d (nil %v)\ngot  %v\nwant %v",
+						c, len(g), g == nil, len(w), w == nil, head(g), head(w))
+				}
+				if cap(g) != len(g) {
+					t.Fatalf("community %d: list has cap %d beyond its length %d", c, cap(g), len(g))
+				}
+			}
+		})
+	}
+
+	// An empty community still renders as [] over HTTP.
+	eng := NewEngine(0)
+	eng.Install(sparse)
+	_, addr := startServer(t, eng, nil)
+	code, _, doc := getJSON(t, "http://"+addr+"/members?c=4")
+	if m, ok := doc["members"].([]any); code != 200 || !ok || len(m) != 0 {
+		t.Fatalf("GET /members of an empty community = %d %v, want 200 and []", code, doc)
+	}
+}
+
+func head(m []Member) []Member { return m[:min(len(m), 8)] }
+
+// TestBuildIndexAllocsConstant: the build allocates a fixed number of
+// objects whatever the snapshot size — no per-community or per-member
+// growth.
+func TestBuildIndexAllocsConstant(t *testing.T) {
+	// BuildIndex makes five; AllocsPerRun counts process-wide and at some
+	// sizes picks up one more from outside it.
+	const ceiling = 6
+	for _, n := range []int{100, 20_000} {
+		snap := benchSnap(1, n, 64)
+		if got := testing.AllocsPerRun(5, func() { BuildIndex(snap, 0) }); got > ceiling {
+			t.Fatalf("N=%d: BuildIndex made %v allocations, want <= %d", n, got, ceiling)
 		}
 	}
 }

@@ -145,11 +145,15 @@ func (p *Publisher) Current() *Snapshot { return p.cur.Load() }
 
 // Subscribe registers f to run inside every subsequent Publish, before the
 // snapshot becomes Current. If a snapshot is already published, f runs on it
-// immediately, so a late subscriber never misses the current state.
+// immediately, so a late subscriber never misses the current state. The
+// catch-up call holds the lock Publish takes, so a Publish racing Subscribe
+// either completes first (f sees only the newer version) or waits for the
+// catch-up (f sees the older, then the newer): f sees every version at most
+// once, in increasing order. f must not call Subscribe or Publish.
 func (p *Publisher) Subscribe(f func(*Snapshot)) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.subs = append(p.subs, f)
-	p.mu.Unlock()
 	if s := p.cur.Load(); s != nil {
 		f(s)
 	}

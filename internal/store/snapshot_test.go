@@ -1,6 +1,7 @@
 package store
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -155,6 +156,49 @@ func TestPublisherFlipAndMonotonicity(t *testing.T) {
 	p.Subscribe(func(s *Snapshot) { late = s.Version })
 	if late != 5 {
 		t.Fatalf("late subscriber saw v%d, want 5", late)
+	}
+}
+
+// TestPublisherLateSubscriberSeesEachVersionOnce: a Subscribe racing a
+// Publish must deliver each version once and in order — [2] if the publish
+// won, [1 2] if the catch-up did — never a duplicate and never 2 before 1
+// (which would flip a serving engine back a version).
+func TestPublisherLateSubscriberSeesEachVersionOnce(t *testing.T) {
+	const trials = 20_000
+	bad := 0
+	var first []int
+	for i := 0; i < trials; i++ {
+		p := NewPublisher()
+		if err := p.Publish(&Snapshot{Version: 1}); err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		var saw []int
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := p.Publish(&Snapshot{Version: 2}); err != nil {
+				t.Error(err)
+			}
+		}()
+		p.Subscribe(func(s *Snapshot) {
+			// Yield first, to widen the window in which an unserialised
+			// catch-up could interleave with the racing Publish.
+			runtime.Gosched()
+			mu.Lock()
+			saw = append(saw, s.Version)
+			mu.Unlock()
+		})
+		wg.Wait()
+		if !(len(saw) == 1 && saw[0] == 2) && !(len(saw) == 2 && saw[0] == 1 && saw[1] == 2) {
+			if bad++; first == nil {
+				first = saw
+			}
+		}
+	}
+	if bad > 0 {
+		t.Fatalf("%d of %d trials delivered a wrong sequence (first: %v), want [2] or [1 2]", bad, trials, first)
 	}
 }
 
