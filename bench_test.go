@@ -153,8 +153,9 @@ func BenchmarkTableIIIBreakdown(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, phase := range []string{
-		engine.PhaseDeployMinibatch, engine.PhaseUpdatePhi, engine.PhaseLoadPi,
-		engine.PhaseComputePhi, engine.PhaseUpdatePi, engine.PhaseUpdateBetaTheta,
+		engine.PhaseDeployMinibatch, engine.PhaseUpdatePhi, engine.PhaseSampleNeighbors,
+		engine.PhaseLoadPi, engine.PhaseComputePhi, engine.PhaseUpdatePi,
+		engine.PhaseUpdateBetaTheta,
 	} {
 		ms := float64(res.Phases.Total(phase).Microseconds()) / 1000 / float64(iters)
 		b.ReportMetric(ms, "ms/iter-"+phase)

@@ -28,17 +28,17 @@ func DrawMinibatch(cfg *Config, edges sampling.EdgeStrategy, t int, dst *samplin
 }
 
 // PhiStage is the dominant update_phi phase: for each minibatch vertex,
-// sample its neighbor set, load the π rows through the store, and compute
-// the staged φ row. Vertices are processed in chunks of ChunkNodes; chunks
-// run either serially (load, compute, load, compute, ...) or with the
-// paper's pipelined buffering, where the next chunks' π rows stream in while
-// the current chunk computes. Which schedule actually runs is decided per
-// call by plan(): stores that answer reads from local memory always take the
+// sample its neighbor set (on Threads workers), load the π rows through the
+// store, and compute the staged φ row. Vertices are processed in chunks of
+// ChunkNodes; chunks run either serially (load, compute, load, compute, ...)
+// or with the paper's pipelined buffering, where the next chunks' π rows
+// stream in while the current chunk computes. Which schedule actually runs is
+// decided per call by plan(): stores that answer reads from local memory always take the
 // fused serial path (one chunk, one batched read — a pipeline would only add
 // channel/goroutine overhead, the in-proc slowdown this policy removes),
-// while remote-reading stores overlap ReadRowsAsync with compute. Loads and
-// computes are reported to Obs as the update_phi.load_pi /
-// update_phi.compute sub-stage intervals.
+// while remote-reading stores overlap ReadRowsAsync with compute. Draws,
+// loads and computes are reported to Obs as the update_phi.sample_neighbors /
+// update_phi.load_pi / update_phi.compute sub-stage intervals.
 //
 // A PhiStage owns persistent staging buffers and per-worker scratch, so the
 // steady-state iteration allocates nothing; construct one per engine and
@@ -58,9 +58,10 @@ type PhiStage struct {
 	// Depth-1 chunks ahead); <= 2 means double buffering, the paper's
 	// scheme.
 	Depth int
-	// Obs receives the load_pi/compute sub-stage intervals, so the phase
-	// table and the per-iteration events carry the full Table III breakdown.
-	// With pipelining on, load and compute report concurrently. Nil reports
+	// Obs receives the sample_neighbors/load_pi/compute sub-stage
+	// intervals, so the phase table and the per-iteration events carry the
+	// full Table III breakdown. With pipelining on, a chunk's draw and load
+	// report concurrently with the previous chunk's compute. Nil reports
 	// nothing.
 	Obs *obs.Observer
 
@@ -153,13 +154,10 @@ func (p *PhiStage) Run(t int, eps float64, nodes []int32, beta []float64, newPhi
 		if hasErr() {
 			return
 		}
-		defer p.Obs.Interval(t, engine.PhaseLoadPi, obs.TraceNow())
 		b := &bufs[slot]
 		b.lo = c * chunkN
 		b.hi = min(b.lo+chunkN, len(nodes))
 		cnt := b.hi - b.lo
-		b.keys = b.keys[:0]
-		b.nodeOff = b.nodeOff[:0]
 		if cap(b.rngs) < cnt {
 			b.rngs = make([]mathx.RNG, cnt)
 		}
@@ -168,13 +166,23 @@ func (p *PhiStage) Run(t int, eps float64, nodes []int32, beta []float64, newPhi
 			b.samples = make([]sampling.NeighborSample, cnt)
 		}
 		b.samples = b.samples[:cnt]
-		for i := 0; i < cnt; i++ {
-			a := nodes[b.lo+i]
-			rng := &b.rngs[i]
-			rng.SeedStream(p.Cfg.Seed, StreamVertex(t, int(a)))
-			p.Neigh.Sample(a, rng, &b.samples[i])
+		// Each vertex's stream is keyed by (t, vertex) and each worker writes
+		// only its own vertices' slots, so the draw is order-free.
+		sampleStart := obs.TraceNow()
+		par.ForWorkers(cnt, p.Threads, func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				a := nodes[b.lo+i]
+				b.rngs[i].SeedStream(p.Cfg.Seed, StreamVertex(t, int(a)))
+				p.Neigh.Sample(a, &b.rngs[i], &b.samples[i])
+			}
+		})
+		p.Obs.Interval(t, engine.PhaseSampleNeighbors, sampleStart)
+		defer p.Obs.Interval(t, engine.PhaseLoadPi, obs.TraceNow())
+		b.keys = b.keys[:0]
+		b.nodeOff = b.nodeOff[:0]
+		for i := range b.samples {
 			b.nodeOff = append(b.nodeOff, len(b.keys))
-			b.keys = append(b.keys, a)
+			b.keys = append(b.keys, nodes[b.lo+i])
 			b.keys = append(b.keys, b.samples[i].Nodes...)
 		}
 		pend, err := p.Store.ReadRowsAsync(b.keys, &b.rows)

@@ -59,9 +59,11 @@ func TestSamplerStepMaintainsInvariants(t *testing.T) {
 	if len(spanNS) != 4 {
 		t.Errorf("stage spans %v, want exactly the four loop stages", spanNS)
 	}
+	sample := s.Phases.Total(engine.PhaseSampleNeighbors)
 	load, compute := s.Phases.Total(engine.PhaseLoadPi), s.Phases.Total(engine.PhaseComputePhi)
-	if phi := s.Phases.Total(engine.PhaseUpdatePhi); load == 0 || compute == 0 || load+compute > phi {
-		t.Errorf("load_pi %v + compute %v must be nonzero and within update_phi %v", load, compute, phi)
+	if phi := s.Phases.Total(engine.PhaseUpdatePhi); sample == 0 || load == 0 || compute == 0 || sample+load+compute > phi {
+		t.Errorf("sample_neighbors %v + load_pi %v + compute %v must each be nonzero and sum within update_phi %v",
+			sample, load, compute, phi)
 	}
 }
 

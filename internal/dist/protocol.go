@@ -130,30 +130,8 @@ func (v *workerView) load(d *deployment) {
 // NumVertices implements sampling.View.
 func (v *workerView) NumVertices() int { return v.n }
 
-// Degree implements sampling.View.
-func (v *workerView) Degree(a int32) int { return len(v.adj[a]) }
-
 // Neighbors implements sampling.View.
 func (v *workerView) Neighbors(a int32) []int32 { return v.adj[a] }
-
-// HasEdge implements sampling.View by binary search over the sorted
-// scattered adjacency. Only valid for vertices in the current deployment.
-func (v *workerView) HasEdge(a, b int32) bool {
-	row, ok := v.adj[a]
-	if !ok {
-		panic(fmt.Sprintf("dist: HasEdge queried for undeployed vertex %d", a))
-	}
-	lo, hi := 0, len(row)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if row[mid] < b {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(row) && row[lo] == b
-}
 
 // IsExcluded implements sampling.View.
 func (v *workerView) IsExcluded(a, b int32) bool {

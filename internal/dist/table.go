@@ -15,6 +15,7 @@ var rankTableOrder = []string{
 	engine.PhaseDrawMinibatch,
 	engine.PhaseDeployMinibatch,
 	engine.PhaseUpdatePhi,
+	engine.PhaseSampleNeighbors,
 	engine.PhaseLoadPi,
 	engine.PhaseComputePhi,
 	engine.PhaseUpdatePi,
@@ -63,13 +64,13 @@ func RankTable(rankPhases []map[string]time.Duration, iterations int) string {
 	rows = append(rows, extra...)
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-22s", "stage ("+unit+")")
+	fmt.Fprintf(&b, "%-28s", "stage ("+unit+")")
 	for r := range rankPhases {
 		fmt.Fprintf(&b, " %10s", fmt.Sprintf("rank%d", r))
 	}
 	b.WriteByte('\n')
 	for _, name := range rows {
-		fmt.Fprintf(&b, "%-22s", name)
+		fmt.Fprintf(&b, "%-28s", name)
 		for _, snap := range rankPhases {
 			d, ok := snap[name]
 			if !ok {

@@ -23,6 +23,7 @@ const (
 	PhaseDrawMinibatch   = "draw_minibatch"
 	PhaseDeployMinibatch = "deploy_minibatch"
 	PhaseUpdatePhi       = "update_phi"
+	PhaseSampleNeighbors = "update_phi.sample_neighbors"
 	PhaseLoadPi          = "update_phi.load_pi"
 	PhaseComputePhi      = "update_phi.compute"
 	PhaseUpdatePi        = "update_pi"

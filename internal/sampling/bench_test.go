@@ -48,11 +48,20 @@ func BenchmarkStratifiedSample(b *testing.B) {
 	}
 }
 
-// BenchmarkLinkPlusUniformSample measures the per-vertex neighbor draw in
-// update_phi.
-func BenchmarkLinkPlusUniformSample(b *testing.B) {
-	g := benchFixture(b)
-	s, err := NewLinkPlusUniform(NewGraphView(g, nil), 32)
+// neighborBench draws the neighbour set of a random vertex per op, over a
+// training graph with its held-out pairs excluded — the view update_phi
+// samples from — so the link test, the exclusion test and the adjacency rows
+// miss cache as they do in a live minibatch.
+func neighborBench(b *testing.B, build func(View) (NeighborStrategy, error)) {
+	train, held, err := graph.Split(benchFixture(b), 20000, mathx.NewRNG(6))
+	if err != nil {
+		b.Fatal(err)
+	}
+	excl := graph.NewEdgeSet(held.Len())
+	for _, e := range held.Pairs {
+		excl.Add(e)
+	}
+	s, err := build(NewGraphView(train, &excl))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -60,21 +69,17 @@ func BenchmarkLinkPlusUniformSample(b *testing.B) {
 	var ns NeighborSample
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Sample(int32(i%20000), rng, &ns)
+		s.Sample(int32(rng.Intn(train.NumVertices())), rng, &ns)
 	}
+}
+
+// BenchmarkLinkPlusUniformSample measures the per-vertex neighbor draw in
+// update_phi.
+func BenchmarkLinkPlusUniformSample(b *testing.B) {
+	neighborBench(b, func(v View) (NeighborStrategy, error) { return NewLinkPlusUniform(v, 32) })
 }
 
 // BenchmarkUniformNeighborsSample measures the paper's Eqn (5) variant.
 func BenchmarkUniformNeighborsSample(b *testing.B) {
-	g := benchFixture(b)
-	s, err := NewUniformNeighbors(NewGraphView(g, nil), 32)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := mathx.NewRNG(5)
-	var ns NeighborSample
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Sample(int32(i%20000), rng, &ns)
-	}
+	neighborBench(b, func(v View) (NeighborStrategy, error) { return NewUniformNeighbors(v, 32) })
 }

@@ -54,7 +54,8 @@ type NeighborStrategy interface {
 // UniformNeighbors draws count distinct vertices uniformly from V \ {a},
 // skipping held-out pairs, each weighted (candidates)/count. This is the
 // strategy written in the paper's Eqn (5) (which states the asymptotically
-// equal weight N/|V_n|).
+// equal weight N/|V_n|). A vertex with fewer than count candidates takes
+// all of them, each with weight 1.
 type UniformNeighbors struct {
 	view  View
 	count int
@@ -80,11 +81,10 @@ func (s *UniformNeighbors) Sample(a int32, rng *mathx.RNG, out *NeighborSample) 
 	n := s.view.NumVertices()
 	// Population size excludes a itself and a's held-out pairs.
 	pop := n - 1 - s.view.ExcludedCount(a)
-	if pop < s.count {
-		pop = s.count // degenerate tiny graph; weights stay finite
-	}
-	w := float64(pop) / float64(s.count)
-	for len(out.Nodes) < s.count {
+	take := min(s.count, pop)
+	w := float64(pop) / float64(take)
+	adj := s.view.Neighbors(a)
+	for len(out.Nodes) < take {
 		b := int32(rng.Intn(n))
 		if b == a {
 			continue
@@ -95,7 +95,7 @@ func (s *UniformNeighbors) Sample(a int32, rng *mathx.RNG, out *NeighborSample) 
 		if containsFrom(out.Nodes, 0, b) {
 			continue
 		}
-		out.add(b, s.view.HasEdge(a, b), w)
+		out.add(b, Linked(adj, b), w)
 	}
 }
 
@@ -127,11 +127,11 @@ func (s *LinkPlusUniform) Name() string { return "link-plus-uniform" }
 func (s *LinkPlusUniform) Sample(a int32, rng *mathx.RNG, out *NeighborSample) {
 	out.Reset()
 	n := s.view.NumVertices()
-	for _, b := range s.view.Neighbors(a) {
+	adj := s.view.Neighbors(a)
+	for _, b := range adj {
 		out.add(b, true, 1)
 	}
-	deg := s.view.Degree(a)
-	nonlinks := n - 1 - deg - s.view.ExcludedCount(a)
+	nonlinks := n - 1 - len(adj) - s.view.ExcludedCount(a)
 	if nonlinks <= 0 {
 		return // vertex linked to everything; nothing to subsample
 	}
@@ -147,7 +147,7 @@ func (s *LinkPlusUniform) Sample(a int32, rng *mathx.RNG, out *NeighborSample) {
 	added := 0
 	for added < take {
 		b := int32(rng.Intn(n))
-		if b == a || s.view.HasEdge(a, b) {
+		if b == a || Linked(adj, b) {
 			continue
 		}
 		if s.view.IsExcluded(a, b) {

@@ -3,6 +3,7 @@ package sampling
 import (
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -408,20 +409,20 @@ func mustLPU(t *testing.T, g *graph.Graph, c int) NeighborStrategy {
 }
 
 // mapDupReference replays a strategy's rejection loop with the map-based
-// duplicate check the linear-scan version replaced. The accept/reject
-// decisions must be identical, so from the same RNG stream both produce the
-// same sample — which pins that the deforested loop did not perturb any RNG
-// draw sequence (and therefore no trained trajectory).
-func mapDupUniformReference(s *UniformNeighbors, a int32, rng *mathx.RNG, out *NeighborSample) {
+// duplicate check the linear-scan version replaced, and with the link test
+// asked of the whole graph's edge hash (graph.HasEdge) instead of the
+// vertex's adjacency row (Linked). The accept/reject decisions must be
+// identical, so from the same RNG stream both produce the same sample —
+// which pins that neither rewrite perturbed any RNG draw sequence (and
+// therefore no trained trajectory).
+func mapDupUniformReference(s *UniformNeighbors, g *graph.Graph, a int32, rng *mathx.RNG, out *NeighborSample) {
 	out.Reset()
 	n := s.view.NumVertices()
 	seen := map[int32]struct{}{}
 	pop := n - 1 - s.view.ExcludedCount(a)
-	if pop < s.count {
-		pop = s.count
-	}
-	w := float64(pop) / float64(s.count)
-	for len(out.Nodes) < s.count {
+	take := min(s.count, pop)
+	w := float64(pop) / float64(take)
+	for len(out.Nodes) < take {
 		b := int32(rng.Intn(n))
 		if b == a || s.view.IsExcluded(a, b) {
 			continue
@@ -430,17 +431,17 @@ func mapDupUniformReference(s *UniformNeighbors, a int32, rng *mathx.RNG, out *N
 			continue
 		}
 		seen[b] = struct{}{}
-		out.add(b, s.view.HasEdge(a, b), w)
+		out.add(b, g.HasEdge(int(a), int(b)), w)
 	}
 }
 
-func mapDupLPUReference(s *LinkPlusUniform, a int32, rng *mathx.RNG, out *NeighborSample) {
+func mapDupLPUReference(s *LinkPlusUniform, g *graph.Graph, a int32, rng *mathx.RNG, out *NeighborSample) {
 	out.Reset()
 	n := s.view.NumVertices()
-	for _, b := range s.view.Neighbors(a) {
+	for _, b := range g.Neighbors(int(a)) {
 		out.add(b, true, 1)
 	}
-	deg := s.view.Degree(a)
+	deg := g.Degree(int(a))
 	nonlinks := n - 1 - deg - s.view.ExcludedCount(a)
 	if nonlinks <= 0 {
 		return
@@ -454,7 +455,7 @@ func mapDupLPUReference(s *LinkPlusUniform, a int32, rng *mathx.RNG, out *Neighb
 	added := 0
 	for added < take {
 		b := int32(rng.Intn(n))
-		if b == a || s.view.HasEdge(a, b) || s.view.IsExcluded(a, b) {
+		if b == a || g.HasEdge(int(a), int(b)) || s.view.IsExcluded(a, b) {
 			continue
 		}
 		if _, dup := seen[b]; dup {
@@ -491,14 +492,89 @@ func TestNeighborSampleMatchesMapReference(t *testing.T) {
 	var got, want NeighborSample
 	for a := int32(0); a < 200; a += 7 {
 		uni.Sample(a, mathx.NewStream(5, uint64(a)), &got)
-		mapDupUniformReference(uni, a, mathx.NewStream(5, uint64(a)), &want)
+		mapDupUniformReference(uni, g, a, mathx.NewStream(5, uint64(a)), &want)
 		if !sameSample(&got, &want) {
 			t.Fatalf("uniform: vertex %d diverged from map-based reference", a)
 		}
 		lpu.Sample(a, mathx.NewStream(5, uint64(a)), &got)
-		mapDupLPUReference(lpu, a, mathx.NewStream(5, uint64(a)), &want)
+		mapDupLPUReference(lpu, g, a, mathx.NewStream(5, uint64(a)), &want)
 		if !sameSample(&got, &want) {
 			t.Fatalf("link-plus-uniform: vertex %d diverged from map-based reference", a)
+		}
+	}
+}
+
+// TestUniformNeighborsFewCandidatesReturns: a vertex with fewer eligible
+// candidates than count takes all of them at weight 1. The draw used to wait
+// for count distinct nodes that did not exist, and never returned.
+func TestUniformNeighborsFewCandidatesReturns(t *testing.T) {
+	b := graph.NewBuilder(6)
+	b.AddEdge(0, 1)
+	b.AddEdge(2, 3)
+	b.AddEdge(4, 5)
+	g := b.Finalize()
+	for _, tc := range []struct {
+		held []int32 // vertices held out against vertex 0
+		want []int32 // vertex 0's eligible candidates
+	}{
+		{held: []int32{2, 3}, want: []int32{1, 4, 5}},
+		{held: []int32{1, 2, 3, 4, 5}, want: nil},
+	} {
+		excl := graph.NewEdgeSet(len(tc.held))
+		for _, v := range tc.held {
+			excl.Add(graph.Edge{A: 0, B: v})
+		}
+		s, err := NewUniformNeighbors(NewGraphView(g, &excl), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan *NeighborSample, 1)
+		go func() {
+			var ns NeighborSample
+			s.Sample(0, mathx.NewRNG(1), &ns)
+			done <- &ns
+		}()
+		var ns *NeighborSample
+		select {
+		case ns = <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("held %v: Sample did not return within 2 s with %d candidates for count 4", tc.held, len(tc.want))
+		}
+		if len(ns.Nodes) != len(tc.want) {
+			t.Fatalf("held %v: sampled %v, want all of %v", tc.held, ns.Nodes, tc.want)
+		}
+		for j, v := range ns.Nodes {
+			if !containsFrom(tc.want, 0, v) || ns.Scale[j] != 1 || ns.Linked[j] != (v == 1) {
+				t.Fatalf("held %v: node %d linked=%v weight %v; want a candidate of %v, weight 1", tc.held, v, ns.Linked[j], ns.Scale[j], tc.want)
+			}
+		}
+	}
+}
+
+// TestLinkedMatchesHasEdge holds the strategies' adjacency-row link test to
+// the graph's edge hash on random graphs, covering degree-0 vertices, b = a,
+// ids outside every row, and b at the first and last adjacency slot.
+func TestLinkedMatchesHasEdge(t *testing.T) {
+	rng := mathx.NewRNG(7)
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(40)
+		b := graph.NewBuilder(n)
+		for m := rng.Intn(3 * n); m > 0; m-- {
+			// Vertex n-1 gets no edge, so every graph has a degree-0 vertex.
+			b.AddEdge(rng.Intn(n-1), rng.Intn(n-1))
+		}
+		g := b.Finalize()
+		for a := 0; a < n; a++ {
+			adj := g.Neighbors(a)
+			for c := -1; c <= n; c++ {
+				want := c >= 0 && c < n && g.HasEdge(a, c)
+				if got := Linked(adj, int32(c)); got != want {
+					t.Fatalf("trial %d: Linked(adj[%d]=%v, %d) = %v, graph.HasEdge = %v", trial, a, adj, c, got, want)
+				}
+			}
+			if len(adj) > 0 && !(Linked(adj, adj[0]) && Linked(adj, adj[len(adj)-1])) {
+				t.Fatalf("trial %d: first or last slot of adj[%d]=%v not found", trial, a, adj)
+			}
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package sampling
 
-import "repro/internal/graph"
+import (
+	"slices"
+
+	"repro/internal/graph"
+)
 
 // View is the read interface the neighbor strategies need about a vertex's
 // surroundings. The single-node engine backs it with the full graph; the
@@ -14,13 +18,10 @@ import "repro/internal/graph"
 type View interface {
 	// NumVertices returns N.
 	NumVertices() int
-	// Degree returns the number of training-graph links of a.
-	Degree(a int32) int
-	// Neighbors returns a's sorted adjacency list (not modified by callers).
+	// Neighbors returns a's sorted training-graph adjacency list (not
+	// modified by callers). Only queried with a equal to a vertex the View
+	// was built for.
 	Neighbors(a int32) []int32
-	// HasEdge reports whether (a, b) is a training link. Only queried with
-	// a equal to a vertex the View was built for.
-	HasEdge(a, b int32) bool
 	// IsExcluded reports whether (a, b) is a held-out pair.
 	IsExcluded(a, b int32) bool
 	// ExcludedCount returns how many held-out pairs touch a.
@@ -50,14 +51,8 @@ func NewGraphView(g *graph.Graph, excluded *graph.EdgeSet) *GraphView {
 // NumVertices implements View.
 func (v *GraphView) NumVertices() int { return v.g.NumVertices() }
 
-// Degree implements View.
-func (v *GraphView) Degree(a int32) int { return v.g.Degree(int(a)) }
-
 // Neighbors implements View.
 func (v *GraphView) Neighbors(a int32) []int32 { return v.g.Neighbors(int(a)) }
-
-// HasEdge implements View.
-func (v *GraphView) HasEdge(a, b int32) bool { return v.g.HasEdge(int(a), int(b)) }
 
 // IsExcluded implements View.
 func (v *GraphView) IsExcluded(a, b int32) bool {
@@ -66,3 +61,12 @@ func (v *GraphView) IsExcluded(a, b int32) bool {
 
 // ExcludedCount implements View.
 func (v *GraphView) ExcludedCount(a int32) int { return int(v.heldTouch[a]) }
+
+// Linked reports whether b is in adj, a vertex's sorted adjacency list: the
+// strategies' training-link test. It searches only the row the strategy
+// already holds, never the whole graph's edge hash, so it stays in cache and
+// answers identically on the master's graph and a worker's scattered rows.
+func Linked(adj []int32, b int32) bool {
+	_, ok := slices.BinarySearch(adj, b)
+	return ok
+}
