@@ -1,6 +1,6 @@
 GO ?= go
 
-DIST_PKGS = ./internal/par/... ./internal/transport/... ./internal/cluster/... ./internal/dkv/... ./internal/store/... ./internal/engine/... ./internal/dist/... ./internal/serve/... ./internal/obs/... ./internal/core/... ./internal/trainer/...
+DIST_PKGS = ./internal/par/... ./internal/transport/... ./internal/cluster/... ./internal/dkv/... ./internal/store/... ./internal/engine/... ./internal/dist/... ./internal/serve/... ./internal/obs/... ./internal/core/... ./internal/svi/... ./internal/trainer/...
 
 .PHONY: build fmt vet test race bench-check live loc check
 
@@ -22,7 +22,8 @@ test:
 # only meaningful with it on — the parity test exercises the pipelined
 # load/compute overlap), internal/obs (the mutex-guarded phase table and
 # recorder), internal/core (the pipelined loader and compute report to
-# the observer from two goroutines) and internal/trainer (the ocd-train /
+# the observer from two goroutines), internal/svi (its sweeps run on par
+# workers) and internal/trainer (the ocd-train /
 # ocd-cluster program end to end: sink, monitor, query server and every rank
 # in one process; its one wall-clock ratio, TestRebalanceRecovers, skips
 # itself under the detector, whose slowdown distorts it — `make test` runs it).

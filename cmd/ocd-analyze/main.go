@@ -84,7 +84,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if *path == "" {
 		return fmt.Errorf("-graph is required (or a run log)")
 	}
-	g, _, err := graph.ReadSNAPFile(*path)
+	g, ids, err := graph.ReadSNAPFile(*path)
 	if err != nil {
 		return err
 	}
@@ -100,14 +100,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 
 	var det, gt *metrics.Cover
 	if *detected != "" {
-		det, err = metrics.ReadCoverFile(*detected, g.NumVertices())
+		det, err = metrics.ReadCoverFile(*detected, ids)
 		if err != nil {
 			return err
 		}
 		summarizeCover(stdout, "detected", det, g.NumVertices())
 	}
 	if *truth != "" {
-		gt, err = metrics.ReadCoverFile(*truth, g.NumVertices())
+		gt, err = metrics.ReadCoverFile(*truth, ids)
 		if err != nil {
 			return err
 		}

@@ -3,12 +3,20 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/trainer"
 )
 
 // The golden run log of internal/obs: two ranks, two iterations, and the
@@ -103,5 +111,71 @@ func TestTornTailIsAWarning(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("digest of the torn log lacks %q:\n%s", want, out)
 		}
+	}
+}
+
+var recoveryF1 = regexp.MustCompile(`recovery: F1 = ([0-9.]+)`)
+
+// TestPipelineScoresInFileIDs runs the documented pipeline — a planted graph
+// and its truth as ocd-gen writes them, ocd-train -communities, ocd-analyze
+// -truth — and pins that the detected cover and the truth meet in one id
+// space, the graph file's. The SNAP reader densifies ids in order of first
+// appearance, a permutation of the file's; scored in two different spaces,
+// the truth would do no better than a copy of it under a random id
+// permutation. In one space it must beat that copy clearly.
+func TestPipelineScoresInFileIDs(t *testing.T) {
+	const n, k = 400, 4
+	dir := t.TempDir()
+	g, truth, err := gen.Planted(gen.DefaultPlanted(n, k, 6000, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphPath, detected := filepath.Join(dir, "g.txt"), filepath.Join(dir, "detected.txt")
+	if err := graph.WriteSNAPFile(graphPath, g, "planted"); err != nil {
+		t.Fatal(err)
+	}
+	writeCover := func(name string, id func(v int32) int) string {
+		var b strings.Builder
+		for _, members := range truth.Members {
+			for i, v := range members {
+				if i > 0 {
+					b.WriteByte(' ')
+				}
+				b.WriteString(strconv.Itoa(id(v)))
+			}
+			b.WriteByte('\n')
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	perm := rand.New(rand.NewPCG(1, 2)).Perm(n)
+	gt := writeCover("g.txt.gt", func(v int32) int { return int(v) })
+	permuted := writeCover("permuted.gt", func(v int32) int { return perm[v] })
+
+	if err := trainer.Run("ocd-train", 1, []string{"-graph", graphPath, "-k", fmt.Sprint(k),
+		"-iters", "1000", "-eval", "0", "-communities", detected}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	score := func(truthPath string) float64 {
+		t.Helper()
+		out, _ := analyze(t, "-graph", graphPath, "-detected", detected, "-truth", truthPath)
+		m := recoveryF1.FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("no recovery line in:\n%s", out)
+		}
+		f1, err := strconv.ParseFloat(m[1], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f1
+	}
+	real, shuffled := score(gt), score(permuted)
+	t.Logf("F1 against the planted truth %.4f, against an id-permuted copy %.4f", real, shuffled)
+	if real < shuffled+0.15 {
+		t.Errorf("F1 against the planted truth %.4f does not beat an id-permuted copy's %.4f by 0.15: the covers are scored in different id spaces",
+			real, shuffled)
 	}
 }

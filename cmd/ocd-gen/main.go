@@ -95,7 +95,7 @@ func main() {
 	if *writeGT {
 		path := *out + ".gt"
 		cover := metrics.NewCover(g.NumVertices(), gt.Members)
-		if err := metrics.WriteCoverFile(path, cover); err != nil {
+		if err := metrics.WriteCoverFile(path, cover, nil); err != nil {
 			fatal(err)
 		}
 		overlap, err := gt.OverlapFraction(g.NumVertices())
@@ -132,7 +132,7 @@ func streamGenerate(cfg gen.PlantedConfig, out string, writeGT bool) {
 	if writeGT {
 		path := out + ".gt"
 		cover := metrics.NewCover(cfg.N, gt.Members)
-		if err := metrics.WriteCoverFile(path, cover); err != nil {
+		if err := metrics.WriteCoverFile(path, cover, nil); err != nil {
 			fatal(err)
 		}
 		overlap, err := gt.OverlapFraction(cfg.N)

@@ -42,12 +42,12 @@ func main() {
 	}
 	fmt.Printf("loaded %s: %d vertices, K=%d, iteration %d\n", *ckpt, state.N, state.K, iter)
 
-	// Seal through the same Snapshotter path the training engines publish
+	// Seal through the same TakeSnapshot path the training engines publish
 	// with; the snapshot version is the checkpoint's iteration counter.
 	pub := store.NewPublisher()
 	eng := serve.NewEngine(float32(*threshold))
 	eng.Attach(pub)
-	snap, err := store.NewLocal(state.Pi, state.PhiSum, state.K, 1).Snapshot(iter, state.Beta)
+	snap, err := store.TakeSnapshot(store.NewLocal(state.Pi, state.PhiSum, state.K, 1), iter, state.Beta)
 	if err != nil {
 		fatal(err)
 	}

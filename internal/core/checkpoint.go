@@ -30,9 +30,13 @@ const (
 //   - ErrCheckpointShape: the file is well-formed but its (N, K) do not
 //     match the run it is being loaded into — the wrong graph or the wrong
 //     -k, caught before any state is overwritten.
+//   - ErrCheckpointFormat: the bytes are not a checkpoint this reader knows —
+//     wrong magic, an unsupported version, impossible dimensions, or bytes
+//     past the arrays the header promises.
 var (
 	ErrCheckpointTruncated = errors.New("checkpoint truncated")
 	ErrCheckpointShape     = errors.New("checkpoint shape mismatch")
+	ErrCheckpointFormat    = errors.New("not a valid checkpoint")
 )
 
 // truncated wraps an io.ReadFull failure on a checkpoint section: running
@@ -45,12 +49,12 @@ func truncated(section string, err error) error {
 	return fmt.Errorf("core: checkpoint %s: %w", section, err)
 }
 
-// CheckShape verifies the state matches the (n, k) a run expects; the error
-// wraps ErrCheckpointShape.
-func (s *State) CheckShape(n, k int) error {
-	if s.N != n || s.K != k {
-		return fmt.Errorf("core: %w: state has N=%d K=%d, run expects N=%d K=%d",
-			ErrCheckpointShape, s.N, s.K, n, k)
+// CheckResumeIter rejects a checkpoint at iteration iter that the absolute
+// iteration target (-iters) leaves nothing to train from; both engines apply
+// it to a resume.
+func CheckResumeIter(iter, target int) error {
+	if iter < 0 || iter >= target {
+		return fmt.Errorf("checkpoint is at iteration %d, at or past -iters %d", iter, target)
 	}
 	return nil
 }
@@ -72,23 +76,17 @@ func appendHeader(hdr []byte, n, k, iteration int) []byte {
 // the bytes actually present before anything is sized by them.
 func parseHeader(hdr []byte) (n, k, iteration int, err error) {
 	if wire.Uint64At(hdr, 0) != checkpointMagic {
-		return 0, 0, 0, fmt.Errorf("core: not a checkpoint file")
+		return 0, 0, 0, fmt.Errorf("core: %w: bad magic", ErrCheckpointFormat)
 	}
 	if v := wire.Uint32At(hdr, 8); v != checkpointVersion {
-		return 0, 0, 0, fmt.Errorf("core: checkpoint version %d unsupported", v)
+		return 0, 0, 0, fmt.Errorf("core: %w: version %d unsupported", ErrCheckpointFormat, v)
 	}
 	n, k, iteration = int(wire.Uint32At(hdr, 12)), int(wire.Uint32At(hdr, 16)), int(wire.Uint64At(hdr, 20))
 	if n < 1 || k < 1 || n > 1<<31 || k > 1<<24 {
-		return 0, 0, 0, fmt.Errorf("core: checkpoint claims N=%d K=%d", n, k)
+		return 0, 0, 0, fmt.Errorf("core: %w: header claims N=%d K=%d", ErrCheckpointFormat, n, k)
 	}
 	return n, k, iteration, nil
 }
-
-// checkpointBatchRows bounds one store sweep batch of the checkpoint codec:
-// 4096 rows ≈ 2 MB at K=128, small enough that saving or restoring a
-// larger-than-RAM table never holds more than one batch plus the Σφ vector
-// (8 bytes/vertex) in memory.
-const checkpointBatchRows = 4096
 
 // Save writes the state to w. The iteration counter is stored so a resumed
 // sampler continues the step-size schedule where it stopped.
@@ -96,9 +94,10 @@ func (s *State) Save(w io.Writer, iteration int) error {
 	return SaveStore(w, store.NewLocal(s.Pi, s.PhiSum, s.K, 1), s.Theta, iteration)
 }
 
-// SaveStore is the checkpoint writer: it streams rows out of a π backend in
-// bounded batches, so the out-of-core save never materialises a second full
-// copy of the table, and State.Save is the same call over a LocalStore view.
+// SaveStore is the checkpoint writer: it streams rows out of a π backend
+// through store.Sweep in bounded batches, so the out-of-core save never
+// materialises a second full copy of the table, and State.Save is the same
+// call over a LocalStore view.
 // theta must be the 2K global parameter vector.
 func SaveStore(w io.Writer, st store.PiStore, theta []float64, iteration int) error {
 	n, k := st.NumRows(), st.K()
@@ -112,25 +111,15 @@ func SaveStore(w io.Writer, st store.PiStore, theta []float64, iteration int) er
 	// One sweep: π floats stream straight out; Σφ (8 bytes/vertex — tiny
 	// next to the 4K bytes/vertex of π) is kept for the second section.
 	sums := make([]float64, n)
-	var rows store.Rows
-	ids := make([]int32, 0, checkpointBatchRows)
 	var buf []byte
-	for base := 0; base < n; base += checkpointBatchRows {
-		hi := min(base+checkpointBatchRows, n)
-		ids = ids[:0]
-		for a := base; a < hi; a++ {
-			ids = append(ids, int32(a))
-		}
-		if err := st.ReadRows(ids, &rows); err != nil {
-			return fmt.Errorf("core: checkpoint sweep at vertex %d: %w", base, err)
-		}
-		for i := range ids {
-			buf = wire.AppendFloat32s(buf[:0], rows.PiRow(i))
-			if _, err := bw.Write(buf); err != nil {
-				return err
-			}
-			sums[base+i] = rows.PhiSum[i]
-		}
+	err := store.Sweep(st, nil, func(lo int, rows *store.Rows) error {
+		buf = wire.AppendFloat32s(buf[:0], rows.Pi)
+		copy(sums[lo:], rows.PhiSum)
+		_, err := bw.Write(buf)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("core: checkpoint: %w", err)
 	}
 	for _, section := range [][]float64{sums, theta} {
 		if _, err := bw.Write(wire.AppendFloat64s(buf[:0], section)); err != nil {
@@ -169,14 +158,14 @@ func restore(r io.ReaderAt, size int64, open func(n, k int) (store.PiWriter, err
 	// bytes mean a damaged file (e.g. two checkpoints concatenated, or a
 	// header whose N/K undercount the arrays that follow).
 	if size > end {
-		return nil, 0, fmt.Errorf("core: checkpoint has trailing bytes past the N=%d K=%d arrays", n, k)
+		return nil, 0, fmt.Errorf("core: %w: trailing bytes past the N=%d K=%d arrays", ErrCheckpointFormat, n, k)
 	}
 	w, err := open(n, k)
 	if err != nil {
 		return nil, 0, err
 	}
 
-	batch := min(checkpointBatchRows, n)
+	batch := min(store.BatchRows, n)
 	piR := io.NewSectionReader(r, piOff, sumOff-piOff)
 	sumR := io.NewSectionReader(r, sumOff, thetaOff-sumOff)
 	ids := make([]int32, 0, batch)
@@ -240,39 +229,15 @@ func Load(r io.Reader) (*State, int, error) {
 	return loadState(bytes.NewReader(buf), int64(len(buf)))
 }
 
-// writeFileAtomic is the durable publish the checkpoint files share: write
-// path+".tmp", fsync it, then rename over path. The fsync before the rename
-// is what lets a checkpoint survive the crash it exists for — without it the
-// rename can reach the disk before the data does.
-func writeFileAtomic(path string, write func(w io.Writer) error) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = write(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
 // SaveFile writes a checkpoint to path atomically and durably.
 func (s *State) SaveFile(path string, iteration int) error {
-	return writeFileAtomic(path, func(w io.Writer) error { return s.Save(w, iteration) })
+	return store.WriteFileAtomic(path, func(w io.Writer) error { return s.Save(w, iteration) })
 }
 
 // SaveStoreFile writes a streamed checkpoint to path atomically and durably,
 // like State.SaveFile.
 func SaveStoreFile(path string, st store.PiStore, theta []float64, iteration int) error {
-	return writeFileAtomic(path, func(w io.Writer) error { return SaveStore(w, st, theta, iteration) })
+	return store.WriteFileAtomic(path, func(w io.Writer) error { return SaveStore(w, st, theta, iteration) })
 }
 
 // openSized opens path for the checkpoint reader and reports its size.
@@ -299,27 +264,13 @@ func LoadFile(path string) (*State, int, error) {
 	return loadState(f, size)
 }
 
-// LoadFileFor reads a checkpoint and validates its shape against the run it
-// is destined for: n vertices and cfg.K communities. A mismatch fails with
-// ErrCheckpointShape before the caller touches any state.
-func LoadFileFor(path string, cfg Config, n int) (*State, int, error) {
-	state, iter, err := LoadFile(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := state.CheckShape(n, cfg.K); err != nil {
-		return nil, 0, fmt.Errorf("%w (loading %s)", err, path)
-	}
-	return state, iter, nil
-}
-
-// LoadStoreFile restores a checkpoint into an external π backend through the
-// store's PiWriter — the mirror of SaveStoreFile, again never holding the
-// full table in memory. The file's (N, K) must match dst's dimensions
+// LoadStoreFile restores a checkpoint into a π backend through the store's
+// PiWriter — the mirror of SaveStoreFile, never holding the full table in
+// memory, and the one way a run resumes (Sampler.Restore; the distributed
+// master's restart). The file's (N, K) must match dst's dimensions
 // (ErrCheckpointShape otherwise); a file shorter than the header promises
 // fails with ErrCheckpointTruncated before any row lands. Returns the θ
-// vector and stored iteration; the caller installs them in its State shell
-// and calls RefreshBeta.
+// vector and stored iteration for the caller to install.
 func LoadStoreFile(path string, dst store.PiStore) (theta []float64, iteration int, err error) {
 	w, ok := dst.(store.PiWriter)
 	if !ok {
@@ -337,17 +288,4 @@ func LoadStoreFile(path string, dst store.PiStore) (theta []float64, iteration i
 		}
 		return w, nil
 	})
-}
-
-// Resume rebuilds a sampler from a saved state, continuing the step-size
-// schedule at the stored iteration. The graph, held-out set and options must
-// match the original run for the chain to be meaningful (the function cannot
-// verify that; it checks only the state dimensions).
-func Resume(cfg Config, g interface{ NumVertices() int }, state *State, iteration int, s *Sampler) error {
-	if err := state.CheckShape(g.NumVertices(), cfg.K); err != nil {
-		return err
-	}
-	s.State = state
-	s.t = iteration
-	return nil
 }

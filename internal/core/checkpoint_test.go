@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/mathx"
 	"repro/internal/store"
+	"repro/internal/transport"
 )
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -88,40 +89,40 @@ func TestCheckpointTypedErrors(t *testing.T) {
 		}
 	}
 	// Garbage (wrong magic) is NOT "truncated" — it is a different failure.
-	if _, _, err := Load(strings.NewReader(strings.Repeat("x", 64))); errors.Is(err, ErrCheckpointTruncated) {
-		t.Fatal("bad magic misreported as truncation")
+	if _, _, err := Load(strings.NewReader(strings.Repeat("x", 64))); !errors.Is(err, ErrCheckpointFormat) {
+		t.Fatalf("bad magic: err = %v, want ErrCheckpointFormat", err)
 	}
 
 	// Trailing bytes past the arrays the header promises.
-	if _, _, err := Load(bytes.NewReader(append(append([]byte(nil), whole...), 0xFF))); err == nil {
-		t.Fatal("checkpoint with trailing bytes accepted")
-	} else if errors.Is(err, ErrCheckpointTruncated) {
-		t.Fatalf("trailing bytes misreported as truncation: %v", err)
+	if _, _, err := Load(bytes.NewReader(append(append([]byte(nil), whole...), 0xFF))); !errors.Is(err, ErrCheckpointFormat) {
+		t.Fatalf("trailing bytes: err = %v, want ErrCheckpointFormat", err)
 	}
 
-	// Shape validation: CheckShape and LoadFileFor.
-	if err := s.CheckShape(10, 4); err != nil {
-		t.Fatalf("CheckShape on matching shape: %v", err)
-	}
-	if err := s.CheckShape(11, 4); !errors.Is(err, ErrCheckpointShape) {
-		t.Fatalf("wrong N: err = %v, want ErrCheckpointShape", err)
-	}
-	if err := s.CheckShape(10, 8); !errors.Is(err, ErrCheckpointShape) {
-		t.Fatalf("wrong K: err = %v, want ErrCheckpointShape", err)
-	}
-
+	// Shape validation against the destination store, before any row lands.
 	path := filepath.Join(t.TempDir(), "state.ckpt")
 	if err := os.WriteFile(path, whole, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if state, iter, err := LoadFileFor(path, cfg, 10); err != nil || iter != 7 || state.N != 10 {
-		t.Fatalf("LoadFileFor(matching) = N=%v iter=%d, err %v", state, iter, err)
+	for _, dims := range [][2]int{{10, 4}, {11, 4}, {10, 8}} {
+		n, k := dims[0], dims[1]
+		pi := make([]float32, n*k)
+		_, iter, err := LoadStoreFile(path, store.NewLocal(pi, make([]float64, n), k, 1))
+		switch {
+		case n == 10 && k == 4 && (err != nil || iter != 7):
+			t.Fatalf("LoadStoreFile(matching) = iteration %d, err %v", iter, err)
+		case (n != 10 || k != 4) && !errors.Is(err, ErrCheckpointShape):
+			t.Fatalf("LoadStoreFile into %d×%d: err = %v, want ErrCheckpointShape", n, k, err)
+		case (n != 10 || k != 4) && mathx.MaxAbsDiff32(pi, make([]float32, n*k)) != 0:
+			t.Fatalf("LoadStoreFile into %d×%d wrote rows before failing", n, k)
+		}
 	}
-	if _, _, err := LoadFileFor(path, cfg, 11); !errors.Is(err, ErrCheckpointShape) {
-		t.Fatalf("LoadFileFor wrong N: err = %v, want ErrCheckpointShape", err)
+	if err := CheckResumeIter(7, 8); err != nil {
+		t.Fatalf("CheckResumeIter(7, 8) = %v", err)
 	}
-	if _, _, err := LoadFileFor(path, DefaultConfig(8, 1), 10); !errors.Is(err, ErrCheckpointShape) {
-		t.Fatalf("LoadFileFor wrong K: err = %v, want ErrCheckpointShape", err)
+	for _, target := range []int{7, 3} {
+		if err := CheckResumeIter(7, target); err == nil || !strings.Contains(err.Error(), "at or past -iters") {
+			t.Fatalf("CheckResumeIter(7, %d) = %v, want the at-or-past error", target, err)
+		}
 	}
 }
 
@@ -158,21 +159,20 @@ func TestResumeContinuesChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	first.Run(12)
-	var buf bytes.Buffer
-	if err := first.State.Save(&buf, first.Iteration()); err != nil {
+	path := filepath.Join(t.TempDir(), "chain.ckpt")
+	if err := first.Checkpoint(path); err != nil {
 		t.Fatal(err)
 	}
 
-	state, iter, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	resumed, err := NewSampler(cfg, train, held, SamplerOptions{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Resume(cfg, train, state, iter, resumed); err != nil {
+	if err := resumed.Restore(path); err != nil {
 		t.Fatal(err)
+	}
+	if resumed.Iteration() != 12 {
+		t.Fatalf("restored at iteration %d, want 12", resumed.Iteration())
 	}
 	resumed.Run(8)
 
@@ -191,14 +191,21 @@ func TestResumeValidatesShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := append([]float32(nil), s.State.Pi...)
+	dir := t.TempDir()
 	wrongN, _ := NewState(cfg, 50)
-	if err := Resume(cfg, train, wrongN, 0, s); err == nil {
-		t.Fatal("wrong N accepted")
+	wrongK, _ := NewState(DefaultConfig(8, 2), 100)
+	for name, st := range map[string]*State{"wrong N": wrongN, "wrong K": wrongK} {
+		path := filepath.Join(dir, name+".ckpt")
+		if err := st.SaveFile(path, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Restore(path); !errors.Is(err, ErrCheckpointShape) {
+			t.Fatalf("%s: Restore = %v, want ErrCheckpointShape", name, err)
+		}
 	}
-	cfg8 := DefaultConfig(8, 2)
-	wrongK, _ := NewState(cfg8, 100)
-	if err := Resume(cfg, train, wrongK, 0, s); err == nil {
-		t.Fatal("wrong K accepted")
+	if mathx.MaxAbsDiff32(before, s.State.Pi) != 0 || s.Iteration() != 0 {
+		t.Fatal("a rejected Restore changed the sampler")
 	}
 }
 
@@ -288,4 +295,125 @@ func TestCheckpointHostileHeader(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCheckpointBytesEveryBackend: the one restore and the one sweep give
+// the same bytes on every backend. A model one batch and a ragged tail long
+// is restored from its State.Save file into local, mmap, tiered, and DKV at 2
+// ranks (hot-row cache off and on), then saved back out of each; every file
+// must equal State.Save's bytes.
+func TestCheckpointBytesEveryBackend(t *testing.T) {
+	const n, k = store.BatchRows + 37, 4
+	cfg := DefaultConfig(k, 3)
+	ref, err := NewState(cfg, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := ref.Save(&want, 31); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ref.ckpt")
+	if err := os.WriteFile(path, want.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dkv := func(t *testing.T, cache int) store.PiStore {
+		f, err := transport.NewFabric(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		var master *store.DKVStore
+		for r := 0; r < 2; r++ {
+			st, err := store.NewDKVCache(f.Endpoint(r), n, k, 2, store.CacheConfig{Rows: cache}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { st.Close() })
+			if r == 0 {
+				master = st
+			}
+		}
+		return master
+	}
+	mmap := func(t *testing.T) *store.MmapStore {
+		ms, err := store.CreateMmap(t.TempDir(), n, k, store.MmapOptions{ShardRows: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ms.Close() })
+		return ms
+	}
+	backends := map[string]func(t *testing.T) store.PiStore{
+		"local": func(*testing.T) store.PiStore {
+			return store.NewLocal(make([]float32, n*k), make([]float64, n), k, 2)
+		},
+		"mmap": func(t *testing.T) store.PiStore { return mmap(t) },
+		"tiered": func(t *testing.T) store.PiStore {
+			tier, err := store.NewTiered(mmap(t), nil, 128, 2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tier
+		},
+		"dkv":       func(t *testing.T) store.PiStore { return dkv(t, 0) },
+		"dkv+cache": func(t *testing.T) store.PiStore { return dkv(t, 128) },
+	}
+	for name, mk := range backends {
+		t.Run(name, func(t *testing.T) {
+			ps := mk(t)
+			theta, iter, err := LoadStoreFile(path, ps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := SaveStore(&got, ps, theta, iter); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("checkpoint restored into and saved from %s differs from State.Save's bytes", name)
+			}
+		})
+	}
+}
+
+// FuzzCheckpointRestore drives the one checkpoint reader every engine
+// resumes through (restore, here behind Load) with arbitrary bytes, seeded
+// from the golden file, its truncations and a trailing byte. Every input
+// must either fail with one of the typed checkpoint errors or load a state
+// that State.Save writes back byte for byte — never panic, and never
+// allocate in proportion to a header claim the bytes do not back.
+func FuzzCheckpointRestore(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v1_n5_k3.golden"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for cut := 0; cut < len(golden); cut += 9 {
+		f.Add(golden[:cut])
+	}
+	f.Add(golden)
+	f.Add(append(append([]byte(nil), golden...), 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		st, iter, err := Load(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16*uint64(len(data))+1<<20 {
+			t.Fatalf("loading %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCheckpointTruncated) && !errors.Is(err, ErrCheckpointShape) &&
+				!errors.Is(err, ErrCheckpointFormat) {
+				t.Fatalf("untyped checkpoint error: %v", err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if err := st.Save(&buf, iter); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Fatalf("a loaded checkpoint does not round-trip: %d bytes in, %d out", len(data), buf.Len())
+		}
+	})
 }

@@ -120,7 +120,7 @@ func TestOutOfCoreParityTrajectory(t *testing.T) {
 		}
 	}
 	// The tier actually served traffic from its hot cache during the run.
-	if st := tier.Stats(); st.HotHits == 0 || st.MmapHits == 0 {
+	if st := tier.Stats(); st.HotHits == 0 || st.HotMisses == 0 {
 		t.Fatalf("tier saw no traffic: %+v", st)
 	}
 }
@@ -172,13 +172,7 @@ func TestOutOfCoreCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shell, err := NewStateShell(cfg, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(shell.Theta, theta)
-	shell.RefreshBeta()
-	if err := Resume(cfg, train, shell, iter, resumed); err != nil {
+	if err := resumed.Restore(inRAM); err != nil {
 		t.Fatal(err)
 	}
 	ref.Run(5)

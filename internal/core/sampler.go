@@ -112,8 +112,8 @@ type SamplerOptions struct {
 	// Store, when non-nil, is an external π backend (mmap, tiered, DKV) the
 	// sampler trains against instead of in-RAM State slabs — the out-of-core
 	// path. Its dimensions must match the graph and cfg.K, and it must
-	// already hold the initial rows (ShellInit(cfg) per vertex for a fresh
-	// run, or a checkpoint restore). All backends share the row codec and
+	// already hold the initial rows (ShellInit(cfg) per vertex); Restore may
+	// then overwrite them from a checkpoint. All backends share the row codec and
 	// SetPhiRow arithmetic, so the trajectory is bit-identical to the
 	// in-RAM sampler's. Prefer TryStep over Step: store errors (a torn
 	// shard, a failed fault) are runtime conditions, not programming bugs.
@@ -237,8 +237,7 @@ func NewSampler(cfg Config, g *graph.Graph, held *graph.HeldOut, opt SamplerOpti
 }
 
 // pistore returns the π backend: the external store when one is configured,
-// otherwise a LocalStore view of the current State — built per use so a
-// Resume that swaps the State can never leave a stale view behind.
+// otherwise a LocalStore view of the State's arrays.
 func (s *Sampler) pistore() store.PiStore {
 	if s.ext != nil {
 		return s.ext
@@ -341,11 +340,7 @@ func (s *Sampler) publishStage(t int) error {
 	if (t+1)%s.pubEvery != 0 {
 		return nil
 	}
-	sealer, ok := s.pistore().(store.Snapshotter)
-	if !ok {
-		return fmt.Errorf("core: π backend %T cannot seal snapshots", s.pistore())
-	}
-	snap, err := sealer.Snapshot(t+1, s.State.Beta)
+	snap, err := store.TakeSnapshot(s.pistore(), t+1, s.State.Beta)
 	if err != nil {
 		return err
 	}
@@ -354,6 +349,30 @@ func (s *Sampler) publishStage(t int) error {
 
 // Iteration returns the number of completed iterations.
 func (s *Sampler) Iteration() int { return s.t }
+
+// Restore resumes the chain from the checkpoint at path: the π rows stream
+// into the sampler's own store (its State's arrays, or the external backend)
+// through LoadStoreFile, θ and β land in State, and the iteration counter
+// continues at the stored iteration. The graph, held-out set and options
+// must match the original run for the chain to be meaningful; only the
+// dimensions can be checked (ErrCheckpointShape, before any row lands).
+func (s *Sampler) Restore(path string) error {
+	theta, iter, err := LoadStoreFile(path, s.pistore())
+	if err != nil {
+		return err
+	}
+	copy(s.State.Theta, theta)
+	s.State.RefreshBeta()
+	s.t = iter
+	return nil
+}
+
+// Checkpoint writes the chain state at the current iteration to path,
+// atomically and durably, streamed out of the sampler's store — the same
+// bytes State.Save writes for the same model, whatever the backend.
+func (s *Sampler) Checkpoint(path string) error {
+	return SaveStoreFile(path, s.pistore(), s.State.Theta, s.t)
+}
 
 // Step executes one iteration of Algorithm 1: sample E_n; update φ and π for
 // every vertex in the minibatch; update θ and β from the minibatch pairs.

@@ -64,6 +64,7 @@ type node struct {
 
 	perp       []PerpPoint
 	start      time.Time
+	startIter  int         // the first iteration this run executes (Options.RestartPath)
 	finalState *core.State // master only, set at the end
 }
 
@@ -319,17 +320,13 @@ func (nd *node) run() (err error) {
 		nd.store.SetDegrees(deg)
 	}
 
-	// Populate the owned π shard: from the restart checkpoint when resuming,
-	// from the shared deterministic init otherwise. θ follows the same rule.
-	startIter := 0
-	if st := nd.opt.RestartState; st != nil {
-		startIter = nd.opt.RestartIter
-		nd.store.InitOwned(func(a int, pi []float32) float64 {
-			copy(pi, st.PiRow(a))
-			return st.PhiSum[a]
-		})
-		copy(nd.theta, st.Theta)
-		nd.refreshBeta()
+	// Populate π: from the restart checkpoint when resuming (the master
+	// writes every shard, so no rank initialises its own), from the shared
+	// deterministic init otherwise.
+	if nd.opt.RestartPath != "" {
+		if err := nd.restart(); err != nil {
+			return err
+		}
 	} else {
 		nd.store.InitOwned(func(a int, pi []float32) float64 {
 			return core.InitPiRow(nd.cfg, a, pi)
@@ -344,7 +341,7 @@ func (nd *node) run() (err error) {
 		rec.RunStart(nd.size, nd.opt.Iterations)
 	}
 	totalStart := obs.TraceNow()
-	for t := startIter; t < nd.opt.Iterations; t++ {
+	for t := nd.startIter; t < nd.opt.Iterations; t++ {
 		if err := nd.loop.RunIteration(t); err != nil {
 			return fmt.Errorf("iteration %d: %w", t, err)
 		}
@@ -380,13 +377,41 @@ func (nd *node) run() (err error) {
 
 	// Assemble the full state at the master while all stores still serve.
 	if nd.rank == 0 {
-		st, err := nd.collectState()
+		st, err := nd.gatherState()
 		if err != nil {
 			return err
 		}
 		nd.finalState = st
 	}
 	return nd.comm.Barrier()
+}
+
+// restart resumes from Options.RestartPath: the master streams the file's
+// rows into the DKV table through the store's PiWriter — the one checkpoint
+// reader, core.LoadStoreFile, in bounded batches — while the peers' DKV
+// goroutines serve the writes, then broadcasts θ and the stored iteration.
+// A master-side failure returns before the broadcast, and the deferred abort
+// releases the peers waiting in it.
+func (nd *node) restart() error {
+	var buf []byte
+	if nd.rank == 0 {
+		theta, iter, err := core.LoadStoreFile(nd.opt.RestartPath, nd.store)
+		if err == nil {
+			err = core.CheckResumeIter(iter, nd.opt.Iterations)
+		}
+		if err != nil {
+			return fmt.Errorf("restart: %w", err)
+		}
+		buf = wire.AppendUint64(wire.AppendFloat64s(nil, theta), uint64(iter))
+	}
+	buf, err := nd.comm.Bcast(0, buf)
+	if err != nil {
+		return err
+	}
+	wire.Float64s(buf, 0, 2*nd.k, nd.theta)
+	nd.refreshBeta()
+	nd.startIter = int(wire.Uint64At(buf, 16*nd.k))
+	return nil
 }
 
 // deployStage is the minibatch deployment: the master draws (or collects
@@ -571,7 +596,7 @@ func (nd *node) publishStage(t int) error {
 	if nd.rank != 0 || (t+1)%nd.opt.PublishEvery != 0 {
 		return nil
 	}
-	snap, err := nd.store.Snapshot(t+1, nd.beta)
+	snap, err := store.TakeSnapshot(nd.store, t+1, nd.beta)
 	if err != nil {
 		return err
 	}

@@ -173,7 +173,7 @@ func TestCheckpointRestartBitExact(t *testing.T) {
 
 	// The file holds the last boundary the run crossed: iterations 4 and 8
 	// both saved, 8 overwrote 4.
-	state, iter, err := core.LoadFileFor(path, cfg, train.NumVertices())
+	_, iter, err := core.LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +182,7 @@ func TestCheckpointRestartBitExact(t *testing.T) {
 	}
 
 	opt = base
-	opt.RestartState = state
-	opt.RestartIter = iter
+	opt.RestartPath = path
 	resumed, err := Run(cfg, train, held, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +226,7 @@ func TestCheckpointSurvivesRankLoss(t *testing.T) {
 		t.Fatal("run with a dead rank reported success")
 	}
 
-	state, iter, err := core.LoadFileFor(path, cfg, train.NumVertices())
+	_, iter, err := core.LoadFile(path)
 	if err != nil {
 		t.Fatalf("checkpoint unreadable after abort: %v", err)
 	}
@@ -236,8 +235,7 @@ func TestCheckpointSurvivesRankLoss(t *testing.T) {
 	}
 
 	opt = base
-	opt.RestartState = state
-	opt.RestartIter = iter
+	opt.RestartPath = path
 	resumed, err := Run(cfg, train, held, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -250,8 +248,10 @@ func TestCheckpointSurvivesRankLoss(t *testing.T) {
 	}
 }
 
-// TestRestartOptionValidation pins the fail-fast paths: shape mismatches and
-// nonsense restart iterations are rejected before any rank spins up.
+// TestRestartOptionValidation pins the fail-fast paths: a checkpoint of the
+// wrong shape, one at or past Iterations, a truncated file and a missing one
+// each fail the run through the abort path, in bounded time, with the typed
+// error where there is one.
 func TestRestartOptionValidation(t *testing.T) {
 	train, held := fixture(t, 100, 4, 500, 64)
 	cfg := core.DefaultConfig(4, 1)
@@ -263,22 +263,40 @@ func TestRestartOptionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dir := t.TempDir()
+	save := func(name string, st *core.State, iter int) string {
+		path := filepath.Join(dir, name)
+		if err := st.SaveFile(path, iter); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	wrongShape, atEnd, pastEnd := save("n.ckpt", wrongN, 1), save("end.ckpt", good, 4), save("past.ckpt", good, 9)
+	whole, err := os.ReadFile(save("whole.ckpt", good, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := filepath.Join(dir, "cut.ckpt")
+	if err := os.WriteFile(cut, whole[:len(whole)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
-		name string
-		opt  Options
+		name, path string
+		want       error
 	}{
-		{"wrong shape", Options{Ranks: 2, Iterations: 4, RestartState: wrongN, RestartIter: 1}},
-		{"iter past end", Options{Ranks: 2, Iterations: 4, RestartState: good, RestartIter: 4}},
-		{"negative iter", Options{Ranks: 2, Iterations: 4, RestartState: good, RestartIter: -1}},
-		{"iter without state", Options{Ranks: 2, Iterations: 4, RestartIter: 2}},
+		{"wrong shape", wrongShape, core.ErrCheckpointShape},
+		{"iter at end", atEnd, nil},
+		{"iter past end", pastEnd, nil},
+		{"truncated", cut, core.ErrCheckpointTruncated},
+		{"missing", filepath.Join(dir, "absent.ckpt"), nil},
 	}
 	for _, tc := range cases {
-		if _, err := Run(cfg, train, held, tc.opt); err == nil {
+		_, err := Run(cfg, train, held, Options{Ranks: 2, Iterations: 4, RestartPath: tc.path})
+		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		} else if tc.want != nil && !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
-	}
-	if _, err := Run(cfg, train, held, Options{Ranks: 2, Iterations: 4, RestartState: wrongN, RestartIter: 1}); !errors.Is(err, core.ErrCheckpointShape) {
-		t.Fatalf("shape mismatch error = %v, want ErrCheckpointShape", err)
 	}
 }
 
@@ -306,7 +324,7 @@ func TestCheckpointFileIsAtomic(t *testing.T) {
 		}
 		t.Fatalf("checkpoint dir holds %v; want exactly [run.ckpt] (no temp litter)", names)
 	}
-	if _, _, err := core.LoadFileFor(path, cfg, train.NumVertices()); err != nil {
+	if _, _, err := core.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
 }

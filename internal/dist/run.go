@@ -96,10 +96,10 @@ type Options struct {
 	// Publisher, when non-nil, receives a sealed full-view store.Snapshot of
 	// π/β from the serving rank (the master, rank 0) after the write barrier
 	// of every PublishEvery-th iteration — the feed of the internal/serve
-	// read tier. The master gathers peer shards through the raw DKV read
-	// path while the peers are fenced waiting on its next scatter, so the
-	// gather is consistent and the trained trajectory stays bit-identical
-	// with publication on or off.
+	// read tier. The master gathers peer shards through store.TakeSnapshot's
+	// sweep of its DKV store (the hot-row cache included) while the peers
+	// are fenced waiting on its next scatter, so the gather is consistent and
+	// the trained trajectory stays bit-identical with publication on or off.
 	Publisher *store.Publisher
 	// PublishEvery is the publication interval in iterations; 0 defaults to
 	// 1 (every iteration). Ignored when Publisher is nil.
@@ -142,14 +142,15 @@ type Options struct {
 	CheckpointPath  string
 	CheckpointEvery int
 
-	// RestartState + RestartIter resume a run from a loaded checkpoint
-	// (core.LoadFileFor): every rank initialises its π/Σφ shard and θ from
-	// the state instead of the seed init, and iterations run from
-	// RestartIter to Iterations. All random draws are keyed by the absolute
-	// iteration number, so a resumed run is bit-identical to one that never
-	// stopped.
-	RestartState *core.State
-	RestartIter  int
+	// RestartPath resumes a run from the checkpoint file at that path: the
+	// master streams its rows into the DKV table in bounded batches (no rank
+	// holds a second full copy of π) and broadcasts θ and the stored
+	// iteration, and iterations run from there to Iterations. A shape
+	// mismatch, a truncated file or a checkpoint at or past Iterations fails
+	// the run through the abort path. All random draws are keyed by the
+	// absolute iteration number, so a resumed run is bit-identical to one
+	// that never stopped.
+	RestartPath string
 }
 
 func (o *Options) setDefaults() {
@@ -224,6 +225,9 @@ type Result struct {
 	// sums.
 	Peers      *obs.PeerMatrix
 	Iterations int
+	// Resumed is the iteration a RestartPath run continued from (0 for a
+	// fresh run); the run trained Iterations − Resumed iterations.
+	Resumed    int
 	Elapsed    time.Duration
 	RemoteFrac float64 // fraction of DKV keys served remotely
 	// Trace holds every rank's span bundle, rank-ordered, when Options.Trace
@@ -264,16 +268,6 @@ func RunOnTransport(cfg core.Config, g *graph.Graph, held *graph.HeldOut, opt Op
 	}
 	if opt.EvalEvery > 0 && held == nil {
 		return nil, fmt.Errorf("dist: EvalEvery set but no held-out set given")
-	}
-	if opt.RestartState != nil {
-		if err := opt.RestartState.CheckShape(g.NumVertices(), cfg.K); err != nil {
-			return nil, fmt.Errorf("dist: restart: %w", err)
-		}
-		if opt.RestartIter < 0 || opt.RestartIter >= opt.Iterations {
-			return nil, fmt.Errorf("dist: RestartIter %d outside [0, %d)", opt.RestartIter, opt.Iterations)
-		}
-	} else if opt.RestartIter != 0 {
-		return nil, fmt.Errorf("dist: RestartIter %d without RestartState", opt.RestartIter)
 	}
 	// The monitor's /events endpoint streams whatever sink the run writes to.
 	// A monitor-only run still deserves live events, so it gets a sink backed
@@ -342,6 +336,7 @@ func assembleResult(nodes []*node) *Result {
 		Perplexity: master.perp,
 		Phases:     obs.NewPhases(),
 		Iterations: master.opt.Iterations,
+		Resumed:    master.startIter,
 		Elapsed:    master.ob.Phases.Total(engine.PhaseTotal),
 	}
 	for _, nd := range nodes {
@@ -414,10 +409,10 @@ func (nd *node) evalPerplexity() (float64, error) {
 	return math.Float64frombits(wire.Uint64At(out, 0)), nil
 }
 
-// collectState reads the whole π matrix back out of the DKV store into a
-// core.State; master-only, used for final reporting and the equivalence
-// tests.
-func (nd *node) collectState() (*core.State, error) {
+// gatherState reads the whole π table back out of the DKV store into a
+// core.State through the one whole-table sweep; master-only, used for final
+// reporting and the equivalence tests.
+func (nd *node) gatherState() (*core.State, error) {
 	st := &core.State{
 		N:      nd.n,
 		K:      nd.k,
@@ -426,22 +421,12 @@ func (nd *node) collectState() (*core.State, error) {
 		Theta:  append([]float64(nil), nd.theta...),
 		Beta:   append([]float64(nil), nd.beta...),
 	}
-	const batchKeys = 4096
-	keys := make([]int32, 0, batchKeys)
-	var rows store.Rows
-	for base := 0; base < nd.n; base += batchKeys {
-		hi := min(base+batchKeys, nd.n)
-		keys = keys[:0]
-		for a := base; a < hi; a++ {
-			keys = append(keys, int32(a))
-		}
-		if err := nd.store.ReadRows(keys, &rows); err != nil {
-			return nil, err
-		}
-		for i, a := range keys {
-			copy(st.PiRow(int(a)), rows.PiRow(i))
-			st.PhiSum[a] = rows.PhiSum[i]
-		}
+	err := store.Sweep(nd.store, st.Pi, func(lo int, rows *store.Rows) error {
+		copy(st.PhiSum[lo:], rows.PhiSum)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return st, nil
 }

@@ -13,8 +13,11 @@ import (
 // the same layout SNAP uses for its ground-truth community files, so
 // detected covers can be compared with external tooling.
 
-// WriteCover writes the cover to w, one community per line.
-func WriteCover(w io.Writer, c *Cover) error {
+// WriteCover writes the cover to w, one community per line, in the input
+// file's vertex ids: dense vertex v is written as ids[v], the map
+// graph.ReadSNAP returns (nil writes v itself — a graph whose ids are dense
+// already).
+func WriteCover(w io.Writer, c *Cover, ids []int64) error {
 	bw := bufio.NewWriter(w)
 	for _, members := range c.Members {
 		for i, v := range members {
@@ -23,7 +26,11 @@ func WriteCover(w io.Writer, c *Cover) error {
 					return err
 				}
 			}
-			if _, err := bw.WriteString(strconv.Itoa(int(v))); err != nil {
+			id := int64(v)
+			if ids != nil {
+				id = ids[v]
+			}
+			if _, err := bw.WriteString(strconv.FormatInt(id, 10)); err != nil {
 				return err
 			}
 		}
@@ -34,9 +41,15 @@ func WriteCover(w io.Writer, c *Cover) error {
 	return bw.Flush()
 }
 
-// ReadCover parses a cover over n vertices; out-of-range ids are an error.
+// ReadCover parses a cover written in the input file's vertex ids back into
+// the graph's dense ids: ids[v] is dense vertex v's file id (the map
+// graph.ReadSNAP returns), and an id the graph does not contain is an error.
 // Blank lines and '#' comments are skipped.
-func ReadCover(r io.Reader, n int) (*Cover, error) {
+func ReadCover(r io.Reader, ids []int64) (*Cover, error) {
+	dense := make(map[int64]int32, len(ids))
+	for v, id := range ids {
+		dense[id] = int32(v)
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	var members [][]int32
@@ -50,42 +63,43 @@ func ReadCover(r io.Reader, n int) (*Cover, error) {
 		fields := strings.Fields(line)
 		community := make([]int32, 0, len(fields))
 		for _, f := range fields {
-			v, err := strconv.Atoi(f)
+			id, err := strconv.ParseInt(f, 10, 64)
 			if err != nil {
 				return nil, fmt.Errorf("metrics: line %d: %v", lineNo, err)
 			}
-			if v < 0 || v >= n {
-				return nil, fmt.Errorf("metrics: line %d: vertex %d out of [0,%d)", lineNo, v, n)
+			v, ok := dense[id]
+			if !ok {
+				return nil, fmt.Errorf("metrics: line %d: vertex %d is not in the graph", lineNo, id)
 			}
-			community = append(community, int32(v))
+			community = append(community, v)
 		}
 		members = append(members, community)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	return NewCover(n, members), nil
+	return NewCover(len(ids), members), nil
 }
 
-// WriteCoverFile writes the cover to path.
-func WriteCoverFile(path string, c *Cover) error {
+// WriteCoverFile writes the cover to path (see WriteCover for ids).
+func WriteCoverFile(path string, c *Cover, ids []int64) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := WriteCover(f, c); err != nil {
+	if err := WriteCover(f, c, ids); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
 }
 
-// ReadCoverFile reads a cover over n vertices from path.
-func ReadCoverFile(path string, n int) (*Cover, error) {
+// ReadCoverFile reads a cover from path (see ReadCover for ids).
+func ReadCoverFile(path string, ids []int64) (*Cover, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadCover(f, n)
+	return ReadCover(f, ids)
 }

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -325,13 +326,31 @@ func graphSplitHelper(g *graph.Graph, seed uint64) (*graph.Graph, *graph.HeldOut
 	return graph.Split(g, g.NumEdges()/20, mathx.NewRNG(seed))
 }
 
+// identityIDs is the id map of a graph whose file ids are dense already.
+func identityIDs(n int) []int64 {
+	ids := make([]int64, n)
+	for v := range ids {
+		ids[v] = int64(v)
+	}
+	return ids
+}
+
+// TestCoverIORoundTrip: a cover written through an id map reads back through
+// the same map to the same dense cover, and the file carries the mapped ids.
 func TestCoverIORoundTrip(t *testing.T) {
 	c := NewCover(100, [][]int32{{5, 1, 9}, {42, 7}, {99}})
+	ids := make([]int64, 100)
+	for v := range ids {
+		ids[v] = int64(1<<40 - 3*v) // sparse, descending, past int32
+	}
 	var buf strings.Builder
-	if err := WriteCover(&buf, c); err != nil {
+	if err := WriteCover(&buf, c, ids); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCover(strings.NewReader(buf.String()), 100)
+	if first := strings.Fields(buf.String())[0]; first != strconv.FormatInt(ids[1], 10) {
+		t.Fatalf("first written id %s, want file id %d of dense vertex 1", first, ids[1])
+	}
+	got, err := ReadCover(strings.NewReader(buf.String()), ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,13 +363,14 @@ func TestCoverIORoundTrip(t *testing.T) {
 }
 
 func TestReadCoverRejectsBadInput(t *testing.T) {
-	if _, err := ReadCover(strings.NewReader("1 2 zzz\n"), 10); err == nil {
+	ids := identityIDs(10)
+	if _, err := ReadCover(strings.NewReader("1 2 zzz\n"), ids); err == nil {
 		t.Fatal("non-numeric id accepted")
 	}
-	if _, err := ReadCover(strings.NewReader("1 2 50\n"), 10); err == nil {
-		t.Fatal("out-of-range id accepted")
+	if _, err := ReadCover(strings.NewReader("1 2 50\n"), ids); err == nil {
+		t.Fatal("id outside the graph accepted")
 	}
-	c, err := ReadCover(strings.NewReader("# comment\n\n1 2\n"), 10)
+	c, err := ReadCover(strings.NewReader("# comment\n\n1 2\n"), ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,10 +383,10 @@ func TestCoverFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cover.txt")
 	c := NewCover(20, [][]int32{{1, 2, 3}, {10, 11}})
-	if err := WriteCoverFile(path, c); err != nil {
+	if err := WriteCoverFile(path, c, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCoverFile(path, 20)
+	got, err := ReadCoverFile(path, identityIDs(20))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,15 +34,10 @@ const (
 	CtrCacheEvictions     = "store.cache_evictions"
 	CtrCacheInvalidations = "store.cache_invalidations"
 
-	// Tiered π store traffic: per read, exactly one tier serves each row.
-	// hot_misses counts rows that fell past the in-RAM cache; mmap_misses
-	// counts rows that also fell past the local mmap tier (i.e. went remote).
-	CtrTierHotHits      = "store.tier.hot_hits"
-	CtrTierHotMisses    = "store.tier.hot_misses"
-	CtrTierMmapHits     = "store.tier.mmap_hits"
-	CtrTierMmapMisses   = "store.tier.mmap_misses"
-	CtrTierRemoteHits   = "store.tier.remote_hits"
-	CtrTierRemoteMisses = "store.tier.remote_misses"
+	// Tiered π store traffic: per read, exactly one tier serves each row —
+	// the in-RAM cache (hot_hits) or, past it, the mmap tier (hot_misses).
+	CtrTierHotHits   = "store.tier.hot_hits"
+	CtrTierHotMisses = "store.tier.hot_misses"
 
 	// Straggler-mitigation counters, maintained at the master by the
 	// distributed engine's reshard stage: windows observed, windows that

@@ -130,7 +130,7 @@ func BenchmarkServeHTTP(b *testing.B) {
 }
 
 // BenchmarkSnapshotFlip measures publish-to-visible latency: sealing cost is
-// the caller's (Snapshotter); this is index build plus the atomic flip, the
+// the caller's (store.TakeSnapshot); this is index build plus the atomic flip, the
 // path the benchmark reports as flip_ms.
 func BenchmarkSnapshotFlip(b *testing.B) {
 	const n, k = 100_000, 64

@@ -12,8 +12,9 @@ import (
 	"repro/internal/store"
 )
 
-// stateSnapshot seals a freshly initialised core.State through the
-// LocalStore Snapshotter — the exact publication path the sampler uses.
+// stateSnapshot seals a freshly initialised core.State through
+// store.TakeSnapshot over a LocalStore view — the exact publication path the
+// sampler uses.
 func stateSnapshot(t *testing.T, n, k, version int) (*core.State, *store.Snapshot) {
 	t.Helper()
 	cfg := core.DefaultConfig(k, 7)
@@ -22,8 +23,7 @@ func stateSnapshot(t *testing.T, n, k, version int) (*core.State, *store.Snapsho
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls := store.NewLocal(st.Pi, st.PhiSum, k, 1)
-	snap, err := ls.Snapshot(version, st.Beta)
+	snap, err := store.TakeSnapshot(store.NewLocal(st.Pi, st.PhiSum, k, 1), version, st.Beta)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -395,6 +395,36 @@ func (s *DKVStore) WriteRows(ids []int32, phi []float64) error {
 	if err := errs.get(); err != nil {
 		return err
 	}
+	return s.commit(ids, values)
+}
+
+// WritePiRows implements PiWriter: already-normalised rows are encoded
+// verbatim and committed like WriteRows' — the restore path of a streamed
+// checkpoint load, which the master of a distributed run drives for every
+// rank's shard.
+func (s *DKVStore) WritePiRows(ids []int32, pi []float32, phiSum []float64) error {
+	if len(pi) != len(ids)*s.k || len(phiSum) != len(ids) {
+		return fmt.Errorf("store: pi/phiSum have %d/%d values, want %d/%d",
+			len(pi), len(phiSum), len(ids)*s.k, len(ids))
+	}
+	if err := checkIDs(ids, s.n); err != nil {
+		return err
+	}
+	if len(ids) == 0 {
+		return nil
+	}
+	rb := RowBytes(s.k)
+	values := make([]byte, len(ids)*rb)
+	for i := range ids {
+		EncodeRowPi(values[i*rb:(i+1)*rb], pi[i*s.k:(i+1)*s.k], phiSum[i])
+	}
+	return s.commit(ids, values)
+}
+
+// commit is the one write path behind WriteRows and WritePiRows: it drops
+// the written keys from the cache (recording them for the cross-iteration
+// exchange) and sends the encoded rows as one acknowledged DKV batch.
+func (s *DKVStore) commit(ids []int32, values []byte) error {
 	if s.cacheCfg.Rows > 0 {
 		s.mu.Lock()
 		for _, id := range ids {
@@ -457,4 +487,5 @@ func (s *DKVStore) Flush() error {
 var (
 	_ PiStore     = (*DKVStore)(nil)
 	_ LocalReader = (*DKVStore)(nil)
+	_ PiWriter    = (*DKVStore)(nil)
 )

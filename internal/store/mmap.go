@@ -27,7 +27,8 @@ package store
 //  1. per dirty shard: stamp the new generation into the header, fsync,
 //     rename work → shard-XXXXX-gGGGGGG.pi (create-rename, never in place);
 //  2. write MANIFEST.tmp with the new per-shard generations, fsync, rename
-//     over MANIFEST — the commit point;
+//     over MANIFEST, fsync the directory (WriteFileAtomic) — the commit
+//     point;
 //  3. best-effort removal of the superseded generation files.
 //
 // A crash anywhere before step 2's rename leaves MANIFEST pointing at the
@@ -53,7 +54,6 @@ import (
 	"path/filepath"
 	"sync"
 	"syscall"
-	"time"
 
 	"repro/internal/par"
 )
@@ -639,58 +639,10 @@ func (s *MmapStore) writeManifest(m mmapManifest) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(s.dir, manifestName+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
+	return WriteFileAtomic(filepath.Join(s.dir, manifestName), func(w io.Writer) error {
+		_, err := w.Write(append(raw, '\n'))
 		return err
-	}
-	if _, err := f.Write(append(raw, '\n')); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(s.dir, manifestName))
-}
-
-// Snapshot implements Snapshotter: the full table decoded into an immutable
-// slab. Note this materialises all N×K floats in memory — out-of-core runs
-// that publish snapshots trade RAM for queryability, deliberately.
-func (s *MmapStore) Snapshot(version int, beta []float64) (*Snapshot, error) {
-	snap := &Snapshot{
-		Version: version,
-		N:       s.n,
-		K:       s.k,
-		Pi:      make([]float32, s.n*s.k),
-		Beta:    append([]float64(nil), beta...),
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var errs errCollector
-	par.For(s.n, s.threads, func(lo, hi int) {
-		for a := lo; a < hi; a++ {
-			raw, err := s.rowAt(a)
-			if err == nil {
-				_, err = DecodeRow(raw, snap.Pi[a*s.k:(a+1)*s.k])
-			}
-			if err != nil {
-				errs.set(fmt.Errorf("store: snapshot row %d: %w", a, err))
-			}
-		}
 	})
-	if err := errs.get(); err != nil {
-		return nil, err
-	}
-	snap.SealedAt = time.Now()
-	return snap, nil
 }
 
 // Close unmaps and closes every shard. The store is unusable afterwards;
@@ -723,6 +675,5 @@ var (
 	_ PiStore     = (*MmapStore)(nil)
 	_ LocalReader = (*MmapStore)(nil)
 	_ PiWriter    = (*MmapStore)(nil)
-	_ Snapshotter = (*MmapStore)(nil)
 	_ io.Closer   = (*MmapStore)(nil)
 )

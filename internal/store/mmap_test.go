@@ -346,7 +346,7 @@ func TestMmapStoreWritePiRowsAndSnapshot(t *testing.T) {
 		t.Fatalf("verbatim row mangled: Σφ=%v π=%v", rows.PhiSum[0], rows.PiRow(0))
 	}
 
-	snap, err := s.Snapshot(7, []float64{0.9, 0.8, 0.7})
+	snap, err := TakeSnapshot(s, 7, []float64{0.9, 0.8, 0.7})
 	if err != nil {
 		t.Fatal(err)
 	}

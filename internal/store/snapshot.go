@@ -35,83 +35,38 @@ type Snapshot struct {
 // PiRow returns vertex a's sealed membership row.
 func (s *Snapshot) PiRow(a int) []float32 { return s.Pi[a*s.K : (a+1)*s.K] }
 
-// Snapshotter is an optional PiStore capability: backends that can seal the
-// current rows into an immutable Snapshot implement it. Callers must invoke
-// it only at a phase barrier (no writes in flight), the same discipline
-// Flush documents; the returned snapshot shares no memory with the store.
+// TakeSnapshot seals the current rows of ps into an immutable Snapshot
+// through Sweep: every backend — local, mmap, tiered, DKV — is sealed by the
+// same batched read, and the rows land straight in the snapshot's slab. Call
+// it only at a phase barrier (no writes in flight), the discipline Flush
+// documents; the returned snapshot shares no memory with the store. beta
+// (copied, may be nil) is the β vector at the barrier — the store itself holds
+// only π/Σφ. The slab is all N×K floats in RAM whatever the backend: an
+// out-of-core run that publishes trades memory for queryability.
 //
-//   - LocalStore copies its backing slices — one memcpy, always consistent
-//     because the local engine is single-threaded between barriers.
-//   - DKVStore gathers the full table through its batched read path: every
-//     rank serves its owned shard and the calling (serving) rank assembles
-//     the complete row-major view. Only the serving rank needs to call it;
-//     peers participate passively through their DKV server goroutines.
-type Snapshotter interface {
-	// Snapshot seals the current rows. beta (copied, may be nil) is the β
-	// vector at the barrier — the store itself holds only π/Σφ.
-	Snapshot(version int, beta []float64) (*Snapshot, error)
+// On a DKVStore the calling (serving) rank gathers every shard: peers take
+// part passively through their DKV server goroutines, and the read goes
+// through the hot-row cache like every other whole-table sweep.
+func TakeSnapshot(ps PiStore, version int, beta []float64) (*Snapshot, error) {
+	n, k := ps.NumRows(), ps.K()
+	snap := &Snapshot{
+		Version: version,
+		N:       n,
+		K:       k,
+		Pi:      make([]float32, n*k),
+		Beta:    append([]float64(nil), beta...),
+	}
+	if err := Sweep(ps, snap.Pi, nil); err != nil {
+		return nil, fmt.Errorf("store: snapshot: %w", err)
+	}
+	snap.SealedAt = time.Now()
+	return snap, nil
 }
 
-// Snapshot implements Snapshotter for the local backend: plain copies of the
-// π slab, sealed in one pass.
+// Snapshot is TakeSnapshot over the local backend, kept for the benchmark
+// module's callers until it moves to TakeSnapshot.
 func (s *LocalStore) Snapshot(version int, beta []float64) (*Snapshot, error) {
-	snap := &Snapshot{
-		Version: version,
-		N:       len(s.phiSum),
-		K:       s.k,
-		Pi:      append([]float32(nil), s.pi...),
-		Beta:    append([]float64(nil), beta...),
-	}
-	snap.SealedAt = time.Now()
-	return snap, nil
-}
-
-// snapshotGatherKeys bounds one gather batch; matches the DKV read batching
-// the training path uses.
-const snapshotGatherKeys = 4096
-
-// Snapshot implements Snapshotter for the distributed backend: the gatherer.
-// The serving rank reads every key in owner-grouped batches — each peer
-// streams exactly its shard — and assembles the full row-major slab. The
-// gather deliberately goes through the raw DKV layer rather than ReadRows:
-// a full-table sweep through the hot-row cache would evict every genuinely
-// hot row and distort the hit-rate counters, and the training path's cache
-// is bit-transparent anyway. The phase discipline makes the gather
-// consistent: at a barrier no rank has writes in flight, and the master's
-// next scatter cannot start until the serving rank (the master) finishes
-// sealing, so no row can change mid-gather.
-func (s *DKVStore) Snapshot(version int, beta []float64) (*Snapshot, error) {
-	snap := &Snapshot{
-		Version: version,
-		N:       s.n,
-		K:       s.k,
-		Pi:      make([]float32, s.n*s.k),
-		Beta:    append([]float64(nil), beta...),
-	}
-	rb := RowBytes(s.k)
-	keys := make([]int32, 0, snapshotGatherKeys)
-	raw := make([]byte, snapshotGatherKeys*rb)
-	for base := 0; base < s.n; base += snapshotGatherKeys {
-		hi := min(base+snapshotGatherKeys, s.n)
-		keys = keys[:0]
-		for a := base; a < hi; a++ {
-			keys = append(keys, int32(a))
-		}
-		fut, err := s.kv.ReadBatchAsync(keys, raw[:len(keys)*rb])
-		if err == nil {
-			err = fut.Wait()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("store: snapshot gather at key %d: %w", base, err)
-		}
-		for i, a := range keys {
-			if _, err := DecodeRow(raw[i*rb:(i+1)*rb], snap.Pi[int(a)*s.k:(int(a)+1)*s.k]); err != nil {
-				return nil, fmt.Errorf("store: snapshot gather key %d: %w", a, err)
-			}
-		}
-	}
-	snap.SealedAt = time.Now()
-	return snap, nil
+	return TakeSnapshot(s, version, beta)
 }
 
 // Publisher is the RCU write side of snapshot publication: Publish installs

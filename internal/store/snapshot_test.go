@@ -1,12 +1,164 @@
 package store
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/transport"
 )
+
+// sweepN spans two full sweep batches and a ragged third, so every batch
+// edge of Sweep is inside the table.
+const sweepN = 2*BatchRows + 5
+
+// initPattern is the deterministic starting row every backend in the
+// snapshot table is loaded with.
+func initPattern(a int, pi []float32) float64 {
+	for j := range pi {
+		pi[j] = float32(a*10 + j)
+	}
+	return float64(a)
+}
+
+// trainSteps drives a store through a training-like write sequence: reads
+// of scattered rows (which fill any hot-row cache), then WriteRows of fresh φ
+// for a batch that overlaps them, and a Flush — the phase discipline. The
+// same seed gives the same writes on every backend.
+func trainSteps(t *testing.T, ps PiStore, steps int) {
+	t.Helper()
+	k := ps.K()
+	var rows Rows
+	for step := 0; step < steps; step++ {
+		ids := make([]int32, 64)
+		for i := range ids {
+			ids[i] = int32((step*7919 + i*1031) % sweepN)
+		}
+		if err := ps.ReadRows(ids, &rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := ps.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		phi := make([]float64, len(ids)*k)
+		for i := range phi {
+			phi[i] = float64((step+1)*(i%13) + 1)
+		}
+		if err := ps.WriteRows(ids[:len(ids)/2], phi[:len(ids)/2*k]); err != nil {
+			t.Fatal(err)
+		}
+		if err := ps.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestTakeSnapshotEveryBackend is the one snapshot test: every backend —
+// local, mmap, tiered, and DKV at 2 ranks with the hot-row cache off and on —
+// is trained through the same write sequence and sealed by TakeSnapshot, and
+// each snapshot must equal the reference model bit for bit, carry its
+// version and a copy of β, and stay sealed when the store is written after.
+// The table spans two batch edges of Sweep, so a sweep that skips, repeats
+// or misplaces a row at a batch boundary fails here for every backend.
+func TestTakeSnapshotEveryBackend(t *testing.T) {
+	const k, steps = 3, 6
+	ref := NewLocal(make([]float32, sweepN*k), make([]float64, sweepN), k, 1)
+	pi := make([]float32, k)
+	for a := 0; a < sweepN; a++ {
+		sum := initPattern(a, pi)
+		if err := ref.WritePiRows([]int32{int32(a)}, pi, []float64{sum}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trainSteps(t, ref, steps)
+
+	dkvPair := func(t *testing.T, cache int) PiStore {
+		f, err := transport.NewFabric(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		var stores [2]*DKVStore
+		for r := range stores {
+			st, err := NewDKVCache(f.Endpoint(r), sweepN, k, 2, CacheConfig{Rows: cache}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { st.Close() })
+			st.InitOwned(initPattern)
+			stores[r] = st
+		}
+		return stores[0] // the serving rank; rank 1 serves its shard passively
+	}
+	backends := []struct {
+		name string
+		make func(t *testing.T) PiStore
+	}{
+		{"local", func(t *testing.T) PiStore {
+			ls := NewLocal(make([]float32, sweepN*k), make([]float64, sweepN), k, 2)
+			for a := 0; a < sweepN; a++ {
+				sum := initPattern(a, pi)
+				if err := ls.WritePiRows([]int32{int32(a)}, pi, []float64{sum}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return ls
+		}},
+		{"mmap", func(t *testing.T) PiStore { return initMmap(t, sweepN, k, MmapOptions{ShardRows: 1000, Threads: 2}) }},
+		{"tiered", func(t *testing.T) PiStore { return tierFixture(t, sweepN, k, 256, nil) }},
+		{"dkv", func(t *testing.T) PiStore { return dkvPair(t, 0) }},
+		{"dkv+cache", func(t *testing.T) PiStore { return dkvPair(t, 256) }},
+	}
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			ps := b.make(t)
+			trainSteps(t, ps, steps)
+			var lookups int64 // hot-row cache lookups before the sweep
+			cached, _ := ps.(*DKVStore)
+			if cached != nil && cached.cacheCfg.Rows > 0 {
+				cs := cached.CacheStats()
+				lookups = cs.Hits + cs.Misses
+			} else {
+				cached = nil
+			}
+			beta := []float64{0.1, 0.2, 0.3}
+			snap, err := TakeSnapshot(ps, 7, beta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A cached DKV store's sweep reads through its cache like any
+			// other read: every remote row of the table is one lookup.
+			if cached != nil {
+				cs := cached.CacheStats()
+				if got := cs.Hits + cs.Misses - lookups; got < sweepN/2 {
+					t.Fatalf("the snapshot sweep made %d cache lookups; it must read through the cache", got)
+				}
+			}
+			if snap.Version != 7 || snap.N != sweepN || snap.K != k || snap.SealedAt.IsZero() {
+				t.Fatalf("snapshot header = v%d %d×%d sealed %v, want v7 %d×%d stamped",
+					snap.Version, snap.N, snap.K, snap.SealedAt, sweepN, k)
+			}
+			for i, v := range snap.Pi {
+				if math.Float32bits(v) != math.Float32bits(ref.pi[i]) {
+					t.Fatalf("snapshot π[%d][%d] = %v, reference %v", i/k, i%k, v, ref.pi[i])
+				}
+			}
+			beta[0] = 99
+			if snap.Beta[0] != 0.1 {
+				t.Fatal("snapshot β aliases the caller's slice")
+			}
+			// Sealed: training on does not move the snapshot.
+			before := append([]float32(nil), snap.Pi...)
+			trainSteps(t, ps, 2)
+			for i := range before {
+				if snap.Pi[i] != before[i] {
+					t.Fatalf("snapshot π[%d] changed after store writes: %v -> %v", i, before[i], snap.Pi[i])
+				}
+			}
+		})
+	}
+}
 
 // TestLocalSnapshotIsSealed: a snapshot taken from a LocalStore must be a
 // full copy — later writes to the store must not leak into it.
@@ -22,7 +174,7 @@ func TestLocalSnapshotIsSealed(t *testing.T) {
 	}
 	ls := NewLocal(pi, phiSum, k, 1)
 	beta := []float64{0.1, 0.2, 0.3}
-	snap, err := ls.Snapshot(7, beta)
+	snap, err := TakeSnapshot(ls, 7, beta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +211,7 @@ func TestLocalSnapshotIsSealed(t *testing.T) {
 
 // TestDKVSnapshotGathersFullView: on a 2-rank fabric, the serving rank's
 // snapshot must assemble both shards and match the per-key init exactly,
-// without touching the hot-row cache.
+// reading the remote shard through the hot-row cache like any other read.
 func TestDKVSnapshotGathersFullView(t *testing.T) {
 	const n, k = 37, 4
 	f, err := transport.NewFabric(2)
@@ -82,9 +234,12 @@ func TestDKVSnapshotGathersFullView(t *testing.T) {
 			return float64(a)
 		})
 	}
-	snap, err := stores[0].Snapshot(3, []float64{1, 2, 3, 4})
+	snap, err := TakeSnapshot(stores[0], 3, []float64{1, 2, 3, 4})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if snap.N != n || snap.K != k {
+		t.Fatalf("snapshot shape = %dx%d, want %dx%d", snap.N, snap.K, n, k)
 	}
 	for a := 0; a < n; a++ {
 		row := snap.PiRow(a)
@@ -94,12 +249,15 @@ func TestDKVSnapshotGathersFullView(t *testing.T) {
 			}
 		}
 	}
-	// The gather bypasses the cache: no lookups, no insertions.
-	if cs := stores[0].CacheStats(); cs.Hits != 0 || cs.Misses != 0 {
-		t.Fatalf("snapshot gather touched the hot-row cache: %+v", cs)
+	// The sweep reads through the cache: every row rank 1 owns is a lookup.
+	remote := 0
+	for a := 0; a < n; a++ {
+		if !stores[0].owned(int32(a)) {
+			remote++
+		}
 	}
-	if idx, _ := stores[0].cacheSizes(); idx != 0 {
-		t.Fatalf("snapshot gather populated the hot-row cache: %d rows", idx)
+	if cs := stores[0].CacheStats(); cs.Hits+cs.Misses < int64(remote) {
+		t.Fatalf("snapshot gather made %d cache lookups for %d remote rows", cs.Hits+cs.Misses, remote)
 	}
 }
 

@@ -15,6 +15,11 @@
 //     Section III-D, and an optional bounded hot-row cache that is
 //     invalidated at every phase barrier.
 //
+// The whole table leaves a store through one path, Sweep (snapshots,
+// checkpoints, the distributed end-of-run gather), and enters it through
+// one, PiWriter (checkpoint restore), both in BatchRows batches on every
+// backend — the mmap and tiered backends of mmap.go and tier.go included.
+//
 // Bit-exactness contract: WriteRows on every backend performs the exact
 // normalisation arithmetic of core.State.SetPhiRow (sum in slice order,
 // inv = 1/sum, float32(v·inv)), and reads return float32/float64 values
@@ -66,7 +71,10 @@ type Rows struct {
 	raw []byte // backend scratch (wire bytes), reused between reads
 }
 
-// Reset sizes the buffer for n rows of width k, reusing capacity.
+// Reset sizes the buffer for n rows of width k, reusing capacity. Every
+// backend's ReadRows resets dst and then fills it in place, so a buffer whose
+// Pi already has the capacity is written where it lies — which is how Sweep
+// lands rows straight in a caller's slab.
 func (r *Rows) Reset(n, k int) {
 	r.K = k
 	if cap(r.Pi) < n*k {
@@ -147,6 +155,48 @@ type PiWriter interface {
 	// WritePiRows stores len(ids) rows: pi is row-major len(ids)×K, phiSum
 	// one Σφ per row.
 	WritePiRows(ids []int32, pi []float32, phiSum []float64) error
+}
+
+// BatchRows bounds one batch of a whole-table sweep or restore: 4096 rows ≈
+// 2 MB at K=128, small enough that saving, sealing or restoring a
+// larger-than-RAM table holds one batch at a time. Every whole-table path —
+// Sweep, and the checkpoint reader in internal/core — uses this one size.
+const BatchRows = 4096
+
+// Sweep reads rows [0, N) of ps in order, BatchRows at a time, through
+// ReadRows — caches included — and hands each batch to visit with the id of
+// its first row (visit may be nil). When pi is non-nil it must be N×K long,
+// and each batch's π rows land straight in pi[lo*K : hi*K] instead of a
+// reused buffer, so a snapshot or gather copies every row once. It is the one
+// whole-table read path: snapshots (TakeSnapshot), checkpoints
+// (core.SaveStore) and the distributed end-of-run gather all run on it. Call
+// it at a phase barrier, with no writes in flight.
+func Sweep(ps PiStore, pi []float32, visit func(lo int, rows *Rows) error) error {
+	n, k := ps.NumRows(), ps.K()
+	if pi != nil && len(pi) != n*k {
+		return fmt.Errorf("store: sweep slab has %d values, table is %d×%d", len(pi), n, k)
+	}
+	ids := make([]int32, 0, BatchRows)
+	var rows Rows
+	for lo := 0; lo < n; lo += BatchRows {
+		hi := min(lo+BatchRows, n)
+		ids = ids[:0]
+		for a := lo; a < hi; a++ {
+			ids = append(ids, int32(a))
+		}
+		if pi != nil {
+			rows.Pi = pi[lo*k : hi*k : hi*k] // ReadRows' Reset keeps it: rows land in place
+		}
+		if err := ps.ReadRows(ids, &rows); err != nil {
+			return fmt.Errorf("store: sweep at row %d: %w", lo, err)
+		}
+		if visit != nil {
+			if err := visit(lo, &rows); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // errCollector keeps the first error reported from a parallel loop.

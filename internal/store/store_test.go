@@ -151,7 +151,7 @@ func TestBackendsRejectBadArguments(t *testing.T) {
 			twoRankStores(t, n, k, 0, func(s *DKVStore) { body(s) })
 		}},
 		{"mmap", func(t *testing.T, body func(PiStore)) { body(initMmap(t, n, k, MmapOptions{})) }},
-		{"tiered", func(t *testing.T, body func(PiStore)) { body(tierFixture(t, n, 0, k, 4, nil)) }},
+		{"tiered", func(t *testing.T, body func(PiStore)) { body(tierFixture(t, n, k, 4, nil)) }},
 	}
 	read := func(id int32) func(PiStore) error {
 		return func(ps PiStore) error { return ps.ReadRows([]int32{0, id}, new(Rows)) }
@@ -260,6 +260,42 @@ func TestDKVStoreReadWrite(t *testing.T) {
 			for j, w := range wantPi {
 				if rows.PiRow(i)[j] != w {
 					t.Fatalf("row %d: π[%d] = %v, want %v", i, j, rows.PiRow(i)[j], w)
+				}
+			}
+		}
+	})
+}
+
+// TestDKVWritePiRows: the restore primitive lands verbatim rows on their
+// owners, local and remote, and drops a cached copy of a row it overwrites —
+// the same commit WriteRows uses.
+func TestDKVWritePiRows(t *testing.T) {
+	const n, k = 20, 3
+	twoRankStores(t, n, k, 8, func(s *DKVStore) {
+		ids := []int32{18, 2}
+		var rows Rows
+		for pass := 0; pass < 2; pass++ { // row 18 is remote: cached after the first read
+			if err := s.ReadRows(ids, &rows); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cs := s.CacheStats(); cs.Hits == 0 {
+			t.Fatalf("remote row never served from the cache: %+v", cs)
+		}
+		pi := []float32{0.25, 0.5, 0.25, 0.125, 0.375, 0.5}
+		if err := s.WritePiRows(ids, pi, []float64{42.5, 7}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ReadRows(ids, &rows); err != nil {
+			t.Fatal(err)
+		}
+		for i, sum := range []float64{42.5, 7} {
+			if rows.PhiSum[i] != sum {
+				t.Fatalf("row %d: Σφ = %v, want %v (stale cache, or not written verbatim)", ids[i], rows.PhiSum[i], sum)
+			}
+			for j := 0; j < k; j++ {
+				if rows.PiRow(i)[j] != pi[i*k+j] {
+					t.Fatalf("row %d: π[%d] = %v, want %v", ids[i], j, rows.PiRow(i)[j], pi[i*k+j])
 				}
 			}
 		}

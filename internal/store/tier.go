@@ -3,89 +3,69 @@ package store
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/obs"
-	"repro/internal/par"
 )
 
 // TieredStore layers the π backends into a read hierarchy:
 //
-//	hot   — an in-RAM LRU of recently read rows' wire bytes (the same
-//	        arena-backed rowCache behind DKVStore's hot-row cache),
-//	base  — the local tier, normally an MmapStore holding rows [0, base.N),
-//	remote— an optional backing store (normally DKV) for rows ≥ base.N,
-//	        addressed there by id − base.N.
+//	hot  — an in-RAM LRU of recently read rows' wire bytes (the same
+//	       arena-backed rowCache behind DKVStore's hot-row cache),
+//	base — the local tier, normally an MmapStore holding every row.
 //
 // Every row a read returns is decoded from the same wire bytes regardless of
 // which tier served it — a cached row is the verbatim re-encode of the bytes
-// the lower tier produced — so the trained trajectory is bit-for-bit
+// the base tier produced — so the trained trajectory is bit-for-bit
 // independent of the tier configuration, the same contract the DKV hot-row
 // cache honours.
 //
 // Consistency relies on the tier being the SINGLE writer path: WriteRows and
 // WritePiRows invalidate the written keys' hot entries synchronously before
 // forwarding, and the training phase discipline (a phase never reads a row
-// it writes) covers the window between a lower tier's write landing and the
-// barrier. Because all writes flow through this store, the hot tier can
-// survive Flush — unlike the multi-writer DKV cache, no other rank can
-// change a row behind its back. Mutating base or remote directly while a
-// TieredStore wraps them breaks this contract.
+// it writes) covers the window between a base write landing and the barrier.
+// Because all writes flow through this store, the hot tier can survive
+// Flush — unlike the multi-writer DKV cache, no other rank can change a row
+// behind its back. Mutating base directly while a TieredStore wraps it
+// breaks this contract.
 type TieredStore struct {
-	base    PiStore
-	remote  PiStore // nil = single-node out-of-core
-	n, k    int
-	baseN   int
-	rb      int
-	threads int
+	base PiStore
+	n, k int
+	rb   int
 
 	mu   sync.Mutex
 	hot  *rowCache // nil when hotRows == 0
 	door *doorkeeper
 	row  []byte // scratch wire row for cache feeds
 
-	hotHits, hotMisses       *obs.Counter
-	mmapHits, mmapMisses     *obs.Counter
-	remoteHits, remoteMisses *obs.Counter
+	hotHits, hotMisses *obs.Counter
 }
 
-// TierStats is the plain-value view of the tier traffic counters.
+// TierStats is the plain-value view of the tier traffic counters: rows the
+// hot cache served, and rows that fell past it to the base tier.
 type TierStats struct {
-	HotHits, HotMisses       int64
-	MmapHits, MmapMisses     int64
-	RemoteHits, RemoteMisses int64
+	HotHits, HotMisses int64
 }
 
-// NewTiered assembles the hierarchy. base is required; remote may be nil
-// (single-node out-of-core, the common case). hotRows bounds the in-RAM
-// cache (0 disables it). reg receives the store.tier.* counters; nil gets a
-// private registry.
+// NewTiered assembles the hierarchy. base is required; remote must be nil —
+// the tier has no remote arm (the distributed engine's DKVStore is its own
+// backend). hotRows bounds the in-RAM cache (0 disables it). reg receives the
+// store.tier.* counters; nil gets a private registry.
 func NewTiered(base, remote PiStore, hotRows, threads int, reg *obs.Registry) (*TieredStore, error) {
 	if base == nil {
 		return nil, fmt.Errorf("store: tiered store needs a base tier")
 	}
-	k := base.K()
-	n := base.NumRows()
 	if remote != nil {
-		if remote.K() != k {
-			return nil, fmt.Errorf("store: tier K mismatch: base %d, remote %d", k, remote.K())
-		}
-		n += remote.NumRows()
+		return nil, fmt.Errorf("store: tiered store has no remote tier (got %T)", remote)
 	}
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	t := &TieredStore{
-		base: base, remote: remote,
-		n: n, k: k, baseN: base.NumRows(),
-		rb: RowBytes(k), threads: threads,
-		row:          make([]byte, RowBytes(k)),
-		hotHits:      reg.Counter(obs.CtrTierHotHits),
-		hotMisses:    reg.Counter(obs.CtrTierHotMisses),
-		mmapHits:     reg.Counter(obs.CtrTierMmapHits),
-		mmapMisses:   reg.Counter(obs.CtrTierMmapMisses),
-		remoteHits:   reg.Counter(obs.CtrTierRemoteHits),
-		remoteMisses: reg.Counter(obs.CtrTierRemoteMisses),
+		base: base, n: base.NumRows(), k: base.K(),
+		rb:        RowBytes(base.K()),
+		row:       make([]byte, RowBytes(base.K())),
+		hotHits:   reg.Counter(obs.CtrTierHotHits),
+		hotMisses: reg.Counter(obs.CtrTierHotMisses),
 	}
 	if hotRows > 0 {
 		t.hot = newRowCache(hotRows, t.rb)
@@ -100,24 +80,17 @@ func (t *TieredStore) NumRows() int { return t.n }
 // K implements PiStore.
 func (t *TieredStore) K() int { return t.k }
 
-// ReadsAreLocal implements LocalReader: local iff no remote tier and the
-// base tier itself answers locally.
-func (t *TieredStore) ReadsAreLocal() bool {
-	return t.remote == nil && ReadsAreLocal(t.base)
-}
+// ReadsAreLocal implements LocalReader: local iff the base tier answers
+// locally.
+func (t *TieredStore) ReadsAreLocal() bool { return ReadsAreLocal(t.base) }
 
 // Stats returns a snapshot of the tier traffic counters.
 func (t *TieredStore) Stats() TierStats {
-	return TierStats{
-		HotHits: t.hotHits.Load(), HotMisses: t.hotMisses.Load(),
-		MmapHits: t.mmapHits.Load(), MmapMisses: t.mmapMisses.Load(),
-		RemoteHits: t.remoteHits.Load(), RemoteMisses: t.remoteMisses.Load(),
-	}
+	return TierStats{HotHits: t.hotHits.Load(), HotMisses: t.hotMisses.Load()}
 }
 
-// ReadRows implements PiStore, walking the tiers per row: hot bytes decode
-// in place; misses fan out to base and remote in owner-grouped batches and
-// feed the hot cache on the way back.
+// ReadRows implements PiStore: hot bytes decode in place; the misses go to
+// the base tier as one batch and feed the hot cache on the way back.
 func (t *TieredStore) ReadRows(ids []int32, dst *Rows) error {
 	if err := checkIDs(ids, t.n); err != nil {
 		return err
@@ -128,8 +101,7 @@ func (t *TieredStore) ReadRows(ids []int32, dst *Rows) error {
 	defer t.mu.Unlock()
 
 	// Tier 1: the hot cache.
-	var basePos, remotePos []int // dst positions needing a lower tier
-	var hits, misses int64
+	var missPos []int // dst positions the base tier must fill
 	for i, id := range ids {
 		if t.hot != nil {
 			if raw, ok := t.hot.get(id); ok {
@@ -138,54 +110,27 @@ func (t *TieredStore) ReadRows(ids []int32, dst *Rows) error {
 					return fmt.Errorf("store: tier cache key %d: %w", id, err)
 				}
 				dst.PhiSum[i] = sum
-				hits++
 				continue
 			}
 		}
-		misses++
-		if int(id) < t.baseN {
-			basePos = append(basePos, i)
-		} else {
-			remotePos = append(remotePos, i)
-		}
+		missPos = append(missPos, i)
 	}
-	t.hotHits.Add(hits)
-	t.hotMisses.Add(misses)
-
-	// Tier 2: the local (mmap) tier.
-	t.mmapHits.Add(int64(len(basePos)))
-	t.mmapMisses.Add(int64(len(remotePos)))
-	if err := t.readThrough(t.base, ids, basePos, 0, dst); err != nil {
-		return err
-	}
-
-	// Tier 3: the remote backing store. Without one n == baseN, so the range
-	// check above leaves remotePos empty.
-	if len(remotePos) > 0 {
-		t.remoteHits.Add(int64(len(remotePos)))
-		if err := t.readThrough(t.remote, ids, remotePos, t.baseN, dst); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readThrough reads ids[pos] (shifted by -offset in the lower tier's key
-// space) from tier into the matching dst positions, feeding the hot cache.
-// Caller holds t.mu.
-func (t *TieredStore) readThrough(tier PiStore, ids []int32, pos []int, offset int, dst *Rows) error {
-	if len(pos) == 0 {
+	t.hotHits.Add(int64(len(ids) - len(missPos)))
+	t.hotMisses.Add(int64(len(missPos)))
+	if len(missPos) == 0 {
 		return nil
 	}
-	sub := make([]int32, len(pos))
-	for i, p := range pos {
-		sub[i] = ids[p] - int32(offset)
+
+	// Tier 2: the base (mmap) tier.
+	sub := make([]int32, len(missPos))
+	for i, p := range missPos {
+		sub[i] = ids[p]
 	}
 	var tmp Rows
-	if err := tier.ReadRows(sub, &tmp); err != nil {
+	if err := t.base.ReadRows(sub, &tmp); err != nil {
 		return err
 	}
-	for i, p := range pos {
+	for i, p := range missPos {
 		copy(dst.PiRow(p), tmp.PiRow(i))
 		dst.PhiSum[p] = tmp.PhiSum[i]
 		if t.hot != nil {
@@ -199,9 +144,7 @@ func (t *TieredStore) readThrough(tier PiStore, ids []int32, pos []int, offset i
 	return nil
 }
 
-// ReadRowsAsync implements PiStore. When a remote tier is configured the
-// read may leave the process, but the tier walk itself is synchronous — the
-// φ stage's pipelined plan still overlaps whole batches.
+// ReadRowsAsync implements PiStore; tier reads complete synchronously.
 func (t *TieredStore) ReadRowsAsync(ids []int32, dst *Rows) (Pending, error) {
 	if err := t.ReadRows(ids, dst); err != nil {
 		return nil, err
@@ -209,10 +152,19 @@ func (t *TieredStore) ReadRowsAsync(ids []int32, dst *Rows) (Pending, error) {
 	return donePending{}, nil
 }
 
+// dropHot removes the written keys' hot entries; the caller holds t.mu.
+func (t *TieredStore) dropHot(ids []int32) {
+	if t.hot != nil {
+		for _, id := range ids {
+			t.hot.remove(id)
+		}
+	}
+}
+
 // WriteRows implements PiStore: written keys are dropped from the hot tier
-// synchronously, then the write forwards to the owning tier with SetPhiRow
-// arithmetic applied there (all backends share the codec, so the result is
-// bit-identical regardless of which tier lands it).
+// synchronously, then the write forwards to the base tier, which applies
+// SetPhiRow arithmetic (all backends share the codec, so the result is
+// bit-identical to an untiered write).
 func (t *TieredStore) WriteRows(ids []int32, phi []float64) error {
 	if len(phi) != len(ids)*t.k {
 		return fmt.Errorf("store: phi has %d values, want %d", len(phi), len(ids)*t.k)
@@ -222,60 +174,17 @@ func (t *TieredStore) WriteRows(ids []int32, phi []float64) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.hot != nil {
-		for _, id := range ids {
-			t.hot.remove(id)
-		}
-	}
-	var firstErr error
-	collect := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	basePos, remotePos := t.splitByTier(ids)
-	collect(t.forwardWrite(t.base, ids, phi, basePos, 0))
-	if len(remotePos) > 0 {
-		collect(t.forwardWrite(t.remote, ids, phi, remotePos, t.baseN))
-	}
-	return firstErr
+	t.dropHot(ids)
+	return t.base.WriteRows(ids, phi)
 }
 
-func (t *TieredStore) splitByTier(ids []int32) (basePos, remotePos []int) {
-	for i, id := range ids {
-		if int(id) < t.baseN {
-			basePos = append(basePos, i)
-		} else {
-			remotePos = append(remotePos, i)
-		}
-	}
-	return
-}
-
-func (t *TieredStore) forwardWrite(tier PiStore, ids []int32, phi []float64, pos []int, offset int) error {
-	if len(pos) == 0 {
-		return nil
-	}
-	sub := make([]int32, len(pos))
-	subPhi := make([]float64, len(pos)*t.k)
-	for i, p := range pos {
-		sub[i] = ids[p] - int32(offset)
-		copy(subPhi[i*t.k:(i+1)*t.k], phi[p*t.k:(p+1)*t.k])
-	}
-	if err := tier.WriteRows(sub, subPhi); err != nil {
-		// Re-map the lower tier's vertex naming back to global ids where we
-		// can't tell which row failed; the typed cause is preserved.
-		if offset != 0 {
-			return fmt.Errorf("store: remote tier (keys offset by %d): %w", offset, err)
-		}
-		return err
-	}
-	return nil
-}
-
-// WritePiRows implements PiWriter when every owning tier does — the
-// streamed checkpoint-restore path.
+// WritePiRows implements PiWriter when the base tier does — the streamed
+// checkpoint-restore path.
 func (t *TieredStore) WritePiRows(ids []int32, pi []float32, phiSum []float64) error {
+	w, ok := t.base.(PiWriter)
+	if !ok {
+		return fmt.Errorf("store: tier %T cannot restore verbatim rows", t.base)
+	}
 	if len(pi) != len(ids)*t.k || len(phiSum) != len(ids) {
 		return fmt.Errorf("store: pi/phiSum have %d/%d values, want %d/%d",
 			len(pi), len(phiSum), len(ids)*t.k, len(ids))
@@ -285,110 +194,19 @@ func (t *TieredStore) WritePiRows(ids []int32, pi []float32, phiSum []float64) e
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.hot != nil {
-		for _, id := range ids {
-			t.hot.remove(id)
-		}
-	}
-	basePos, remotePos := t.splitByTier(ids)
-	for _, group := range []struct {
-		tier   PiStore
-		pos    []int
-		offset int
-	}{{t.base, basePos, 0}, {t.remote, remotePos, t.baseN}} {
-		if len(group.pos) == 0 {
-			continue
-		}
-		w, ok := group.tier.(PiWriter)
-		if !ok {
-			return fmt.Errorf("store: tier %T cannot restore verbatim rows", group.tier)
-		}
-		sub := make([]int32, len(group.pos))
-		subPi := make([]float32, len(group.pos)*t.k)
-		subSum := make([]float64, len(group.pos))
-		for i, p := range group.pos {
-			sub[i] = ids[p] - int32(group.offset)
-			copy(subPi[i*t.k:(i+1)*t.k], pi[p*t.k:(p+1)*t.k])
-			subSum[i] = phiSum[p]
-		}
-		if err := w.WritePiRows(sub, subPi, subSum); err != nil {
-			return err
-		}
-	}
-	return nil
+	t.dropHot(ids)
+	return w.WritePiRows(ids, pi, phiSum)
 }
 
-// Flush implements PiStore: the barrier forwards to every tier. The hot
+// Flush implements PiStore: the barrier forwards to the base tier. The hot
 // cache deliberately SURVIVES the barrier — this store is the single writer
 // and invalidates synchronously on every write, so a cached row can never
 // go stale (see the type comment).
-func (t *TieredStore) Flush() error {
-	if err := t.base.Flush(); err != nil {
-		return err
-	}
-	if t.remote != nil {
-		return t.remote.Flush()
-	}
-	return nil
-}
-
-// Snapshot implements Snapshotter: delegate when the base tier can seal
-// itself and there is no remote; otherwise gather through the tiers
-// directly (bypassing the hot cache, which a full sweep would churn).
-func (t *TieredStore) Snapshot(version int, beta []float64) (*Snapshot, error) {
-	if t.remote == nil {
-		if snap, ok := t.base.(Snapshotter); ok {
-			return snap.Snapshot(version, beta)
-		}
-	}
-	snap := &Snapshot{
-		Version: version,
-		N:       t.n,
-		K:       t.k,
-		Pi:      make([]float32, t.n*t.k),
-		Beta:    append([]float64(nil), beta...),
-	}
-	if err := t.snapshotTier(t.base, 0, t.baseN, snap); err != nil {
-		return nil, err
-	}
-	if t.remote != nil {
-		if err := t.snapshotTier(t.remote, t.baseN, t.n, snap); err != nil {
-			return nil, err
-		}
-	}
-	snap.SealedAt = time.Now()
-	return snap, nil
-}
-
-// snapshotTier sweeps tier's rows into snap.Pi[lo*k : hi*k] in batches;
-// tier keys run [0, hi-lo), global ids [lo, hi).
-func (t *TieredStore) snapshotTier(tier PiStore, lo, hi int, snap *Snapshot) error {
-	const batch = 4096
-	var rows Rows
-	ids := make([]int32, 0, batch)
-	for a := lo; a < hi; a += batch {
-		end := min(a+batch, hi)
-		ids = ids[:0]
-		for v := a; v < end; v++ {
-			ids = append(ids, int32(v-lo))
-		}
-		if err := tier.ReadRows(ids, &rows); err != nil {
-			return fmt.Errorf("store: tier snapshot at key %d: %w", a, err)
-		}
-		off := a * t.k
-		par.For(len(ids), t.threads, func(rlo, rhi int) {
-			for i := rlo; i < rhi; i++ {
-				copy(snap.Pi[off+i*t.k:off+(i+1)*t.k], rows.PiRow(i))
-			}
-		})
-	}
-	return nil
-}
+func (t *TieredStore) Flush() error { return t.base.Flush() }
 
 // interface conformance
 var (
 	_ PiStore     = (*TieredStore)(nil)
 	_ LocalReader = (*TieredStore)(nil)
 	_ PiWriter    = (*TieredStore)(nil)
-	_ Snapshotter = (*TieredStore)(nil)
 )

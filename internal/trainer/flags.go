@@ -36,6 +36,10 @@ type run struct {
 	failRank, failIter, slowRank int
 	slowSend, slowPhi            time.Duration
 
+	// ids maps the graph's dense vertex ids back to the -graph file's
+	// (graph.ReadSNAP's map; nil under -stream, which keeps the file's ids).
+	ids []int64
+
 	// needsRanks maps each flag only one engine can honour to the -ranks that
 	// engine runs at ("1" or ">= 2"), filled by flagSet where the flag is
 	// defined. Setting one explicitly under the other engine is a start-up

@@ -92,18 +92,6 @@ func Run(prog string, defaultRanks int, args []string, stdout io.Writer) (err er
 		fmt.Fprintf(r.out, "serving queries: http://%s/ (endpoints: /topk /members /shared /stats)\n", bound)
 	}
 
-	// -resume: either engine continues from the loaded state at its iteration.
-	// The mmap backend instead streams the rows into its store (trainLocal).
-	if r.resume != "" && r.piBackend != "mmap" {
-		state, iter, err := core.LoadFileFor(r.resume, r.cfg, train.NumVertices())
-		if err != nil {
-			return fmt.Errorf("-resume: %w", err)
-		}
-		if err := r.resumeAt(iter, ""); err != nil {
-			return err
-		}
-		r.opt.RestartState, r.opt.RestartIter = state, iter
-	}
 	if r.opt.Ranks == 1 {
 		return r.trainLocal(train, held)
 	}
@@ -119,7 +107,9 @@ func shutdown(endpoint interface{ Shutdown(context.Context) error }) {
 	_ = endpoint.Shutdown(ctx)
 }
 
-// loadGraph reads -graph and splits off the held-out set.
+// loadGraph reads -graph and splits off the held-out set. A SNAP read
+// densifies the file's vertex ids; r.ids keeps the map back to them
+// (-stream keeps the ids as they are, and r.ids stays nil).
 func (r *run) loadGraph() (train *graph.Graph, held *graph.HeldOut, err error) {
 	var g *graph.Graph
 	if r.stream {
@@ -129,7 +119,7 @@ func (r *run) loadGraph() (train *graph.Graph, held *graph.HeldOut, err error) {
 		}
 		g, err = graph.FromEdgeSource(src)
 	} else {
-		g, _, err = graph.ReadSNAPFile(r.graphPath)
+		g, r.ids, err = graph.ReadSNAPFile(r.graphPath)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -152,14 +142,9 @@ func (r *run) openSink() (*obs.Sink, error) {
 	return obs.NewFileSink(f), nil
 }
 
-// resumeAt rejects a -resume checkpoint the absolute -iters target leaves
-// nothing to train from, and announces the resume otherwise.
-func (r *run) resumeAt(iter int, how string) error {
-	if iter >= r.opt.Iterations {
-		return fmt.Errorf("-resume checkpoint is at iteration %d, at or past -iters %d", iter, r.opt.Iterations)
-	}
-	fmt.Fprintf(r.out, "resumed from %s at iteration %d%s\n", r.resume, iter, how)
-	return nil
+// announceResume reports where a -resume run picked the chain up.
+func (r *run) announceResume(iter int) {
+	fmt.Fprintf(r.out, "resumed from %s at iteration %d\n", r.resume, iter)
 }
 
 // trainLocal is the -ranks 1 engine: core.Sampler over its in-RAM state, or
@@ -207,25 +192,16 @@ func (r *run) trainLocal(train *graph.Graph, held *graph.HeldOut) error {
 	if err != nil {
 		return err
 	}
-	if st := r.opt.RestartState; st != nil {
-		if err := core.Resume(r.cfg, train, st, r.opt.RestartIter, s); err != nil {
-			return err
-		}
-	} else if r.resume != "" {
-		// Streamed restore: π rows go straight into the external store, only θ
-		// (and the derived β) pass through RAM, into the sampler's shell state.
-		theta, iter, err := core.LoadStoreFile(r.resume, sopts.Store)
-		if err != nil {
+	if r.resume != "" {
+		// The rows stream straight into the sampler's store — its in-RAM
+		// arrays or the mmap backend; only θ passes through a buffer.
+		if err := s.Restore(r.resume); err != nil {
 			return fmt.Errorf("-resume: %w", err)
 		}
-		if err := r.resumeAt(iter, " (streamed into mmap)"); err != nil {
-			return err
+		if err := core.CheckResumeIter(s.Iteration(), iters); err != nil {
+			return fmt.Errorf("-resume: %w", err)
 		}
-		copy(s.State.Theta, theta)
-		s.State.RefreshBeta()
-		if err := core.Resume(r.cfg, train, s.State, iter, s); err != nil {
-			return err
-		}
+		r.announceResume(s.Iteration())
 	}
 
 	res := &dist.Result{Phases: s.Phases}
@@ -243,7 +219,7 @@ func (r *run) trainLocal(train *graph.Graph, held *graph.HeldOut) error {
 		}
 		t := s.Iteration()
 		if r.checkpointDue(t) {
-			if err := saveCheckpoint(r.opt.CheckpointPath, s.State, sopts.Store, t); err != nil {
+			if err := s.Checkpoint(r.opt.CheckpointPath); err != nil {
 				return err
 			}
 		}
@@ -260,10 +236,10 @@ func (r *run) trainLocal(train *graph.Graph, held *graph.HeldOut) error {
 	if tier != nil {
 		st := tier.Stats()
 		total := st.HotHits + st.HotMisses
-		fmt.Fprintf(r.out, "π tier: hot %d/%d reads cached (%.1f%%), mmap hits %d\n",
-			st.HotHits, total, 100*float64(st.HotHits)/float64(max(total, 1)), st.MmapHits)
+		fmt.Fprintf(r.out, "π tier: hot %d/%d reads cached (%.1f%%), mmap served %d\n",
+			st.HotHits, total, 100*float64(st.HotHits)/float64(max(total, 1)), st.HotMisses)
 	}
-	if err := r.finalCheckpoint(s.State, sopts.Store); err != nil {
+	if err := r.finalCheckpoint(s.Checkpoint); err != nil {
 		return err
 	}
 	// Seal the mmap store so the trained π generation is durable on disk and a
@@ -295,6 +271,7 @@ func (r *run) trainLocal(train *graph.Graph, held *graph.HeldOut) error {
 func (r *run) trainDist(train *graph.Graph, held *graph.HeldOut) error {
 	opt := r.opt
 	ranks, iters := opt.Ranks, opt.Iterations
+	opt.RestartPath = r.resume
 	if opt.CheckpointEvery <= 0 {
 		opt.CheckpointPath = "" // at run end only: written below, not by the engine
 	}
@@ -359,13 +336,16 @@ func (r *run) trainDist(train *graph.Graph, held *graph.HeldOut) error {
 		return err
 	}
 
+	if r.resume != "" {
+		r.announceResume(res.Resumed)
+	}
 	r.perplexityHeader()
 	for _, p := range res.Perplexity {
 		r.perplexityRow(p)
 	}
-	r.report(res, iters-opt.RestartIter)
+	r.report(res, iters-res.Resumed)
 	if r.rankTable {
-		fmt.Fprintf(r.out, "\nper-rank breakdown:\n%s", dist.RankTable(res.RankPhases, iters-opt.RestartIter))
+		fmt.Fprintf(r.out, "\nper-rank breakdown:\n%s", dist.RankTable(res.RankPhases, iters-res.Resumed))
 	}
 	fmt.Fprintf(r.out, "\nDKV traffic: %d local keys, %d remote keys (%.1f%% remote), %d requests, %.1f MB read, %.1f MB written\n",
 		res.DKV.LocalKeys, res.DKV.RemoteKeys, 100*res.RemoteFrac, res.DKV.Requests,
@@ -388,7 +368,8 @@ func (r *run) trainDist(train *graph.Graph, held *graph.HeldOut) error {
 		fmt.Fprintf(r.out, "straggler mitigation: %d/%d windows rebalanced, %d rank flags\n",
 			ctr[obs.CtrReshardChanges], ctr[obs.CtrReshardWindows], ctr[obs.CtrReshardFlags])
 	}
-	if err := r.finalCheckpoint(res.State, nil); err != nil {
+	err = r.finalCheckpoint(func(path string) error { return res.State.SaveFile(path, iters) })
+	if err != nil {
 		return err
 	}
 	return r.writeOutputs(res.State, held)
@@ -400,30 +381,22 @@ func (r *run) checkpointDue(t int) bool {
 	return r.opt.CheckpointPath != "" && r.opt.CheckpointEvery > 0 && t%r.opt.CheckpointEvery == 0
 }
 
-// finalCheckpoint is -checkpoint's write at run end, skipped when the
-// periodic write already landed on the last iteration.
-func (r *run) finalCheckpoint(st *core.State, ext store.PiStore) error {
+// finalCheckpoint is -checkpoint's write at run end through the engine's
+// save (the sampler's Checkpoint, or the gathered state's SaveFile — the same
+// bytes for the same model), skipped when the periodic write already landed
+// on the last iteration.
+func (r *run) finalCheckpoint(save func(path string) error) error {
 	path, iters := r.opt.CheckpointPath, r.opt.Iterations
 	if path == "" {
 		return nil
 	}
 	if !r.checkpointDue(iters) {
-		if err := saveCheckpoint(path, st, ext, iters); err != nil {
+		if err := save(path); err != nil {
 			return err
 		}
 	}
 	fmt.Fprintf(r.out, "checkpoint written to %s (iteration %d)\n", path, iters)
 	return nil
-}
-
-// saveCheckpoint writes the chain state at iteration iter: streamed out of
-// the external π backend when there is one, from the in-RAM state otherwise.
-// Both produce the same bytes for the same model.
-func saveCheckpoint(path string, st *core.State, ext store.PiStore, iter int) error {
-	if ext != nil {
-		return core.SaveStoreFile(path, ext, st.Theta, iter)
-	}
-	return st.SaveFile(path, iter)
 }
 
 func (r *run) perplexityHeader() {
@@ -457,7 +430,7 @@ func (r *run) writeOutputs(estimate *core.State, held *graph.HeldOut) error {
 	}
 	if r.communities != "" {
 		cover := metrics.FromState(estimate, 0)
-		if err := metrics.WriteCoverFile(r.communities, cover); err != nil {
+		if err := metrics.WriteCoverFile(r.communities, cover, r.ids); err != nil {
 			return err
 		}
 		fmt.Fprintf(r.out, "wrote %d detected communities to %s\n", len(cover.Members), r.communities)
