@@ -350,7 +350,7 @@ func TestCheckpointBytesEveryBackend(t *testing.T) {
 		},
 		"mmap": func(t *testing.T) store.PiStore { return mmap(t) },
 		"tiered": func(t *testing.T) store.PiStore {
-			tier, err := store.NewTiered(mmap(t), nil, 128, 2, nil)
+			tier, err := store.NewTiered(mmap(t), nil, 0, 2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

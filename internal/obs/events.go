@@ -34,11 +34,6 @@ const (
 	CtrCacheEvictions     = "store.cache_evictions"
 	CtrCacheInvalidations = "store.cache_invalidations"
 
-	// Tiered π store traffic: per read, exactly one tier serves each row —
-	// the in-RAM cache (hot_hits) or, past it, the mmap tier (hot_misses).
-	CtrTierHotHits   = "store.tier.hot_hits"
-	CtrTierHotMisses = "store.tier.hot_misses"
-
 	// Straggler-mitigation counters, maintained at the master by the
 	// distributed engine's reshard stage: windows observed, windows that
 	// changed the share weights, and total rank-window straggler flags.

@@ -1,22 +1,17 @@
 package store
 
-// This file holds the eviction machinery behind DKVStore's hot-row cache:
-// rowCache, a fixed-capacity LRU whose entries live in preallocated arenas
-// (one value slab, one node array) linked into a circular recency ring by
-// slot index, and doorkeeper, the bounded seen-twice admission filter of the
-// "admit2" policy.
+// This file holds the eviction machinery behind DKVStore's hot-row cache,
+// the only heap row cache: rowCache, a fixed-capacity LRU whose entries
+// live in preallocated arenas (one value slab, one node array) linked into a
+// circular recency ring by slot index, and doorkeeper, the bounded seen-twice
+// admission filter of the "admit2" policy. The out-of-core path has no such
+// cache: an MmapStore read is one copy out of the page cache.
 //
-// rowCache replaces the earlier FIFO slice, which had two real problems:
-// `fifo = fifo[1:]` on every eviction pinned the backing array head (the
-// queue crawled through memory and forced reallocation churn under
-// sustained traffic), and the write-invalidation path deleted keys from the
-// map but not from the queue — so evicting an already-deleted id counted a
-// no-op eviction, the live cache silently shrank below capacity, and a
-// re-inserted written key left a duplicate queue entry whose earlier
-// eviction deleted the fresh copy too soon. Here every structure is updated
-// together under one lock and every operation — lookup, touch, insert,
-// remove, evict — is O(1) with zero steady-state allocation: an evicted
-// row's slab slot is handed directly to the incoming one.
+// Every structure is updated together under DKVStore's lock, and every
+// operation — lookup, touch, insert, remove, evict — is O(1) with zero
+// steady-state allocation: an evicted row's slab slot is handed directly to
+// the incoming one, and removing a written key frees its slot at once, so
+// the live cache never shrinks below capacity.
 
 // rowCache is a fixed-capacity LRU over equal-sized rows. Not safe for
 // concurrent use; DKVStore serialises access under its mutex.

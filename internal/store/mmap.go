@@ -25,7 +25,10 @@ package store
 // Seal() then makes the working state durable and current atomically:
 //
 //  1. per dirty shard: stamp the new generation into the header, fsync,
-//     rename work → shard-XXXXX-gGGGGGG.pi (create-rename, never in place);
+//     rename its file → shard-XXXXX-gGGGGGG.pi (create-rename, never in
+//     place). The shard remembers which file backs its mapping, so a seal
+//     that failed after some renames is retried from where each shard now
+//     is (a rename onto itself is a no-op);
 //  2. write MANIFEST.tmp with the new per-shard generations, fsync, rename
 //     over MANIFEST, fsync the directory (WriteFileAtomic) — the commit
 //     point;
@@ -100,9 +103,10 @@ type mmapManifest struct {
 type mmapShard struct {
 	rows  int
 	gen   uint64 // generation of the sealed file this shard last sealed to
-	dirty bool   // mapping is an unsealed .work file with pending writes
+	dirty bool   // mapping holds writes no manifest references yet
 	data  []byte // mmap of header+rows·rb; nil before materialisation
 	f     *os.File
+	path  string // the file behind data: a .work file, or a generation file
 }
 
 // MmapStore implements PiStore over a directory of memory-mapped shard
@@ -259,6 +263,7 @@ func (s *MmapStore) openSealed(i int, gen uint64) error {
 	}
 	s.shards[i].data = data
 	s.shards[i].f = f
+	s.shards[i].path = path
 	s.shards[i].gen = gen
 	s.shards[i].dirty = false
 	return nil
@@ -324,8 +329,9 @@ func (s *MmapStore) materializeLocked(i int) error {
 		return err
 	}
 	if sh.data != nil {
-		// Copy the sealed payload through a bounded buffer; the work file's
-		// header is re-stamped below (generation is assigned at seal time).
+		// One write from the sealed mapping copies the whole file; the work
+		// file's header is re-stamped below (generation is assigned at seal
+		// time).
 		if _, err := f.Write(sh.data); err != nil {
 			f.Close()
 			os.Remove(path)
@@ -349,6 +355,7 @@ func (s *MmapStore) materializeLocked(i int) error {
 	}
 	sh.data = data
 	sh.f = f
+	sh.path = path
 	sh.dirty = true
 	return nil
 }
@@ -520,6 +527,7 @@ func (s *MmapStore) InitRows(initRow func(a int, pi []float32) float64) error {
 		}
 		sh.data = data
 		sh.f = f
+		sh.path = path
 		sh.dirty = true
 	}
 	return nil
@@ -589,9 +597,11 @@ func (s *MmapStore) Seal() (uint64, error) {
 		if err := sh.f.Sync(); err != nil {
 			return 0, fmt.Errorf("store: seal shard %d: %w", i, err)
 		}
-		if err := os.Rename(s.workFile(i), s.shardFile(i, newGen)); err != nil {
+		to := s.shardFile(i, newGen)
+		if err := os.Rename(sh.path, to); err != nil {
 			return 0, fmt.Errorf("store: seal shard %d: %w", i, err)
 		}
+		sh.path = to
 		done = append(done, sealed{i, sh.gen})
 		if s.sealHook != nil {
 			if err := s.sealHook("shard", i); err != nil {

@@ -221,6 +221,84 @@ func TestMmapStoreCrashMidSeal(t *testing.T) {
 
 // TestMmapStoreCrashAfterManifest kills the seal after the manifest commit:
 // the new generation is durable and must be what a reopen serves.
+// TestMmapStoreSealRetry: a seal that fails after some shards were renamed
+// (a transient fsync or rename error) must be retryable in the same process.
+// The retry commits the pending writes at the next generation, a reopen
+// reads them, and no orphan file is left behind.
+func TestMmapStoreSealRetry(t *testing.T) {
+	const n, k = 64, 3
+	s := initMmap(t, n, k, MmapOptions{ShardRows: 16})
+	dir := s.dir
+	phi := []float64{2, 3, 5, 7, 11, 13}
+	if err := s.WriteRows([]int32{1, 60}, phi); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("transient I/O error")
+	s.sealHook = func(step string, shard int) error {
+		if step == "shard" && shard == 0 {
+			return boom
+		}
+		return nil
+	}
+	if _, err := s.Seal(); !errors.Is(err, boom) {
+		t.Fatalf("seal survived injected failure: %v", err)
+	}
+	s.sealHook = nil
+	if gen, err := s.Seal(); err != nil || gen != 2 {
+		t.Fatalf("retried seal: gen=%d err=%v", gen, err)
+	}
+	s.Close()
+
+	r, err := OpenMmap(dir, MmapOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.Generation() != 2 {
+		t.Fatalf("after retried seal: generation %d, want 2", r.Generation())
+	}
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	var rows Rows
+	if err := r.ReadRows(ids, &rows); err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range ids {
+		w := -1
+		switch a {
+		case 1:
+			w = 0
+		case 60:
+			w = 1
+		}
+		if w < 0 {
+			checkInitRow(t, &rows, i, a, k)
+			continue
+		}
+		wantPi, wantSum := refWrite(phi[w*k : (w+1)*k])
+		if rows.PhiSum[i] != wantSum || rows.PiRow(i)[2] != wantPi[2] {
+			t.Fatalf("row %d after retried seal: Σφ=%v π=%v, want %v/%v", a, rows.PhiSum[i], rows.PiRow(i), wantSum, wantPi)
+		}
+	}
+	// Shards 0 and 3 sealed at generation 2, shards 1 and 2 stay at 1; no
+	// .work, .tmp or superseded generation file is left.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	want := []string{"MANIFEST", "shard-00000-g000002.pi", "shard-00001-g000001.pi",
+		"shard-00002-g000001.pi", "shard-00003-g000002.pi"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("store directory after retried seal:\n got %v\nwant %v", got, want)
+	}
+}
+
 func TestMmapStoreCrashAfterManifest(t *testing.T) {
 	const n, k = 48, 2
 	s := initMmap(t, n, k, MmapOptions{ShardRows: 16})

@@ -106,7 +106,7 @@ func TestTakeSnapshotEveryBackend(t *testing.T) {
 			return ls
 		}},
 		{"mmap", func(t *testing.T) PiStore { return initMmap(t, sweepN, k, MmapOptions{ShardRows: 1000, Threads: 2}) }},
-		{"tiered", func(t *testing.T) PiStore { return tierFixture(t, sweepN, k, 256, nil) }},
+		{"tiered", func(t *testing.T) PiStore { return tierFixture(t, sweepN, k) }},
 		{"dkv", func(t *testing.T) PiStore { return dkvPair(t, 0) }},
 		{"dkv+cache", func(t *testing.T) PiStore { return dkvPair(t, 256) }},
 	}

@@ -18,7 +18,7 @@
 // The whole table leaves a store through one path, Sweep (snapshots,
 // checkpoints, the distributed end-of-run gather), and enters it through
 // one, PiWriter (checkpoint restore), both in BatchRows batches on every
-// backend — the mmap and tiered backends of mmap.go and tier.go included.
+// backend — the mmap backend of mmap.go included.
 //
 // Bit-exactness contract: WriteRows on every backend performs the exact
 // normalisation arithmetic of core.State.SetPhiRow (sum in slice order,
@@ -28,10 +28,12 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"sync"
+	"unsafe"
 
 	"repro/internal/par"
 )
@@ -243,30 +245,70 @@ func EncodeRow(dst []byte, phi []float64) error {
 }
 
 // EncodeRowPi writes an already-normalised π row plus Σφ; used for initial
-// population from core.InitPiRow.
+// population from core.InitPiRow and for verbatim restores. On a
+// little-endian host the π bytes are one copy (see DecodeRow).
 func EncodeRowPi(dst []byte, pi []float32, phiSum float64) {
-	off := 0
-	for _, v := range pi {
-		putF32(dst[off:], v)
-		off += 4
+	n := 4 * len(pi)
+	if hostLittleEndian {
+		copy(dst[:n], float32Bytes(pi))
+	} else {
+		encodePiPortable(dst, pi)
 	}
-	putF64(dst[off:], phiSum)
+	putF64(dst[n:], phiSum)
 }
 
 // DecodeRow splits a wire value into its π row (into pi, length K) and
 // returns Σφ. A buffer shorter than RowBytes(K) — a truncated DKV response or
 // a torn shard file — fails with ErrShortRow instead of indexing past src.
+//
+// The wire is little-endian, so on a little-endian host the π section is
+// already the in-memory layout of []float32: it lands with one copy into pi
+// viewed as bytes. The view always goes from the aligned float32 side to
+// bytes, never the other way, so src may sit at any offset of a DKV response
+// or a shard mapping. Other hosts take the portable per-value loop.
 func DecodeRow(src []byte, pi []float32) (float64, error) {
-	if len(src) < RowBytes(len(pi)) {
+	n := 4 * len(pi)
+	if len(src) < n+8 {
 		return 0, fmt.Errorf("%w: %d bytes, need %d for K=%d",
 			ErrShortRow, len(src), RowBytes(len(pi)), len(pi))
 	}
+	if hostLittleEndian {
+		copy(float32Bytes(pi), src[:n])
+	} else {
+		decodePiPortable(src, pi)
+	}
+	return getF64(src[n:]), nil
+}
+
+// hostLittleEndian reports whether float32 memory is already wire order.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// float32Bytes views v's memory as its 4·len(v) bytes.
+func float32Bytes(v []float32) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 4*len(v))
+}
+
+// encodePiPortable writes pi as little-endian float32 values at the front of
+// dst, one value at a time: the big-endian path, and the oracle the one-copy
+// codec is tested against.
+func encodePiPortable(dst []byte, pi []float32) {
+	off := 0
+	for _, v := range pi {
+		putF32(dst[off:], v)
+		off += 4
+	}
+}
+
+// decodePiPortable is encodePiPortable's inverse.
+func decodePiPortable(src []byte, pi []float32) {
 	off := 0
 	for i := range pi {
 		pi[i] = getF32(src[off:])
 		off += 4
 	}
-	return getF64(src[off:]), nil
 }
 
 func putF32(b []byte, v float32) {
@@ -282,20 +324,9 @@ func getF32(b []byte) float32 {
 	return math.Float32frombits(u)
 }
 
-func putF64(b []byte, v float64) {
-	u := math.Float64bits(v)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(u >> (8 * i))
-	}
-}
+func putF64(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) }
 
-func getF64(b []byte) float64 {
-	var u uint64
-	for i := 0; i < 8; i++ {
-		u |= uint64(b[i]) << (8 * i)
-	}
-	return math.Float64frombits(u)
-}
+func getF64(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
 
 // LocalStore implements PiStore over the backing slices of a single-node
 // core.State. It is constructed per use (a cheap slice-header struct) so a

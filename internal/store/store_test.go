@@ -151,7 +151,7 @@ func TestBackendsRejectBadArguments(t *testing.T) {
 			twoRankStores(t, n, k, 0, func(s *DKVStore) { body(s) })
 		}},
 		{"mmap", func(t *testing.T, body func(PiStore)) { body(initMmap(t, n, k, MmapOptions{})) }},
-		{"tiered", func(t *testing.T, body func(PiStore)) { body(tierFixture(t, n, k, 4, nil)) }},
+		{"tiered", func(t *testing.T, body func(PiStore)) { body(tierFixture(t, n, k)) }},
 	}
 	read := func(id int32) func(PiStore) error {
 		return func(ps PiStore) error { return ps.ReadRows([]int32{0, id}, new(Rows)) }

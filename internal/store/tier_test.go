@@ -4,13 +4,11 @@ import (
 	"math"
 	"sync"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 // tierFixture: a TieredStore over an mmap base of n rows initialised with the
 // deterministic row pattern checkInitRow expects.
-func tierFixture(t *testing.T, n, k, hotRows int, reg *obs.Registry) *TieredStore {
+func tierFixture(t *testing.T, n, k int) *TieredStore {
 	t.Helper()
 	base, err := CreateMmap(t.TempDir(), n, k, MmapOptions{ShardRows: 16})
 	if err != nil {
@@ -28,7 +26,7 @@ func tierFixture(t *testing.T, n, k, hotRows int, reg *obs.Registry) *TieredStor
 	if _, err := base.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	tier, err := NewTiered(base, nil, hotRows, 1, reg)
+	tier, err := NewTiered(base, nil, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +35,7 @@ func tierFixture(t *testing.T, n, k, hotRows int, reg *obs.Registry) *TieredStor
 
 func TestTieredStoreSingleNode(t *testing.T) {
 	const n, k = 64, 3
-	tier := tierFixture(t, n, k, 8, nil)
+	tier := tierFixture(t, n, k)
 	if tier.NumRows() != n || tier.K() != k {
 		t.Fatalf("dims %d×%d, want %d×%d", tier.NumRows(), tier.K(), n, k)
 	}
@@ -54,7 +52,7 @@ func TestTieredStoreSingleNode(t *testing.T) {
 		checkInitRow(t, &rows, i, a, k)
 	}
 
-	// Writes take SetPhiRow arithmetic and invalidate the hot entry.
+	// Writes take SetPhiRow arithmetic.
 	phi := []float64{1, 2, 5}
 	if err := tier.WriteRows([]int32{17}, phi); err != nil {
 		t.Fatal(err)
@@ -75,82 +73,17 @@ func TestTieredStoreSingleNode(t *testing.T) {
 	if err := tier.ReadRows([]int32{int32(n)}, &rows); err == nil {
 		t.Fatal("out-of-range key accepted")
 	}
-}
 
-func TestTieredStoreHotTier(t *testing.T) {
-	const n, k = 64, 3
-	reg := obs.NewRegistry()
-	tier := tierFixture(t, n, k, 8, reg)
-	ids := []int32{5, 6, 7}
-
-	// admit2: sighting 1 fills the doorkeeper, sighting 2 caches, 3 hits.
-	var rows Rows
-	for pass := 0; pass < 3; pass++ {
-		if err := tier.ReadRows(ids, &rows); err != nil {
-			t.Fatal(err)
-		}
-		for i, a := range ids {
-			checkInitRow(t, &rows, i, a, k)
-		}
-	}
-	st := tier.Stats()
-	if st.HotHits != int64(len(ids)) {
-		t.Fatalf("hot hits = %d, want %d (admit-on-second-sighting)", st.HotHits, len(ids))
-	}
-	if st.HotMisses != 2*int64(len(ids)) {
-		t.Fatalf("hot misses = %d, want %d", st.HotMisses, 2*len(ids))
-	}
-	// The counters live in the run registry under the canonical names.
-	if got := reg.Counter(obs.CtrTierHotHits).Load(); got != st.HotHits {
-		t.Fatalf("registry counter %q = %d, want %d", obs.CtrTierHotHits, got, st.HotHits)
-	}
-
-	// Cached rows are bit-identical to a fresh decode from the base tier.
-	var direct Rows
-	if err := tier.base.ReadRows(ids, &direct); err != nil {
-		t.Fatal(err)
-	}
-	for i := range ids {
-		if math.Float64bits(direct.PhiSum[i]) != math.Float64bits(rows.PhiSum[i]) {
-			t.Fatalf("cached row %d not bit-identical", ids[i])
-		}
-		for j := 0; j < k; j++ {
-			if math.Float32bits(direct.PiRow(i)[j]) != math.Float32bits(rows.PiRow(i)[j]) {
-				t.Fatalf("cached row %d π[%d] not bit-identical", ids[i], j)
-			}
-		}
-	}
-
-	// A write drops exactly its key; the next read refetches and sees the
-	// new value (synchronous invalidation).
-	if err := tier.WriteRows([]int32{6}, []float64{1, 1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tier.ReadRows([]int32{6}, &rows); err != nil {
-		t.Fatal(err)
-	}
-	_, wantSum := refWrite([]float64{1, 1, 2})
-	if rows.PhiSum[0] != wantSum {
-		t.Fatalf("stale hot row after write: Σφ=%v, want %v", rows.PhiSum[0], wantSum)
-	}
-
-	// The hot tier survives the phase barrier: unwritten keys still hit.
-	if err := tier.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	before := tier.Stats().HotHits
-	if err := tier.ReadRows([]int32{5, 7}, &rows); err != nil {
-		t.Fatal(err)
-	}
-	if got := tier.Stats().HotHits - before; got != 2 {
-		t.Fatalf("post-Flush hot hits = %d, want 2 (cache must survive the barrier)", got)
+	// The base tier serves every row: no hits, one miss per row read.
+	if st := tier.Stats(); st != (TierStats{HotMisses: int64(len(ids)) + 2}) {
+		t.Fatalf("stats = %+v, want 0 hits and %d misses", st, len(ids)+2)
 	}
 }
 
 // TestTieredStoreRejectsRemote: the tier has no remote arm — a non-nil
 // remote is a construction error, not a store that routes ids past the base.
 func TestTieredStoreRejectsRemote(t *testing.T) {
-	base := tierFixture(t, 8, 3, 0, nil)
+	base := tierFixture(t, 8, 3)
 	remote := NewLocal(make([]float32, 4*3), make([]float64, 4), 3, 1)
 	if _, err := NewTiered(base, remote, 0, 1, nil); err == nil {
 		t.Fatal("NewTiered accepted a remote tier")
@@ -158,14 +91,17 @@ func TestTieredStoreRejectsRemote(t *testing.T) {
 	if _, err := NewTiered(nil, nil, 0, 1, nil); err == nil {
 		t.Fatal("NewTiered accepted a missing base tier")
 	}
+	if _, err := NewTiered(base, nil, -1, 1, nil); err == nil {
+		t.Fatal("NewTiered accepted a negative hot-row count")
+	}
 }
 
 // TestTieredStoreConcurrentStress drives readers, writers, and flushers at
 // the tier concurrently (disjoint key ranges, as the phase discipline
-// guarantees) — the -race harness for the tier's locking.
+// guarantees) — the -race harness for the forwarding path and its counter.
 func TestTieredStoreConcurrentStress(t *testing.T) {
 	const n, k = 256, 3
-	tier := tierFixture(t, n, k, 32, nil)
+	tier := tierFixture(t, n, k)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 
@@ -237,13 +173,11 @@ func TestTieredStoreConcurrentStress(t *testing.T) {
 
 func TestTieredStoreWritePiRows(t *testing.T) {
 	const n, k = 48, 3
-	tier := tierFixture(t, n, k, 4, nil)
+	tier := tierFixture(t, n, k)
 	ids := []int32{5, 40}
 	var rows Rows
-	for pass := 0; pass < 2; pass++ { // the second read admits both rows to the hot tier
-		if err := tier.ReadRows(ids, &rows); err != nil {
-			t.Fatal(err)
-		}
+	if err := tier.ReadRows(ids, &rows); err != nil {
+		t.Fatal(err)
 	}
 	pi := []float32{0.2, 0.3, 0.5, 0.1, 0.8, 0.1}
 	if err := tier.WritePiRows(ids, pi, []float64{7.5, 9.25}); err != nil {
@@ -253,9 +187,9 @@ func TestTieredStoreWritePiRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rows.PhiSum[0] != 7.5 || rows.PiRow(0)[2] != 0.5 {
-		t.Fatalf("verbatim row 5 mangled (or served stale from the hot tier): Σφ=%v π=%v", rows.PhiSum[0], rows.PiRow(0))
+		t.Fatalf("verbatim row 5 mangled (or served stale): Σφ=%v π=%v", rows.PhiSum[0], rows.PiRow(0))
 	}
 	if rows.PhiSum[1] != 9.25 || rows.PiRow(1)[1] != 0.8 {
-		t.Fatalf("verbatim row 40 mangled (or served stale from the hot tier): Σφ=%v π=%v", rows.PhiSum[1], rows.PiRow(1))
+		t.Fatalf("verbatim row 40 mangled (or served stale): Σφ=%v π=%v", rows.PhiSum[1], rows.PiRow(1))
 	}
 }

@@ -31,7 +31,6 @@ type run struct {
 
 	serveAt, monitorAt, transport string
 	piBackend, piDir              string
-	piHotRows                     int
 
 	failRank, failIter, slowRank int
 	slowSend, slowPhi            time.Duration
@@ -88,7 +87,6 @@ func (r *run) flagSet(prog string, defaultRanks int) *flag.FlagSet {
 	fs.StringVar(&r.piBackend, only("1", "pi-backend"), "local", "π table backend: local (in-RAM) or mmap (sharded memory-mapped files)")
 	fs.StringVar(&r.piDir, only("1", "pi-dir"), "", "directory for the mmap π shards (must not already hold a store; required with -pi-backend mmap)")
 	fs.IntVar(&r.mmap.ShardRows, only("1", "pi-shard-rows"), store.DefaultShardRows, "rows per mmap shard file")
-	fs.IntVar(&r.piHotRows, only("1", "pi-hot-rows"), 0, "hot-row cache capacity in front of the mmap backend (0 = none)")
 
 	// Honoured by the distributed engine only (-ranks >= 2).
 	fs.StringVar(&r.transport, only(">= 2", "transport"), "inproc", "rank interconnect: inproc (shared-memory fabric) or tcp (loopback mesh, real wire framing)")

@@ -148,17 +148,13 @@ func (r *run) announceResume(iter int) {
 }
 
 // trainLocal is the -ranks 1 engine: core.Sampler over its in-RAM state, or
-// over the mmap store (behind an optional hot-row tier) with -pi-backend
-// mmap.
+// over the mmap store with -pi-backend mmap.
 func (r *run) trainLocal(train *graph.Graph, held *graph.HeldOut) error {
 	iters := r.opt.Iterations
 	sopts := r.opt.SamplerOptions()
-	var (
-		ms   *store.MmapStore
-		tier *store.TieredStore
-		err  error
-	)
+	var ms *store.MmapStore
 	if r.piBackend == "mmap" {
+		var err error
 		ms, err = store.CreateMmap(r.piDir, train.NumVertices(), r.cfg.K, r.mmap)
 		if err != nil {
 			return err
@@ -171,14 +167,7 @@ func (r *run) trainLocal(train *graph.Graph, held *graph.HeldOut) error {
 			return err
 		}
 		sopts.Store = ms
-		if r.piHotRows > 0 {
-			tier, err = store.NewTiered(ms, nil, r.piHotRows, r.opt.Threads, nil)
-			if err != nil {
-				return err
-			}
-			sopts.Store = tier
-		}
-		fmt.Fprintf(r.out, "π backend: mmap in %s (%d rows/shard, hot cache %d rows)\n", r.piDir, r.mmap.ShardRows, r.piHotRows)
+		fmt.Fprintf(r.out, "π backend: mmap in %s (%d rows/shard)\n", r.piDir, r.mmap.ShardRows)
 	}
 	// The local sampler has no parameter-store traffic, so the recorder runs
 	// without a registry: stage durations and perplexity only. Its spans
@@ -233,12 +222,6 @@ func (r *run) trainLocal(train *graph.Graph, held *graph.HeldOut) error {
 		sopts.Recorder.RunEnd(iters)
 	}
 	r.report(res, iters-first)
-	if tier != nil {
-		st := tier.Stats()
-		total := st.HotHits + st.HotMisses
-		fmt.Fprintf(r.out, "π tier: hot %d/%d reads cached (%.1f%%), mmap served %d\n",
-			st.HotHits, total, 100*float64(st.HotHits)/float64(max(total, 1)), st.HotMisses)
-	}
 	if err := r.finalCheckpoint(s.Checkpoint); err != nil {
 		return err
 	}

@@ -622,8 +622,8 @@ func TestEngineFlagRejections(t *testing.T) {
 			t.Errorf("-%s at -ranks %s: err = %v, want a rejection naming the flag", name, ranks, err)
 		}
 	}
-	if single != 5 || len(r.needsRanks) != 23 {
-		t.Errorf("%d single-node-only of %d engine-only flags, want 5 of 23", single, len(r.needsRanks))
+	if single != 4 || len(r.needsRanks) != 22 {
+		t.Errorf("%d single-node-only of %d engine-only flags, want 4 of 22", single, len(r.needsRanks))
 	}
 	// The same flags at their own engine pass flag validation and fail on the
 	// missing graph instead.
