@@ -213,11 +213,6 @@ func printSummary(w io.Writer, sum *obs.Summary) {
 			sum.DKV.LocalKeys, sum.DKV.RemoteKeys, sum.DKV.Requests,
 			float64(sum.DKV.BytesRead)/1e6, float64(sum.DKV.BytesWritten)/1e6)
 	}
-	if lookups := sum.DKV.CacheHits + sum.DKV.CacheMisses; lookups > 0 {
-		fmt.Fprintf(w, "hot-row cache: %d hits / %d lookups (%.1f%% hit rate), %d evictions, %d invalidations\n",
-			sum.DKV.CacheHits, lookups, 100*sum.CacheHitRate,
-			sum.DKV.CacheEvictions, sum.DKV.CacheInvalidations)
-	}
 	if len(sum.StageSkew) > 0 {
 		names := make([]string, 0, len(sum.StageSkew))
 		for name := range sum.StageSkew {

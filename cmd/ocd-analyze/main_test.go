@@ -92,6 +92,29 @@ func TestJSONHoldsSummaryAndCriticalPath(t *testing.T) {
 	}
 }
 
+// TestCacheKeysStillAnalyze: a log written while the DKV store had a row
+// cache carries cache_* keys in its dkv blocks. obs.ReadEvents still reads
+// it, and it digests exactly like the same log without them.
+func TestCacheKeysStillAnalyze(t *testing.T) {
+	golden, err := os.ReadFile(goldenLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := strings.ReplaceAll(string(golden), `"bytes_written":480}`,
+		`"bytes_written":480,"cache_hits":3,"cache_misses":25,"cache_evictions":2,"cache_invalidations":7}`)
+	if old == string(golden) {
+		t.Fatal("the golden log has no iter event to add cache keys to")
+	}
+	path := filepath.Join(t.TempDir(), "cached.jsonl")
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := analyze(t, goldenLog)
+	if got, stderr := analyze(t, path); got != want || stderr != "" {
+		t.Errorf("digest with cache keys differs (stderr %q):\n%s\nwant:\n%s", stderr, got, want)
+	}
+}
+
 // TestTornTailIsAWarning: a log cut mid-line — a crashed run's — warns on
 // stderr and still digests every complete line, spans included.
 func TestTornTailIsAWarning(t *testing.T) {

@@ -223,9 +223,7 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 // the same root-centric tag protocol as the other collectives — a Gather at
 // rank 0 followed by a Bcast of the length-framed concatenation — so it
 // inherits their abort semantics and their deterministic rank ordering.
-// Empty contributions are legal and come back as empty slices; the store's
-// cross-iteration write-set exchange leans on that (most barriers follow a
-// read-only phase).
+// Empty contributions are legal and come back as empty slices.
 func (c *Comm) AllGather(data []byte) ([][]byte, error) {
 	parts, err := c.Gather(0, data)
 	if err != nil {

@@ -282,8 +282,8 @@ func TestAllGatherVariableLength(t *testing.T) {
 	}
 }
 
-// TestAllGatherInt32Sets round-trips the exact shape the store's write-set
-// exchange uses: int32 id lists of uneven lengths.
+// TestAllGatherInt32Sets round-trips int32 id lists of uneven lengths, an
+// empty one included.
 func TestAllGatherInt32Sets(t *testing.T) {
 	spmd(t, 3, func(c *Comm) error {
 		var ids []int32

@@ -300,8 +300,8 @@ func TestCheckpointHostileHeader(t *testing.T) {
 // TestCheckpointBytesEveryBackend: the one restore and the one sweep give
 // the same bytes on every backend. A model one batch and a ragged tail long
 // is restored from its State.Save file into local, mmap, tiered, and DKV at 2
-// ranks (hot-row cache off and on), then saved back out of each; every file
-// must equal State.Save's bytes.
+// ranks, then saved back out of each; every file must equal State.Save's
+// bytes.
 func TestCheckpointBytesEveryBackend(t *testing.T) {
 	const n, k = store.BatchRows + 37, 4
 	cfg := DefaultConfig(k, 3)
@@ -317,7 +317,7 @@ func TestCheckpointBytesEveryBackend(t *testing.T) {
 	if err := os.WriteFile(path, want.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	dkv := func(t *testing.T, cache int) store.PiStore {
+	dkv := func(t *testing.T) store.PiStore {
 		f, err := transport.NewFabric(2)
 		if err != nil {
 			t.Fatal(err)
@@ -325,7 +325,7 @@ func TestCheckpointBytesEveryBackend(t *testing.T) {
 		t.Cleanup(func() { f.Close() })
 		var master *store.DKVStore
 		for r := 0; r < 2; r++ {
-			st, err := store.NewDKVCache(f.Endpoint(r), n, k, 2, store.CacheConfig{Rows: cache}, nil)
+			st, err := store.NewDKV(f.Endpoint(r), n, k, 2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -356,8 +356,7 @@ func TestCheckpointBytesEveryBackend(t *testing.T) {
 			}
 			return tier
 		},
-		"dkv":       func(t *testing.T) store.PiStore { return dkv(t, 0) },
-		"dkv+cache": func(t *testing.T) store.PiStore { return dkv(t, 128) },
+		"dkv": dkv,
 	}
 	for name, mk := range backends {
 		t.Run(name, func(t *testing.T) {

@@ -46,7 +46,6 @@ func benchFixture(b *testing.B) (*graph.Graph, *graph.HeldOut) {
 func benchmarkDistIteration(b *testing.B, opts Options) {
 	train, held := benchFixture(b)
 	cfg := core.DefaultConfig(8, 7)
-	var hits, lookups int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := Run(cfg, train, held, opts)
@@ -56,36 +55,17 @@ func benchmarkDistIteration(b *testing.B, opts Options) {
 		if res.State == nil {
 			b.Fatal("no state")
 		}
-		hits += res.DKV.CacheHits
-		lookups += res.DKV.CacheHits + res.DKV.CacheMisses
-	}
-	b.StopTimer()
-	if lookups > 0 {
-		b.ReportMetric(float64(hits)/float64(lookups), "hit-rate")
 	}
 }
 
 // BenchmarkDistIteration measures the full 2-rank iteration loop (deploy →
 // update_phi → update_pi → update_beta_theta): serial vs pipelined double
-// buffering, and the hot-row cache per-phase (cached) vs surviving barriers
-// via write-set invalidation (cached-xiter). The cached variants also report
-// the hit rate. The gated end-to-end numbers for the same stack are the
-// dist_tcp / dist_tcp_hot workloads of `bash bench/run.sh`.
+// buffering. The gated end-to-end numbers for the same stack are the
+// dist_tcp workload of `bash bench/run.sh`.
 func BenchmarkDistIteration(b *testing.B) {
 	const itersPerRun = 4
 	b.Run("serial", func(b *testing.B) { benchmarkDistIteration(b, benchOptions(itersPerRun, false)) })
 	b.Run("pipelined", func(b *testing.B) { benchmarkDistIteration(b, benchOptions(itersPerRun, true)) })
-	b.Run("cached", func(b *testing.B) {
-		o := benchOptions(itersPerRun, true)
-		o.HotRowCache = 1024
-		benchmarkDistIteration(b, o)
-	})
-	b.Run("cached-xiter", func(b *testing.B) {
-		o := benchOptions(itersPerRun, true)
-		o.HotRowCache = 1024
-		o.HotCacheCrossIter = true
-		benchmarkDistIteration(b, o)
-	})
 }
 
 // simnetConn is the benchmark's wire model: sends carrying DKV traffic (tags

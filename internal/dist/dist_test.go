@@ -1,8 +1,11 @@
 package dist
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -11,9 +14,10 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mathx"
 	"repro/internal/sampling"
+	"repro/internal/wire"
 )
 
-func fixture(t *testing.T, n, k, edges int, seed uint64) (*graph.Graph, *graph.HeldOut) {
+func fixture(t testing.TB, n, k, edges int, seed uint64) (*graph.Graph, *graph.HeldOut) {
 	t.Helper()
 	g, _, err := gen.Planted(gen.DefaultPlanted(n, k, edges, seed))
 	if err != nil {
@@ -331,10 +335,90 @@ func TestDeploymentRoundTripQuick(t *testing.T) {
 	}
 }
 
+// TestDecodeDeploymentRejectsShortBuffer: a frame cut short or carrying a
+// count its bytes cannot back is a *DeploymentError naming the field, never
+// a panic or an allocation on the sender's say-so. The first two frames
+// used to panic with an index out of range.
 func TestDecodeDeploymentRejectsShortBuffer(t *testing.T) {
-	if _, err := decodeDeployment([]byte{1, 2, 3}); err == nil {
-		t.Fatal("short buffer accepted")
+	valid := encodeDeployment(&deployment{
+		iter: 3, nodes: []int32{5}, adj: [][]int32{{1, 2}},
+		pairs: []graph.Edge{{A: 1, B: 5}}, link: []bool{true}, scale: 2, chunkLo: 1,
+	})
+	u32 := func(vs ...uint32) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = wire.AppendUint32(b, v)
+		}
+		return b
 	}
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		field string
+	}{
+		{"one node, no bytes for it", []byte{0, 0, 0, 0, 1, 0, 0, 0}, "node count"},
+		{"no pair count", make([]byte, 8), "pair count"},
+		{"empty", nil, "iteration"},
+		{"three bytes", []byte{1, 2, 3}, "iteration"},
+		{"huge node count", u32(0, math.MaxUint32), "node count"},
+		{"huge degree", u32(0, 1, 7, math.MaxUint32), "adjacency"},
+		{"huge pair count", u32(0, 0, math.MaxUint32), "pair count"},
+		{"no scale", u32(0, 0, 0), "scale"},
+		{"cut before the chunk offset", valid[:len(valid)-1], "chunk offset"},
+		{"trailing byte", append(append([]byte(nil), valid...), 0), "trailing bytes"},
+	} {
+		d, err := decodeDeployment(tc.frame)
+		var de *DeploymentError
+		if !errors.As(err, &de) || de.Field != tc.field || de.Len != len(tc.frame) {
+			t.Errorf("%s: decode = %+v, %v; want a *DeploymentError at the %s", tc.name, d, err, tc.field)
+		}
+	}
+	if _, err := decodeDeployment(valid); err != nil {
+		t.Fatalf("the valid frame: %v", err)
+	}
+}
+
+// FuzzDecodeDeployment feeds the deployment decoder arbitrary frames, seeded
+// with one a 2-rank run scattered and its truncations. Every frame must
+// either fail as a *DeploymentError or decode to a deployment that encodes
+// back to a frame of the same length and decodes again unchanged — never
+// panic, and never allocate in proportion to a count the bytes do not back.
+func FuzzDecodeDeployment(f *testing.F) {
+	frame, err := tapDeployment(f, func(b []byte) []byte { return b })
+	if err != nil {
+		f.Fatal(err)
+	}
+	for cut := 0; cut < len(frame); cut += 1 + len(frame)/16 {
+		f.Add(frame[:cut])
+	}
+	f.Add(frame)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d, err := decodeDeployment(data)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16*uint64(len(data))+1<<20 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			var de *DeploymentError
+			if !errors.As(err, &de) {
+				t.Fatalf("untyped deployment error: %v", err)
+			}
+			return
+		}
+		again := encodeDeployment(d)
+		if len(again) != len(data) {
+			t.Fatalf("a decoded deployment re-encodes to %d bytes, read from %d", len(again), len(data))
+		}
+		d2, err := decodeDeployment(again)
+		if err != nil {
+			t.Fatalf("a re-encoded deployment does not decode: %v", err)
+		}
+		if !bytes.Equal(encodeDeployment(d2), again) {
+			t.Fatal("a deployment does not survive a second round trip")
+		}
+	})
 }
 
 // TestSeedParityTrajectory is the Ranks=1 regression anchor for the shared
@@ -372,135 +456,6 @@ func TestSeedParityTrajectory(t *testing.T) {
 			if math.Float64bits(v) != math.Float64bits(res.State.Theta[i]) {
 				t.Fatalf("iteration %d: θ[%d] = %v (dist) vs %v (seq)", it, i, res.State.Theta[i], v)
 			}
-		}
-	}
-}
-
-// TestHotRowCacheIsTransparent verifies the two promises of the hot-row
-// cache: the trained model is byte-identical with the cache on or off
-// (within a phase the algorithm never reads a row it writes, and the cache
-// is invalidated at every barrier), and remote DKV traffic goes down.
-func TestHotRowCacheIsTransparent(t *testing.T) {
-	train, held := fixture(t, 200, 4, 1000, 53)
-	cfg := core.DefaultConfig(4, 99)
-	const iters = 8
-	plain, err := Run(cfg, train, held, Options{Ranks: 3, Iterations: iters, EvalEvery: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := Run(cfg, train, held, Options{Ranks: 3, Iterations: iters, EvalEvery: 4, HotRowCache: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := mathx.MaxAbsDiff32(plain.State.Pi, cached.State.Pi); d != 0 {
-		t.Fatalf("hot-row cache changed π by %v; must be bit-identical", d)
-	}
-	if d := mathx.MaxAbsDiff(plain.State.Theta, cached.State.Theta); d != 0 {
-		t.Fatalf("hot-row cache changed θ by %v; must be bit-identical", d)
-	}
-	for i := range plain.Perplexity {
-		if plain.Perplexity[i].Value != cached.Perplexity[i].Value {
-			t.Fatalf("hot-row cache changed perplexity at iter %d", plain.Perplexity[i].Iter)
-		}
-	}
-	if cached.DKV.CacheHits == 0 {
-		t.Fatal("cache recorded no hits on a 3-rank run")
-	}
-	if cached.DKV.RemoteKeys >= plain.DKV.RemoteKeys {
-		t.Fatalf("remote keys with cache %d >= without %d; cache saved no traffic",
-			cached.DKV.RemoteKeys, plain.DKV.RemoteKeys)
-	}
-	if plain.DKV.CacheHits != 0 {
-		t.Fatalf("cache-off run reported %d hits", plain.DKV.CacheHits)
-	}
-
-	// Cross-iteration mode: the cache survives barriers minus the written
-	// union, so it must stay byte-transparent while beating per-phase
-	// flushing on remote traffic — the point of write-set invalidation.
-	xiter, err := Run(cfg, train, held, Options{
-		Ranks: 3, Iterations: iters, EvalEvery: 4,
-		HotRowCache: 512, HotCacheCrossIter: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := mathx.MaxAbsDiff32(plain.State.Pi, xiter.State.Pi); d != 0 {
-		t.Fatalf("cross-iteration cache changed π by %v; must be bit-identical", d)
-	}
-	if d := mathx.MaxAbsDiff(plain.State.Theta, xiter.State.Theta); d != 0 {
-		t.Fatalf("cross-iteration cache changed θ by %v; must be bit-identical", d)
-	}
-	for i := range plain.Perplexity {
-		if plain.Perplexity[i].Value != xiter.Perplexity[i].Value {
-			t.Fatalf("cross-iteration cache changed perplexity at iter %d", plain.Perplexity[i].Iter)
-		}
-	}
-	if xiter.DKV.RemoteKeys >= cached.DKV.RemoteKeys {
-		t.Fatalf("cross-iteration remote keys %d >= per-phase %d; surviving the barrier saved nothing",
-			xiter.DKV.RemoteKeys, cached.DKV.RemoteKeys)
-	}
-	if xiter.DKV.CacheInvalidations == 0 {
-		t.Fatal("cross-iteration run recorded no invalidations; write-set exchange is not wired")
-	}
-
-	// Admission policy and degree bypass ride the same transparency
-	// invariant: admit2 changes which rows get cached, never their bytes.
-	admit2, err := Run(cfg, train, held, Options{
-		Ranks: 3, Iterations: iters, EvalEvery: 4,
-		HotRowCache: 512, HotCacheCrossIter: true,
-		HotCachePolicy: "admit2", HotCacheMinDegree: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := mathx.MaxAbsDiff32(plain.State.Pi, admit2.State.Pi); d != 0 {
-		t.Fatalf("admit2 policy changed π by %v; must be bit-identical", d)
-	}
-	if admit2.DKV.CacheHits == 0 {
-		t.Fatal("admit2 run recorded no cache hits")
-	}
-}
-
-// TestSeedParityTrajectoryCrossIterCache is the multi-rank analogue of
-// TestSeedParityTrajectory for the cross-iteration cache: a 2-rank run with
-// the cache surviving barriers must still track the sequential sampler bit
-// for bit at EVERY iteration — a stale row anywhere shows up at the first
-// iteration that reads it.
-func TestSeedParityTrajectoryCrossIterCache(t *testing.T) {
-	train, held := fixture(t, 150, 4, 700, 59)
-	cfg := core.DefaultConfig(4, 4242)
-	const iters = 6
-
-	seq, err := core.NewSampler(cfg, train, held, core.SamplerOptions{Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for it := 1; it <= iters; it++ {
-		seq.Step()
-		res, err := Run(cfg, train, held, Options{
-			Ranks: 2, Threads: 1, Iterations: it,
-			HotRowCache: 256, HotCacheCrossIter: true,
-		})
-		if err != nil {
-			t.Fatalf("iteration %d: %v", it, err)
-		}
-		for i, v := range seq.State.Pi {
-			if math.Float32bits(v) != math.Float32bits(res.State.Pi[i]) {
-				t.Fatalf("iteration %d: π[%d] = %v (cached dist) vs %v (seq); a stale cache row survived a write", it, i, res.State.Pi[i], v)
-			}
-		}
-		for i, v := range seq.State.PhiSum {
-			if math.Float64bits(v) != math.Float64bits(res.State.PhiSum[i]) {
-				t.Fatalf("iteration %d: Σφ[%d] diverged", it, i)
-			}
-		}
-		for i, v := range seq.State.Theta {
-			if math.Float64bits(v) != math.Float64bits(res.State.Theta[i]) {
-				t.Fatalf("iteration %d: θ[%d] = %v (cached dist) vs %v (seq)", it, i, res.State.Theta[i], v)
-			}
-		}
-		if it == iters && res.DKV.CacheHits == 0 {
-			t.Fatal("cross-iteration cached run recorded no hits")
 		}
 	}
 }

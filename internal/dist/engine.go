@@ -163,17 +163,9 @@ func newNode(cfg core.Config, opt Options, comm *cluster.Comm, g *graph.Graph, h
 		})
 	}
 
-	nd.store, err = store.NewDKVCache(comm.Conn(), nd.n, cfg.K, opt.Threads, store.CacheConfig{
-		Rows:      opt.HotRowCache,
-		Policy:    opt.HotCachePolicy,
-		MinDegree: opt.HotCacheMinDegree,
-		CrossIter: opt.HotCacheCrossIter,
-	}, reg)
+	nd.store, err = store.NewDKV(comm.Conn(), nd.n, cfg.K, opt.Threads, reg)
 	if err != nil {
 		return nil, err
-	}
-	if opt.HotRowCache > 0 && opt.HotCacheCrossIter {
-		nd.store.SetWriteSetExchange(nd.exchangeWriteSets)
 	}
 	if nd.ob.Tracer != nil {
 		nd.store.SetTracer(nd.ob.Tracer)
@@ -299,26 +291,6 @@ func (nd *node) run() (err error) {
 		}
 	}()
 	nd.start = time.Now()
-
-	// Degree-aware cache admission needs the degree table, which only the
-	// master's graph knows: broadcast it once before training starts.
-	if nd.opt.HotRowCache > 0 && nd.opt.HotCacheMinDegree > 0 {
-		var buf []byte
-		if nd.rank == 0 {
-			deg := make([]int32, nd.n)
-			for a := 0; a < nd.n; a++ {
-				deg[a] = int32(nd.g.Degree(a))
-			}
-			buf = wire.AppendInt32s(nil, deg)
-		}
-		buf, err := nd.comm.Bcast(0, buf)
-		if err != nil {
-			return err
-		}
-		deg := make([]int32, nd.n)
-		wire.Int32s(buf, 0, nd.n, deg)
-		nd.store.SetDegrees(deg)
-	}
 
 	// Populate π: from the restart checkpoint when resuming (the master
 	// writes every shard, so no rank initialises its own), from the shared
@@ -553,39 +525,12 @@ func (nd *node) piStage(t int) error {
 }
 
 // barrierStage fences the phases whose read/write sets would otherwise
-// overlap, and marks the store's phase barrier (hot-row cache
-// invalidation). With the cross-iteration cache, Flush runs the write-set
-// exchange collective right after the barrier — every rank passes through
-// here in the same program order, which is what keeps the collective tag
-// sequence aligned.
+// overlap, and marks the store's phase barrier.
 func (nd *node) barrierStage(int) error {
 	if err := nd.comm.Barrier(); err != nil {
 		return err
 	}
 	return nd.store.Flush()
-}
-
-// exchangeWriteSets is the cross-iteration cache's invalidation collective:
-// every rank contributes the π-row ids it wrote since the last barrier and
-// receives the union, which its cache then drops. Rank order in the union
-// is deterministic but irrelevant — dropping keys is commutative.
-func (nd *node) exchangeWriteSets(local []int32) ([]int32, error) {
-	parts, err := nd.comm.AllGather(wire.AppendInt32s(nil, local))
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, p := range parts {
-		total += len(p) / 4
-	}
-	union := make([]int32, total)
-	off := 0
-	for _, p := range parts {
-		k := len(p) / 4
-		wire.Int32s(p, 0, k, union[off:off+k])
-		off += k
-	}
-	return union, nil
 }
 
 // publishStage seals the full post-iteration π view into an immutable

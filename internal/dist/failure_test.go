@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/transport"
 )
@@ -40,6 +42,57 @@ func failAt(rank, iter int) func(int, int) error {
 			return fmt.Errorf("simulated crash of rank %d at iteration %d", rank, iter)
 		}
 		return nil
+	}
+}
+
+// deployTap wraps rank 0's conn and hands the first deployment frame rank 0
+// scatters to rank 1 to edit, which returns the bytes actually sent. It is
+// the first non-empty collective send between the two: every earlier one is
+// a barrier, and DKV traffic runs on tags from cluster.TagUserBase up.
+type deployTap struct {
+	transport.Conn
+	edit func([]byte) []byte
+	once sync.Once
+}
+
+func (c *deployTap) Send(to int, tag uint32, payload []byte) error {
+	if to == 1 && tag < cluster.TagUserBase && len(payload) > 0 {
+		c.once.Do(func() { payload = c.edit(payload) })
+	}
+	return c.Conn.Send(to, tag, payload)
+}
+
+// tapDeployment runs one iteration on 2 ranks with rank 0's conn tapped by
+// edit, and returns the frame edit saw and the run's error.
+func tapDeployment(t testing.TB, edit func([]byte) []byte) ([]byte, error) {
+	t.Helper()
+	train, held := fixture(t, 120, 4, 600, 7)
+	fabric, err := transport.NewFabric(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fabric.Close()
+	var frame []byte
+	conns := fabric.Endpoints()
+	conns[0] = &deployTap{Conn: conns[0], edit: func(b []byte) []byte {
+		frame = append([]byte(nil), b...)
+		return edit(b)
+	}}
+	_, err = RunOnTransport(core.DefaultConfig(4, 23), train, held, Options{Iterations: 1}, conns)
+	if frame == nil {
+		t.Fatal("rank 0 scattered no deployment to rank 1")
+	}
+	return frame, err
+}
+
+// TestCorruptDeploymentAbortsRun: a worker handed a deployment frame that
+// does not parse fails its deploy stage with the typed error, and the abort
+// it raises ends the run with that error, naming the rank.
+func TestCorruptDeploymentAbortsRun(t *testing.T) {
+	_, err := tapDeployment(t, func([]byte) []byte { return []byte{0, 0, 0, 0, 1, 0, 0, 0} })
+	var de *DeploymentError
+	if !errors.As(err, &de) || !strings.Contains(err.Error(), "rank 1") {
+		t.Fatalf("run error = %v, want rank 1's *DeploymentError", err)
 	}
 }
 

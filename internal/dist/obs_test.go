@@ -28,8 +28,8 @@ func TestRunEmitsTelemetry(t *testing.T) {
 	sink := obs.NewSink(&buf)
 	res, err := Run(cfg, train, held, Options{
 		Ranks: ranks, Threads: 2, Iterations: iters, EvalEvery: evalEvery,
-		Pipeline: true, HotRowCache: 64,
-		Events: sink,
+		Pipeline: true,
+		Events:   sink,
 	})
 	if err != nil {
 		t.Fatal(err)

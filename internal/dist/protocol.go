@@ -65,40 +65,92 @@ func encodeDeployment(d *deployment) []byte {
 	return buf
 }
 
-// decodeDeployment parses a scattered deployment.
-func decodeDeployment(buf []byte) (*deployment, error) {
-	if len(buf) < 8 {
-		return nil, fmt.Errorf("dist: deployment too short (%d bytes)", len(buf))
+// DeploymentError reports a scattered deployment frame that does not parse:
+// the frame ends inside a field, a count promises more entries than the
+// bytes left could hold, or bytes trail the last field. The receiving rank
+// returns it from the deploy stage, which aborts the mesh naming that rank.
+type DeploymentError struct {
+	Field string // the field that does not fit
+	Off   int    // its byte offset in the frame
+	Len   int    // the frame length
+}
+
+func (e *DeploymentError) Error() string {
+	return fmt.Sprintf("dist: corrupt %d-byte deployment: %s at byte %d", e.Len, e.Field, e.Off)
+}
+
+// deploymentReader reads a deployment frame front to back. Every field and
+// every count is checked against the bytes left before it is read or
+// allocated, so a hostile count cannot make the reader allocate more than
+// the frame could describe. The first failure sticks; later reads return 0.
+type deploymentReader struct {
+	buf []byte
+	off int
+	err error
+}
+
+// fits reports whether n more bytes of field remain, recording the failure
+// if not.
+func (r *deploymentReader) fits(field string, n uint64) bool {
+	if r.err == nil && n > uint64(len(r.buf)-r.off) {
+		r.err = &DeploymentError{Field: field, Off: r.off, Len: len(r.buf)}
 	}
-	d := &deployment{}
-	off := 0
-	d.iter = int(wire.Uint32At(buf, off))
-	off += 4
-	nNodes := int(wire.Uint32At(buf, off))
-	off += 4
+	return r.err == nil
+}
+
+func (r *deploymentReader) u32(field string) uint32 {
+	if !r.fits(field, 4) {
+		return 0
+	}
+	v := wire.Uint32At(r.buf, r.off)
+	r.off += 4
+	return v
+}
+
+// count reads an entry count and checks that that many entries of at least
+// size bytes each fit in the rest of the frame.
+func (r *deploymentReader) count(field string, size uint64) int {
+	n := r.u32(field)
+	if !r.fits(field, uint64(n)*size) {
+		return 0
+	}
+	return int(n)
+}
+
+// decodeDeployment parses a scattered deployment; a frame that does not
+// parse is a *DeploymentError.
+func decodeDeployment(buf []byte) (*deployment, error) {
+	r := &deploymentReader{buf: buf}
+	d := &deployment{iter: int(r.u32("iteration"))}
+	nNodes := r.count("node count", 8) // a node id and a degree each
 	d.nodes = make([]int32, nNodes)
 	d.adj = make([][]int32, nNodes)
-	for i := 0; i < nNodes; i++ {
-		d.nodes[i] = int32(wire.Uint32At(buf, off))
-		off += 4
-		deg := int(wire.Uint32At(buf, off))
-		off += 4
+	for i := 0; i < nNodes && r.err == nil; i++ {
+		d.nodes[i] = int32(r.u32("node id"))
+		deg := r.count("adjacency", 4)
 		d.adj[i] = make([]int32, deg)
-		off = wire.Int32s(buf, off, deg, d.adj[i])
+		r.off = wire.Int32s(buf, r.off, deg, d.adj[i])
 	}
-	nPairs := int(wire.Uint32At(buf, off))
-	off += 4
+	nPairs := r.count("pair count", 9) // two vertex ids and a link flag each
 	d.pairs = make([]graph.Edge, nPairs)
-	for i := 0; i < nPairs; i++ {
-		d.pairs[i].A = int32(wire.Uint32At(buf, off))
-		d.pairs[i].B = int32(wire.Uint32At(buf, off+4))
-		off += 8
+	for i := range d.pairs {
+		d.pairs[i].A = int32(wire.Uint32At(buf, r.off))
+		d.pairs[i].B = int32(wire.Uint32At(buf, r.off+4))
+		r.off += 8
 	}
 	d.link = make([]bool, nPairs)
-	off = wire.Bools(buf, off, nPairs, d.link)
-	d.scale = math.Float64frombits(wire.Uint64At(buf, off))
-	off += 8
-	d.chunkLo = int(wire.Uint32At(buf, off))
+	r.off = wire.Bools(buf, r.off, nPairs, d.link)
+	if r.fits("scale", 8) {
+		d.scale = math.Float64frombits(wire.Uint64At(buf, r.off))
+		r.off += 8
+	}
+	d.chunkLo = int(r.u32("chunk offset"))
+	if r.err == nil && r.off != len(buf) {
+		r.err = &DeploymentError{Field: "trailing bytes", Off: r.off, Len: len(buf)}
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
 	return d, nil
 }
 

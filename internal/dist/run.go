@@ -38,25 +38,12 @@ type Options struct {
 	// the loader run further ahead when fetch latency is bursty.
 	PipelineDepth int
 
-	// HotRowCache bounds the per-rank DKV hot-row cache in rows; 0 disables
-	// it. The trained model is byte-identical with the cache on or off in
-	// every configuration below — only the remote traffic changes.
-	HotRowCache int
-	// HotCachePolicy selects the cache admission policy: "" or "lru" admits
-	// every fetched remote row; "admit2" admits a row only on its second
-	// miss within a bounded window (or immediately when its degree clears
-	// HotCacheMinDegree), so one-shot rows cannot churn recurring hot rows
-	// out. See store.CacheConfig.
-	HotCachePolicy string
-	// HotCacheCrossIter keeps each rank's cache alive across phase
-	// barriers: instead of the blanket flush, the ranks exchange the π-row
-	// ids they wrote (one AllGather per barrier) and drop exactly those
-	// keys. Unwritten hot rows then survive from iteration to iteration.
+	// HotRowCache, HotCachePolicy and HotCacheCrossIter are unread shims
+	// for the benchmark module, which still sets them: the DKV store has no
+	// row cache, so they change nothing. ROADMAP item 3 deletes them.
+	HotRowCache       int
+	HotCachePolicy    string
 	HotCacheCrossIter bool
-	// HotCacheMinDegree, with HotCachePolicy "admit2", admits rows of
-	// vertex degree ≥ this immediately; the degree table is broadcast once
-	// from the master at startup.
-	HotCacheMinDegree int
 
 	// Minibatch and neighbor strategy parameters, mirroring
 	// core.SamplerOptions; zero values take its defaults.
@@ -97,9 +84,9 @@ type Options struct {
 	// π/β from the serving rank (the master, rank 0) after the write barrier
 	// of every PublishEvery-th iteration — the feed of the internal/serve
 	// read tier. The master gathers peer shards through store.TakeSnapshot's
-	// sweep of its DKV store (the hot-row cache included) while the peers
-	// are fenced waiting on its next scatter, so the gather is consistent and
-	// the trained trajectory stays bit-identical with publication on or off.
+	// sweep of its DKV store while the peers are fenced waiting on its next
+	// scatter, so the gather is consistent and the trained trajectory stays
+	// bit-identical with publication on or off.
 	Publisher *store.Publisher
 	// PublishEvery is the publication interval in iterations; 0 defaults to
 	// 1 (every iteration). Ignored when Publisher is nil.
@@ -195,10 +182,9 @@ type DKVTotals struct {
 	Requests     int64
 	BytesRead    int64
 	BytesWritten int64
-	// Hot-row cache traffic (all 0 unless Options.HotRowCache > 0):
-	// invalidations count rows dropped because their key was written (or
-	// blanket-flushed at a barrier in per-phase mode), evictions count rows
-	// displaced by the capacity bound.
+	// The Cache* fields are shims for the benchmark module, which still
+	// reads them: there is no row cache, so they are always 0. ROADMAP item
+	// 3 deletes them.
 	CacheHits          int64
 	CacheMisses        int64
 	CacheEvictions     int64
@@ -360,11 +346,6 @@ func assembleResult(nodes []*node) *Result {
 		Requests:     c[obs.CtrDKVRequests],
 		BytesRead:    c[obs.CtrDKVBytesRead],
 		BytesWritten: c[obs.CtrDKVBytesWritten],
-
-		CacheHits:          c[obs.CtrCacheHits],
-		CacheMisses:        c[obs.CtrCacheMisses],
-		CacheEvictions:     c[obs.CtrCacheEvictions],
-		CacheInvalidations: c[obs.CtrCacheInvalidations],
 	}
 	if totalKeys := res.DKV.LocalKeys + res.DKV.RemoteKeys; totalKeys > 0 {
 		res.RemoteFrac = float64(res.DKV.RemoteKeys) / float64(totalKeys)

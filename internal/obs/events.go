@@ -20,19 +20,14 @@ const (
 )
 
 // Canonical counter names. Subsystems register these into the run's
-// Registry; the recorder folds the dkv.* and store.* groups into each iter
-// event's DKV block as per-iteration deltas.
+// Registry; the recorder folds the dkv.* group into each iter event's DKV
+// block as per-iteration deltas.
 const (
 	CtrDKVLocalKeys    = "dkv.local_keys"
 	CtrDKVRemoteKeys   = "dkv.remote_keys"
 	CtrDKVRequests     = "dkv.requests"
 	CtrDKVBytesRead    = "dkv.bytes_read"
 	CtrDKVBytesWritten = "dkv.bytes_written"
-
-	CtrCacheHits          = "store.cache_hits"
-	CtrCacheMisses        = "store.cache_misses"
-	CtrCacheEvictions     = "store.cache_evictions"
-	CtrCacheInvalidations = "store.cache_invalidations"
 
 	// Straggler-mitigation counters, maintained at the master by the
 	// distributed engine's reshard stage: windows observed, windows that
@@ -60,34 +55,25 @@ const (
 
 // DKVCounters is the parameter-store traffic block of an event: counter
 // deltas for that iteration on iter events, cumulative totals on run_end.
+// Logs written while the DKV store had a row cache also carry cache_* keys;
+// ReadEvents ignores them.
 type DKVCounters struct {
 	LocalKeys    int64 `json:"local_keys"`
 	RemoteKeys   int64 `json:"remote_keys"`
 	Requests     int64 `json:"requests"`
 	BytesRead    int64 `json:"bytes_read"`
 	BytesWritten int64 `json:"bytes_written"`
-	CacheHits    int64 `json:"cache_hits,omitempty"`
-	CacheMisses  int64 `json:"cache_misses,omitempty"`
-	// CacheEvictions counts rows displaced by the cache bound;
-	// CacheInvalidations counts rows dropped because their key was written
-	// (or, per-phase mode, blanket-flushed at a barrier).
-	CacheEvictions     int64 `json:"cache_evictions,omitempty"`
-	CacheInvalidations int64 `json:"cache_invalidations,omitempty"`
 }
 
 // dkvFromCounters assembles a DKVCounters block from counter values (a
 // registry snapshot or a delta map).
 func dkvFromCounters(c map[string]int64) DKVCounters {
 	return DKVCounters{
-		LocalKeys:          c[CtrDKVLocalKeys],
-		RemoteKeys:         c[CtrDKVRemoteKeys],
-		Requests:           c[CtrDKVRequests],
-		BytesRead:          c[CtrDKVBytesRead],
-		BytesWritten:       c[CtrDKVBytesWritten],
-		CacheHits:          c[CtrCacheHits],
-		CacheMisses:        c[CtrCacheMisses],
-		CacheEvictions:     c[CtrCacheEvictions],
-		CacheInvalidations: c[CtrCacheInvalidations],
+		LocalKeys:    c[CtrDKVLocalKeys],
+		RemoteKeys:   c[CtrDKVRemoteKeys],
+		Requests:     c[CtrDKVRequests],
+		BytesRead:    c[CtrDKVBytesRead],
+		BytesWritten: c[CtrDKVBytesWritten],
 	}
 }
 

@@ -31,13 +31,13 @@ func goldenEvents() []Event {
 		{
 			Type: EventIter, Rank: 1, Iter: 0,
 			StagesMS:  map[string]float64{"update_phi": 1.25, "update_pi": 0.5},
-			DKV:       &DKVCounters{LocalKeys: 12, RemoteKeys: 28, Requests: 4, BytesRead: 960, BytesWritten: 480, CacheHits: 3, CacheMisses: 25},
+			DKV:       &DKVCounters{LocalKeys: 12, RemoteKeys: 28, Requests: 4, BytesRead: 960, BytesWritten: 480},
 			ElapsedMS: 2.5,
 		},
 		{Type: EventIter, Rank: 0, Iter: 1, StagesMS: map[string]float64{"update_phi": 1.5, "update_pi": 0.25}, ElapsedMS: 4},
 		{Type: EventIter, Rank: 1, Iter: 1, StagesMS: map[string]float64{"update_phi": 1.25, "update_pi": 0.5}, ElapsedMS: 4.5},
 		{Type: EventPerplexity, Rank: 0, Iter: 2, Perplexity: 42.5, ElapsedMS: 5},
-		{Type: EventRunEnd, Rank: 0, Iter: 2, DKV: &DKVCounters{LocalKeys: 22, RemoteKeys: 58, Requests: 8, BytesRead: 1984, BytesWritten: 992, CacheHits: 3, CacheMisses: 25}, ElapsedMS: 5.5},
+		{Type: EventRunEnd, Rank: 0, Iter: 2, DKV: &DKVCounters{LocalKeys: 22, RemoteKeys: 58, Requests: 8, BytesRead: 1984, BytesWritten: 992}, ElapsedMS: 5.5},
 	}...)
 }
 
@@ -208,7 +208,7 @@ func TestSummarize(t *testing.T) {
 	if got := s.StageMSPerIter["update_pi"]; got != 0.5 {
 		t.Errorf("update_pi ms/iter = %v, want 0.5", got)
 	}
-	if s.DKV.RemoteKeys != 58 || s.DKV.CacheHits != 3 {
+	if s.DKV.RemoteKeys != 58 || s.DKV.BytesWritten != 992 {
 		t.Errorf("summed DKV = %+v", s.DKV)
 	}
 	if s.FinalPerplexity != 42.5 {

@@ -80,7 +80,7 @@ func (r *RunRecorder) StageDone(iter int, stage string, d time.Duration) {
 // counterDelta snapshots the telemetry counter groups and returns the delta
 // since the previous call. Caller holds r.mu.
 func (r *RunRecorder) counterDelta() map[string]int64 {
-	cur := r.reg.CounterValues("dkv.", "store.", "transport.")
+	cur := r.reg.CounterValues("dkv.", "transport.")
 	delta := make(map[string]int64, len(cur))
 	for name, v := range cur {
 		delta[name] = v - r.last[name]
@@ -172,7 +172,7 @@ func (r *RunRecorder) RunEnd(iterations int) {
 		ElapsedMS: r.elapsedMS(),
 	}
 	if r.reg != nil {
-		if dkv := dkvFromCounters(r.reg.CounterValues("dkv.", "store.")); !dkv.IsZero() {
+		if dkv := dkvFromCounters(r.reg.CounterValues("dkv.")); !dkv.IsZero() {
 			e.DKV = &dkv
 		}
 	}

@@ -119,10 +119,10 @@ func TestSnapshotFold(t *testing.T) {
 func TestCounterValuesPrefix(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("dkv.requests").Add(1)
-	reg.Counter("store.cache_hits").Add(2)
+	reg.Counter("transport.msgs_sent").Add(2)
 	reg.Counter("other.thing").Add(3)
-	got := reg.CounterValues("dkv.", "store.")
-	if len(got) != 2 || got["dkv.requests"] != 1 || got["store.cache_hits"] != 2 {
+	got := reg.CounterValues("dkv.", "transport.")
+	if len(got) != 2 || got["dkv.requests"] != 1 || got["transport.msgs_sent"] != 2 {
 		t.Fatalf("CounterValues = %v", got)
 	}
 	if all := reg.CounterValues(); len(all) != 3 {

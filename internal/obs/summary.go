@@ -34,13 +34,10 @@ type Summary struct {
 	// PeerWaitMS[p] totals the recv-wait peer p imposed on the other ranks
 	// (summed per-peer wait deltas of every iter event, diagonal excluded);
 	// PeerSkew and Stragglers apply the stragglerReport rule to it.
-	PeerWaitMS map[int]float64 `json:"peer_wait_ms,omitempty"`
-	PeerSkew   float64         `json:"peer_skew,omitempty"`
-	Stragglers []int           `json:"stragglers,omitempty"`
-	// CacheHitRate is hits/(hits+misses) of the hot-row cache, omitted when
-	// the stream carries no cache traffic (cache off).
-	CacheHitRate    float64 `json:"cache_hit_rate,omitempty"`
-	FinalPerplexity float64 `json:"final_perplexity,omitempty"`
+	PeerWaitMS      map[int]float64 `json:"peer_wait_ms,omitempty"`
+	PeerSkew        float64         `json:"peer_skew,omitempty"`
+	Stragglers      []int           `json:"stragglers,omitempty"`
+	FinalPerplexity float64         `json:"final_perplexity,omitempty"`
 	// StartIter is the first iteration in the stream — non-zero for a run
 	// resumed from a checkpoint, whose iter events pick up at the restart
 	// point rather than 0.
@@ -113,9 +110,6 @@ func Summarize(events []Event) (*Summary, error) {
 	}
 	if s.Ranks == 0 {
 		s.Ranks = len(acc)
-	}
-	if lookups := s.DKV.CacheHits + s.DKV.CacheMisses; lookups > 0 {
-		s.CacheHitRate = float64(s.DKV.CacheHits) / float64(lookups)
 	}
 	first := true
 	for _, rank := range sortedKeys(acc) {
@@ -237,9 +231,5 @@ func addDKV(acc DKVCounters, d *DKVCounters) DKVCounters {
 	acc.Requests += d.Requests
 	acc.BytesRead += d.BytesRead
 	acc.BytesWritten += d.BytesWritten
-	acc.CacheHits += d.CacheHits
-	acc.CacheMisses += d.CacheMisses
-	acc.CacheEvictions += d.CacheEvictions
-	acc.CacheInvalidations += d.CacheInvalidations
 	return acc
 }

@@ -290,11 +290,11 @@ func SingleNode(m Machine, w Workload, threads int) Estimate {
 
 // SingleNodeOutOfCore models vertical scaling when the π table does NOT fit
 // in RAM and lives in the sharded mmap store instead: residentFrac of the row
-// accesses hit pages already in memory (the hot-row cache plus the resident
-// page-cache slice) and stream at DRAM rate, while the cold remainder each
-// pay a page fault plus a page-sized device read. This is the I/O term that
-// explains why out-of-core training degrades gracefully until the working set
-// outruns the cache and then goes device-bound: the cold term grows linearly
+// accesses hit pages already in memory (the resident page-cache slice) and
+// stream at DRAM rate, while the cold remainder each pay a page fault plus a
+// page-sized device read. This is the I/O term that explains why out-of-core
+// training degrades gracefully until the working set outruns the page cache
+// and then goes device-bound: the cold term grows linearly
 // in (1 - residentFrac) with a slope set by PageFaultSec and DiskBandwidth,
 // not by compute.
 func SingleNodeOutOfCore(m Machine, w Workload, threads int, residentFrac float64) Estimate {

@@ -222,7 +222,7 @@ func TestLocalStoreDegenerateRow(t *testing.T) {
 // backend, for both a locally-owned and a remote vertex.
 func TestDKVStoreDegenerateRow(t *testing.T) {
 	const n, k = 20, 3
-	twoRankStores(t, n, k, 0, func(s *DKVStore) {
+	twoRankStores(t, n, k, func(s *DKVStore) {
 		for _, vertex := range []int32{2, 17} { // rank 0 owns 2, rank 1 owns 17
 			err := s.WriteRows([]int32{vertex}, []float64{0, 0, 0})
 			if !errors.Is(err, ErrDegenerateRow) {

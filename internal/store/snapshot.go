@@ -45,8 +45,7 @@ func (s *Snapshot) PiRow(a int) []float32 { return s.Pi[a*s.K : (a+1)*s.K] }
 // out-of-core run that publishes trades memory for queryability.
 //
 // On a DKVStore the calling (serving) rank gathers every shard: peers take
-// part passively through their DKV server goroutines, and the read goes
-// through the hot-row cache like every other whole-table sweep.
+// part passively through their DKV server goroutines.
 func TakeSnapshot(ps PiStore, version int, beta []float64) (*Snapshot, error) {
 	n, k := ps.NumRows(), ps.K()
 	snap := &Snapshot{

@@ -23,7 +23,7 @@ func initPattern(a int, pi []float32) float64 {
 }
 
 // trainSteps drives a store through a training-like write sequence: reads
-// of scattered rows (which fill any hot-row cache), then WriteRows of fresh φ
+// of scattered rows, then WriteRows of fresh φ
 // for a batch that overlaps them, and a Flush — the phase discipline. The
 // same seed gives the same writes on every backend.
 func trainSteps(t *testing.T, ps PiStore, steps int) {
@@ -55,8 +55,7 @@ func trainSteps(t *testing.T, ps PiStore, steps int) {
 }
 
 // TestTakeSnapshotEveryBackend is the one snapshot test: every backend —
-// local, mmap, tiered, and DKV at 2 ranks with the hot-row cache off and on —
-// is trained through the same write sequence and sealed by TakeSnapshot, and
+// local, mmap, tiered, and DKV at 2 ranks — is trained through the same write sequence and sealed by TakeSnapshot, and
 // each snapshot must equal the reference model bit for bit, carry its
 // version and a copy of β, and stay sealed when the store is written after.
 // The table spans two batch edges of Sweep, so a sweep that skips, repeats
@@ -73,7 +72,7 @@ func TestTakeSnapshotEveryBackend(t *testing.T) {
 	}
 	trainSteps(t, ref, steps)
 
-	dkvPair := func(t *testing.T, cache int) PiStore {
+	dkvPair := func(t *testing.T) PiStore {
 		f, err := transport.NewFabric(2)
 		if err != nil {
 			t.Fatal(err)
@@ -81,7 +80,7 @@ func TestTakeSnapshotEveryBackend(t *testing.T) {
 		t.Cleanup(func() { f.Close() })
 		var stores [2]*DKVStore
 		for r := range stores {
-			st, err := NewDKVCache(f.Endpoint(r), sweepN, k, 2, CacheConfig{Rows: cache}, nil)
+			st, err := NewDKV(f.Endpoint(r), sweepN, k, 2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,33 +106,16 @@ func TestTakeSnapshotEveryBackend(t *testing.T) {
 		}},
 		{"mmap", func(t *testing.T) PiStore { return initMmap(t, sweepN, k, MmapOptions{ShardRows: 1000, Threads: 2}) }},
 		{"tiered", func(t *testing.T) PiStore { return tierFixture(t, sweepN, k) }},
-		{"dkv", func(t *testing.T) PiStore { return dkvPair(t, 0) }},
-		{"dkv+cache", func(t *testing.T) PiStore { return dkvPair(t, 256) }},
+		{"dkv", dkvPair},
 	}
 	for _, b := range backends {
 		t.Run(b.name, func(t *testing.T) {
 			ps := b.make(t)
 			trainSteps(t, ps, steps)
-			var lookups int64 // hot-row cache lookups before the sweep
-			cached, _ := ps.(*DKVStore)
-			if cached != nil && cached.cacheCfg.Rows > 0 {
-				cs := cached.CacheStats()
-				lookups = cs.Hits + cs.Misses
-			} else {
-				cached = nil
-			}
 			beta := []float64{0.1, 0.2, 0.3}
 			snap, err := TakeSnapshot(ps, 7, beta)
 			if err != nil {
 				t.Fatal(err)
-			}
-			// A cached DKV store's sweep reads through its cache like any
-			// other read: every remote row of the table is one lookup.
-			if cached != nil {
-				cs := cached.CacheStats()
-				if got := cs.Hits + cs.Misses - lookups; got < sweepN/2 {
-					t.Fatalf("the snapshot sweep made %d cache lookups; it must read through the cache", got)
-				}
 			}
 			if snap.Version != 7 || snap.N != sweepN || snap.K != k || snap.SealedAt.IsZero() {
 				t.Fatalf("snapshot header = v%d %d×%d sealed %v, want v7 %d×%d stamped",
@@ -211,7 +193,7 @@ func TestLocalSnapshotIsSealed(t *testing.T) {
 
 // TestDKVSnapshotGathersFullView: on a 2-rank fabric, the serving rank's
 // snapshot must assemble both shards and match the per-key init exactly,
-// reading the remote shard through the hot-row cache like any other read.
+// fetching every row of the remote shard over the DKV like any other read.
 func TestDKVSnapshotGathersFullView(t *testing.T) {
 	const n, k = 37, 4
 	f, err := transport.NewFabric(2)
@@ -221,7 +203,7 @@ func TestDKVSnapshotGathersFullView(t *testing.T) {
 	defer f.Close()
 	stores := make([]*DKVStore, 2)
 	for r := 0; r < 2; r++ {
-		st, err := NewDKVCache(f.Endpoint(r), n, k, 1, CacheConfig{Rows: 8}, nil)
+		st, err := NewDKV(f.Endpoint(r), n, k, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,15 +231,10 @@ func TestDKVSnapshotGathersFullView(t *testing.T) {
 			}
 		}
 	}
-	// The sweep reads through the cache: every row rank 1 owns is a lookup.
-	remote := 0
-	for a := 0; a < n; a++ {
-		if !stores[0].owned(int32(a)) {
-			remote++
-		}
-	}
-	if cs := stores[0].CacheStats(); cs.Hits+cs.Misses < int64(remote) {
-		t.Fatalf("snapshot gather made %d cache lookups for %d remote rows", cs.Hits+cs.Misses, remote)
+	// The sweep reads through the DKV: every row rank 1 owns is fetched.
+	lo, hi := stores[0].kv.OwnedRange()
+	if got, remote := stores[0].kv.Stats().RemoteKeys.Load(), int64(n-(hi-lo)); got != remote {
+		t.Fatalf("snapshot gather fetched %d remote keys, want %d", got, remote)
 	}
 }
 

@@ -11,9 +11,8 @@
 //     single-process sampler the Ranks=1 degenerate case of the distributed
 //     one.
 //   - DKVStore (dkv.go) wraps internal/dkv: batched reads grouped by owning
-//     rank, asynchronous futures for the double-buffered π pipeline of
-//     Section III-D, and an optional bounded hot-row cache that is
-//     invalidated at every phase barrier.
+//     rank and asynchronous futures for the double-buffered π pipeline of
+//     Section III-D. It holds no copy of a remote row.
 //
 // The whole table leaves a store through one path, Sweep (snapshots,
 // checkpoints, the distributed end-of-run gather), and enters it through
@@ -105,9 +104,11 @@ type Pending interface {
 // Consistency follows the paper's phase discipline: within a phase, read
 // sets and write sets never overlap, so no concurrency control is needed.
 // Flush marks a phase barrier — after Flush returns, rows written before it
-// are what subsequent reads observe, and any caching that spanned the phase
-// is invalidated. Callers that also require cross-rank visibility (the
-// distributed engine) pair Flush with their collective barrier.
+// are what subsequent reads observe. No backend keeps a row copy that a
+// barrier would have to drop: the local and DKV backends' Flush is a no-op,
+// and the mmap backend's may release page residency. Callers that also
+// require cross-rank visibility (the distributed engine) pair Flush with
+// their collective barrier.
 type PiStore interface {
 	// NumRows returns the total key count N.
 	NumRows() int
@@ -166,7 +167,7 @@ type PiWriter interface {
 const BatchRows = 4096
 
 // Sweep reads rows [0, N) of ps in order, BatchRows at a time, through
-// ReadRows — caches included — and hands each batch to visit with the id of
+// ReadRows and hands each batch to visit with the id of
 // its first row (visit may be nil). When pi is non-nil it must be N×K long,
 // and each batch's π rows land straight in pi[lo*K : hi*K] instead of a
 // reused buffer, so a snapshot or gather copies every row once. It is the one

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/transport"
@@ -148,7 +147,7 @@ func TestBackendsRejectBadArguments(t *testing.T) {
 			body(NewLocal(make([]float32, n*k), make([]float64, n), k, 2))
 		}},
 		{"dkv", func(t *testing.T, body func(PiStore)) {
-			twoRankStores(t, n, k, 0, func(s *DKVStore) { body(s) })
+			twoRankStores(t, n, k, func(s *DKVStore) { body(s) })
 		}},
 		{"mmap", func(t *testing.T, body func(PiStore)) { body(initMmap(t, n, k, MmapOptions{})) }},
 		{"tiered", func(t *testing.T, body func(PiStore)) { body(tierFixture(t, n, k)) }},
@@ -190,7 +189,7 @@ func TestBackendsRejectBadArguments(t *testing.T) {
 // twoRankStores builds a 2-rank fabric with one DKVStore per rank, both
 // initialised with a deterministic per-key row, and hands rank 0's store to
 // the body (rank 1's server goroutine answers in the background).
-func twoRankStores(t *testing.T, n, k, cacheRows int, body func(s0 *DKVStore)) {
+func twoRankStores(t *testing.T, n, k int, body func(s0 *DKVStore)) {
 	t.Helper()
 	f, err := transport.NewFabric(2)
 	if err != nil {
@@ -199,7 +198,7 @@ func twoRankStores(t *testing.T, n, k, cacheRows int, body func(s0 *DKVStore)) {
 	defer f.Close()
 	stores := make([]*DKVStore, 2)
 	for r := 0; r < 2; r++ {
-		st, err := NewDKVCache(f.Endpoint(r), n, k, 1, CacheConfig{Rows: cacheRows}, nil)
+		st, err := NewDKV(f.Endpoint(r), n, k, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +228,7 @@ func checkInitRow(t *testing.T, rows *Rows, i int, a int32, k int) {
 
 func TestDKVStoreReadWrite(t *testing.T) {
 	const n, k = 20, 3
-	twoRankStores(t, n, k, 0, func(s *DKVStore) {
+	twoRankStores(t, n, k, func(s *DKVStore) {
 		// Mixed local and remote keys, with repeats.
 		ids := []int32{0, 15, 3, 19, 15}
 		var rows Rows
@@ -267,20 +266,14 @@ func TestDKVStoreReadWrite(t *testing.T) {
 }
 
 // TestDKVWritePiRows: the restore primitive lands verbatim rows on their
-// owners, local and remote, and drops a cached copy of a row it overwrites —
-// the same commit WriteRows uses.
+// owners, local and remote, over rows a read has already fetched.
 func TestDKVWritePiRows(t *testing.T) {
 	const n, k = 20, 3
-	twoRankStores(t, n, k, 8, func(s *DKVStore) {
-		ids := []int32{18, 2}
+	twoRankStores(t, n, k, func(s *DKVStore) {
+		ids := []int32{18, 2} // row 18 is remote
 		var rows Rows
-		for pass := 0; pass < 2; pass++ { // row 18 is remote: cached after the first read
-			if err := s.ReadRows(ids, &rows); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if cs := s.CacheStats(); cs.Hits == 0 {
-			t.Fatalf("remote row never served from the cache: %+v", cs)
+		if err := s.ReadRows(ids, &rows); err != nil {
+			t.Fatal(err)
 		}
 		pi := []float32{0.25, 0.5, 0.25, 0.125, 0.375, 0.5}
 		if err := s.WritePiRows(ids, pi, []float64{42.5, 7}); err != nil {
@@ -291,7 +284,7 @@ func TestDKVWritePiRows(t *testing.T) {
 		}
 		for i, sum := range []float64{42.5, 7} {
 			if rows.PhiSum[i] != sum {
-				t.Fatalf("row %d: Σφ = %v, want %v (stale cache, or not written verbatim)", ids[i], rows.PhiSum[i], sum)
+				t.Fatalf("row %d: Σφ = %v, want %v (stale read, or not written verbatim)", ids[i], rows.PhiSum[i], sum)
 			}
 			for j := 0; j < k; j++ {
 				if rows.PiRow(i)[j] != pi[i*k+j] {
@@ -299,91 +292,6 @@ func TestDKVWritePiRows(t *testing.T) {
 				}
 			}
 		}
-	})
-}
-
-func TestDKVHotRowCache(t *testing.T) {
-	const n, k = 20, 3
-	twoRankStores(t, n, k, 8, func(s *DKVStore) {
-		remote := []int32{15, 16, 17} // owned by rank 1
-		var first, second Rows
-		if err := s.ReadRows(remote, &first); err != nil {
-			t.Fatal(err)
-		}
-		before := s.kv.Stats().RemoteKeys.Load()
-		if err := s.ReadRows(remote, &second); err != nil {
-			t.Fatal(err)
-		}
-		if got := s.kv.Stats().RemoteKeys.Load(); got != before {
-			t.Fatalf("second read fetched %d remote keys, want 0 (cache)", got-before)
-		}
-		cs := s.CacheStats()
-		if cs.Hits != int64(len(remote)) {
-			t.Fatalf("cache hits = %d, want %d", cs.Hits, len(remote))
-		}
-		for i, a := range remote {
-			checkInitRow(t, &second, i, a, k)
-			if math.Float64bits(first.PhiSum[i]) != math.Float64bits(second.PhiSum[i]) {
-				t.Fatalf("cached row %d not bit-identical", a)
-			}
-		}
-
-		// Writing a key must drop its cached copy.
-		if err := s.WriteRows([]int32{15}, []float64{1, 1, 2}); err != nil {
-			t.Fatal(err)
-		}
-		var rows Rows
-		if err := s.ReadRows([]int32{15}, &rows); err != nil {
-			t.Fatal(err)
-		}
-		wantPi, wantSum := refWrite([]float64{1, 1, 2})
-		if rows.PhiSum[0] != wantSum || rows.PiRow(0)[0] != wantPi[0] {
-			t.Fatalf("stale cached row after write: Σφ=%v π0=%v", rows.PhiSum[0], rows.PiRow(0)[0])
-		}
-
-		// Flush (the phase barrier) empties the cache entirely.
-		if err := s.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		before = s.kv.Stats().RemoteKeys.Load()
-		if err := s.ReadRows(remote, &rows); err != nil {
-			t.Fatal(err)
-		}
-		if got := s.kv.Stats().RemoteKeys.Load() - before; got != int64(len(remote)) {
-			t.Fatalf("post-Flush read fetched %d remote keys, want %d", got, len(remote))
-		}
-
-		// Local keys bypass the cache: reading an owned key twice never
-		// counts a hit beyond the remote ones already recorded.
-		hits := s.CacheStats().Hits
-		if err := s.ReadRows([]int32{1, 1}, &rows); err != nil {
-			t.Fatal(err)
-		}
-		if s.CacheStats().Hits != hits {
-			t.Fatal("owned key served from the hot-row cache")
-		}
-	})
-}
-
-func TestDKVCacheEviction(t *testing.T) {
-	const n, k = 20, 2
-	twoRankStores(t, n, k, 2, func(s *DKVStore) {
-		var rows Rows
-		// Three distinct remote rows through a 2-row cache.
-		for _, id := range []int32{15, 16, 17} {
-			if err := s.ReadRows([]int32{id}, &rows); err != nil {
-				t.Fatal(err)
-			}
-		}
-		cs := s.CacheStats()
-		if cs.Evictions == 0 {
-			t.Fatalf("no evictions with cap 2 after 3 distinct rows: %+v", cs)
-		}
-		// Evicted row still reads correctly (it just refetches).
-		if err := s.ReadRows([]int32{15}, &rows); err != nil {
-			t.Fatal(err)
-		}
-		checkInitRow(t, &rows, 0, 15, k)
 	})
 }
 
@@ -395,7 +303,7 @@ func TestReadsAreLocalCapability(t *testing.T) {
 	}
 	// A 2-rank DKV store owns only half the keys: reads can leave the
 	// process, so the φ stage must keep the fetch/compute overlap.
-	twoRankStores(t, 20, 3, 0, func(s0 *DKVStore) {
+	twoRankStores(t, 20, 3, func(s0 *DKVStore) {
 		if ReadsAreLocal(s0) {
 			t.Fatal("2-rank DKVStore must not report local reads")
 		}
@@ -406,7 +314,7 @@ func TestReadsAreLocalCapability(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	st, err := NewDKVCache(f.Endpoint(0), 10, 3, 1, CacheConfig{}, nil)
+	st, err := NewDKV(f.Endpoint(0), 10, 3, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,10 +93,6 @@ func (r *run) flagSet(prog string, defaultRanks int) *flag.FlagSet {
 	fs.BoolVar(&o.Pipeline, only(">= 2", "pipeline"), false, "enable double-buffered π loading and minibatch prefetch")
 	fs.IntVar(&o.PhiChunkNodes, only(">= 2", "phi-chunk"), 0, "pipeline chunk size in minibatch vertices (0 = automatic policy)")
 	fs.IntVar(&o.PipelineDepth, only(">= 2", "pipeline-depth"), 2, "π-load buffer slots per rank (2 = the paper's double buffering)")
-	fs.IntVar(&o.HotRowCache, only(">= 2", "hot-cache"), 0, "per-rank hot-row cache size in π rows (0 = off; result is bit-identical either way)")
-	fs.StringVar(&o.HotCachePolicy, only(">= 2", "hot-cache-policy"), "lru", "cache admission policy: lru (admit everything) or admit2 (admit on second sighting)")
-	fs.BoolVar(&o.HotCacheCrossIter, only(">= 2", "hot-cache-cross-iter"), false, "keep the cache alive across barriers, dropping only rows named by the write-set exchange")
-	fs.IntVar(&o.HotCacheMinDegree, only(">= 2", "hot-cache-min-degree"), 0, "with -hot-cache-policy admit2, admit rows of at least this graph degree on first sighting")
 	fs.IntVar(&r.failRank, only(">= 2", "fail-rank"), -1, "fault injection: rank to crash (-1 = none)")
 	fs.IntVar(&r.failIter, only(">= 2", "fail-iter"), 0, "fault injection: iteration at which -fail-rank crashes")
 	fs.IntVar(&r.slowRank, only(">= 2", "slow-rank"), -1, "fault injection: rank whose collective sends are delayed by -slow-send (-1 = none); the straggler report should flag it")

@@ -333,13 +333,6 @@ func (r *run) trainDist(train *graph.Graph, held *graph.HeldOut) error {
 	fmt.Fprintf(r.out, "\nDKV traffic: %d local keys, %d remote keys (%.1f%% remote), %d requests, %.1f MB read, %.1f MB written\n",
 		res.DKV.LocalKeys, res.DKV.RemoteKeys, 100*res.RemoteFrac, res.DKV.Requests,
 		float64(res.DKV.BytesRead)/1e6, float64(res.DKV.BytesWritten)/1e6)
-	if opt.HotRowCache > 0 {
-		lookups := res.DKV.CacheHits + res.DKV.CacheMisses
-		fmt.Fprintf(r.out, "hot-row cache: %d hits / %d lookups (%.1f%% hit rate), %d evictions, %d invalidations (cap %d rows/rank, policy %s, cross-iter %v)\n",
-			res.DKV.CacheHits, lookups, 100*float64(res.DKV.CacheHits)/float64(max(lookups, 1)),
-			res.DKV.CacheEvictions, res.DKV.CacheInvalidations,
-			opt.HotRowCache, opt.HotCachePolicy, opt.HotCacheCrossIter)
-	}
 	ctr := res.Metrics.Counters
 	if sent := ctr[obs.CtrNetBytesSent]; sent > 0 {
 		fmt.Fprintf(r.out, "transport (%s): %d msgs / %.1f MB sent, %d msgs / %.1f MB received\n",

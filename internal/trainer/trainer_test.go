@@ -236,19 +236,23 @@ func TestStreamEndsAtRunEnd(t *testing.T) {
 	}
 }
 
-// TestCrossIterationCacheOverTCP replaces the "cross-iteration cache smoke":
-// the four -hot-cache* flags and -transport tcp reach the engine, visible as
-// cache traffic in the stream.
-func TestCrossIterationCacheOverTCP(t *testing.T) {
-	jsonl := filepath.Join(t.TempDir(), "run.jsonl")
-	out := mustTrain(t, "-graph", smokeGraph(t), "-ranks", "3", "-k", "8", "-iters", "20", "-eval", "10",
-		"-transport", "tcp", "-hot-cache", "512", "-hot-cache-cross-iter",
-		"-hot-cache-policy", "admit2", "-hot-cache-min-degree", "4", "-metrics-out", jsonl)
-	if sum := summarize(t, jsonl); sum.CacheHitRate <= 0 {
-		t.Errorf("cache_hit_rate = %v, want > 0", sum.CacheHitRate)
+// TestThreeRanksOverTCP replaces the "cross-iteration cache smoke": -transport
+// tcp reaches the engine, visible as TCP traffic in the report and DKV
+// traffic in the stream. The DKV row cache and its four -hot-cache* flags
+// are gone; setting one is an unknown flag.
+func TestThreeRanksOverTCP(t *testing.T) {
+	g, jsonl := smokeGraph(t), filepath.Join(t.TempDir(), "run.jsonl")
+	out := mustTrain(t, "-graph", g, "-ranks", "3", "-k", "8", "-iters", "20", "-eval", "10",
+		"-transport", "tcp", "-metrics-out", jsonl)
+	if sum := summarize(t, jsonl); sum.DKV.Requests == 0 {
+		t.Errorf("the stream carries no DKV traffic: %+v", sum.DKV)
 	}
-	if !strings.Contains(out, "policy admit2, cross-iter true") || !strings.Contains(out, "transport (tcp):") {
-		t.Errorf("report does not show the cache policy / tcp transport:\n%s", out)
+	if !strings.Contains(out, "transport (tcp):") {
+		t.Errorf("report does not show the tcp transport:\n%s", out)
+	}
+	_, err := train("-graph", g, "-ranks", "3", "-hot-cache", "512")
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -hot-cache") {
+		t.Errorf("-hot-cache 512: err = %v, want an undefined flag", err)
 	}
 }
 
@@ -622,8 +626,8 @@ func TestEngineFlagRejections(t *testing.T) {
 			t.Errorf("-%s at -ranks %s: err = %v, want a rejection naming the flag", name, ranks, err)
 		}
 	}
-	if single != 4 || len(r.needsRanks) != 22 {
-		t.Errorf("%d single-node-only of %d engine-only flags, want 4 of 22", single, len(r.needsRanks))
+	if single != 4 || len(r.needsRanks) != 18 {
+		t.Errorf("%d single-node-only of %d engine-only flags, want 4 of 18", single, len(r.needsRanks))
 	}
 	// The same flags at their own engine pass flag validation and fail on the
 	// missing graph instead.
