@@ -18,15 +18,14 @@ test:
 	$(GO) test ./...
 
 # race runs every package with concurrent code under the race detector:
-# the distribution stack (the failure-propagation and seed-parity tests are
-# only meaningful with it on — the parity test exercises the pipelined
-# load/compute overlap), internal/obs (the mutex-guarded phase table and
-# recorder), internal/core (the pipelined loader and compute report to
-# the observer from two goroutines), internal/svi (its sweeps run on par
-# workers) and internal/trainer (the ocd-train /
-# ocd-cluster program end to end: sink, monitor, query server and every rank
-# in one process; its one wall-clock ratio, TestRebalanceRecovers, skips
-# itself under the detector, whose slowdown distorts it — `make test` runs it).
+# the distribution stack (the failure-propagation tests and the parity
+# matrix are only meaningful with it on — the matrix's pipeline cells
+# exercise the double-buffered load/compute overlap), internal/obs (the
+# mutex-guarded phase table and recorder), internal/core (the pipelined
+# loader and compute report to the observer from two goroutines),
+# internal/svi (its sweeps run on par workers) and internal/trainer (the
+# ocd-train / ocd-cluster program end to end: sink, monitor, query server
+# and every rank in one process).
 race:
 	$(GO) test -race $(DIST_PKGS)
 

@@ -129,7 +129,7 @@ func BenchmarkFig3Pipelining(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			res, err := dist.Run(cfg, train, held, dist.Options{
 				Ranks: 4, Threads: 2, Iterations: max(b.N, 4), Pipeline: pipelined,
-				MinibatchPairs: 512, NeighborCount: 32, PhiChunkNodes: 16,
+				MinibatchPairs: 512, NeighborCount: 32,
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -29,15 +29,14 @@ func DrawMinibatch(cfg *Config, edges sampling.EdgeStrategy, t int, dst *samplin
 
 // PhiStage is the dominant update_phi phase: for each minibatch vertex,
 // sample its neighbor set (on Threads workers), load the π rows through the
-// store, and compute the staged φ row. Vertices are processed in chunks of
-// ChunkNodes; chunks run either serially (load, compute, load, compute, ...)
-// or with the paper's pipelined buffering, where the next chunks' π rows
-// stream in while the current chunk computes. Which schedule actually runs is
-// decided per call by plan(): stores that answer reads from local memory always take the
-// fused serial path (one chunk, one batched read — a pipeline would only add
-// channel/goroutine overhead, the in-proc slowdown this policy removes),
-// while remote-reading stores overlap ReadRowsAsync with compute. Draws,
-// loads and computes are reported to Obs as the update_phi.sample_neighbors /
+// store, and compute the staged φ row. Which schedule runs is decided per
+// call by plan(): stores that answer reads from local memory always take the
+// fused serial path (one batched read, then one compute sweep — a pipeline
+// would only add channel/goroutine overhead, the in-proc slowdown this policy
+// removes), while remote-reading stores with Pipelined set cut the minibatch
+// into chunks and double-buffer them (par.PipelineDepth): the next chunk's π
+// rows stream in while the current chunk computes. Draws, loads and computes
+// are reported to Obs as the update_phi.sample_neighbors /
 // update_phi.load_pi / update_phi.compute sub-stage intervals.
 //
 // A PhiStage owns persistent staging buffers and per-worker scratch, so the
@@ -48,16 +47,9 @@ type PhiStage struct {
 	Store   store.PiStore
 	Neigh   sampling.NeighborStrategy
 	Threads int
-	// ChunkNodes is the pipeline chunk size in minibatch vertices; <= 0
-	// selects the automatic policy (see plan).
-	ChunkNodes int
 	// Pipelined requests the overlapped schedule; it is demoted to the
 	// fused serial path when the store's reads are local (see plan).
 	Pipelined bool
-	// Depth is the number of pipeline buffer slots (the loader may run
-	// Depth-1 chunks ahead); <= 2 means double buffering, the paper's
-	// scheme.
-	Depth int
 	// Obs receives the sample_neighbors/load_pi/compute sub-stage
 	// intervals, so the phase table and the per-iteration events carry the
 	// full Table III breakdown. With pipelining on, a chunk's draw and load
@@ -66,45 +58,33 @@ type PhiStage struct {
 	Obs *obs.Observer
 
 	// bufs holds one phiChunk per pipeline slot and scratch one PhiScratch
-	// per worker index; both grow on demand and persist across iterations.
-	bufs    []phiChunk
+	// per worker index; both persist across iterations.
+	bufs    [2]phiChunk
 	scratch []*PhiScratch
 }
 
-// minPhiChunk floors the automatic pipeline chunk size: below ~64 vertices
-// the per-chunk goroutine/channel handoff is comparable to the compute it
+// minPhiChunk floors the pipeline chunk size: below ~64 vertices the
+// per-chunk goroutine/channel handoff is comparable to the compute it
 // schedules and the pipeline loses even against remote stores.
 const minPhiChunk = 64
 
 // plan resolves the schedule for a minibatch of n vertices: whether to
-// pipeline, the chunk size, and the slot count. Pipelining is demoted to
-// serial when the store reads from local memory (nothing to overlap) or when
-// the minibatch yields fewer than two chunks. The automatic chunk size aims
-// for 4·depth chunks — enough in-flight fetches to hide bursty latency, few
-// enough that handoff overhead stays negligible — floored at minPhiChunk.
-// The serial path uses a single chunk: one batched read, then the fused
-// compute sweep.
-func (p *PhiStage) plan(n int) (pipelined bool, chunkN, depth int) {
-	depth = p.Depth
-	if depth < 2 {
-		depth = 2
+// pipeline, and the chunk size. Pipelining is demoted to serial when the
+// store reads from local memory (nothing to overlap) or when the minibatch
+// yields fewer than two chunks. The chunk size aims for 8 chunks — four
+// fills of the two slots, enough in-flight fetches to hide bursty latency,
+// few enough that handoff overhead stays negligible — floored at
+// minPhiChunk. The serial path is a single chunk: one batched read, then the
+// fused compute sweep.
+func (p *PhiStage) plan(n int) (pipelined bool, chunkN int) {
+	if !p.Pipelined || store.ReadsAreLocal(p.Store) {
+		return false, n
 	}
-	pipelined = p.Pipelined && !store.ReadsAreLocal(p.Store)
-	chunkN = p.ChunkNodes
-	if chunkN <= 0 {
-		if !pipelined {
-			return false, n, 1
-		}
-		chunkN = (n + 4*depth - 1) / (4 * depth)
-		if chunkN < minPhiChunk {
-			chunkN = minPhiChunk
-		}
+	chunkN = max((n+7)/8, minPhiChunk)
+	if chunkN >= n {
+		return false, n
 	}
-	if pipelined && (n+chunkN-1)/chunkN < 2 {
-		pipelined = false
-		depth = 1
-	}
-	return pipelined, chunkN, depth
+	return true, chunkN
 }
 
 // phiChunk is one slot's staging buffers, reused across chunks and
@@ -127,12 +107,8 @@ func (p *PhiStage) Run(t int, eps float64, nodes []int32, beta []float64, newPhi
 		return nil
 	}
 	k := p.Cfg.K
-	pipelined, chunkN, depth := p.plan(len(nodes))
-	nChunks := (len(nodes) + chunkN - 1) / chunkN
-	for len(p.bufs) < depth {
-		p.bufs = append(p.bufs, phiChunk{})
-	}
-	bufs := p.bufs
+	pipelined, chunkN := p.plan(len(nodes))
+	bufs := &p.bufs
 	// errVal is shared between the pipeline's load goroutine and the compute
 	// caller; guard it with a mutex rather than relying on ordering.
 	var errMu sync.Mutex
@@ -230,9 +206,10 @@ func (p *PhiStage) Run(t int, eps float64, nodes []int32, beta []float64, newPhi
 	}
 
 	if pipelined {
-		par.PipelineDepth(nChunks, depth, load, compute)
+		par.PipelineDepth((len(nodes)+chunkN-1)/chunkN, load, compute)
 	} else {
-		par.Serial(nChunks, load, compute)
+		load(0, 0)
+		compute(0, 0)
 	}
 	errMu.Lock()
 	defer errMu.Unlock()

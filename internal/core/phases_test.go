@@ -84,8 +84,8 @@ func TestPhiStageParityAcrossThreads(t *testing.T) {
 				if pipelined {
 					ps = bareStore{ps}
 				}
-				stage := &PhiStage{Cfg: cfg, Store: ps, Neigh: neigh, Threads: threads, Pipelined: pipelined, ChunkNodes: 16}
-				if got, _, _ := stage.plan(len(nodes)); got != pipelined {
+				stage := &PhiStage{Cfg: cfg, Store: ps, Neigh: neigh, Threads: threads, Pipelined: pipelined}
+				if got, _ := stage.plan(len(nodes)); got != pipelined {
 					t.Fatalf("plan pipelined = %v, want %v", got, pipelined)
 				}
 				got := make([]float64, len(want))
@@ -124,21 +124,25 @@ func (f *failingStore) ReadRowsAsync(ids []int32, dst *store.Rows) (store.Pendin
 	return f.PiStore.ReadRowsAsync(ids, dst)
 }
 
-// TestPhiStageStoreErrorReturns: a failed read mid-minibatch comes back from
-// Run as its error, on both schedules at one and three threads, without
-// leaving the loader or the workers blocked.
+// TestPhiStageStoreErrorReturns: a failed read comes back from Run as its
+// error, on both schedules at one and three threads, without leaving the
+// loader or the workers blocked. The serial schedule reads once, so its first
+// read fails; the pipelined one fails mid-minibatch, on its second chunk.
 func TestPhiStageStoreErrorReturns(t *testing.T) {
 	cfg, s, strategies, nodes := phiFixture(t)
 	for _, pipelined := range []bool{false, true} {
 		for _, threads := range []int{1, 3} {
 			name := fmt.Sprintf("pipelined=%v threads=%d", pipelined, threads)
+			okReads := 0
+			if pipelined {
+				okReads = 1
+			}
 			stage := &PhiStage{
-				Cfg:        cfg,
-				Store:      &failingStore{PiStore: store.NewLocal(s.Pi, s.PhiSum, cfg.K, threads), okReads: 1},
-				Neigh:      strategies[0],
-				Threads:    threads,
-				Pipelined:  pipelined,
-				ChunkNodes: 16,
+				Cfg:       cfg,
+				Store:     &failingStore{PiStore: store.NewLocal(s.Pi, s.PhiSum, cfg.K, threads), okReads: okReads},
+				Neigh:     strategies[0],
+				Threads:   threads,
+				Pipelined: pipelined,
 			}
 			done := make(chan error, 1)
 			go func() { done <- stage.Run(1, 0.01, nodes, s.Beta, make([]float64, len(nodes)*cfg.K)) }()

@@ -77,12 +77,6 @@ type SamplerOptions struct {
 	// Stratified selects stratified random node sampling (the strategy of
 	// Li et al.) instead of random pairs.
 	Stratified bool
-	// LinkProb is the probability of picking the link stratum (stratified
-	// only); 0 defaults to 0.5.
-	LinkProb float64
-	// NonLinkCount is the non-link stratum sample size (stratified only);
-	// 0 defaults to 32.
-	NonLinkCount int
 	// NeighborCount is |V_n|, the neighbor subsample size per minibatch
 	// vertex; 0 defaults to 32.
 	NeighborCount int
@@ -120,23 +114,25 @@ type SamplerOptions struct {
 	Store store.PiStore
 }
 
-// withDefaults fills the zero strategy parameters: 128 pairs, link
-// probability 0.5, 32 non-links, |V_n| = 32. It is the one place those
-// defaults live — the sequential sampler and every distributed rank build
-// their strategies through the two constructors below, so the engines cannot
-// drift apart and silently break seq ≡ dist parity.
+// Stratum sizes of the stratified strategy (Li et al.): the link stratum is
+// picked with probability stratLinkProb, and a non-link stratum holds
+// stratNonLinks vertices.
+const (
+	stratLinkProb = 0.5
+	stratNonLinks = 32
+)
+
+// withDefaults fills the zero strategy parameters: 128 pairs and
+// |V_n| = 32. It is the one place those defaults live — the sequential
+// sampler and every distributed rank build their strategies through the two
+// constructors below, so the engines cannot drift apart and silently break
+// seq ≡ dist parity.
 func (opt SamplerOptions) withDefaults() SamplerOptions {
 	if opt.NeighborCount == 0 {
 		opt.NeighborCount = 32
 	}
 	if opt.MinibatchPairs == 0 {
 		opt.MinibatchPairs = 128
-	}
-	if opt.LinkProb == 0 {
-		opt.LinkProb = 0.5
-	}
-	if opt.NonLinkCount == 0 {
-		opt.NonLinkCount = 32
 	}
 	return opt
 }
@@ -145,7 +141,7 @@ func (opt SamplerOptions) withDefaults() SamplerOptions {
 func NewEdgeStrategy(opt SamplerOptions, g *graph.Graph, excluded *graph.EdgeSet) (edges sampling.EdgeStrategy, err error) {
 	opt = opt.withDefaults()
 	if opt.Stratified {
-		edges, err = sampling.NewStratifiedNode(g, excluded, opt.LinkProb, opt.NonLinkCount)
+		edges, err = sampling.NewStratifiedNode(g, excluded, stratLinkProb, stratNonLinks)
 	} else {
 		edges, err = sampling.NewRandomPair(g, excluded, opt.MinibatchPairs)
 	}

@@ -124,7 +124,7 @@ func TestSamplerImprovesPerplexity(t *testing.T) {
 func TestSamplerStratifiedStrategy(t *testing.T) {
 	train, held := plantedFixture(t, 250, 5, 1200, 35)
 	s, err := NewSampler(DefaultConfig(5, 13), train, held, SamplerOptions{
-		Stratified: true, LinkProb: 0.4, NonLinkCount: 16, Threads: 2,
+		Stratified: true, Threads: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -17,8 +17,7 @@ import (
 // in-process 2-rank fabric, realistic minibatch sizes, no perplexity
 // evaluation (the iteration loop is what is being measured). The pipelined
 // and serial variants differ only in the Section III-D overlap schedule, so
-// their ratio is the pipelining speedup. PhiChunkNodes is left at 0: the
-// automatic policy (core.PhiStage.plan) is what production runs use.
+// their ratio is the pipelining speedup.
 func benchOptions(iters int, pipelined bool) Options {
 	return Options{
 		Ranks:          2,

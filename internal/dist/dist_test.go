@@ -3,7 +3,6 @@ package dist
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -28,145 +27,6 @@ func fixture(t testing.TB, n, k, edges int, seed uint64) (*graph.Graph, *graph.H
 		t.Fatal(err)
 	}
 	return train, held
-}
-
-// TestDistributedMatchesSequential is the central correctness property of
-// the engine (DESIGN.md invariant 4): with the same seeds, the distributed
-// run must reproduce the single-node sampler bit for bit — same π, same θ —
-// because every random draw comes from the same (iteration, vertex) stream
-// and every floating-point fold uses the same chunk-aligned order.
-func TestDistributedMatchesSequential(t *testing.T) {
-	train, held := fixture(t, 240, 5, 1200, 51)
-	const iters = 12
-	cfg := core.DefaultConfig(5, 1234)
-
-	seq, err := core.NewSampler(cfg, train, held, core.SamplerOptions{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq.Run(iters)
-
-	for _, ranks := range []int{1, 2, 3, 5} {
-		res, err := Run(cfg, train, held, Options{
-			Ranks: ranks, Threads: 2, Iterations: iters,
-		})
-		if err != nil {
-			t.Fatalf("ranks=%d: %v", ranks, err)
-		}
-		if d := mathx.MaxAbsDiff32(seq.State.Pi, res.State.Pi); d != 0 {
-			t.Fatalf("ranks=%d: π differs from sequential by %v; want bit-exact", ranks, d)
-		}
-		if d := mathx.MaxAbsDiff(seq.State.Theta, res.State.Theta); d != 0 {
-			t.Fatalf("ranks=%d: θ differs from sequential by %v; want bit-exact", ranks, d)
-		}
-		if d := mathx.MaxAbsDiff(seq.State.PhiSum, res.State.PhiSum); d != 0 {
-			t.Fatalf("ranks=%d: Σφ differs from sequential by %v", ranks, d)
-		}
-	}
-}
-
-// TestPipelinedMatchesSerial verifies that double buffering is a pure
-// performance optimisation: pipelined and non-pipelined runs produce
-// identical chains.
-func TestPipelinedMatchesSerial(t *testing.T) {
-	train, held := fixture(t, 200, 4, 1000, 52)
-	cfg := core.DefaultConfig(4, 77)
-	const iters = 10
-	plain, err := Run(cfg, train, held, Options{Ranks: 3, Iterations: iters})
-	if err != nil {
-		t.Fatal(err)
-	}
-	piped, err := Run(cfg, train, held, Options{Ranks: 3, Iterations: iters, Pipeline: true, PhiChunkNodes: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := mathx.MaxAbsDiff32(plain.State.Pi, piped.State.Pi); d != 0 {
-		t.Fatalf("pipelining changed π by %v; must be identical", d)
-	}
-	if d := mathx.MaxAbsDiff(plain.State.Theta, piped.State.Theta); d != 0 {
-		t.Fatalf("pipelining changed θ by %v; must be identical", d)
-	}
-}
-
-// TestDistributedPerplexityMatchesSequential checks the distributed Eqn (7)
-// evaluation against the single-node averager, including the running
-// average across multiple evaluations.
-func TestDistributedPerplexityMatchesSequential(t *testing.T) {
-	train, held := fixture(t, 220, 4, 1100, 53)
-	cfg := core.DefaultConfig(4, 99)
-	const iters, every = 9, 3
-
-	seq, err := core.NewSampler(cfg, train, held, core.SamplerOptions{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seqVals []float64
-	for i := 0; i < iters; i++ {
-		seq.Step()
-		if (i+1)%every == 0 {
-			seqVals = append(seqVals, seq.EvalPerplexity())
-		}
-	}
-
-	res, err := Run(cfg, train, held, Options{Ranks: 4, Iterations: iters, EvalEvery: every})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Perplexity) != len(seqVals) {
-		t.Fatalf("got %d eval points, want %d", len(res.Perplexity), len(seqVals))
-	}
-	for i, p := range res.Perplexity {
-		if p.Value != seqVals[i] {
-			t.Fatalf("eval %d: distributed %v != sequential %v", i, p.Value, seqVals[i])
-		}
-		if p.Iter != (i+1)*every {
-			t.Fatalf("eval %d at iteration %d, want %d", i, p.Iter, (i+1)*every)
-		}
-	}
-}
-
-func TestStratifiedDistributedMatchesSequential(t *testing.T) {
-	train, held := fixture(t, 200, 4, 1000, 54)
-	cfg := core.DefaultConfig(4, 31)
-	const iters = 8
-	seq, err := core.NewSampler(cfg, train, held, core.SamplerOptions{
-		Stratified: true, LinkProb: 0.4, NonLinkCount: 12, Threads: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq.Run(iters)
-	res, err := Run(cfg, train, held, Options{
-		Ranks: 3, Iterations: iters, Stratified: true, LinkProb: 0.4, NonLinkCount: 12,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := mathx.MaxAbsDiff32(seq.State.Pi, res.State.Pi); d != 0 {
-		t.Fatalf("stratified: π differs by %v", d)
-	}
-}
-
-func TestUniformNeighborsDistributedMatchesSequential(t *testing.T) {
-	train, held := fixture(t, 200, 4, 1000, 55)
-	cfg := core.DefaultConfig(4, 41)
-	const iters = 8
-	seq, err := core.NewSampler(cfg, train, held, core.SamplerOptions{
-		UniformNeighbors: true, NeighborCount: 16, Threads: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq.Run(iters)
-	res, err := Run(cfg, train, held, Options{
-		Ranks: 4, Iterations: iters, UniformNeighbors: true, NeighborCount: 16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := mathx.MaxAbsDiff32(seq.State.Pi, res.State.Pi); d != 0 {
-		t.Fatalf("uniform neighbors: π differs by %v", d)
-	}
 }
 
 func TestRemoteFractionScalesWithRanks(t *testing.T) {
@@ -419,101 +279,4 @@ func FuzzDecodeDeployment(f *testing.F) {
 			t.Fatal("a deployment does not survive a second round trip")
 		}
 	})
-}
-
-// TestSeedParityTrajectory is the Ranks=1 regression anchor for the shared
-// stage layer: a single-rank, single-thread distributed run must reproduce
-// the sequential sampler's φ/θ trajectory bit for bit at EVERY iteration,
-// not just at the end — the distributed engine is the same stage list with
-// collectives wired in, so any divergence is a refactoring bug, caught at
-// the first iteration it appears.
-func TestSeedParityTrajectory(t *testing.T) {
-	train, held := fixture(t, 150, 4, 700, 59)
-	cfg := core.DefaultConfig(4, 4242)
-	const iters = 6
-
-	seq, err := core.NewSampler(cfg, train, held, core.SamplerOptions{Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for it := 1; it <= iters; it++ {
-		seq.Step()
-		res, err := Run(cfg, train, held, Options{Ranks: 1, Threads: 1, Iterations: it})
-		if err != nil {
-			t.Fatalf("iteration %d: %v", it, err)
-		}
-		for i, v := range seq.State.Pi {
-			if math.Float32bits(v) != math.Float32bits(res.State.Pi[i]) {
-				t.Fatalf("iteration %d: π[%d] = %v (dist) vs %v (seq); trajectories must be bit-identical", it, i, res.State.Pi[i], v)
-			}
-		}
-		for i, v := range seq.State.PhiSum {
-			if math.Float64bits(v) != math.Float64bits(res.State.PhiSum[i]) {
-				t.Fatalf("iteration %d: Σφ[%d] diverged", it, i)
-			}
-		}
-		for i, v := range seq.State.Theta {
-			if math.Float64bits(v) != math.Float64bits(res.State.Theta[i]) {
-				t.Fatalf("iteration %d: θ[%d] = %v (dist) vs %v (seq)", it, i, res.State.Theta[i], v)
-			}
-		}
-	}
-}
-
-// TestSeedParityTrajectoryThreads pins the intra-rank threading contract:
-// the per-iteration state must be bit-identical for Threads ∈ {1, 4} on both
-// the sequential sampler and the 2-rank pipelined engine. Threading only
-// moves which goroutine computes which vertex — every random draw comes from
-// the per-(iteration, vertex) stream and every fold runs in fixed chunk
-// order — so the fused kernels and scratch pooling must not change any
-// summation order observably.
-func TestSeedParityTrajectoryThreads(t *testing.T) {
-	train, held := fixture(t, 150, 4, 700, 59)
-	cfg := core.DefaultConfig(4, 4242)
-	const iters = 5
-
-	ref, err := core.NewSampler(cfg, train, held, core.SamplerOptions{Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	threaded, err := core.NewSampler(cfg, train, held, core.SamplerOptions{Threads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	check := func(it int, label string, pi []float32, phiSum, theta []float64) {
-		t.Helper()
-		for i, v := range ref.State.Pi {
-			if math.Float32bits(v) != math.Float32bits(pi[i]) {
-				t.Fatalf("iteration %d: %s π[%d] = %v vs %v (1-thread seq); must be bit-identical",
-					it, label, i, pi[i], v)
-			}
-		}
-		for i, v := range ref.State.PhiSum {
-			if math.Float64bits(v) != math.Float64bits(phiSum[i]) {
-				t.Fatalf("iteration %d: %s Σφ[%d] diverged", it, label, i)
-			}
-		}
-		for i, v := range ref.State.Theta {
-			if math.Float64bits(v) != math.Float64bits(theta[i]) {
-				t.Fatalf("iteration %d: %s θ[%d] = %v vs %v (1-thread seq)",
-					it, label, i, theta[i], v)
-			}
-		}
-	}
-
-	for it := 1; it <= iters; it++ {
-		ref.Step()
-		threaded.Step()
-		check(it, "4-thread sequential", threaded.State.Pi, threaded.State.PhiSum, threaded.State.Theta)
-		for _, threads := range []int{1, 4} {
-			res, err := Run(cfg, train, held, Options{
-				Ranks: 2, Threads: threads, Iterations: it, Pipeline: true,
-			})
-			if err != nil {
-				t.Fatalf("iteration %d threads=%d: %v", it, threads, err)
-			}
-			check(it, fmt.Sprintf("2-rank %d-thread", threads), res.State.Pi, res.State.PhiSum, res.State.Theta)
-		}
-	}
 }

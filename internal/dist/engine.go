@@ -171,14 +171,12 @@ func newNode(cfg core.Config, opt Options, comm *cluster.Comm, g *graph.Graph, h
 		nd.store.SetTracer(nd.ob.Tracer)
 	}
 	nd.phi = &core.PhiStage{
-		Cfg:        &nd.cfg,
-		Store:      nd.store,
-		Neigh:      nd.neigh,
-		Threads:    opt.Threads,
-		ChunkNodes: opt.PhiChunkNodes,
-		Pipelined:  opt.Pipeline,
-		Depth:      opt.PipelineDepth,
-		Obs:        nd.ob,
+		Cfg:       &nd.cfg,
+		Store:     nd.store,
+		Neigh:     nd.neigh,
+		Threads:   opt.Threads,
+		Pipelined: opt.Pipeline,
+		Obs:       nd.ob,
 	}
 	nd.loop = nd.buildLoop()
 	// "shares" is initial: the reshard stage writes next window's shares at

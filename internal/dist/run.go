@@ -26,17 +26,9 @@ type Options struct {
 	// overlaps π loading against the update_phi compute. The per-rank
 	// overlap only actually engages when the store's reads leave the
 	// process (core.PhiStage demotes it to the fused serial path against
-	// local readers — pipelining a memcpy is pure overhead).
+	// local readers — pipelining a memcpy is pure overhead). Its chunk size
+	// is fixed policy (core.PhiStage.plan).
 	Pipeline bool
-	// PhiChunkNodes is the pipeline chunk size in minibatch vertices;
-	// 0 selects the automatic policy (enough chunks to fill the pipeline a
-	// few times over, floored so per-chunk overhead stays negligible — see
-	// core.PhiStage.plan).
-	PhiChunkNodes int
-	// PipelineDepth is the number of π-load buffer slots per rank; values
-	// <= 2 mean double buffering, the paper's scheme. Deeper pipelines let
-	// the loader run further ahead when fetch latency is bursty.
-	PipelineDepth int
 
 	// HotRowCache, HotCachePolicy and HotCacheCrossIter are unread shims
 	// for the benchmark module, which still sets them: the DKV store has no
@@ -49,8 +41,6 @@ type Options struct {
 	// core.SamplerOptions; zero values take its defaults.
 	MinibatchPairs   int
 	Stratified       bool
-	LinkProb         float64
-	NonLinkCount     int
 	NeighborCount    int
 	UniformNeighbors bool
 
@@ -158,8 +148,6 @@ func (o Options) SamplerOptions() core.SamplerOptions {
 	return core.SamplerOptions{
 		MinibatchPairs:   o.MinibatchPairs,
 		Stratified:       o.Stratified,
-		LinkProb:         o.LinkProb,
-		NonLinkCount:     o.NonLinkCount,
 		NeighborCount:    o.NeighborCount,
 		UniformNeighbors: o.UniformNeighbors,
 		Threads:          o.Threads,

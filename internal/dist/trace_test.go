@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/mathx"
 	"repro/internal/obs"
 	"repro/internal/transport"
 )
@@ -87,32 +86,6 @@ func TestTraceGatherTCP(t *testing.T) {
 		if serveSpans == 0 {
 			t.Errorf("rank %d recorded no DKV server-side spans", r)
 		}
-	}
-}
-
-// TestTraceDoesNotPerturbTraining: tracing observes, never synchronizes — a
-// traced run must be bit-identical to an untraced one.
-func TestTraceDoesNotPerturbTraining(t *testing.T) {
-	train, held := fixture(t, 240, 5, 1200, 51)
-	cfg := core.DefaultConfig(5, 1234)
-	const ranks, iters = 3, 8
-
-	plain, err := Run(cfg, train, held, Options{Ranks: ranks, Iterations: iters})
-	if err != nil {
-		t.Fatal(err)
-	}
-	traced, err := Run(cfg, train, held, Options{Ranks: ranks, Iterations: iters, Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(traced.Trace) != ranks {
-		t.Fatalf("traced run returned %d bundles, want %d", len(traced.Trace), ranks)
-	}
-	if d := mathx.MaxAbsDiff32(plain.State.Pi, traced.State.Pi); d != 0 {
-		t.Fatalf("tracing perturbed π by %v; want bit-exact", d)
-	}
-	if d := mathx.MaxAbsDiff(plain.State.Theta, traced.State.Theta); d != 0 {
-		t.Fatalf("tracing perturbed θ by %v; want bit-exact", d)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package par provides the shared-memory parallelism primitives that play
 // the role OpenMP plays in the paper: a chunked parallel-for over index
-// ranges and a multi-buffered load/compute pipeline used to overlap loading π
+// ranges and a double-buffered load/compute pipeline used to overlap loading π
 // with the update_phi computation.
 package par
 
@@ -145,15 +145,13 @@ func ChunkedReduceVec(n, chunkSize, workers, dim int, body func(lo, hi int, acc 
 }
 
 // PipelineDepth runs a two-stage producer/consumer pipeline over nChunks
-// chunks: load(c) fetches chunk c's inputs while compute processes an earlier
-// chunk. At depth 2 it is the paper's Section III-D double buffering, where
-// loading π for the next chunk overlaps update_phi on the current one. With
-// `depth` buffer slots the loader may run up to depth-1 chunks ahead of the
-// consumer, so a store whose fetch latency is bursty (one slow remote round
-// among fast ones) keeps the compute stage fed. depth < 2 is treated as 2.
+// chunks with two buffer slots: the paper's Section III-D double buffering,
+// where load(c+1) fetches the next chunk's π rows while compute(c) runs
+// update_phi on the current one. The loader may run at most one chunk ahead
+// of the consumer.
 //
-// load and compute receive the chunk index and a buffer slot in [0, depth);
-// the caller owns depth sets of buffers and indexes them by slot. Chunks are
+// load and compute receive the chunk index and a buffer slot in {0, 1}; the
+// caller owns two sets of buffers and indexes them by slot. Chunks are
 // computed strictly in order, on the caller's goroutine.
 //
 // Panic contract: a panic in either stage propagates to the caller — a
@@ -164,7 +162,7 @@ func ChunkedReduceVec(n, chunkSize, workers, dim int, body func(lo, hi int, acc 
 //
 // nChunks <= 1 degrades to the inline serial schedule: no goroutine, panics
 // propagate natively.
-func PipelineDepth(nChunks, depth int, load func(chunk, slot int), compute func(chunk, slot int)) {
+func PipelineDepth(nChunks int, load func(chunk, slot int), compute func(chunk, slot int)) {
 	if nChunks <= 0 {
 		return
 	}
@@ -173,25 +171,19 @@ func PipelineDepth(nChunks, depth int, load func(chunk, slot int), compute func(
 		compute(0, 0)
 		return
 	}
-	if depth < 2 {
-		depth = 2
-	}
-	if depth > nChunks {
-		depth = nChunks
-	}
+	const slots = 2
 
-	// free holds slot-release tokens (the loader may claim up to depth of
-	// them before the consumer returns any); ready carries loaded chunk
-	// indices in order. Both are buffered to depth so neither side ever
-	// blocks on its send — the only blocking points are the loader awaiting
-	// a free slot and the consumer awaiting a loaded chunk, and both of
-	// those also watch the abort channels so a panic on the other side can
-	// never strand them.
-	free := make(chan struct{}, depth)
-	ready := make(chan int, depth)
+	// free holds slot-release tokens (the loader may claim both before the
+	// consumer returns any); ready carries loaded chunk indices in order.
+	// Both are buffered to the slot count so neither side ever blocks on its
+	// send — the only blocking points are the loader awaiting a free slot and
+	// the consumer awaiting a loaded chunk, and both of those also watch the
+	// abort channels so a panic on the other side can never strand them.
+	free := make(chan struct{}, slots)
+	ready := make(chan int, slots)
 	loadFailed := make(chan any, 1) // loader's recovered panic value
 	quit := make(chan struct{})     // closed when the consumer unwinds
-	for i := 0; i < depth; i++ {
+	for i := 0; i < slots; i++ {
 		free <- struct{}{}
 	}
 
@@ -208,7 +200,7 @@ func PipelineDepth(nChunks, depth int, load func(chunk, slot int), compute func(
 			case <-quit:
 				return
 			}
-			load(c, c%depth)
+			load(c, c%slots)
 			ready <- c
 		}
 	}()
@@ -224,16 +216,7 @@ func PipelineDepth(nChunks, depth int, load func(chunk, slot int), compute func(
 		if loaded != c {
 			panic("par: pipeline chunks delivered out of order")
 		}
-		compute(c, c%depth)
+		compute(c, c%slots)
 		free <- struct{}{}
-	}
-}
-
-// Serial runs the same chunked load/compute schedule without overlap; it is
-// the "single-buffering" baseline of Figure 3.
-func Serial(nChunks int, load func(chunk, slot int), compute func(chunk, slot int)) {
-	for c := 0; c < nChunks; c++ {
-		load(c, 0)
-		compute(c, 0)
 	}
 }

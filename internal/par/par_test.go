@@ -58,7 +58,7 @@ func TestPipelineOrderingAndCoverage(t *testing.T) {
 	var mu sync.Mutex
 	loaded := map[int]int{} // chunk -> slot
 	computed := []int{}     // order of computed chunks
-	PipelineDepth(chunks, 2, func(c, slot int) {
+	PipelineDepth(chunks, func(c, slot int) {
 		mu.Lock()
 		loaded[c] = slot
 		mu.Unlock()
@@ -89,11 +89,13 @@ func TestPipelineOverlaps(t *testing.T) {
 	work := func(c, slot int) { time.Sleep(stage) }
 
 	start := time.Now()
-	Serial(chunks, work, work)
+	for c := 0; c < 2*chunks; c++ { // load and compute of every chunk, one after another
+		work(c, 0)
+	}
 	serial := time.Since(start)
 
 	start = time.Now()
-	PipelineDepth(chunks, 2, work, work)
+	PipelineDepth(chunks, work, work)
 	pipelined := time.Since(start)
 
 	if pipelined >= serial*3/4 {
@@ -103,7 +105,7 @@ func TestPipelineOverlaps(t *testing.T) {
 
 func TestPipelineZeroChunks(t *testing.T) {
 	called := false
-	PipelineDepth(0, 2, func(c, s int) { called = true }, func(c, s int) { called = true })
+	PipelineDepth(0, func(c, s int) { called = true }, func(c, s int) { called = true })
 	if called {
 		t.Fatal("PipelineDepth(0) invoked a stage")
 	}
@@ -111,7 +113,7 @@ func TestPipelineZeroChunks(t *testing.T) {
 
 func TestPipelineSlotAlternation(t *testing.T) {
 	var slots []int
-	PipelineDepth(6, 2, func(c, slot int) {}, func(c, slot int) { slots = append(slots, slot) })
+	PipelineDepth(6, func(c, slot int) {}, func(c, slot int) { slots = append(slots, slot) })
 	for i, s := range slots {
 		if s != i&1 {
 			t.Fatalf("chunk %d used slot %d, want %d", i, s, i&1)
@@ -281,7 +283,7 @@ func TestPipelineSingleChunkInline(t *testing.T) {
 	// nChunks == 1 must degrade to the serial schedule: load then compute,
 	// both on the calling goroutine, slot 0.
 	var order []string
-	PipelineDepth(1, 2, func(c, slot int) {
+	PipelineDepth(1, func(c, slot int) {
 		if c != 0 || slot != 0 {
 			t.Fatalf("load got (c=%d, slot=%d), want (0, 0)", c, slot)
 		}
@@ -319,7 +321,7 @@ func TestPipelineLoadPanicPropagates(t *testing.T) {
 	// A panic in the load stage must reach the caller, not deadlock the
 	// consumer waiting on a chunk that will never arrive.
 	expectPanic(t, "load boom", func() {
-		PipelineDepth(8, 2, func(c, slot int) {
+		PipelineDepth(8, func(c, slot int) {
 			if c == 3 {
 				panic("load boom")
 			}
@@ -331,7 +333,7 @@ func TestPipelineComputePanicPropagates(t *testing.T) {
 	// A panic in the compute stage must unwind the caller and release the
 	// loader (which may be blocked waiting for a free slot).
 	expectPanic(t, "compute boom", func() {
-		PipelineDepth(64, 2, func(c, slot int) {}, func(c, slot int) {
+		PipelineDepth(64, func(c, slot int) {}, func(c, slot int) {
 			if c == 2 {
 				panic("compute boom")
 			}
@@ -339,38 +341,16 @@ func TestPipelineComputePanicPropagates(t *testing.T) {
 	})
 }
 
-func TestPipelineDepthVariants(t *testing.T) {
-	for _, depth := range []int{0, 1, 2, 3, 8, 100} {
-		const chunks = 12
-		var computed []int
-		PipelineDepth(chunks, depth, func(c, slot int) {
-			if slot < 0 || (depth >= 2 && slot >= depth) {
-				t.Fatalf("depth=%d: slot %d out of range", depth, slot)
-			}
-		}, func(c, slot int) {
-			computed = append(computed, c)
-		})
-		if len(computed) != chunks {
-			t.Fatalf("depth=%d: computed %d chunks, want %d", depth, len(computed), chunks)
-		}
-		for i, c := range computed {
-			if c != i {
-				t.Fatalf("depth=%d: compute order %v not sequential", depth, computed)
-			}
-		}
-	}
-}
-
 func TestPipelineDepthLoaderRunsAhead(t *testing.T) {
-	// With depth d, the loader must be able to finish up to d chunks before
+	// With two slots, the loader must be able to finish two chunks before
 	// the first compute completes.
-	const depth = 4
-	loads := make(chan int, depth)
+	const depth, chunks = 2, 8
+	loads := make(chan int, chunks)
 	computeGate := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		PipelineDepth(8, depth, func(c, slot int) {
+		PipelineDepth(chunks, func(c, slot int) {
 			loads <- c
 		}, func(c, slot int) {
 			if c == 0 {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -45,6 +46,21 @@ type run struct {
 	// error (validate), never a silent no-op; every other flag works at any
 	// -ranks.
 	needsRanks map[string]string
+}
+
+// requires maps each flag that only takes effect beside another to that
+// flag, and the value it must hold when one is named ("pi-backend mmap");
+// with no value, any but its default. Setting the first explicitly while
+// the second does not hold is a start-up error naming both (validate).
+var requires = map[string]string{
+	"checkpoint-every": "checkpoint",
+	"publish-every":    "serve",
+	"pi-dir":           "pi-backend mmap",
+	"pi-shard-rows":    "pi-backend mmap",
+	"rebalance-window": "rebalance",
+	"fail-iter":        "fail-rank",
+	"slow-send":        "slow-rank",
+	"pprof":            "monitor",
 }
 
 // flagSet is the one flag table: every flag of ocd-train and ocd-cluster is
@@ -91,8 +107,6 @@ func (r *run) flagSet(prog string, defaultRanks int) *flag.FlagSet {
 	// Honoured by the distributed engine only (-ranks >= 2).
 	fs.StringVar(&r.transport, only(">= 2", "transport"), "inproc", "rank interconnect: inproc (shared-memory fabric) or tcp (loopback mesh, real wire framing)")
 	fs.BoolVar(&o.Pipeline, only(">= 2", "pipeline"), false, "enable double-buffered π loading and minibatch prefetch")
-	fs.IntVar(&o.PhiChunkNodes, only(">= 2", "phi-chunk"), 0, "pipeline chunk size in minibatch vertices (0 = automatic policy)")
-	fs.IntVar(&o.PipelineDepth, only(">= 2", "pipeline-depth"), 2, "π-load buffer slots per rank (2 = the paper's double buffering)")
 	fs.IntVar(&r.failRank, only(">= 2", "fail-rank"), -1, "fault injection: rank to crash (-1 = none)")
 	fs.IntVar(&r.failIter, only(">= 2", "fail-iter"), 0, "fault injection: iteration at which -fail-rank crashes")
 	fs.IntVar(&r.slowRank, only(">= 2", "slow-rank"), -1, "fault injection: rank whose collective sends are delayed by -slow-send (-1 = none); the straggler report should flag it")
@@ -151,11 +165,21 @@ func (r *run) validate(fs *flag.FlagSet) error {
 		return fmt.Errorf("-heldout-div %d: need at least 1", r.heldDiv)
 	}
 	// A flag the user set explicitly that the engine -ranks selects cannot
-	// honour is rejected by name.
+	// honour, or that needs another flag the command line does not set, is
+	// rejected by name.
 	var err error
 	fs.Visit(func(f *flag.Flag) {
-		if need, ok := r.needsRanks[f.Name]; ok && err == nil && (need == "1") != (o.Ranks == 1) {
+		if err != nil {
+			return
+		}
+		if need, ok := r.needsRanks[f.Name]; ok && (need == "1") != (o.Ranks == 1) {
 			err = fmt.Errorf("-%s needs -ranks %s, but -ranks is %d", f.Name, need, o.Ranks)
+		} else if req, ok := requires[f.Name]; ok {
+			name, value, _ := strings.Cut(req, " ")
+			other := fs.Lookup(name)
+			if got := other.Value.String(); got == other.DefValue || value != "" && got != value {
+				err = fmt.Errorf("-%s requires -%s", f.Name, req)
+			}
 		}
 	})
 	if err != nil {
@@ -168,9 +192,6 @@ func (r *run) validate(fs *flag.FlagSet) error {
 	}
 	if r.transport != "inproc" && r.transport != "tcp" {
 		return fmt.Errorf("unknown -transport %q (want inproc or tcp)", r.transport)
-	}
-	if r.pprof && r.monitorAt == "" {
-		return fmt.Errorf("-pprof requires -monitor (the profiles are served on the monitor address)")
 	}
 	switch r.piBackend {
 	case "local":

@@ -404,33 +404,31 @@ func median(xs []float64) float64 {
 
 // TestRebalanceRecovers replaces the "straggler mitigation smoke": with rank
 // 1's update_phi degraded per assigned node (-slow-phi) and -rebalance on,
-// the stream carries rebalance events and the trailing iterations run within
-// 1.3× of the no-fault median. A wall-clock property, hence not under -short;
-// the race detector's slowdown distorts the ratio (~1.25 on 2 CPUs), so under
-// it only the events are checked.
+// the engine drains the straggler — the stream carries rebalance events,
+// rank 0 keeps its full share, rank 1 ends at a quarter of it or less — and
+// the report carries its mitigation line. What the engine decided is
+// asserted; the trailing iterations' time against a no-fault run is only
+// logged, since a wall-clock ratio moves with the host's load. The injected
+// 1 ms per vertex keeps rank 1 the slower rank at any share it holds, even
+// under the race detector's slowdown of rank 0's compute.
 func TestRebalanceRecovers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("compares wall-clock iteration times")
-	}
 	g, dir := smokeGraph(t), t.TempDir()
 	nofault, rebal := filepath.Join(dir, "nofault.jsonl"), filepath.Join(dir, "rebal.jsonl")
-	common := []string{"-graph", g, "-ranks", "2", "-k", "8", "-iters", "150", "-eval", "0", "-transport", "tcp"}
+	common := []string{"-graph", g, "-ranks", "2", "-k", "8", "-iters", "60", "-eval", "0", "-transport", "tcp"}
 	mustTrain(t, append(common, "-metrics-out", nofault)...)
-	out := mustTrain(t, append(common, "-slow-rank", "1", "-slow-send", "0", "-slow-phi", "200us",
-		"-rebalance", "-metrics-out", rebal)...)
+	out := mustTrain(t, append(common, "-slow-rank", "1", "-slow-send", "0", "-slow-phi", "1ms",
+		"-rebalance", "-rebalance-window", "2", "-metrics-out", rebal)...)
 	if !strings.Contains(out, "straggler mitigation:") {
 		t.Errorf("report lacks the mitigation line:\n%s", out)
 	}
 	sum := summarize(t, rebal)
-	if sum.Rebalances == 0 || len(sum.FinalWeights) != 2 {
-		t.Fatalf("stream carries no rebalance event: %+v", sum)
+	if sum.Rebalances == 0 || len(sum.FinalWeights) != 2 || sum.FinalWeights[0] != 1 || sum.FinalWeights[1] > 0.25 {
+		t.Fatalf("straggler not drained: %d rebalance events, final weights %v; want rank 0 at 1, rank 1 at 0.25 or less",
+			sum.Rebalances, sum.FinalWeights)
 	}
 	mitigatedTimes := iterTimes(t, rebal)
-	base, mitigated := median(iterTimes(t, nofault)), median(mitigatedTimes[len(mitigatedTimes)-40:])
-	t.Logf("no-fault median %.2f ms, mitigated trailing-40 median %.2f ms, ratio %.2f", base, mitigated, mitigated/base)
-	if mitigated > 1.3*base && !raceEnabled {
-		t.Errorf("mitigation did not recover steady-state iteration time: %.2f ms vs %.2f ms no-fault", mitigated, base)
-	}
+	base, mitigated := median(iterTimes(t, nofault)), median(mitigatedTimes[len(mitigatedTimes)-20:])
+	t.Logf("no-fault median %.2f ms, mitigated trailing-20 median %.2f ms, ratio %.2f", base, mitigated, mitigated/base)
 }
 
 // TestKillCheckpointResumeServe replaces the "recovery smoke" and pins the
@@ -626,8 +624,8 @@ func TestEngineFlagRejections(t *testing.T) {
 			t.Errorf("-%s at -ranks %s: err = %v, want a rejection naming the flag", name, ranks, err)
 		}
 	}
-	if single != 4 || len(r.needsRanks) != 18 {
-		t.Errorf("%d single-node-only of %d engine-only flags, want 4 of 18", single, len(r.needsRanks))
+	if single != 4 || len(r.needsRanks) != 16 {
+		t.Errorf("%d single-node-only of %d engine-only flags, want 4 of 16", single, len(r.needsRanks))
 	}
 	// The same flags at their own engine pass flag validation and fail on the
 	// missing graph instead.
@@ -637,6 +635,31 @@ func TestEngineFlagRejections(t *testing.T) {
 	} {
 		if _, err := train(append(args, "-graph", "/nonexistent")...); !errors.Is(err, os.ErrNotExist) {
 			t.Errorf("%v: err = %v, want the missing graph", args, err)
+		}
+	}
+}
+
+// TestDependentFlagsNeedTheirFlag: a flag that only takes effect beside
+// another, set without it, is a start-up error naming both flags — before
+// the graph is even opened (the path here does not exist). Each of these
+// command lines used to train and exit 0, the dependent flag ignored.
+func TestDependentFlagsNeedTheirFlag(t *testing.T) {
+	for _, tc := range []struct {
+		args       []string
+		flag, need string
+	}{
+		{[]string{"-checkpoint-every", "5"}, "-checkpoint-every", "-checkpoint"},
+		{[]string{"-publish-every", "5"}, "-publish-every", "-serve"},
+		{[]string{"-ranks", "1", "-pi-dir", "pi"}, "-pi-dir", "-pi-backend mmap"},
+		{[]string{"-ranks", "1", "-pi-shard-rows", "64"}, "-pi-shard-rows", "-pi-backend mmap"},
+		{[]string{"-ranks", "2", "-rebalance-window", "4"}, "-rebalance-window", "-rebalance"},
+		{[]string{"-ranks", "2", "-fail-iter", "3"}, "-fail-iter", "-fail-rank"},
+		{[]string{"-ranks", "2", "-slow-send", "2ms"}, "-slow-send", "-slow-rank"},
+		{[]string{"-ranks", "2", "-pprof"}, "-pprof", "-monitor"},
+	} {
+		_, err := train(append(tc.args, "-graph", "/nonexistent")...)
+		if err == nil || errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), tc.flag+" requires "+tc.need) {
+			t.Errorf("%v: err = %v, want a start-up error naming %s and %s", tc.args, err, tc.flag, tc.need)
 		}
 	}
 }
