@@ -136,8 +136,8 @@ func SaveStore(w io.Writer, st store.PiStore, theta []float64, iteration int) er
 // ErrCheckpointTruncated, not an out-of-range make. open receives the
 // verified (N, K) and returns where the rows go; the π and Σφ sections are
 // then walked in lockstep, one bounded batch at a time, through its
-// PiWriter. Returns θ and the stored iteration.
-func restore(r io.ReaderAt, size int64, open func(n, k int) (store.PiWriter, error)) (theta []float64, iteration int, err error) {
+// WritePiRows. Returns θ and the stored iteration.
+func restore(r io.ReaderAt, size int64, open func(n, k int) (store.PiStore, error)) (theta []float64, iteration int, err error) {
 	hdr := make([]byte, checkpointHeaderLen)
 	if _, err := io.ReadFull(io.NewSectionReader(r, 0, size), hdr); err != nil {
 		return nil, 0, truncated("header", err)
@@ -206,7 +206,7 @@ func restore(r io.ReaderAt, size int64, open func(n, k int) (store.PiWriter, err
 // LocalStore view of its arrays. β is re-derived from θ.
 func loadState(r io.ReaderAt, size int64) (*State, int, error) {
 	var s *State
-	theta, iteration, err := restore(r, size, func(n, k int) (store.PiWriter, error) {
+	theta, iteration, err := restore(r, size, func(n, k int) (store.PiStore, error) {
 		s = &State{N: n, K: k, Pi: make([]float32, n*k), PhiSum: make([]float64, n), Beta: make([]float64, k)}
 		return store.NewLocal(s.Pi, s.PhiSum, k, 1), nil
 	})
@@ -264,28 +264,24 @@ func LoadFile(path string) (*State, int, error) {
 	return loadState(f, size)
 }
 
-// LoadStoreFile restores a checkpoint into a π backend through the store's
-// PiWriter — the mirror of SaveStoreFile, never holding the full table in
+// LoadStoreFile restores a checkpoint into a π backend through its
+// WritePiRows — the mirror of SaveStoreFile, never holding the full table in
 // memory, and the one way a run resumes (Sampler.Restore; the distributed
 // master's restart). The file's (N, K) must match dst's dimensions
 // (ErrCheckpointShape otherwise); a file shorter than the header promises
 // fails with ErrCheckpointTruncated before any row lands. Returns the θ
 // vector and stored iteration for the caller to install.
 func LoadStoreFile(path string, dst store.PiStore) (theta []float64, iteration int, err error) {
-	w, ok := dst.(store.PiWriter)
-	if !ok {
-		return nil, 0, fmt.Errorf("core: π backend %T cannot restore verbatim rows", dst)
-	}
 	f, size, err := openSized(path)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer f.Close()
-	return restore(f, size, func(n, k int) (store.PiWriter, error) {
+	return restore(f, size, func(n, k int) (store.PiStore, error) {
 		if n != dst.NumRows() || k != dst.K() {
 			return nil, fmt.Errorf("core: %w: checkpoint has N=%d K=%d, store is %d×%d (loading %s)",
 				ErrCheckpointShape, n, k, dst.NumRows(), dst.K(), path)
 		}
-		return w, nil
+		return dst, nil
 	})
 }

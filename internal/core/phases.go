@@ -30,25 +30,26 @@ func DrawMinibatch(cfg *Config, edges sampling.EdgeStrategy, t int, dst *samplin
 // PhiStage is the dominant update_phi phase: for each minibatch vertex,
 // sample its neighbor set (on Threads workers), load the π rows through the
 // store, and compute the staged φ row. Which schedule runs is decided per
-// call by plan(): stores that answer reads from local memory always take the
-// fused serial path (one batched read, then one compute sweep — a pipeline
-// would only add channel/goroutine overhead, the in-proc slowdown this policy
-// removes), while remote-reading stores with Pipelined set cut the minibatch
-// into chunks and double-buffer them (par.PipelineDepth): the next chunk's π
-// rows stream in while the current chunk computes. Draws, loads and computes
-// are reported to Obs as the update_phi.sample_neighbors /
-// update_phi.load_pi / update_phi.compute sub-stage intervals.
+// call by plan(): without Pipelined the stage takes the fused serial path
+// (one batched read, then one compute sweep), while with it the minibatch is
+// cut into chunks and double-buffered (par.PipelineDepth): a loader
+// goroutine reads the next chunk's π rows while the current chunk computes.
+// That loader is the only overlap of load and compute; every store read is
+// synchronous. Draws, loads and computes are reported to Obs as the
+// update_phi.sample_neighbors / update_phi.load_pi / update_phi.compute
+// sub-stage intervals.
 //
 // A PhiStage owns persistent staging buffers and per-worker scratch, so the
 // steady-state iteration allocates nothing; construct one per engine and
-// reuse it across iterations (reassigning Store per call is fine).
+// reuse it across iterations.
 type PhiStage struct {
 	Cfg     *Config
 	Store   store.PiStore
 	Neigh   sampling.NeighborStrategy
 	Threads int
-	// Pipelined requests the overlapped schedule; it is demoted to the
-	// fused serial path when the store's reads are local (see plan).
+	// Pipelined selects the overlapped schedule. Set it only when reads
+	// leave the process (the distributed engine at Ranks ≥ 2): over local
+	// memory there is nothing to overlap, and the handoff only costs.
 	Pipelined bool
 	// Obs receives the sample_neighbors/load_pi/compute sub-stage
 	// intervals, so the phase table and the per-iteration events carry the
@@ -70,14 +71,13 @@ const minPhiChunk = 64
 
 // plan resolves the schedule for a minibatch of n vertices: whether to
 // pipeline, and the chunk size. Pipelining is demoted to serial when the
-// store reads from local memory (nothing to overlap) or when the minibatch
-// yields fewer than two chunks. The chunk size aims for 8 chunks — four
-// fills of the two slots, enough in-flight fetches to hide bursty latency,
-// few enough that handoff overhead stays negligible — floored at
+// minibatch yields fewer than two chunks. The chunk size aims for 8 chunks —
+// four fills of the two slots, enough in-flight fetches to hide bursty
+// latency, few enough that handoff overhead stays negligible — floored at
 // minPhiChunk. The serial path is a single chunk: one batched read, then the
 // fused compute sweep.
 func (p *PhiStage) plan(n int) (pipelined bool, chunkN int) {
-	if !p.Pipelined || store.ReadsAreLocal(p.Store) {
+	if !p.Pipelined {
 		return false, n
 	}
 	chunkN = max((n+7)/8, minPhiChunk)
@@ -161,12 +161,7 @@ func (p *PhiStage) Run(t int, eps float64, nodes []int32, beta []float64, newPhi
 			b.keys = append(b.keys, nodes[b.lo+i])
 			b.keys = append(b.keys, b.samples[i].Nodes...)
 		}
-		pend, err := p.Store.ReadRowsAsync(b.keys, &b.rows)
-		if err != nil {
-			setErr(err)
-			return
-		}
-		if err := pend.Wait(); err != nil {
+		if err := p.Store.ReadRows(b.keys, &b.rows); err != nil {
 			setErr(err)
 		}
 	}

@@ -66,10 +66,6 @@ func phiFixture(t *testing.T) (*Config, *State, []sampling.NeighborStrategy, []i
 	return &cfg, s, []sampling.NeighborStrategy{lpu, uni}, nodes
 }
 
-// bareStore hides the LocalReader method of the embedded store, so PhiStage
-// takes the pipelined schedule over an in-memory store.
-type bareStore struct{ store.PiStore }
-
 // TestPhiStageParityAcrossThreads: the neighbour draw runs on Threads
 // workers, and newPhi must be byte-identical to the serial oracle at every
 // thread count, for both strategies, on both schedules.
@@ -80,10 +76,7 @@ func TestPhiStageParityAcrossThreads(t *testing.T) {
 		want := phiOracle(cfg, s, neigh, iter, eps, nodes)
 		for _, pipelined := range []bool{false, true} {
 			for _, threads := range []int{1, 2, 3, 8} {
-				var ps store.PiStore = store.NewLocal(s.Pi, s.PhiSum, cfg.K, threads)
-				if pipelined {
-					ps = bareStore{ps}
-				}
+				ps := store.NewLocal(s.Pi, s.PhiSum, cfg.K, threads)
 				stage := &PhiStage{Cfg: cfg, Store: ps, Neigh: neigh, Threads: threads, Pipelined: pipelined}
 				if got, _ := stage.plan(len(nodes)); got != pipelined {
 					t.Fatalf("plan pipelined = %v, want %v", got, pipelined)
@@ -116,12 +109,12 @@ type failingStore struct {
 
 var errInjectedRead = errors.New("injected read failure")
 
-func (f *failingStore) ReadRowsAsync(ids []int32, dst *store.Rows) (store.Pending, error) {
+func (f *failingStore) ReadRows(ids []int32, dst *store.Rows) error {
 	f.reads++
 	if f.reads > f.okReads {
-		return nil, errInjectedRead
+		return errInjectedRead
 	}
-	return f.PiStore.ReadRowsAsync(ids, dst)
+	return f.PiStore.ReadRows(ids, dst)
 }
 
 // TestPhiStageStoreErrorReturns: a failed read comes back from Run as its

@@ -51,7 +51,7 @@ type Sampler struct {
 	eval  *HeldOutEval
 	// phi is the persistent update_phi stage; it owns the staging buffers
 	// and per-worker scratch that make the steady-state iteration
-	// allocation-free. Store is reassigned per iteration (see pistore).
+	// allocation-free.
 	phi *PhiStage
 
 	// staging area for the φ phase: newPhi[i] is the pending row for
@@ -63,10 +63,10 @@ type Sampler struct {
 	pub      *store.Publisher
 	pubEvery int
 
-	// ext is the external π backend (SamplerOptions.Store). When set, the
-	// State is a shell (nil Pi/PhiSum) and every π access goes through ext;
-	// an extra barrier stage runs ext.Flush once per iteration.
-	ext store.PiStore
+	// pi is the π backend, built once: SamplerOptions.Store when set (the
+	// State is then a shell with nil Pi/PhiSum), otherwise a LocalStore over
+	// the State's arrays. Every π access goes through it.
+	pi store.PiStore
 }
 
 // SamplerOptions configures NewSampler beyond the model Config.
@@ -213,14 +213,18 @@ func NewSampler(cfg Config, g *graph.Graph, held *graph.HeldOut, opt SamplerOpti
 		ob:        &obs.Observer{Phases: obs.NewPhases(), Rec: opt.Recorder, Tracer: opt.Tracer},
 		pub:       opt.Publisher,
 		pubEvery:  max(opt.PublishEvery, 1),
-		ext:       opt.Store,
+		pi:        opt.Store,
 	}
 	s.Phases = s.ob.Phases
+	if s.pi == nil {
+		s.pi = store.NewLocal(state.Pi, state.PhiSum, cfg.K, s.Threads)
+	}
 	if held != nil {
 		s.eval = NewHeldOutEval(held, cfg.Delta, 0, held.Len())
 	}
 	s.phi = &PhiStage{
 		Cfg:     &s.Cfg,
+		Store:   s.pi,
 		Neigh:   s.Neighbors,
 		Threads: s.Threads,
 		Obs:     s.ob,
@@ -230,15 +234,6 @@ func NewSampler(cfg Config, g *graph.Graph, held *graph.HeldOut, opt SamplerOpti
 		return nil, err
 	}
 	return s, nil
-}
-
-// pistore returns the π backend: the external store when one is configured,
-// otherwise a LocalStore view of the State's arrays.
-func (s *Sampler) pistore() store.PiStore {
-	if s.ext != nil {
-		return s.ext
-	}
-	return store.NewLocal(s.State.Pi, s.State.PhiSum, s.Cfg.K, s.Threads)
 }
 
 // buildLoop assembles the iteration from the shared stages. The stage list
@@ -268,8 +263,6 @@ func (s *Sampler) buildLoop() *engine.Loop {
 						s.newPhi = make([]float64, n*k)
 					}
 					s.newPhi = s.newPhi[:n*k]
-					s.phi.Store = s.pistore()
-					s.phi.Threads = s.Threads
 					return s.phi.Run(t, s.Cfg.StepSize(t), s.batch.Nodes, s.State.Beta, s.newPhi)
 				},
 			},
@@ -278,7 +271,7 @@ func (s *Sampler) buildLoop() *engine.Loop {
 				Reads:  []string{"batch", "new_phi"},
 				Writes: []string{"pi"},
 				Run: func(t int) error {
-					return s.pistore().WriteRows(s.batch.Nodes, s.newPhi)
+					return s.pi.WriteRows(s.batch.Nodes, s.newPhi)
 				},
 			},
 			{
@@ -287,7 +280,7 @@ func (s *Sampler) buildLoop() *engine.Loop {
 				Writes: []string{"theta", "beta"},
 				Run: func(t int) error {
 					k := s.Cfg.K
-					partials, err := ThetaPartials(&s.Cfg, s.pistore(), s.batch.Pairs, s.batch.Linked,
+					partials, err := ThetaPartials(&s.Cfg, s.pi, s.batch.Pairs, s.batch.Linked,
 						s.State.Theta, s.State.Beta, s.Threads)
 					if err != nil {
 						return err
@@ -301,17 +294,6 @@ func (s *Sampler) buildLoop() *engine.Loop {
 				},
 			},
 		},
-	}
-	if s.ext != nil {
-		// External backends get the phase barrier the distributed engine
-		// provides through its collectives: one Flush per iteration, after
-		// all writes land. For an mmap tier this is also the residency-
-		// management hook (MmapOptions.AdviseEveryFlush counts barriers).
-		loop.Stages = append(loop.Stages, engine.Stage{
-			Reads:   []string{"pi"},
-			Barrier: true,
-			Run:     func(int) error { return s.ext.Flush() },
-		})
 	}
 	if s.pub != nil {
 		// The sequential loop has no collective barriers: a stage boundary at
@@ -336,7 +318,7 @@ func (s *Sampler) publishStage(t int) error {
 	if (t+1)%s.pubEvery != 0 {
 		return nil
 	}
-	snap, err := store.TakeSnapshot(s.pistore(), t+1, s.State.Beta)
+	snap, err := store.TakeSnapshot(s.pi, t+1, s.State.Beta)
 	if err != nil {
 		return err
 	}
@@ -353,7 +335,7 @@ func (s *Sampler) Iteration() int { return s.t }
 // must match the original run for the chain to be meaningful; only the
 // dimensions can be checked (ErrCheckpointShape, before any row lands).
 func (s *Sampler) Restore(path string) error {
-	theta, iter, err := LoadStoreFile(path, s.pistore())
+	theta, iter, err := LoadStoreFile(path, s.pi)
 	if err != nil {
 		return err
 	}
@@ -367,7 +349,7 @@ func (s *Sampler) Restore(path string) error {
 // atomically and durably, streamed out of the sampler's store — the same
 // bytes State.Save writes for the same model, whatever the backend.
 func (s *Sampler) Checkpoint(path string) error {
-	return SaveStoreFile(path, s.pistore(), s.State.Theta, s.t)
+	return SaveStoreFile(path, s.pi, s.State.Theta, s.t)
 }
 
 // Step executes one iteration of Algorithm 1: sample E_n; update φ and π for
@@ -407,7 +389,7 @@ func (s *Sampler) EvalPerplexity() float64 {
 		panic("core: sampler has no held-out set")
 	}
 	defer s.ob.Interval(obs.NoIter, engine.PhasePerplexity, obs.TraceNow())
-	partials, err := s.eval.Fold(s.pistore(), s.State.Beta, s.Threads)
+	partials, err := s.eval.Fold(s.pi, s.State.Beta, s.Threads)
 	if err != nil {
 		panic(fmt.Sprintf("core: perplexity: %v", err))
 	}

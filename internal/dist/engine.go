@@ -175,7 +175,7 @@ func newNode(cfg core.Config, opt Options, comm *cluster.Comm, g *graph.Graph, h
 		Store:     nd.store,
 		Neigh:     nd.neigh,
 		Threads:   opt.Threads,
-		Pipelined: opt.Pipeline,
+		Pipelined: opt.Pipeline && nd.size > 1, // one rank reads only local memory
 		Obs:       nd.ob,
 	}
 	nd.loop = nd.buildLoop()
@@ -196,9 +196,10 @@ func (nd *node) refreshBeta() {
 
 // buildLoop assembles the distributed iteration: the shared stages of
 // internal/core wrapped in this engine's scatter/gather/broadcast wiring,
-// with an unnamed (untimed) barrier+flush between phases whose read and
+// with an unnamed (untimed) collective barrier between phases whose read and
 // write sets would otherwise overlap.
 func (nd *node) buildLoop() *engine.Loop {
+	barrier := func(int) error { return nd.comm.Barrier() }
 	loop := &engine.Loop{
 		Obs: nd.ob,
 		Stages: []engine.Stage{
@@ -214,14 +215,14 @@ func (nd *node) buildLoop() *engine.Loop {
 				Writes: []string{"new_phi"},
 				Run:    nd.phiStage,
 			},
-			{Run: nd.barrierStage, Barrier: true}, // update_phi reads old π; fence before overwriting
+			{Run: barrier, Barrier: true}, // update_phi reads old π; fence before overwriting
 			{
 				Name:   engine.PhaseUpdatePi,
 				Reads:  []string{"batch", "new_phi"},
 				Writes: []string{"pi"},
 				Run:    nd.piStage,
 			},
-			{Run: nd.barrierStage, Barrier: true}, // update_beta_theta reads the new π everywhere
+			{Run: barrier, Barrier: true}, // update_beta_theta reads the new π everywhere
 			{
 				Name:   engine.PhaseUpdateBetaTheta,
 				Reads:  []string{"batch", "pi", "theta"},
@@ -357,7 +358,7 @@ func (nd *node) run() (err error) {
 }
 
 // restart resumes from Options.RestartPath: the master streams the file's
-// rows into the DKV table through the store's PiWriter — the one checkpoint
+// rows into the DKV table through the store's WritePiRows — the one checkpoint
 // reader, core.LoadStoreFile, in bounded batches — while the peers' DKV
 // goroutines serve the writes, then broadcasts θ and the stored iteration.
 // A master-side failure returns before the broadcast, and the deferred abort
@@ -520,15 +521,6 @@ func (nd *node) checkpointStage(t int) error {
 // piStage commits the staged φ rows through the DKV store (update_pi).
 func (nd *node) piStage(t int) error {
 	return nd.store.WriteRows(nd.dep.nodes, nd.newPhi)
-}
-
-// barrierStage fences the phases whose read/write sets would otherwise
-// overlap, and marks the store's phase barrier.
-func (nd *node) barrierStage(int) error {
-	if err := nd.comm.Barrier(); err != nil {
-		return err
-	}
-	return nd.store.Flush()
 }
 
 // publishStage seals the full post-iteration π view into an immutable

@@ -17,11 +17,11 @@
 // so a fabric-wide abort drains every rank's server. Misrouted keys (outside
 // the serving rank's shard) no longer panic the server: the request is
 // answered with a typed error response that surfaces client-side as a
-// *KeyRangeError. When a Future's receive fails (abort, deadline, closed
-// endpoint), Wait records the response tags that may still arrive in a
-// quarantine set so they can never be matched against a later request, then
-// keeps draining the remaining pending responses and reports every error it
-// saw (errors.Join).
+// *KeyRangeError, and any other malformed frame is answered or dropped, never
+// obeyed as a stop. When a reply fails to arrive (abort, deadline, closed
+// endpoint), the client records its tag in a quarantine set so it can never
+// be matched against a later request, then keeps awaiting the remaining
+// replies and reports every error it saw (errors.Join).
 //
 // # Request-id discipline
 //
@@ -29,10 +29,9 @@
 // respWindow (2^22). Tags are demultiplexed per (sender, tag), so two peers
 // reusing the same id never collide; a collision would need respWindow
 // requests to a single peer to be issued while an old one is still in
-// flight. The engine keeps at most a handful of futures outstanding and
-// every Future must eventually be waited (ReadBatchAsync's contract), so
-// wraparound is harmless — the regression test in failure_test.go pins the
-// 16-bit version of this bug.
+// flight. ReadBatch and WriteBatch await every reply they ask for, and
+// abandon a tag only by quarantining it, so wraparound is harmless — the
+// regression test in failure_test.go pins the 16-bit version of this bug.
 package dkv
 
 import (
@@ -47,9 +46,9 @@ import (
 	"repro/internal/wire"
 )
 
-// Protocol tags. Responses carry the request id in the tag so a client can
-// keep several asynchronous reads in flight (the double-buffered pipeline
-// does exactly that).
+// Protocol tags. Responses carry the request id in the tag, so a reply is
+// matched to its request, never to a stale reply still queued from an
+// abandoned one.
 const (
 	tagRequest  = cluster.TagUserBase + 0x100
 	tagRespBase = cluster.TagUserBase + 0x10000
@@ -139,7 +138,7 @@ type Store struct {
 	shard    []byte
 
 	// reqMu guards the per-peer request-id sequences and the quarantine set
-	// of tags whose responses were abandoned by a failed Wait.
+	// of tags whose replies were abandoned by a failed exchange.
 	reqMu sync.Mutex
 	seq   []uint32
 	lost  map[uint64]struct{}
@@ -260,7 +259,11 @@ func errResp(status uint32, key int32) []byte {
 // serve answers read and write requests until an opStop message arrives from
 // this rank itself, the transport closes, or the fabric is poisoned — the
 // latter two drain the server so a dying cluster never leaves the goroutine
-// behind.
+// behind. A frame too short to carry a request id, or whose id lies outside
+// the response window (its reply tag would leave the response range), is
+// dropped: there is no tag to answer it under. Every other frame is
+// answered, so a hostile or corrupt request never stops the server or
+// strands its sender.
 func (s *Store) serve() {
 	defer s.serveWG.Done()
 	for {
@@ -274,77 +277,66 @@ func (s *Store) serve() {
 			pickup = obs.TraceNow()
 		}
 		if len(req) < reqHeaderBytes {
-			// No request id to respond under; drop the frame.
 			continue
 		}
 		op := wire.Uint32At(req, 0)
 		id := wire.Uint32At(req, 4)
-		count := int(wire.Uint32At(req, 8))
-		sendNS := int64(wire.Uint64At(req, 12))
-		switch op {
-		case opStop:
+		if id >= respWindow {
+			continue
+		}
+		if op == opStop && from == s.conn.Rank() {
 			return
-		case opRead:
-			if count < 0 || len(req) < reqHeaderBytes+4*count {
-				if err := s.conn.Send(from, tagRespBase+id, errResp(respMalformed, -1)); err != nil {
-					return
-				}
-				continue
-			}
-			keys := make([]int32, count)
-			wire.Int32s(req, reqHeaderBytes, count, keys)
-			if bad, ok := s.findMisroutedKey(keys); !ok {
-				if err := s.conn.Send(from, tagRespBase+id, errResp(respKeyRange, bad)); err != nil {
-					return
-				}
-				continue
-			}
-			resp := make([]byte, 4+count*s.valBytes)
-			// status respOK is the zero value; values start at offset 4.
-			for i, k := range keys {
-				copy(resp[4+i*s.valBytes:], s.localValue(int(k)))
-			}
-			var handled int64
-			if tr != nil {
-				handled = obs.TraceNow()
-			}
-			if err := s.conn.Send(from, tagRespBase+id, resp); err != nil {
-				return
-			}
-			if tr != nil {
-				s.emitServeSpans(tr, "dkv.serve.read", from, id, sendNS, pickup, handled, obs.TraceNow())
-			}
-		case opWrite:
-			if count < 0 || len(req) < reqHeaderBytes+count*(4+s.valBytes) {
-				if err := s.conn.Send(from, tagRespBase+id, errResp(respMalformed, -1)); err != nil {
-					return
-				}
-				continue
-			}
-			keys := make([]int32, count)
-			off := wire.Int32s(req, reqHeaderBytes, count, keys)
-			// Validate before applying so a bad batch is all-or-nothing.
-			if bad, ok := s.findMisroutedKey(keys); !ok {
-				if err := s.conn.Send(from, tagRespBase+id, errResp(respKeyRange, bad)); err != nil {
-					return
-				}
-				continue
-			}
-			for i, k := range keys {
-				copy(s.localValue(int(k)), req[off+i*s.valBytes:off+(i+1)*s.valBytes])
-			}
-			var handled int64
-			if tr != nil {
-				handled = obs.TraceNow()
-			}
-			if err := s.conn.Send(from, tagRespBase+id, wire.AppendUint32(nil, respOK)); err != nil {
-				return
-			}
-			if tr != nil {
-				s.emitServeSpans(tr, "dkv.serve.write", from, id, sendNS, pickup, handled, obs.TraceNow())
-			}
+		}
+		resp, span := s.handle(op, req)
+		var handled int64
+		if tr != nil {
+			handled = obs.TraceNow()
+		}
+		if err := s.conn.Send(from, tagRespBase+id, resp); err != nil {
+			return
+		}
+		if tr != nil && span != "" {
+			sendNS := int64(wire.Uint64At(req, 12))
+			s.emitServeSpans(tr, span, from, id, sendNS, pickup, handled, obs.TraceNow())
 		}
 	}
+}
+
+// handle serves one request frame and returns the reply, plus the span name
+// of a served request ("" for an error reply). A count that overruns the
+// frame or an unknown opcode (a peer's opStop included) is answered with
+// respMalformed; a key outside this shard with respKeyRange, before anything
+// is applied, so a bad write is all-or-nothing.
+func (s *Store) handle(op uint32, req []byte) (resp []byte, span string) {
+	rec := 4 // bytes per key: the key, plus the value on a write
+	switch op {
+	case opRead:
+	case opWrite:
+		rec += s.valBytes
+	default:
+		return errResp(respMalformed, -1), ""
+	}
+	count := int(wire.Uint32At(req, 8))
+	if count > (len(req)-reqHeaderBytes)/rec {
+		return errResp(respMalformed, -1), ""
+	}
+	keys := make([]int32, count)
+	off := wire.Int32s(req, reqHeaderBytes, count, keys)
+	if bad, ok := s.findMisroutedKey(keys); !ok {
+		return errResp(respKeyRange, bad), ""
+	}
+	vb := s.valBytes
+	if op == opWrite {
+		for i, k := range keys {
+			copy(s.localValue(int(k)), req[off+i*vb:off+(i+1)*vb])
+		}
+		return wire.AppendUint32(nil, respOK), "dkv.serve.write"
+	}
+	resp = make([]byte, 4+count*vb) // status respOK is the zero value
+	for i, k := range keys {
+		copy(resp[4+i*vb:], s.localValue(int(k)))
+	}
+	return resp, "dkv.serve.read"
 }
 
 // emitServeSpans records one served request as a parentless root span on the
@@ -406,7 +398,7 @@ func (s *Store) Close() error {
 }
 
 // nextID allocates the next request id for a peer, skipping ids whose
-// responses were abandoned by a failed Wait — a quarantined tag may still
+// replies were abandoned by a failed exchange — a quarantined tag may still
 // receive its stale response and must never be reused.
 func (s *Store) nextID(rank int) uint32 {
 	s.reqMu.Lock()
@@ -455,208 +447,145 @@ func decodeResp(rank int, resp []byte, wantBytes int) ([]byte, error) {
 	}
 }
 
-// perRankBatch groups a key batch by owning rank, remembering each key's
-// position in the caller's batch so responses scatter back in order.
+// perRankBatch is one owner's share of a key batch, remembering each key's
+// position in the caller's batch so replies scatter back in order; id is the
+// request id its reply comes back under.
 type perRankBatch struct {
 	keys []int32
 	pos  []int
+	id   uint32
 }
 
-func (s *Store) groupByOwner(keys []int32) map[int]*perRankBatch {
-	groups := make(map[int]*perRankBatch)
+// groupByOwner splits a key batch into one group per rank, indexed by rank,
+// so requests go out in rank order.
+func (s *Store) groupByOwner(keys []int32) []perRankBatch {
+	groups := make([]perRankBatch, s.conn.Size())
 	for i, k := range keys {
 		if k < 0 || int(k) >= s.n {
 			panic(fmt.Sprintf("dkv: key %d out of range [0,%d)", k, s.n))
 		}
-		o := s.Owner(int(k))
-		g := groups[o]
-		if g == nil {
-			g = &perRankBatch{}
-			groups[o] = g
-		}
+		g := &groups[s.Owner(int(k))]
 		g.keys = append(g.keys, k)
 		g.pos = append(g.pos, i)
 	}
 	return groups
 }
 
-// Future represents an in-flight asynchronous batch read.
-type Future struct {
-	store   *Store
-	dst     []byte
-	pending []pendingResp
-	err     error
-	done    bool
-}
-
-type pendingResp struct {
-	rank int
-	id   uint32
-	g    *perRankBatch
-}
-
-// Wait blocks until every response has arrived and been scattered into the
-// destination buffer. It is idempotent. On failure it still attempts every
-// remaining pending response — so one slow error does not strand the others
-// in the transport queues — quarantines the tags of responses that never
-// came, and returns every distinct error it observed (errors.Join).
-func (f *Future) Wait() error {
-	if f.done {
-		return f.err
-	}
-	f.done = true
-	tr := f.store.tracer.Load()
-	for _, p := range f.pending {
-		var waitStart int64
-		if tr != nil {
-			waitStart = obs.TraceNow()
-		}
-		resp, err := f.store.conn.Recv(p.rank, tagRespBase+p.id)
-		if tr != nil {
-			// Parent is the tracer's current scope — the engine stage running
-			// when the response landed. Wait may run on the pipelined loader
-			// goroutine, so this is a best-effort parent; Peer (the serving
-			// rank) is what the critical-path walk needs and is exact.
-			tr.Emit(obs.Span{
-				ID: tr.NewID(), Parent: tr.Scope(), Name: "dkv.wait.read",
-				Cat: obs.CatDKVWait, Track: obs.TrackDKVClient,
-				Peer: p.rank, Iter: tr.Iter(), Tag: p.id,
-				StartNS: waitStart, DurNS: obs.TraceNow() - waitStart,
-			})
-		}
-		if err != nil {
-			// The response may still arrive later; make sure its tag can
-			// never be matched against a future request.
-			f.store.noteLost(p.rank, p.id)
-			f.err = errors.Join(f.err, err)
-			continue
-		}
-		vb := f.store.valBytes
-		payload, err := decodeResp(p.rank, resp, len(p.g.keys)*vb)
-		if err != nil {
-			f.err = errors.Join(f.err, err)
-			continue
-		}
-		for i, pos := range p.g.pos {
-			copy(f.dst[pos*vb:(pos+1)*vb], payload[i*vb:(i+1)*vb])
-		}
-		f.store.stats.BytesRead.Add(int64(len(payload)))
-	}
-	return f.err
-}
-
-// ReadBatchAsync issues the reads for a key batch and returns a Future; the
-// local portion is served immediately. dst must have len(keys)*ValueBytes
-// bytes and must stay untouched until Wait returns. Every Future must
-// eventually be waited, even after an error — Wait is what keeps the
-// response tag space clean. This is the prefetch primitive behind the
-// paper's double-buffered pipeline.
-func (s *Store) ReadBatchAsync(keys []int32, dst []byte) (*Future, error) {
-	if len(dst) != len(keys)*s.valBytes {
-		return nil, fmt.Errorf("dkv: dst has %d bytes, want %d", len(dst), len(keys)*s.valBytes)
-	}
-	f := &Future{store: s, dst: dst}
-	for rank, g := range s.groupByOwner(keys) {
-		if rank == s.conn.Rank() {
-			for i, k := range g.keys {
-				copy(dst[g.pos[i]*s.valBytes:], s.localValue(int(k)))
-			}
-			s.stats.LocalKeys.Add(int64(len(g.keys)))
-			continue
-		}
-		id := s.nextID(rank)
-		req := appendHeader(opRead, id, uint32(len(g.keys)))
-		req = wire.AppendInt32s(req, g.keys)
-		if err := s.conn.Send(rank, tagRequest, req); err != nil {
-			// Sends that never left cannot produce responses; only the
-			// already-issued pendings need draining, which Wait does.
-			f.err = err
-			f.done = true
-			for _, p := range f.pending {
-				s.noteLost(p.rank, p.id)
-			}
-			return nil, err
-		}
-		s.stats.RemoteKeys.Add(int64(len(g.keys)))
-		s.stats.Requests.Add(1)
-		f.pending = append(f.pending, pendingResp{rank: rank, id: id, g: g})
-	}
-	return f, nil
-}
-
-// ReadBatch is the synchronous form of ReadBatchAsync.
+// ReadBatch fetches the values of a key batch into dst (len(keys)*ValueBytes
+// bytes, in key order): owned keys are copied from the local shard, every
+// other owner gets one request.
 func (s *Store) ReadBatch(keys []int32, dst []byte) error {
-	f, err := s.ReadBatchAsync(keys, dst)
-	if err != nil {
-		return err
+	if len(dst) != len(keys)*s.valBytes {
+		return fmt.Errorf("dkv: dst has %d bytes, want %d", len(dst), len(keys)*s.valBytes)
 	}
-	return f.Wait()
+	return s.exchange(opRead, keys, dst)
 }
 
 // WriteBatch stores values (len(keys)*ValueBytes bytes, in key order) under
 // their keys and waits for every owner's acknowledgement, so that a
 // subsequent cluster barrier orders these writes before any later read —
 // exactly the write-then-barrier-then-read discipline of the paper's phases.
-// Like Future.Wait, a failed acknowledgement does not strand the others:
-// every ack is awaited, missing ones are quarantined, and all errors are
-// reported.
 func (s *Store) WriteBatch(keys []int32, values []byte) error {
 	if len(values) != len(keys)*s.valBytes {
 		return fmt.Errorf("dkv: values have %d bytes, want %d", len(values), len(keys)*s.valBytes)
 	}
-	type ack struct {
-		rank int
-		id   uint32
-	}
-	var acks []ack
-	for rank, g := range s.groupByOwner(keys) {
-		if rank == s.conn.Rank() {
-			for i, k := range g.keys {
-				copy(s.localValue(int(k)), values[g.pos[i]*s.valBytes:(g.pos[i]+1)*s.valBytes])
+	return s.exchange(opWrite, keys, values)
+}
+
+// exchange runs one batched read or write: the keys are grouped by owner,
+// the local group is applied in place, each peer gets one request, and then
+// every reply is awaited. buf holds the values in key order — the
+// destination of a read, the source of a write. A failed reply does not
+// strand the others: every reply is awaited, the tags of missing ones are
+// quarantined, and every error is reported (errors.Join). A failed Send
+// returns at once, quarantining the requests already sent.
+func (s *Store) exchange(op uint32, keys []int32, buf []byte) error {
+	vb := s.valBytes
+	write := op == opWrite
+	groups := s.groupByOwner(keys)
+	me := s.conn.Rank()
+	if g := &groups[me]; len(g.keys) > 0 {
+		for i, k := range g.keys {
+			val := buf[g.pos[i]*vb : (g.pos[i]+1)*vb]
+			if write {
+				copy(s.localValue(int(k)), val)
+			} else {
+				copy(val, s.localValue(int(k)))
 			}
-			s.stats.LocalKeys.Add(int64(len(g.keys)))
+		}
+		s.stats.LocalKeys.Add(int64(len(g.keys)))
+	}
+	var sent []int // ranks whose request went out, in rank order
+	for rank := range groups {
+		g := &groups[rank]
+		if rank == me || len(g.keys) == 0 {
 			continue
 		}
-		id := s.nextID(rank)
-		req := appendHeader(opWrite, id, uint32(len(g.keys)))
+		g.id = s.nextID(rank)
+		req := appendHeader(op, g.id, uint32(len(g.keys)))
 		req = wire.AppendInt32s(req, g.keys)
-		for _, pos := range g.pos {
-			req = append(req, values[pos*s.valBytes:(pos+1)*s.valBytes]...)
+		if write {
+			for _, pos := range g.pos {
+				req = append(req, buf[pos*vb:(pos+1)*vb]...)
+			}
 		}
 		if err := s.conn.Send(rank, tagRequest, req); err != nil {
-			for _, a := range acks {
-				s.noteLost(a.rank, a.id)
+			// A request that never left cannot be answered; the ones already
+			// sent may be, so their tags must never be reused.
+			for _, r := range sent {
+				s.noteLost(r, groups[r].id)
 			}
 			return err
 		}
 		s.stats.RemoteKeys.Add(int64(len(g.keys)))
 		s.stats.Requests.Add(1)
-		s.stats.BytesWritten.Add(int64(len(g.keys) * s.valBytes))
-		acks = append(acks, ack{rank, id})
+		if write {
+			s.stats.BytesWritten.Add(int64(len(g.keys) * vb))
+		}
+		sent = append(sent, rank)
+	}
+	span, perKey := "dkv.wait.read", vb // reply payload bytes per key
+	if write {
+		span, perKey = "dkv.wait.ack", 0
 	}
 	var errAll error
 	tr := s.tracer.Load()
-	for _, a := range acks {
+	for _, rank := range sent {
+		g := &groups[rank]
 		var waitStart int64
 		if tr != nil {
 			waitStart = obs.TraceNow()
 		}
-		resp, err := s.conn.Recv(a.rank, tagRespBase+a.id)
+		resp, err := s.conn.Recv(rank, tagRespBase+g.id)
 		if tr != nil {
+			// Parent is the tracer's current scope — the engine stage running
+			// when the reply landed. A read may run on the pipelined loader
+			// goroutine, so this is a best-effort parent; Peer (the serving
+			// rank) is what the critical-path walk needs and is exact.
 			tr.Emit(obs.Span{
-				ID: tr.NewID(), Parent: tr.Scope(), Name: "dkv.wait.ack",
+				ID: tr.NewID(), Parent: tr.Scope(), Name: span,
 				Cat: obs.CatDKVWait, Track: obs.TrackDKVClient,
-				Peer: a.rank, Iter: tr.Iter(), Tag: a.id,
+				Peer: rank, Iter: tr.Iter(), Tag: g.id,
 				StartNS: waitStart, DurNS: obs.TraceNow() - waitStart,
 			})
 		}
 		if err != nil {
-			s.noteLost(a.rank, a.id)
+			// The reply may still arrive later; make sure its tag can never
+			// be matched against a later request.
+			s.noteLost(rank, g.id)
 			errAll = errors.Join(errAll, err)
 			continue
 		}
-		if _, err := decodeResp(a.rank, resp, 0); err != nil {
+		payload, err := decodeResp(rank, resp, len(g.keys)*perKey)
+		if err != nil {
 			errAll = errors.Join(errAll, err)
+			continue
+		}
+		if !write {
+			for i, pos := range g.pos {
+				copy(buf[pos*vb:(pos+1)*vb], payload[i*vb:(i+1)*vb])
+			}
+			s.stats.BytesRead.Add(int64(len(payload)))
 		}
 	}
 	return errAll

@@ -187,45 +187,6 @@ func TestWriteBatchVisibleToOtherRanks(t *testing.T) {
 	}
 }
 
-func TestAsyncPrefetchOverlap(t *testing.T) {
-	const n, vb = 64, 16
-	spmdStores(t, 4, n, vb, func(s *Store) error {
-		// Issue two overlapping async reads (the double-buffer pattern).
-		keysA := []int32{0, 17, 33, 49}
-		keysB := []int32{1, 18, 34, 50}
-		dstA := make([]byte, len(keysA)*vb)
-		dstB := make([]byte, len(keysB)*vb)
-		fa, err := s.ReadBatchAsync(keysA, dstA)
-		if err != nil {
-			return err
-		}
-		fb, err := s.ReadBatchAsync(keysB, dstB)
-		if err != nil {
-			return err
-		}
-		if err := fb.Wait(); err != nil {
-			return err
-		}
-		if err := fa.Wait(); err != nil {
-			return err
-		}
-		if err := fa.Wait(); err != nil { // idempotent
-			return err
-		}
-		for i, k := range keysA {
-			if dstA[i*vb] != value(int(k), vb)[0] {
-				return fmt.Errorf("async A slot %d wrong", i)
-			}
-		}
-		for i, k := range keysB {
-			if dstB[i*vb] != value(int(k), vb)[0] {
-				return fmt.Errorf("async B slot %d wrong", i)
-			}
-		}
-		return nil
-	})
-}
-
 func TestStatsCountLocalVsRemote(t *testing.T) {
 	const n, vb = 40, 4
 	spmdStores(t, 4, n, vb, func(s *Store) error {

@@ -33,34 +33,24 @@ func pair2(t *testing.T) (*transport.Fabric, *Store, *Store) {
 
 // TestRequestIDWraparoundRegression pins the 16-bit request-id bug: the old
 // protocol allocated ids as reqID.Add(1) & 0xffff from one global counter,
-// so after 65,536 requests the tag of a still-pending (here: abandoned)
-// future was reused and its stale queued response was silently matched to
-// the new request — state corruption, not an error. The sequence below
-// reproduces exactly that history by advancing the sequence counter to
-// 0x10000 (the value after 2^16 requests); under the old masking the next id
-// collides with the abandoned future's, under the per-peer 22-bit window it
-// does not, and the read must observe the freshly written value.
+// so after 65,536 requests the tag of an abandoned request was reused and
+// its stale queued reply was silently matched to the new request — state
+// corruption, not an error. The test plants that stale reply (value 1,1,1,1
+// under request id 1's tag) and advances the sequence counter to 0x10000,
+// the value after 2^16 requests; under the old masking the next id collides
+// with id 1, under the per-peer 22-bit window it does not, and the read must
+// observe the freshly written value.
 func TestRequestIDWraparoundRegression(t *testing.T) {
-	_, s0, s1 := pair2(t)
-	s1.WriteLocal(9, []byte{1, 1, 1, 1})
-
-	// An abandoned in-flight read of key 9: its response (value 1,1,1,1)
-	// stays queued under tag tagRespBase+1 at rank 0, never consumed.
-	staleDst := make([]byte, 4)
-	if _, err := s0.ReadBatchAsync([]int32{9}, staleDst); err != nil {
-		t.Fatal(err)
-	}
-
-	// Fence: the server answers requests in order, so once this completed
-	// read returns, the abandoned response above is already queued.
-	fence := make([]byte, 4)
-	if err := s0.ReadBatch([]int32{9}, fence); err != nil {
+	f, s0, s1 := pair2(t)
+	stale := wire.AppendUint32(nil, respOK)
+	stale = append(stale, 1, 1, 1, 1)
+	if err := f.Endpoint(1).Send(0, tagRespBase+1, stale); err != nil {
 		t.Fatal(err)
 	}
 
 	// Fast-forward the id sequence to where it stands after 2^16 requests.
 	// (Old code equivalent: reqID.Store(0x10000) — the next allocated id,
-	// 0x10001 & 0xffff, equals the abandoned future's id 1.)
+	// 0x10001 & 0xffff, equals the abandoned request's id 1.)
 	s0.reqMu.Lock()
 	s0.seq[1] = 0x10000
 	s0.reqMu.Unlock()
@@ -151,10 +141,10 @@ func TestMalformedRequestReturnsError(t *testing.T) {
 	}
 }
 
-// TestWaitDrainsAndQuarantinesOnError: when one pending response never
-// arrives, Wait must (a) still deliver the responses that did arrive,
-// (b) report the failure, and (c) quarantine the missing tag so it can
-// never be matched to a later request.
+// TestWaitDrainsAndQuarantinesOnError: when one reply never arrives, a
+// batched read must (a) still deliver the replies that did arrive, (b)
+// report the failure, and (c) quarantine the missing tag so it can never be
+// matched to a later request.
 func TestWaitDrainsAndQuarantinesOnError(t *testing.T) {
 	f, err := transport.NewFabric(3)
 	if err != nil {
@@ -185,16 +175,12 @@ func TestWaitDrainsAndQuarantinesOnError(t *testing.T) {
 
 	// Key 5 → rank 1 (request dropped), key 8 → rank 2 (healthy).
 	dst := make([]byte, 8)
-	fut, err := s0.ReadBatchAsync([]int32{5, 8}, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Bound the wait: rank 1's response will never come.
 	fc.SetDeadline(time.Now().Add(250 * time.Millisecond))
-	werr := fut.Wait()
+	werr := s0.ReadBatch([]int32{5, 8}, dst)
 	fc.SetDeadline(time.Time{})
 	if !errors.Is(werr, transport.ErrDeadlineExceeded) {
-		t.Fatalf("Wait error = %v, want to include ErrDeadlineExceeded", werr)
+		t.Fatalf("ReadBatch error = %v, want to include ErrDeadlineExceeded", werr)
 	}
 	// The healthy rank's response was still scattered into dst.
 	if !bytes.Equal(dst[4:], []byte{42, 42, 42, 42}) {
@@ -213,6 +199,95 @@ func TestWaitDrainsAndQuarantinesOnError(t *testing.T) {
 	if id := s0.nextID(1); id != 2 {
 		t.Fatalf("nextID reused quarantined id: got %d, want 2", id)
 	}
+}
+
+// hostileFrame is a request frame a peer can put on the wire that the
+// server must survive; reply reports whether it must be answered.
+type hostileFrame struct {
+	name  string
+	frame []byte
+	reply bool
+}
+
+// hostileFrames returns the frames that once stopped a rank's server or
+// stranded their sender: a request id whose reply tag would be
+// transport.TagAbort (Send refuses it), an opStop from a peer rather than
+// the rank itself, and an unknown opcode.
+func hostileFrames() []hostileFrame {
+	read := appendHeader(opRead, transport.TagAbort-tagRespBase, 1)
+	return []hostileFrame{
+		{"id past window", wire.AppendInt32s(read, []int32{9}), false},
+		{"peer opStop", appendHeader(opStop, 7, 0), true},
+		{"unknown opcode", appendHeader(9, 8, 0), true},
+	}
+}
+
+// TestServerSurvivesHostileFrames: after each hostile frame reaches rank 1's
+// server, a frame that deserves a reply gets respMalformed, and rank 1 keeps
+// serving — a read of one of its keys succeeds within 500 ms.
+func TestServerSurvivesHostileFrames(t *testing.T) {
+	for _, h := range hostileFrames() {
+		t.Run(h.name, func(t *testing.T) {
+			f, s0, s1 := pair2(t)
+			s1.WriteLocal(9, []byte{7, 7, 7, 7})
+			conn0 := f.Endpoint(0)
+			conn0.SetDeadline(time.Now().Add(500 * time.Millisecond))
+			if err := conn0.Send(1, tagRequest, h.frame); err != nil {
+				t.Fatal(err)
+			}
+			if h.reply {
+				resp, err := conn0.Recv(1, tagRespBase+wire.Uint32At(h.frame, 4))
+				if err != nil {
+					t.Fatalf("no reply: %v", err)
+				}
+				if _, err := decodeResp(1, resp, 0); err == nil {
+					t.Fatal("hostile frame was acknowledged as OK")
+				}
+			}
+			got := make([]byte, 4)
+			if err := s0.ReadBatch([]int32{9}, got); err != nil {
+				t.Fatalf("server stopped serving: %v", err)
+			}
+			if !bytes.Equal(got, []byte{7, 7, 7, 7}) {
+				t.Fatalf("key 9 = %v, want [7 7 7 7]", got)
+			}
+		})
+	}
+}
+
+// FuzzDKVRequest sends one arbitrary frame to rank 1's server, then checks
+// that the server still serves: a write and a read of one rank-1 key return
+// the written bytes within a second. Rank 0 quarantines the frame's request
+// id first, so the server's reply to it can never be taken for the reply to
+// the checking requests.
+func FuzzDKVRequest(f *testing.F) {
+	f.Add(wire.AppendInt32s(appendHeader(opRead, 3, 2), []int32{5, 9}))
+	f.Add(append(wire.AppendInt32s(appendHeader(opWrite, 4, 1), []int32{7}), 1, 2, 3, 4))
+	for _, h := range hostileFrames() {
+		f.Add(h.frame)
+	}
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		fab, s0, _ := pair2(t)
+		if len(frame) >= 8 {
+			s0.noteLost(1, wire.Uint32At(frame, 4))
+		}
+		conn0 := fab.Endpoint(0)
+		if err := conn0.Send(1, tagRequest, frame); err != nil {
+			t.Fatal(err)
+		}
+		conn0.SetDeadline(time.Now().Add(time.Second))
+		want := []byte{0xa5, 1, 2, 3}
+		if err := s0.WriteBatch([]int32{6}, want); err != nil {
+			t.Fatalf("write after frame %x: %v", frame, err)
+		}
+		got := make([]byte, 4)
+		if err := s0.ReadBatch([]int32{6}, got); err != nil {
+			t.Fatalf("read after frame %x: %v", frame, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("after frame %x: key 6 = %v, want %v", frame, got, want)
+		}
+	})
 }
 
 // TestServerDrainsOnPoison: a fabric-wide abort must terminate the server

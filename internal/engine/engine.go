@@ -55,9 +55,10 @@ type Stage struct {
 	// iteration. Loop.Validate enforces this.
 	Publishes []string
 	// Barrier marks this stage as a phase fence: writes before it are
-	// committed and globally visible after it (the engines put their
-	// collective barrier + store.Flush here). Validate uses it to decide
-	// when a written resource becomes publishable.
+	// committed and globally visible after it (the distributed engine puts
+	// its collective barrier here; the sequential loop marks its publish
+	// stage). Validate uses it to decide when a written resource becomes
+	// publishable.
 	Barrier bool
 	Run     func(t int) error
 }

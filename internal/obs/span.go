@@ -43,7 +43,7 @@ const (
 // concurrent subsystems get their own lane.
 const (
 	TrackEngine    = 0 // engine loop: iter > stage > collective > recv
-	TrackDKVClient = 1 // DKV futures (the pipelined loader goroutine)
+	TrackDKVClient = 1 // DKV client reply waits (the pipelined loader goroutine too)
 	TrackDKVServer = 2 // DKV server request loop
 )
 

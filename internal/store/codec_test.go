@@ -228,9 +228,6 @@ func TestDKVStoreDegenerateRow(t *testing.T) {
 			if !errors.Is(err, ErrDegenerateRow) {
 				t.Fatalf("vertex %d: zero-sum φ row accepted: %v", vertex, err)
 			}
-			if err := s.Flush(); err != nil {
-				t.Fatal(err)
-			}
 			// The stored row keeps its initial value.
 			var rows Rows
 			if err := s.ReadRows([]int32{vertex}, &rows); err != nil {

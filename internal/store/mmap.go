@@ -42,10 +42,9 @@ package store
 // # Consistency
 //
 // Within a phase the training algorithm never reads a row it writes, and
-// writes go straight into the (work) mapping, so Flush needs no data
-// movement — it is the residency-management hook (see AdviseEveryFlush).
-// Reads are answered from the page cache via the mapping; the kernel pages
-// cold shards in and out, which is the whole point.
+// writes go straight into the (work) mapping, so a phase barrier needs no
+// data movement. Reads are answered from the page cache via the mapping; the
+// kernel pages cold shards in and out, which is the whole point.
 
 import (
 	"bufio"
@@ -81,12 +80,6 @@ type MmapOptions struct {
 	ShardRows int
 	// Threads parallelises batched row decode; 0 = GOMAXPROCS.
 	Threads int
-	// AdviseEveryFlush, when > 0, drops page residency (madvise DONTNEED) of
-	// every shard mapping on each AdviseEveryFlush-th Flush. The data stays
-	// in the kernel page cache — re-reads minor-fault it back — but the pages
-	// leave the process's resident set, which is what keeps peak RSS bounded
-	// under a memory cap. 0 never drops.
-	AdviseEveryFlush int
 }
 
 // mmapManifest is the JSON commit record of the seal protocol.
@@ -111,20 +104,17 @@ type mmapShard struct {
 
 // MmapStore implements PiStore over a directory of memory-mapped shard
 // files. See the package comment at the top of this file for the layout and
-// the seal protocol. All reads complete without remote communication
-// (LocalReader), so the φ stage drives it with the fused serial schedule.
+// the seal protocol.
 type MmapStore struct {
 	dir       string
 	n, k      int
 	shardRows int
 	threads   int
 	rb        int
-	advise    int
 
-	mu      sync.RWMutex
-	shards  []mmapShard
-	gen     uint64 // last sealed generation (0 = never sealed)
-	flushes uint64
+	mu     sync.RWMutex
+	shards []mmapShard
+	gen    uint64 // last sealed generation (0 = never sealed)
 
 	// sealHook, when set (tests only), runs between seal-protocol steps:
 	// ("shard", i) after shard i's rename, ("manifest", -1) after the
@@ -197,7 +187,7 @@ func newMmapStore(dir string, n, k int, opt MmapOptions) *MmapStore {
 	nShards := (n + shardRows - 1) / shardRows
 	s := &MmapStore{
 		dir: dir, n: n, k: k, shardRows: shardRows,
-		threads: opt.Threads, rb: RowBytes(k), advise: opt.AdviseEveryFlush,
+		threads: opt.Threads, rb: RowBytes(k),
 		shards: make([]mmapShard, nShards),
 	}
 	for i := range s.shards {
@@ -384,11 +374,6 @@ func (s *MmapStore) Generation() uint64 {
 	return s.gen
 }
 
-// ReadsAreLocal implements LocalReader: a read is a page-cache access (at
-// worst a disk fault), never a transport round trip, so the φ stage takes
-// the fused serial path.
-func (s *MmapStore) ReadsAreLocal() bool { return true }
-
 // ReadRows implements PiStore: rows decode straight out of the shard
 // mappings in parallel.
 func (s *MmapStore) ReadRows(ids []int32, dst *Rows) error {
@@ -413,14 +398,6 @@ func (s *MmapStore) ReadRows(ids []int32, dst *Rows) error {
 		}
 	})
 	return errs.get()
-}
-
-// ReadRowsAsync implements PiStore; mmap reads complete synchronously.
-func (s *MmapStore) ReadRowsAsync(ids []int32, dst *Rows) (Pending, error) {
-	if err := s.ReadRows(ids, dst); err != nil {
-		return nil, err
-	}
-	return donePending{}, nil
 }
 
 // WriteRows implements PiStore with SetPhiRow's exact arithmetic. The first
@@ -454,8 +431,7 @@ func (s *MmapStore) WriteRows(ids []int32, phi []float64) error {
 	return firstErr
 }
 
-// WritePiRows implements PiWriter: already-normalised rows land verbatim —
-// the restore path of streamed checkpoint loads and initial population.
+// WritePiRows implements PiStore: already-normalised rows land verbatim.
 func (s *MmapStore) WritePiRows(ids []int32, pi []float32, phiSum []float64) error {
 	if len(pi) != len(ids)*s.k || len(phiSum) != len(ids) {
 		return fmt.Errorf("store: pi/phiSum have %d/%d values, want %d/%d",
@@ -531,36 +507,6 @@ func (s *MmapStore) InitRows(initRow func(a int, pi []float32) float64) error {
 		sh.dirty = true
 	}
 	return nil
-}
-
-// Flush implements PiStore. Mapped writes are immediately visible, so the
-// phase barrier needs no data movement; with AdviseEveryFlush set, every
-// N-th barrier drops page residency so long runs stay under a memory cap.
-func (s *MmapStore) Flush() error {
-	if s.advise <= 0 {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.flushes++
-	if s.flushes%uint64(s.advise) == 0 {
-		s.dropResidencyLocked()
-	}
-	return nil
-}
-
-// dropResidencyLocked releases the process's resident pages of every shard
-// mapping (madvise DONTNEED). Data is unaffected — the pages live in the page
-// cache and fault back in on next access.
-func (s *MmapStore) dropResidencyLocked() {
-	for i := range s.shards {
-		if data := s.shards[i].data; data != nil {
-			// MADV_DONTNEED on a MAP_SHARED file mapping only zaps the page
-			// table entries; dirty pages persist in the page cache and are
-			// written back normally, so no data is at risk.
-			_ = syscall.Madvise(data, syscall.MADV_DONTNEED)
-		}
-	}
 }
 
 // Seal commits all pending writes as a new generation: per-shard fsync +
@@ -682,8 +628,6 @@ func (s *MmapStore) Close() error {
 
 // interface conformance
 var (
-	_ PiStore     = (*MmapStore)(nil)
-	_ LocalReader = (*MmapStore)(nil)
-	_ PiWriter    = (*MmapStore)(nil)
-	_ io.Closer   = (*MmapStore)(nil)
+	_ PiStore   = (*MmapStore)(nil)
+	_ io.Closer = (*MmapStore)(nil)
 )

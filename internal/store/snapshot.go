@@ -38,8 +38,8 @@ func (s *Snapshot) PiRow(a int) []float32 { return s.Pi[a*s.K : (a+1)*s.K] }
 // TakeSnapshot seals the current rows of ps into an immutable Snapshot
 // through Sweep: every backend — local, mmap, tiered, DKV — is sealed by the
 // same batched read, and the rows land straight in the snapshot's slab. Call
-// it only at a phase barrier (no writes in flight), the discipline Flush
-// documents; the returned snapshot shares no memory with the store. beta
+// it only at a phase barrier (no writes in flight), the PiStore discipline;
+// the returned snapshot shares no memory with the store. beta
 // (copied, may be nil) is the β vector at the barrier — the store itself holds
 // only π/Σφ. The slab is all N×K floats in RAM whatever the backend: an
 // out-of-core run that publishes trades memory for queryability.

@@ -23,9 +23,8 @@ func initPattern(a int, pi []float32) float64 {
 }
 
 // trainSteps drives a store through a training-like write sequence: reads
-// of scattered rows, then WriteRows of fresh φ
-// for a batch that overlaps them, and a Flush — the phase discipline. The
-// same seed gives the same writes on every backend.
+// of scattered rows, then WriteRows of fresh φ for a batch that overlaps
+// them. The same seed gives the same writes on every backend.
 func trainSteps(t *testing.T, ps PiStore, steps int) {
 	t.Helper()
 	k := ps.K()
@@ -38,17 +37,11 @@ func trainSteps(t *testing.T, ps PiStore, steps int) {
 		if err := ps.ReadRows(ids, &rows); err != nil {
 			t.Fatal(err)
 		}
-		if err := ps.Flush(); err != nil {
-			t.Fatal(err)
-		}
 		phi := make([]float64, len(ids)*k)
 		for i := range phi {
 			phi[i] = float64((step+1)*(i%13) + 1)
 		}
 		if err := ps.WriteRows(ids[:len(ids)/2], phi[:len(ids)/2*k]); err != nil {
-			t.Fatal(err)
-		}
-		if err := ps.Flush(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,28 +1,32 @@
 // Package store defines the unified parameter-store abstraction both
 // samplers run against: a PiStore holds the per-vertex π rows and Σφ sums
-// (the paper's "π[i] + Σφ[i] is the value for key i") behind one batched
-// read/write contract, so the phase layer in internal/core is written once
-// and wired to either backend.
+// (the paper's "π[i] + Σφ[i] is the value for key i") behind one batched,
+// synchronous read/write contract, so the phase layer in internal/core is
+// written once and wired to any backend.
 //
-// Two backends implement the contract:
+// Three backends implement the contract:
 //
 //   - LocalStore views a single-node core.State's backing slices. Reads and
-//     writes are plain memory copies; Flush is a no-op. It makes the
-//     single-process sampler the Ranks=1 degenerate case of the distributed
-//     one.
-//   - DKVStore (dkv.go) wraps internal/dkv: batched reads grouped by owning
-//     rank and asynchronous futures for the double-buffered π pipeline of
-//     Section III-D. It holds no copy of a remote row.
+//     writes are plain memory copies. It makes the single-process sampler
+//     the Ranks=1 degenerate case of the distributed one.
+//   - DKVStore (dkv.go) wraps internal/dkv: a batched read is one request
+//     per owning rank, decoded straight into the caller's Rows. It holds no
+//     copy of a remote row.
+//   - MmapStore (mmap.go) keeps the table on disk as memory-mapped shard
+//     files: the out-of-core path.
+//
+// TieredStore (tier.go) is a pass-through shim over one of them, kept for
+// the benchmark module's calls.
 //
 // The whole table leaves a store through one path, Sweep (snapshots,
 // checkpoints, the distributed end-of-run gather), and enters it through
-// one, PiWriter (checkpoint restore), both in BatchRows batches on every
-// backend — the mmap backend of mmap.go included.
+// one, WritePiRows (checkpoint restore), both in BatchRows batches on every
+// backend.
 //
 // Bit-exactness contract: WriteRows on every backend performs the exact
 // normalisation arithmetic of core.State.SetPhiRow (sum in slice order,
 // inv = 1/sum, float32(v·inv)), and reads return float32/float64 values
-// unchanged, so the two backends produce bit-identical trajectories from
+// unchanged, so every backend produces bit-identical trajectories from
 // identical inputs.
 package store
 
@@ -62,7 +66,7 @@ func checkRowSum(sum float64) error {
 
 // Rows is the decoded destination buffer for a batched read: n π rows of K
 // float32 entries each, plus the matching Σφ sums. Buffers are reused across
-// Reset calls, which is what lets the double-buffered pipeline run without
+// Reset calls, which is what lets the double-buffered φ stage run without
 // per-chunk allocation.
 type Rows struct {
 	K      int
@@ -91,24 +95,15 @@ func (r *Rows) Reset(n, k int) {
 // PiRow returns row i as a slice into the buffer.
 func (r *Rows) PiRow(i int) []float32 { return r.Pi[i*r.K : (i+1)*r.K] }
 
-// Pending is an in-flight asynchronous read. Wait blocks until the
-// destination Rows buffer is fully populated; it is idempotent, and the
-// buffer must not be touched before Wait returns.
-type Pending interface {
-	Wait() error
-}
-
 // PiStore is the parameter-store contract the shared phase layer is written
 // against. Keys are vertex ids in [0, NumRows).
 //
+// Every call is synchronous: when it returns, the rows are read or written.
 // Consistency follows the paper's phase discipline: within a phase, read
-// sets and write sets never overlap, so no concurrency control is needed.
-// Flush marks a phase barrier — after Flush returns, rows written before it
-// are what subsequent reads observe. No backend keeps a row copy that a
-// barrier would have to drop: the local and DKV backends' Flush is a no-op,
-// and the mmap backend's may release page residency. Callers that also
-// require cross-rank visibility (the distributed engine) pair Flush with
-// their collective barrier.
+// sets and write sets never overlap, so no concurrency control is needed,
+// and no backend keeps a row copy a phase barrier would have to drop.
+// Callers that need cross-rank visibility (the distributed engine) fence
+// the phases with their collective barrier.
 type PiStore interface {
 	// NumRows returns the total key count N.
 	NumRows() int
@@ -116,49 +111,20 @@ type PiStore interface {
 	K() int
 	// ReadRows fills dst with the current rows for ids.
 	ReadRows(ids []int32, dst *Rows) error
-	// ReadRowsAsync begins a batched read into dst and returns a Pending;
-	// dst must stay untouched until Wait returns. This is the prefetch
-	// primitive behind the double-buffered update_phi pipeline.
-	ReadRowsAsync(ids []int32, dst *Rows) (Pending, error)
 	// WriteRows stores the φ rows (len(ids)·K float64 values, row-major),
 	// normalising each to π/Σφ with SetPhiRow's exact arithmetic.
 	WriteRows(ids []int32, phi []float64) error
-	// Flush marks a phase barrier (see the interface comment).
-	Flush() error
-}
-
-// LocalReader is an optional PiStore capability: backends whose reads are
-// answered from local memory (no transport round trip) report it, and the φ
-// stage uses the answer to pick its schedule — a pipeline that overlaps
-// fetches with compute only pays off when fetches actually leave the
-// process, so local readers get the fused serial path instead.
-type LocalReader interface {
-	// ReadsAreLocal reports whether every ReadRows/ReadRowsAsync on this
-	// store completes without remote communication.
-	ReadsAreLocal() bool
-}
-
-// ReadsAreLocal reports the LocalReader answer for ps, defaulting to false
-// (assume remote) for backends that don't implement the capability.
-func ReadsAreLocal(ps PiStore) bool {
-	lr, ok := ps.(LocalReader)
-	return ok && lr.ReadsAreLocal()
+	// WritePiRows stores already-normalised rows verbatim, with no
+	// renormalisation: pi is row-major len(ids)×K, phiSum one Σφ per row.
+	// It is the restore primitive behind streamed checkpoint loads, where
+	// the values on disk are the quantised rows and must land
+	// bit-identically.
+	WritePiRows(ids []int32, pi []float32, phiSum []float64) error
 }
 
 // RowBytes is the wire size of one vertex's value: K float32 π entries plus
 // the float64 Σφ.
 func RowBytes(k int) int { return 4*k + 8 }
-
-// PiWriter is an optional PiStore capability: backends that can store
-// already-normalised (π, Σφ) rows verbatim — no SetPhiRow renormalisation —
-// implement it. It is the restore primitive behind streamed checkpoint loads
-// and initial population, where the values on disk ARE the quantised rows and
-// must land bit-identically.
-type PiWriter interface {
-	// WritePiRows stores len(ids) rows: pi is row-major len(ids)×K, phiSum
-	// one Σφ per row.
-	WritePiRows(ids []int32, pi []float32, phiSum []float64) error
-}
 
 // BatchRows bounds one batch of a whole-table sweep or restore: 4096 rows ≈
 // 2 MB at K=128, small enough that saving, sealing or restoring a
@@ -330,8 +296,7 @@ func putF64(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64
 func getF64(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
 
 // LocalStore implements PiStore over the backing slices of a single-node
-// core.State. It is constructed per use (a cheap slice-header struct) so a
-// resumed sampler that swaps its State never reads through a stale view.
+// core.State.
 type LocalStore struct {
 	k       int
 	pi      []float32
@@ -379,20 +344,6 @@ func (s *LocalStore) ReadRows(ids []int32, dst *Rows) error {
 	return nil
 }
 
-// donePending is the immediately-complete Pending of a synchronous read.
-type donePending struct{ err error }
-
-func (p donePending) Wait() error { return p.err }
-
-// ReadRowsAsync implements PiStore; local reads complete immediately.
-func (s *LocalStore) ReadRowsAsync(ids []int32, dst *Rows) (Pending, error) {
-	err := s.ReadRows(ids, dst)
-	if err != nil {
-		return nil, err
-	}
-	return donePending{}, nil
-}
-
 // WriteRows implements PiStore with core.State.SetPhiRow's arithmetic. A
 // degenerate row (zero or non-finite Σφ) fails with ErrDegenerateRow naming
 // the vertex; the degenerate row itself is not written, so the store never
@@ -428,9 +379,7 @@ func (s *LocalStore) WriteRows(ids []int32, phi []float64) error {
 	return errs.get()
 }
 
-// WritePiRows implements PiWriter: already-normalised rows are stored as is
-// (plain copies, no renormalisation) — the restore path of a streamed
-// checkpoint load.
+// WritePiRows implements PiStore with plain copies.
 func (s *LocalStore) WritePiRows(ids []int32, pi []float32, phiSum []float64) error {
 	if len(pi) != len(ids)*s.k || len(phiSum) != len(ids) {
 		return fmt.Errorf("store: pi/phiSum have %d/%d values, want %d/%d",
@@ -447,15 +396,5 @@ func (s *LocalStore) WritePiRows(ids []int32, pi []float32, phiSum []float64) er
 	return nil
 }
 
-// Flush implements PiStore; in-memory writes are immediately visible.
-func (s *LocalStore) Flush() error { return nil }
-
-// ReadsAreLocal implements LocalReader: every read is a memory copy.
-func (s *LocalStore) ReadsAreLocal() bool { return true }
-
 // interface conformance
-var (
-	_ PiStore     = (*LocalStore)(nil)
-	_ LocalReader = (*LocalStore)(nil)
-	_ PiWriter    = (*LocalStore)(nil)
-)
+var _ PiStore = (*LocalStore)(nil)

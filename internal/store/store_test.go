@@ -102,21 +102,6 @@ func TestLocalStoreReadWrite(t *testing.T) {
 			}
 		}
 	}
-
-	// The async form must agree and complete immediately.
-	var rows2 Rows
-	pend, err := ls.ReadRowsAsync(ids, &rows2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pend.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range ids {
-		if rows2.PhiSum[i] != rows.PhiSum[i] {
-			t.Fatalf("async read row %d disagrees", i)
-		}
-	}
 }
 
 func TestLocalStoreRejectsBadInput(t *testing.T) {
@@ -245,9 +230,6 @@ func TestDKVStoreReadWrite(t *testing.T) {
 		if err := s.WriteRows(wids, phi); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Flush(); err != nil {
-			t.Fatal(err)
-		}
 		if err := s.ReadRows(wids, &rows); err != nil {
 			t.Fatal(err)
 		}
@@ -294,39 +276,3 @@ func TestDKVWritePiRows(t *testing.T) {
 		}
 	})
 }
-
-func TestReadsAreLocalCapability(t *testing.T) {
-	// LocalStore always answers reads from memory.
-	ls := NewLocal(make([]float32, 4*3), make([]float64, 4), 3, 1)
-	if !ReadsAreLocal(ls) {
-		t.Fatal("LocalStore must report local reads")
-	}
-	// A 2-rank DKV store owns only half the keys: reads can leave the
-	// process, so the φ stage must keep the fetch/compute overlap.
-	twoRankStores(t, 20, 3, func(s0 *DKVStore) {
-		if ReadsAreLocal(s0) {
-			t.Fatal("2-rank DKVStore must not report local reads")
-		}
-	})
-	// A 1-rank DKV store owns everything — the degenerate local case.
-	f, err := transport.NewFabric(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	st, err := NewDKV(f.Endpoint(0), 10, 3, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if !ReadsAreLocal(st) {
-		t.Fatal("1-rank DKVStore owns all keys; reads are local")
-	}
-	// The helper defaults to remote for backends without the capability.
-	if ReadsAreLocal(bareStore{st}) {
-		t.Fatal("stores without the capability must default to remote")
-	}
-}
-
-// bareStore hides the LocalReader method of the embedded store.
-type bareStore struct{ PiStore }

@@ -13,7 +13,7 @@ import (
 // exists only as a shim for the benchmark module's NewTiered/Stats calls,
 // and ROADMAP item 3 deletes it.
 type TieredStore struct {
-	PiStore              // the base tier; every call but the reads forwards as is
+	PiStore              // the base tier; every call but ReadRows forwards as is
 	read    atomic.Int64 // rows read through the tier
 }
 
@@ -47,28 +47,5 @@ func (t *TieredStore) ReadRows(ids []int32, dst *Rows) error {
 	return t.PiStore.ReadRows(ids, dst)
 }
 
-// ReadRowsAsync implements PiStore, counting the rows.
-func (t *TieredStore) ReadRowsAsync(ids []int32, dst *Rows) (Pending, error) {
-	t.read.Add(int64(len(ids)))
-	return t.PiStore.ReadRowsAsync(ids, dst)
-}
-
-// ReadsAreLocal implements LocalReader: local iff the base tier answers
-// locally.
-func (t *TieredStore) ReadsAreLocal() bool { return ReadsAreLocal(t.PiStore) }
-
-// WritePiRows implements PiWriter when the base tier does.
-func (t *TieredStore) WritePiRows(ids []int32, pi []float32, phiSum []float64) error {
-	w, ok := t.PiStore.(PiWriter)
-	if !ok {
-		return fmt.Errorf("store: tier %T cannot restore verbatim rows", t.PiStore)
-	}
-	return w.WritePiRows(ids, pi, phiSum)
-}
-
 // interface conformance
-var (
-	_ PiStore     = (*TieredStore)(nil)
-	_ LocalReader = (*TieredStore)(nil)
-	_ PiWriter    = (*TieredStore)(nil)
-)
+var _ PiStore = (*TieredStore)(nil)

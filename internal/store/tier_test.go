@@ -2,6 +2,7 @@ package store
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -39,9 +40,6 @@ func TestTieredStoreSingleNode(t *testing.T) {
 	if tier.NumRows() != n || tier.K() != k {
 		t.Fatalf("dims %d×%d, want %d×%d", tier.NumRows(), tier.K(), n, k)
 	}
-	if !ReadsAreLocal(tier) {
-		t.Fatal("remote-less tier over mmap must report local reads")
-	}
 
 	ids := []int32{3, 17, 42}
 	var rows Rows
@@ -55,9 +53,6 @@ func TestTieredStoreSingleNode(t *testing.T) {
 	// Writes take SetPhiRow arithmetic.
 	phi := []float64{1, 2, 5}
 	if err := tier.WriteRows([]int32{17}, phi); err != nil {
-		t.Fatal(err)
-	}
-	if err := tier.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := tier.ReadRows([]int32{17}, &rows); err != nil {
@@ -96,8 +91,8 @@ func TestTieredStoreRejectsRemote(t *testing.T) {
 	}
 }
 
-// TestTieredStoreConcurrentStress drives readers, writers, and flushers at
-// the tier concurrently (disjoint key ranges, as the phase discipline
+// TestTieredStoreConcurrentStress drives readers and writers at the tier
+// concurrently (disjoint key ranges, as the phase discipline
 // guarantees) — the -race harness for the forwarding path and its counter.
 func TestTieredStoreConcurrentStress(t *testing.T) {
 	const n, k = 256, 3
@@ -149,17 +144,15 @@ func TestTieredStoreConcurrentStress(t *testing.T) {
 			}
 		}(int32(w))
 	}
-	// A flusher fires barriers throughout.
+	// A driver lets them race for a bounded stretch, reading the tier's
+	// counter as they bump it, then stops them.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			if err := tier.Flush(); err != nil {
-				t.Error(err)
-				return
-			}
+		defer close(stop)
+		for i := 0; i < 200 && tier.Stats().HotMisses < 4000; i++ {
+			runtime.Gosched()
 		}
-		close(stop)
 	}()
 	wg.Wait()
 
