@@ -311,6 +311,13 @@ func TestParityMatrix(t *testing.T) {
 			tr, _ := f.runDist(t, Options{Threads: 1}, dialTestMesh(t, 3))
 			return tr
 		}},
+		{"dist/tcp/pipeline/ranks=2", func(t *testing.T) trajectory {
+			// The configuration the dist_tcp benchmark runs: pooled TCP
+			// frames released by the DKV client while the loader goroutine
+			// reads beside the compute.
+			tr, _ := f.runDist(t, Options{Threads: 1, Pipeline: true}, dialTestMesh(t, 2))
+			return tr
+		}},
 		// Pipeline: at this minibatch size the automatic chunk policy cuts
 		// at least two chunks per rank.
 		{"dist/pipeline/ranks=2", f.distCell(Options{Ranks: 2, Threads: 4, Pipeline: true})},

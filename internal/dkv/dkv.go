@@ -37,6 +37,7 @@ package dkv
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -80,12 +81,12 @@ const (
 // ends are directly comparable (see internal/obs/span.go).
 const reqHeaderBytes = 20
 
-// appendHeader builds the request prefix. The timestamp is stamped
+// appendHeader appends the request prefix to b. The timestamp is stamped
 // unconditionally — it is one time.Since against the package epoch, and
 // stamping it always means a tracing SERVER attributes queue wait correctly
 // even when the requesting rank itself has tracing off.
-func appendHeader(op, id, count uint32) []byte {
-	b := wire.AppendUint32(make([]byte, 0, reqHeaderBytes), op)
+func appendHeader(b []byte, op, id, count uint32) []byte {
+	b = wire.AppendUint32(b, op)
 	b = wire.AppendUint32(b, id)
 	b = wire.AppendUint32(b, count)
 	return wire.AppendUint64(b, uint64(obs.TraceNow()))
@@ -250,9 +251,9 @@ func (s *Store) ReadLocal(k int, dst []byte) {
 	copy(dst, s.localValue(k))
 }
 
-// errResp encodes an error response: [status][offending key].
-func errResp(status uint32, key int32) []byte {
-	b := wire.AppendUint32(nil, status)
+// errResp encodes an error response, [status][offending key], into b.
+func errResp(b []byte, status uint32, key int32) []byte {
+	b = wire.AppendUint32(b[:0], status)
 	return wire.AppendUint32(b, uint32(key))
 }
 
@@ -264,8 +265,13 @@ func errResp(status uint32, key int32) []byte {
 // dropped: there is no tag to answer it under. Every other frame is
 // answered, so a hostile or corrupt request never stops the server or
 // strands its sender.
+//
+// Every reply is built in one buffer the loop owns, which Send lets it reuse
+// at once, and every request frame goes back to the transport once its
+// spans are emitted.
 func (s *Store) serve() {
 	defer s.serveWG.Done()
+	var sc serveScratch
 	for {
 		from, req, err := s.conn.RecvAny(tagRequest)
 		if err != nil {
@@ -277,17 +283,19 @@ func (s *Store) serve() {
 			pickup = obs.TraceNow()
 		}
 		if len(req) < reqHeaderBytes {
+			transport.Release(req)
 			continue
 		}
 		op := wire.Uint32At(req, 0)
 		id := wire.Uint32At(req, 4)
 		if id >= respWindow {
+			transport.Release(req)
 			continue
 		}
 		if op == opStop && from == s.conn.Rank() {
 			return
 		}
-		resp, span := s.handle(op, req)
+		resp, span := s.handle(op, req, &sc)
 		var handled int64
 		if tr != nil {
 			handled = obs.TraceNow()
@@ -299,44 +307,58 @@ func (s *Store) serve() {
 			sendNS := int64(wire.Uint64At(req, 12))
 			s.emitServeSpans(tr, span, from, id, sendNS, pickup, handled, obs.TraceNow())
 		}
+		transport.Release(req)
 	}
 }
 
-// handle serves one request frame and returns the reply, plus the span name
-// of a served request ("" for an error reply). A count that overruns the
-// frame or an unknown opcode (a peer's opStop included) is answered with
-// respMalformed; a key outside this shard with respKeyRange, before anything
-// is applied, so a bad write is all-or-nothing.
-func (s *Store) handle(op uint32, req []byte) (resp []byte, span string) {
+// serveScratch is the server loop's reusable memory: the decoded keys of the
+// request in hand and the reply being built.
+type serveScratch struct {
+	keys []int32
+	resp []byte
+}
+
+// handle serves one request frame and returns the reply, built in sc.resp,
+// plus the span name of a served request ("" for an error reply). A count
+// that overruns the frame or an unknown opcode (a peer's opStop included) is
+// answered with respMalformed; a key outside this shard with respKeyRange,
+// before anything is applied, so a bad write is all-or-nothing.
+func (s *Store) handle(op uint32, req []byte, sc *serveScratch) (resp []byte, span string) {
 	rec := 4 // bytes per key: the key, plus the value on a write
 	switch op {
 	case opRead:
 	case opWrite:
 		rec += s.valBytes
 	default:
-		return errResp(respMalformed, -1), ""
+		sc.resp = errResp(sc.resp, respMalformed, -1)
+		return sc.resp, ""
 	}
 	count := int(wire.Uint32At(req, 8))
 	if count > (len(req)-reqHeaderBytes)/rec {
-		return errResp(respMalformed, -1), ""
+		sc.resp = errResp(sc.resp, respMalformed, -1)
+		return sc.resp, ""
 	}
-	keys := make([]int32, count)
+	sc.keys = slices.Grow(sc.keys[:0], count)[:count]
+	keys := sc.keys
 	off := wire.Int32s(req, reqHeaderBytes, count, keys)
 	if bad, ok := s.findMisroutedKey(keys); !ok {
-		return errResp(respKeyRange, bad), ""
+		sc.resp = errResp(sc.resp, respKeyRange, bad)
+		return sc.resp, ""
 	}
 	vb := s.valBytes
 	if op == opWrite {
 		for i, k := range keys {
 			copy(s.localValue(int(k)), req[off+i*vb:off+(i+1)*vb])
 		}
-		return wire.AppendUint32(nil, respOK), "dkv.serve.write"
+		sc.resp = wire.AppendUint32(sc.resp[:0], respOK)
+		return sc.resp, "dkv.serve.write"
 	}
-	resp = make([]byte, 4+count*vb) // status respOK is the zero value
+	sc.resp = wire.AppendUint32(sc.resp[:0], respOK)
+	sc.resp = slices.Grow(sc.resp, count*vb)[:4+count*vb]
 	for i, k := range keys {
-		copy(resp[4+i*vb:], s.localValue(int(k)))
+		copy(sc.resp[4+i*vb:], s.localValue(int(k)))
 	}
-	return resp, "dkv.serve.read"
+	return sc.resp, "dkv.serve.read"
 }
 
 // emitServeSpans records one served request as a parentless root span on the
@@ -392,7 +414,7 @@ func (s *Store) findMisroutedKey(keys []int32) (int32, bool) {
 func (s *Store) Close() error {
 	// A failed send means the transport is already closed or poisoned, and
 	// the server loop has exited on that: either way the wait returns.
-	_ = s.conn.Send(s.conn.Rank(), tagRequest, appendHeader(opStop, 0, 0))
+	_ = s.conn.Send(s.conn.Rank(), tagRequest, appendHeader(nil, opStop, 0, 0))
 	s.serveWG.Wait()
 	return nil
 }
@@ -447,38 +469,110 @@ func decodeResp(rank int, resp []byte, wantBytes int) ([]byte, error) {
 	}
 }
 
+// Values is one owner's share of a batched read, as ReadEach hands it to its
+// visitor: value j belongs at position Pos(j) of the caller's key list. The
+// values are not copies — the local share reads the shard, a remote share
+// the reply frame — so a visitor copies out what it needs before it returns.
+type Values struct {
+	pos  []int32
+	keys []int32 // local share: value j is the shard's value for keys[j]
+	data []byte  // the shard, or a reply's values back to back
+	lo   int     // first key the shard holds
+	vb   int
+}
+
+// Len returns the number of values in the share.
+func (v Values) Len() int { return len(v.pos) }
+
+// Pos returns the position in the caller's key list of value j.
+func (v Values) Pos(j int) int { return int(v.pos[j]) }
+
+// Value returns value j, ValueBytes long.
+func (v Values) Value(j int) []byte {
+	i := j
+	if v.keys != nil {
+		i = int(v.keys[j]) - v.lo
+	}
+	return v.data[i*v.vb : (i+1)*v.vb]
+}
+
 // perRankBatch is one owner's share of a key batch, remembering each key's
 // position in the caller's batch so replies scatter back in order; id is the
 // request id its reply comes back under.
 type perRankBatch struct {
 	keys []int32
-	pos  []int
+	pos  []int32
 	id   uint32
 }
 
+// exchangeScratch is one exchange's working memory. Exchanges may run
+// concurrently (the pipelined loader reads while compute writes), so each
+// takes its own from exchangePool and a steady-state exchange allocates none.
+type exchangeScratch struct {
+	counts []int // keys per owner
+	groups []perRankBatch
+	keys   []int32 // the batch's keys grouped by owner; groups slice it
+	pos    []int32 // each grouped key's position in the caller's batch
+	req    []byte  // the request being built; Send does not retain it
+	sent   []int   // ranks whose request went out, in rank order
+}
+
+var exchangePool = sync.Pool{New: func() any { return new(exchangeScratch) }}
+
 // groupByOwner splits a key batch into one group per rank, indexed by rank,
-// so requests go out in rank order.
-func (s *Store) groupByOwner(keys []int32) []perRankBatch {
-	groups := make([]perRankBatch, s.conn.Size())
-	for i, k := range keys {
+// so requests go out in rank order: it counts each owner's keys, then cuts
+// every group from one key array and one position array.
+func (s *Store) groupByOwner(keys []int32, sc *exchangeScratch) []perRankBatch {
+	size := s.conn.Size()
+	counts := slices.Grow(sc.counts[:0], size)[:size]
+	clear(counts)
+	for _, k := range keys {
 		if k < 0 || int(k) >= s.n {
 			panic(fmt.Sprintf("dkv: key %d out of range [0,%d)", k, s.n))
 		}
+		counts[s.Owner(int(k))]++
+	}
+	sc.keys = slices.Grow(sc.keys[:0], len(keys))[:len(keys)]
+	sc.pos = slices.Grow(sc.pos[:0], len(keys))[:len(keys)]
+	groups := slices.Grow(sc.groups[:0], size)[:size]
+	start := 0
+	for r, c := range counts {
+		end := start + c
+		groups[r] = perRankBatch{keys: sc.keys[start:start:end], pos: sc.pos[start:start:end]}
+		start = end
+	}
+	for i, k := range keys {
 		g := &groups[s.Owner(int(k))]
 		g.keys = append(g.keys, k)
-		g.pos = append(g.pos, i)
+		g.pos = append(g.pos, int32(i))
 	}
+	sc.counts, sc.groups = counts, groups
 	return groups
+}
+
+// ReadEach fetches the values of a key batch and hands them to visit one
+// owner's share at a time, as each arrives: the local share straight from
+// the shard, each remote share straight from its reply frame, which goes
+// back to the transport as soon as visit returns. visit runs on the calling
+// goroutine and must not keep the Values or any value past its return.
+func (s *Store) ReadEach(keys []int32, visit func(Values)) error {
+	return s.exchange(opRead, keys, nil, visit)
 }
 
 // ReadBatch fetches the values of a key batch into dst (len(keys)*ValueBytes
 // bytes, in key order): owned keys are copied from the local shard, every
 // other owner gets one request.
 func (s *Store) ReadBatch(keys []int32, dst []byte) error {
-	if len(dst) != len(keys)*s.valBytes {
-		return fmt.Errorf("dkv: dst has %d bytes, want %d", len(dst), len(keys)*s.valBytes)
+	vb := s.valBytes
+	if len(dst) != len(keys)*vb {
+		return fmt.Errorf("dkv: dst has %d bytes, want %d", len(dst), len(keys)*vb)
 	}
-	return s.exchange(opRead, keys, dst)
+	return s.ReadEach(keys, func(v Values) {
+		for j := range v.Len() {
+			p := v.Pos(j)
+			copy(dst[p*vb:(p+1)*vb], v.Value(j))
+		}
+	})
 }
 
 // WriteBatch stores values (len(keys)*ValueBytes bytes, in key order) under
@@ -489,50 +583,43 @@ func (s *Store) WriteBatch(keys []int32, values []byte) error {
 	if len(values) != len(keys)*s.valBytes {
 		return fmt.Errorf("dkv: values have %d bytes, want %d", len(values), len(keys)*s.valBytes)
 	}
-	return s.exchange(opWrite, keys, values)
+	return s.exchange(opWrite, keys, values, nil)
 }
 
 // exchange runs one batched read or write: the keys are grouped by owner,
-// the local group is applied in place, each peer gets one request, and then
-// every reply is awaited. buf holds the values in key order — the
-// destination of a read, the source of a write. A failed reply does not
-// strand the others: every reply is awaited, the tags of missing ones are
-// quarantined, and every error is reported (errors.Join). A failed Send
-// returns at once, quarantining the requests already sent.
-func (s *Store) exchange(op uint32, keys []int32, buf []byte) error {
+// each peer gets one request, the local group is served in place while the
+// requests are in flight, and then every reply is awaited. A read hands
+// each share to visit; a write takes its values, in key order, from values.
+// A failed reply does not strand the others: every reply is awaited, the
+// tags of missing ones are quarantined, and every error is reported
+// (errors.Join). A failed Send returns at once, quarantining the requests
+// already sent.
+func (s *Store) exchange(op uint32, keys []int32, values []byte, visit func(Values)) error {
 	vb := s.valBytes
 	write := op == opWrite
-	groups := s.groupByOwner(keys)
+	sc := exchangePool.Get().(*exchangeScratch)
+	defer exchangePool.Put(sc)
+	groups := s.groupByOwner(keys, sc)
 	me := s.conn.Rank()
-	if g := &groups[me]; len(g.keys) > 0 {
-		for i, k := range g.keys {
-			val := buf[g.pos[i]*vb : (g.pos[i]+1)*vb]
-			if write {
-				copy(s.localValue(int(k)), val)
-			} else {
-				copy(val, s.localValue(int(k)))
-			}
-		}
-		s.stats.LocalKeys.Add(int64(len(g.keys)))
-	}
-	var sent []int // ranks whose request went out, in rank order
+	sc.sent = sc.sent[:0]
 	for rank := range groups {
 		g := &groups[rank]
 		if rank == me || len(g.keys) == 0 {
 			continue
 		}
 		g.id = s.nextID(rank)
-		req := appendHeader(op, g.id, uint32(len(g.keys)))
+		req := appendHeader(sc.req[:0], op, g.id, uint32(len(g.keys)))
 		req = wire.AppendInt32s(req, g.keys)
 		if write {
 			for _, pos := range g.pos {
-				req = append(req, buf[pos*vb:(pos+1)*vb]...)
+				req = append(req, values[int(pos)*vb:(int(pos)+1)*vb]...)
 			}
 		}
+		sc.req = req
 		if err := s.conn.Send(rank, tagRequest, req); err != nil {
 			// A request that never left cannot be answered; the ones already
 			// sent may be, so their tags must never be reused.
-			for _, r := range sent {
+			for _, r := range sc.sent {
 				s.noteLost(r, groups[r].id)
 			}
 			return err
@@ -542,7 +629,17 @@ func (s *Store) exchange(op uint32, keys []int32, buf []byte) error {
 		if write {
 			s.stats.BytesWritten.Add(int64(len(g.keys) * vb))
 		}
-		sent = append(sent, rank)
+		sc.sent = append(sc.sent, rank)
+	}
+	if g := &groups[me]; len(g.keys) > 0 {
+		if write {
+			for i, k := range g.keys {
+				copy(s.localValue(int(k)), values[int(g.pos[i])*vb:(int(g.pos[i])+1)*vb])
+			}
+		} else {
+			visit(Values{pos: g.pos, keys: g.keys, data: s.shard, lo: s.lo, vb: vb})
+		}
+		s.stats.LocalKeys.Add(int64(len(g.keys)))
 	}
 	span, perKey := "dkv.wait.read", vb // reply payload bytes per key
 	if write {
@@ -550,7 +647,7 @@ func (s *Store) exchange(op uint32, keys []int32, buf []byte) error {
 	}
 	var errAll error
 	tr := s.tracer.Load()
-	for _, rank := range sent {
+	for _, rank := range sc.sent {
 		g := &groups[rank]
 		var waitStart int64
 		if tr != nil {
@@ -577,16 +674,14 @@ func (s *Store) exchange(op uint32, keys []int32, buf []byte) error {
 			continue
 		}
 		payload, err := decodeResp(rank, resp, len(g.keys)*perKey)
-		if err != nil {
+		switch {
+		case err != nil:
 			errAll = errors.Join(errAll, err)
-			continue
-		}
-		if !write {
-			for i, pos := range g.pos {
-				copy(buf[pos*vb:(pos+1)*vb], payload[i*vb:(i+1)*vb])
-			}
+		case !write:
+			visit(Values{pos: g.pos, data: payload, vb: vb})
 			s.stats.BytesRead.Add(int64(len(payload)))
 		}
+		transport.Release(resp)
 	}
 	return errAll
 }

@@ -1,6 +1,8 @@
 package dkv
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -125,6 +127,63 @@ func TestReadBatchAcrossRanks(t *testing.T) {
 			}
 		}
 		return nil
+	})
+}
+
+// TestConcurrentExchanges: several goroutines per rank read and write
+// through one Store at once, the way the pipelined loader reads beside the
+// compute's writes. Each exchange takes its own pooled scratch and every
+// reply frame is released after its values are copied out, so each read
+// still sees exactly its own keys' values (run under -race in make race).
+func TestConcurrentExchanges(t *testing.T) {
+	const n, vb, ranks, readers, rounds = 96, 24, 3, 4, 40
+	spmdStores(t, ranks, n, vb, func(s *Store) error {
+		var wg sync.WaitGroup
+		errs := make([]error, readers+1)
+		for g := range readers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := mathx.NewRNG(uint64(100*s.conn.Rank() + g))
+				for range rounds {
+					keys := make([]int32, 1+rng.Intn(n))
+					for i := range keys {
+						keys[i] = int32(rng.Intn(n / 2)) // the read-only half
+					}
+					dst := make([]byte, len(keys)*vb)
+					if err := s.ReadBatch(keys, dst); err != nil {
+						errs[g] = err
+						return
+					}
+					for i, k := range keys {
+						if !bytes.Equal(dst[i*vb:(i+1)*vb], value(int(k), vb)) {
+							errs[g] = fmt.Errorf("goroutine %d: slot %d (key %d) holds another value", g, i, k)
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() { // writes its rank's keys of the other half, unchanged
+			defer wg.Done()
+			var keys []int32
+			var vals []byte
+			for k := n / 2; k < n; k++ {
+				if k%ranks == s.conn.Rank() {
+					keys = append(keys, int32(k))
+					vals = append(vals, value(k, vb)...)
+				}
+			}
+			for range rounds {
+				if err := s.WriteBatch(keys, vals); err != nil {
+					errs[readers] = err
+					return
+				}
+			}
+		}()
+		wg.Wait()
+		return errors.Join(errs...)
 	})
 }
 
@@ -304,7 +363,7 @@ func TestSingleRankStore(t *testing.T) {
 func TestWireHelpersUsedByProtocol(t *testing.T) {
 	// Round trip a request frame exactly as the server parses it.
 	keys := []int32{5, 9, 1}
-	req := appendHeader(opRead, 77, uint32(len(keys)))
+	req := appendHeader(nil, opRead, 77, uint32(len(keys)))
 	req = wire.AppendInt32s(req, keys)
 	if wire.Uint32At(req, 0) != opRead || wire.Uint32At(req, 4) != 77 {
 		t.Fatal("header fields wrong")

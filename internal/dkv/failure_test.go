@@ -75,7 +75,7 @@ func TestMisroutedKeyReturnsTypedError(t *testing.T) {
 
 	// Key 2 is owned by rank 0; route it to rank 1 anyway (a client-side
 	// routing bug this rank must survive).
-	req := appendHeader(opRead, 99, 1)
+	req := appendHeader(nil, opRead, 99, 1)
 	req = wire.AppendInt32s(req, []int32{2})
 	if err := conn0.Send(1, tagRequest, req); err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestMisroutedKeyReturnsTypedError(t *testing.T) {
 	}
 
 	// A misrouted write must be rejected all-or-nothing as well.
-	req = appendHeader(opWrite, 100, 2)
+	req = appendHeader(nil, opWrite, 100, 2)
 	req = wire.AppendInt32s(req, []int32{9, 2}) // 9 owned, 2 misrouted
 	req = append(req, 8, 8, 8, 8, 9, 9, 9, 9)
 	if err := conn0.Send(1, tagRequest, req); err != nil {
@@ -124,7 +124,7 @@ func TestMisroutedKeyReturnsTypedError(t *testing.T) {
 func TestMalformedRequestReturnsError(t *testing.T) {
 	f, s0, _ := pair2(t)
 	conn0 := f.Endpoint(0)
-	req := appendHeader(opRead, 5, 1000) // claims 1000 keys, carries none
+	req := appendHeader(nil, opRead, 5, 1000) // claims 1000 keys, carries none
 	if err := conn0.Send(1, tagRequest, req); err != nil {
 		t.Fatal(err)
 	}
@@ -214,11 +214,11 @@ type hostileFrame struct {
 // transport.TagAbort (Send refuses it), an opStop from a peer rather than
 // the rank itself, and an unknown opcode.
 func hostileFrames() []hostileFrame {
-	read := appendHeader(opRead, transport.TagAbort-tagRespBase, 1)
+	read := appendHeader(nil, opRead, transport.TagAbort-tagRespBase, 1)
 	return []hostileFrame{
 		{"id past window", wire.AppendInt32s(read, []int32{9}), false},
-		{"peer opStop", appendHeader(opStop, 7, 0), true},
-		{"unknown opcode", appendHeader(9, 8, 0), true},
+		{"peer opStop", appendHeader(nil, opStop, 7, 0), true},
+		{"unknown opcode", appendHeader(nil, 9, 8, 0), true},
 	}
 }
 
@@ -261,8 +261,8 @@ func TestServerSurvivesHostileFrames(t *testing.T) {
 // id first, so the server's reply to it can never be taken for the reply to
 // the checking requests.
 func FuzzDKVRequest(f *testing.F) {
-	f.Add(wire.AppendInt32s(appendHeader(opRead, 3, 2), []int32{5, 9}))
-	f.Add(append(wire.AppendInt32s(appendHeader(opWrite, 4, 1), []int32{7}), 1, 2, 3, 4))
+	f.Add(wire.AppendInt32s(appendHeader(nil, opRead, 3, 2), []int32{5, 9}))
+	f.Add(append(wire.AppendInt32s(appendHeader(nil, opWrite, 4, 1), []int32{7}), 1, 2, 3, 4))
 	for _, h := range hostileFrames() {
 		f.Add(h.frame)
 	}

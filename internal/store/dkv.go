@@ -2,6 +2,8 @@ package store
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/dkv"
 	"repro/internal/obs"
@@ -11,9 +13,11 @@ import (
 
 // DKVStore implements PiStore over the distributed key-value store: every
 // read is grouped by owning rank and issued as one request per peer. Like
-// the paper's DKV it holds no copy of a remote row: a read is one batched
-// request decoded straight into the caller's Rows. No concurrency control is
-// needed, because within a phase the algorithm never reads a row it writes.
+// the paper's DKV it holds no copy of a remote row: each row is decoded with
+// one copy from where it lies — the local shard, or the reply frame as it
+// came off the wire — into the caller's Rows, and the frame goes back to the
+// transport's pool. No concurrency control is needed, because within a
+// phase the algorithm never reads a row it writes.
 type DKVStore struct {
 	kv      *dkv.Store
 	n, k    int
@@ -61,34 +65,31 @@ func (s *DKVStore) InitOwned(initRow func(a int, pi []float32) float64) {
 }
 
 // ReadRows implements PiStore: the whole batch goes out as one batched DKV
-// read (one request per owning peer), and the fetched wire rows decode into
-// dst in parallel.
+// read (one request per owning peer), and each owner's share decodes in
+// parallel straight into dst as it arrives — the local share from the shard,
+// a remote share from its reply frame — with no intermediate copy.
 func (s *DKVStore) ReadRows(ids []int32, dst *Rows) error {
 	if err := checkIDs(ids, s.n); err != nil {
 		return err
 	}
 	dst.Reset(len(ids), s.k)
-	rb := RowBytes(s.k)
-	need := len(ids) * rb
-	if cap(dst.raw) < need {
-		dst.raw = make([]byte, need)
-	}
-	dst.raw = dst.raw[:need]
-	raw := dst.raw
-	if err := s.kv.ReadBatch(ids, raw); err != nil {
+	var errs errCollector
+	err := s.kv.ReadEach(ids, func(v dkv.Values) {
+		par.For(v.Len(), s.threads, func(lo, hi int) {
+			for j := lo; j < hi; j++ {
+				i := v.Pos(j)
+				sum, err := DecodeRow(v.Value(j), dst.PiRow(i))
+				if err != nil {
+					errs.set(fmt.Errorf("store: key %d: %w", ids[i], err))
+					continue
+				}
+				dst.PhiSum[i] = sum
+			}
+		})
+	})
+	if err != nil {
 		return err
 	}
-	var errs errCollector
-	par.For(len(ids), s.threads, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sum, err := DecodeRow(raw[i*rb:(i+1)*rb], dst.PiRow(i))
-			if err != nil {
-				errs.set(fmt.Errorf("store: key %d: %w", ids[i], err))
-				continue
-			}
-			dst.PhiSum[i] = sum
-		}
-	})
 	return errs.get()
 }
 
@@ -105,7 +106,9 @@ func (s *DKVStore) WriteRows(ids []int32, phi []float64) error {
 		return nil
 	}
 	rb := RowBytes(s.k)
-	values := make([]byte, len(ids)*rb)
+	buf := getEncodeBuf(len(ids) * rb)
+	defer encodeBufs.Put(buf)
+	values := *buf
 	var errs errCollector
 	par.For(len(ids), s.threads, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -135,11 +138,25 @@ func (s *DKVStore) WritePiRows(ids []int32, pi []float32, phiSum []float64) erro
 		return nil
 	}
 	rb := RowBytes(s.k)
-	values := make([]byte, len(ids)*rb)
+	buf := getEncodeBuf(len(ids) * rb)
+	defer encodeBufs.Put(buf)
+	values := *buf
 	for i := range ids {
 		EncodeRowPi(values[i*rb:(i+1)*rb], pi[i*s.k:(i+1)*s.k], phiSum[i])
 	}
 	return s.kv.WriteBatch(ids, values)
+}
+
+// encodeBufs recycles the buffers rows are encoded into for a write. The DKV
+// copies a batch into its requests before WriteBatch returns, so a buffer is
+// free again as soon as the write is.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// getEncodeBuf returns a pooled buffer resliced to n bytes.
+func getEncodeBuf(n int) *[]byte {
+	buf := encodeBufs.Get().(*[]byte)
+	*buf = slices.Grow((*buf)[:0], n)[:n]
+	return buf
 }
 
 // interface conformance

@@ -72,8 +72,6 @@ type Rows struct {
 	K      int
 	Pi     []float32 // row-major, Len()×K
 	PhiSum []float64 // one Σφ per row
-
-	raw []byte // backend scratch (wire bytes), reused between reads
 }
 
 // Reset sizes the buffer for n rows of width k, reusing capacity. Every

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -20,8 +21,13 @@ import (
 // so frames do not repeat it.
 
 // maxFrame bounds a single message; a π batch for K=16384 and 4096 rows is
-// ~268 MB, so the limit is generous but still catches corrupt frames.
+// ~268 MB, so the limit is generous but still catches corrupt frames. The
+// reader never allocates a frame's claimed length up front (see readBody).
 const maxFrame = 1 << 30
+
+// readBufBytes sizes each peer connection's read buffer: a frame up to this
+// size, header included, usually costs one read syscall instead of two.
+const readBufBytes = 64 << 10
 
 // meshSetupTimeout bounds DialMesh: dial retries and the accept loop both
 // give up after this long, so a dead peer yields an error instead of a hang.
@@ -85,6 +91,7 @@ type TCPConn struct {
 	box     *mailbox
 	peers   []net.Conn // peers[r] is the connection to rank r (nil for self)
 	sendM   []sync.Mutex
+	out     []frameOut // out[r] is the write scratch for peers[r], under sendM[r]
 	wg      sync.WaitGroup
 	once    sync.Once
 	closing atomic.Bool // set by Close: read loops ending after it are expected
@@ -158,6 +165,7 @@ func DialMesh(rank int, addrs []string) (*TCPConn, error) {
 		box:   newMailbox(),
 		peers: make([]net.Conn, size),
 		sendM: make([]sync.Mutex, size),
+		out:   make([]frameOut, size),
 	}
 
 	ln, err := net.Listen("tcp", addrs[rank])
@@ -236,9 +244,10 @@ func (c *TCPConn) readLoop(peer int, conn net.Conn) {
 }
 
 func (c *TCPConn) readFrames(peer int, conn net.Conn) error {
+	r := bufio.NewReaderSize(conn, readBufBytes)
 	var hdr [8]byte
 	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return err // io.EOF: the peer closed between frames
 		}
 		tag := binary.LittleEndian.Uint32(hdr[0:4])
@@ -246,8 +255,8 @@ func (c *TCPConn) readFrames(peer int, conn net.Conn) error {
 		if length > maxFrame {
 			return fmt.Errorf("frame header claims %d bytes, over the %d-byte limit", length, maxFrame)
 		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(conn, payload); err != nil {
+		payload, err := readBody(r, int(length))
+		if err != nil {
 			return fmt.Errorf("reading a %d-byte frame: %w", length, err)
 		}
 		if tag == TagAbort {
@@ -255,6 +264,7 @@ func (c *TCPConn) readFrames(peer int, conn net.Conn) error {
 			// rendered cause. Poison the local mailbox so every blocked
 			// receive fails, then keep reading (Close still drains us).
 			c.box.poison(&AbortError{Rank: peer, Msg: string(payload)})
+			Release(payload)
 			continue
 		}
 		if err := c.box.put(peer, tag, payload); err != nil {
@@ -263,22 +273,31 @@ func (c *TCPConn) readFrames(peer int, conn net.Conn) error {
 	}
 }
 
+// frameOut is one peer connection's write scratch: the frame header and the
+// two-element vector that hands header and payload to the kernel together.
+type frameOut struct {
+	hdr  [8]byte
+	vec  [2][]byte
+	bufs net.Buffers
+}
+
 // writeFrame sends one framed message to a peer, serialising writers per
-// connection.
+// connection. Header and payload go out in one writev, and the payload is
+// not referenced once writeFrame returns.
 func (c *TCPConn) writeFrame(to int, tag uint32, payload []byte) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], tag)
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
 	c.sendM[to].Lock()
 	defer c.sendM[to].Unlock()
 	conn := c.peers[to]
 	if conn == nil {
 		return ErrClosed
 	}
-	if _, err := conn.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := conn.Write(payload)
+	o := &c.out[to]
+	binary.LittleEndian.PutUint32(o.hdr[0:4], tag)
+	binary.LittleEndian.PutUint32(o.hdr[4:8], uint32(len(payload)))
+	o.vec = [2][]byte{o.hdr[:], payload}
+	o.bufs = o.vec[:]
+	_, err := o.bufs.WriteTo(conn)
+	o.vec, o.bufs = [2][]byte{}, nil
 	return err
 }
 

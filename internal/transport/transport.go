@@ -25,20 +25,26 @@
 //
 // # Buffer ownership
 //
-// Send delivers a private copy of the payload to the receiver (the in-proc
-// fabric copies on send; the TCP mesh serialises onto the wire). The
+// Send never retains the payload: the in-proc fabric copies it before Send
+// returns, the TCP mesh writes it to the socket before Send returns, and a
+// wrapper (FaultConn, Instrument) only delays or counts the call. The
 // contract is therefore:
 //
-//   - A sender may re-send or re-read the same slice after Send returns
-//     (cluster.Bcast sends one buffer to every rank), but must not write to
-//     it concurrently with the Send call itself.
+//   - A sender may reuse, rewrite or re-send the slice as soon as Send
+//     returns (cluster.Bcast sends one buffer to every rank; the DKV server
+//     builds every reply in one buffer), but must not write to it
+//     concurrently with the Send call itself.
 //   - A receiver exclusively owns the slice Recv/RecvAny returns and may
 //     modify it freely; it never aliases the sender's buffer or another
 //     receiver's.
+//   - A receiver may hand a payload back with Release once it holds no
+//     reference to it, and the next receive may reuse its memory. Received
+//     payloads are drawn from size-classed frame pools; one never released is
+//     garbage collected as usual. Under the race detector Release scribbles
+//     over the frame, so a use after release shows as corrupt data.
 package transport
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -95,12 +101,14 @@ type Conn interface {
 	// Size returns the number of ranks in the fabric.
 	Size() int
 	// Send delivers payload to rank `to` under the given tag. The receiver
-	// gets a private copy (see the package-level buffer-ownership contract),
-	// so the sender may reuse or re-send the slice after Send returns.
+	// gets a private copy and Send never retains payload (see the
+	// package-level buffer-ownership contract), so the sender may reuse,
+	// rewrite or re-send the slice as soon as Send returns.
 	// Sending to self is allowed. The tag must be below TagAbort.
 	Send(to int, tag uint32, payload []byte) error
 	// Recv blocks until a message from rank `from` with the given tag is
-	// available and returns its payload, which the caller exclusively owns.
+	// available and returns its payload, which the caller exclusively owns
+	// and may hand back with Release.
 	Recv(from int, tag uint32) ([]byte, error)
 	// RecvAny blocks until a message with the given tag arrives from any
 	// rank and returns the sender and payload.
@@ -119,10 +127,6 @@ type Conn interface {
 	// Close releases the endpoint. In-flight Recv calls return ErrClosed.
 	Close() error
 }
-
-// clonePayload copies an outgoing payload so the receiver never aliases the
-// sender's buffer (nil stays nil, matching the wire round trip).
-func clonePayload(p []byte) []byte { return bytes.Clone(p) }
 
 // mailKey identifies a (sender, tag) queue within a mailbox.
 type mailKey struct {
