@@ -82,7 +82,7 @@ func parseHeader(hdr []byte) (n, k, iteration int, err error) {
 		return 0, 0, 0, fmt.Errorf("core: %w: version %d unsupported", ErrCheckpointFormat, v)
 	}
 	n, k, iteration = int(wire.Uint32At(hdr, 12)), int(wire.Uint32At(hdr, 16)), int(wire.Uint64At(hdr, 20))
-	if n < 1 || k < 1 || n > 1<<31 || k > 1<<24 {
+	if n < 1 || k < 1 || n > store.MaxRows || k > store.MaxK {
 		return 0, 0, 0, fmt.Errorf("core: %w: header claims N=%d K=%d", ErrCheckpointFormat, n, k)
 	}
 	return n, k, iteration, nil

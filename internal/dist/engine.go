@@ -56,11 +56,14 @@ type node struct {
 	dep    *deployment
 	newPhi []float64
 
+	// shares are the minibatch share weights the deployments split by:
+	// uniform ones unless straggler mitigation (Options.Rebalance) moves them.
+	shares []float64
 	// straggler mitigation (Options.Rebalance)
 	rebal        *engine.Rebalancer // master only: the hysteresis state machine
-	shares       []float64          // current minibatch share weights; nil = uniform split
 	reshardEvery int                // window length in iterations, identical on all ranks
-	waitLast     map[string]int64   // per-peer recv-wait counter values at the last window edge
+	waitCtr      []*obs.Counter     // this rank's recv_wait_ns counter per peer
+	waitBase     []int64            // waitCtr values at the last window edge
 
 	perp       []PerpPoint
 	start      time.Time
@@ -101,21 +104,23 @@ func newNode(cfg core.Config, opt Options, comm *cluster.Comm, g *graph.Graph, h
 		}
 		comm.SetTracer(nd.ob.Tracer)
 	}
+	nd.shares = make([]float64, nd.size)
+	for i := range nd.shares {
+		nd.shares[i] = 1
+	}
 	if opt.Rebalance {
-		// Every rank must agree on the window boundaries without talking:
-		// resolve the window length from the same defaulting rule the master's
-		// rebalancer applies.
-		nd.reshardEvery = opt.RebalanceCfg.Window
+		// Every rank must agree on the window boundaries without talking.
+		nd.reshardEvery = opt.RebalanceWindow
 		if nd.reshardEvery <= 0 {
-			nd.reshardEvery = engine.DefaultRebalanceConfig().Window
+			nd.reshardEvery = engine.DefaultRebalanceWindow
 		}
-		nd.waitLast = map[string]int64{}
-		nd.shares = make([]float64, nd.size)
-		for i := range nd.shares {
-			nd.shares[i] = 1
+		nd.waitCtr = make([]*obs.Counter, nd.size)
+		for p := range nd.waitCtr {
+			nd.waitCtr[p] = reg.Counter(obs.PeerCounterName(p, obs.PeerRecvWaitNS))
 		}
+		nd.waitBase = make([]int64, nd.size)
 		if nd.rank == 0 {
-			rb, err := engine.NewRebalancer(nd.size, opt.RebalanceCfg)
+			rb, err := engine.NewRebalancer(nd.size)
 			if err != nil {
 				return nil, err
 			}
@@ -307,9 +312,16 @@ func (nd *node) run() (err error) {
 		return err
 	}
 
+	// The loop starts here on every rank: the per-iteration counter deltas
+	// and the first mitigation window count from this point, so neither the
+	// restart's streaming nor the wait in the barrier above is charged to the
+	// first iteration.
 	rec := nd.ob.Rec
-	if rec != nil && nd.rank == 0 {
+	if rec != nil {
 		rec.RunStart(nd.size, nd.opt.Iterations)
+	}
+	if nd.opt.Rebalance {
+		nd.windowWaits()
 	}
 	totalStart := obs.TraceNow()
 	for t := nd.startIter; t < nd.opt.Iterations; t++ {
@@ -430,29 +442,23 @@ func (nd *node) phiStage(t int) error {
 	return nd.phi.Run(t, nd.cfg.StepSize(t), nd.dep.nodes, nd.beta, nd.newPhi)
 }
 
-// windowWaits snapshots this rank's per-peer recv-wait counters and returns
-// the delta since the previous window edge as a dense per-peer vector in
-// milliseconds — this rank's row of the straggler matrix, restricted to the
-// window.
+// windowWaits returns this rank's per-peer recv-wait since the previous
+// window edge, in milliseconds — its row of the straggler matrix, restricted
+// to the window — and makes now the next window's edge.
 func (nd *node) windowWaits() []float64 {
 	out := make([]float64, nd.size)
-	for name, v := range nd.reg.CounterValues("transport.peer.") {
-		peer, kind, ok := obs.ParsePeerCounter(name)
-		if !ok || kind != obs.PeerRecvWaitNS {
-			continue
-		}
-		if peer < nd.size {
-			out[peer] = float64(v-nd.waitLast[name]) / 1e6
-		}
-		nd.waitLast[name] = v
+	for p, c := range nd.waitCtr {
+		v := c.Load()
+		out[p] = float64(v-nd.waitBase[p]) / 1e6
+		nd.waitBase[p] = v
 	}
 	return out
 }
 
 // reshardStage is the mitigation collective. On window boundaries every rank
 // gathers its windowed per-peer recv-wait vector at the master; the master
-// folds the column sums (diagonal excluded — the same imposed-wait statistic
-// as obs.PeerMatrix), feeds the window to the rebalancer, and broadcasts the
+// folds the column sums (obs.ImposedWaits, the statistic of obs.PeerMatrix),
+// feeds the window to the rebalancer, and broadcasts the
 // resulting share weights, which the next deployments split by. Off-boundary
 // iterations are a no-op on every rank, so the collective tag sequence stays
 // aligned. The weights only decide WHO computes which minibatch chunk — the
@@ -467,16 +473,12 @@ func (nd *node) reshardStage(t int) error {
 	}
 	var out []byte
 	if nd.rank == 0 {
-		imposed := make([]float64, nd.size)
-		row := make([]float64, nd.size)
-		for r := 0; r < nd.size; r++ {
-			wire.Float64s(gathered[r], 0, nd.size, row)
-			for p := 0; p < nd.size; p++ {
-				if p != r {
-					imposed[p] += row[p]
-				}
-			}
+		rows := make([][]float64, nd.size)
+		for r := range rows {
+			rows[r] = make([]float64, nd.size)
+			wire.Float64s(gathered[r], 0, nd.size, rows[r])
 		}
+		imposed := obs.ImposedWaits(rows)
 		weights, changed := nd.rebal.ObserveWindow(imposed)
 		rep := nd.rebal.LastReport()
 		nd.reg.Counter(obs.CtrReshardWindows).Inc()
@@ -574,27 +576,16 @@ func (nd *node) thetaStage(t int) error {
 	return nil
 }
 
-// buildDeployments partitions the batch across ranks: vertices split evenly
-// (each with its adjacency from the master's graph), pairs split on
-// ThetaChunk boundaries so the gradient fold order matches the sequential
-// engine.
+// buildDeployments partitions the batch across ranks in contiguous
+// rank-ordered ranges sized by the current shares (engine.SplitWeighted):
+// vertices one by one (each with its adjacency from the master's graph),
+// pairs on ThetaChunk boundaries so the gradient fold order matches the
+// sequential engine. Uniform shares give the even split.
 func (nd *node) buildDeployments(t int, batch *sampling.Batch) [][]byte {
 	parts := make([][]byte, nd.size)
 	for r := 0; r < nd.size; r++ {
-		var nLo, nHi, pLo, pHi int
-		if nd.shares != nil {
-			// Weighted re-sharding (Options.Rebalance): same contiguous
-			// rank-ordered tiling, sizes proportional to the current shares.
-			// Under uniform shares this reproduces the unweighted split
-			// exactly (SplitWeighted degenerates to SplitEven /
-			// SplitChunkAligned), so "mitigation armed, nothing flagged" is
-			// byte-identical to the unmitigated engine.
-			nLo, nHi = engine.SplitWeighted(len(batch.Nodes), 1, nd.shares, r)
-			pLo, pHi = engine.SplitWeighted(len(batch.Pairs), core.ThetaChunk, nd.shares, r)
-		} else {
-			nLo, nHi = engine.SplitEven(len(batch.Nodes), nd.size, r)
-			pLo, pHi = engine.SplitChunkAligned(len(batch.Pairs), core.ThetaChunk, nd.size, r)
-		}
+		nLo, nHi := engine.SplitWeighted(len(batch.Nodes), 1, nd.shares, r)
+		pLo, pHi := engine.SplitWeighted(len(batch.Pairs), core.ThetaChunk, nd.shares, r)
 		d := &deployment{
 			iter:    t,
 			nodes:   batch.Nodes[nLo:nHi],

@@ -3,7 +3,9 @@ package dist
 import (
 	"bytes"
 	"math"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -452,5 +454,95 @@ func TestEveryViewIsTheSameMeasurement(t *testing.T) {
 	}
 	if got := res.Phases.Count(engine.PhaseDrawMinibatch); got != iters {
 		t.Errorf("%d draws for %d iterations", got, iters)
+	}
+}
+
+// TestStartupIsChargedToNoIteration pins where the loop's measurements
+// start: after the restart and the start-up barrier, on every rank. A
+// 2-rank run resumes from an iteration-4 checkpoint while rank 0's sends
+// are delayed 250 ms each until its loop starts, so rank 1 waits well over
+// 200 ms on rank 0 before iteration 4. None of that may show in iteration
+// 4: rank 0's first iter event carries the DKV requests of an ordinary
+// iteration (not the restart's streaming), rank 1's first iter event no
+// start-up wait, and the first mitigation window no start-up wait either —
+// otherwise it flags rank 0 and the real straggler, rank 1, is drained a
+// window late.
+func TestStartupIsChargedToNoIteration(t *testing.T) {
+	train, held := fixture(t, 400, 4, 2400, 51)
+	cfg := core.DefaultConfig(4, 1234)
+	const resumeAt, iters, window = 4, 8, 2
+	ckpt := filepath.Join(t.TempDir(), "resume.ckpt")
+	if _, err := Run(cfg, train, held, Options{
+		Ranks: 2, Threads: 1, Iterations: resumeAt, MinibatchPairs: parityPairs,
+		CheckpointPath: ckpt, CheckpointEvery: resumeAt,
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	fabric, err := transport.NewFabric(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fabric.Close()
+	conns := fabric.Endpoints()
+	var looping atomic.Bool
+	conns[0] = &transport.FaultConn{
+		Conn: conns[0],
+		DelaySend: func(int, uint32) time.Duration {
+			if looping.Load() {
+				return 0
+			}
+			return 250 * time.Millisecond
+		},
+	}
+	var buf bytes.Buffer
+	sink := obs.NewSink(&buf)
+	_, err = RunOnTransport(cfg, train, held, Options{
+		Threads: 1, Iterations: iters, MinibatchPairs: parityPairs, RestartPath: ckpt,
+		Events: sink, Rebalance: true, RebalanceWindow: window,
+		ComputeDelay: func(rank, nodes int) time.Duration {
+			return time.Duration(rank*nodes) * 400 * time.Microsecond
+		},
+		FaultHook: func(rank, iter int) error {
+			if rank == 0 {
+				looping.Store(true)
+			}
+			return nil
+		},
+	}, conns)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var requests []int64
+	var rank1First *obs.Event
+	var rebalances []obs.Event
+	for _, e := range readLog(t, sink, &buf) {
+		switch {
+		case e.Type == obs.EventIter && e.Rank == 0:
+			if e.DKV == nil {
+				t.Fatalf("rank 0 iteration %d carries no DKV block", e.Iter)
+			}
+			requests = append(requests, e.DKV.Requests)
+		case e.Type == obs.EventIter && e.Rank == 1 && rank1First == nil:
+			rank1First = &e
+		case e.Type == obs.EventRebalance:
+			rebalances = append(rebalances, e)
+		}
+	}
+	if len(requests) != iters-resumeAt {
+		t.Fatalf("rank 0 wrote %d iter events, want %d", len(requests), iters-resumeAt)
+	}
+	for i, r := range requests {
+		if r != requests[len(requests)-1] {
+			t.Fatalf("rank 0 DKV requests per iteration %v: iteration %d differs from the last", requests, resumeAt+i)
+		}
+	}
+	if w := rank1First.PeerWaitMS[0]; w >= 200 {
+		t.Fatalf("rank 1's first iteration carries %.0f ms of start-up wait on rank 0", w)
+	}
+	if len(rebalances) == 0 || rebalances[0].Iter != resumeAt+2*window-1 ||
+		len(rebalances[0].Flagged) != 1 || rebalances[0].Flagged[0] != 1 {
+		t.Fatalf("rebalance events %+v; want the first at iteration %d flagging rank 1", rebalances, resumeAt+2*window-1)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -390,26 +389,25 @@ func TestParityMatrix(t *testing.T) {
 		}},
 		// Rebalance.
 		{"dist/rebalance-quiet/ranks=3", func(t *testing.T) trajectory {
-			// A flagging floor far above any natural wait: nothing flags.
-			cfg := engine.RebalanceConfig{Window: 2, FloorMS: 60_000}
-			tr, res := f.runDist(t, Options{Ranks: 3, Threads: 1, Rebalance: true, RebalanceCfg: cfg}, nil)
-			if c := res.Metrics.Counters; c[obs.CtrReshardWindows] != parityIters/2 || c[obs.CtrReshardChanges] != 0 {
-				t.Fatalf("%d reshard windows, %d weight changes; want %d and 0",
-					c[obs.CtrReshardWindows], c[obs.CtrReshardChanges], parityIters/2)
+			// Mitigation armed on a healthy cluster: whatever the windows
+			// flag, the chain is the reference's.
+			tr, res := f.runDist(t, Options{Ranks: 3, Threads: 1, Rebalance: true, RebalanceWindow: 2}, nil)
+			if c := res.Metrics.Counters; c[obs.CtrReshardWindows] != parityIters/2 {
+				t.Fatalf("%d reshard windows, want %d", c[obs.CtrReshardWindows], parityIters/2)
 			}
 			return tr
 		}},
 		{"dist/rebalance-engaged/ranks=2", func(t *testing.T) trajectory {
-			// Rank 1's update_phi sleeps per assigned vertex, tens of
-			// milliseconds a window against a 1 ms flagging floor: it is
-			// flagged in the first window and its share shrinks.
+			// Rank 1's update_phi sleeps per assigned vertex: ~40 ms an
+			// iteration against rank 0's checkpoint write and fsync, which
+			// under a loaded host can take tens of milliseconds. It is
+			// flagged in the first two windows and its share shrinks.
 			var buf bytes.Buffer
 			sink := obs.NewSink(&buf)
 			tr, res := f.runDist(t, Options{
-				Ranks: 2, Threads: 1, Events: sink, Rebalance: true,
-				RebalanceCfg: engine.RebalanceConfig{Window: 2, SlowWindows: 1, HealWindows: 1 << 20, Step: 0.5},
+				Ranks: 2, Threads: 1, Events: sink, Rebalance: true, RebalanceWindow: 2,
 				ComputeDelay: func(rank, nodes int) time.Duration {
-					return time.Duration(rank*nodes) * 100 * time.Microsecond
+					return time.Duration(rank*nodes) * 400 * time.Microsecond
 				},
 			}, nil)
 			sum, err := obs.Summarize(readLog(t, sink, &buf))

@@ -89,17 +89,18 @@ type Options struct {
 	// -fail-iter flags of cmd/ocd-cluster; production runs leave it nil.
 	FaultHook func(rank, iter int) error
 
-	// Rebalance closes the straggler loop: every RebalanceCfg.Window
-	// iterations the ranks gather their per-peer recv-wait deltas at the
-	// master, the engine.Rebalancer applies the straggler rule with
-	// hysteresis, and the next window's minibatch is re-sharded over the
-	// resulting weights (engine.SplitWeighted). Because φ draws are keyed by
+	// Rebalance closes the straggler loop: every RebalanceWindow iterations
+	// the ranks gather their per-peer recv-wait deltas at the master, the
+	// engine.Rebalancer applies the straggler rule with its fixed hysteresis,
+	// and the next window's minibatch is re-sharded over the resulting
+	// weights (engine.SplitWeighted). Because φ draws are keyed by
 	// (iteration, vertex) and the θ fold is chunk-ordered, re-sharding moves
 	// work between ranks without touching the estimator: the trained
 	// trajectory is bit-identical with mitigation on or off, under any
-	// weight trajectory.
-	Rebalance    bool
-	RebalanceCfg engine.RebalanceConfig
+	// weight trajectory. RebalanceWindow ≤ 0 selects
+	// engine.DefaultRebalanceWindow (8); it is the one mitigation setting.
+	Rebalance       bool
+	RebalanceWindow int
 
 	// ComputeDelay, when non-nil, injects an artificial compute delay into
 	// every rank's update_phi, scaled by the work actually assigned (nodes =

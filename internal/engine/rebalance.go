@@ -6,97 +6,36 @@ import (
 	"repro/internal/obs"
 )
 
-// Rebalancing closes the straggler loop: the PeerMatrix straggler rule (and
-// the critical-path verdict of ocd-analyze run.jsonl) *detects* a slow rank;
-// the Rebalancer *acts* on it by shrinking that rank's minibatch share so
-// the next window's deployments (SplitWeighted) move its chunks onto healthy
-// ranks. Because every φ draw is keyed by (iteration, vertex) and the θ fold
-// is chunk-ordered, re-sharding changes which rank does the work — not the
-// estimator — so the mitigation is exact: the trained trajectory is
-// bit-identical with any weight vector.
+// Rebalancing closes the straggler loop: the straggler rule
+// (obs.StragglerWaits) *detects* a slow rank; the Rebalancer *acts* on it by
+// shrinking that rank's minibatch share so the next window's deployments
+// (SplitWeighted) move its chunks onto healthy ranks. Every φ draw is keyed
+// by (iteration, vertex) and the θ fold is chunk-ordered, so re-sharding
+// changes which rank does the work, not the estimator: the trained
+// trajectory is bit-identical under any weight vector.
 //
-// The state machine is deliberately conservative (hysteresis in both
-// directions, bounded step size, exponential restore backoff) so a transient
-// hiccup — one garbage-collection pause, one noisy window — cannot thrash
-// the shares.
+// The policy is one and fixed; only the window length is a setting
+// (dist.Options.RebalanceWindow, the trainer's -rebalance-window). It is
+// conservative in both directions, so one noisy window cannot thrash the
+// shares:
+//
+//   - a share shrinks by shareStep after slowWindows consecutive flagged
+//     windows, and again on every further one, down to 0 (SplitWeighted then
+//     gives the rank an empty range; it still serves its π shard and takes
+//     part in collectives);
+//   - a shrunken share grows by shareStep after healWindows consecutive
+//     healthy windows; a re-flag after a restore doubles that streak (up to
+//     maxHealNeed), and a rank healthy at full share is forgiven.
+const (
+	// DefaultRebalanceWindow is the window, in iterations, when none is set:
+	// imposed waits accumulate over a window before the rule runs once.
+	DefaultRebalanceWindow = 8
 
-// RebalanceConfig tunes the hysteresis state machine. The zero value of any
-// field selects its default; DefaultRebalanceConfig spells them out.
-type RebalanceConfig struct {
-	// Window is the observation window in iterations: per-iteration imposed-
-	// wait signals accumulate for Window iterations before the rule runs once.
-	Window int
-	// SlowWindows (the H of the hysteresis) is how many *consecutive* flagged
-	// windows a rank must accumulate before its share first shrinks. Once
-	// past the threshold, every further flagged window shrinks it again by
-	// Step (bounded step size per window), so sustained slowness drains the
-	// rank gradually rather than in one jump.
-	SlowWindows int
-	// HealWindows (the H') is how many consecutive healthy windows a shrunken
-	// rank must show before each restore step. A rank that gets re-flagged
-	// after a restore doubles its required heal streak (capped at
-	// maxHealNeed) — the exponential backoff that keeps a persistently slow
-	// rank from oscillating between drained and probing.
-	HealWindows int
-	// Step is the share delta applied per shrink or restore step, in absolute
-	// weight (full share = 1).
-	Step float64
-	// MinShare floors a shrunken share. The default 0 lets a persistent
-	// straggler drain completely: it then does no minibatch work (SplitWeighted
-	// gives weight-0 ranks empty ranges) but still serves its π shard and
-	// participates in collectives.
-	MinShare float64
-	// SkewFactor and FloorMS override the straggler flagging thresholds
-	// (obs.StragglerSkew / obs.StragglerFloorMS) applied to each window's
-	// imposed-wait vector.
-	SkewFactor float64
-	FloorMS    float64
-}
-
-// DefaultRebalanceConfig is the tuning used when fields are zero.
-func DefaultRebalanceConfig() RebalanceConfig {
-	return RebalanceConfig{
-		Window:      8,
-		SlowWindows: 2,
-		HealWindows: 4,
-		Step:        0.25,
-		MinShare:    0,
-		SkewFactor:  obs.StragglerSkew,
-		FloorMS:     obs.StragglerFloorMS,
-	}
-}
-
-// withDefaults fills zero fields from the default config.
-func (c RebalanceConfig) withDefaults() RebalanceConfig {
-	d := DefaultRebalanceConfig()
-	if c.Window <= 0 {
-		c.Window = d.Window
-	}
-	if c.SlowWindows <= 0 {
-		c.SlowWindows = d.SlowWindows
-	}
-	if c.HealWindows <= 0 {
-		c.HealWindows = d.HealWindows
-	}
-	if c.Step <= 0 {
-		c.Step = d.Step
-	}
-	if c.MinShare < 0 {
-		c.MinShare = 0
-	}
-	if c.SkewFactor <= 0 {
-		c.SkewFactor = d.SkewFactor
-	}
-	if c.FloorMS <= 0 {
-		c.FloorMS = d.FloorMS
-	}
-	return c
-}
-
-// maxHealNeed caps the exponential restore backoff: a rank that keeps
-// re-flagging after restores eventually needs this many consecutive healthy
-// windows per restore step, but never more.
-const maxHealNeed = 64
+	slowWindows = 2
+	healWindows = 4
+	maxHealNeed = 64   // cap of the doubled heal streak
+	shareStep   = 0.25 // share delta per shrink or restore, full share = 1
+)
 
 // rankState is one rank's hysteresis state.
 type rankState struct {
@@ -112,20 +51,19 @@ type rankState struct {
 // run it at the master and broadcast the resulting weights, and tests can
 // drive it with synthetic window vectors.
 type Rebalancer struct {
-	cfg    RebalanceConfig
 	ranks  []rankState
 	report *obs.PeerReport // last window's flagging report
 }
 
 // NewRebalancer creates a rebalancer for a cluster of the given size; every
 // rank starts at full share (weight 1).
-func NewRebalancer(ranks int, cfg RebalanceConfig) (*Rebalancer, error) {
+func NewRebalancer(ranks int) (*Rebalancer, error) {
 	if ranks < 1 {
 		return nil, fmt.Errorf("engine: rebalancer needs at least 1 rank, got %d", ranks)
 	}
-	rb := &Rebalancer{cfg: cfg.withDefaults(), ranks: make([]rankState, ranks)}
+	rb := &Rebalancer{ranks: make([]rankState, ranks)}
 	for i := range rb.ranks {
-		rb.ranks[i] = rankState{weight: 1, healNeed: rb.cfg.HealWindows}
+		rb.ranks[i] = rankState{weight: 1, healNeed: healWindows}
 	}
 	return rb, nil
 }
@@ -174,7 +112,7 @@ func (rb *Rebalancer) ObserveWindow(waitMS []float64) (weights []float64, change
 		for i, r := range active {
 			sub[i] = waitMS[r]
 		}
-		subRep := obs.StragglerWaits(sub, rb.cfg.SkewFactor, rb.cfg.FloorMS)
+		subRep := obs.StragglerWaits(sub)
 		rep.MedianMS, rep.MaxMS, rep.Skew = subRep.MedianMS, subRep.MaxMS, subRep.Skew
 		for _, i := range subRep.Flagged {
 			flagged[active[i]] = true
@@ -187,11 +125,8 @@ func (rb *Rebalancer) ObserveWindow(waitMS []float64) (weights []float64, change
 		if flagged[r] {
 			st.healStreak = 0
 			st.slowStreak++
-			if st.slowStreak >= rb.cfg.SlowWindows {
-				next := st.weight - rb.cfg.Step
-				if next < rb.cfg.MinShare {
-					next = rb.cfg.MinShare
-				}
+			if st.slowStreak >= slowWindows {
+				next := max(st.weight-shareStep, 0)
 				if next != st.weight {
 					st.weight = next
 					changed = true
@@ -214,7 +149,7 @@ func (rb *Rebalancer) ObserveWindow(waitMS []float64) (weights []float64, change
 		if st.weight >= 1 {
 			// Fully restored and healthy: forgive the backoff history.
 			st.healStreak = 0
-			st.healNeed = rb.cfg.HealWindows
+			st.healNeed = healWindows
 			st.restored = false
 			continue
 		}
@@ -222,10 +157,7 @@ func (rb *Rebalancer) ObserveWindow(waitMS []float64) (weights []float64, change
 		if st.healStreak >= st.healNeed {
 			st.healStreak = 0
 			st.restored = true
-			st.weight += rb.cfg.Step
-			if st.weight > 1 {
-				st.weight = 1
-			}
+			st.weight = min(st.weight+shareStep, 1)
 			changed = true
 		}
 	}

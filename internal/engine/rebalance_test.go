@@ -5,18 +5,19 @@ import (
 	"testing"
 )
 
-// rebalCfg is the deterministic tuning the state-machine tests drive:
-// window bookkeeping is external (ObserveWindow is fed one vector per
-// window), shrink after 2 consecutive flagged windows, restore after 3
-// healthy ones, quarter steps, full drain allowed.
-func rebalCfg() RebalanceConfig {
-	return RebalanceConfig{
-		Window:      4,
-		SlowWindows: 2,
-		HealWindows: 3,
-		Step:        0.25,
-		MinShare:    0,
+// The state-machine tests drive the one policy: window bookkeeping is
+// external (ObserveWindow is fed one vector per window), a share shrinks
+// after 2 consecutive flagged windows and restores after 4 healthy ones, in
+// quarter steps, down to a full drain.
+
+// newRebalancer builds a rebalancer for the given cluster size.
+func newRebalancer(t *testing.T, ranks int) *Rebalancer {
+	t.Helper()
+	rb, err := NewRebalancer(ranks)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return rb
 }
 
 // feed drives the rebalancer with a sequence of per-window imposed-wait
@@ -56,7 +57,7 @@ func TestRebalancerHysteresis(t *testing.T) {
 	}{
 		{
 			// A transient hiccup — alternating flagged and healthy windows —
-			// never reaches the SlowWindows=2 consecutive-flag threshold, so
+			// never reaches the 2-consecutive-flag threshold, so
 			// the share must not move at all.
 			name:    "flap does not thrash",
 			windows: [][]float64{slow, ok, slow, ok, slow, ok},
@@ -65,41 +66,36 @@ func TestRebalancerHysteresis(t *testing.T) {
 		{
 			// Sustained slowness: the first flagged window arms the streak,
 			// the second shrinks, and every further flagged window shrinks by
-			// one bounded step until the share drains to MinShare=0.
+			// one bounded step until the share drains to 0.
 			name:    "sustained slow drains stepwise",
 			windows: [][]float64{slow, slow, slow, slow, slow, slow, slow},
 			want:    []float64{1, 0.75, 0.5, 0.25, 0, 0, 0},
 		},
 		{
-			// Recovery: after a shrink, HealWindows=3 consecutive healthy
-			// windows buy one restore step; the streak then re-arms for the
-			// next step.
+			// Recovery: after a shrink, 4 consecutive healthy windows buy
+			// one restore step; the streak then re-arms for the next step.
 			name:    "recovery restores stepwise",
-			windows: [][]float64{slow, slow, slow, ok, ok, ok, ok, ok, ok, ok},
-			want:    []float64{1, 0.75, 0.5, 0.5, 0.5, 0.75, 0.75, 0.75, 1, 1},
+			windows: [][]float64{slow, slow, slow, ok, ok, ok, ok, ok, ok, ok, ok},
+			want:    []float64{1, 0.75, 0.5, 0.5, 0.5, 0.5, 0.75, 0.75, 0.75, 0.75, 1},
 		},
 		{
 			// Backoff: a rank that re-flags right after a probe restore
-			// doubles its heal requirement, so the second restore needs 6
-			// healthy windows, not 3 — the oscillation damper.
+			// doubles its heal requirement, so the second restore needs 8
+			// healthy windows, not 4 — the oscillation damper.
 			name: "re-flag after restore doubles heal requirement",
 			windows: [][]float64{
 				slow, slow, // shrink to 0.75
-				ok, ok, ok, // restore to 1 (heal need 3)... weight hits 1
-				slow, slow, // shrink again to 0.75; restored since shrink → backoff to 6
-				ok, ok, ok, // only 3 healthy: not yet
-				ok, ok, ok, // 6 healthy: restore
+				ok, ok, ok, ok, // restore to 1 (heal need 4)
+				slow, slow, // shrink again to 0.75; restored since shrink → backoff to 8
+				ok, ok, ok, ok, // only 4 healthy: not yet
+				ok, ok, ok, ok, // 8 healthy: restore
 			},
-			want: []float64{1, 0.75, 0.75, 0.75, 1, 1, 0.75, 0.75, 0.75, 0.75, 0.75, 0.75, 1},
+			want: []float64{1, 0.75, 0.75, 0.75, 0.75, 1, 1, 0.75, 0.75, 0.75, 0.75, 0.75, 0.75, 0.75, 0.75, 1},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rb, err := NewRebalancer(3, rebalCfg())
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := feed(t, rb, tc.windows, 2)
+			got := feed(t, newRebalancer(t, 3), tc.windows, 2)
 			if !approxEq(got, tc.want) {
 				t.Fatalf("rank 2 weight trajectory:\n got %v\nwant %v", got, tc.want)
 			}
@@ -108,51 +104,48 @@ func TestRebalancerHysteresis(t *testing.T) {
 }
 
 // TestRebalancerBackoffForgiven pins the reset: once a rank climbs back to
-// full share and stays healthy, its heal requirement returns to the
-// configured HealWindows (the doubled backoff is not a life sentence).
+// full share and stays healthy, its heal requirement returns to 4 windows
+// (the doubled backoff is not a life sentence).
 func TestRebalancerBackoffForgiven(t *testing.T) {
 	slow := []float64{1, 100}
 	ok := []float64{1, 1}
-	rb, err := NewRebalancer(2, RebalanceConfig{
-		SlowWindows: 1, HealWindows: 1, Step: 0.5, MinShare: 0,
-	})
-	if err != nil {
-		t.Fatal(err)
+	rb := newRebalancer(t, 2)
+	// Shrink, restore, shrink again (the re-flag doubles the heal need to 8)
+	// and climb all the way back.
+	var seq [][]float64
+	for _, run := range []struct {
+		w []float64
+		n int
+	}{{slow, 2}, {ok, 4}, {slow, 2}, {ok, 8}} {
+		for i := 0; i < run.n; i++ {
+			seq = append(seq, run.w)
+		}
 	}
-	// Shrink, restore (backoff doubles on the re-flag), shrink, and climb all
-	// the way back: two restores at healNeed=2.
-	seq := [][]float64{slow, ok, slow, ok, ok, ok, ok}
 	_ = feed(t, rb, seq, 1)
 	if w := rb.Weights()[1]; w != 1 {
 		t.Fatalf("rank 1 weight = %v after full recovery, want 1", w)
 	}
 	// One healthy window at full weight forgives the backoff; the next
-	// shrink+heal cycle runs at the original HealWindows=1 again.
-	for _, w := range [][]float64{ok, slow, ok, ok} {
+	// shrink+heal cycle restores after 4 healthy windows again, where an
+	// unforgiven rank would need 16.
+	for _, w := range [][]float64{ok, slow, slow, ok, ok, ok, ok} {
 		rb.ObserveWindow(w)
 	}
 	if w := rb.Weights()[1]; w != 1 {
-		t.Fatalf("rank 1 weight = %v, want 1 (heal requirement should be back to 1 window)", w)
+		t.Fatalf("rank 1 weight = %v, want 1 (heal requirement should be back to 4 windows)", w)
 	}
 }
 
+// TestRebalancerMinShareFloor pins the share floor: a persistent straggler
+// drains to weight 0 and stays there, and the healthy ranks never move.
 func TestRebalancerMinShareFloor(t *testing.T) {
 	slow := []float64{1, 1, 50}
-	rb, err := NewRebalancer(3, RebalanceConfig{
-		SlowWindows: 1, HealWindows: 2, Step: 0.4, MinShare: 0.3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
+	rb := newRebalancer(t, 3)
+	for i := 0; i < 8; i++ {
 		rb.ObserveWindow(slow)
 	}
-	if w := rb.Weights()[2]; w != 0.3 {
-		t.Fatalf("rank 2 weight = %v, want the MinShare floor 0.3", w)
-	}
-	// Healthy ranks never move.
-	if w := rb.Weights()[0]; w != 1 {
-		t.Fatalf("rank 0 weight = %v, want 1", w)
+	if w := rb.Weights(); w[0] != 1 || w[1] != 1 || w[2] != 0 {
+		t.Fatalf("weights %v after a sustained straggler, want [1 1 0]", w)
 	}
 }
 
@@ -161,12 +154,9 @@ func TestRebalancerMinShareFloor(t *testing.T) {
 func TestRebalancerChangedFlag(t *testing.T) {
 	slow := []float64{1, 80}
 	ok := []float64{1, 1}
-	rb, err := NewRebalancer(2, rebalCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rb := newRebalancer(t, 2)
 	if _, changed := rb.ObserveWindow(slow); changed {
-		t.Fatal("first flagged window changed weights before the SlowWindows threshold")
+		t.Fatal("first flagged window changed weights before the 2-window threshold")
 	}
 	if _, changed := rb.ObserveWindow(slow); !changed {
 		t.Fatal("second consecutive flagged window should shrink")
@@ -174,7 +164,7 @@ func TestRebalancerChangedFlag(t *testing.T) {
 	if _, changed := rb.ObserveWindow(ok); changed {
 		t.Fatal("healthy window below the heal threshold changed weights")
 	}
-	// Fully drained rank at MinShare: further flagged windows change nothing.
+	// Fully drained rank: further flagged windows change nothing.
 	for i := 0; i < 10; i++ {
 		rb.ObserveWindow(slow)
 	}
@@ -184,10 +174,7 @@ func TestRebalancerChangedFlag(t *testing.T) {
 }
 
 func TestRebalancerReport(t *testing.T) {
-	rb, err := NewRebalancer(3, rebalCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rb := newRebalancer(t, 3)
 	if rb.LastReport() != nil {
 		t.Fatal("report before any window")
 	}
@@ -206,10 +193,7 @@ func TestRebalancerReport(t *testing.T) {
 // back. The survivor must be unflaggable; the drained rank must still probe
 // back in via restore.
 func TestRebalancerLastWorkerNeverDrains(t *testing.T) {
-	rb, err := NewRebalancer(2, rebalCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rb := newRebalancer(t, 2)
 	// Drain rank 1: 5 flagged windows take it 1 → 0.75 → 0.5 → 0.25 → 0.
 	for i := 0; i < 5; i++ {
 		rb.ObserveWindow([]float64{0, 100})
@@ -227,9 +211,10 @@ func TestRebalancerLastWorkerNeverDrains(t *testing.T) {
 	if f := rb.LastReport().Flagged; len(f) != 0 {
 		t.Fatalf("lone worker flagged: %v", f)
 	}
-	// The drained rank keeps healing through those windows: HealWindows=3
-	// total healthy windows trigger its restore probe (one already counted
-	// above), after which both ranks are active and the rule arms again.
+	// The drained rank keeps healing through those windows: 4 healthy
+	// windows in all trigger its restore probe (one already counted above),
+	// after which both ranks are active and the rule arms again.
+	rb.ObserveWindow([]float64{500, 0})
 	rb.ObserveWindow([]float64{500, 0})
 	weights, changed = rb.ObserveWindow([]float64{500, 0})
 	if !changed || weights[1] != 0.25 {

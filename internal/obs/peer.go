@@ -127,14 +127,20 @@ func makeFloatGrid(n int) [][]float64 {
 }
 
 // ImposedWaitMS returns, per peer, the total time all other ranks spent
-// blocked waiting for that peer (the recv-wait column sum excluding the
-// diagonal) — the per-peer straggler signal.
-func (m *PeerMatrix) ImposedWaitMS() []float64 {
-	out := make([]float64, m.Ranks)
-	for r := 0; r < m.Ranks; r++ {
-		for p := 0; p < m.Ranks; p++ {
+// blocked waiting for that peer — ImposedWaits over the recv-wait rows.
+func (m *PeerMatrix) ImposedWaitMS() []float64 { return ImposedWaits(m.RecvWaitMS) }
+
+// ImposedWaits is the per-peer straggler signal: given each rank's per-peer
+// recv-wait row (recvWait[r][p] = time rank r blocked waiting for peer p),
+// it returns the column sums excluding the diagonal — the wait each peer
+// imposed on all the others. PeerMatrix.ImposedWaitMS applies it to a whole
+// run, the distributed engine's reshard stage to one window.
+func ImposedWaits(recvWait [][]float64) []float64 {
+	out := make([]float64, len(recvWait))
+	for r, row := range recvWait {
+		for p, w := range row {
 			if p != r {
-				out[p] += m.RecvWaitMS[r][p]
+				out[p] += w
 			}
 		}
 	}
@@ -159,54 +165,36 @@ type PeerReport struct {
 // Straggler flags the peers whose imposed recv-wait is skewed against the
 // cluster median.
 func (m *PeerMatrix) Straggler() *PeerReport {
-	return stragglerReport(m.ImposedWaitMS())
+	return StragglerWaits(m.ImposedWaitMS())
 }
 
-// Straggler flagging thresholds: a peer is flagged when the wait it imposes
-// on the rest of the cluster is at least StragglerSkew times the (lower)
-// median imposed wait and at least StragglerFloorMS in absolute terms. The
-// floor keeps microsecond noise in fast balanced runs from being flagged,
-// and stands in for the median in the skew ratio when the median itself is
-// below it (with 2 ranks the lower median is the fast peer, which can be
-// arbitrarily close to zero).
+// Straggler flagging thresholds (StragglerWaits): a skew factor over the
+// lower median, and an absolute floor that keeps microsecond noise in fast
+// balanced runs from being flagged.
 const (
 	StragglerSkew    = 2.0
 	StragglerFloorMS = 1.0
 )
 
-// stragglerReport applies the default flagging rule to a per-peer
-// imposed-wait vector.
-func stragglerReport(waits []float64) *PeerReport {
-	return StragglerWaits(waits, StragglerSkew, StragglerFloorMS)
-}
-
 // StragglerWaits applies the straggler flagging rule to a raw per-peer
 // imposed-wait vector (milliseconds): peer p is flagged when
-// waits[p] >= skew·denom and waits[p] >= floorMS, where denom is the
-// floor-clamped lower median of the vector. It is the single rule behind
-// PeerMatrix.Straggler, the stream-side Summarize verdict, and the
-// rebalancer's per-window flagging; skew/floorMS ≤ 0 select the defaults.
+// waits[p] >= StragglerSkew·denom and waits[p] >= StragglerFloorMS, where
+// denom is the floor-clamped lower median of the vector. It is the single
+// rule behind PeerMatrix.Straggler, the stream-side Summarize verdict, and
+// the rebalancer's per-window flagging.
 //
 // Degenerate cluster sizes are explicit, not accidental:
 //
 //   - 1 rank: the imposed-wait vector is the single peer's column sum with
 //     the diagonal excluded, which is identically zero — below the floor, so
 //     nothing is ever flagged. There is no one to rebalance against.
-//   - 2 ranks: the "lower median excluding self" denominator degenerates to
-//     a single sample — the *faster* peer's imposed wait, which in a healthy
-//     run is arbitrarily close to zero. The floor clamp is what makes the
-//     rule usable here: the slow peer is compared against
-//     max(fastWait, floorMS), so a genuine straggler (wait ≥ skew·floor) is
-//     flagged, while sub-floor noise — microsecond scheduling jitter in a
-//     2-rank CI run — never is, even when the ratio between the two peers
-//     is huge. Both directions are pinned by TestStragglerTwoRanks.
-func StragglerWaits(waits []float64, skew, floorMS float64) *PeerReport {
-	if skew <= 0 {
-		skew = StragglerSkew
-	}
-	if floorMS <= 0 {
-		floorMS = StragglerFloorMS
-	}
+//   - 2 ranks: the lower median is the *faster* peer's imposed wait, which
+//     in a healthy run is arbitrarily close to zero. The floor clamp makes
+//     the rule usable here: the slow peer is compared against
+//     max(fastWait, StragglerFloorMS), so a genuine straggler is flagged
+//     while sub-floor noise (scheduling jitter in a 2-rank CI run) never is,
+//     however large the ratio. TestStragglerTwoRanks pins both directions.
+func StragglerWaits(waits []float64) *PeerReport {
 	rep := &PeerReport{ImposedWaitMS: waits}
 	if len(waits) == 0 {
 		return rep
@@ -215,13 +203,10 @@ func StragglerWaits(waits []float64, skew, floorMS float64) *PeerReport {
 	sort.Float64s(sorted)
 	rep.MedianMS = sorted[(len(sorted)-1)/2] // lower median: robust at 2 ranks
 	rep.MaxMS = sorted[len(sorted)-1]
-	denom := rep.MedianMS
-	if denom < floorMS {
-		denom = floorMS
-	}
+	denom := max(rep.MedianMS, StragglerFloorMS)
 	rep.Skew = rep.MaxMS / denom
 	for p, w := range waits {
-		if w >= skew*denom && w >= floorMS {
+		if w >= StragglerSkew*denom && w >= StragglerFloorMS {
 			rep.Flagged = append(rep.Flagged, p)
 		}
 	}

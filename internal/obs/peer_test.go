@@ -80,12 +80,12 @@ func TestStragglerReport(t *testing.T) {
 		{"empty", nil, nil},
 	}
 	for _, c := range cases {
-		rep := stragglerReport(c.waits)
+		rep := StragglerWaits(c.waits)
 		if !reflect.DeepEqual(rep.Flagged, c.flagged) {
 			t.Errorf("%s: Flagged = %v, want %v (report %+v)", c.name, rep.Flagged, c.flagged, rep)
 		}
 	}
-	rep := stragglerReport([]float64{10, 10, 50, 10})
+	rep := StragglerWaits([]float64{10, 10, 50, 10})
 	if rep.MaxMS != 50 || rep.MedianMS != 10 || rep.Skew != 5 {
 		t.Fatalf("report stats = %+v, want max 50 / median 10 / skew 5", rep)
 	}
@@ -126,7 +126,7 @@ func TestStragglerTwoRanks(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			rep := StragglerWaits(c.waits, 0, 0) // ≤0 selects the defaults
+			rep := StragglerWaits(c.waits)
 			if !reflect.DeepEqual(rep.Flagged, c.flagged) {
 				t.Fatalf("Flagged = %v, want %v (report %+v)", rep.Flagged, c.flagged, rep)
 			}

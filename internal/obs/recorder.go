@@ -30,11 +30,11 @@ type RunRecorder struct {
 	// minibatch draw overlaps iteration t's compute, so durations must be
 	// keyed by the iteration they belong to, not by arrival order.
 	stages map[int]map[string]time.Duration
-	last   map[string]int64 // counter values at the previous IterDone
+	last   map[string]int64 // counter values at the previous IterDone (or RunStart)
 }
 
 // NewRunRecorder creates a recorder for one rank. The clock for ElapsedMS
-// starts now (or at RunStart, whichever is called).
+// starts now, and again at RunStart.
 func NewRunRecorder(sink *Sink, rank int, reg *Registry) *RunRecorder {
 	r := &RunRecorder{sink: sink, rank: rank, reg: reg, stages: map[int]map[string]time.Duration{}}
 	r.start.Store(TraceNow())
@@ -54,10 +54,20 @@ func (r *RunRecorder) emit(e *Event) {
 	}
 }
 
-// RunStart resets the clock and announces the run topology.
+// RunStart marks the start of the iteration loop: every rank calls it, after
+// its start-up (a restart's streaming, the start-up barrier), so the clock
+// and the counter baseline of the first iter event start here and that work
+// is charged to no iteration. Rank 0 announces the run topology.
 func (r *RunRecorder) RunStart(ranks, iterations int) {
 	r.start.Store(TraceNow())
-	r.emit(&Event{Type: EventRunStart, Rank: r.rank, Ranks: ranks, Iterations: iterations})
+	if r.reg != nil {
+		r.mu.Lock()
+		r.last = r.reg.CounterValues("dkv.", "transport.")
+		r.mu.Unlock()
+	}
+	if r.rank == 0 {
+		r.emit(&Event{Type: EventRunStart, Rank: r.rank, Ranks: ranks, Iterations: iterations})
+	}
 }
 
 // StageDone reports one timed interval of a named stage within iteration
@@ -78,7 +88,7 @@ func (r *RunRecorder) StageDone(iter int, stage string, d time.Duration) {
 }
 
 // counterDelta snapshots the telemetry counter groups and returns the delta
-// since the previous call. Caller holds r.mu.
+// since the previous call (or since RunStart). Caller holds r.mu.
 func (r *RunRecorder) counterDelta() map[string]int64 {
 	cur := r.reg.CounterValues("dkv.", "transport.")
 	delta := make(map[string]int64, len(cur))
@@ -161,7 +171,8 @@ func (r *RunRecorder) RebalanceDone(iter int, weights []float64, flagged []int, 
 	})
 }
 
-// RunEnd emits the closing event with cumulative counters and detaches the
+// RunEnd emits the closing event with cumulative counters — everything the
+// rank's DKV store did, a restart's streaming included — and detaches the
 // sink: a stream ends at run_end, whatever the engine goes on to do (the
 // trainer's -posterior-samples keeps stepping the sampler past it).
 func (r *RunRecorder) RunEnd(iterations int) {

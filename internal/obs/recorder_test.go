@@ -13,7 +13,7 @@ func TestRunRecorderEmitsIterEvents(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewSink(&buf)
 	reg := NewRegistry()
-	rec := NewRunRecorder(sink, 1, reg)
+	rec := NewRunRecorder(sink, 0, reg)
 
 	rec.RunStart(2, 2)
 	reg.Counter(CtrDKVRemoteKeys).Add(30)
@@ -41,7 +41,7 @@ func TestRunRecorderEmitsIterEvents(t *testing.T) {
 		t.Errorf("run_start = %+v", events[0])
 	}
 	it0 := events[1]
-	if it0.Type != EventIter || it0.Iter != 0 || it0.Rank != 1 {
+	if it0.Type != EventIter || it0.Iter != 0 || it0.Rank != 0 {
 		t.Fatalf("iter 0 event = %+v", it0)
 	}
 	if got := it0.StagesMS["update_phi"]; got < 3 {
@@ -74,6 +74,38 @@ func TestRunRecorderEmitsIterEvents(t *testing.T) {
 	// Stage latencies feed histograms.
 	if got := reg.Histogram("stage.update_phi").Snapshot().Count; got != 3 {
 		t.Errorf("stage.update_phi histogram count = %d, want 3", got)
+	}
+}
+
+// TestRunStartTakesTheBaseline pins where a rank's first iteration starts
+// counting: at RunStart, which every rank calls when its loop starts.
+// Traffic before it (a restart's streaming) is in no iter event, only in
+// run_end's cumulative block, and only rank 0 announces the run.
+func TestRunStartTakesTheBaseline(t *testing.T) {
+	var buf bytes.Buffer
+	sink := NewSink(&buf)
+	reg := NewRegistry()
+	rec := NewRunRecorder(sink, 1, reg)
+	reg.Counter(CtrDKVRequests).Add(100) // start-up traffic
+	rec.RunStart(2, 1)
+	reg.Counter(CtrDKVRequests).Add(3)
+	rec.IterDone(0)
+	rec.RunEnd(1)
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := ReadEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 2 || events[0].Type != EventIter || events[0].Rank != 1 || events[1].Type != EventRunEnd {
+		t.Fatalf("rank 1 wrote %+v; want one iter event and run_end", events)
+	}
+	if got := events[0].DKV.Requests; got != 3 {
+		t.Errorf("iter 0 carries %d DKV requests, want the loop's 3", got)
+	}
+	if got := events[1].DKV.Requests; got != 103 {
+		t.Errorf("run_end carries %d DKV requests, want the cumulative 103", got)
 	}
 }
 

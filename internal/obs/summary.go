@@ -33,7 +33,7 @@ type Summary struct {
 	DKV       DKVCounters          `json:"dkv"`
 	// PeerWaitMS[p] totals the recv-wait peer p imposed on the other ranks
 	// (summed per-peer wait deltas of every iter event, diagonal excluded);
-	// PeerSkew and Stragglers apply the stragglerReport rule to it.
+	// PeerSkew and Stragglers apply the StragglerWaits rule to it.
 	PeerWaitMS      map[int]float64 `json:"peer_wait_ms,omitempty"`
 	PeerSkew        float64         `json:"peer_skew,omitempty"`
 	Stragglers      []int           `json:"stragglers,omitempty"`
@@ -159,7 +159,7 @@ func Summarize(events []Event) (*Summary, error) {
 		for p, w := range peerWait {
 			waits[p] = w
 		}
-		rep := stragglerReport(waits)
+		rep := StragglerWaits(waits)
 		s.PeerSkew = rep.Skew
 		s.Stragglers = rep.Flagged
 	}

@@ -141,8 +141,11 @@ func CreateMmap(dir string, n, k int, opt MmapOptions) (*MmapStore, error) {
 	return s, nil
 }
 
-// OpenMmap loads the sealed generation recorded in dir's manifest. Orphan
-// .work and .tmp files from an interrupted seal are removed; shard files are
+// OpenMmap loads the sealed generation recorded in dir's manifest. The
+// manifest is a claim: its dimensions are bounded (MaxRows, MaxK) and its
+// shard list checked against them before anything is sized from it, so a
+// hostile one is a typed ErrMmapFormat, not an allocation. Orphan .work and
+// .tmp files from an interrupted seal are removed; shard files are
 // validated (header + exact size) so a torn file surfaces as a typed
 // ErrShortRow instead of an out-of-range panic on first read.
 func OpenMmap(dir string, opt MmapOptions) (*MmapStore, error) {
@@ -152,19 +155,19 @@ func OpenMmap(dir string, opt MmapOptions) (*MmapStore, error) {
 	}
 	var m mmapManifest
 	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("store: mmap manifest: %w", err)
+		return nil, fmt.Errorf("store: %w: manifest: %v", ErrMmapFormat, err)
 	}
 	if m.Version != manifestVersion {
-		return nil, fmt.Errorf("store: mmap manifest version %d unsupported", m.Version)
+		return nil, fmt.Errorf("store: %w: manifest version %d unsupported", ErrMmapFormat, m.Version)
 	}
-	if m.N < 1 || m.K < 1 || m.ShardRows < 1 {
-		return nil, fmt.Errorf("store: mmap manifest claims N=%d K=%d shardRows=%d", m.N, m.K, m.ShardRows)
+	if m.N < 1 || m.K < 1 || m.ShardRows < 1 || m.N > MaxRows || m.K > MaxK {
+		return nil, fmt.Errorf("store: %w: manifest claims N=%d K=%d shardRows=%d", ErrMmapFormat, m.N, m.K, m.ShardRows)
+	}
+	if _, want := shardLayout(m.N, m.ShardRows); len(m.Shards) != want {
+		return nil, fmt.Errorf("store: %w: manifest lists %d shards, dims need %d", ErrMmapFormat, len(m.Shards), want)
 	}
 	opt.ShardRows = m.ShardRows
 	s := newMmapStore(dir, m.N, m.K, opt)
-	if len(m.Shards) != len(s.shards) {
-		return nil, fmt.Errorf("store: mmap manifest lists %d shards, dims need %d", len(m.Shards), len(s.shards))
-	}
 	s.gen = m.SealGen
 	for i := range s.shards {
 		if err := s.openSealed(i, m.Shards[i]); err != nil {
@@ -176,15 +179,19 @@ func OpenMmap(dir string, opt MmapOptions) (*MmapStore, error) {
 	return s, nil
 }
 
+// shardLayout returns the rows per shard (shardRows, at most n) and the
+// shard count of an n-row table.
+func shardLayout(n, shardRows int) (rows, count int) {
+	rows = min(shardRows, n)
+	return rows, (n + rows - 1) / rows
+}
+
 func newMmapStore(dir string, n, k int, opt MmapOptions) *MmapStore {
 	shardRows := opt.ShardRows
 	if shardRows <= 0 {
 		shardRows = DefaultShardRows
 	}
-	if shardRows > n {
-		shardRows = n
-	}
-	nShards := (n + shardRows - 1) / shardRows
+	shardRows, nShards := shardLayout(n, shardRows)
 	s := &MmapStore{
 		dir: dir, n: n, k: k, shardRows: shardRows,
 		threads: opt.Threads, rb: RowBytes(k),
@@ -261,19 +268,19 @@ func (s *MmapStore) openSealed(i int, gen uint64) error {
 
 func (s *MmapStore) checkShardHeader(data []byte, i int, gen uint64) error {
 	if binary.LittleEndian.Uint64(data[0:]) != shardMagic {
-		return fmt.Errorf("store: mmap shard %d: not a shard file", i)
+		return fmt.Errorf("store: %w: shard %d: bad magic", ErrMmapFormat, i)
 	}
 	if k := binary.LittleEndian.Uint32(data[8:]); int(k) != s.k {
-		return fmt.Errorf("store: mmap shard %d: K=%d, store expects %d", i, k, s.k)
+		return fmt.Errorf("store: %w: shard %d: K=%d, store expects %d", ErrMmapFormat, i, k, s.k)
 	}
 	if idx := binary.LittleEndian.Uint32(data[12:]); int(idx) != i {
-		return fmt.Errorf("store: mmap shard %d: header claims shard %d", i, idx)
+		return fmt.Errorf("store: %w: shard %d: header claims shard %d", ErrMmapFormat, i, idx)
 	}
 	if rows := binary.LittleEndian.Uint32(data[16:]); int(rows) != s.shards[i].rows {
-		return fmt.Errorf("store: mmap shard %d: header claims %d rows, need %d", i, rows, s.shards[i].rows)
+		return fmt.Errorf("store: %w: shard %d: header claims %d rows, need %d", ErrMmapFormat, i, rows, s.shards[i].rows)
 	}
 	if g := binary.LittleEndian.Uint64(data[24:]); g != gen {
-		return fmt.Errorf("store: mmap shard %d: header generation %d, manifest says %d", i, g, gen)
+		return fmt.Errorf("store: %w: shard %d: header generation %d, manifest says %d", ErrMmapFormat, i, g, gen)
 	}
 	return nil
 }

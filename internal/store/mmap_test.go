@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,7 +13,7 @@ import (
 
 // initMmap creates an n×k store in a fresh temp dir, populates it with the
 // same deterministic rows twoRankStores uses, and seals generation 1.
-func initMmap(t *testing.T, n, k int, opt MmapOptions) *MmapStore {
+func initMmap(t testing.TB, n, k int, opt MmapOptions) *MmapStore {
 	t.Helper()
 	s, err := CreateMmap(t.TempDir(), n, k, opt)
 	if err != nil {
@@ -390,4 +391,64 @@ func TestMmapStoreWritePiRowsAndSnapshot(t *testing.T) {
 	if snap.PiRow(3)[0] != 30 || snap.PiRow(3)[2] != 32 {
 		t.Fatalf("snapshot row 3 = %v", snap.PiRow(3))
 	}
+}
+
+// TestOpenMmapHostileManifest pins that a MANIFEST is a claim: one
+// announcing 2^62 one-row shards is refused as ErrMmapFormat before any
+// shard table is sized from it.
+func TestOpenMmapHostileManifest(t *testing.T) {
+	dir := t.TempDir()
+	manifest := `{"version": 1, "n": 4611686018427387904, "k": 3, "shard_rows": 1, "seal_gen": 1, "shards": [1]}`
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenMmap(dir, MmapOptions{}); !errors.Is(err, ErrMmapFormat) {
+		t.Fatalf("hostile manifest: err=%v, want ErrMmapFormat", err)
+	}
+}
+
+// FuzzOpenMmap holds OpenMmap to "typed error or a valid store" over
+// arbitrary MANIFEST bytes beside one real sealed shard file (a 16×3 table
+// in one shard, generation 1). A valid store must read back every row.
+func FuzzOpenMmap(f *testing.F) {
+	const n, k = 16, 3
+	seed := initMmap(f, n, k, MmapOptions{ShardRows: n})
+	manifest, err := os.ReadFile(filepath.Join(seed.dir, manifestName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	shardName := filepath.Base(seed.shardFile(0, 1))
+	shard, err := os.ReadFile(filepath.Join(seed.dir, shardName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(manifest)
+	f.Add([]byte(`{"version": 1, "n": 4611686018427387904, "k": 3, "shard_rows": 1, "seal_gen": 1, "shards": [1]}`))
+	f.Add([]byte(`{"version": 1, "n": 16, "k": 3, "shard_rows": 8, "seal_gen": 1, "shards": [1, 1]}`))
+	f.Add([]byte(`{"version": 1, "n": 8, "k": 8, "shard_rows": 8, "seal_gen": 1, "shards": [1]}`))
+	f.Add([]byte(`{"version": 1, "n": 16, "k": 3, "shard_rows": 16, "seal_gen": 2, "shards": [2]}`))
+	f.Add([]byte(`not json`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, shardName), shard, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenMmap(dir, MmapOptions{})
+		if err != nil {
+			if !errors.Is(err, ErrMmapFormat) && !errors.Is(err, ErrShortRow) && !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		defer s.Close()
+		if s.NumRows() != n || s.K() != k {
+			t.Fatalf("opened a %d×%d store over a %d×%d shard", s.NumRows(), s.K(), n, k)
+		}
+		if err := Sweep(s, nil, func(int, *Rows) error { return nil }); err != nil {
+			t.Fatalf("opened store does not read back: %v", err)
+		}
+	})
 }

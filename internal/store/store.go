@@ -50,9 +50,21 @@ import (
 //   - ErrShortRow: a wire/file value shorter than RowBytes(K) — a truncated
 //     DKV response or a torn shard file. Decoding it would index past the
 //     buffer; the store returns the typed error instead of panicking.
+//   - ErrMmapFormat: an mmap store directory whose MANIFEST or shard headers
+//     cannot describe a table (bad JSON, dimensions out of bounds, a shard
+//     list that disagrees with them, a header for another shard).
 var (
 	ErrDegenerateRow = errors.New("degenerate phi row")
 	ErrShortRow      = errors.New("short row value")
+	ErrMmapFormat    = errors.New("not a valid mmap π store")
+)
+
+// MaxRows and MaxK bound the table a stored header may claim — the
+// checkpoint header and the mmap MANIFEST alike — so a reader refuses an
+// absurd claim before it sizes anything from it.
+const (
+	MaxRows = 1 << 31
+	MaxK    = 1 << 24
 )
 
 // checkRowSum validates a φ row sum before it becomes a divisor; the error

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/engine"
 	"repro/internal/store"
 )
 
@@ -113,7 +114,7 @@ func (r *run) flagSet(prog string, defaultRanks int) *flag.FlagSet {
 	fs.DurationVar(&r.slowSend, only(">= 2", "slow-send"), time.Millisecond, "per-send delay injected at -slow-rank")
 	fs.DurationVar(&r.slowPhi, only(">= 2", "slow-phi"), 0, "fault injection: per-assigned-node compute delay injected into -slow-rank's update_phi — the degraded-CPU straggler -rebalance can cure")
 	fs.BoolVar(&o.Rebalance, only(">= 2", "rebalance"), false, "close the straggler loop: re-shard each window's minibatch away from flagged ranks (trained model stays bit-identical)")
-	fs.IntVar(&o.RebalanceCfg.Window, only(">= 2", "rebalance-window"), 0, "straggler-mitigation window in iterations (0 = library default)")
+	fs.IntVar(&o.RebalanceWindow, only(">= 2", "rebalance-window"), engine.DefaultRebalanceWindow, "straggler-mitigation window in iterations")
 	fs.StringVar(&r.monitorAt, only(">= 2", "monitor"), "", "serve live metrics (/metrics) and the run log with its spans (/events, SSE) over HTTP on this address (e.g. :6060 or 127.0.0.1:0)")
 	fs.BoolVar(&r.pprof, only(">= 2", "pprof"), false, "with -monitor, expose net/http/pprof under /debug/pprof/ (explicit opt-in; enables block profiling)")
 	fs.BoolVar(&r.rankTable, only(">= 2", "rank-table"), false, "print the per-rank × per-stage time table after the run")
