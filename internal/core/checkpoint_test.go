@@ -325,7 +325,9 @@ func TestCheckpointBytesEveryBackend(t *testing.T) {
 		t.Cleanup(func() { f.Close() })
 		var master *store.DKVStore
 		for r := 0; r < 2; r++ {
-			st, err := store.NewDKV(f.Endpoint(r), n, k, 2, nil)
+			st, err := store.NewDKV(f.Endpoint(r), n, k, 2, nil, func(lo, hi int) (store.PiStore, error) {
+				return store.NewLocal(make([]float32, (hi-lo)*k), make([]float64, hi-lo), k, 2), nil
+			})
 			if err != nil {
 				t.Fatal(err)
 			}

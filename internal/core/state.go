@@ -75,8 +75,8 @@ func NewStateShell(cfg Config, n int) (*State, error) {
 	return s, nil
 }
 
-// ShellInit adapts InitPiRow to the initRow callback shape the store
-// backends take (MmapStore.InitRows, DKVStore.InitOwned), closing over cfg.
+// ShellInit adapts InitPiRow to the initRow callback shape MmapStore.InitRows
+// takes, closing over cfg.
 func ShellInit(cfg Config) func(a int, pi []float32) float64 {
 	return func(a int, pi []float32) float64 {
 		return InitPiRow(cfg, a, pi)

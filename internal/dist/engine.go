@@ -20,7 +20,7 @@ import (
 // and collectives — around the shared stage layer of internal/core, which
 // holds all phase math. The stages read and write π through a
 // store.DKVStore, the same PiStore contract the local sampler satisfies
-// with a store.LocalStore.
+// with a store.LocalStore; the rows this rank owns are a LocalStore too.
 type node struct {
 	cfg  core.Config
 	opt  Options
@@ -30,6 +30,9 @@ type node struct {
 
 	store *store.DKVStore
 	n, k  int
+	// initOwned fills this rank's partition with the initial rows; a restart
+	// overwrites them from the checkpoint instead.
+	initOwned func()
 
 	// master-only
 	g        *graph.Graph
@@ -168,7 +171,7 @@ func newNode(cfg core.Config, opt Options, comm *cluster.Comm, g *graph.Graph, h
 		})
 	}
 
-	nd.store, err = store.NewDKV(comm.Conn(), nd.n, cfg.K, opt.Threads, reg)
+	nd.store, err = store.NewDKV(comm.Conn(), nd.n, cfg.K, opt.Threads, reg, nd.partition)
 	if err != nil {
 		return nil, err
 	}
@@ -191,6 +194,20 @@ func newNode(cfg core.Config, opt Options, comm *cluster.Comm, g *graph.Graph, h
 		return nil, err
 	}
 	return nd, nil
+}
+
+// partition builds this rank's share of π, rows [lo, hi), as a LocalStore,
+// and leaves filling it to run, where every rank draws its rows at once.
+func (nd *node) partition(lo, hi int) (store.PiStore, error) {
+	k := nd.k
+	pi := make([]float32, (hi-lo)*k)
+	phiSum := make([]float64, hi-lo)
+	nd.initOwned = func() {
+		for a := lo; a < hi; a++ {
+			phiSum[a-lo] = core.InitPiRow(nd.cfg, a, pi[(a-lo)*k:(a-lo+1)*k])
+		}
+	}
+	return store.NewLocal(pi, phiSum, k, nd.opt.Threads), nil
 }
 
 func (nd *node) refreshBeta() {
@@ -272,6 +289,16 @@ func (nd *node) buildLoop() *engine.Loop {
 			Run:       nd.checkpointStage,
 		})
 	}
+	if nd.opt.EvalEvery > 0 {
+		// Held-out evaluation reads the fenced π like publish, but every rank
+		// folds its shard and joins the reduction; off EvalEvery iterations
+		// the stage is a no-op on all ranks, as reshard is.
+		loop.Stages = append(loop.Stages, engine.Stage{
+			Name:  engine.PhasePerplexity,
+			Reads: []string{"pi", "beta"},
+			Run:   nd.evalStage,
+		})
+	}
 	if hook := nd.opt.FaultHook; hook != nil {
 		loop.FaultHook = func(t int) error { return hook(nd.rank, t) }
 	}
@@ -304,9 +331,7 @@ func (nd *node) run() (err error) {
 			return err
 		}
 	} else {
-		nd.store.InitOwned(func(a int, pi []float32) float64 {
-			return core.InitPiRow(nd.cfg, a, pi)
-		})
+		nd.initOwned()
 	}
 	if err := nd.comm.Barrier(); err != nil {
 		return err
@@ -327,18 +352,6 @@ func (nd *node) run() (err error) {
 	for t := nd.startIter; t < nd.opt.Iterations; t++ {
 		if err := nd.loop.RunIteration(t); err != nil {
 			return fmt.Errorf("iteration %d: %w", t, err)
-		}
-		if nd.opt.EvalEvery > 0 && (t+1)%nd.opt.EvalEvery == 0 {
-			v, err := nd.evalPerplexity()
-			if err != nil {
-				return fmt.Errorf("perplexity at %d: %w", t, err)
-			}
-			nd.perp = append(nd.perp, PerpPoint{Iter: t + 1, Value: v, Elapsed: time.Since(nd.start)})
-			// The value is identical on every rank (master reduces and
-			// broadcasts); emit the perplexity event once, from rank 0.
-			if rec != nil && nd.rank == 0 {
-				rec.EvalDone(t+1, v)
-			}
 		}
 	}
 	nd.ob.Interval(obs.NoIter, engine.PhaseTotal, totalStart)

@@ -400,7 +400,7 @@ func TestEveryViewIsTheSameMeasurement(t *testing.T) {
 		t.Fatalf("log carries spans of %d ranks, want %d", len(trace), ranks)
 	}
 
-	loopStages := []string{engine.PhaseDeployMinibatch, engine.PhaseUpdatePhi, engine.PhaseUpdatePi, engine.PhaseUpdateBetaTheta}
+	loopStages := []string{engine.PhaseDeployMinibatch, engine.PhaseUpdatePhi, engine.PhaseUpdatePi, engine.PhaseUpdateBetaTheta, engine.PhasePerplexity}
 	for r := 0; r < ranks; r++ {
 		table := res.RankPhases[r]
 
@@ -433,11 +433,11 @@ func TestEveryViewIsTheSameMeasurement(t *testing.T) {
 				t.Errorf("rank 0 iter %d event has no %s: %v", e.Iter, engine.PhaseDrawMinibatch, e.StagesMS)
 			}
 		}
-		// Everything the table holds except the off-loop intervals is also a
-		// histogram and an event entry: sub-stages and the prefetched draw
-		// included.
+		// Everything the table holds except the off-loop total is also a
+		// histogram and an event entry: sub-stages, the prefetched draw and
+		// the evaluation stage included.
 		for name, total := range table {
-			if name == engine.PhasePerplexity || name == engine.PhaseTotal {
+			if name == engine.PhaseTotal {
 				continue
 			}
 			wantMS := float64(total) / float64(time.Millisecond)
@@ -448,8 +448,8 @@ func TestEveryViewIsTheSameMeasurement(t *testing.T) {
 				t.Errorf("rank %d %s: Σ stages_ms = %v, phase table %v ms", r, name, got, wantMS)
 			}
 		}
-		if len(eventMS) != len(table)-2 {
-			t.Errorf("rank %d: event stages %v vs phase table %v: want the table minus perplexity and total", r, eventMS, table)
+		if len(eventMS) != len(table)-1 {
+			t.Errorf("rank %d: event stages %v vs phase table %v: want the table minus total", r, eventMS, table)
 		}
 	}
 	if got := res.Phases.Count(engine.PhaseDrawMinibatch); got != iters {
@@ -544,5 +544,56 @@ func TestStartupIsChargedToNoIteration(t *testing.T) {
 	if len(rebalances) == 0 || rebalances[0].Iter != resumeAt+2*window-1 ||
 		len(rebalances[0].Flagged) != 1 || rebalances[0].Flagged[0] != 1 {
 		t.Fatalf("rebalance events %+v; want the first at iteration %d flagging rank 1", rebalances, resumeAt+2*window-1)
+	}
+}
+
+// TestEvaluationIsChargedToItsIteration pins where held-out evaluation's
+// traffic lands: evaluation is a loop stage, so an evaluating iteration's
+// iter event carries its reads. Rank 0's per-iteration DKV requests then sum
+// to run_end's cumulative count, and the last iteration — which evaluates —
+// carries as many as every other evaluating one. Before, evaluation ran after
+// the iteration's event was written: its reads landed in the next
+// iteration's event, and the last evaluation's in none.
+func TestEvaluationIsChargedToItsIteration(t *testing.T) {
+	train, held := fixture(t, 400, 4, 2400, 51)
+	const iters, every = 8, 2
+	var buf bytes.Buffer
+	sink := obs.NewSink(&buf)
+	if _, err := Run(core.DefaultConfig(4, 1234), train, held, Options{
+		Ranks: 2, Threads: 1, Iterations: iters, EvalEvery: every,
+		MinibatchPairs: parityPairs, Events: sink,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var requests []int64
+	var total int64 = -1
+	for _, e := range readLog(t, sink, &buf) {
+		switch {
+		case e.Type == obs.EventIter && e.Rank == 0:
+			if e.DKV == nil {
+				t.Fatalf("rank 0 iteration %d carries no DKV block", e.Iter)
+			}
+			requests = append(requests, e.DKV.Requests)
+		case e.Type == obs.EventRunEnd:
+			total = e.DKV.Requests
+		}
+	}
+	if len(requests) != iters {
+		t.Fatalf("rank 0 wrote %d iter events, want %d", len(requests), iters)
+	}
+	var sum int64
+	for _, r := range requests {
+		sum += r
+	}
+	if sum != total {
+		t.Fatalf("rank 0 DKV requests per iteration %v sum to %d; run_end counts %d", requests, sum, total)
+	}
+	for i, r := range requests {
+		if evaluates := (i+1)%every == 0; evaluates && r != requests[iters-1] || !evaluates && r != requests[0] {
+			t.Fatalf("rank 0 DKV requests per iteration %v: iteration %d differs from the others like it", requests, i)
+		}
+	}
+	if requests[iters-1] <= requests[0] {
+		t.Fatalf("rank 0 DKV requests per iteration %v: the last iteration carries no evaluation reads", requests)
 	}
 }

@@ -24,10 +24,9 @@ type Options struct {
 	// Pipeline enables both pipelining schemes of Section III-D: the master
 	// samples iteration t+1's minibatch while computing t, and each rank
 	// overlaps π loading against the update_phi compute. The per-rank
-	// overlap only actually engages when the store's reads leave the
-	// process (core.PhiStage demotes it to the fused serial path against
-	// local readers — pipelining a memcpy is pure overhead). Its chunk size
-	// is fixed policy (core.PhiStage.plan).
+	// overlap engages only at Ranks > 1: at one rank every row is the
+	// rank's own and a load is a memory copy, so the node runs the serial
+	// φ stage. Its chunk size is fixed policy (core.PhiStage.plan).
 	Pipeline bool
 
 	// HotRowCache, HotCachePolicy and HotCacheCrossIter are unread shims
@@ -342,22 +341,22 @@ func assembleResult(nodes []*node) *Result {
 	return res
 }
 
-// evalPerplexity folds the current state into the running posterior average
-// over this rank's held-out shard (the shared HeldOutEval stage) and
-// reduces the global averaged perplexity (Eqn 7) at the master; the value
-// is broadcast so every rank returns it.
-func (nd *node) evalPerplexity() (float64, error) {
-	defer nd.ob.Interval(obs.NoIter, engine.PhasePerplexity, obs.TraceNow())
-	if label := nd.ob.PhaseLabel; label != nil { // armed only when observed: no histograms otherwise
-		label(engine.PhasePerplexity)
+// evalStage evaluates the averaged perplexity after every EvalEvery-th
+// iteration: each rank folds the current state into the running posterior
+// average over its held-out shard (the shared HeldOutEval stage), the master
+// reduces the global value (Eqn 7) and broadcasts it, so every rank records
+// it.
+func (nd *node) evalStage(t int) error {
+	if (t+1)%nd.opt.EvalEvery != 0 {
+		return nil
 	}
 	partials, err := nd.eval.Fold(nd.store, nd.beta, nd.opt.Threads)
 	if err != nil {
-		return 0, err
+		return fmt.Errorf("perplexity at %d: %w", t, err)
 	}
 	gathered, err := nd.comm.Gather(0, wire.AppendFloat64s(nil, partials))
 	if err != nil {
-		return 0, err
+		return err
 	}
 	var out []byte
 	if nd.rank == 0 {
@@ -374,9 +373,15 @@ func (nd *node) evalPerplexity() (float64, error) {
 	}
 	out, err = nd.comm.Bcast(0, out)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	return math.Float64frombits(wire.Uint64At(out, 0)), nil
+	v := math.Float64frombits(wire.Uint64At(out, 0))
+	nd.perp = append(nd.perp, PerpPoint{Iter: t + 1, Value: v, Elapsed: time.Since(nd.start)})
+	// The value is identical on every rank; emit the event once, from rank 0.
+	if nd.ob.Rec != nil && nd.rank == 0 {
+		nd.ob.Rec.EvalDone(t+1, v)
+	}
+	return nil
 }
 
 // gatherState reads the whole π table back out of the DKV store into a

@@ -7,9 +7,11 @@
 // The paper implements this store directly on InfiniBand RDMA verbs, one
 // RDMA read or write per operation. Here the same contract is implemented
 // over a transport.Conn: a batch read is one request/response per owning
-// rank, a batch write one request/ack. Local keys short-circuit to memory,
-// which reproduces the paper's observation that a rank must fetch (C-1)/C of
-// a random batch over the network.
+// rank, a batch write one request/ack. The rows a rank owns are a Partition
+// the store is built over; the server answers every peer's request through
+// it, and a batch's owned share never touches the wire — the caller reads or
+// writes it in place (Read, Write), which reproduces the paper's observation
+// that a rank must fetch (C-1)/C of a random batch over the network.
 //
 // # Failure semantics
 //
@@ -110,7 +112,7 @@ func (e *KeyRangeError) Error() string {
 // names of internal/obs), so the same values the engine's event stream and
 // monitor endpoint export are readable here without any extra plumbing.
 type Stats struct {
-	LocalKeys    *obs.Counter // keys served from the local shard
+	LocalKeys    *obs.Counter // keys served from the rank's own partition
 	RemoteKeys   *obs.Counter // keys fetched from or written to peers
 	Requests     *obs.Counter // network round trips issued
 	BytesRead    *obs.Counter // value bytes received from peers
@@ -128,15 +130,28 @@ func newStats(reg *obs.Registry) *Stats {
 	}
 }
 
-// Store is one rank's view of the distributed store: its local shard plus a
-// client for every peer's shard.
+// Partition is the rows a rank owns, as the protocol moves them: values
+// ValueBytes long in the wire layout, under keys the rank owns. The server
+// answers every peer's read and write through it; ReadBatch and WriteBatch
+// also hand it their owned share. The server checks ownership before it
+// calls in, so every key a Partition sees is its own.
+type Partition interface {
+	// AppendValues appends the values of keys to dst, in key order.
+	AppendValues(dst []byte, keys []int32) ([]byte, error)
+	// ApplyValues stores values (ValueBytes per key, in key order) under
+	// keys.
+	ApplyValues(keys []int32, values []byte) error
+}
+
+// Store is one rank's view of the distributed store: its partition plus a
+// client for every peer's.
 type Store struct {
 	conn     transport.Conn
 	n        int // total keys
 	valBytes int // fixed value size
 	per      int // keys per rank (last rank may own fewer)
 	lo, hi   int // owned key range [lo, hi)
-	shard    []byte
+	part     Partition
 
 	// reqMu guards the per-peer request-id sequences and the quarantine set
 	// of tags whose replies were abandoned by a failed exchange.
@@ -164,19 +179,24 @@ func (s *Store) SetTracer(tr *obs.Tracer) {
 	}
 }
 
-// New creates the store and starts this rank's server goroutine. All ranks
-// must call New with identical n and valBytes. The initial shard content is
-// zero; populate it with WriteLocal before the first Barrier. Traffic
-// counters land in a private registry; use NewWithRegistry to share the
-// run's registry.
+// New creates a store whose partition is a zeroed byte slab, and starts
+// this rank's server goroutine. All ranks must call New with identical n and
+// valBytes. It is the byte-valued store the benchmark module's DKV probe and
+// this package's tests run on; the engine's partition is a store.PiStore
+// (store.NewDKV). ROADMAP item 3 deletes it with the benchmark's shims.
 func New(conn transport.Conn, n, valBytes int) (*Store, error) {
-	return NewWithRegistry(conn, n, valBytes, nil)
+	return NewPartitioned(conn, n, valBytes, nil, func(lo, hi int) (Partition, error) {
+		return &slab{lo: lo, vb: valBytes, data: make([]byte, (hi-lo)*valBytes)}, nil
+	})
 }
 
-// NewWithRegistry is New with the client traffic counters registered in reg
-// (nil falls back to a private registry), so the engine's telemetry layer
-// sees DKV traffic without any result-struct plumbing.
-func NewWithRegistry(conn transport.Conn, n, valBytes int, reg *obs.Registry) (*Store, error) {
+// NewPartitioned creates the store over the partition part builds for this
+// rank's key range [lo, hi), then starts the server goroutine, which answers
+// peers from it. All ranks must call it with identical n and valBytes. The
+// client traffic counters are registered in reg (nil falls back to a
+// private registry), so the engine's telemetry layer sees DKV traffic
+// without any result-struct plumbing.
+func NewPartitioned(conn transport.Conn, n, valBytes int, reg *obs.Registry, part func(lo, hi int) (Partition, error)) (*Store, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("dkv: n = %d, need at least 1", n)
 	}
@@ -188,13 +208,11 @@ func NewWithRegistry(conn transport.Conn, n, valBytes int, reg *obs.Registry) (*
 	}
 	size := conn.Size()
 	per := (n + size - 1) / size
-	lo := conn.Rank() * per
-	hi := lo + per
-	if lo > n {
-		lo = n
-	}
-	if hi > n {
-		hi = n
+	lo := min(conn.Rank()*per, n)
+	hi := min(lo+per, n)
+	p, err := part(lo, hi)
+	if err != nil {
+		return nil, err
 	}
 	s := &Store{
 		conn:     conn,
@@ -203,7 +221,7 @@ func NewWithRegistry(conn transport.Conn, n, valBytes int, reg *obs.Registry) (*
 		per:      per,
 		lo:       lo,
 		hi:       hi,
-		shard:    make([]byte, (hi-lo)*valBytes),
+		part:     p,
 		seq:      make([]uint32, size),
 		lost:     make(map[uint64]struct{}),
 		stats:    newStats(reg),
@@ -211,6 +229,31 @@ func NewWithRegistry(conn transport.Conn, n, valBytes int, reg *obs.Registry) (*
 	s.serveWG.Add(1)
 	go s.serve()
 	return s, nil
+}
+
+// slab is New's byte-valued Partition: the owned values back to back.
+type slab struct {
+	lo, vb int
+	data   []byte
+}
+
+func (p *slab) value(k int32) []byte {
+	off := (int(k) - p.lo) * p.vb
+	return p.data[off : off+p.vb]
+}
+
+func (p *slab) AppendValues(dst []byte, keys []int32) ([]byte, error) {
+	for _, k := range keys {
+		dst = append(dst, p.value(k)...)
+	}
+	return dst, nil
+}
+
+func (p *slab) ApplyValues(keys []int32, values []byte) error {
+	for i, k := range keys {
+		copy(p.value(k), values[i*p.vb:])
+	}
+	return nil
 }
 
 // Owner returns the rank owning key k.
@@ -222,34 +265,8 @@ func (s *Store) OwnedRange() (lo, hi int) { return s.lo, s.hi }
 // Stats exposes the client-side traffic counters.
 func (s *Store) Stats() *Stats { return s.stats }
 
-// localValue returns the storage slice for an owned key.
-func (s *Store) localValue(k int) []byte {
-	off := (k - s.lo) * s.valBytes
-	return s.shard[off : off+s.valBytes]
-}
-
 // ownsKey reports whether k falls inside this rank's shard.
 func (s *Store) ownsKey(k int32) bool { return int(k) >= s.lo && int(k) < s.hi }
-
-// WriteLocal stores a value for an owned key without any messaging; used for
-// initial population. It panics on non-owned keys.
-func (s *Store) WriteLocal(k int, val []byte) {
-	if k < s.lo || k >= s.hi {
-		panic(fmt.Sprintf("dkv: WriteLocal key %d outside owned range [%d,%d)", k, s.lo, s.hi))
-	}
-	if len(val) != s.valBytes {
-		panic(fmt.Sprintf("dkv: value size %d, want %d", len(val), s.valBytes))
-	}
-	copy(s.localValue(k), val)
-}
-
-// ReadLocal copies an owned key's value into dst; used by tests.
-func (s *Store) ReadLocal(k int, dst []byte) {
-	if k < s.lo || k >= s.hi {
-		panic(fmt.Sprintf("dkv: ReadLocal key %d outside owned range [%d,%d)", k, s.lo, s.hi))
-	}
-	copy(dst, s.localValue(k))
-}
 
 // errResp encodes an error response, [status][offending key], into b.
 func errResp(b []byte, status uint32, key int32) []byte {
@@ -322,7 +339,9 @@ type serveScratch struct {
 // plus the span name of a served request ("" for an error reply). A count
 // that overruns the frame or an unknown opcode (a peer's opStop included) is
 // answered with respMalformed; a key outside this shard with respKeyRange,
-// before anything is applied, so a bad write is all-or-nothing.
+// before anything is applied, so a bad write is all-or-nothing. A partition
+// that fails to read or apply is answered respMalformed too: the wire has no
+// other failure status.
 func (s *Store) handle(op uint32, req []byte, sc *serveScratch) (resp []byte, span string) {
 	rec := 4 // bytes per key: the key, plus the value on a write
 	switch op {
@@ -345,27 +364,27 @@ func (s *Store) handle(op uint32, req []byte, sc *serveScratch) (resp []byte, sp
 		sc.resp = errResp(sc.resp, respKeyRange, bad)
 		return sc.resp, ""
 	}
-	vb := s.valBytes
+	var err error
+	resp = wire.AppendUint32(sc.resp[:0], respOK)
 	if op == opWrite {
-		for i, k := range keys {
-			copy(s.localValue(int(k)), req[off+i*vb:off+(i+1)*vb])
-		}
-		sc.resp = wire.AppendUint32(sc.resp[:0], respOK)
-		return sc.resp, "dkv.serve.write"
+		span = "dkv.serve.write"
+		err = s.part.ApplyValues(keys, req[off:off+count*s.valBytes])
+	} else {
+		span = "dkv.serve.read"
+		resp, err = s.part.AppendValues(resp, keys)
 	}
-	sc.resp = wire.AppendUint32(sc.resp[:0], respOK)
-	sc.resp = slices.Grow(sc.resp, count*vb)[:4+count*vb]
-	for i, k := range keys {
-		copy(sc.resp[4+i*vb:], s.localValue(int(k)))
+	if err != nil {
+		resp, span = errResp(resp, respMalformed, -1), ""
 	}
-	return sc.resp, "dkv.serve.read"
+	sc.resp = resp
+	return resp, span
 }
 
 // emitServeSpans records one served request as a parentless root span on the
 // DKV server track plus three children splitting where the time went:
 //
 //	queue  — request send (client clock) to server pickup: backlog wait
-//	handle — pickup to response built: shard copy / apply
+//	handle — pickup to response built: partition read / apply
 //	reply  — response Send call: wire back-pressure
 //
 // Every span carries Peer = the REQUESTING rank, so trace viewers and the
@@ -469,32 +488,12 @@ func decodeResp(rank int, resp []byte, wantBytes int) ([]byte, error) {
 	}
 }
 
-// Values is one owner's share of a batched read, as ReadEach hands it to its
-// visitor: value j belongs at position Pos(j) of the caller's key list. The
-// values are not copies — the local share reads the shard, a remote share
-// the reply frame — so a visitor copies out what it needs before it returns.
-type Values struct {
-	pos  []int32
-	keys []int32 // local share: value j is the shard's value for keys[j]
-	data []byte  // the shard, or a reply's values back to back
-	lo   int     // first key the shard holds
-	vb   int
-}
-
-// Len returns the number of values in the share.
-func (v Values) Len() int { return len(v.pos) }
-
-// Pos returns the position in the caller's key list of value j.
-func (v Values) Pos(j int) int { return int(v.pos[j]) }
-
-// Value returns value j, ValueBytes long.
-func (v Values) Value(j int) []byte {
-	i := j
-	if v.keys != nil {
-		i = int(v.keys[j]) - v.lo
-	}
-	return v.data[i*v.vb : (i+1)*v.vb]
-}
+// Owned is the visitor a batch's owned share goes to, on the calling
+// goroutine while the requests to the other owners are in flight: keys[j]
+// sits at position pos[j] of the caller's batch. When the rank owns every
+// key of the batch, pos is nil and keys is the batch itself, so a caller can
+// serve it with no scatter at all.
+type Owned func(keys, pos []int32) error
 
 // perRankBatch is one owner's share of a key batch, remembering each key's
 // position in the caller's batch so replies scatter back in order; id is the
@@ -550,51 +549,94 @@ func (s *Store) groupByOwner(keys []int32, sc *exchangeScratch) []perRankBatch {
 	return groups
 }
 
-// ReadEach fetches the values of a key batch and hands them to visit one
-// owner's share at a time, as each arrives: the local share straight from
-// the shard, each remote share straight from its reply frame, which goes
-// back to the transport as soon as visit returns. visit runs on the calling
-// goroutine and must not keep the Values or any value past its return.
-func (s *Store) ReadEach(keys []int32, visit func(Values)) error {
-	return s.exchange(opRead, keys, nil, visit)
+// Read fetches the values of a key batch: the owned share goes to owned,
+// and each peer's share to remote as its reply arrives — value j,
+// ValueBytes long, belongs at position pos[j] of the batch — straight from
+// the reply frame, which goes back to the transport as soon as remote
+// returns. Both run on the calling goroutine and must not keep what they
+// are handed past their return.
+func (s *Store) Read(keys []int32, owned Owned, remote func(pos []int32, values []byte)) error {
+	return s.exchange(opRead, keys, nil, owned, remote)
+}
+
+// Write stores a key batch: the owned share goes to owned, and every other
+// key's value — ValueBytes at its position in values — is sent to its
+// owner. Write waits for every owner's acknowledgement, so that a
+// subsequent cluster barrier orders these writes before any later read —
+// exactly the write-then-barrier-then-read discipline of the paper's phases.
+// The values of owned keys are not read.
+func (s *Store) Write(keys []int32, values []byte, owned Owned) error {
+	return s.exchange(opWrite, keys, values, owned, nil)
 }
 
 // ReadBatch fetches the values of a key batch into dst (len(keys)*ValueBytes
-// bytes, in key order): owned keys are copied from the local shard, every
-// other owner gets one request.
+// bytes, in key order): owned keys from the partition, every other owner
+// with one request.
 func (s *Store) ReadBatch(keys []int32, dst []byte) error {
 	vb := s.valBytes
 	if len(dst) != len(keys)*vb {
 		return fmt.Errorf("dkv: dst has %d bytes, want %d", len(dst), len(keys)*vb)
 	}
-	return s.ReadEach(keys, func(v Values) {
-		for j := range v.Len() {
-			p := v.Pos(j)
-			copy(dst[p*vb:(p+1)*vb], v.Value(j))
+	return s.Read(keys, func(keys, pos []int32) error {
+		for j := range keys {
+			// A zero-length slice capped at the value appends in place.
+			o := at(pos, j) * vb
+			if _, err := s.part.AppendValues(dst[o:o:o+vb], keys[j:j+1]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, func(pos []int32, values []byte) {
+		for j, p := range pos {
+			copy(dst[int(p)*vb:int(p+1)*vb], values[j*vb:])
 		}
 	})
 }
 
 // WriteBatch stores values (len(keys)*ValueBytes bytes, in key order) under
-// their keys and waits for every owner's acknowledgement, so that a
-// subsequent cluster barrier orders these writes before any later read —
-// exactly the write-then-barrier-then-read discipline of the paper's phases.
+// their keys: owned keys through the partition, the rest as Write sends
+// them.
 func (s *Store) WriteBatch(keys []int32, values []byte) error {
-	if len(values) != len(keys)*s.valBytes {
-		return fmt.Errorf("dkv: values have %d bytes, want %d", len(values), len(keys)*s.valBytes)
+	vb := s.valBytes
+	if len(values) != len(keys)*vb {
+		return fmt.Errorf("dkv: values have %d bytes, want %d", len(values), len(keys)*vb)
 	}
-	return s.exchange(opWrite, keys, values, nil)
+	return s.Write(keys, values, func(keys, pos []int32) error {
+		for j := range keys {
+			o := at(pos, j) * vb
+			if err := s.part.ApplyValues(keys[j:j+1], values[o:o+vb]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// at is the batch position of an owned share's key j (see Owned).
+func at(pos []int32, j int) int {
+	if pos == nil {
+		return j
+	}
+	return int(pos[j])
 }
 
 // exchange runs one batched read or write: the keys are grouped by owner,
-// each peer gets one request, the local group is served in place while the
-// requests are in flight, and then every reply is awaited. A read hands
-// each share to visit; a write takes its values, in key order, from values.
-// A failed reply does not strand the others: every reply is awaited, the
-// tags of missing ones are quarantined, and every error is reported
-// (errors.Join). A failed Send returns at once, quarantining the requests
-// already sent.
-func (s *Store) exchange(op uint32, keys []int32, values []byte, visit func(Values)) error {
+// each peer gets one request, the owned group goes to owned while the
+// requests are in flight, and then every reply is awaited. A batch the rank
+// owns entirely goes to owned as it is, with no grouping. A read hands each
+// peer's share to remote; a write takes each remote key's value, by its
+// position, from values. A failed reply does not strand the others: every
+// reply is awaited, the tags of missing ones are quarantined, and every
+// error is reported (errors.Join). A failed Send returns at once,
+// quarantining the requests already sent.
+func (s *Store) exchange(op uint32, keys []int32, values []byte, owned Owned, remote func(pos []int32, values []byte)) error {
+	if len(keys) == 0 {
+		return nil
+	}
+	if _, ok := s.findMisroutedKey(keys); ok { // always, at one rank
+		s.stats.LocalKeys.Add(int64(len(keys)))
+		return owned(keys, nil)
+	}
 	vb := s.valBytes
 	write := op == opWrite
 	sc := exchangePool.Get().(*exchangeScratch)
@@ -631,21 +673,15 @@ func (s *Store) exchange(op uint32, keys []int32, values []byte, visit func(Valu
 		}
 		sc.sent = append(sc.sent, rank)
 	}
+	var errAll error
 	if g := &groups[me]; len(g.keys) > 0 {
-		if write {
-			for i, k := range g.keys {
-				copy(s.localValue(int(k)), values[int(g.pos[i])*vb:(int(g.pos[i])+1)*vb])
-			}
-		} else {
-			visit(Values{pos: g.pos, keys: g.keys, data: s.shard, lo: s.lo, vb: vb})
-		}
+		errAll = owned(g.keys, g.pos)
 		s.stats.LocalKeys.Add(int64(len(g.keys)))
 	}
 	span, perKey := "dkv.wait.read", vb // reply payload bytes per key
 	if write {
 		span, perKey = "dkv.wait.ack", 0
 	}
-	var errAll error
 	tr := s.tracer.Load()
 	for _, rank := range sc.sent {
 		g := &groups[rank]
@@ -678,7 +714,7 @@ func (s *Store) exchange(op uint32, keys []int32, values []byte, visit func(Valu
 		case err != nil:
 			errAll = errors.Join(errAll, err)
 		case !write:
-			visit(Values{pos: g.pos, data: payload, vb: vb})
+			remote(g.pos, payload)
 			s.stats.BytesRead.Add(int64(len(payload)))
 		}
 		transport.Release(resp)

@@ -63,10 +63,27 @@ func value(k int, valBytes int) []byte {
 	return v
 }
 
+// populate writes every owned key's test value straight into the partition,
+// so no traffic counter moves.
 func populate(s *Store) {
 	lo, hi := s.OwnedRange()
+	var keys []int32
+	var vals []byte
 	for k := lo; k < hi; k++ {
-		s.WriteLocal(k, value(k, s.valBytes))
+		keys = append(keys, int32(k))
+		vals = append(vals, value(k, s.valBytes)...)
+	}
+	if err := s.part.ApplyValues(keys, vals); err != nil {
+		panic(err)
+	}
+}
+
+// writeOwned stores one value under a key the store owns, straight into its
+// partition.
+func writeOwned(t *testing.T, s *Store, k int32, val []byte) {
+	t.Helper()
+	if err := s.part.ApplyValues([]int32{k}, val); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -350,7 +367,9 @@ func TestSingleRankStore(t *testing.T) {
 			return err
 		}
 		got := make([]byte, 8)
-		s.ReadLocal(3, got)
+		if err := s.ReadBatch([]int32{3}, got); err != nil {
+			return err
+		}
 		for i := range newVal {
 			if got[i] != newVal[i] {
 				return fmt.Errorf("local write lost")

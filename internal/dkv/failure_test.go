@@ -55,7 +55,7 @@ func TestRequestIDWraparoundRegression(t *testing.T) {
 	s0.seq[1] = 0x10000
 	s0.reqMu.Unlock()
 
-	s1.WriteLocal(9, []byte{2, 2, 2, 2})
+	writeOwned(t, s1, 9, []byte{2, 2, 2, 2})
 	got := make([]byte, 4)
 	if err := s0.ReadBatch([]int32{9}, got); err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestRequestIDWraparoundRegression(t *testing.T) {
 // server goroutine (which previously took down the whole process).
 func TestMisroutedKeyReturnsTypedError(t *testing.T) {
 	f, s0, s1 := pair2(t)
-	s1.WriteLocal(9, []byte{7, 7, 7, 7})
+	writeOwned(t, s1, 9, []byte{7, 7, 7, 7})
 	conn0 := f.Endpoint(0)
 
 	// Key 2 is owned by rank 0; route it to rank 1 anyway (a client-side
@@ -171,7 +171,7 @@ func TestWaitDrainsAndQuarantinesOnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { s0.Close(); s1.Close(); s2.Close() }()
-	s2.WriteLocal(8, []byte{42, 42, 42, 42})
+	writeOwned(t, s2, 8, []byte{42, 42, 42, 42})
 
 	// Key 5 → rank 1 (request dropped), key 8 → rank 2 (healthy).
 	dst := make([]byte, 8)
@@ -229,7 +229,7 @@ func TestServerSurvivesHostileFrames(t *testing.T) {
 	for _, h := range hostileFrames() {
 		t.Run(h.name, func(t *testing.T) {
 			f, s0, s1 := pair2(t)
-			s1.WriteLocal(9, []byte{7, 7, 7, 7})
+			writeOwned(t, s1, 9, []byte{7, 7, 7, 7})
 			conn0 := f.Endpoint(0)
 			conn0.SetDeadline(time.Now().Add(500 * time.Millisecond))
 			if err := conn0.Send(1, tagRequest, h.frame); err != nil {

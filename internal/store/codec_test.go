@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -186,54 +187,66 @@ func TestEncodeRowDegenerate(t *testing.T) {
 	}
 }
 
-// TestLocalStoreDegenerateRow pins the end-to-end behaviour on the in-RAM
-// backend: the error names the vertex, valid sibling rows in the same batch
-// still land, and the degenerate row's previous value is preserved.
-func TestLocalStoreDegenerateRow(t *testing.T) {
-	const n, k = 8, 3
-	ls := NewLocal(make([]float32, n*k), make([]float64, n), k, 1)
-	if err := ls.WriteRows([]int32{2, 5}, []float64{1, 1, 2, 3, 2, 1}); err != nil {
-		t.Fatal(err)
-	}
-
-	err := ls.WriteRows([]int32{2, 5}, []float64{0, 0, 0, 7, 7, 7})
-	if !errors.Is(err, ErrDegenerateRow) {
-		t.Fatalf("zero-sum φ row accepted: %v", err)
-	}
-	if !strings.Contains(err.Error(), "vertex 2") {
-		t.Fatalf("error %q does not name vertex 2", err)
-	}
-
-	var rows Rows
-	if err := ls.ReadRows([]int32{2, 5}, &rows); err != nil {
-		t.Fatal(err)
-	}
-	_, oldSum := refWrite([]float64{1, 1, 2})
-	if rows.PhiSum[0] != oldSum {
-		t.Fatalf("degenerate write clobbered row 2: Σφ=%v, want %v", rows.PhiSum[0], oldSum)
-	}
-	_, newSum := refWrite([]float64{7, 7, 7})
-	if rows.PhiSum[1] != newSum {
-		t.Fatalf("valid row 5 skipped alongside degenerate row: Σφ=%v, want %v", rows.PhiSum[1], newSum)
-	}
-}
-
-// TestDKVStoreDegenerateRow pins the same contract on the distributed
-// backend, for both a locally-owned and a remote vertex.
-func TestDKVStoreDegenerateRow(t *testing.T) {
+// TestWriteRowsDegenerateRow pins the degenerate-row contract on every
+// backend with a two-row batch: one row with zero Σφ, one valid. The error
+// names the degenerate vertex, the valid row lands, and the degenerate row
+// keeps its previous value. At two DKV ranks vertex 2 is the writer's own and
+// vertex 17 its peer's, and either may be the degenerate one.
+func TestWriteRowsDegenerateRow(t *testing.T) {
 	const n, k = 20, 3
-	twoRankStores(t, n, k, func(s *DKVStore) {
-		for _, vertex := range []int32{2, 17} { // rank 0 owns 2, rank 1 owns 17
-			err := s.WriteRows([]int32{vertex}, []float64{0, 0, 0})
-			if !errors.Is(err, ErrDegenerateRow) {
-				t.Fatalf("vertex %d: zero-sum φ row accepted: %v", vertex, err)
+	backends := []struct {
+		name string
+		with func(t *testing.T, body func(PiStore))
+	}{
+		{"local", func(t *testing.T, body func(PiStore)) {
+			ls := NewLocal(make([]float32, n*k), make([]float64, n), k, 2)
+			pi := make([]float32, k)
+			for a := 0; a < n; a++ {
+				if err := ls.WritePiRows([]int32{int32(a)}, pi, []float64{initPattern(a, pi)}); err != nil {
+					t.Fatal(err)
+				}
 			}
-			// The stored row keeps its initial value.
-			var rows Rows
-			if err := s.ReadRows([]int32{vertex}, &rows); err != nil {
-				t.Fatal(err)
-			}
-			checkInitRow(t, &rows, 0, vertex, k)
+			body(ls)
+		}},
+		{"mmap", func(t *testing.T, body func(PiStore)) { body(initMmap(t, n, k, MmapOptions{ShardRows: 16})) }},
+		{"dkv", func(t *testing.T, body func(PiStore)) {
+			twoRankStores(t, n, k, func(s *DKVStore) { body(s) })
+		}},
+	}
+	valid := []float64{1, 2, 3}
+	for _, b := range backends {
+		for _, bad := range []int{0, 1} {
+			ids := []int32{2, 17}
+			t.Run(fmt.Sprintf("%s/vertex %d", b.name, ids[bad]), func(t *testing.T) {
+				b.with(t, func(ps PiStore) {
+					phi := make([]float64, 0, 2*k)
+					for i := range ids {
+						if i == bad {
+							phi = append(phi, 0, 0, 0)
+						} else {
+							phi = append(phi, valid...)
+						}
+					}
+					err := ps.WriteRows(ids, phi)
+					if !errors.Is(err, ErrDegenerateRow) {
+						t.Fatalf("zero-sum φ row accepted: %v", err)
+					}
+					if want := fmt.Sprintf("vertex %d", ids[bad]); !strings.Contains(err.Error(), want) {
+						t.Fatalf("error %q does not name %s", err, want)
+					}
+					var rows Rows
+					if err := ps.ReadRows(ids, &rows); err != nil {
+						t.Fatal(err)
+					}
+					checkInitRow(t, &rows, bad, ids[bad], k)
+					wantPi, wantSum := refWrite(valid)
+					ok := 1 - bad
+					if rows.PhiSum[ok] != wantSum || !slices.Equal(rows.PiRow(ok), wantPi) {
+						t.Fatalf("valid vertex %d skipped alongside the degenerate one: Σφ=%v π=%v, want %v %v",
+							ids[ok], rows.PhiSum[ok], rows.PiRow(ok), wantSum, wantPi)
+					}
+				})
+			})
 		}
-	})
+	}
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -11,31 +12,46 @@ import (
 	"repro/internal/transport"
 )
 
-// DKVStore implements PiStore over the distributed key-value store: every
-// read is grouped by owning rank and issued as one request per peer. Like
-// the paper's DKV it holds no copy of a remote row: each row is decoded with
-// one copy from where it lies — the local shard, or the reply frame as it
-// came off the wire — into the caller's Rows, and the frame goes back to the
-// transport's pool. No concurrency control is needed, because within a
-// phase the algorithm never reads a row it writes.
+// DKVStore implements PiStore over the distributed key-value store. The
+// rows a rank owns, [lo, hi), are an ordinary PiStore — its partition — and
+// the DKV moves every other row, one request per owning peer. A read's
+// owned share comes from the partition's ReadRows with no codec, and a batch
+// the rank owns entirely (every read at one rank) lands straight in the
+// caller's Rows; each remote share is decoded with one copy from its reply
+// frame, which then goes back to the transport's pool. Like the paper's DKV
+// it holds no copy of a remote row. The server answers peers from the same
+// partition: it encodes replies from its ReadRows and applies writes with
+// its WritePiRows. No concurrency control is needed, because within a phase
+// the algorithm never reads a row it writes.
 type DKVStore struct {
 	kv      *dkv.Store
+	owned   PiStore // global row a is its row a − lo
+	lo, hi  int
 	n, k    int
 	threads int
 }
 
-// NewDKV creates the store (and its server goroutine) for this rank. The
-// DKV traffic counters are registered in reg (nil falls back to a private
-// registry), which is how a run's telemetry layer observes the store.
-func NewDKV(conn transport.Conn, n, k, threads int, reg *obs.Registry) (*DKVStore, error) {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	kv, err := dkv.NewWithRegistry(conn, n, RowBytes(k), reg)
+// NewDKV creates the store (and its server goroutine) for this rank. owned
+// builds the rank's partition for global rows [lo, hi): a PiStore of hi−lo
+// rows of width k — a LocalStore filled with the initial rows, or an
+// MmapStore. The DKV traffic counters are registered in reg (nil falls back
+// to a private registry), which is how a run's telemetry layer observes the
+// store.
+func NewDKV(conn transport.Conn, n, k, threads int, reg *obs.Registry, owned func(lo, hi int) (PiStore, error)) (*DKVStore, error) {
+	s := &DKVStore{n: n, k: k, threads: threads}
+	kv, err := dkv.NewPartitioned(conn, n, RowBytes(k), reg, func(lo, hi int) (dkv.Partition, error) {
+		ps, err := owned(lo, hi)
+		if err == nil && (ps.NumRows() != hi-lo || ps.K() != k) {
+			err = fmt.Errorf("store: partition is %d×%d, want %d×%d", ps.NumRows(), ps.K(), hi-lo, k)
+		}
+		s.owned, s.lo, s.hi = ps, lo, hi
+		return &servedRows{s: s}, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &DKVStore{kv: kv, n: n, k: k, threads: threads}, nil
+	s.kv = kv
+	return s, nil
 }
 
 // NumRows implements PiStore.
@@ -48,115 +64,188 @@ func (s *DKVStore) K() int { return s.k }
 // response waits and the server request loop both (see dkv.Store.SetTracer).
 func (s *DKVStore) SetTracer(tr *obs.Tracer) { s.kv.SetTracer(tr) }
 
-// Close stops the server goroutine; the underlying transport stays open.
+// Close stops the server goroutine; the transport and the partition stay
+// open.
 func (s *DKVStore) Close() error { return s.kv.Close() }
 
-// InitOwned populates this rank's shard from a deterministic row
-// initialiser: initRow fills pi (length K) for vertex a and returns Σφ_a.
-func (s *DKVStore) InitOwned(initRow func(a int, pi []float32) float64) {
-	lo, hi := s.kv.OwnedRange()
-	row := make([]byte, RowBytes(s.k))
-	pi := make([]float32, s.k)
-	for a := lo; a < hi; a++ {
-		phiSum := initRow(a, pi)
-		EncodeRowPi(row, pi, phiSum)
-		s.kv.WriteLocal(a, row)
+// ownedIDs maps global keys to the partition's row ids, in buf unless the
+// partition starts at row 0.
+func (s *DKVStore) ownedIDs(keys []int32, buf *[]int32) []int32 {
+	if s.lo == 0 {
+		return keys
 	}
+	*buf = (*buf)[:0]
+	for _, a := range keys {
+		*buf = append(*buf, a-int32(s.lo))
+	}
+	return *buf
 }
 
+// scratch is one call's working memory: partition ids, owned rows and
+// encoded remote values.
+type scratch struct {
+	ids    []int32
+	rows   Rows
+	values []byte
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
 // ReadRows implements PiStore: the whole batch goes out as one batched DKV
-// read (one request per owning peer), and each owner's share decodes in
-// parallel straight into dst as it arrives — the local share from the shard,
-// a remote share from its reply frame — with no intermediate copy.
+// read. The owned share is read from the partition while the requests are
+// in flight, and each remote share decodes in parallel straight into dst as
+// it arrives.
 func (s *DKVStore) ReadRows(ids []int32, dst *Rows) error {
 	if err := checkIDs(ids, s.n); err != nil {
 		return err
 	}
 	dst.Reset(len(ids), s.k)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 	var errs errCollector
-	err := s.kv.ReadEach(ids, func(v dkv.Values) {
-		par.For(v.Len(), s.threads, func(lo, hi int) {
+	err := s.kv.Read(ids, func(keys, pos []int32) error {
+		if pos == nil {
+			return s.owned.ReadRows(s.ownedIDs(keys, &sc.ids), dst)
+		}
+		if err := s.owned.ReadRows(s.ownedIDs(keys, &sc.ids), &sc.rows); err != nil {
+			return err
+		}
+		par.For(len(pos), s.threads, func(lo, hi int) {
 			for j := lo; j < hi; j++ {
-				i := v.Pos(j)
-				sum, err := DecodeRow(v.Value(j), dst.PiRow(i))
+				copy(dst.PiRow(int(pos[j])), sc.rows.PiRow(j))
+				dst.PhiSum[pos[j]] = sc.rows.PhiSum[j]
+			}
+		})
+		return nil
+	}, func(pos []int32, values []byte) {
+		rb := RowBytes(s.k)
+		par.For(len(pos), s.threads, func(lo, hi int) {
+			for j := lo; j < hi; j++ {
+				i := int(pos[j])
+				sum, err := DecodeRow(values[j*rb:(j+1)*rb], dst.PiRow(i))
 				if err != nil {
 					errs.set(fmt.Errorf("store: key %d: %w", ids[i], err))
-					continue
 				}
 				dst.PhiSum[i] = sum
 			}
 		})
 	})
-	if err != nil {
-		return err
-	}
-	return errs.get()
+	return errors.Join(err, errs.get())
 }
 
-// WriteRows implements PiStore: rows are encoded in parallel and committed
-// through one batched, acknowledged DKV write.
+// WriteRows implements PiStore: the rows are normalised in parallel with
+// SetPhiRow's arithmetic and stored through WritePiRows. A degenerate row
+// (zero or non-finite Σφ) is left out, so, as on every backend, the valid
+// rows are written and the first error names the vertex.
 func (s *DKVStore) WriteRows(ids []int32, phi []float64) error {
-	if len(phi) != len(ids)*s.k {
-		return fmt.Errorf("store: phi has %d values, want %d", len(phi), len(ids)*s.k)
+	k := s.k
+	if len(phi) != len(ids)*k {
+		return fmt.Errorf("store: phi has %d values, want %d", len(phi), len(ids)*k)
 	}
 	if err := checkIDs(ids, s.n); err != nil {
 		return err
 	}
-	if len(ids) == 0 {
-		return nil
-	}
-	rb := RowBytes(s.k)
-	buf := getEncodeBuf(len(ids) * rb)
-	defer encodeBufs.Put(buf)
-	values := *buf
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	rows := &sc.rows
+	rows.Reset(len(ids), k)
 	var errs errCollector
 	par.For(len(ids), s.threads, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if err := EncodeRow(values[i*rb:(i+1)*rb], phi[i*s.k:(i+1)*s.k]); err != nil {
+			sum, err := normalise(rows.PiRow(i), phi[i*k:(i+1)*k])
+			if err != nil {
 				errs.set(fmt.Errorf("store: vertex %d: %w", ids[i], err))
 			}
+			rows.PhiSum[i] = sum
 		}
 	})
-	if err := errs.get(); err != nil {
-		return err
+	bad := errs.get()
+	if bad == nil {
+		return s.WritePiRows(ids, rows.Pi, rows.PhiSum)
 	}
-	return s.kv.WriteBatch(ids, values)
+	var valid []int32
+	var pi []float32
+	var phiSum []float64
+	for i, sum := range rows.PhiSum {
+		if checkRowSum(sum) == nil {
+			valid, pi, phiSum = append(valid, ids[i]), append(pi, rows.PiRow(i)...), append(phiSum, sum)
+		}
+	}
+	return errors.Join(bad, s.WritePiRows(valid, pi, phiSum))
 }
 
-// WritePiRows implements PiStore: already-normalised rows are encoded
-// verbatim and committed like WriteRows' — the master of a distributed run
-// restores every rank's shard through it.
+// WritePiRows implements PiStore: already-normalised rows land verbatim,
+// the owned ones through the partition's WritePiRows and the rest encoded
+// into one batched, acknowledged DKV write — the master of a distributed
+// run restores every rank's partition through it.
 func (s *DKVStore) WritePiRows(ids []int32, pi []float32, phiSum []float64) error {
-	if len(pi) != len(ids)*s.k || len(phiSum) != len(ids) {
+	k := s.k
+	if len(pi) != len(ids)*k || len(phiSum) != len(ids) {
 		return fmt.Errorf("store: pi/phiSum have %d/%d values, want %d/%d",
-			len(pi), len(phiSum), len(ids)*s.k, len(ids))
+			len(pi), len(phiSum), len(ids)*k, len(ids))
 	}
 	if err := checkIDs(ids, s.n); err != nil {
 		return err
 	}
-	if len(ids) == 0 {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	rb := RowBytes(k)
+	sc.values = slices.Grow(sc.values[:0], len(ids)*rb)[:len(ids)*rb]
+	for i, a := range ids {
+		if int(a) < s.lo || int(a) >= s.hi {
+			EncodeRowPi(sc.values[i*rb:(i+1)*rb], pi[i*k:(i+1)*k], phiSum[i])
+		}
+	}
+	return s.kv.Write(ids, sc.values, func(keys, pos []int32) error {
+		if pos == nil {
+			return s.owned.WritePiRows(s.ownedIDs(keys, &sc.ids), pi, phiSum)
+		}
+		for j, p := range pos { // a mixed batch's owned rows, one at a time
+			err := s.owned.WritePiRows(s.ownedIDs(keys[j:j+1], &sc.ids), pi[int(p)*k:int(p+1)*k], phiSum[p:p+1])
+			if err != nil {
+				return err
+			}
+		}
 		return nil
-	}
-	rb := RowBytes(s.k)
-	buf := getEncodeBuf(len(ids) * rb)
-	defer encodeBufs.Put(buf)
-	values := *buf
-	for i := range ids {
-		EncodeRowPi(values[i*rb:(i+1)*rb], pi[i*s.k:(i+1)*s.k], phiSum[i])
-	}
-	return s.kv.WriteBatch(ids, values)
+	})
 }
 
-// encodeBufs recycles the buffers rows are encoded into for a write. The DKV
-// copies a batch into its requests before WriteBatch returns, so a buffer is
-// free again as soon as the write is.
-var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+// servedRows is the dkv.Partition the server answers peers from: the
+// partition's rows in the wire layout. DKVStore never calls ReadBatch or
+// WriteBatch, so only the server goroutine calls in, and its scratch needs
+// no lock.
+type servedRows struct {
+	s *DKVStore
+	scratch
+}
 
-// getEncodeBuf returns a pooled buffer resliced to n bytes.
-func getEncodeBuf(n int) *[]byte {
-	buf := encodeBufs.Get().(*[]byte)
-	*buf = slices.Grow((*buf)[:0], n)[:n]
-	return buf
+// AppendValues implements dkv.Partition: the rows are read from the
+// partition and encoded onto dst.
+func (p *servedRows) AppendValues(dst []byte, keys []int32) ([]byte, error) {
+	if err := p.s.owned.ReadRows(p.s.ownedIDs(keys, &p.ids), &p.rows); err != nil {
+		return dst, err
+	}
+	rb, off := RowBytes(p.s.k), len(dst)
+	dst = slices.Grow(dst, len(keys)*rb)[:off+len(keys)*rb]
+	for i := range keys {
+		EncodeRowPi(dst[off+i*rb:], p.rows.PiRow(i), p.rows.PhiSum[i])
+	}
+	return dst, nil
+}
+
+// ApplyValues implements dkv.Partition: the values are decoded and written
+// verbatim with the partition's WritePiRows.
+func (p *servedRows) ApplyValues(keys []int32, values []byte) error {
+	rb := RowBytes(p.s.k)
+	p.rows.Reset(len(keys), p.s.k)
+	for i := range keys {
+		sum, err := DecodeRow(values[i*rb:(i+1)*rb], p.rows.PiRow(i))
+		if err != nil {
+			return err
+		}
+		p.rows.PhiSum[i] = sum
+	}
+	return p.s.owned.WritePiRows(p.s.ownedIDs(keys, &p.ids), p.rows.Pi, p.rows.PhiSum)
 }
 
 // interface conformance

@@ -338,29 +338,6 @@ func TestMmapStoreTornShard(t *testing.T) {
 	}
 }
 
-func TestMmapStoreDegenerateRow(t *testing.T) {
-	const n, k = 32, 3
-	s := initMmap(t, n, k, MmapOptions{ShardRows: 16})
-	err := s.WriteRows([]int32{5, 6}, []float64{0, 0, 0, 1, 2, 3})
-	if !errors.Is(err, ErrDegenerateRow) {
-		t.Fatalf("zero-sum φ row accepted: %v", err)
-	}
-	// The degenerate vertex is named, the valid sibling row still landed,
-	// and the degenerate row's prior value is untouched.
-	if want := "vertex 5"; !strings.Contains(err.Error(), want) {
-		t.Fatalf("error %q does not name %q", err, want)
-	}
-	var rows Rows
-	if err := s.ReadRows([]int32{5, 6}, &rows); err != nil {
-		t.Fatal(err)
-	}
-	checkInitRow(t, &rows, 0, 5, k)
-	wantPi, wantSum := refWrite([]float64{1, 2, 3})
-	if rows.PhiSum[1] != wantSum || rows.PiRow(1)[0] != wantPi[0] {
-		t.Fatalf("valid row skipped alongside degenerate one: Σφ=%v", rows.PhiSum[1])
-	}
-}
-
 func TestMmapStoreWritePiRowsAndSnapshot(t *testing.T) {
 	const n, k = 40, 3
 	s := initMmap(t, n, k, MmapOptions{ShardRows: 16})

@@ -73,12 +73,11 @@ func TestTakeSnapshotEveryBackend(t *testing.T) {
 		t.Cleanup(func() { f.Close() })
 		var stores [2]*DKVStore
 		for r := range stores {
-			st, err := NewDKV(f.Endpoint(r), sweepN, k, 2, nil)
+			st, err := NewDKV(f.Endpoint(r), sweepN, k, 2, nil, ownedLocal(k, initPattern))
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { st.Close() })
-			st.InitOwned(initPattern)
 			stores[r] = st
 		}
 		return stores[0] // the serving rank; rank 1 serves its shard passively
@@ -196,18 +195,17 @@ func TestDKVSnapshotGathersFullView(t *testing.T) {
 	defer f.Close()
 	stores := make([]*DKVStore, 2)
 	for r := 0; r < 2; r++ {
-		st, err := NewDKV(f.Endpoint(r), n, k, 1, nil)
+		st, err := NewDKV(f.Endpoint(r), n, k, 1, nil, ownedLocal(k, func(a int, pi []float32) float64 {
+			for j := range pi {
+				pi[j] = float32(a*100 + j)
+			}
+			return float64(a)
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer st.Close()
 		stores[r] = st
-		st.InitOwned(func(a int, pi []float32) float64 {
-			for j := range pi {
-				pi[j] = float32(a*100 + j)
-			}
-			return float64(a)
-		})
 	}
 	snap, err := TakeSnapshot(stores[0], 3, []float64{1, 2, 3, 4})
 	if err != nil {

@@ -9,9 +9,10 @@
 //   - LocalStore views a single-node core.State's backing slices. Reads and
 //     writes are plain memory copies. It makes the single-process sampler
 //     the Ranks=1 degenerate case of the distributed one.
-//   - DKVStore (dkv.go) wraps internal/dkv: a batched read is one request
-//     per owning rank, decoded straight into the caller's Rows. It holds no
-//     copy of a remote row.
+//   - DKVStore (dkv.go) wraps internal/dkv over a partition that is itself
+//     a PiStore (the rows the rank owns): a batched read is one request per
+//     owning peer, decoded straight into the caller's Rows, while the owned
+//     share is read from the partition. It holds no copy of a remote row.
 //   - MmapStore (mmap.go) keeps the table on disk as memory-mapped shard
 //     files: the out-of-core path.
 //
@@ -66,6 +67,30 @@ const (
 	MaxRows = 1 << 31
 	MaxK    = 1 << 24
 )
+
+// rowSum is Σφ of a row, summed in slice order as core.State.SetPhiRow sums
+// it.
+func rowSum(phi []float64) float64 {
+	var sum float64
+	for _, v := range phi {
+		sum += v
+	}
+	return sum
+}
+
+// normalise writes π = φ/Σφ into pi with SetPhiRow's arithmetic and returns
+// Σφ; a degenerate sum fails with ErrDegenerateRow and leaves pi untouched.
+func normalise(pi []float32, phi []float64) (float64, error) {
+	sum := rowSum(phi)
+	if err := checkRowSum(sum); err != nil {
+		return sum, err
+	}
+	inv := 1 / sum
+	for j, v := range phi {
+		pi[j] = float32(v * inv)
+	}
+	return sum, nil
+}
 
 // checkRowSum validates a φ row sum before it becomes a divisor; the error
 // wraps ErrDegenerateRow.
@@ -204,10 +229,7 @@ func (e *errCollector) get() error {
 // ErrDegenerateRow (dst is left untouched) instead of silently writing
 // NaN/±Inf π.
 func EncodeRow(dst []byte, phi []float64) error {
-	var sum float64
-	for _, v := range phi {
-		sum += v
-	}
+	sum := rowSum(phi)
 	if err := checkRowSum(sum); err != nil {
 		return err
 	}
@@ -368,22 +390,13 @@ func (s *LocalStore) WriteRows(ids []int32, phi []float64) error {
 	var errs errCollector
 	par.For(len(ids), s.threads, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			row := phi[i*s.k : (i+1)*s.k]
-			var sum float64
-			for _, v := range row {
-				sum += v
-			}
-			if err := checkRowSum(sum); err != nil {
+			a := int(ids[i])
+			sum, err := normalise(s.pi[a*s.k:(a+1)*s.k], phi[i*s.k:(i+1)*s.k])
+			if err != nil {
 				errs.set(fmt.Errorf("store: vertex %d: %w", ids[i], err))
 				continue
 			}
-			a := int(ids[i])
 			s.phiSum[a] = sum
-			dst := s.pi[a*s.k : (a+1)*s.k]
-			inv := 1 / sum
-			for j, v := range row {
-				dst[j] = float32(v * inv)
-			}
 		}
 	})
 	return errs.get()

@@ -1,6 +1,10 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/transport"
@@ -183,20 +187,26 @@ func twoRankStores(t *testing.T, n, k int, body func(s0 *DKVStore)) {
 	defer f.Close()
 	stores := make([]*DKVStore, 2)
 	for r := 0; r < 2; r++ {
-		st, err := NewDKV(f.Endpoint(r), n, k, 1, nil)
+		st, err := NewDKV(f.Endpoint(r), n, k, 1, nil, ownedLocal(k, initPattern))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer st.Close()
 		stores[r] = st
-		st.InitOwned(func(a int, pi []float32) float64 {
-			for j := range pi {
-				pi[j] = float32(a*10 + j)
-			}
-			return float64(a)
-		})
 	}
 	body(stores[0])
+}
+
+// ownedLocal builds a DKVStore partition as a LocalStore holding initRow's
+// rows for global rows [lo, hi).
+func ownedLocal(k int, initRow func(a int, pi []float32) float64) func(lo, hi int) (PiStore, error) {
+	return func(lo, hi int) (PiStore, error) {
+		ls := NewLocal(make([]float32, (hi-lo)*k), make([]float64, hi-lo), k, 1)
+		for a := lo; a < hi; a++ {
+			ls.phiSum[a-lo] = initRow(a, ls.pi[(a-lo)*k:(a-lo+1)*k])
+		}
+		return ls, nil
+	}
 }
 
 func checkInitRow(t *testing.T, rows *Rows, i int, a int32, k int) {
@@ -275,4 +285,145 @@ func TestDKVWritePiRows(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestDKVPartitionIsAnyPiStore: a rank's DKV partition is an ordinary
+// PiStore, so two ranks whose partitions are MmapStores hold the same bytes
+// as two whose partitions are LocalStores after the same writes. Both ranks
+// write — mixed owned and remote rows through WriteRows and WritePiRows —
+// and both sweep the table, so the owned path at a partition that starts at
+// row 0 and at one that does not, and the server's encode and apply, all
+// run over both backends.
+func TestDKVPartitionIsAnyPiStore(t *testing.T) {
+	const n, k, steps = 97, 5, 8
+	ownedMmap := func(t *testing.T) func(lo, hi int) (PiStore, error) {
+		return func(lo, hi int) (PiStore, error) {
+			ms, err := CreateMmap(t.TempDir(), hi-lo, k, MmapOptions{ShardRows: 16})
+			if err != nil {
+				return nil, err
+			}
+			t.Cleanup(func() { ms.Close() })
+			if err := ms.InitRows(func(a int, pi []float32) float64 { return initPattern(lo+a, pi) }); err != nil {
+				return nil, err
+			}
+			_, err = ms.Seal()
+			return ms, err
+		}
+	}
+	// run applies the write sequence to a 2-rank store over owned's
+	// partitions and returns each rank's sweep, π bits then Σφ bits.
+	run := func(t *testing.T, owned func(lo, hi int) (PiStore, error)) [2][]byte {
+		f, err := transport.NewFabric(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		var stores [2]*DKVStore
+		for r := range stores {
+			if stores[r], err = NewDKV(f.Endpoint(r), n, k, 2, nil, owned); err != nil {
+				t.Fatal(err)
+			}
+			defer stores[r].Close()
+		}
+		rng := rand.New(rand.NewSource(43))
+		for step := 0; step < steps; step++ {
+			ps := stores[step%2]
+			ids := make([]int32, 0, 24)
+			for _, a := range rng.Perm(n)[:24] {
+				ids = append(ids, int32(a))
+			}
+			if step%3 == 2 {
+				pi := make([]float32, len(ids)*k)
+				sums := make([]float64, len(ids))
+				for i := range pi {
+					pi[i] = rng.Float32()
+				}
+				for i := range sums {
+					sums[i] = rng.Float64() * 100
+				}
+				if err := ps.WritePiRows(ids, pi, sums); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			phi := make([]float64, len(ids)*k)
+			for i := range phi {
+				phi[i] = rng.Float64() + 0.01
+			}
+			if err := ps.WriteRows(ids, phi); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var out [2][]byte
+		for r, ps := range stores {
+			pi := make([]float32, n*k)
+			sums := make([]float64, n)
+			if err := Sweep(ps, pi, func(lo int, rows *Rows) error {
+				copy(sums[lo:], rows.PhiSum)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range pi {
+				out[r] = binary.LittleEndian.AppendUint32(out[r], math.Float32bits(v))
+			}
+			for _, v := range sums {
+				out[r] = binary.LittleEndian.AppendUint64(out[r], math.Float64bits(v))
+			}
+		}
+		return out
+	}
+	local := run(t, ownedLocal(k, initPattern))
+	mmap := run(t, ownedMmap(t))
+	for r := range local {
+		if !bytes.Equal(local[r], mmap[r]) {
+			t.Fatalf("rank %d sweeps different bytes over mmap partitions than over local ones", r)
+		}
+	}
+	if bytes.Equal(local[0], run(t, ownedLocal(k, func(a int, pi []float32) float64 { return initPattern(a+1, pi) }))[0]) {
+		t.Fatal("the comparison cannot tell two different tables apart")
+	}
+}
+
+// BenchmarkOneRankRead reads 26 000 random rows of a 20 000 × 64 table at
+// one thread: from a LocalStore, and from a one-rank DKVStore over the same
+// LocalStore as its partition, where every batch is owned and lands straight
+// in the caller's Rows. The two should stay within 1.2× of each other.
+func BenchmarkOneRankRead(b *testing.B) {
+	const n, k, keys = 20_000, 64, 26_000
+	rng := rand.New(rand.NewSource(21))
+	ids := make([]int32, keys)
+	for i := range ids {
+		ids[i] = int32(rng.Intn(n))
+	}
+	table := func() *LocalStore {
+		pi := make([]float32, n*k)
+		for i := range pi {
+			pi[i] = rng.Float32()
+		}
+		return NewLocal(pi, make([]float64, n), k, 1)
+	}
+	f, err := transport.NewFabric(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	ds, err := NewDKV(f.Endpoint(0), n, k, 1, nil, func(lo, hi int) (PiStore, error) { return table(), nil })
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ds.Close()
+	for _, c := range []struct {
+		name string
+		ps   PiStore
+	}{{"local", table()}, {"dkv", ds}} {
+		b.Run(c.name, func(b *testing.B) {
+			var dst Rows
+			for i := 0; i < b.N; i++ {
+				if err := c.ps.ReadRows(ids, &dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
