@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dkv"
 	"repro/internal/mathx"
 	"repro/internal/store"
 	"repro/internal/transport"
@@ -317,7 +318,7 @@ func TestCheckpointBytesEveryBackend(t *testing.T) {
 	if err := os.WriteFile(path, want.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	dkv := func(t *testing.T) store.PiStore {
+	dkvStore := func(t *testing.T) store.PiStore {
 		f, err := transport.NewFabric(2)
 		if err != nil {
 			t.Fatal(err)
@@ -325,9 +326,9 @@ func TestCheckpointBytesEveryBackend(t *testing.T) {
 		t.Cleanup(func() { f.Close() })
 		var master *store.DKVStore
 		for r := 0; r < 2; r++ {
-			st, err := store.NewDKV(f.Endpoint(r), n, k, 2, nil, func(lo, hi int) (store.PiStore, error) {
-				return store.NewLocal(make([]float32, (hi-lo)*k), make([]float64, hi-lo), k, 2), nil
-			})
+			lo, hi := dkv.Range(n, 2, r)
+			owned := store.NewLocal(make([]float32, (hi-lo)*k), make([]float64, hi-lo), k, 2)
+			st, err := store.NewDKV(f.Endpoint(r), n, k, 2, nil, owned)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -358,7 +359,7 @@ func TestCheckpointBytesEveryBackend(t *testing.T) {
 			}
 			return tier
 		},
-		"dkv": dkv,
+		"dkv": dkvStore,
 	}
 	for name, mk := range backends {
 		t.Run(name, func(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/dkv"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/mathx"
@@ -30,9 +31,12 @@ type node struct {
 
 	store *store.DKVStore
 	n, k  int
-	// initOwned fills this rank's partition with the initial rows; a restart
-	// overwrites them from the checkpoint instead.
-	initOwned func()
+	// ownedLo, ownedPi and ownedSum back this rank's partition, the rows
+	// [ownedLo, ownedLo+len(ownedSum)) as a LocalStore; run fills them with
+	// the initial rows unless a restart overwrites them from the checkpoint.
+	ownedLo  int
+	ownedPi  []float32
+	ownedSum []float64
 
 	// master-only
 	g        *graph.Graph
@@ -171,7 +175,10 @@ func newNode(cfg core.Config, opt Options, comm *cluster.Comm, g *graph.Graph, h
 		})
 	}
 
-	nd.store, err = store.NewDKV(comm.Conn(), nd.n, cfg.K, opt.Threads, reg, nd.partition)
+	lo, hi := dkv.Range(nd.n, nd.size, nd.rank)
+	nd.ownedLo, nd.ownedPi, nd.ownedSum = lo, make([]float32, (hi-lo)*nd.k), make([]float64, hi-lo)
+	owned := store.NewLocal(nd.ownedPi, nd.ownedSum, nd.k, opt.Threads)
+	nd.store, err = store.NewDKV(comm.Conn(), nd.n, cfg.K, opt.Threads, reg, owned)
 	if err != nil {
 		return nil, err
 	}
@@ -194,20 +201,6 @@ func newNode(cfg core.Config, opt Options, comm *cluster.Comm, g *graph.Graph, h
 		return nil, err
 	}
 	return nd, nil
-}
-
-// partition builds this rank's share of π, rows [lo, hi), as a LocalStore,
-// and leaves filling it to run, where every rank draws its rows at once.
-func (nd *node) partition(lo, hi int) (store.PiStore, error) {
-	k := nd.k
-	pi := make([]float32, (hi-lo)*k)
-	phiSum := make([]float64, hi-lo)
-	nd.initOwned = func() {
-		for a := lo; a < hi; a++ {
-			phiSum[a-lo] = core.InitPiRow(nd.cfg, a, pi[(a-lo)*k:(a-lo+1)*k])
-		}
-	}
-	return store.NewLocal(pi, phiSum, k, nd.opt.Threads), nil
 }
 
 func (nd *node) refreshBeta() {
@@ -254,12 +247,13 @@ func (nd *node) buildLoop() *engine.Loop {
 		},
 	}
 	if nd.opt.Rebalance {
-		// The reshard collective runs at window boundaries; on every other
-		// iteration the stage is a no-op on all ranks, which keeps the
-		// collective tag sequence aligned without per-iteration traffic.
+		// The reshard collective runs at window boundaries only, on every
+		// rank alike, which keeps the collective tag sequence aligned without
+		// per-iteration traffic.
 		loop.Stages = append(loop.Stages, engine.Stage{
 			Name:   engine.PhaseReshard,
 			Writes: []string{"shares"},
+			Every:  nd.reshardEvery,
 			Run:    nd.reshardStage,
 		})
 	}
@@ -291,11 +285,12 @@ func (nd *node) buildLoop() *engine.Loop {
 	}
 	if nd.opt.EvalEvery > 0 {
 		// Held-out evaluation reads the fenced π like publish, but every rank
-		// folds its shard and joins the reduction; off EvalEvery iterations
-		// the stage is a no-op on all ranks, as reshard is.
+		// folds its shard and joins the reduction, after every EvalEvery-th
+		// iteration only, as reshard runs on window boundaries.
 		loop.Stages = append(loop.Stages, engine.Stage{
 			Name:  engine.PhasePerplexity,
 			Reads: []string{"pi", "beta"},
+			Every: nd.opt.EvalEvery,
 			Run:   nd.evalStage,
 		})
 	}
@@ -331,7 +326,9 @@ func (nd *node) run() (err error) {
 			return err
 		}
 	} else {
-		nd.initOwned()
+		for i := range nd.ownedSum { // every rank draws its own rows at once
+			nd.ownedSum[i] = core.InitPiRow(nd.cfg, nd.ownedLo+i, nd.ownedPi[i*nd.k:(i+1)*nd.k])
+		}
 	}
 	if err := nd.comm.Barrier(); err != nil {
 		return err
@@ -472,14 +469,11 @@ func (nd *node) windowWaits() []float64 {
 // gathers its windowed per-peer recv-wait vector at the master; the master
 // folds the column sums (obs.ImposedWaits, the statistic of obs.PeerMatrix),
 // feeds the window to the rebalancer, and broadcasts the
-// resulting share weights, which the next deployments split by. Off-boundary
-// iterations are a no-op on every rank, so the collective tag sequence stays
-// aligned. The weights only decide WHO computes which minibatch chunk — the
-// trajectory is bit-identical under any weight vector.
+// resulting share weights, which the next deployments split by. The loop
+// runs it on window boundaries only (Stage.Every). The weights only decide
+// WHO computes which minibatch chunk — the trajectory is bit-identical under
+// any weight vector.
 func (nd *node) reshardStage(t int) error {
-	if (t+1)%nd.reshardEvery != 0 {
-		return nil
-	}
 	gathered, err := nd.comm.Gather(0, wire.AppendFloat64s(nil, nd.windowWaits()))
 	if err != nil {
 		return err

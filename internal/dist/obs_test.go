@@ -559,11 +559,17 @@ func TestEvaluationIsChargedToItsIteration(t *testing.T) {
 	const iters, every = 8, 2
 	var buf bytes.Buffer
 	sink := obs.NewSink(&buf)
-	if _, err := Run(core.DefaultConfig(4, 1234), train, held, Options{
+	res, err := Run(core.DefaultConfig(4, 1234), train, held, Options{
 		Ranks: 2, Threads: 1, Iterations: iters, EvalEvery: every,
 		MinibatchPairs: parityPairs, Events: sink,
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+	// The stage is timed only when it evaluates, so its mean is per
+	// evaluation, not per iteration.
+	if got := res.Phases.Count(engine.PhasePerplexity); got != iters/every {
+		t.Fatalf("perplexity stage timed %d times, want one per evaluation (%d)", got, iters/every)
 	}
 	var requests []int64
 	var total int64 = -1

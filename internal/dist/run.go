@@ -341,15 +341,12 @@ func assembleResult(nodes []*node) *Result {
 	return res
 }
 
-// evalStage evaluates the averaged perplexity after every EvalEvery-th
-// iteration: each rank folds the current state into the running posterior
-// average over its held-out shard (the shared HeldOutEval stage), the master
-// reduces the global value (Eqn 7) and broadcasts it, so every rank records
-// it.
+// evalStage evaluates the averaged perplexity; the loop runs it after every
+// EvalEvery-th iteration (Stage.Every). Each rank folds the current state
+// into the running posterior average over its held-out shard (the shared
+// HeldOutEval stage), the master reduces the global value (Eqn 7) and
+// broadcasts it, so every rank records it.
 func (nd *node) evalStage(t int) error {
-	if (t+1)%nd.opt.EvalEvery != 0 {
-		return nil
-	}
 	partials, err := nd.eval.Fold(nd.store, nd.beta, nd.opt.Threads)
 	if err != nil {
 		return fmt.Errorf("perplexity at %d: %w", t, err)

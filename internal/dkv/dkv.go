@@ -185,18 +185,26 @@ func (s *Store) SetTracer(tr *obs.Tracer) {
 // this package's tests run on; the engine's partition is a store.PiStore
 // (store.NewDKV). ROADMAP item 3 deletes it with the benchmark's shims.
 func New(conn transport.Conn, n, valBytes int) (*Store, error) {
-	return NewPartitioned(conn, n, valBytes, nil, func(lo, hi int) (Partition, error) {
-		return &slab{lo: lo, vb: valBytes, data: make([]byte, (hi-lo)*valBytes)}, nil
-	})
+	// Clamped, so that a bad shape reaches NewPartitioned's refusal.
+	lo, hi := Range(max(n, 0), conn.Size(), conn.Rank())
+	return NewPartitioned(conn, n, valBytes, nil, &slab{lo: lo, vb: valBytes, data: make([]byte, (hi-lo)*max(valBytes, 0))})
 }
 
-// NewPartitioned creates the store over the partition part builds for this
-// rank's key range [lo, hi), then starts the server goroutine, which answers
+// Range returns the keys [lo, hi) that rank owns when n keys are split
+// over size ranks: equal contiguous runs, the last rank's possibly shorter.
+func Range(n, size, rank int) (lo, hi int) {
+	per := (n + size - 1) / size
+	lo = min(rank*per, n)
+	return lo, min(lo+per, n)
+}
+
+// NewPartitioned creates the store over part, this rank's keys
+// Range(n, size, rank), then starts the server goroutine, which answers
 // peers from it. All ranks must call it with identical n and valBytes. The
 // client traffic counters are registered in reg (nil falls back to a
 // private registry), so the engine's telemetry layer sees DKV traffic
 // without any result-struct plumbing.
-func NewPartitioned(conn transport.Conn, n, valBytes int, reg *obs.Registry, part func(lo, hi int) (Partition, error)) (*Store, error) {
+func NewPartitioned(conn transport.Conn, n, valBytes int, reg *obs.Registry, part Partition) (*Store, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("dkv: n = %d, need at least 1", n)
 	}
@@ -207,21 +215,15 @@ func NewPartitioned(conn transport.Conn, n, valBytes int, reg *obs.Registry, par
 		reg = obs.NewRegistry()
 	}
 	size := conn.Size()
-	per := (n + size - 1) / size
-	lo := min(conn.Rank()*per, n)
-	hi := min(lo+per, n)
-	p, err := part(lo, hi)
-	if err != nil {
-		return nil, err
-	}
+	lo, hi := Range(n, size, conn.Rank())
 	s := &Store{
 		conn:     conn,
 		n:        n,
 		valBytes: valBytes,
-		per:      per,
+		per:      (n + size - 1) / size,
 		lo:       lo,
 		hi:       hi,
-		part:     p,
+		part:     part,
 		seq:      make([]uint32, size),
 		lost:     make(map[uint64]struct{}),
 		stats:    newStats(reg),
@@ -577,20 +579,22 @@ func (s *Store) ReadBatch(keys []int32, dst []byte) error {
 	if len(dst) != len(keys)*vb {
 		return fmt.Errorf("dkv: dst has %d bytes, want %d", len(dst), len(keys)*vb)
 	}
-	return s.Read(keys, func(keys, pos []int32) error {
-		for j := range keys {
-			// A zero-length slice capped at the value appends in place.
-			o := at(pos, j) * vb
-			if _, err := s.part.AppendValues(dst[o:o:o+vb], keys[j:j+1]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}, func(pos []int32, values []byte) {
+	scatter := func(pos []int32, values []byte) {
 		for j, p := range pos {
 			copy(dst[int(p)*vb:int(p+1)*vb], values[j*vb:])
 		}
-	})
+	}
+	return s.Read(keys, func(keys, pos []int32) error {
+		if pos == nil { // the whole batch: append in place over dst
+			_, err := s.part.AppendValues(dst[:0], keys)
+			return err
+		}
+		values, err := s.part.AppendValues(nil, keys)
+		if err == nil {
+			scatter(pos, values)
+		}
+		return err
+	}, scatter)
 }
 
 // WriteBatch stores values (len(keys)*ValueBytes bytes, in key order) under
@@ -602,22 +606,15 @@ func (s *Store) WriteBatch(keys []int32, values []byte) error {
 		return fmt.Errorf("dkv: values have %d bytes, want %d", len(values), len(keys)*vb)
 	}
 	return s.Write(keys, values, func(keys, pos []int32) error {
-		for j := range keys {
-			o := at(pos, j) * vb
-			if err := s.part.ApplyValues(keys[j:j+1], values[o:o+vb]); err != nil {
-				return err
-			}
+		if pos == nil {
+			return s.part.ApplyValues(keys, values)
 		}
-		return nil
+		owned := make([]byte, 0, len(pos)*vb)
+		for _, p := range pos {
+			owned = append(owned, values[int(p)*vb:int(p+1)*vb]...)
+		}
+		return s.part.ApplyValues(keys, owned)
 	})
-}
-
-// at is the batch position of an owned share's key j (see Owned).
-func at(pos []int32, j int) int {
-	if pos == nil {
-		return j
-	}
-	return int(pos[j])
 }
 
 // exchange runs one batched read or write: the keys are grouped by owner,

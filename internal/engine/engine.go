@@ -60,7 +60,11 @@ type Stage struct {
 	// stage). Validate uses it to decide when a written resource becomes
 	// publishable.
 	Barrier bool
-	Run     func(t int) error
+	// Every > 0 runs the stage only after every Every-th iteration, when
+	// (t+1)%Every == 0 (held-out evaluation, the reshard window); on any other
+	// iteration it is skipped outright: not run, timed, labelled or traced.
+	Every int
+	Run   func(t int) error
 }
 
 // Loop runs a fixed stage list once per iteration, bracketing each stage
@@ -108,6 +112,9 @@ func (l *Loop) RunIteration(t int) error {
 	}
 	for i := range l.Stages {
 		st := &l.Stages[i]
+		if st.Every > 0 && (t+1)%st.Every != 0 {
+			continue
+		}
 		name, timed := st.Name, true
 		if name == "" {
 			name, timed = PhaseBarrier, false

@@ -43,6 +43,45 @@ func TestLoopRunsStagesInOrderWithTiming(t *testing.T) {
 	}
 }
 
+// TestLoopGatedStage pins Stage.Every: a gated stage runs, and is timed,
+// labelled and traced, only after every Every-th iteration; on the others it
+// leaves no trace at all.
+func TestLoopGatedStage(t *testing.T) {
+	ph := obs.NewPhases()
+	tr := obs.NewTracer(0, 0)
+	var ran, labels []string
+	l := &Loop{
+		Obs: &obs.Observer{Phases: ph, Tracer: tr, PhaseLabel: func(name string) { labels = append(labels, name) }},
+		Stages: []Stage{
+			{Name: "a", Run: func(int) error { return nil }},
+			{Name: "eval", Every: 2, Run: func(t int) error { ran = append(ran, fmt.Sprint(t)); return nil }},
+		},
+	}
+	if err := l.Run(5); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(ran) != "[1 3]" {
+		t.Fatalf("gated stage ran at iterations %v, want [1 3]", ran)
+	}
+	if ph.Count("eval") != 2 || ph.Count("a") != 5 {
+		t.Fatalf("timed counts eval=%d a=%d, want 2 and 5", ph.Count("eval"), ph.Count("a"))
+	}
+	var evalLabels, evalSpans int
+	for _, name := range labels {
+		if name == "eval" {
+			evalLabels++
+		}
+	}
+	for _, sp := range tr.Bundle().Spans {
+		if sp.Name == "eval" {
+			evalSpans++
+		}
+	}
+	if evalLabels != 2 || evalSpans != 2 {
+		t.Fatalf("gated stage labelled %d and traced %d times, want 2 each", evalLabels, evalSpans)
+	}
+}
+
 func TestLoopStopsAtFirstError(t *testing.T) {
 	boom := errors.New("boom")
 	var ran []string

@@ -25,28 +25,25 @@ import (
 // the algorithm never reads a row it writes.
 type DKVStore struct {
 	kv      *dkv.Store
-	owned   PiStore // global row a is its row a − lo
+	owned   PiStore // the partition: global row a is its row a − lo
 	lo, hi  int
 	n, k    int
 	threads int
 }
 
-// NewDKV creates the store (and its server goroutine) for this rank. owned
-// builds the rank's partition for global rows [lo, hi): a PiStore of hi−lo
-// rows of width k — a LocalStore filled with the initial rows, or an
-// MmapStore. The DKV traffic counters are registered in reg (nil falls back
-// to a private registry), which is how a run's telemetry layer observes the
-// store.
-func NewDKV(conn transport.Conn, n, k, threads int, reg *obs.Registry, owned func(lo, hi int) (PiStore, error)) (*DKVStore, error) {
-	s := &DKVStore{n: n, k: k, threads: threads}
-	kv, err := dkv.NewPartitioned(conn, n, RowBytes(k), reg, func(lo, hi int) (dkv.Partition, error) {
-		ps, err := owned(lo, hi)
-		if err == nil && (ps.NumRows() != hi-lo || ps.K() != k) {
-			err = fmt.Errorf("store: partition is %d×%d, want %d×%d", ps.NumRows(), ps.K(), hi-lo, k)
-		}
-		s.owned, s.lo, s.hi = ps, lo, hi
-		return &servedRows{s: s}, err
-	})
+// NewDKV creates the store (and its server goroutine) for this rank over
+// owned, its partition: a PiStore of the hi−lo rows of width k that
+// dkv.Range(n, size, rank) assigns it — a LocalStore filled with the initial
+// rows, or an MmapStore — holding global row a as its row a − lo. The DKV
+// traffic counters are registered in reg (nil falls back to a private
+// registry), which is how a run's telemetry layer observes the store.
+func NewDKV(conn transport.Conn, n, k, threads int, reg *obs.Registry, owned PiStore) (*DKVStore, error) {
+	lo, hi := dkv.Range(n, conn.Size(), conn.Rank())
+	if owned.NumRows() != hi-lo || owned.K() != k {
+		return nil, fmt.Errorf("store: partition is %d×%d, want %d×%d", owned.NumRows(), owned.K(), hi-lo, k)
+	}
+	s := &DKVStore{owned: owned, lo: lo, hi: hi, n: n, k: k, threads: threads}
+	kv, err := dkv.NewPartitioned(conn, n, RowBytes(k), reg, &servedRows{s: s})
 	if err != nil {
 		return nil, err
 	}
@@ -81,6 +78,20 @@ func (s *DKVStore) ownedIDs(keys []int32, buf *[]int32) []int32 {
 	return *buf
 }
 
+// readOwned reads the partition's rows for the global keys into sc.rows,
+// BatchRows at a time, so a large batch holds one chunk of scratch, and
+// hands each chunk to visit with the offset in keys of its first row.
+func (s *DKVStore) readOwned(keys []int32, sc *scratch, visit func(off int)) error {
+	for off := 0; off < len(keys); off += BatchRows {
+		chunk := keys[off:min(off+BatchRows, len(keys))]
+		if err := s.owned.ReadRows(s.ownedIDs(chunk, &sc.ids), &sc.rows); err != nil {
+			return err
+		}
+		visit(off)
+	}
+	return nil
+}
+
 // scratch is one call's working memory: partition ids, owned rows and
 // encoded remote values.
 type scratch struct {
@@ -107,16 +118,15 @@ func (s *DKVStore) ReadRows(ids []int32, dst *Rows) error {
 		if pos == nil {
 			return s.owned.ReadRows(s.ownedIDs(keys, &sc.ids), dst)
 		}
-		if err := s.owned.ReadRows(s.ownedIDs(keys, &sc.ids), &sc.rows); err != nil {
-			return err
-		}
-		par.For(len(pos), s.threads, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				copy(dst.PiRow(int(pos[j])), sc.rows.PiRow(j))
-				dst.PhiSum[pos[j]] = sc.rows.PhiSum[j]
-			}
+		return s.readOwned(keys, sc, func(off int) {
+			par.For(len(sc.rows.PhiSum), s.threads, func(lo, hi int) {
+				for j := lo; j < hi; j++ {
+					p := pos[off+j]
+					copy(dst.PiRow(int(p)), sc.rows.PiRow(j))
+					dst.PhiSum[p] = sc.rows.PhiSum[j]
+				}
+			})
 		})
-		return nil
 	}, func(pos []int32, values []byte) {
 		rb := RowBytes(s.k)
 		par.For(len(pos), s.threads, func(lo, hi int) {
@@ -220,17 +230,17 @@ type servedRows struct {
 }
 
 // AppendValues implements dkv.Partition: the rows are read from the
-// partition and encoded onto dst.
+// partition a chunk at a time and encoded onto dst.
 func (p *servedRows) AppendValues(dst []byte, keys []int32) ([]byte, error) {
-	if err := p.s.owned.ReadRows(p.s.ownedIDs(keys, &p.ids), &p.rows); err != nil {
-		return dst, err
-	}
-	rb, off := RowBytes(p.s.k), len(dst)
-	dst = slices.Grow(dst, len(keys)*rb)[:off+len(keys)*rb]
-	for i := range keys {
-		EncodeRowPi(dst[off+i*rb:], p.rows.PiRow(i), p.rows.PhiSum[i])
-	}
-	return dst, nil
+	rb := RowBytes(p.s.k)
+	err := p.s.readOwned(keys, &p.scratch, func(int) {
+		off, m := len(dst), len(p.rows.PhiSum)
+		dst = slices.Grow(dst, m*rb)[:off+m*rb]
+		for i := range m {
+			EncodeRowPi(dst[off+i*rb:], p.rows.PiRow(i), p.rows.PhiSum[i])
+		}
+	})
+	return dst, err
 }
 
 // ApplyValues implements dkv.Partition: the values are decoded and written

@@ -73,7 +73,7 @@ func TestTakeSnapshotEveryBackend(t *testing.T) {
 		t.Cleanup(func() { f.Close() })
 		var stores [2]*DKVStore
 		for r := range stores {
-			st, err := NewDKV(f.Endpoint(r), sweepN, k, 2, nil, ownedLocal(k, initPattern))
+			st, err := dkvOver(f.Endpoint(r), sweepN, k, 2, ownedLocal(k, initPattern))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,7 +195,7 @@ func TestDKVSnapshotGathersFullView(t *testing.T) {
 	defer f.Close()
 	stores := make([]*DKVStore, 2)
 	for r := 0; r < 2; r++ {
-		st, err := NewDKV(f.Endpoint(r), n, k, 1, nil, ownedLocal(k, func(a int, pi []float32) float64 {
+		st, err := dkvOver(f.Endpoint(r), n, k, 1, ownedLocal(k, func(a int, pi []float32) float64 {
 			for j := range pi {
 				pi[j] = float32(a*100 + j)
 			}

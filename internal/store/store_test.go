@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dkv"
 	"repro/internal/transport"
 )
 
@@ -187,7 +188,7 @@ func twoRankStores(t *testing.T, n, k int, body func(s0 *DKVStore)) {
 	defer f.Close()
 	stores := make([]*DKVStore, 2)
 	for r := 0; r < 2; r++ {
-		st, err := NewDKV(f.Endpoint(r), n, k, 1, nil, ownedLocal(k, initPattern))
+		st, err := dkvOver(f.Endpoint(r), n, k, 1, ownedLocal(k, initPattern))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,6 +196,17 @@ func twoRankStores(t *testing.T, n, k int, body func(s0 *DKVStore)) {
 		stores[r] = st
 	}
 	body(stores[0])
+}
+
+// dkvOver builds a rank's DKVStore over the partition owned builds for the
+// rows dkv.Range assigns it.
+func dkvOver(conn transport.Conn, n, k, threads int, owned func(lo, hi int) (PiStore, error)) (*DKVStore, error) {
+	lo, hi := dkv.Range(n, conn.Size(), conn.Rank())
+	ps, err := owned(lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	return NewDKV(conn, n, k, threads, nil, ps)
 }
 
 // ownedLocal builds a DKVStore partition as a LocalStore holding initRow's
@@ -253,6 +265,27 @@ func TestDKVStoreReadWrite(t *testing.T) {
 					t.Fatalf("row %d: π[%d] = %v, want %v", i, j, rows.PiRow(i)[j], w)
 				}
 			}
+		}
+	})
+}
+
+// TestDKVStoreReadsInChunks: a batch whose owned share, and whose reply
+// from the peer, each span several BatchRows chunks lands every row at its
+// position, the repeats and the order included.
+func TestDKVStoreReadsInChunks(t *testing.T) {
+	const n, k = 5*BatchRows + 7, 2
+	twoRankStores(t, n, k, func(s *DKVStore) {
+		ids := make([]int32, 0, n+2)
+		for a := n - 1; a >= 0; a-- {
+			ids = append(ids, int32(a))
+		}
+		ids = append(ids, 1, n-1)
+		var rows Rows
+		if err := s.ReadRows(ids, &rows); err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range ids {
+			checkInitRow(t, &rows, i, a, k)
 		}
 	})
 }
@@ -320,7 +353,7 @@ func TestDKVPartitionIsAnyPiStore(t *testing.T) {
 		defer f.Close()
 		var stores [2]*DKVStore
 		for r := range stores {
-			if stores[r], err = NewDKV(f.Endpoint(r), n, k, 2, nil, owned); err != nil {
+			if stores[r], err = dkvOver(f.Endpoint(r), n, k, 2, owned); err != nil {
 				t.Fatal(err)
 			}
 			defer stores[r].Close()
@@ -408,7 +441,7 @@ func BenchmarkOneRankRead(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer f.Close()
-	ds, err := NewDKV(f.Endpoint(0), n, k, 1, nil, func(lo, hi int) (PiStore, error) { return table(), nil })
+	ds, err := NewDKV(f.Endpoint(0), n, k, 1, nil, table())
 	if err != nil {
 		b.Fatal(err)
 	}
