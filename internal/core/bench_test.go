@@ -205,7 +205,7 @@ func BenchmarkStateCheckpoint(b *testing.B) {
 	b.SetBytes(int64(4096*128*4 + 4096*8 + 256*8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.Save(discard{}, i); err != nil {
+		if err := saveState(s, discard{}, i); err != nil {
 			b.Fatal(err)
 		}
 	}

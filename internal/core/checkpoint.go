@@ -24,7 +24,7 @@ const (
 // Typed checkpoint failures, matchable with errors.Is:
 //
 //   - ErrCheckpointTruncated: the file ends before the arrays the header
-//     promises (a crash mid-write, a partial copy). SaveFile's write-then-
+//     promises (a crash mid-write, a partial copy). SaveStoreFile's write-then-
 //     rename makes this impossible for its own output, so a truncated file
 //     means the bytes were damaged after the fact.
 //   - ErrCheckpointShape: the file is well-formed but its (N, K) do not
@@ -88,17 +88,12 @@ func parseHeader(hdr []byte) (n, k, iteration int, err error) {
 	return n, k, iteration, nil
 }
 
-// Save writes the state to w. The iteration counter is stored so a resumed
-// sampler continues the step-size schedule where it stopped.
-func (s *State) Save(w io.Writer, iteration int) error {
-	return SaveStore(w, store.NewLocal(s.Pi, s.PhiSum, s.K, 1), s.Theta, iteration)
-}
-
 // SaveStore is the checkpoint writer: it streams rows out of a π backend
 // through store.Sweep in bounded batches, so the out-of-core save never
-// materialises a second full copy of the table, and State.Save is the same
-// call over a LocalStore view.
-// theta must be the 2K global parameter vector.
+// materialises a second full copy of the table; an in-RAM State saves as a
+// LocalStore view of its arrays. The iteration counter is stored so a
+// resumed run continues the step-size schedule where it stopped. theta must
+// be the 2K global parameter vector.
 func SaveStore(w io.Writer, st store.PiStore, theta []float64, iteration int) error {
 	n, k := st.NumRows(), st.K()
 	if len(theta) != 2*k {
@@ -218,7 +213,7 @@ func loadState(r io.ReaderAt, size int64) (*State, int, error) {
 	return s, iteration, nil
 }
 
-// Load reads a state written by Save and returns it with the stored
+// Load reads a state written by SaveStore and returns it with the stored
 // iteration counter. A stream has no size to check the header against, so
 // Load buffers it first; LoadFile reads the file in place.
 func Load(r io.Reader) (*State, int, error) {
@@ -229,13 +224,7 @@ func Load(r io.Reader) (*State, int, error) {
 	return loadState(bytes.NewReader(buf), int64(len(buf)))
 }
 
-// SaveFile writes a checkpoint to path atomically and durably.
-func (s *State) SaveFile(path string, iteration int) error {
-	return store.WriteFileAtomic(path, func(w io.Writer) error { return s.Save(w, iteration) })
-}
-
-// SaveStoreFile writes a streamed checkpoint to path atomically and durably,
-// like State.SaveFile.
+// SaveStoreFile writes a streamed checkpoint to path atomically and durably.
 func SaveStoreFile(path string, st store.PiStore, theta []float64, iteration int) error {
 	return store.WriteFileAtomic(path, func(w io.Writer) error { return SaveStore(w, st, theta, iteration) })
 }
@@ -266,8 +255,8 @@ func LoadFile(path string) (*State, int, error) {
 
 // LoadStoreFile restores a checkpoint into a π backend through its
 // WritePiRows — the mirror of SaveStoreFile, never holding the full table in
-// memory, and the one way a run resumes (Sampler.Restore; the distributed
-// master's restart). The file's (N, K) must match dst's dimensions
+// memory, and the one way a run resumes (the distributed master's restart,
+// at every rank count). The file's (N, K) must match dst's dimensions
 // (ErrCheckpointShape otherwise); a file shorter than the header promises
 // fails with ErrCheckpointTruncated before any row lands. Returns the θ
 // vector and stored iteration for the caller to install.

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -22,7 +23,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := s.Save(&buf, 123); err != nil {
+	if err := saveState(s, &buf, 123); err != nil {
 		t.Fatal(err)
 	}
 	got, iter, err := Load(&buf)
@@ -57,7 +58,7 @@ func TestCheckpointRejectsGarbage(t *testing.T) {
 	cfg := DefaultConfig(4, 1)
 	s, _ := NewState(cfg, 10)
 	var buf bytes.Buffer
-	s.Save(&buf, 0)
+	saveState(s, &buf, 0)
 	truncated := buf.Bytes()[:buf.Len()/2]
 	if _, _, err := Load(bytes.NewReader(truncated)); err == nil {
 		t.Fatal("truncated checkpoint accepted")
@@ -75,7 +76,7 @@ func TestCheckpointTypedErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := s.Save(&buf, 7); err != nil {
+	if err := saveState(s, &buf, 7); err != nil {
 		t.Fatal(err)
 	}
 	whole := buf.Bytes()
@@ -131,7 +132,7 @@ func TestCheckpointFile(t *testing.T) {
 	cfg := DefaultConfig(4, 5)
 	s, _ := NewState(cfg, 20)
 	path := filepath.Join(t.TempDir(), "state.ckpt")
-	if err := s.SaveFile(path, 55); err != nil {
+	if err := saveStateFile(s, path, 55); err != nil {
 		t.Fatal(err)
 	}
 	got, iter, err := LoadFile(path)
@@ -143,48 +144,8 @@ func TestCheckpointFile(t *testing.T) {
 	}
 }
 
-// TestResumeContinuesChain trains, checkpoints, resumes, and verifies the
-// resumed run is bit-identical to an uninterrupted one.
-func TestResumeContinuesChain(t *testing.T) {
-	train, held := plantedFixture(t, 150, 4, 700, 88)
-	cfg := DefaultConfig(4, 21)
-
-	full, err := NewSampler(cfg, train, held, SamplerOptions{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full.Run(20)
-
-	first, err := NewSampler(cfg, train, held, SamplerOptions{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first.Run(12)
-	path := filepath.Join(t.TempDir(), "chain.ckpt")
-	if err := first.Checkpoint(path); err != nil {
-		t.Fatal(err)
-	}
-
-	resumed, err := NewSampler(cfg, train, held, SamplerOptions{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := resumed.Restore(path); err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Iteration() != 12 {
-		t.Fatalf("restored at iteration %d, want 12", resumed.Iteration())
-	}
-	resumed.Run(8)
-
-	if mathx.MaxAbsDiff32(full.State.Pi, resumed.State.Pi) != 0 {
-		t.Fatal("resumed chain diverged from uninterrupted run")
-	}
-	if mathx.MaxAbsDiff(full.State.Theta, resumed.State.Theta) != 0 {
-		t.Fatal("resumed θ diverged from uninterrupted run")
-	}
-}
-
+// TestResumeValidatesShapes: a checkpoint of the wrong N or K is rejected
+// typed before any row lands in the store being resumed.
 func TestResumeValidatesShapes(t *testing.T) {
 	train, held := plantedFixture(t, 100, 4, 500, 89)
 	cfg := DefaultConfig(4, 2)
@@ -192,26 +153,27 @@ func TestResumeValidatesShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ps := store.NewLocal(s.State.Pi, s.State.PhiSum, cfg.K, 1)
 	before := append([]float32(nil), s.State.Pi...)
 	dir := t.TempDir()
 	wrongN, _ := NewState(cfg, 50)
 	wrongK, _ := NewState(DefaultConfig(8, 2), 100)
 	for name, st := range map[string]*State{"wrong N": wrongN, "wrong K": wrongK} {
 		path := filepath.Join(dir, name+".ckpt")
-		if err := st.SaveFile(path, 0); err != nil {
+		if err := saveStateFile(st, path, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Restore(path); !errors.Is(err, ErrCheckpointShape) {
-			t.Fatalf("%s: Restore = %v, want ErrCheckpointShape", name, err)
+		if _, _, err := LoadStoreFile(path, ps); !errors.Is(err, ErrCheckpointShape) {
+			t.Fatalf("%s: LoadStoreFile = %v, want ErrCheckpointShape", name, err)
 		}
 	}
-	if mathx.MaxAbsDiff32(before, s.State.Pi) != 0 || s.Iteration() != 0 {
-		t.Fatal("a rejected Restore changed the sampler")
+	if mathx.MaxAbsDiff32(before, s.State.Pi) != 0 {
+		t.Fatal("a rejected restore changed the store")
 	}
 }
 
 // TestCheckpointGoldenFormat pins the bytes on disk: the golden file was
-// written by State.SaveFile at the commit before the two writers and two
+// written by the State saver at the commit before the two writers and two
 // readers became one, from NewState(DefaultConfig(3, 7), 5) at iteration 42.
 // It must load bit-identically and re-save byte-identically through every
 // entry point of the merged codec.
@@ -238,11 +200,11 @@ func TestCheckpointGoldenFormat(t *testing.T) {
 		t.Fatal("golden checkpoint did not load bit-identically")
 	}
 	var buf bytes.Buffer
-	if err := got.Save(&buf, iter); err != nil {
+	if err := saveState(got, &buf, iter); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatal("State.Save of the loaded golden differs from the golden bytes")
+		t.Fatal("the save of the loaded golden differs from the golden bytes")
 	}
 
 	// The store path: restore into a backend, stream it back out to a file.
@@ -300,8 +262,8 @@ func TestCheckpointHostileHeader(t *testing.T) {
 
 // TestCheckpointBytesEveryBackend: the one restore and the one sweep give
 // the same bytes on every backend. A model one batch and a ragged tail long
-// is restored from its State.Save file into local, mmap, tiered, and DKV at 2
-// ranks, then saved back out of each; every file must equal State.Save's
+// is restored from its in-RAM save into local, mmap, tiered, and DKV at 2
+// ranks, then saved back out of each; every file must equal the in-RAM save's
 // bytes.
 func TestCheckpointBytesEveryBackend(t *testing.T) {
 	const n, k = store.BatchRows + 37, 4
@@ -311,7 +273,7 @@ func TestCheckpointBytesEveryBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	if err := ref.Save(&want, 31); err != nil {
+	if err := saveState(ref, &want, 31); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "ref.ckpt")
@@ -373,7 +335,7 @@ func TestCheckpointBytesEveryBackend(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Fatalf("checkpoint restored into and saved from %s differs from State.Save's bytes", name)
+				t.Fatalf("checkpoint restored into and saved from %s differs from the in-RAM save's bytes", name)
 			}
 		})
 	}
@@ -383,7 +345,7 @@ func TestCheckpointBytesEveryBackend(t *testing.T) {
 // resumes through (restore, here behind Load) with arbitrary bytes, seeded
 // from the golden file, its truncations and a trailing byte. Every input
 // must either fail with one of the typed checkpoint errors or load a state
-// that State.Save writes back byte for byte — never panic, and never
+// that the in-RAM save writes back byte for byte — never panic, and never
 // allocate in proportion to a header claim the bytes do not back.
 func FuzzCheckpointRestore(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v1_n5_k3.golden"))
@@ -411,11 +373,22 @@ func FuzzCheckpointRestore(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		if err := st.Save(&buf, iter); err != nil {
+		if err := saveState(st, &buf, iter); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf.Bytes(), data) {
 			t.Fatalf("a loaded checkpoint does not round-trip: %d bytes in, %d out", len(data), buf.Len())
 		}
 	})
+}
+
+// saveState writes s as a checkpoint at iteration: SaveStore over a
+// LocalStore view of its arrays.
+func saveState(s *State, w io.Writer, iteration int) error {
+	return SaveStore(w, store.NewLocal(s.Pi, s.PhiSum, s.K, 1), s.Theta, iteration)
+}
+
+// saveStateFile is saveState to a file, atomically.
+func saveStateFile(s *State, path string, iteration int) error {
+	return SaveStoreFile(path, store.NewLocal(s.Pi, s.PhiSum, s.K, 1), s.Theta, iteration)
 }

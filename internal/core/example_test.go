@@ -8,6 +8,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mathx"
+	"repro/internal/store"
 )
 
 // Example shows the minimal training loop: generate a graph, hold out a test
@@ -38,15 +39,15 @@ func Example() {
 	// communities: 4
 }
 
-// ExampleState_Save demonstrates checkpointing and resuming a chain.
-func ExampleState_Save() {
+// ExampleSaveStore demonstrates checkpointing a chain and reading it back.
+func ExampleSaveStore() {
 	g, _, _ := gen.Planted(gen.DefaultPlanted(100, 4, 500, 1))
 	cfg := core.DefaultConfig(4, 2)
 	s, _ := core.NewSampler(cfg, g, nil, core.SamplerOptions{})
 	s.Run(10)
 
 	var buf writerBuffer
-	if err := s.State.Save(&buf, s.Iteration()); err != nil {
+	if err := core.SaveStore(&buf, store.NewLocal(s.State.Pi, s.State.PhiSum, cfg.K, 1), s.State.Theta, s.Iteration()); err != nil {
 		panic(err)
 	}
 	state, iter, err := core.Load(&buf)

@@ -39,9 +39,10 @@ func saved(t *testing.T, ps store.PiStore, theta []float64, iter int) []byte {
 
 // TestOutOfCoreCheckpointRoundTrip pins the streamed restore against the
 // in-RAM state: a checkpoint of a State lands bit-identically in an mmap
-// store, and a resumed out-of-core run continues the reference trajectory
-// exactly. (State.Save IS the streamed writer over a LocalStore view; the
-// bytes themselves are pinned by TestCheckpointGoldenFormat.)
+// store, which saves back to the same bytes. (An in-RAM save IS the streamed
+// writer over a LocalStore view; the bytes themselves are pinned by
+// TestCheckpointGoldenFormat, and a resumed out-of-core run continuing the
+// chain by the parity matrix's dist/mmap cells.)
 func TestOutOfCoreCheckpointRoundTrip(t *testing.T) {
 	const n, k = 150, 4
 	train, held := plantedFixture(t, n, k, 800, 92)
@@ -56,7 +57,7 @@ func TestOutOfCoreCheckpointRoundTrip(t *testing.T) {
 
 	dir := t.TempDir()
 	inRAM := filepath.Join(dir, "inram.ckpt")
-	if err := ref.State.SaveFile(inRAM, ref.Iteration()); err != nil {
+	if err := saveStateFile(ref.State, inRAM, ref.Iteration()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -72,28 +73,6 @@ func TestOutOfCoreCheckpointRoundTrip(t *testing.T) {
 	}
 	if iter != 10 || !bytes.Equal(saved(t, ms, theta, iter), want) {
 		t.Fatalf("the restored mmap store at iteration %d does not save back to the checkpoint it read", iter)
-	}
-
-	// Resume out-of-core and run 5 more iterations against the in-RAM
-	// continuation: still the same trajectory.
-	bo := opt
-	bo.Store = ms
-	resumed, err := NewSampler(cfg, train, held, bo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := resumed.Restore(inRAM); err != nil {
-		t.Fatal(err)
-	}
-	ref.Run(5)
-	for i := 0; i < 5; i++ {
-		if err := resumed.TryStep(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	local := store.NewLocal(ref.State.Pi, ref.State.PhiSum, k, 1)
-	if !bytes.Equal(saved(t, ms, resumed.State.Theta, resumed.Iteration()), saved(t, local, ref.State.Theta, ref.Iteration())) {
-		t.Fatal("the resumed out-of-core chain diverged from the in-RAM one")
 	}
 
 	// Shape mismatches fail typed before any row is written.

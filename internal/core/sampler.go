@@ -26,8 +26,10 @@ const (
 // Sampler runs Algorithm 1 on a single node, sequentially (Threads = 1) or
 // with OpenMP-style thread parallelism over the minibatch vertices. It is
 // built from the same stage layer as the distributed engine (phases.go),
-// wired to a store.LocalStore over its State — the Ranks=1 degenerate case
-// of the distributed sampler.
+// wired to a store.LocalStore over its State. It is the reference the
+// distributed engine's parity tests hold every configuration to, and the
+// engine the benchmark and the examples drive step by step; the trainer
+// runs the distributed engine at every rank count.
 type Sampler struct {
 	Cfg       Config
 	Graph     *graph.Graph
@@ -42,7 +44,7 @@ type Sampler struct {
 	Phases *obs.Phases
 
 	// ob is the sampler's one observer: the phase table above plus the
-	// optional recorder and tracer of SamplerOptions.
+	// optional tracer of SamplerOptions.
 	ob *obs.Observer
 
 	t     int
@@ -85,14 +87,9 @@ type SamplerOptions struct {
 	UniformNeighbors bool
 	// Threads is the shared-memory worker count; 0 uses GOMAXPROCS.
 	Threads int
-	// Recorder, when non-nil, receives the live telemetry stream (per-stage
-	// durations, one event per iteration, perplexity points) — see
-	// internal/obs. Nil keeps the iteration loop telemetry-free.
-	Recorder *obs.RunRecorder
 	// Tracer, when non-nil, records per-iteration and per-stage spans (the
 	// single-rank timeline; no collectives or DKV traffic exist here): into
-	// the run log when the tracer streams (the trainer's -metrics-out), else
-	// into its buffer for Bundle.
+	// the run log when the tracer streams, else into its buffer for Bundle.
 	Tracer *obs.Tracer
 	// Publisher, when non-nil, receives a sealed store.Snapshot of π/β after
 	// the write barrier of every PublishEvery-th iteration (version = number
@@ -106,8 +103,8 @@ type SamplerOptions struct {
 	// Store, when non-nil, is an external π backend (mmap, tiered, DKV) the
 	// sampler trains against instead of in-RAM State slabs — the out-of-core
 	// path. Its dimensions must match the graph and cfg.K, and it must
-	// already hold the initial rows (ShellInit(cfg) per vertex); Restore may
-	// then overwrite them from a checkpoint. All backends share the row codec and
+	// already hold the initial rows (ShellInit(cfg) per vertex). All
+	// backends share the row codec and
 	// SetPhiRow arithmetic, so the trajectory is bit-identical to the
 	// in-RAM sampler's. Prefer TryStep over Step: store errors (a torn
 	// shard, a failed fault) are runtime conditions, not programming bugs.
@@ -210,7 +207,7 @@ func NewSampler(cfg Config, g *graph.Graph, held *graph.HeldOut, opt SamplerOpti
 		Edges:     edges,
 		Neighbors: neigh,
 		Threads:   opt.Threads,
-		ob:        &obs.Observer{Phases: obs.NewPhases(), Rec: opt.Recorder, Tracer: opt.Tracer},
+		ob:        &obs.Observer{Phases: obs.NewPhases(), Tracer: opt.Tracer},
 		pub:       opt.Publisher,
 		pubEvery:  max(opt.PublishEvery, 1),
 		pi:        opt.Store,
@@ -328,30 +325,6 @@ func (s *Sampler) publishStage(t int) error {
 // Iteration returns the number of completed iterations.
 func (s *Sampler) Iteration() int { return s.t }
 
-// Restore resumes the chain from the checkpoint at path: the π rows stream
-// into the sampler's own store (its State's arrays, or the external backend)
-// through LoadStoreFile, θ and β land in State, and the iteration counter
-// continues at the stored iteration. The graph, held-out set and options
-// must match the original run for the chain to be meaningful; only the
-// dimensions can be checked (ErrCheckpointShape, before any row lands).
-func (s *Sampler) Restore(path string) error {
-	theta, iter, err := LoadStoreFile(path, s.pi)
-	if err != nil {
-		return err
-	}
-	copy(s.State.Theta, theta)
-	s.State.RefreshBeta()
-	s.t = iter
-	return nil
-}
-
-// Checkpoint writes the chain state at the current iteration to path,
-// atomically and durably, streamed out of the sampler's store — the same
-// bytes State.Save writes for the same model, whatever the backend.
-func (s *Sampler) Checkpoint(path string) error {
-	return SaveStoreFile(path, s.pi, s.State.Theta, s.t)
-}
-
 // Step executes one iteration of Algorithm 1: sample E_n; update φ and π for
 // every vertex in the minibatch; update θ and β from the minibatch pairs.
 // With the in-memory store a stage error is a programming bug, so Step
@@ -397,11 +370,7 @@ func (s *Sampler) EvalPerplexity() float64 {
 	for _, v := range partials {
 		logSum += v
 	}
-	perp := PerplexityFromLogSum(logSum, s.Held.Len())
-	if s.ob.Rec != nil {
-		s.ob.Rec.EvalDone(s.t, perp)
-	}
-	return perp
+	return PerplexityFromLogSum(logSum, s.Held.Len())
 }
 
 // LastBatch exposes the most recent minibatch; used by diagnostics and the

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mathx"
+	"repro/internal/store"
 )
 
 // TestCheckpointSurvivesRankLoss is the rank-loss drill end to end: a rank
@@ -78,7 +79,7 @@ func TestRestartOptionValidation(t *testing.T) {
 	dir := t.TempDir()
 	save := func(name string, st *core.State, iter int) string {
 		path := filepath.Join(dir, name)
-		if err := st.SaveFile(path, iter); err != nil {
+		if err := core.SaveStoreFile(path, store.NewLocal(st.Pi, st.PhiSum, st.K, 1), st.Theta, iter); err != nil {
 			t.Fatal(err)
 		}
 		return path

@@ -13,6 +13,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mathx"
 	"repro/internal/sampling"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -80,6 +81,21 @@ func TestRunValidation(t *testing.T) {
 	bad.K = 0
 	if _, err := Run(bad, train, held, Options{Ranks: 2, Iterations: 1}); err == nil {
 		t.Fatal("invalid config accepted")
+	}
+	// Partitions must be one store per rank, each its dkv.Range's rows × K.
+	n := train.NumVertices()
+	part := func(rows, k int) store.PiStore {
+		return store.NewLocal(make([]float32, rows*k), make([]float64, rows), k, 1)
+	}
+	for name, parts := range map[string][]store.PiStore{
+		"one for two ranks": {part(n, 4)},
+		"wrong rows":        {part(n/2, 4), part(n/2+1, 4)},
+		"wrong K":           {part(n/2, 4), part(n-n/2, 3)},
+	} {
+		var pe *PartitionError
+		if _, err := Run(cfg, train, held, Options{Ranks: 2, Iterations: 1, Partitions: parts}); !errors.As(err, &pe) {
+			t.Errorf("%s: err = %v, want a *PartitionError", name, err)
+		}
 	}
 }
 

@@ -32,8 +32,10 @@ type node struct {
 	store *store.DKVStore
 	n, k  int
 	// ownedLo, ownedPi and ownedSum back this rank's partition, the rows
-	// [ownedLo, ownedLo+len(ownedSum)) as a LocalStore; run fills them with
-	// the initial rows unless a restart overwrites them from the checkpoint.
+	// [ownedLo, ownedLo+len(ownedSum)) as a LocalStore, unless
+	// Options.Partitions supplies it (ownedPi and ownedSum are then nil); run
+	// fills them with the initial rows unless a restart overwrites them from
+	// the checkpoint.
 	ownedLo  int
 	ownedPi  []float32
 	ownedSum []float64
@@ -75,6 +77,7 @@ type node struct {
 	perp       []PerpPoint
 	start      time.Time
 	startIter  int         // the first iteration this run executes (Options.RestartPath)
+	end        int         // one past the last iteration of the loop now running
 	finalState *core.State // master only, set at the end
 }
 
@@ -152,14 +155,14 @@ func newNode(cfg core.Config, opt Options, comm *cluster.Comm, g *graph.Graph, h
 
 	nd.view = newWorkerView(nd.n, heldSet, heldTouch)
 	var err error
-	nd.neigh, err = core.NewNeighborStrategy(opt.SamplerOptions(), nd.view)
+	nd.neigh, err = core.NewNeighborStrategy(opt.samplerOptions(), nd.view)
 	if err != nil {
 		return nil, err
 	}
 
 	if nd.rank == 0 {
 		nd.g = g
-		nd.edges, err = core.NewEdgeStrategy(opt.SamplerOptions(), g, heldSet)
+		nd.edges, err = core.NewEdgeStrategy(opt.samplerOptions(), g, heldSet)
 		if err != nil {
 			return nil, err
 		}
@@ -175,9 +178,14 @@ func newNode(cfg core.Config, opt Options, comm *cluster.Comm, g *graph.Graph, h
 		})
 	}
 
-	lo, hi := dkv.Range(nd.n, nd.size, nd.rank)
-	nd.ownedLo, nd.ownedPi, nd.ownedSum = lo, make([]float32, (hi-lo)*nd.k), make([]float64, hi-lo)
-	owned := store.NewLocal(nd.ownedPi, nd.ownedSum, nd.k, opt.Threads)
+	var owned store.PiStore
+	if opt.Partitions != nil {
+		owned = opt.Partitions[nd.rank]
+	} else {
+		lo, hi := dkv.Range(nd.n, nd.size, nd.rank)
+		nd.ownedLo, nd.ownedPi, nd.ownedSum = lo, make([]float32, (hi-lo)*nd.k), make([]float64, hi-lo)
+		owned = store.NewLocal(nd.ownedPi, nd.ownedSum, nd.k, opt.Threads)
+	}
 	nd.store, err = store.NewDKV(comm.Conn(), nd.n, cfg.K, opt.Threads, reg, owned)
 	if err != nil {
 		return nil, err
@@ -209,43 +217,46 @@ func (nd *node) refreshBeta() {
 	}
 }
 
-// buildLoop assembles the distributed iteration: the shared stages of
-// internal/core wrapped in this engine's scatter/gather/broadcast wiring,
+// trainingStages are the stages that advance the chain: the shared stages
+// of internal/core wrapped in this engine's scatter/gather/broadcast wiring,
 // with an unnamed (untimed) collective barrier between phases whose read and
 // write sets would otherwise overlap.
-func (nd *node) buildLoop() *engine.Loop {
+func (nd *node) trainingStages() []engine.Stage {
 	barrier := func(int) error { return nd.comm.Barrier() }
-	loop := &engine.Loop{
-		Obs: nd.ob,
-		Stages: []engine.Stage{
-			{
-				Name:   engine.PhaseDeployMinibatch,
-				Reads:  []string{"graph", "shares"},
-				Writes: []string{"batch"},
-				Run:    nd.deployStage,
-			},
-			{
-				Name:   engine.PhaseUpdatePhi,
-				Reads:  []string{"batch", "pi", "beta"},
-				Writes: []string{"new_phi"},
-				Run:    nd.phiStage,
-			},
-			{Run: barrier, Barrier: true}, // update_phi reads old π; fence before overwriting
-			{
-				Name:   engine.PhaseUpdatePi,
-				Reads:  []string{"batch", "new_phi"},
-				Writes: []string{"pi"},
-				Run:    nd.piStage,
-			},
-			{Run: barrier, Barrier: true}, // update_beta_theta reads the new π everywhere
-			{
-				Name:   engine.PhaseUpdateBetaTheta,
-				Reads:  []string{"batch", "pi", "theta"},
-				Writes: []string{"theta", "beta"},
-				Run:    nd.thetaStage,
-			},
+	return []engine.Stage{
+		{
+			Name:   engine.PhaseDeployMinibatch,
+			Reads:  []string{"graph", "shares"},
+			Writes: []string{"batch"},
+			Run:    nd.deployStage,
+		},
+		{
+			Name:   engine.PhaseUpdatePhi,
+			Reads:  []string{"batch", "pi", "beta"},
+			Writes: []string{"new_phi"},
+			Run:    nd.phiStage,
+		},
+		{Run: barrier, Barrier: true}, // update_phi reads old π; fence before overwriting
+		{
+			Name:   engine.PhaseUpdatePi,
+			Reads:  []string{"batch", "new_phi"},
+			Writes: []string{"pi"},
+			Run:    nd.piStage,
+		},
+		{Run: barrier, Barrier: true}, // update_beta_theta reads the new π everywhere
+		{
+			Name:   engine.PhaseUpdateBetaTheta,
+			Reads:  []string{"batch", "pi", "theta"},
+			Writes: []string{"theta", "beta"},
+			Run:    nd.thetaStage,
 		},
 	}
+}
+
+// buildLoop assembles the distributed iteration: the training stages, then
+// the optional ones that only read the fenced state or move work.
+func (nd *node) buildLoop() *engine.Loop {
+	loop := &engine.Loop{Obs: nd.ob, Stages: nd.trainingStages()}
 	if nd.opt.Rebalance {
 		// The reshard collective runs at window boundaries only, on every
 		// rank alike, which keeps the collective tag sequence aligned without
@@ -320,7 +331,8 @@ func (nd *node) run() (err error) {
 
 	// Populate π: from the restart checkpoint when resuming (the master
 	// writes every shard, so no rank initialises its own), from the shared
-	// deterministic init otherwise.
+	// deterministic init otherwise — unless Options.Partitions came with
+	// their initial rows.
 	if nd.opt.RestartPath != "" {
 		if err := nd.restart(); err != nil {
 			return err
@@ -346,14 +358,16 @@ func (nd *node) run() (err error) {
 		nd.windowWaits()
 	}
 	totalStart := obs.TraceNow()
-	for t := nd.startIter; t < nd.opt.Iterations; t++ {
+	nd.end = nd.opt.Iterations
+	for t := nd.startIter; t < nd.end; t++ {
 		if err := nd.loop.RunIteration(t); err != nil {
 			return fmt.Errorf("iteration %d: %w", t, err)
 		}
 	}
 	nd.ob.Interval(obs.NoIter, engine.PhaseTotal, totalStart)
-	// The run's timeline ends here on every rank: state collection below is
-	// not the run. A buffering tracer keeps its spans for Result.Trace.
+	// The run's timeline ends here on every rank: posterior sampling and
+	// state collection below are not the run. A buffering tracer keeps its
+	// spans for Result.Trace.
 	if nd.ob.Tracer != nil {
 		nd.ob.Tracer.StreamTo(nil)
 	}
@@ -368,8 +382,12 @@ func (nd *node) run() (err error) {
 		}
 	}
 
-	// Assemble the full state at the master while all stores still serve.
-	if nd.rank == 0 {
+	if nd.opt.PosteriorSamples > 0 {
+		if err := nd.posterior(); err != nil {
+			return err
+		}
+	} else if nd.rank == 0 && nd.opt.Partitions == nil {
+		// Assemble the full state at the master while all stores still serve.
 		st, err := nd.gatherState()
 		if err != nil {
 			return err
@@ -377,6 +395,41 @@ func (nd *node) run() (err error) {
 		nd.finalState = st
 	}
 	return nd.comm.Barrier()
+}
+
+// posterior continues the chain for Options.PosteriorSamples × posteriorGap
+// iterations of the training stages alone, and the master folds the state
+// it gathers every posteriorGap iterations into the posterior mean that
+// becomes the final state. The peers serve each gather from their next
+// deploy's scatter receive (or the closing barrier), as for a checkpoint.
+// None of it is the run: the stages run unobserved.
+func (nd *node) posterior() error {
+	runOb := nd.ob
+	nd.ob, nd.phi.Obs = nil, nil
+	defer func() { nd.ob, nd.phi.Obs = runOb, runOb }()
+	loop := &engine.Loop{Stages: nd.trainingStages()}
+	var mean *core.PosteriorMean
+	if nd.rank == 0 {
+		mean = core.NewPosteriorMean(nd.n, nd.k)
+	}
+	from := nd.opt.Iterations
+	nd.end = from + nd.opt.PosteriorSamples*posteriorGap
+	for t := from; t < nd.end; t++ {
+		if err := loop.RunIteration(t); err != nil {
+			return fmt.Errorf("iteration %d: %w", t, err)
+		}
+		if nd.rank == 0 && (t+1-from)%posteriorGap == 0 {
+			st, err := nd.gatherState()
+			if err != nil {
+				return err
+			}
+			mean.Add(st)
+		}
+	}
+	if nd.rank == 0 {
+		nd.finalState = mean.State()
+	}
+	return nil
 }
 
 // restart resumes from Options.RestartPath: the master streams the file's
@@ -408,28 +461,29 @@ func (nd *node) restart() error {
 }
 
 // deployStage is the minibatch deployment: the master draws (or collects
-// the prefetched) minibatch, partitions it, and scatters each rank's share;
-// every rank decodes its deployment and loads the scattered adjacency into
-// its sampling view.
+// the prefetched) minibatch, partitions it, and scatters each peer's share,
+// keeping its own as a value; every peer decodes its deployment, and every
+// rank loads its share's adjacency into its sampling view.
 func (nd *node) deployStage(t int) error {
-	var mine []byte
-	var err error
+	var dep *deployment
 	if nd.rank == 0 {
 		batch := nd.prefetch.Next(t)
-		parts := nd.buildDeployments(t, batch)
-		if nd.opt.Pipeline && t+1 < nd.opt.Iterations {
+		mine, parts := nd.buildDeployments(t, batch)
+		if nd.opt.Pipeline && t+1 < nd.end {
 			nd.prefetch.Start(t + 1)
 		}
-		mine, err = nd.comm.Scatter(0, parts)
+		if _, err := nd.comm.Scatter(0, parts); err != nil {
+			return err
+		}
+		dep = mine
 	} else {
-		mine, err = nd.comm.Scatter(0, nil)
-	}
-	if err != nil {
-		return err
-	}
-	dep, err := decodeDeployment(mine)
-	if err != nil {
-		return err
+		mine, err := nd.comm.Scatter(0, nil)
+		if err != nil {
+			return err
+		}
+		if dep, err = decodeDeployment(mine); err != nil {
+			return err
+		}
 	}
 	nd.dep = dep
 	nd.view.load(dep)
@@ -513,12 +567,14 @@ func (nd *node) reshardStage(t int) error {
 }
 
 // checkpointStage writes the coordinated checkpoint: master-only, at the end
-// of every CheckpointEvery-th iteration, streaming the full table out of the
-// DKV read path in bounded batches (peers serve while fenced in the next
-// collective). The stored iteration t+1 is "iterations completed", so a
-// restart resumes at exactly the next iteration's RNG streams.
+// of the last iteration and of every CheckpointEvery-th one, streaming the
+// full table out of the DKV read path in bounded batches (peers serve while
+// fenced in the next collective). The stored iteration t+1 is "iterations
+// completed", so a restart resumes at exactly the next iteration's RNG
+// streams.
 func (nd *node) checkpointStage(t int) error {
-	if nd.rank != 0 || (t+1)%nd.opt.CheckpointEvery != 0 {
+	every := nd.opt.CheckpointEvery
+	if nd.rank != 0 || t+1 != nd.opt.Iterations && (every <= 0 || (t+1)%every != 0) {
 		return nil
 	}
 	if err := core.SaveStoreFile(nd.opt.CheckpointPath, nd.store, nd.theta, t+1); err != nil {
@@ -587,9 +643,11 @@ func (nd *node) thetaStage(t int) error {
 // rank-ordered ranges sized by the current shares (engine.SplitWeighted):
 // vertices one by one (each with its adjacency from the master's graph),
 // pairs on ThetaChunk boundaries so the gradient fold order matches the
-// sequential engine. Uniform shares give the even split.
-func (nd *node) buildDeployments(t int, batch *sampling.Batch) [][]byte {
-	parts := make([][]byte, nd.size)
+// sequential engine. Uniform shares give the even split. The master's own
+// share is returned as a value; parts holds the peers' encoded shares
+// (parts[0] is nil: Scatter never sends the root's part).
+func (nd *node) buildDeployments(t int, batch *sampling.Batch) (mine *deployment, parts [][]byte) {
+	parts = make([][]byte, nd.size)
 	for r := 0; r < nd.size; r++ {
 		nLo, nHi := engine.SplitWeighted(len(batch.Nodes), 1, nd.shares, r)
 		pLo, pHi := engine.SplitWeighted(len(batch.Pairs), core.ThetaChunk, nd.shares, r)
@@ -605,7 +663,11 @@ func (nd *node) buildDeployments(t int, batch *sampling.Batch) [][]byte {
 		for i, a := range d.nodes {
 			d.adj[i] = nd.g.Neighbors(int(a))
 		}
-		parts[r] = encodeDeployment(d)
+		if r == 0 {
+			mine = d
+		} else {
+			parts[r] = encodeDeployment(d)
+		}
 	}
-	return parts
+	return mine, parts
 }

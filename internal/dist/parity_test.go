@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dkv"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -56,7 +57,7 @@ func (f *parityFixture) reference(t *testing.T, s strategy) trajectory {
 	t.Helper()
 	ref, ok := f.refs[s]
 	if !ok {
-		ref = f.runCore(t, core.SamplerOptions{Threads: 1, Stratified: s.stratified, UniformNeighbors: s.uniform}, "")
+		ref = f.runCore(t, core.SamplerOptions{Threads: 1, Stratified: s.stratified, UniformNeighbors: s.uniform})
 		f.refs[s] = ref
 	}
 	return ref
@@ -92,10 +93,10 @@ func (f *parityFixture) resumeFile(t *testing.T) string {
 	return path
 }
 
-// runCore trains a core.Sampler cell, from iteration 0 or from the
-// checkpoint at resume, saving the store into a buffer after every TryStep.
-// A sampler over an external store (opt.Store) must hold no in-RAM π.
-func (f *parityFixture) runCore(t *testing.T, opt core.SamplerOptions, resume string) trajectory {
+// runCore trains a core.Sampler cell, saving the store into a buffer after
+// every TryStep. A sampler over an external store (opt.Store) must hold no
+// in-RAM π.
+func (f *parityFixture) runCore(t *testing.T, opt core.SamplerOptions) trajectory {
 	t.Helper()
 	opt.MinibatchPairs = parityPairs
 	s, err := core.NewSampler(f.cfg, f.train, f.held, opt)
@@ -110,12 +111,6 @@ func (f *parityFixture) runCore(t *testing.T, opt core.SamplerOptions, resume st
 		ps = store.NewLocal(s.State.Pi, s.State.PhiSum, f.cfg.K, 1)
 	}
 	tr := trajectory{strategy: strategy{opt.Stratified, opt.UniformNeighbors}}
-	if resume != "" {
-		if err := s.Restore(resume); err != nil {
-			t.Fatal(err)
-		}
-		tr.from, tr.resumed = s.Iteration(), true
-	}
 	for s.Iteration() < parityIters {
 		if err := s.TryStep(); err != nil {
 			t.Fatalf("iteration %d: %v", s.Iteration(), err)
@@ -125,7 +120,7 @@ func (f *parityFixture) runCore(t *testing.T, opt core.SamplerOptions, resume st
 			t.Fatal(err)
 		}
 		tr.ckpt = append(tr.ckpt, buf.Bytes())
-		if !tr.resumed && s.Iteration()%parityEval == 0 {
+		if s.Iteration()%parityEval == 0 {
 			tr.perp = append(tr.perp, s.EvalPerplexity())
 		}
 	}
@@ -213,22 +208,40 @@ func perplexities(t *testing.T, res *Result) []float64 {
 	return out
 }
 
-// mmapStore is a sealed MmapStore holding the initial rows, the base of the
-// out-of-core cells.
-func (f *parityFixture) mmapStore(t *testing.T) *store.MmapStore {
+// mmapStore is a sealed MmapStore holding the initial rows [lo, hi), the
+// base of the out-of-core cells.
+func (f *parityFixture) mmapStore(t *testing.T, lo, hi int) *store.MmapStore {
 	t.Helper()
-	ms, err := store.CreateMmap(t.TempDir(), f.train.NumVertices(), f.cfg.K, store.MmapOptions{ShardRows: 64})
+	ms, err := store.CreateMmap(t.TempDir(), hi-lo, f.cfg.K, store.MmapOptions{ShardRows: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ms.Close() })
-	if err := ms.InitRows(core.ShellInit(f.cfg)); err != nil {
+	if err := ms.InitRows(func(i int, pi []float32) float64 { return core.InitPiRow(f.cfg, lo+i, pi) }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ms.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	return ms
+}
+
+// mmapCell trains a dist cell at ranks over caller-supplied MmapStore
+// partitions, one per rank's dkv.Range; π stays in them, so the run
+// gathers no state.
+func (f *parityFixture) mmapCell(ranks int) func(*testing.T) trajectory {
+	return func(t *testing.T) trajectory {
+		parts := make([]store.PiStore, ranks)
+		for r := range parts {
+			lo, hi := dkv.Range(f.train.NumVertices(), ranks, r)
+			parts[r] = f.mmapStore(t, lo, hi)
+		}
+		tr, res := f.runDist(t, Options{Ranks: ranks, Threads: 2, Partitions: parts}, nil)
+		if res.State != nil {
+			t.Fatal("a run over caller-supplied partitions gathered π into Result.State")
+		}
+		return tr
+	}
 }
 
 // checkSnapshots holds a publishing run's snapshots to the reference: one
@@ -285,7 +298,7 @@ func TestParityMatrix(t *testing.T) {
 		run  func(t *testing.T) trajectory
 	}{
 		// Engine, ranks and threads.
-		{"core/threads=4", func(t *testing.T) trajectory { return f.runCore(t, core.SamplerOptions{Threads: 4}, "") }},
+		{"core/threads=4", func(t *testing.T) trajectory { return f.runCore(t, core.SamplerOptions{Threads: 4}) }},
 		{"dist/ranks=1/threads=1", f.distCell(Options{Ranks: 1, Threads: 1})},
 		{"dist/ranks=2/threads=1", f.distCell(Options{Ranks: 2, Threads: 1})},
 		{"dist/ranks=2/threads=4", f.distCell(Options{Ranks: 2, Threads: 4})},
@@ -300,7 +313,8 @@ func TestParityMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			if err := res.State.Save(&buf, res.Iterations); err != nil {
+			st := res.State
+			if err := core.SaveStore(&buf, store.NewLocal(st.Pi, st.PhiSum, st.K, 1), st.Theta, res.Iterations); err != nil {
 				t.Fatal(err)
 			}
 			return trajectory{from: parityIters - 1, ckpt: [][]byte{buf.Bytes()}, perp: perplexities(t, res)}
@@ -323,19 +337,21 @@ func TestParityMatrix(t *testing.T) {
 		{"dist/pipeline/ranks=3", f.distCell(Options{Ranks: 3, Threads: 1, Pipeline: true})},
 		// Backend.
 		{"core/mmap", func(t *testing.T) trajectory {
-			return f.runCore(t, core.SamplerOptions{Threads: 2, Store: f.mmapStore(t)}, "")
+			return f.runCore(t, core.SamplerOptions{Threads: 2, Store: f.mmapStore(t, 0, f.train.NumVertices())})
 		}},
 		{"core/tiered", func(t *testing.T) trajectory {
-			tier, err := store.NewTiered(f.mmapStore(t), nil, 0, 2, nil)
+			tier, err := store.NewTiered(f.mmapStore(t, 0, f.train.NumVertices()), nil, 0, 2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return f.runCore(t, core.SamplerOptions{Threads: 2, Store: tier}, "")
+			return f.runCore(t, core.SamplerOptions{Threads: 2, Store: tier})
 		}},
+		{"dist/mmap/ranks=1", f.mmapCell(1)},
+		{"dist/mmap/ranks=2", f.mmapCell(2)},
 		// Publish.
 		{"core/publish", func(t *testing.T) trajectory {
 			var snaps []*store.Snapshot
-			tr := f.runCore(t, core.SamplerOptions{Threads: 2, Publisher: subscribe(&snaps)}, "")
+			tr := f.runCore(t, core.SamplerOptions{Threads: 2, Publisher: subscribe(&snaps)})
 			f.checkSnapshots(t, snaps)
 			return tr
 		}},
@@ -368,22 +384,6 @@ func TestParityMatrix(t *testing.T) {
 			if final := tr.perp[len(tr.perp)-1]; sum.Ranks != 3 || sum.Iterations != parityIters || sum.FinalPerplexity != final {
 				t.Fatalf("event summary %d ranks, %d iterations, final perplexity %v; want 3, %d, %v",
 					sum.Ranks, sum.Iterations, sum.FinalPerplexity, parityIters, final)
-			}
-			return tr
-		}},
-		{"core/recorder+tracer", func(t *testing.T) trajectory {
-			var buf bytes.Buffer
-			sink, tracer := obs.NewSink(&buf), obs.NewTracer(0, 0)
-			tr := f.runCore(t, core.SamplerOptions{Threads: 2, Recorder: obs.NewRunRecorder(sink, 0, nil), Tracer: tracer}, "")
-			count := map[string]int{}
-			for _, e := range readLog(t, sink, &buf) {
-				count[e.Type]++
-			}
-			for _, sp := range tracer.Bundle().Spans {
-				count[sp.Cat+" span"]++
-			}
-			if count[obs.EventIter] != parityIters || count[obs.EventPerplexity] != len(tr.perp) || count[obs.CatIter+" span"] != parityIters {
-				t.Fatalf("recorded %v; want %d iter events and spans, %d perplexity events", count, parityIters, len(tr.perp))
 			}
 			return tr
 		}},
@@ -422,13 +422,6 @@ func TestParityMatrix(t *testing.T) {
 			return tr
 		}},
 		// Resume from the reference's iteration-parityResume checkpoint.
-		{"core/resume", func(t *testing.T) trajectory {
-			tr := f.runCore(t, core.SamplerOptions{Threads: 2}, f.resumeFile(t))
-			if tr.from != parityResume {
-				t.Fatalf("restored at iteration %d, want %d", tr.from, parityResume)
-			}
-			return tr
-		}},
 		{"dist/resume/ranks=3", func(t *testing.T) trajectory {
 			tr, _ := f.runDist(t, Options{Ranks: 3, Threads: 1, RestartPath: f.resumeFile(t)}, nil)
 			return tr

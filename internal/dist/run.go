@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/dkv"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -111,11 +112,12 @@ type Options struct {
 	ComputeDelay func(rank, nodes int) time.Duration
 
 	// CheckpointPath, when non-empty, makes the master write a coordinated
-	// core.State checkpoint (π, Σφ, θ, and the iteration counter) every
-	// CheckpointEvery iterations, at the phase barrier that ends the
-	// iteration: the master gathers peer shards through the DKV read path
-	// while the peers are fenced waiting on its next collective, the same
-	// consistency argument as Publisher. CheckpointEvery ≤ 0 defaults to 10.
+	// core.State checkpoint (π, Σφ, θ, and the iteration counter) after the
+	// last iteration, and also after every CheckpointEvery-th iteration when
+	// CheckpointEvery > 0, at the phase barrier that ends the iteration: the
+	// master gathers peer shards through the DKV read path while the peers
+	// are fenced waiting on its next collective, the same consistency
+	// argument as Publisher.
 	CheckpointPath  string
 	CheckpointEvery int
 
@@ -128,31 +130,73 @@ type Options struct {
 	// absolute iteration number, so a resumed run is bit-identical to one
 	// that never stopped.
 	RestartPath string
+
+	// Partitions, when non-nil, holds each rank's share of π, indexed by
+	// rank: entry r covers the rows dkv.Range(N, Ranks, r) and already holds
+	// their initial rows (core.InitPiRow), as an out-of-core store such as
+	// store.MmapStore. The engine trains through them and leaves them
+	// holding the trained rows; it never gathers π into memory for
+	// Result.State. Nil keeps each rank's rows in an in-RAM LocalStore. A
+	// slice that does not fit the run is a *PartitionError.
+	Partitions []store.PiStore
+
+	// PosteriorSamples > 0 continues the chain past Iterations for
+	// PosteriorSamples × 20 iterations of the training stages alone — no
+	// evaluation, checkpoint, publication or reshard, and unobserved, so
+	// nothing reaches the phase table, the event log or the trace — and the
+	// master folds its gathered state into a core.PosteriorMean every 20
+	// iterations. Result.State is then that mean.
+	PosteriorSamples int
+}
+
+// posteriorGap is the number of iterations between two posterior samples.
+const posteriorGap = 20
+
+// PartitionError reports Options.Partitions that do not fit the run: not
+// one store per rank (Rank is -1 and Rows counts the stores given), or rank
+// Rank's store not the Rows×K its dkv.Range needs.
+type PartitionError struct {
+	Rank            int
+	Rows, K         int
+	WantRows, WantK int
+}
+
+func (e *PartitionError) Error() string {
+	if e.Rank < 0 {
+		return fmt.Sprintf("dist: %d partitions for %d ranks", e.Rows, e.WantRows)
+	}
+	return fmt.Sprintf("dist: rank %d partition is %d×%d, want %d×%d", e.Rank, e.Rows, e.K, e.WantRows, e.WantK)
+}
+
+// checkPartitions holds caller-supplied partitions to the run's shape.
+func checkPartitions(parts []store.PiStore, n, k, ranks int) error {
+	if len(parts) != ranks {
+		return &PartitionError{Rank: -1, Rows: len(parts), WantRows: ranks}
+	}
+	for r, p := range parts {
+		lo, hi := dkv.Range(n, ranks, r)
+		if p.NumRows() != hi-lo || p.K() != k {
+			return &PartitionError{Rank: r, Rows: p.NumRows(), K: p.K(), WantRows: hi - lo, WantK: k}
+		}
+	}
+	return nil
 }
 
 func (o *Options) setDefaults() {
 	if o.PublishEvery == 0 {
 		o.PublishEvery = 1
 	}
-	if o.CheckpointPath != "" && o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = 10
-	}
 }
 
-// SamplerOptions is the Ranks = 1 projection of o: the fields the single-node
-// core.Sampler shares with this engine. The ranks build their minibatch and
-// neighbour strategies from it (core.NewEdgeStrategy / NewNeighborStrategy,
-// where the defaults live), and a caller choosing between the two engines
-// configures both from one Options value.
-func (o Options) SamplerOptions() core.SamplerOptions {
+// samplerOptions carries o's minibatch and neighbour strategy fields to
+// core.NewEdgeStrategy / NewNeighborStrategy, where the defaults live, so
+// this engine and core.Sampler cannot drift apart.
+func (o Options) samplerOptions() core.SamplerOptions {
 	return core.SamplerOptions{
 		MinibatchPairs:   o.MinibatchPairs,
 		Stratified:       o.Stratified,
 		NeighborCount:    o.NeighborCount,
 		UniformNeighbors: o.UniformNeighbors,
-		Threads:          o.Threads,
-		Publisher:        o.Publisher,
-		PublishEvery:     o.PublishEvery,
 	}
 }
 
@@ -181,7 +225,10 @@ type DKVTotals struct {
 
 // Result is what a distributed run returns.
 type Result struct {
-	State      *core.State // fully assembled π/Σφ/θ/β
+	// State is the trained model gathered at the master: π/Σφ/θ/β after
+	// Iterations, or the posterior mean of Options.PosteriorSamples. It is
+	// nil when Options.Partitions holds π and no posterior was asked for.
+	State      *core.State
 	Perplexity []PerpPoint
 	Phases     *obs.Phases // per-phase totals, max across ranks
 	RankPhases []map[string]time.Duration
@@ -242,6 +289,11 @@ func RunOnTransport(cfg core.Config, g *graph.Graph, held *graph.HeldOut, opt Op
 	}
 	if opt.EvalEvery > 0 && held == nil {
 		return nil, fmt.Errorf("dist: EvalEvery set but no held-out set given")
+	}
+	if opt.Partitions != nil {
+		if err := checkPartitions(opt.Partitions, g.NumVertices(), cfg.K, opt.Ranks); err != nil {
+			return nil, err
+		}
 	}
 	// The monitor's /events endpoint streams whatever sink the run writes to.
 	// A monitor-only run still deserves live events, so it gets a sink backed
@@ -382,17 +434,22 @@ func (nd *node) evalStage(t int) error {
 }
 
 // gatherState reads the whole π table back out of the DKV store into a
-// core.State through the one whole-table sweep; master-only, used for final
-// reporting and the equivalence tests.
+// core.State through the one whole-table sweep; master-only, for the final
+// estimate and the posterior samples. When the master owns every row in
+// RAM, the state is its partition's arrays themselves, not a copy.
 func (nd *node) gatherState() (*core.State, error) {
 	st := &core.State{
 		N:      nd.n,
 		K:      nd.k,
-		Pi:     make([]float32, nd.n*nd.k),
-		PhiSum: make([]float64, nd.n),
 		Theta:  append([]float64(nil), nd.theta...),
 		Beta:   append([]float64(nil), nd.beta...),
+		Pi:     nd.ownedPi,
+		PhiSum: nd.ownedSum,
 	}
+	if len(nd.ownedSum) == nd.n {
+		return st, nil
+	}
+	st.Pi, st.PhiSum = make([]float32, nd.n*nd.k), make([]float64, nd.n)
 	err := store.Sweep(nd.store, st.Pi, func(lo int, rows *store.Rows) error {
 		copy(st.PhiSum[lo:], rows.PhiSum)
 		return nil

@@ -16,8 +16,7 @@ import (
 )
 
 // run is one invocation of the trainer. Flags bind straight into the option
-// structs the engines already take — core.Config, dist.Options (whose
-// SamplerOptions projection configures the -ranks 1 engine) and
+// structs the engine already takes — core.Config, dist.Options and
 // store.MmapOptions; the remaining fields are what belongs to the command
 // line alone: paths, listen addresses and fault-injection targets.
 type run struct {
@@ -41,12 +40,11 @@ type run struct {
 	// (graph.ReadSNAP's map; nil under -stream, which keeps the file's ids).
 	ids []int64
 
-	// needsRanks maps each flag only one engine can honour to the -ranks that
-	// engine runs at ("1" or ">= 2"), filled by flagSet where the flag is
-	// defined. Setting one explicitly under the other engine is a start-up
-	// error (validate), never a silent no-op; every other flag works at any
-	// -ranks.
-	needsRanks map[string]string
+	// needsRanks holds each flag that would be a silent no-op at -ranks 1 —
+	// no sockets, no collective sends, no peer to shed work to — filled by
+	// flagSet where the flag is defined. Setting one explicitly at -ranks 1
+	// is a start-up error (validate); every other flag works at any -ranks.
+	needsRanks map[string]bool
 }
 
 // requires maps each flag that only takes effect beside another to that
@@ -72,13 +70,13 @@ func (r *run) flagSet(prog string, defaultRanks int) *flag.FlagSet {
 	fs.SetOutput(io.Discard) // Run reports parse errors and -h itself
 	r.cfg = core.DefaultConfig(0, 0)
 	c, o := &r.cfg, &r.opt
-	r.needsRanks = map[string]string{}
-	only := func(ranks, name string) string { r.needsRanks[name] = ranks; return name }
+	r.needsRanks = map[string]bool{}
+	multi := func(name string) string { r.needsRanks[name] = true; return name }
 
 	fs.StringVar(&r.graphPath, "graph", "", "input SNAP edge-list (required)")
 	fs.BoolVar(&r.stream, "stream", false, "stream the edge list from disk (requires a '# Nodes: <n>' header; avoids the transient edge-list copy)")
 	fs.IntVar(&r.heldDiv, "heldout-div", 50, "held-out links = |E| / this")
-	fs.IntVar(&o.Ranks, "ranks", defaultRanks, "cluster size: 1 runs the single-node sampler, >= 2 the distributed engine on that many simulated ranks")
+	fs.IntVar(&o.Ranks, "ranks", defaultRanks, "cluster size: the number of simulated ranks the engine runs on (1 = one in-process rank)")
 	fs.IntVar(&o.Threads, "threads", 0, "worker threads per rank (0 = GOMAXPROCS / ranks)")
 	fs.IntVar(&c.K, "k", 32, "number of latent communities")
 	fs.Uint64Var(&c.Seed, "seed", 42, "random seed")
@@ -99,25 +97,24 @@ func (r *run) flagSet(prog string, defaultRanks int) *flag.FlagSet {
 	fs.StringVar(&r.serveAt, "serve", "", "answer membership queries over HTTP on this address while training (e.g. :7070)")
 	fs.IntVar(&o.PublishEvery, "publish-every", 1, "with -serve, publish a fresh snapshot every this many iterations")
 
-	// Honoured by the single-node engine only (-ranks 1).
-	fs.IntVar(&r.posteriorSamples, only("1", "posterior-samples"), 0, "average this many chain samples (20 iterations apart, past -iters) for -auc and -communities")
-	fs.StringVar(&r.piBackend, only("1", "pi-backend"), "local", "π table backend: local (in-RAM) or mmap (sharded memory-mapped files)")
-	fs.StringVar(&r.piDir, only("1", "pi-dir"), "", "directory for the mmap π shards (must not already hold a store; required with -pi-backend mmap)")
-	fs.IntVar(&r.mmap.ShardRows, only("1", "pi-shard-rows"), store.DefaultShardRows, "rows per mmap shard file")
+	fs.IntVar(&r.posteriorSamples, "posterior-samples", 0, "average this many chain samples (20 iterations apart, past -iters) for -auc and -communities")
+	fs.StringVar(&r.piBackend, "pi-backend", "local", "π table backend: local (in-RAM) or mmap (sharded memory-mapped files, one directory per rank)")
+	fs.StringVar(&r.piDir, "pi-dir", "", "directory for the mmap π shards, one rank-<r> subdirectory per rank (none may already hold a store; required with -pi-backend mmap)")
+	fs.IntVar(&r.mmap.ShardRows, "pi-shard-rows", store.DefaultShardRows, "rows per mmap shard file")
+	fs.BoolVar(&o.Pipeline, "pipeline", false, "enable double-buffered π loading and minibatch prefetch")
+	fs.IntVar(&r.failRank, "fail-rank", -1, "fault injection: rank to crash (-1 = none)")
+	fs.IntVar(&r.failIter, "fail-iter", 0, "fault injection: iteration at which -fail-rank crashes")
+	fs.StringVar(&r.monitorAt, "monitor", "", "serve live metrics (/metrics) and the run log with its spans (/events, SSE) over HTTP on this address (e.g. :6060 or 127.0.0.1:0)")
+	fs.BoolVar(&r.pprof, "pprof", false, "with -monitor, expose net/http/pprof under /debug/pprof/ (explicit opt-in; enables block profiling)")
+	fs.BoolVar(&r.rankTable, "rank-table", false, "print the per-rank × per-stage time table after the run")
 
-	// Honoured by the distributed engine only (-ranks >= 2).
-	fs.StringVar(&r.transport, only(">= 2", "transport"), "inproc", "rank interconnect: inproc (shared-memory fabric) or tcp (loopback mesh, real wire framing)")
-	fs.BoolVar(&o.Pipeline, only(">= 2", "pipeline"), false, "enable double-buffered π loading and minibatch prefetch")
-	fs.IntVar(&r.failRank, only(">= 2", "fail-rank"), -1, "fault injection: rank to crash (-1 = none)")
-	fs.IntVar(&r.failIter, only(">= 2", "fail-iter"), 0, "fault injection: iteration at which -fail-rank crashes")
-	fs.IntVar(&r.slowRank, only(">= 2", "slow-rank"), -1, "fault injection: rank whose collective sends are delayed by -slow-send (-1 = none); the straggler report should flag it")
-	fs.DurationVar(&r.slowSend, only(">= 2", "slow-send"), time.Millisecond, "per-send delay injected at -slow-rank")
-	fs.DurationVar(&r.slowPhi, only(">= 2", "slow-phi"), 0, "fault injection: per-assigned-node compute delay injected into -slow-rank's update_phi — the degraded-CPU straggler -rebalance can cure")
-	fs.BoolVar(&o.Rebalance, only(">= 2", "rebalance"), false, "close the straggler loop: re-shard each window's minibatch away from flagged ranks (trained model stays bit-identical)")
-	fs.IntVar(&o.RebalanceWindow, only(">= 2", "rebalance-window"), engine.DefaultRebalanceWindow, "straggler-mitigation window in iterations")
-	fs.StringVar(&r.monitorAt, only(">= 2", "monitor"), "", "serve live metrics (/metrics) and the run log with its spans (/events, SSE) over HTTP on this address (e.g. :6060 or 127.0.0.1:0)")
-	fs.BoolVar(&r.pprof, only(">= 2", "pprof"), false, "with -monitor, expose net/http/pprof under /debug/pprof/ (explicit opt-in; enables block profiling)")
-	fs.BoolVar(&r.rankTable, only(">= 2", "rank-table"), false, "print the per-rank × per-stage time table after the run")
+	// Meaningful only between ranks (-ranks >= 2).
+	fs.StringVar(&r.transport, multi("transport"), "inproc", "rank interconnect: inproc (shared-memory fabric) or tcp (loopback mesh, real wire framing)")
+	fs.IntVar(&r.slowRank, multi("slow-rank"), -1, "fault injection: rank whose collective sends are delayed by -slow-send (-1 = none); the straggler report should flag it")
+	fs.DurationVar(&r.slowSend, multi("slow-send"), time.Millisecond, "per-send delay injected at -slow-rank")
+	fs.DurationVar(&r.slowPhi, multi("slow-phi"), 0, "fault injection: per-assigned-node compute delay injected into -slow-rank's update_phi — the degraded-CPU straggler -rebalance can cure")
+	fs.BoolVar(&o.Rebalance, multi("rebalance"), false, "close the straggler loop: re-shard each window's minibatch away from flagged ranks (trained model stays bit-identical)")
+	fs.IntVar(&o.RebalanceWindow, multi("rebalance-window"), engine.DefaultRebalanceWindow, "straggler-mitigation window in iterations")
 	return fs
 }
 
@@ -165,16 +162,16 @@ func (r *run) validate(fs *flag.FlagSet) error {
 	case r.heldDiv < 1:
 		return fmt.Errorf("-heldout-div %d: need at least 1", r.heldDiv)
 	}
-	// A flag the user set explicitly that the engine -ranks selects cannot
-	// honour, or that needs another flag the command line does not set, is
-	// rejected by name.
+	// A flag the user set explicitly that cannot take effect at -ranks 1, or
+	// that needs another flag the command line does not set, is rejected by
+	// name.
 	var err error
 	fs.Visit(func(f *flag.Flag) {
 		if err != nil {
 			return
 		}
-		if need, ok := r.needsRanks[f.Name]; ok && (need == "1") != (o.Ranks == 1) {
-			err = fmt.Errorf("-%s needs -ranks %s, but -ranks is %d", f.Name, need, o.Ranks)
+		if r.needsRanks[f.Name] && o.Ranks == 1 {
+			err = fmt.Errorf("-%s needs -ranks >= 2, but -ranks is 1", f.Name)
 		} else if req, ok := requires[f.Name]; ok {
 			name, value, _ := strings.Cut(req, " ")
 			other := fs.Lookup(name)
@@ -186,8 +183,8 @@ func (r *run) validate(fs *flag.FlagSet) error {
 	if err != nil {
 		return err
 	}
-	// Past that, a flag the selected engine ignores still holds its default, so
-	// the remaining checks need not ask which engine runs.
+	// Past that, a flag -ranks 1 cannot use still holds its default, so the
+	// remaining checks need not ask how many ranks run.
 	if err := validateFaultFlags(o.Ranks, r.failRank, r.slowRank, r.slowPhi); err != nil {
 		return err
 	}

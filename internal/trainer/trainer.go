@@ -1,11 +1,12 @@
 // Package trainer is the one training program behind cmd/ocd-train and
 // cmd/ocd-cluster. The paper's system is a single sampler launched at any
 // node count × thread count; here that is one flag table (flags.go) and one
-// Run, which picks the engine from -ranks: 1 runs core.Sampler over the
-// in-RAM or mmap π backend, >= 2 runs dist.RunOnTransport over the chosen
-// transport. Everything around the engine — graph load and held-out split,
-// telemetry sink, monitor, query server, resume, checkpoint, report — exists
-// once and means the same thing at every rank count.
+// Run, which runs dist.RunOnTransport on -ranks ranks over the chosen
+// transport — -ranks 1 is the same engine on a one-endpoint fabric — with π
+// in RAM or in per-rank mmap partitions. Everything around the engine —
+// graph load and held-out split, telemetry sink, monitor, query server,
+// resume, checkpoint, posterior mean, report — exists once and means the
+// same thing at every rank count.
 package trainer
 
 import (
@@ -13,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -20,6 +22,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/dkv"
 	"repro/internal/graph"
 	"repro/internal/mathx"
 	"repro/internal/metrics"
@@ -30,8 +33,8 @@ import (
 )
 
 // Run is the whole program: parse args, load and split the graph, wire the
-// telemetry sink / monitor / query server, train on the engine -ranks
-// selects, and print the report to stdout. prog names the binary in usage
+// telemetry sink / monitor / query server, train on -ranks ranks, and print
+// the report to stdout. prog names the binary in usage
 // text; defaultRanks is the only thing the two binaries disagree on. Every
 // resource Run acquires is released on every path, a failed run included —
 // its JSONL stream is flushed up to the failure — so the caller's os.Exit is
@@ -92,10 +95,7 @@ func Run(prog string, defaultRanks int, args []string, stdout io.Writer) (err er
 		fmt.Fprintf(r.out, "serving queries: http://%s/ (endpoints: /topk /members /shared /stats)\n", bound)
 	}
 
-	if r.opt.Ranks == 1 {
-		return r.trainLocal(train, held)
-	}
-	return r.trainDist(train, held)
+	return r.train(train, held)
 }
 
 // shutdown stops an HTTP endpoint (the monitor or the query server) once the
@@ -142,122 +142,14 @@ func (r *run) openSink() (*obs.Sink, error) {
 	return obs.NewFileSink(f), nil
 }
 
-// announceResume reports where a -resume run picked the chain up.
-func (r *run) announceResume(iter int) {
-	fmt.Fprintf(r.out, "resumed from %s at iteration %d\n", r.resume, iter)
-}
-
-// trainLocal is the -ranks 1 engine: core.Sampler over its in-RAM state, or
-// over the mmap store with -pi-backend mmap.
-func (r *run) trainLocal(train *graph.Graph, held *graph.HeldOut) error {
-	iters := r.opt.Iterations
-	sopts := r.opt.SamplerOptions()
-	var ms *store.MmapStore
-	if r.piBackend == "mmap" {
-		var err error
-		ms, err = store.CreateMmap(r.piDir, train.NumVertices(), r.cfg.K, r.mmap)
-		if err != nil {
-			return err
-		}
-		defer ms.Close()
-		if err := ms.InitRows(core.ShellInit(r.cfg)); err != nil {
-			return err
-		}
-		if _, err := ms.Seal(); err != nil {
-			return err
-		}
-		sopts.Store = ms
-		fmt.Fprintf(r.out, "π backend: mmap in %s (%d rows/shard)\n", r.piDir, r.mmap.ShardRows)
-	}
-	// The local sampler has no parameter-store traffic, so the recorder runs
-	// without a registry: stage durations and perplexity only. Its spans
-	// stream into the same log (-ranks 1 traces exactly when it writes one).
-	if r.opt.Events != nil {
-		sopts.Recorder = obs.NewRunRecorder(r.opt.Events, 0, nil)
-		sopts.Tracer = obs.NewTracer(0, 0)
-		sopts.Tracer.StreamTo(r.opt.Events)
-	}
-	s, err := core.NewSampler(r.cfg, train, held, sopts)
-	if err != nil {
-		return err
-	}
-	if r.resume != "" {
-		// The rows stream straight into the sampler's store — its in-RAM
-		// arrays or the mmap backend; only θ passes through a buffer.
-		if err := s.Restore(r.resume); err != nil {
-			return fmt.Errorf("-resume: %w", err)
-		}
-		if err := core.CheckResumeIter(s.Iteration(), iters); err != nil {
-			return fmt.Errorf("-resume: %w", err)
-		}
-		r.announceResume(s.Iteration())
-	}
-
-	res := &dist.Result{Phases: s.Phases}
-	first := s.Iteration()
-	start := time.Now()
-	if sopts.Recorder != nil {
-		sopts.Recorder.RunStart(1, iters)
-	}
-	r.perplexityHeader()
-	for s.Iteration() < iters {
-		// TryStep, not Step: under -pi-backend mmap a store error (a full or
-		// read-only -pi-dir) is a runtime condition, reported like any other.
-		if err := s.TryStep(); err != nil {
-			return fmt.Errorf("iteration %d: %w", s.Iteration(), err)
-		}
-		t := s.Iteration()
-		if r.checkpointDue(t) {
-			if err := s.Checkpoint(r.opt.CheckpointPath); err != nil {
-				return err
-			}
-		}
-		if r.opt.EvalEvery > 0 && t%r.opt.EvalEvery == 0 {
-			r.perplexityRow(dist.PerpPoint{Iter: t, Value: s.EvalPerplexity(), Elapsed: time.Since(start)})
-		}
-	}
-	res.Elapsed = time.Since(start)
-	if sopts.Recorder != nil {
-		sopts.Tracer.StreamTo(nil) // -posterior-samples below is not the run
-		sopts.Recorder.RunEnd(iters)
-	}
-	r.report(res, iters-first)
-	if err := r.finalCheckpoint(s.Checkpoint); err != nil {
-		return err
-	}
-	// Seal the mmap store so the trained π generation is durable on disk and a
-	// later OpenMmap sees it; a crash before this point leaves the previous
-	// sealed generation intact.
-	if ms != nil {
-		gen, err := ms.Seal()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(r.out, "sealed π store %s (generation %d)\n", r.piDir, gen)
-	}
-	estimate := s.State
-	if r.posteriorSamples > 0 {
-		acc := core.NewPosteriorMean(train.NumVertices(), r.cfg.K)
-		for i := 0; i < r.posteriorSamples; i++ {
-			s.Run(20)
-			acc.Add(s.State)
-		}
-		estimate = acc.State()
-		fmt.Fprintf(r.out, "averaged %d posterior samples for the final estimate\n", r.posteriorSamples)
-	}
-	return r.writeOutputs(estimate, held)
-}
-
-// trainDist is the -ranks >= 2 engine: dist.RunOnTransport over an explicit
-// conn slice, so the fault wrappers (-slow-rank) apply to either transport
-// uniformly.
-func (r *run) trainDist(train *graph.Graph, held *graph.HeldOut) error {
+// train is the engine at every -ranks: dist.RunOnTransport over an
+// explicit conn slice — one endpoint of an in-process fabric at -ranks 1 —
+// so the fault wrappers (-slow-rank) apply to either transport uniformly.
+func (r *run) train(train *graph.Graph, held *graph.HeldOut) error {
 	opt := r.opt
 	ranks, iters := opt.Ranks, opt.Iterations
 	opt.RestartPath = r.resume
-	if opt.CheckpointEvery <= 0 {
-		opt.CheckpointPath = "" // at run end only: written below, not by the engine
-	}
+	opt.PosteriorSamples = r.posteriorSamples
 	if r.failRank >= 0 {
 		opt.FaultHook = func(rank, iter int) error {
 			if rank == r.failRank && iter == r.failIter {
@@ -277,6 +169,28 @@ func (r *run) trainDist(train *graph.Graph, held *graph.HeldOut) error {
 			}
 			return time.Duration(nodes) * r.slowPhi
 		}
+	}
+	// -pi-backend mmap: each rank's partition, the rows of its dkv.Range
+	// holding their initial draws, sealed before the run and after it.
+	var parts []*store.MmapStore
+	for rank := 0; r.piBackend == "mmap" && rank < ranks; rank++ {
+		lo, hi := dkv.Range(train.NumVertices(), ranks, rank)
+		ms, err := store.CreateMmap(r.partitionDir(rank), hi-lo, r.cfg.K, r.mmap)
+		if err != nil {
+			return err
+		}
+		defer ms.Close()
+		parts = append(parts, ms)
+		opt.Partitions = append(opt.Partitions, ms)
+		if err := ms.InitRows(func(i int, pi []float32) float64 { return core.InitPiRow(r.cfg, lo+i, pi) }); err != nil {
+			return err
+		}
+		if _, err := ms.Seal(); err != nil {
+			return err
+		}
+	}
+	if parts != nil {
+		fmt.Fprintf(r.out, "π backend: mmap in %s (%d rows/shard)\n", r.piDir, r.mmap.ShardRows)
 	}
 
 	var conns []transport.Conn
@@ -320,7 +234,7 @@ func (r *run) trainDist(train *graph.Graph, held *graph.HeldOut) error {
 	}
 
 	if r.resume != "" {
-		r.announceResume(res.Resumed)
+		fmt.Fprintf(r.out, "resumed from %s at iteration %d\n", r.resume, res.Resumed)
 	}
 	r.perplexityHeader()
 	for _, p := range res.Perplexity {
@@ -344,35 +258,28 @@ func (r *run) trainDist(train *graph.Graph, held *graph.HeldOut) error {
 		fmt.Fprintf(r.out, "straggler mitigation: %d/%d windows rebalanced, %d rank flags\n",
 			ctr[obs.CtrReshardChanges], ctr[obs.CtrReshardWindows], ctr[obs.CtrReshardFlags])
 	}
-	err = r.finalCheckpoint(func(path string) error { return res.State.SaveFile(path, iters) })
-	if err != nil {
-		return err
+	if opt.CheckpointPath != "" {
+		fmt.Fprintf(r.out, "checkpoint written to %s (iteration %d)\n", opt.CheckpointPath, iters)
+	}
+	// Seal the mmap partitions so the trained π generation is durable on disk
+	// and a later OpenMmap sees it; a crash before this point leaves the
+	// previous sealed generation intact.
+	for rank, ms := range parts {
+		gen, err := ms.Seal()
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(r.out, "sealed π store %s (generation %d)\n", r.partitionDir(rank), gen)
+	}
+	if r.posteriorSamples > 0 {
+		fmt.Fprintf(r.out, "averaged %d posterior samples for the final estimate\n", r.posteriorSamples)
 	}
 	return r.writeOutputs(res.State, held)
 }
 
-// checkpointDue reports whether the periodic -checkpoint-every write falls
-// on iteration t (iterations completed).
-func (r *run) checkpointDue(t int) bool {
-	return r.opt.CheckpointPath != "" && r.opt.CheckpointEvery > 0 && t%r.opt.CheckpointEvery == 0
-}
-
-// finalCheckpoint is -checkpoint's write at run end through the engine's
-// save (the sampler's Checkpoint, or the gathered state's SaveFile — the same
-// bytes for the same model), skipped when the periodic write already landed
-// on the last iteration.
-func (r *run) finalCheckpoint(save func(path string) error) error {
-	path, iters := r.opt.CheckpointPath, r.opt.Iterations
-	if path == "" {
-		return nil
-	}
-	if !r.checkpointDue(iters) {
-		if err := save(path); err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(r.out, "checkpoint written to %s (iteration %d)\n", path, iters)
-	return nil
+// partitionDir is rank's mmap partition directory under -pi-dir.
+func (r *run) partitionDir(rank int) string {
+	return filepath.Join(r.piDir, fmt.Sprintf("rank-%d", rank))
 }
 
 func (r *run) perplexityHeader() {

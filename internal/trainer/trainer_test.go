@@ -203,25 +203,25 @@ func TestTelemetryStream(t *testing.T) {
 	}
 }
 
-// TestStreamEndsAtRunEnd: -posterior-samples keeps stepping the sampler past
-// -iters (20 iterations per sample), and after a distributed run's last
-// iteration the master still reads every rank's π shard out of the DKV
-// servers. Neither is the run: no iter or span line follows run_end, and the
-// stream summarises to -iters.
+// TestStreamEndsAtRunEnd: -posterior-samples keeps the chain going past
+// -iters (20 iterations per sample), and the master then reads every rank's
+// π shard out of the DKV servers for each sample. Neither is the run: at
+// either rank count no iter or span line follows run_end, and the stream
+// summarises to -iters.
 func TestStreamEndsAtRunEnd(t *testing.T) {
 	g := smokeGraph(t)
 	for _, tc := range []struct {
 		ranks int
 		extra []string
 	}{
-		{1, []string{"-posterior-samples", "2", "-auc"}},
+		{1, nil},
 		{2, []string{"-transport", "tcp"}},
 	} {
 		jsonl := filepath.Join(t.TempDir(), "run.jsonl")
 		out := mustTrain(t, append([]string{"-graph", g, "-ranks", strconv.Itoa(tc.ranks), "-k", "8", "-iters", "20", "-eval", "10",
-			"-metrics-out", jsonl}, tc.extra...)...)
-		if tc.ranks == 1 && (!strings.Contains(out, "averaged 2 posterior samples") || !strings.Contains(out, "held-out link-prediction AUC:")) {
-			t.Errorf("report lacks the posterior-mean estimate:\n%s", out)
+			"-metrics-out", jsonl, "-posterior-samples", "2", "-auc"}, tc.extra...)...)
+		if !strings.Contains(out, "averaged 2 posterior samples") || !strings.Contains(out, "held-out link-prediction AUC:") {
+			t.Errorf("-ranks %d: report lacks the posterior-mean estimate:\n%s", tc.ranks, out)
 		}
 		events := readEvents(t, jsonl)
 		if last := events[len(events)-1]; last.Type != obs.EventRunEnd {
@@ -262,11 +262,28 @@ func TestThreeRanksOverTCP(t *testing.T) {
 // The 10 ms send delay (the CI step used 2 ms) keeps rank 1's imposed wait
 // well over the 2× straggler threshold even under the race detector, and
 // bounds the run from below (~40 ms/iteration), so it outlives the requests
-// on any machine.
+// on any machine. A one-rank run serves the same endpoints; its 500
+// iterations outlive the requests by seconds.
 func TestLiveSSEAndStraggler(t *testing.T) {
-	out, done := startTrainer("-graph", smokeGraph(t), "-ranks", "2", "-k", "8", "-iters", "60", "-eval", "0",
+	g := smokeGraph(t)
+	out, done := startTrainer("-graph", g, "-ranks", "2", "-k", "8", "-iters", "60", "-eval", "0",
 		"-transport", "tcp", "-monitor", "127.0.0.1:0", "-slow-rank", "1", "-slow-send", "10ms")
-	base := out.await(t, monitorLine)
+	checkMonitor(t, out.await(t, monitorLine))
+	waitDone(t, out, done)
+	if !strings.Contains(out.String(), "straggler: rank 1") {
+		t.Errorf("report does not localise the straggler:\n%s", out)
+	}
+
+	out, done = startTrainer("-graph", g, "-ranks", "1", "-k", "8", "-iters", "500", "-eval", "0",
+		"-monitor", "127.0.0.1:0")
+	checkMonitor(t, out.await(t, monitorLine))
+	waitDone(t, out, done)
+}
+
+// checkMonitor holds a running trainer's monitor at base to its contract:
+// /metrics answers, unknown paths 404, and /events streams iter events.
+func checkMonitor(t *testing.T, base string) {
+	t.Helper()
 	if status, _, _ := get(t, base+"/metrics"); status != http.StatusOK {
 		t.Errorf("/metrics: status %d", status)
 	}
@@ -280,17 +297,13 @@ func TestLiveSSEAndStraggler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer resp.Body.Close()
 	sawIter := false
 	for sc := bufio.NewScanner(resp.Body); !sawIter && sc.Scan(); {
 		sawIter = strings.Contains(sc.Text(), `"type":"iter"`)
 	}
-	resp.Body.Close()
 	if !sawIter {
 		t.Error("/events carried no iter event")
-	}
-	waitDone(t, out, done)
-	if !strings.Contains(out.String(), "straggler: rank 1") {
-		t.Errorf("report does not localise the straggler:\n%s", out)
 	}
 }
 
@@ -486,18 +499,23 @@ func perplexityColumns(out string) [][2]string {
 	return rows
 }
 
-// TestRanksOneMatchesRanksTwo: the engine choice is a launch parameter, not a
+// TestRanksOneMatchesRanksTwo: the rank count is a launch parameter, not a
 // different program — the same seed at -ranks 1 and -ranks 2 prints the same
-// perplexity columns and writes byte-identical end-of-run checkpoints.
+// perplexity columns, writes byte-identical end-of-run checkpoints, and
+// writes the same cover from the same two-sample posterior mean.
 func TestRanksOneMatchesRanksTwo(t *testing.T) {
 	g, dir := smokeGraph(t), t.TempDir()
 	var outs [2]string
-	var ckpts [2][]byte
+	var ckpts, covers [2][]byte
 	for i, ranks := range []string{"1", "2"} {
-		path := filepath.Join(dir, "ranks"+ranks+".ckpt")
-		outs[i] = mustTrain(t, "-graph", g, "-ranks", ranks, "-k", "8", "-iters", "40", "-eval", "10", "-checkpoint", path)
+		path, cover := filepath.Join(dir, "ranks"+ranks+".ckpt"), filepath.Join(dir, "ranks"+ranks+".cover")
+		outs[i] = mustTrain(t, "-graph", g, "-ranks", ranks, "-k", "8", "-iters", "40", "-eval", "10", "-checkpoint", path,
+			"-posterior-samples", "2", "-communities", cover)
 		var err error
 		if ckpts[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+		if covers[i], err = os.ReadFile(cover); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -507,6 +525,9 @@ func TestRanksOneMatchesRanksTwo(t *testing.T) {
 	}
 	if !bytes.Equal(ckpts[0], ckpts[1]) {
 		t.Error("end-of-run checkpoints differ between -ranks 1 and -ranks 2")
+	}
+	if len(covers[0]) == 0 || !bytes.Equal(covers[0], covers[1]) {
+		t.Error("posterior-mean covers differ between -ranks 1 and -ranks 2")
 	}
 }
 
@@ -539,9 +560,52 @@ func TestItersIsAbsoluteAfterResume(t *testing.T) {
 	}
 }
 
+// TestCheckpointEveryAtRanksOne: -checkpoint-every is honoured at one rank
+// too. A run that fails at iteration 22 leaves the periodic write at 20; a
+// run to 25 ends with the run-end write at 25.
+func TestCheckpointEveryAtRanksOne(t *testing.T) {
+	g, dir := smokeGraph(t), t.TempDir()
+	failed, done := filepath.Join(dir, "failed.ckpt"), filepath.Join(dir, "done.ckpt")
+	common := []string{"-graph", g, "-ranks", "1", "-k", "8", "-iters", "25", "-eval", "10", "-checkpoint-every", "10"}
+	if _, err := train(append(common, "-checkpoint", failed, "-fail-rank", "0", "-fail-iter", "22")...); err == nil ||
+		!strings.Contains(err.Error(), "injected fault") {
+		t.Fatalf("run with an injected fault: err = %v", err)
+	}
+	mustTrain(t, append(common, "-checkpoint", done)...)
+	for path, iter := range map[string]string{failed: "20", done: "25"} {
+		_, err := train("-graph", g, "-ranks", "1", "-k", "8", "-iters", "1", "-resume", path)
+		if err == nil || !strings.Contains(err.Error(), "is at iteration "+iter+",") {
+			t.Errorf("%s: resume says %v, want a checkpoint at iteration %s", filepath.Base(path), err, iter)
+		}
+	}
+}
+
+// TestMmapCheckpointResumesAtRanksOne: the checkpoint is one format at every
+// -ranks and π backend. Two ranks over per-rank mmap partitions checkpoint
+// at iteration 4; one rank resumes it in RAM to iteration 9 and lands on the
+// bytes of a one-rank run that never stopped.
+func TestMmapCheckpointResumesAtRanksOne(t *testing.T) {
+	g, dir := smokeGraph(t), t.TempDir()
+	at4, at9, straight := filepath.Join(dir, "4.ckpt"), filepath.Join(dir, "9.ckpt"), filepath.Join(dir, "straight.ckpt")
+	common := []string{"-graph", g, "-k", "8", "-eval", "0"}
+	mustTrain(t, append(common, "-ranks", "1", "-iters", "9", "-checkpoint", straight)...)
+	out := mustTrain(t, append(common, "-ranks", "2", "-iters", "4", "-checkpoint", at4,
+		"-pi-backend", "mmap", "-pi-dir", filepath.Join(dir, "pi"))...)
+	for _, rank := range []string{"rank-0", "rank-1"} {
+		if !strings.Contains(out, "sealed π store "+filepath.Join(dir, "pi", rank)) {
+			t.Errorf("report does not seal %s:\n%s", rank, out)
+		}
+	}
+	mustTrain(t, append(common, "-ranks", "1", "-iters", "9", "-resume", at4, "-checkpoint", at9)...)
+	want, _ := os.ReadFile(straight)
+	if got, _ := os.ReadFile(at9); len(want) == 0 || !bytes.Equal(got, want) {
+		t.Error("the resumed checkpoint differs from the uninterrupted run's")
+	}
+}
+
 // tripwire is a stdout that runs fn once, when output containing trigger goes
-// by — a way to act between two steps of a single-node Run (which prints as it
-// goes) without a hook inside it.
+// by — a way to act between two steps of a Run (which prints as it goes)
+// without a hook inside it.
 type tripwire struct {
 	bytes.Buffer
 	trigger string
@@ -554,32 +618,6 @@ func (w *tripwire) Write(p []byte) (int, error) {
 		w.fn = nil
 	}
 	return w.Buffer.Write(p)
-}
-
-// TestCheckpointEveryAtRanksOne: -checkpoint-every is honoured by the
-// single-node engine too. The file is copied aside when the iteration-20
-// perplexity row prints; the copy is the periodic write at 20, the file
-// itself ends as the run-end write at 25.
-func TestCheckpointEveryAtRanksOne(t *testing.T) {
-	g, dir := smokeGraph(t), t.TempDir()
-	ckpt, midRun := filepath.Join(dir, "run.ckpt"), filepath.Join(dir, "midrun.ckpt")
-	out := &tripwire{trigger: "        20 ", fn: func() {
-		b, err := os.ReadFile(ckpt)
-		if err != nil {
-			t.Error(err)
-		}
-		os.WriteFile(midRun, b, 0o644)
-	}}
-	if err := Run("ocd-train", 1, []string{"-graph", g, "-k", "8", "-iters", "25", "-eval", "10",
-		"-checkpoint", ckpt, "-checkpoint-every", "10"}, out); err != nil {
-		t.Fatal(err)
-	}
-	for path, iter := range map[string]string{midRun: "20", ckpt: "25"} {
-		_, err := train("-graph", g, "-ranks", "1", "-k", "8", "-iters", "1", "-resume", path)
-		if err == nil || !strings.Contains(err.Error(), "is at iteration "+iter+",") {
-			t.Errorf("%s: resume says %v, want a checkpoint at iteration %s", filepath.Base(path), err, iter)
-		}
-	}
 }
 
 // TestStoreWriteFailureIsAnError pins the TryStep bugfix: under -pi-backend
@@ -605,33 +643,31 @@ func TestStoreWriteFailureIsAnError(t *testing.T) {
 	}
 }
 
-// TestEngineFlagRejections: every flag only one engine honours, set
-// explicitly under the other, is a start-up error naming the flag — before
-// the graph is even opened (the path here does not exist).
+// TestEngineFlagRejections: every flag that would be a silent no-op at one
+// rank, set explicitly at -ranks 1, is a start-up error naming the flag —
+// before the graph is even opened (the path here does not exist). No flag
+// works at one rank only.
 func TestEngineFlagRejections(t *testing.T) {
 	r := new(run)
 	fs := r.flagSet("test", 1)
-	single := 0
-	for name, need := range r.needsRanks {
-		ranks := "1" // the engine that cannot honour the flag
-		if need == "1" {
-			ranks = "2"
-			single++
-		}
+	for name := range r.needsRanks {
 		// Setting a flag to its default is still setting it.
-		_, err := train("-graph", "/nonexistent", "-ranks", ranks, "-"+name+"="+fs.Lookup(name).DefValue)
-		if err == nil || !strings.Contains(err.Error(), "-"+name+" needs -ranks "+need) {
-			t.Errorf("-%s at -ranks %s: err = %v, want a rejection naming the flag", name, ranks, err)
+		_, err := train("-graph", "/nonexistent", "-ranks", "1", "-"+name+"="+fs.Lookup(name).DefValue)
+		if err == nil || !strings.Contains(err.Error(), "-"+name+" needs -ranks >= 2") {
+			t.Errorf("-%s at -ranks 1: err = %v, want a rejection naming the flag", name, err)
 		}
 	}
-	if single != 4 || len(r.needsRanks) != 16 {
-		t.Errorf("%d single-node-only of %d engine-only flags, want 4 of 16", single, len(r.needsRanks))
+	if len(r.needsRanks) != 6 {
+		t.Errorf("%d flags need -ranks >= 2, want 6", len(r.needsRanks))
 	}
-	// The same flags at their own engine pass flag validation and fail on the
-	// missing graph instead.
+	// The same flags at two ranks, and the rest at either rank count, pass
+	// flag validation and fail on the missing graph instead.
 	for _, args := range [][]string{
-		{"-ranks", "2", "-transport", "tcp", "-pipeline", "-monitor", "127.0.0.1:0"},
-		{"-ranks", "1", "-pi-backend", "mmap", "-pi-dir", "x", "-posterior-samples", "0"},
+		{"-ranks", "2", "-transport", "tcp", "-slow-rank", "1", "-rebalance"},
+		{"-ranks", "1", "-pipeline", "-monitor", "127.0.0.1:0", "-pprof", "-rank-table", "-fail-rank", "0", "-fail-iter", "3"},
+		{"-ranks", "1", "-pi-backend", "mmap", "-pi-dir", "x", "-pi-shard-rows", "64"},
+		{"-ranks", "2", "-pi-backend", "mmap", "-pi-dir", "x", "-posterior-samples", "0"},
+		{"-ranks", "2", "-posterior-samples", "2"},
 	} {
 		if _, err := train(append(args, "-graph", "/nonexistent")...); !errors.Is(err, os.ErrNotExist) {
 			t.Errorf("%v: err = %v, want the missing graph", args, err)
