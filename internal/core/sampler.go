@@ -60,10 +60,9 @@ type Sampler struct {
 	// batch.Nodes[i]; committed only after every row is computed.
 	newPhi []float64
 
-	// pub/pubEvery drive the optional snapshot publication stage
+	// pub drives the optional snapshot publication stage
 	// (SamplerOptions.Publisher).
-	pub      *store.Publisher
-	pubEvery int
+	pub *store.Publisher
 
 	// pi is the π backend, built once: SamplerOptions.Store when set (the
 	// State is then a shell with nil Pi/PhiSum), otherwise a LocalStore over
@@ -97,8 +96,8 @@ type SamplerOptions struct {
 	// Publication only reads sealed state, so the trained trajectory is
 	// bit-identical with or without it.
 	Publisher *store.Publisher
-	// PublishEvery is the publication interval in iterations; 0 defaults to
-	// 1 (every iteration). Ignored when Publisher is nil.
+	// PublishEvery is the publication interval in iterations; ≤ 1 publishes
+	// every iteration (engine.Every). Ignored when Publisher is nil.
 	PublishEvery int
 	// Store, when non-nil, is an external π backend (mmap, tiered, DKV) the
 	// sampler trains against instead of in-RAM State slabs — the out-of-core
@@ -209,7 +208,6 @@ func NewSampler(cfg Config, g *graph.Graph, held *graph.HeldOut, opt SamplerOpti
 		Threads:   opt.Threads,
 		ob:        &obs.Observer{Phases: obs.NewPhases(), Tracer: opt.Tracer},
 		pub:       opt.Publisher,
-		pubEvery:  max(opt.PublishEvery, 1),
 		pi:        opt.Store,
 	}
 	s.Phases = s.ob.Phases
@@ -226,7 +224,7 @@ func NewSampler(cfg Config, g *graph.Graph, held *graph.HeldOut, opt SamplerOpti
 		Threads: s.Threads,
 		Obs:     s.ob,
 	}
-	s.loop = s.buildLoop()
+	s.loop = s.buildLoop(opt.PublishEvery)
 	if err := s.loop.Validate([]string{"graph", "pi", "theta", "beta"}); err != nil {
 		return nil, err
 	}
@@ -236,7 +234,7 @@ func NewSampler(cfg Config, g *graph.Graph, held *graph.HeldOut, opt SamplerOpti
 // buildLoop assembles the iteration from the shared stages. The stage list
 // is the local specialisation of the paper's Table III: no deploy/collective
 // stages, and the in-memory store makes every load local.
-func (s *Sampler) buildLoop() *engine.Loop {
+func (s *Sampler) buildLoop(publishEvery int) *engine.Loop {
 	loop := &engine.Loop{
 		Obs: s.ob,
 		Stages: []engine.Stage{
@@ -301,6 +299,7 @@ func (s *Sampler) buildLoop() *engine.Loop {
 			Reads:     []string{"pi", "beta"},
 			Publishes: []string{"pi"},
 			Barrier:   true,
+			Due:       engine.Every(publishEvery),
 			Run:       s.publishStage,
 		})
 	}
@@ -308,13 +307,11 @@ func (s *Sampler) buildLoop() *engine.Loop {
 }
 
 // publishStage seals the post-iteration state into an immutable snapshot and
-// hands it to the publisher. Version t+1 = iterations completed. The stage
-// only reads — π through the same store view the training stages use, β from
-// the state — so enabling it cannot perturb the trained trajectory.
+// hands it to the publisher; the loop runs it after every PublishEvery-th
+// iteration. Version t+1 = iterations completed. The stage only reads — π
+// through the same store view the training stages use, β from the state —
+// so enabling it cannot perturb the trained trajectory.
 func (s *Sampler) publishStage(t int) error {
-	if (t+1)%s.pubEvery != 0 {
-		return nil
-	}
 	snap, err := store.TakeSnapshot(s.pi, t+1, s.State.Beta)
 	if err != nil {
 		return err

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -69,16 +70,16 @@ type node struct {
 	// uniform ones unless straggler mitigation (Options.Rebalance) moves them.
 	shares []float64
 	// straggler mitigation (Options.Rebalance)
-	rebal        *engine.Rebalancer // master only: the hysteresis state machine
-	reshardEvery int                // window length in iterations, identical on all ranks
-	waitCtr      []*obs.Counter     // this rank's recv_wait_ns counter per peer
-	waitBase     []int64            // waitCtr values at the last window edge
+	rebal    *engine.Rebalancer // master only: the hysteresis state machine
+	waitCtr  []*obs.Counter     // this rank's recv_wait_ns counter per peer
+	waitBase []int64            // waitCtr values at the last window edge
 
 	perp       []PerpPoint
 	start      time.Time
-	startIter  int         // the first iteration this run executes (Options.RestartPath)
-	end        int         // one past the last iteration of the loop now running
-	finalState *core.State // master only, set at the end
+	startIter  int          // the first iteration this run executes (Options.RestartPath)
+	end        int          // one past the last iteration of the loop now running
+	snap       obs.Snapshot // reg at the end-of-run fence
+	finalState *core.State  // master only, set at the end
 }
 
 func newNode(cfg core.Config, opt Options, comm *cluster.Comm, g *graph.Graph, held *graph.HeldOut, reg *obs.Registry) (*node, error) {
@@ -119,11 +120,6 @@ func newNode(cfg core.Config, opt Options, comm *cluster.Comm, g *graph.Graph, h
 		nd.shares[i] = 1
 	}
 	if opt.Rebalance {
-		// Every rank must agree on the window boundaries without talking.
-		nd.reshardEvery = opt.RebalanceWindow
-		if nd.reshardEvery <= 0 {
-			nd.reshardEvery = engine.DefaultRebalanceWindow
-		}
 		nd.waitCtr = make([]*obs.Counter, nd.size)
 		for p := range nd.waitCtr {
 			nd.waitCtr[p] = reg.Counter(obs.PeerCounterName(p, obs.PeerRecvWaitNS))
@@ -264,11 +260,11 @@ func (nd *node) buildLoop() *engine.Loop {
 		loop.Stages = append(loop.Stages, engine.Stage{
 			Name:   engine.PhaseReshard,
 			Writes: []string{"shares"},
-			Every:  nd.reshardEvery,
+			Due:    engine.Every(cmp.Or(nd.opt.RebalanceWindow, engine.DefaultRebalanceWindow)),
 			Run:    nd.reshardStage,
 		})
 	}
-	if nd.opt.Publisher != nil {
+	if nd.opt.Publisher != nil && nd.rank == 0 {
 		// π was fenced by the barrier before update_beta_theta, so the
 		// publication after it is legal (Validate checks exactly this). At
 		// runtime the stage runs last in the iteration: the serving rank (the
@@ -279,29 +275,31 @@ func (nd *node) buildLoop() *engine.Loop {
 			Name:      engine.PhasePublish,
 			Reads:     []string{"pi", "beta"},
 			Publishes: []string{"pi"},
+			Due:       engine.Every(nd.opt.PublishEvery),
 			Run:       nd.publishStage,
 		})
 	}
-	if nd.opt.CheckpointPath != "" {
+	if nd.opt.CheckpointPath != "" && nd.rank == 0 {
 		// Master-only, like publish, and under the same consistency argument:
 		// π was fenced by the pre-θ barrier, and the master gathers peer
 		// shards while those peers are parked in the next iteration's
-		// collective receive with their DKV goroutines still serving.
+		// collective receive (or the end-of-run fence), DKV goroutines serving.
+		last, every := nd.opt.Iterations, nd.opt.CheckpointEvery
 		loop.Stages = append(loop.Stages, engine.Stage{
 			Name:      engine.PhaseCheckpoint,
 			Reads:     []string{"pi", "theta"},
 			Publishes: []string{"pi"},
+			Due:       func(t int) bool { return t+1 == last || every > 0 && (t+1)%every == 0 },
 			Run:       nd.checkpointStage,
 		})
 	}
 	if nd.opt.EvalEvery > 0 {
 		// Held-out evaluation reads the fenced π like publish, but every rank
-		// folds its shard and joins the reduction, after every EvalEvery-th
-		// iteration only, as reshard runs on window boundaries.
+		// folds its shard and joins the reduction.
 		loop.Stages = append(loop.Stages, engine.Stage{
 			Name:  engine.PhasePerplexity,
 			Reads: []string{"pi", "beta"},
-			Every: nd.opt.EvalEvery,
+			Due:   engine.Every(nd.opt.EvalEvery),
 			Run:   nd.evalStage,
 		})
 	}
@@ -359,27 +357,29 @@ func (nd *node) run() (err error) {
 	}
 	totalStart := obs.TraceNow()
 	nd.end = nd.opt.Iterations
-	for t := nd.startIter; t < nd.end; t++ {
-		if err := nd.loop.RunIteration(t); err != nil {
-			return fmt.Errorf("iteration %d: %w", t, err)
-		}
+	if err := nd.loop.Run(nd.startIter, nd.end); err != nil {
+		return err
 	}
 	nd.ob.Interval(obs.NoIter, engine.PhaseTotal, totalStart)
-	// The run's timeline ends here on every rank: posterior sampling and
-	// state collection below are not the run. A buffering tracer keeps its
-	// spans for Result.Trace.
+	// The run ends here on every rank: posterior sampling and state
+	// collection below are not the run. A buffering tracer keeps its spans
+	// for Result.Trace.
 	if nd.ob.Tracer != nil {
 		nd.ob.Tracer.StreamTo(nil)
 	}
-	if nd.opt.Events != nil {
-		// Every rank's last iter and span lines precede run_end: without this
-		// fence a peer still closing its final stage would write after it.
-		if err := nd.comm.Barrier(); err != nil {
-			return err
-		}
-		if nd.rank == 0 {
-			rec.RunEnd(nd.opt.Iterations)
-		}
+	// Past this fence every rank has closed its last stage (its iter and span
+	// lines precede run_end) and the master's last checkpoint and publication
+	// reads are served: the snapshot counts each frame of the run at both ends.
+	if err := nd.comm.Barrier(); err != nil {
+		return err
+	}
+	nd.snap = nd.reg.Snapshot()
+	if rec != nil && nd.rank == 0 {
+		rec.RunEnd(nd.opt.Iterations)
+	}
+	// A second fence keeps the master's reads below out of the peers' snapshots.
+	if err := nd.comm.Barrier(); err != nil {
+		return err
 	}
 
 	if nd.opt.PosteriorSamples > 0 {
@@ -412,13 +412,12 @@ func (nd *node) posterior() error {
 	if nd.rank == 0 {
 		mean = core.NewPosteriorMean(nd.n, nd.k)
 	}
-	from := nd.opt.Iterations
-	nd.end = from + nd.opt.PosteriorSamples*posteriorGap
-	for t := from; t < nd.end; t++ {
-		if err := loop.RunIteration(t); err != nil {
-			return fmt.Errorf("iteration %d: %w", t, err)
+	nd.end = nd.opt.Iterations + nd.opt.PosteriorSamples*posteriorGap
+	for t := nd.opt.Iterations; t < nd.end; t += posteriorGap {
+		if err := loop.Run(t, t+posteriorGap); err != nil {
+			return err
 		}
-		if nd.rank == 0 && (t+1-from)%posteriorGap == 0 {
+		if nd.rank == 0 {
 			st, err := nd.gatherState()
 			if err != nil {
 				return err
@@ -524,7 +523,7 @@ func (nd *node) windowWaits() []float64 {
 // folds the column sums (obs.ImposedWaits, the statistic of obs.PeerMatrix),
 // feeds the window to the rebalancer, and broadcasts the
 // resulting share weights, which the next deployments split by. The loop
-// runs it on window boundaries only (Stage.Every). The weights only decide
+// runs it on window boundaries only (Stage.Due). The weights only decide
 // WHO computes which minibatch chunk — the trajectory is bit-identical under
 // any weight vector.
 func (nd *node) reshardStage(t int) error {
@@ -566,17 +565,13 @@ func (nd *node) reshardStage(t int) error {
 	return nil
 }
 
-// checkpointStage writes the coordinated checkpoint: master-only, at the end
-// of the last iteration and of every CheckpointEvery-th one, streaming the
-// full table out of the DKV read path in bounded batches (peers serve while
-// fenced in the next collective). The stored iteration t+1 is "iterations
-// completed", so a restart resumes at exactly the next iteration's RNG
-// streams.
+// checkpointStage writes the coordinated checkpoint: the master's loop runs
+// it at the end of the last iteration and of every CheckpointEvery-th one.
+// It streams the full table out of the DKV read path in bounded batches
+// (peers serve while fenced in the next collective). The stored iteration
+// t+1 is "iterations completed", so a restart resumes at exactly the next
+// iteration's RNG streams.
 func (nd *node) checkpointStage(t int) error {
-	every := nd.opt.CheckpointEvery
-	if nd.rank != 0 || t+1 != nd.opt.Iterations && (every <= 0 || (t+1)%every != 0) {
-		return nil
-	}
 	if err := core.SaveStoreFile(nd.opt.CheckpointPath, nd.store, nd.theta, t+1); err != nil {
 		return fmt.Errorf("checkpoint at %d: %w", t, err)
 	}
@@ -589,13 +584,9 @@ func (nd *node) piStage(t int) error {
 }
 
 // publishStage seals the full post-iteration π view into an immutable
-// snapshot and hands it to Options.Publisher; serving rank (master) only —
-// peers pass through and serve the gather with their DKV goroutines.
-// Version t+1 = iterations completed.
+// snapshot and hands it to Options.Publisher; the master's loop runs it after
+// every PublishEvery-th iteration. Version t+1 = iterations completed.
 func (nd *node) publishStage(t int) error {
-	if nd.rank != 0 || (t+1)%nd.opt.PublishEvery != 0 {
-		return nil
-	}
 	snap, err := store.TakeSnapshot(nd.store, t+1, nd.beta)
 	if err != nil {
 		return err

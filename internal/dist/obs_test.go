@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"path/filepath"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/store"
 	"repro/internal/transport"
 )
 
@@ -49,6 +51,7 @@ func TestRunEmitsTelemetry(t *testing.T) {
 	// 0, each with stage durations; worker iter events carry DKV deltas.
 	iterSeen := make(map[int][]int)
 	var perps []obs.Event
+	var runEnd obs.Event
 	var starts, ends int
 	for _, e := range events {
 		switch e.Type {
@@ -59,6 +62,7 @@ func TestRunEmitsTelemetry(t *testing.T) {
 			}
 		case obs.EventRunEnd:
 			ends++
+			runEnd = e
 		case obs.EventIter:
 			iterSeen[e.Rank] = append(iterSeen[e.Rank], e.Iter)
 			if len(e.StagesMS) == 0 {
@@ -126,6 +130,16 @@ func TestRunEmitsTelemetry(t *testing.T) {
 	}
 	if c[obs.CtrNetMsgsSent] == 0 || c[obs.CtrNetBytesSent] == 0 {
 		t.Fatalf("expected nonzero transport counters, got %v", c)
+	}
+	// run_end and Result count the same run: rank 0's cumulative DKV block is
+	// its RankMetrics' counters, the master's final gather in neither.
+	c0 := res.RankMetrics[0].Counters
+	want := obs.DKVCounters{
+		LocalKeys: c0[obs.CtrDKVLocalKeys], RemoteKeys: c0[obs.CtrDKVRemoteKeys], Requests: c0[obs.CtrDKVRequests],
+		BytesRead: c0[obs.CtrDKVBytesRead], BytesWritten: c0[obs.CtrDKVBytesWritten],
+	}
+	if runEnd.DKV == nil || *runEnd.DKV != want {
+		t.Fatalf("run_end DKV block %+v, rank 0's RankMetrics %+v", runEnd.DKV, want)
 	}
 	h, ok := res.Metrics.Histograms["stage."+engine.PhaseUpdatePhi]
 	if !ok {
@@ -249,6 +263,95 @@ func TestRunPeerMatrix(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no transport.wait.<phase> histograms in Metrics: %v", res.Metrics.Histograms)
+	}
+}
+
+// TestOptionalStagesRunOnlyWhenDue: a stage acts, and is timed and traced,
+// only at the iterations and on the rank where it is due. A 2-rank,
+// 20-iteration run that checkpoints and publishes every 5th iteration logs
+// exactly 4 checkpoint and 4 publish_snapshot spans, all on rank 0, and its
+// phase table counts the same 4. The master's reads for the last of them
+// are served inside the run's accounting: every frame one rank sent, the
+// other received.
+func TestOptionalStagesRunOnlyWhenDue(t *testing.T) {
+	train, held := fixture(t, 200, 4, 900, 77)
+	const iters, every, ranks = 20, 5, 2
+	var buf bytes.Buffer
+	sink := obs.NewSink(&buf)
+	res, err := Run(core.DefaultConfig(4, 99), train, held, Options{
+		Ranks: ranks, Threads: 1, Iterations: iters, Events: sink, Trace: true,
+		CheckpointPath: filepath.Join(t.TempDir(), "m.ckpt"), CheckpointEvery: every,
+		Publisher: store.NewPublisher(), PublishEvery: every,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.ReadEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{engine.PhaseCheckpoint, engine.PhasePublish} {
+		spans := make([]int, ranks)
+		for _, b := range obs.TraceFromEvents(events) {
+			for _, sp := range b.Spans {
+				if sp.Cat == obs.CatStage && sp.Name == name {
+					spans[b.Rank]++
+				}
+			}
+		}
+		if want := []int{iters / every, 0}; fmt.Sprint(spans) != fmt.Sprint(want) {
+			t.Errorf("%s spans per rank %v, want %v", name, spans, want)
+		}
+		if got := res.Phases.Count(name); got != iters/every {
+			t.Errorf("phase table counts %d %s intervals, want %d", got, name, iters/every)
+		}
+		if _, ok := res.RankPhases[1][name]; ok {
+			t.Errorf("rank 1's phase table has a %s row", name)
+		}
+	}
+	for r := 0; r < ranks; r++ {
+		for p := 0; p < ranks; p++ {
+			if res.Peers.MsgsSent[r][p] != res.Peers.MsgsRecv[p][r] || res.Peers.BytesSent[r][p] != res.Peers.BytesRecv[p][r] {
+				t.Errorf("rank %d sent rank %d %d msgs / %d B; rank %d received %d msgs / %d B", r, p,
+					res.Peers.MsgsSent[r][p], res.Peers.BytesSent[r][p], p, res.Peers.MsgsRecv[p][r], res.Peers.BytesRecv[p][r])
+			}
+		}
+	}
+}
+
+// TestPosteriorSamplesAreNotCounted: the posterior-sample iterations and
+// the master's gathers run past the fence that ends the run, so Result's
+// counters are those of the same run without them. Only the wait times
+// (the *_ns counters) may differ between two runs.
+func TestPosteriorSamplesAreNotCounted(t *testing.T) {
+	train, held := fixture(t, 200, 4, 900, 77)
+	run := func(samples int) *Result {
+		res, err := Run(core.DefaultConfig(4, 99), train, held, Options{
+			Ranks: 2, Threads: 1, Iterations: 10, PosteriorSamples: samples,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	plain, sampled := run(0), run(2)
+	if plain.DKV != sampled.DKV {
+		t.Errorf("DKV totals %+v without posterior samples, %+v with", plain.DKV, sampled.DKV)
+	}
+	counts := func(c map[string]int64) map[string]int64 {
+		out := map[string]int64{}
+		for name, v := range c {
+			if !strings.HasSuffix(name, "_ns") {
+				out[name] = v
+			}
+		}
+		return out
+	}
+	if a, b := counts(plain.Metrics.Counters), counts(sampled.Metrics.Counters); fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Errorf("counters without posterior samples:\n%v\nwith:\n%v", a, b)
 	}
 }
 

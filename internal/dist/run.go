@@ -44,8 +44,8 @@ type Options struct {
 	NeighborCount    int
 	UniformNeighbors bool
 
-	// EvalEvery > 0 evaluates the averaged perplexity every that many
-	// iterations (requires a held-out set).
+	// EvalEvery > 0 evaluates the averaged perplexity after every EvalEvery-th
+	// iteration (requires a held-out set); 0 never evaluates.
 	EvalEvery  int
 	Iterations int
 
@@ -78,8 +78,8 @@ type Options struct {
 	// scatter, so the gather is consistent and the trained trajectory stays
 	// bit-identical with publication on or off.
 	Publisher *store.Publisher
-	// PublishEvery is the publication interval in iterations; 0 defaults to
-	// 1 (every iteration). Ignored when Publisher is nil.
+	// PublishEvery is the publication interval in iterations; 0 and 1
+	// publish every iteration (engine.Every). Ignored when Publisher is nil.
 	PublishEvery int
 
 	// FaultHook, when non-nil, is called by every rank at the top of each
@@ -97,7 +97,7 @@ type Options struct {
 	// (iteration, vertex) and the θ fold is chunk-ordered, re-sharding moves
 	// work between ranks without touching the estimator: the trained
 	// trajectory is bit-identical with mitigation on or off, under any
-	// weight trajectory. RebalanceWindow ≤ 0 selects
+	// weight trajectory. RebalanceWindow 0 selects
 	// engine.DefaultRebalanceWindow (8); it is the one mitigation setting.
 	Rebalance       bool
 	RebalanceWindow int
@@ -114,10 +114,10 @@ type Options struct {
 	// CheckpointPath, when non-empty, makes the master write a coordinated
 	// core.State checkpoint (π, Σφ, θ, and the iteration counter) after the
 	// last iteration, and also after every CheckpointEvery-th iteration when
-	// CheckpointEvery > 0, at the phase barrier that ends the iteration: the
-	// master gathers peer shards through the DKV read path while the peers
-	// are fenced waiting on its next collective, the same consistency
-	// argument as Publisher.
+	// CheckpointEvery > 0 (0 writes at run end only), at the phase barrier
+	// that ends the iteration: the master gathers peer shards through the DKV
+	// read path while the peers are fenced waiting on its next collective,
+	// the same consistency argument as Publisher.
 	CheckpointPath  string
 	CheckpointEvery int
 
@@ -182,12 +182,6 @@ func checkPartitions(parts []store.PiStore, n, k, ranks int) error {
 	return nil
 }
 
-func (o *Options) setDefaults() {
-	if o.PublishEvery == 0 {
-		o.PublishEvery = 1
-	}
-}
-
 // samplerOptions carries o's minibatch and neighbour strategy fields to
 // core.NewEdgeStrategy / NewNeighborStrategy, where the defaults live, so
 // this engine and core.Sampler cannot drift apart.
@@ -234,12 +228,14 @@ type Result struct {
 	RankPhases []map[string]time.Duration
 	DKV        DKVTotals
 	// Metrics is every rank's telemetry registry folded into one snapshot:
-	// counters summed, gauges maxed, stage latency histograms merged.
+	// counters summed, gauges maxed, stage latency histograms merged. Each
+	// rank snapshots once, at the fence that ends the run and its log: the
+	// master's final gather and the PosteriorSamples iterations are past it.
 	Metrics obs.Snapshot
 	// RankMetrics holds each rank's unfolded snapshot, indexed by rank — the
 	// per-peer transport.peer.<r>.* counters only make sense per rank (folding
 	// them smashes matrix rows together), so the matrix below is built from
-	// these.
+	// these. Rank 0's DKV counters are its run_end event's.
 	RankMetrics []obs.Snapshot
 	// Peers is the per-peer traffic/latency matrix folded from RankMetrics;
 	// Peers.Straggler() localises stragglers from the imposed-wait column
@@ -282,10 +278,13 @@ func RunOnTransport(cfg core.Config, g *graph.Graph, held *graph.HeldOut, opt Op
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	opt.setDefaults()
 	opt.Ranks = len(conns)
 	if opt.Iterations < 1 {
 		return nil, fmt.Errorf("dist: Iterations = %d, need at least 1", opt.Iterations)
+	}
+	if min(opt.EvalEvery, opt.PublishEvery, opt.CheckpointEvery, opt.RebalanceWindow) < 0 {
+		return nil, fmt.Errorf("dist: EvalEvery %d, PublishEvery %d, CheckpointEvery %d, RebalanceWindow %d: none may be negative",
+			opt.EvalEvery, opt.PublishEvery, opt.CheckpointEvery, opt.RebalanceWindow)
 	}
 	if opt.EvalEvery > 0 && held == nil {
 		return nil, fmt.Errorf("dist: EvalEvery set but no held-out set given")
@@ -368,12 +367,11 @@ func assembleResult(nodes []*node) *Result {
 	for _, nd := range nodes {
 		res.RankPhases = append(res.RankPhases, nd.ob.Phases.Snapshot())
 		res.Phases.Fold(nd.ob.Phases)
-		// Snapshot each registry exactly once: the folded view and the
-		// per-rank view must agree (the matrix row-sum invariant is tested
-		// against Metrics).
-		snap := nd.reg.Snapshot()
-		res.RankMetrics = append(res.RankMetrics, snap)
-		res.Metrics.Fold(snap)
+		// Each registry's one snapshot, taken at the end-of-run fence: the
+		// folded and per-rank views agree (the matrix row-sum invariant is
+		// tested against Metrics).
+		res.RankMetrics = append(res.RankMetrics, nd.snap)
+		res.Metrics.Fold(nd.snap)
 		if nd.opt.Trace && nd.opt.Events == nil { // a logged run's spans are in its log
 			res.Trace = append(res.Trace, nd.ob.Tracer.Bundle())
 		}
@@ -394,7 +392,7 @@ func assembleResult(nodes []*node) *Result {
 }
 
 // evalStage evaluates the averaged perplexity; the loop runs it after every
-// EvalEvery-th iteration (Stage.Every). Each rank folds the current state
+// EvalEvery-th iteration (Stage.Due). Each rank folds the current state
 // into the running posterior average over its held-out shard (the shared
 // HeldOutEval stage), the master reduces the global value (Eqn 7) and
 // broadcasts it, so every rank records it.

@@ -1,7 +1,7 @@
 // Package engine provides the stage-based iteration machinery shared by the
 // local (core.Sampler) and distributed (dist.Run) samplers: the canonical
 // phase names of the paper's Table III, a Stage/Loop scheduler that runs
-// every stage through one obs.Observer bracket (the single source of the
+// every due stage through one obs.Observer bracket (the single source of the
 // phase table, iter events and spans) and gives fault injection one uniform
 // point per iteration, the single-slot Prefetcher behind the master's
 // minibatch pipelining (Section III-D), and the chunk-aligned partition
@@ -60,11 +60,19 @@ type Stage struct {
 	// stage). Validate uses it to decide when a written resource becomes
 	// publishable.
 	Barrier bool
-	// Every > 0 runs the stage only after every Every-th iteration, when
-	// (t+1)%Every == 0 (held-out evaluation, the reshard window); on any other
-	// iteration it is skipped outright: not run, timed, labelled or traced.
-	Every int
-	Run   func(t int) error
+	// Due is the stage's schedule: it runs at iteration t only if Due(t), and
+	// on any other iteration is not run, timed, labelled or traced. Nil means
+	// every iteration.
+	Due func(t int) bool
+	Run func(t int) error
+}
+
+// Every is the rule "after every n-th iteration"; n ≤ 1 (nil) is every one.
+func Every(n int) func(t int) bool {
+	if n <= 1 {
+		return nil
+	}
+	return func(t int) bool { return (t+1)%n == 0 }
 }
 
 // Loop runs a fixed stage list once per iteration, bracketing each stage
@@ -112,7 +120,7 @@ func (l *Loop) RunIteration(t int) error {
 	}
 	for i := range l.Stages {
 		st := &l.Stages[i]
-		if st.Every > 0 && (t+1)%st.Every != 0 {
+		if st.Due != nil && !st.Due(t) {
 			continue
 		}
 		name, timed := st.Name, true
@@ -137,9 +145,9 @@ func (l *Loop) RunIteration(t int) error {
 	return nil
 }
 
-// Run executes iterations [0, n).
-func (l *Loop) Run(n int) error {
-	for t := 0; t < n; t++ {
+// Run executes iterations [from, to).
+func (l *Loop) Run(from, to int) error {
+	for t := from; t < to; t++ {
 		if err := l.RunIteration(t); err != nil {
 			return fmt.Errorf("iteration %d: %w", t, err)
 		}

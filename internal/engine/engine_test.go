@@ -25,7 +25,7 @@ func TestLoopRunsStagesInOrderWithTiming(t *testing.T) {
 			mk("b"),
 		},
 	}
-	if err := l.Run(3); err != nil {
+	if err := l.Run(0, 3); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"a", "barrier", "b", "a", "barrier", "b", "a", "barrier", "b"}
@@ -43,42 +43,53 @@ func TestLoopRunsStagesInOrderWithTiming(t *testing.T) {
 	}
 }
 
-// TestLoopGatedStage pins Stage.Every: a gated stage runs, and is timed,
-// labelled and traced, only after every Every-th iteration; on the others it
-// leaves no trace at all.
+// TestLoopGatedStage pins Stage.Due: a gated stage runs, and is timed,
+// labelled and traced, only at the iterations its rule names; on the others
+// it leaves no trace at all.
 func TestLoopGatedStage(t *testing.T) {
-	ph := obs.NewPhases()
-	tr := obs.NewTracer(0, 0)
-	var ran, labels []string
-	l := &Loop{
-		Obs: &obs.Observer{Phases: ph, Tracer: tr, PhaseLabel: func(name string) { labels = append(labels, name) }},
-		Stages: []Stage{
-			{Name: "a", Run: func(int) error { return nil }},
-			{Name: "eval", Every: 2, Run: func(t int) error { ran = append(ran, fmt.Sprint(t)); return nil }},
-		},
-	}
-	if err := l.Run(5); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(ran) != "[1 3]" {
-		t.Fatalf("gated stage ran at iterations %v, want [1 3]", ran)
-	}
-	if ph.Count("eval") != 2 || ph.Count("a") != 5 {
-		t.Fatalf("timed counts eval=%d a=%d, want 2 and 5", ph.Count("eval"), ph.Count("a"))
-	}
-	var evalLabels, evalSpans int
-	for _, name := range labels {
-		if name == "eval" {
-			evalLabels++
+	for _, tc := range []struct {
+		rule string
+		due  func(t int) bool
+		want []int
+	}{
+		{"every 2", Every(2), []int{1, 3}},
+		{"every 2 and the last", func(t int) bool { return t+1 == 5 || (t+1)%2 == 0 }, []int{1, 3, 4}},
+	} {
+		ph := obs.NewPhases()
+		tr := obs.NewTracer(0, 0)
+		var ran []int
+		var labels []string
+		l := &Loop{
+			Obs: &obs.Observer{Phases: ph, Tracer: tr, PhaseLabel: func(name string) { labels = append(labels, name) }},
+			Stages: []Stage{
+				{Name: "a", Run: func(int) error { return nil }},
+				{Name: "eval", Due: tc.due, Run: func(t int) error { ran = append(ran, t); return nil }},
+			},
 		}
-	}
-	for _, sp := range tr.Bundle().Spans {
-		if sp.Name == "eval" {
-			evalSpans++
+		if err := l.Run(0, 5); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if evalLabels != 2 || evalSpans != 2 {
-		t.Fatalf("gated stage labelled %d and traced %d times, want 2 each", evalLabels, evalSpans)
+		n := len(tc.want)
+		if fmt.Sprint(ran) != fmt.Sprint(tc.want) {
+			t.Fatalf("%s: gated stage ran at iterations %v, want %v", tc.rule, ran, tc.want)
+		}
+		if ph.Count("eval") != n || ph.Count("a") != 5 {
+			t.Fatalf("%s: timed counts eval=%d a=%d, want %d and 5", tc.rule, ph.Count("eval"), ph.Count("a"), n)
+		}
+		var evalLabels, evalSpans int
+		for _, name := range labels {
+			if name == "eval" {
+				evalLabels++
+			}
+		}
+		for _, sp := range tr.Bundle().Spans {
+			if sp.Name == "eval" {
+				evalSpans++
+			}
+		}
+		if evalLabels != n || evalSpans != n {
+			t.Fatalf("%s: gated stage labelled %d and traced %d times, want %d each", tc.rule, evalLabels, evalSpans, n)
+		}
 	}
 }
 
@@ -90,7 +101,7 @@ func TestLoopStopsAtFirstError(t *testing.T) {
 		{Name: "bad", Run: func(int) error { return boom }},
 		{Name: "never", Run: func(int) error { ran = append(ran, "never"); return nil }},
 	}}
-	err := l.Run(5)
+	err := l.Run(0, 5)
 	if !errors.Is(err, boom) {
 		t.Fatalf("error chain lost: %v", err)
 	}
@@ -257,7 +268,7 @@ func TestLoopTracerSpans(t *testing.T) {
 			{Run: func(int) error { return nil }}, // unnamed barrier
 		},
 	}
-	if err := l.Run(2); err != nil {
+	if err := l.Run(0, 2); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Scope() != 0 {

@@ -173,8 +173,11 @@ func (r *RunRecorder) RebalanceDone(iter int, weights []float64, flagged []int, 
 
 // RunEnd emits the closing event with cumulative counters — everything the
 // rank's DKV store did, a restart's streaming included — and detaches the
-// sink: a stream ends at run_end, whatever the engine goes on to do (the
-// trainer's -posterior-samples keeps stepping the sampler past it).
+// sink: a stream ends at run_end, whatever the engine goes on to do. The
+// distributed engine calls it at the fence that ends the run, beside the one
+// registry snapshot its Result is built from, so the two carry the same DKV
+// counters; the master's final gather and the posterior-sample iterations
+// come after both.
 func (r *RunRecorder) RunEnd(iterations int) {
 	e := &Event{
 		Type:      EventRunEnd,

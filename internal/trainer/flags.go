@@ -161,6 +161,18 @@ func (r *run) validate(fs *flag.FlagSet) error {
 		return fmt.Errorf("-iters %d: need at least 1", o.Iterations)
 	case r.heldDiv < 1:
 		return fmt.Errorf("-heldout-div %d: need at least 1", r.heldDiv)
+	case o.MinibatchPairs < 1:
+		return fmt.Errorf("-minibatch %d: need at least 1", o.MinibatchPairs)
+	case o.NeighborCount < 1:
+		return fmt.Errorf("-neighbors %d: need at least 1", o.NeighborCount)
+	case o.EvalEvery < 0:
+		return fmt.Errorf("-eval %d: need 0 (never) or more", o.EvalEvery)
+	case o.CheckpointEvery < 0:
+		return fmt.Errorf("-checkpoint-every %d: need 0 (at run end only) or more", o.CheckpointEvery)
+	case o.PublishEvery < 1:
+		return fmt.Errorf("-publish-every %d: need at least 1", o.PublishEvery)
+	case o.RebalanceWindow < 1:
+		return fmt.Errorf("-rebalance-window %d: need at least 1", o.RebalanceWindow)
 	}
 	// A flag the user set explicitly that cannot take effect at -ranks 1, or
 	// that needs another flag the command line does not set, is rejected by

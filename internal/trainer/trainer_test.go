@@ -660,6 +660,26 @@ func TestEngineFlagRejections(t *testing.T) {
 	if len(r.needsRanks) != 6 {
 		t.Errorf("%d flags need -ranks >= 2, want 6", len(r.needsRanks))
 	}
+	// An interval or size no run can take as written is rejected by name.
+	// Each of these used to run something else: a negative interval as its
+	// absolute value, its default, or never; -minibatch 0 as 128 pairs; a
+	// negative -minibatch or -neighbors failed only after the graph loaded.
+	for _, args := range [][]string{
+		{"-serve", ":0", "-publish-every", "-3"},
+		{"-serve", ":0", "-publish-every", "0"},
+		{"-checkpoint", "x", "-checkpoint-every", "-2"},
+		{"-ranks", "2", "-rebalance", "-rebalance-window", "-4"},
+		{"-ranks", "2", "-rebalance", "-rebalance-window", "0"},
+		{"-eval", "-7"},
+		{"-minibatch", "0"},
+		{"-minibatch", "-5"},
+		{"-neighbors", "-1"},
+	} {
+		_, err := train(append(args, "-graph", "/nonexistent")...)
+		if err == nil || errors.Is(err, os.ErrNotExist) || !strings.HasPrefix(err.Error(), args[len(args)-2]+" "+args[len(args)-1]+":") {
+			t.Errorf("%v: err = %v, want a start-up error naming %s", args, err, args[len(args)-2])
+		}
+	}
 	// The same flags at two ranks, and the rest at either rank count, pass
 	// flag validation and fail on the missing graph instead.
 	for _, args := range [][]string{
@@ -668,6 +688,8 @@ func TestEngineFlagRejections(t *testing.T) {
 		{"-ranks", "1", "-pi-backend", "mmap", "-pi-dir", "x", "-pi-shard-rows", "64"},
 		{"-ranks", "2", "-pi-backend", "mmap", "-pi-dir", "x", "-posterior-samples", "0"},
 		{"-ranks", "2", "-posterior-samples", "2"},
+		{"-ranks", "1", "-eval", "0", "-checkpoint", "x", "-checkpoint-every", "0", "-serve", ":0", "-publish-every", "1"},
+		{"-ranks", "2", "-rebalance", "-rebalance-window", "1", "-minibatch", "1", "-neighbors", "1"},
 	} {
 		if _, err := train(append(args, "-graph", "/nonexistent")...); !errors.Is(err, os.ErrNotExist) {
 			t.Errorf("%v: err = %v, want the missing graph", args, err)
