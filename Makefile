@@ -24,7 +24,7 @@ test:
 # mutex-guarded phase table and recorder), internal/core (the pipelined
 # loader and compute report to the observer from two goroutines),
 # internal/svi (its sweeps run on par workers) and internal/trainer (the
-# ocd-train / ocd-cluster program end to end: sink, monitor, query server
+# ocd-train program end to end: sink, monitor, query server
 # and every rank in one process).
 race:
 	$(GO) test -race $(DIST_PKGS)

@@ -178,7 +178,7 @@ func TestPipelineScoresInFileIDs(t *testing.T) {
 	gt := writeCover("g.txt.gt", func(v int32) int { return int(v) })
 	permuted := writeCover("permuted.gt", func(v int32) int { return perm[v] })
 
-	if err := trainer.Run("ocd-train", 1, []string{"-graph", graphPath, "-k", fmt.Sprint(k),
+	if err := trainer.Run([]string{"-graph", graphPath, "-k", fmt.Sprint(k),
 		"-iters", "1000", "-eval", "0", "-communities", detected}, io.Discard); err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // ocd-serve answers membership queries from a trained model checkpoint: it
-// loads the state written by ocd-train/ocd-cluster -checkpoint, seals it into
+// loads the state written by ocd-train -checkpoint, seals it into
 // an immutable snapshot (version = the stored iteration), and serves the
 // internal/serve HTTP/JSON API until interrupted.
 //

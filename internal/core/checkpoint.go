@@ -50,8 +50,8 @@ func truncated(section string, err error) error {
 }
 
 // CheckResumeIter rejects a checkpoint at iteration iter that the absolute
-// iteration target (-iters) leaves nothing to train from; both engines apply
-// it to a resume.
+// iteration target (-iters) leaves nothing to train from; the distributed
+// engine applies it to every resume, at any -ranks.
 func CheckResumeIter(iter, target int) error {
 	if iter < 0 || iter >= target {
 		return fmt.Errorf("checkpoint is at iteration %d, at or past -iters %d", iter, target)

@@ -98,17 +98,6 @@ func TestPhiRowRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStateClone(t *testing.T) {
-	cfg := DefaultConfig(4, 9)
-	s, _ := NewState(cfg, 6)
-	c := s.Clone()
-	s.Pi[0] = 0.999
-	s.Theta[0] = 123
-	if c.Pi[0] == s.Pi[0] || c.Theta[0] == s.Theta[0] {
-		t.Fatal("Clone shares storage with original")
-	}
-}
-
 func TestEdgeProbabilityManual(t *testing.T) {
 	piA := []float32{0.5, 0.5}
 	piB := []float32{0.5, 0.5}

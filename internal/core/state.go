@@ -148,17 +148,6 @@ func (s *State) RefreshBeta() {
 	}
 }
 
-// Clone deep-copies the state; used by tests and by the perplexity sample
-// averaging.
-func (s *State) Clone() *State {
-	c := &State{N: s.N, K: s.K}
-	c.Pi = append([]float32(nil), s.Pi...)
-	c.PhiSum = append([]float64(nil), s.PhiSum...)
-	c.Theta = append([]float64(nil), s.Theta...)
-	c.Beta = append([]float64(nil), s.Beta...)
-	return c
-}
-
 // Validate checks the model invariants: π rows on the simplex, positive φ
 // sums, positive θ, β in (0,1). Intended for tests; O(N·K).
 func (s *State) Validate() error {

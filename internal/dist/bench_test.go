@@ -110,7 +110,7 @@ func sweepConns(b *testing.B, kind string, ranks int) ([]transport.Conn, func())
 		}
 		return conns, func() { fabric.Close() }
 	case "tcp":
-		// Loopback mesh with real wire framing (cmd/ocd-cluster's -transport
+		// Loopback mesh with real wire framing (cmd/ocd-train's -transport
 		// tcp path).
 		conns, cleanup, err := transport.DialLoopbackMesh(ranks)
 		if err != nil {

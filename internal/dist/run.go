@@ -86,7 +86,7 @@ type Options struct {
 	// iteration; a non-nil return makes that rank fail exactly as if the
 	// iteration itself had errored, triggering the fabric-wide abort. It
 	// exists for the failure-injection test suites and the -fail-rank /
-	// -fail-iter flags of cmd/ocd-cluster; production runs leave it nil.
+	// -fail-iter flags of cmd/ocd-train; production runs leave it nil.
 	FaultHook func(rank, iter int) error
 
 	// Rebalance closes the straggler loop: every RebalanceWindow iterations
@@ -107,7 +107,7 @@ type Options struct {
 	// this rank's minibatch share). It models a degraded-CPU straggler — the
 	// fault the rebalancer can actually cure by moving work away, unlike
 	// -slow-rank's fixed per-send delay, whose cost is share-independent.
-	// Fault injection for tests and cmd/ocd-cluster's -slow-phi; production
+	// Fault injection for tests and cmd/ocd-train's -slow-phi; production
 	// runs leave it nil.
 	ComputeDelay func(rank, nodes int) time.Duration
 
@@ -273,7 +273,7 @@ func Run(cfg core.Config, g *graph.Graph, held *graph.HeldOut, opt Options) (*Re
 // RunOnTransport is Run over caller-provided endpoints — one per rank, all
 // in this process. It exists so the engine can be exercised over the TCP
 // mesh (or any other transport.Conn implementation) with the exact same
-// protocol; cmd/ocd-cluster and the TCP fidelity tests use it.
+// protocol; cmd/ocd-train and the TCP fidelity tests use it.
 func RunOnTransport(cfg core.Config, g *graph.Graph, held *graph.HeldOut, opt Options, conns []transport.Conn) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

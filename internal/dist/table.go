@@ -25,7 +25,7 @@ var rankTableOrder = []string{
 }
 
 // RankTable renders Result.RankPhases as a per-rank × per-stage text table
-// of mean milliseconds per iteration (cmd/ocd-cluster -rank-table). The
+// of mean milliseconds per iteration (cmd/ocd-train -rank-table). The
 // master-only stages (minibatch draw, perplexity reduce) show "-" on worker
 // ranks; iterations <= 0 falls back to totals.
 func RankTable(rankPhases []map[string]time.Duration, iterations int) string {

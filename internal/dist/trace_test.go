@@ -90,7 +90,7 @@ func TestTraceGatherTCP(t *testing.T) {
 }
 
 // TestCriticalPathNamesInjectedStraggler is the end-to-end acceptance check:
-// delay one rank's collective sends (the ocd-cluster -slow-rank injection),
+// delay one rank's collective sends (the ocd-train -slow-rank injection),
 // trace the run over TCP, and demand the analyzer attribute the majority of
 // the critical path to the injected rank.
 func TestCriticalPathNamesInjectedStraggler(t *testing.T) {

@@ -213,7 +213,7 @@ func StragglerWaits(waits []float64) *PeerReport {
 	return rep
 }
 
-// String renders the report as the one-line digest ocd-cluster and
+// String renders the report as the one-line digest ocd-train and
 // ocd-analyze print.
 func (r *PeerReport) String() string {
 	var b strings.Builder

@@ -53,13 +53,6 @@ type Machine struct {
 	// (load imbalance, progress loops): the paper's Table III rows sum to
 	// ~80% of its measured total, so DAS5 uses 1.25.
 	OverheadFactor float64
-	// PageFaultSec is the cost of servicing one cold-page fault when π lives
-	// in a memory-mapped store rather than RAM (kernel entry + page-cache
-	// miss + readahead setup). Zero selects a default in SingleNodeOutOfCore.
-	PageFaultSec float64
-	// DiskBandwidth is the backing device's sequential read rate (bytes/s)
-	// for faulted-in π pages. Zero selects a default in SingleNodeOutOfCore.
-	DiskBandwidth float64
 }
 
 // DAS5 returns constants calibrated against the paper's Table III (65 DAS5
@@ -80,8 +73,6 @@ func DAS5() Machine {
 		SyncBase:       2e-4,
 		SyncPerRank:    3.0e-5,
 		OverheadFactor: 1.25,
-		PageFaultSec:   8e-6,
-		DiskBandwidth:  2e9,
 	}
 }
 
@@ -114,8 +105,6 @@ func (m Machine) Validate() error {
 		return fmt.Errorf("perfmodel: read efficiency %v out of (0,1]", m.ReadEfficiency)
 	case m.SyncBase < 0 || m.SyncPerRank < 0:
 		return fmt.Errorf("perfmodel: negative sync cost")
-	case m.PageFaultSec < 0 || m.DiskBandwidth < 0:
-		return fmt.Errorf("perfmodel: negative I/O cost")
 	}
 	return nil
 }
@@ -284,57 +273,6 @@ func SingleNode(m Machine, w Workload, threads int) Estimate {
 	e.UpdatePhi = math.Max(e.ComputePhi, memTime)
 	e.UpdatePi = float64(w.M) * float64(w.K) * m.PiOp / cores
 	e.UpdateBetaTheta = float64(w.MinibatchPairs) * float64(w.K) * m.ThetaOp / cores
-	e.Total = e.DrawMinibatch + e.UpdatePhi + e.UpdatePi + e.UpdateBetaTheta
-	return e
-}
-
-// SingleNodeOutOfCore models vertical scaling when the π table does NOT fit
-// in RAM and lives in the sharded mmap store instead: residentFrac of the row
-// accesses hit pages already in memory (the resident page-cache slice) and
-// stream at DRAM rate, while the cold remainder each pay a page fault plus a
-// page-sized device read. This is the I/O term that explains why out-of-core
-// training degrades gracefully until the working set outruns the page cache
-// and then goes device-bound: the cold term grows linearly
-// in (1 - residentFrac) with a slope set by PageFaultSec and DiskBandwidth,
-// not by compute.
-func SingleNodeOutOfCore(m Machine, w Workload, threads int, residentFrac float64) Estimate {
-	if residentFrac < 0 {
-		residentFrac = 0
-	}
-	if residentFrac > 1 {
-		residentFrac = 1
-	}
-	pf := m.PageFaultSec
-	if pf == 0 {
-		pf = 8e-6
-	}
-	diskBW := m.DiskBandwidth
-	if diskBW == 0 {
-		diskBW = 2e9
-	}
-	e := SingleNode(m, w, threads)
-	w = w.withDefaults()
-
-	// update_phi touches M·(|V_n|+1) rows; the cold ones fault. Row accesses
-	// are scattered across the shards (a minibatch's neighbor sets are not
-	// contiguous), so each cold row charges one fault plus one page of device
-	// read — adjacent cold rows sharing a page is the residentFrac term's job
-	// to capture, not the per-fault cost's.
-	const pageBytes = 4096
-	rows := float64(w.M) * float64(w.NeighborCount+1)
-	coldRows := rows * (1 - residentFrac)
-	ioTime := coldRows * (pf + pageBytes/diskBW)
-	e.LoadPi += ioTime
-	// Faults block the touching worker, but with `threads` workers faulting
-	// independently the device queue overlaps them against compute the same
-	// way the DRAM stream does: the stage runs at the slower of the two.
-	e.UpdatePhi = math.Max(e.ComputePhi, e.LoadPi)
-
-	// update_pi writes back M rows; cold ones fault for the copy-on-write
-	// materialisation of their page.
-	coldWrites := float64(w.M) * (1 - residentFrac)
-	e.UpdatePi += coldWrites * (pf + pageBytes/diskBW)
-
 	e.Total = e.DrawMinibatch + e.UpdatePhi + e.UpdatePi + e.UpdateBetaTheta
 	return e
 }

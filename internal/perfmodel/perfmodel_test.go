@@ -320,48 +320,3 @@ func TestIterationThreadsIntraRankTerm(t *testing.T) {
 		t.Fatalf("load_pi changed with threads: %v vs %v", lo.LoadPi, hi.LoadPi)
 	}
 }
-
-func TestSingleNodeOutOfCore(t *testing.T) {
-	m := HPCCloud()
-	w := PaperFriendster()
-
-	// Fully resident: the I/O term vanishes and the estimate is exactly the
-	// in-RAM vertical-scaling model.
-	inRAM := SingleNode(m, w, m.Cores)
-	warm := SingleNodeOutOfCore(m, w, m.Cores, 1.0)
-	if warm.Total != inRAM.Total || warm.UpdatePhi != inRAM.UpdatePhi {
-		t.Fatalf("residentFrac=1 total %.4f, want in-RAM %.4f", warm.Total, inRAM.Total)
-	}
-
-	// Colder working sets cost strictly more, monotonically.
-	prev := warm.Total
-	for _, f := range []float64{0.9, 0.5, 0.1, 0} {
-		e := SingleNodeOutOfCore(m, w, m.Cores, f)
-		if e.Total <= prev {
-			t.Fatalf("residentFrac=%.1f total %.4f not above %.4f", f, e.Total, prev)
-		}
-		prev = e.Total
-	}
-
-	// At residentFrac=0 every row faults: the phi stage must be I/O-bound
-	// (LoadPi above ComputePhi) and the fault term must dominate compute.
-	cold := SingleNodeOutOfCore(m, w, m.Cores, 0)
-	if cold.LoadPi <= cold.ComputePhi {
-		t.Fatalf("all-cold run not I/O bound: load %.4f vs compute %.4f", cold.LoadPi, cold.ComputePhi)
-	}
-	if cold.UpdatePhi != cold.LoadPi {
-		t.Fatalf("all-cold UpdatePhi %.4f, want LoadPi %.4f", cold.UpdatePhi, cold.LoadPi)
-	}
-
-	// Zero-valued Machine I/O fields fall back to defaults instead of
-	// producing a free disk.
-	m.PageFaultSec, m.DiskBandwidth = 0, 0
-	if e := SingleNodeOutOfCore(m, w, m.Cores, 0); e.Total <= inRAM.Total {
-		t.Fatal("zero I/O fields modeled a free disk")
-	}
-
-	// Out-of-range fractions clamp rather than extrapolate.
-	if e := SingleNodeOutOfCore(HPCCloud(), w, 40, 1.5); e.Total != inRAM.Total {
-		t.Fatal("residentFrac > 1 not clamped")
-	}
-}

@@ -141,10 +141,12 @@ var benchSink float64
 func TestDecodeRowShortInput(t *testing.T) {
 	const k = 5
 	full := make([]byte, RowBytes(k))
-	if err := EncodeRow(full, []float64{1, 2, 3, 4, 5}); err != nil {
+	pi := make([]float32, k)
+	sum, err := normalise(pi, []float64{1, 2, 3, 4, 5})
+	if err != nil {
 		t.Fatal(err)
 	}
-	pi := make([]float32, k)
+	EncodeRowPi(full, pi, sum)
 	for n := 0; n < RowBytes(k); n++ {
 		sum, err := DecodeRow(full[:n], pi)
 		if !errors.Is(err, ErrShortRow) {
@@ -160,9 +162,10 @@ func TestDecodeRowShortInput(t *testing.T) {
 	}
 }
 
-// TestEncodeRowDegenerate pins the zero-sum φ fix at the codec layer: a row
-// whose mass is zero (or non-finite) must fail typed, with dst untouched.
-func TestEncodeRowDegenerate(t *testing.T) {
+// TestNormaliseDegenerate pins the zero-sum φ fix where every backend's
+// writer normalises: a row whose mass is zero (or non-finite) must fail
+// typed, with pi untouched.
+func TestNormaliseDegenerate(t *testing.T) {
 	const k = 3
 	cases := map[string][]float64{
 		"zero":    {0, 0, 0},
@@ -171,27 +174,27 @@ func TestEncodeRowDegenerate(t *testing.T) {
 		"neginf":  {math.Inf(-1), 1, 1},
 		"cancels": {1, -1, 0},
 	}
+	sentinel := math.Float32frombits(0xdeadbeef)
 	for name, phi := range cases {
-		buf := make([]byte, RowBytes(k))
-		for i := range buf {
-			buf[i] = 0xAB
-		}
-		if err := EncodeRow(buf, phi); !errors.Is(err, ErrDegenerateRow) {
+		pi := []float32{sentinel, sentinel, sentinel}
+		if _, err := normalise(pi, phi); !errors.Is(err, ErrDegenerateRow) {
 			t.Fatalf("%s: err=%v, want ErrDegenerateRow", name, err)
 		}
-		for i, b := range buf {
-			if b != 0xAB {
-				t.Fatalf("%s: dst[%d] clobbered by failed encode", name, i)
+		for j, v := range pi {
+			if math.Float32bits(v) != 0xdeadbeef {
+				t.Fatalf("%s: π[%d] clobbered by failed normalise", name, j)
 			}
 		}
 	}
 }
 
 // TestWriteRowsDegenerateRow pins the degenerate-row contract on every
-// backend with a two-row batch: one row with zero Σφ, one valid. The error
-// names the degenerate vertex, the valid row lands, and the degenerate row
-// keeps its previous value. At two DKV ranks vertex 2 is the writer's own and
-// vertex 17 its peer's, and either may be the degenerate one.
+// backend. In a two-row batch one row has zero Σφ and one is valid; in a
+// three-row batch two of them are degenerate, in both orders. The error
+// names the first degenerate vertex in batch order and no other, every valid
+// row lands with refWrite's bits, and each degenerate row keeps its previous
+// value. At two DKV ranks vertex 2 is the writer's own and vertices 12 and 17
+// its peer's.
 func TestWriteRowsDegenerateRow(t *testing.T) {
 	const n, k = 20, 3
 	backends := []struct {
@@ -213,37 +216,57 @@ func TestWriteRowsDegenerateRow(t *testing.T) {
 			twoRankStores(t, n, k, func(s *DKVStore) { body(s) })
 		}},
 	}
-	valid := []float64{1, 2, 3}
+	batches := []struct {
+		name string
+		ids  []int32
+		bad  []int // indices into ids, in batch order
+	}{
+		{"vertex 2", []int32{2, 17}, []int{0}},
+		{"vertex 17", []int32{2, 17}, []int{1}},
+		{"vertices 2 and 17", []int32{2, 12, 17}, []int{0, 2}},
+		{"vertices 17 and 2", []int32{17, 12, 2}, []int{0, 2}},
+	}
+	// On the valid row SetPhiRow's float32(v·(1/Σφ)) and the one-rounding
+	// float32(v/Σφ) differ in the last bit of π[0] (Σφ is exactly 3), so a
+	// backend that stores it must have used SetPhiRow's arithmetic.
+	valid := []float64{0x1.e731178000001p-1, 0x1.0633ba2p+1, 0}
+	if wantPi, wantSum := refWrite(valid); wantSum != 3 || wantPi[0] == float32(valid[0]/wantSum) {
+		t.Fatalf("the valid row does not tell v·inv from v/Σφ: Σφ=%v π[0]=%v", wantSum, wantPi[0])
+	}
 	for _, b := range backends {
-		for _, bad := range []int{0, 1} {
-			ids := []int32{2, 17}
-			t.Run(fmt.Sprintf("%s/vertex %d", b.name, ids[bad]), func(t *testing.T) {
+		for _, c := range batches {
+			t.Run(b.name+"/"+c.name, func(t *testing.T) {
 				b.with(t, func(ps PiStore) {
-					phi := make([]float64, 0, 2*k)
-					for i := range ids {
-						if i == bad {
+					phi := make([]float64, 0, len(c.ids)*k)
+					for i := range c.ids {
+						if slices.Contains(c.bad, i) {
 							phi = append(phi, 0, 0, 0)
 						} else {
 							phi = append(phi, valid...)
 						}
 					}
-					err := ps.WriteRows(ids, phi)
+					err := ps.WriteRows(c.ids, phi)
 					if !errors.Is(err, ErrDegenerateRow) {
 						t.Fatalf("zero-sum φ row accepted: %v", err)
 					}
-					if want := fmt.Sprintf("vertex %d", ids[bad]); !strings.Contains(err.Error(), want) {
-						t.Fatalf("error %q does not name %s", err, want)
+					for j, i := range c.bad {
+						if named := strings.Contains(err.Error(), fmt.Sprintf("vertex %d:", c.ids[i])); named != (j == 0) {
+							t.Fatalf("error %q: names vertex %d = %v, want only the first degenerate vertex %d",
+								err, c.ids[i], named, c.ids[c.bad[0]])
+						}
 					}
 					var rows Rows
-					if err := ps.ReadRows(ids, &rows); err != nil {
+					if err := ps.ReadRows(c.ids, &rows); err != nil {
 						t.Fatal(err)
 					}
-					checkInitRow(t, &rows, bad, ids[bad], k)
 					wantPi, wantSum := refWrite(valid)
-					ok := 1 - bad
-					if rows.PhiSum[ok] != wantSum || !slices.Equal(rows.PiRow(ok), wantPi) {
-						t.Fatalf("valid vertex %d skipped alongside the degenerate one: Σφ=%v π=%v, want %v %v",
-							ids[ok], rows.PhiSum[ok], rows.PiRow(ok), wantSum, wantPi)
+					for i, a := range c.ids {
+						if slices.Contains(c.bad, i) {
+							checkInitRow(t, &rows, i, a, k)
+						} else if rows.PhiSum[i] != wantSum || !slices.Equal(rows.PiRow(i), wantPi) {
+							t.Fatalf("valid vertex %d skipped alongside the degenerate one: Σφ=%v π=%v, want %v %v",
+								a, rows.PhiSum[i], rows.PiRow(i), wantSum, wantPi)
+						}
 					}
 				})
 			})

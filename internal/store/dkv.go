@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/dkv"
 	"repro/internal/obs"
@@ -92,16 +91,6 @@ func (s *DKVStore) readOwned(keys []int32, sc *scratch, visit func(off int)) err
 	return nil
 }
 
-// scratch is one call's working memory: partition ids, owned rows and
-// encoded remote values.
-type scratch struct {
-	ids    []int32
-	rows   Rows
-	values []byte
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
 // ReadRows implements PiStore: the whole batch goes out as one batched DKV
 // read. The owned share is read from the partition while the requests are
 // in flight, and each remote share decodes in parallel straight into dst as
@@ -143,45 +132,9 @@ func (s *DKVStore) ReadRows(ids []int32, dst *Rows) error {
 	return errors.Join(err, errs.get())
 }
 
-// WriteRows implements PiStore: the rows are normalised in parallel with
-// SetPhiRow's arithmetic and stored through WritePiRows. A degenerate row
-// (zero or non-finite Σφ) is left out, so, as on every backend, the valid
-// rows are written and the first error names the vertex.
+// WriteRows implements PiStore through the one writer, writeRows.
 func (s *DKVStore) WriteRows(ids []int32, phi []float64) error {
-	k := s.k
-	if len(phi) != len(ids)*k {
-		return fmt.Errorf("store: phi has %d values, want %d", len(phi), len(ids)*k)
-	}
-	if err := checkIDs(ids, s.n); err != nil {
-		return err
-	}
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	rows := &sc.rows
-	rows.Reset(len(ids), k)
-	var errs errCollector
-	par.For(len(ids), s.threads, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sum, err := normalise(rows.PiRow(i), phi[i*k:(i+1)*k])
-			if err != nil {
-				errs.set(fmt.Errorf("store: vertex %d: %w", ids[i], err))
-			}
-			rows.PhiSum[i] = sum
-		}
-	})
-	bad := errs.get()
-	if bad == nil {
-		return s.WritePiRows(ids, rows.Pi, rows.PhiSum)
-	}
-	var valid []int32
-	var pi []float32
-	var phiSum []float64
-	for i, sum := range rows.PhiSum {
-		if checkRowSum(sum) == nil {
-			valid, pi, phiSum = append(valid, ids[i]), append(pi, rows.PiRow(i)...), append(phiSum, sum)
-		}
-	}
-	return errors.Join(bad, s.WritePiRows(valid, pi, phiSum))
+	return writeRows(s, s.threads, ids, phi)
 }
 
 // WritePiRows implements PiStore: already-normalised rows land verbatim,

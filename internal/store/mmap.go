@@ -407,35 +407,10 @@ func (s *MmapStore) ReadRows(ids []int32, dst *Rows) error {
 	return errs.get()
 }
 
-// WriteRows implements PiStore with SetPhiRow's exact arithmetic. The first
-// write to a shard since the last seal materialises its working copy; a
-// degenerate row fails with ErrDegenerateRow naming the vertex and writes
-// nothing for that row.
+// WriteRows implements PiStore through the one writer, writeRows: rows are
+// normalised outside the lock and stored by WritePiRows.
 func (s *MmapStore) WriteRows(ids []int32, phi []float64) error {
-	if len(phi) != len(ids)*s.k {
-		return fmt.Errorf("store: phi has %d values, want %d", len(phi), len(ids)*s.k)
-	}
-	if err := checkIDs(ids, s.n); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var firstErr error
-	for i, id := range ids {
-		if err := s.materializeLocked(int(id) / s.shardRows); err != nil {
-			return err
-		}
-		raw, err := s.rowAt(int(id))
-		if err != nil {
-			return err
-		}
-		if err := EncodeRow(raw, phi[i*s.k:(i+1)*s.k]); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("store: vertex %d: %w", id, err)
-			}
-		}
-	}
-	return firstErr
+	return writeRows(s, s.threads, ids, phi)
 }
 
 // WritePiRows implements PiStore: already-normalised rows land verbatim.

@@ -24,11 +24,12 @@
 // one, WritePiRows (checkpoint restore), both in BatchRows batches on every
 // backend.
 //
-// Bit-exactness contract: WriteRows on every backend performs the exact
-// normalisation arithmetic of core.State.SetPhiRow (sum in slice order,
-// inv = 1/sum, float32(v·inv)), and reads return float32/float64 values
-// unchanged, so every backend produces bit-identical trajectories from
-// identical inputs.
+// Bit-exactness contract: one writer, writeRows, is every backend's
+// WriteRows. It normalises φ with the arithmetic of core.State.SetPhiRow
+// (sum in slice order, inv = 1/sum, float32(v·inv)) and each backend only
+// stores the result through its WritePiRows, so a backend is ReadRows plus
+// WritePiRows, both of which move float32/float64 values unchanged, and every
+// backend produces bit-identical trajectories from identical inputs.
 package store
 
 import (
@@ -36,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -46,8 +48,9 @@ import (
 //
 //   - ErrDegenerateRow: a φ row whose sum is zero or non-finite. Dividing by
 //     it would write NaN/±Inf π that silently poisons every later read — the
-//     store surfaces the row instead of normalising it. WriteRows on every
-//     backend wraps this with the offending vertex id.
+//     store surfaces the row instead of normalising it. The writer behind
+//     every backend's WriteRows wraps this with the first offending vertex
+//     id.
 //   - ErrShortRow: a wire/file value shorter than RowBytes(K) — a truncated
 //     DKV response or a torn shard file. Decoding it would index past the
 //     buffer; the store returns the typed error instead of panicking.
@@ -68,20 +71,14 @@ const (
 	MaxK    = 1 << 24
 )
 
-// rowSum is Σφ of a row, summed in slice order as core.State.SetPhiRow sums
-// it.
-func rowSum(phi []float64) float64 {
+// normalise writes π = φ/Σφ into pi with SetPhiRow's arithmetic (Σφ summed
+// in slice order, inv = 1/Σφ, float32(v·inv)) and returns Σφ; a degenerate
+// sum fails with ErrDegenerateRow and leaves pi untouched.
+func normalise(pi []float32, phi []float64) (float64, error) {
 	var sum float64
 	for _, v := range phi {
 		sum += v
 	}
-	return sum
-}
-
-// normalise writes π = φ/Σφ into pi with SetPhiRow's arithmetic and returns
-// Σφ; a degenerate sum fails with ErrDegenerateRow and leaves pi untouched.
-func normalise(pi []float32, phi []float64) (float64, error) {
-	sum := rowSum(phi)
 	if err := checkRowSum(sum); err != nil {
 		return sum, err
 	}
@@ -203,6 +200,59 @@ func Sweep(ps PiStore, pi []float32, visit func(lo int, rows *Rows) error) error
 	return nil
 }
 
+// scratch is one call's working memory: partition or valid-row ids,
+// normalised or owned rows, and encoded remote values.
+type scratch struct {
+	ids    []int32
+	rows   Rows
+	values []byte
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// writeRows is every backend's WriteRows: it checks phi and the ids once,
+// normalises the φ rows on threads workers with SetPhiRow's arithmetic into
+// pooled scratch, and hands the valid rows to ps.WritePiRows, which stores
+// them verbatim. A degenerate row (zero or non-finite Σφ) is left out, so no
+// backend holds NaN/±Inf π; its valid siblings still land, and the error
+// names the first degenerate vertex in batch order.
+func writeRows(ps PiStore, threads int, ids []int32, phi []float64) error {
+	k := ps.K()
+	if len(phi) != len(ids)*k {
+		return fmt.Errorf("store: phi has %d values, want %d", len(phi), len(ids)*k)
+	}
+	if err := checkIDs(ids, ps.NumRows()); err != nil {
+		return err
+	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	rows := &sc.rows
+	rows.Reset(len(ids), k)
+	// The sum carries normalise's verdict: the rows are judged below, in
+	// batch order, not in whichever order the workers finish.
+	par.For(len(ids), threads, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			rows.PhiSum[i], _ = normalise(rows.PiRow(i), phi[i*k:(i+1)*k])
+		}
+	})
+	first := slices.IndexFunc(rows.PhiSum, func(sum float64) bool { return checkRowSum(sum) != nil })
+	if first < 0 {
+		return ps.WritePiRows(ids, rows.Pi, rows.PhiSum)
+	}
+	bad := fmt.Errorf("store: vertex %d: %w", ids[first], checkRowSum(rows.PhiSum[first]))
+	valid := append(sc.ids[:0], ids[:first]...)
+	for i := first + 1; i < len(ids); i++ {
+		if checkRowSum(rows.PhiSum[i]) == nil {
+			copy(rows.PiRow(len(valid)), rows.PiRow(i))
+			rows.PhiSum[len(valid)] = rows.PhiSum[i]
+			valid = append(valid, ids[i])
+		}
+	}
+	sc.ids = valid
+	m := len(valid)
+	return errors.Join(bad, ps.WritePiRows(valid, rows.Pi[:m*k], rows.PhiSum[:m]))
+}
+
 // errCollector keeps the first error reported from a parallel loop.
 type errCollector struct {
 	mu  sync.Mutex
@@ -221,26 +271,6 @@ func (e *errCollector) get() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.err
-}
-
-// EncodeRow writes π (derived from phi) and Σφ into dst (RowBytes long),
-// mirroring core.State.SetPhiRow's arithmetic so all backends quantise to
-// float32 identically. A zero or non-finite Σφ is refused with
-// ErrDegenerateRow (dst is left untouched) instead of silently writing
-// NaN/±Inf π.
-func EncodeRow(dst []byte, phi []float64) error {
-	sum := rowSum(phi)
-	if err := checkRowSum(sum); err != nil {
-		return err
-	}
-	inv := 1 / sum
-	off := 0
-	for _, v := range phi {
-		putF32(dst[off:], float32(v*inv))
-		off += 4
-	}
-	putF64(dst[off:], sum)
-	return nil
 }
 
 // EncodeRowPi writes an already-normalised π row plus Σφ; used for initial
@@ -376,30 +406,9 @@ func (s *LocalStore) ReadRows(ids []int32, dst *Rows) error {
 	return nil
 }
 
-// WriteRows implements PiStore with core.State.SetPhiRow's arithmetic. A
-// degenerate row (zero or non-finite Σφ) fails with ErrDegenerateRow naming
-// the vertex; the degenerate row itself is not written, so the store never
-// holds NaN/±Inf π.
+// WriteRows implements PiStore through the one writer, writeRows.
 func (s *LocalStore) WriteRows(ids []int32, phi []float64) error {
-	if len(phi) != len(ids)*s.k {
-		return fmt.Errorf("store: phi has %d values, want %d", len(phi), len(ids)*s.k)
-	}
-	if err := checkIDs(ids, len(s.phiSum)); err != nil {
-		return err
-	}
-	var errs errCollector
-	par.For(len(ids), s.threads, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a := int(ids[i])
-			sum, err := normalise(s.pi[a*s.k:(a+1)*s.k], phi[i*s.k:(i+1)*s.k])
-			if err != nil {
-				errs.set(fmt.Errorf("store: vertex %d: %w", ids[i], err))
-				continue
-			}
-			s.phiSum[a] = sum
-		}
-	})
-	return errs.get()
+	return writeRows(s, s.threads, ids, phi)
 }
 
 // WritePiRows implements PiStore with plain copies.

@@ -15,11 +15,14 @@ func TestRowCodecRoundTrip(t *testing.T) {
 	const k = 7
 	phi := []float64{0.5, 1.25, 3, 0.125, 2, 0.75, 1}
 	buf := make([]byte, RowBytes(k))
-	if err := EncodeRow(buf, phi); err != nil {
+	pi := make([]float32, k)
+	sum, err := normalise(pi, phi)
+	if err != nil {
 		t.Fatal(err)
 	}
-	pi := make([]float32, k)
-	sum, err := DecodeRow(buf, pi)
+	EncodeRowPi(buf, pi, sum)
+	clear(pi)
+	sum, err = DecodeRow(buf, pi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,6 +457,46 @@ func BenchmarkOneRankRead(b *testing.B) {
 			var dst Rows
 			for i := 0; i < b.N; i++ {
 				if err := c.ps.ReadRows(ids, &dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkWriteRows writes 1 000 φ rows at K 64 on 2 threads through the one
+// writer: into a LocalStore, an MmapStore and a one-rank DKVStore over a
+// LocalStore partition.
+func BenchmarkWriteRows(b *testing.B) {
+	const n, k, batch, threads = 20_000, 64, 1_000, 2
+	rng := rand.New(rand.NewSource(22))
+	ids := make([]int32, batch)
+	for i, a := range rng.Perm(n)[:batch] {
+		ids[i] = int32(a)
+	}
+	phi := make([]float64, batch*k)
+	for i := range phi {
+		phi[i] = rng.Float64()
+	}
+	local := func() *LocalStore { return NewLocal(make([]float32, n*k), make([]float64, n), k, threads) }
+	mmap := initMmap(b, n, k, MmapOptions{Threads: threads})
+	f, err := transport.NewFabric(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	ds, err := NewDKV(f.Endpoint(0), n, k, threads, nil, local())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ds.Close()
+	for _, c := range []struct {
+		name string
+		ps   PiStore
+	}{{"local", local()}, {"mmap", mmap}, {"dkv", ds}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := c.ps.WriteRows(ids, phi); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -62,11 +62,10 @@ var requires = map[string]string{
 	"pprof":            "monitor",
 }
 
-// flagSet is the one flag table: every flag of ocd-train and ocd-cluster is
-// defined here, once. The two programs differ only in name and in
-// defaultRanks.
-func (r *run) flagSet(prog string, defaultRanks int) *flag.FlagSet {
-	fs := flag.NewFlagSet(prog, flag.ContinueOnError)
+// flagSet is the one flag table: every flag of ocd-train is defined here,
+// once.
+func (r *run) flagSet() *flag.FlagSet {
+	fs := flag.NewFlagSet("ocd-train", flag.ContinueOnError)
 	fs.SetOutput(io.Discard) // Run reports parse errors and -h itself
 	r.cfg = core.DefaultConfig(0, 0)
 	c, o := &r.cfg, &r.opt
@@ -76,7 +75,7 @@ func (r *run) flagSet(prog string, defaultRanks int) *flag.FlagSet {
 	fs.StringVar(&r.graphPath, "graph", "", "input SNAP edge-list (required)")
 	fs.BoolVar(&r.stream, "stream", false, "stream the edge list from disk (requires a '# Nodes: <n>' header; avoids the transient edge-list copy)")
 	fs.IntVar(&r.heldDiv, "heldout-div", 50, "held-out links = |E| / this")
-	fs.IntVar(&o.Ranks, "ranks", defaultRanks, "cluster size: the number of simulated ranks the engine runs on (1 = one in-process rank)")
+	fs.IntVar(&o.Ranks, "ranks", 1, "cluster size: the number of simulated ranks the engine runs on (1 = one in-process rank)")
 	fs.IntVar(&o.Threads, "threads", 0, "worker threads per rank (0 = GOMAXPROCS / ranks)")
 	fs.IntVar(&c.K, "k", 32, "number of latent communities")
 	fs.Uint64Var(&c.Seed, "seed", 42, "random seed")
@@ -101,7 +100,6 @@ func (r *run) flagSet(prog string, defaultRanks int) *flag.FlagSet {
 	fs.StringVar(&r.piBackend, "pi-backend", "local", "π table backend: local (in-RAM) or mmap (sharded memory-mapped files, one directory per rank)")
 	fs.StringVar(&r.piDir, "pi-dir", "", "directory for the mmap π shards, one rank-<r> subdirectory per rank (none may already hold a store; required with -pi-backend mmap)")
 	fs.IntVar(&r.mmap.ShardRows, "pi-shard-rows", store.DefaultShardRows, "rows per mmap shard file")
-	fs.BoolVar(&o.Pipeline, "pipeline", false, "enable double-buffered π loading and minibatch prefetch")
 	fs.IntVar(&r.failRank, "fail-rank", -1, "fault injection: rank to crash (-1 = none)")
 	fs.IntVar(&r.failIter, "fail-iter", 0, "fault injection: iteration at which -fail-rank crashes")
 	fs.StringVar(&r.monitorAt, "monitor", "", "serve live metrics (/metrics) and the run log with its spans (/events, SSE) over HTTP on this address (e.g. :6060 or 127.0.0.1:0)")
@@ -120,8 +118,8 @@ func (r *run) flagSet(prog string, defaultRanks int) *flag.FlagSet {
 
 // parse fills r from args and validates it. It returns (false, nil) when the
 // command line asked for the usage text, which it has then printed.
-func (r *run) parse(prog string, defaultRanks int, args []string) (ok bool, err error) {
-	fs := r.flagSet(prog, defaultRanks)
+func (r *run) parse(args []string) (ok bool, err error) {
+	fs := r.flagSet()
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			fs.SetOutput(r.out)
@@ -143,6 +141,9 @@ func (r *run) parse(prog string, defaultRanks int, args []string) (ok bool, err 
 		r.opt.Threads = max(1, runtime.GOMAXPROCS(0)/r.opt.Ranks)
 	}
 	r.mmap.Threads = r.opt.Threads
+	// The paper's §III-D schedule: prefetch the next minibatch, and overlap
+	// π loads with compute wherever there is a peer to load from.
+	r.opt.Pipeline = true
 	// A run that writes a log records its spans into it.
 	r.opt.Trace = r.metricsOut != "" || r.monitorAt != ""
 	return true, nil

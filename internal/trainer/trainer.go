@@ -1,9 +1,9 @@
-// Package trainer is the one training program behind cmd/ocd-train and
-// cmd/ocd-cluster. The paper's system is a single sampler launched at any
-// node count × thread count; here that is one flag table (flags.go) and one
-// Run, which runs dist.RunOnTransport on -ranks ranks over the chosen
-// transport — -ranks 1 is the same engine on a one-endpoint fabric — with π
-// in RAM or in per-rank mmap partitions. Everything around the engine —
+// Package trainer is the training program behind cmd/ocd-train. The
+// paper's system is a single sampler launched at any node count × thread
+// count; here that is one flag table (flags.go) and one Run, which runs
+// dist.RunOnTransport on -ranks ranks over the chosen transport — -ranks 1
+// is the same engine on a one-endpoint fabric — with π in RAM or in
+// per-rank mmap partitions. Everything around the engine —
 // graph load and held-out split, telemetry sink, monitor, query server,
 // resume, checkpoint, posterior mean, report — exists once and means the
 // same thing at every rank count.
@@ -34,14 +34,12 @@ import (
 
 // Run is the whole program: parse args, load and split the graph, wire the
 // telemetry sink / monitor / query server, train on -ranks ranks, and print
-// the report to stdout. prog names the binary in usage
-// text; defaultRanks is the only thing the two binaries disagree on. Every
-// resource Run acquires is released on every path, a failed run included —
-// its JSONL stream is flushed up to the failure — so the caller's os.Exit is
-// the only one.
-func Run(prog string, defaultRanks int, args []string, stdout io.Writer) (err error) {
+// the report to stdout. Every resource Run acquires is released on every
+// path, a failed run included — its JSONL stream is flushed up to the failure
+// — so the caller's os.Exit is the only one.
+func Run(args []string, stdout io.Writer) (err error) {
 	r := &run{out: stdout}
-	if ok, err := r.parse(prog, defaultRanks, args); !ok {
+	if ok, err := r.parse(args); !ok {
 		return err
 	}
 	train, held, err := r.loadGraph()

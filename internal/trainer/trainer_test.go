@@ -45,10 +45,10 @@ func smokeGraph(t *testing.T) string {
 	return path
 }
 
-// train runs the trainer to completion as ocd-cluster (default -ranks 4).
+// train runs the trainer to completion.
 func train(args ...string) (stdout string, err error) {
 	var buf bytes.Buffer
-	err = Run("ocd-cluster", 4, args, &buf)
+	err = Run(args, &buf)
 	return buf.String(), err
 }
 
@@ -106,7 +106,7 @@ func (l *liveOutput) await(t *testing.T, re *regexp.Regexp) string {
 func startTrainer(args ...string) (*liveOutput, <-chan error) {
 	out := &liveOutput{wrote: make(chan struct{}, 1)}
 	done := make(chan error, 1)
-	go func() { done <- Run("ocd-cluster", 4, args, out) }()
+	go func() { done <- Run(args, out) }()
 	return out, done
 }
 
@@ -188,7 +188,7 @@ func awaitSnapshot(t *testing.T, base string) int {
 func TestTelemetryStream(t *testing.T) {
 	jsonl := filepath.Join(t.TempDir(), "run.jsonl")
 	out := mustTrain(t, "-graph", smokeGraph(t), "-ranks", "3", "-k", "8", "-iters", "20", "-eval", "10",
-		"-pipeline", "-metrics-out", jsonl, "-rank-table")
+		"-metrics-out", jsonl, "-rank-table")
 	sum := summarize(t, jsonl)
 	if sum.Ranks != 3 || sum.Iterations != 20 || sum.FinalPerplexity <= 0 {
 		t.Errorf("summary: %d ranks, %d iterations, final perplexity %v; want 3, 20, > 0", sum.Ranks, sum.Iterations, sum.FinalPerplexity)
@@ -636,7 +636,7 @@ func TestStoreWriteFailureIsAnError(t *testing.T) {
 			t.Error(err)
 		}
 	}}
-	err := Run("ocd-train", 1, []string{"-graph", smokeGraph(t), "-k", "8", "-iters", "5", "-eval", "0",
+	err := Run([]string{"-graph", smokeGraph(t), "-k", "8", "-iters", "5", "-eval", "0",
 		"-pi-backend", "mmap", "-pi-dir", piDir}, out)
 	if err == nil || !strings.Contains(err.Error(), "iteration 0:") || !strings.Contains(err.Error(), "shard-00000.work") {
 		t.Fatalf("err = %v, want the iteration-0 store write failure\n%s", err, out)
@@ -646,10 +646,11 @@ func TestStoreWriteFailureIsAnError(t *testing.T) {
 // TestEngineFlagRejections: every flag that would be a silent no-op at one
 // rank, set explicitly at -ranks 1, is a start-up error naming the flag —
 // before the graph is even opened (the path here does not exist). No flag
-// works at one rank only.
+// works at one rank only, and -pipeline is gone: every run takes the
+// paper's §III-D schedule.
 func TestEngineFlagRejections(t *testing.T) {
 	r := new(run)
-	fs := r.flagSet("test", 1)
+	fs := r.flagSet()
 	for name := range r.needsRanks {
 		// Setting a flag to its default is still setting it.
 		_, err := train("-graph", "/nonexistent", "-ranks", "1", "-"+name+"="+fs.Lookup(name).DefValue)
@@ -659,6 +660,10 @@ func TestEngineFlagRejections(t *testing.T) {
 	}
 	if len(r.needsRanks) != 6 {
 		t.Errorf("%d flags need -ranks >= 2, want 6", len(r.needsRanks))
+	}
+	if _, err := train("-graph", "/nonexistent", "-pipeline"); err == nil ||
+		!strings.Contains(err.Error(), "flag provided but not defined: -pipeline") {
+		t.Errorf("-pipeline: err = %v, want an undefined flag", err)
 	}
 	// An interval or size no run can take as written is rejected by name.
 	// Each of these used to run something else: a negative interval as its
@@ -684,7 +689,7 @@ func TestEngineFlagRejections(t *testing.T) {
 	// flag validation and fail on the missing graph instead.
 	for _, args := range [][]string{
 		{"-ranks", "2", "-transport", "tcp", "-slow-rank", "1", "-rebalance"},
-		{"-ranks", "1", "-pipeline", "-monitor", "127.0.0.1:0", "-pprof", "-rank-table", "-fail-rank", "0", "-fail-iter", "3"},
+		{"-ranks", "1", "-monitor", "127.0.0.1:0", "-pprof", "-rank-table", "-fail-rank", "0", "-fail-iter", "3"},
 		{"-ranks", "1", "-pi-backend", "mmap", "-pi-dir", "x", "-pi-shard-rows", "64"},
 		{"-ranks", "2", "-pi-backend", "mmap", "-pi-dir", "x", "-posterior-samples", "0"},
 		{"-ranks", "2", "-posterior-samples", "2"},
